@@ -18,7 +18,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pv_bench::uc1_config;
 use pv_core::eval::few_runs_spec;
 use pv_core::pipeline::EncodedCorpus;
-use pv_core::{evaluate_few_runs_encoded, evaluate_few_runs_incremental, ModelKind, ReprKind};
+use pv_core::{evaluate_few_runs, evaluate_few_runs_incremental, ModelKind, ReprKind};
 use pv_ml::{Dataset, DenseMatrix, RandomForestRegressor, Regressor};
 use pv_stats::rng::Xoshiro256pp;
 use pv_sysmodel::{Corpus, SystemModel};
@@ -48,13 +48,13 @@ fn bench_incremental_eval(c: &mut Criterion) {
     let warm = evaluate_few_runs_incremental(&enc_full, cfg, &seeded.folds).unwrap();
     // The comparison only means anything if reuse actually happened and
     // reproduced the cold bits.
-    let cold = evaluate_few_runs_encoded(&enc_full, cfg).unwrap();
+    let cold = evaluate_few_runs(&full, cfg).unwrap();
     assert_eq!(warm.summary, cold);
     assert!(warm.stats.deltas > 0, "{:?}", warm.stats);
     assert_eq!(warm.stats.hits, 0);
 
     g.bench_function("cold_logo_50bench", |b| {
-        b.iter(|| evaluate_few_runs_encoded(black_box(&enc_full), cfg).unwrap())
+        b.iter(|| evaluate_few_runs_incremental(black_box(&enc_full), cfg, &[]).unwrap())
     });
     g.bench_function("rerun_unchanged_all_hits", |b| {
         b.iter(|| evaluate_few_runs_incremental(black_box(&enc_full), cfg, &warm.folds).unwrap())

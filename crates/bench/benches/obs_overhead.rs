@@ -16,7 +16,8 @@ use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pv_bench::uc1_config;
-use pv_core::eval::{evaluate_few_runs_encoded, few_runs_spec};
+use pv_core::eval::few_runs_spec;
+use pv_core::incremental::evaluate_few_runs_incremental;
 use pv_core::pipeline::EncodedCorpus;
 use pv_core::{ModelKind, ReprKind};
 use pv_obs::Collector;
@@ -34,7 +35,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     // Identical workload to logo_eval/pipeline_prebuilt_cache: every
     // span!/timed! site is compiled in, no collector installed.
     g.bench_function("collector_off", |b| {
-        b.iter(|| evaluate_few_runs_encoded(black_box(&enc), cfg).unwrap())
+        b.iter(|| evaluate_few_runs_incremental(black_box(&enc), cfg, &[]).unwrap())
     });
 
     // Same workload recording: spans buffer + flush, timers feed latency
@@ -43,7 +44,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     g.bench_function("collector_on", |b| {
         b.iter(|| {
             let collector = Collector::install();
-            let summary = evaluate_few_runs_encoded(black_box(&enc), cfg).unwrap();
+            let summary = evaluate_few_runs_incremental(black_box(&enc), cfg, &[]).unwrap();
             let report = collector.finish();
             black_box((summary, report.events.len()))
         })

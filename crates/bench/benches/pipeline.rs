@@ -6,9 +6,8 @@ use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pv_bench::{uc1_config, uc2_config};
-use pv_core::eval::{
-    evaluate_few_runs, evaluate_few_runs_encoded, few_runs_spec, RECONSTRUCTION_SAMPLES,
-};
+use pv_core::eval::{evaluate_few_runs, few_runs_spec, RECONSTRUCTION_SAMPLES};
+use pv_core::incremental::evaluate_few_runs_incremental;
 use pv_core::pipeline::EncodedCorpus;
 use pv_core::usecase1::FewRunsPredictor;
 use pv_core::usecase2::CrossSystemPredictor;
@@ -118,7 +117,7 @@ fn bench_logo_eval(c: &mut Criterion) {
     });
     let enc = EncodedCorpus::build(&corpus, &few_runs_spec(&cfg)).unwrap();
     g.bench_function("pipeline_prebuilt_cache", |b| {
-        b.iter(|| evaluate_few_runs_encoded(black_box(&enc), cfg).unwrap())
+        b.iter(|| evaluate_few_runs_incremental(black_box(&enc), cfg, &[]).unwrap())
     });
     g.finish();
 }

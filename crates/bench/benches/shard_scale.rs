@@ -1,9 +1,9 @@
 //! Sharded data-plane benchmarks: encode throughput of the streaming
-//! shard builder, the sharded-vs-monolithic evaluation overhead (the
-//! re-layering claims ≤5% on a resident working set — the two numbers
-//! reported here pin it), and the peak-memory ceiling of a scale
-//! campaign that would cost hundreds of megabytes to materialize
-//! monolithically.
+//! shard builder, the evaluation overhead of many shards versus the
+//! one-shard layout (the re-layering claims ≤5% on a resident working
+//! set — the two numbers reported here pin it), and the peak-memory
+//! ceiling of a scale campaign that would cost hundreds of megabytes to
+//! materialize at once.
 //!
 //! The memory check runs first, before anything else allocates a whole
 //! corpus: it builds a 2,000-benchmark × 500-run campaign (≈600 MB of
@@ -14,11 +14,11 @@
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pv_core::eval::{evaluate_few_runs_sharded, few_runs_spec};
+use pv_core::eval::few_runs_spec;
 use pv_core::pipeline::EncodedCorpus;
 use pv_core::shard::{CampaignSource, ShardSource, ShardedCorpus};
 use pv_core::usecase1::FewRunsConfig;
-use pv_core::{evaluate_few_runs_encoded, ModelKind, ReprKind};
+use pv_core::{evaluate_few_runs_incremental, EvalSummary, ModelKind, ReprKind};
 use pv_sysmodel::{collect_benchmarks, scaled_roster, Corpus, SystemModel};
 
 fn cfg() -> FewRunsConfig {
@@ -50,8 +50,8 @@ fn peak_rss_bytes() -> Option<u64> {
 }
 
 /// Scale scenario: 2,000 benchmarks never materialize at once. Runs
-/// before any monolithic allocation so the high-water mark reflects the
-/// sharded path alone.
+/// before any whole-corpus allocation so the high-water mark reflects
+/// the streaming build alone.
 fn bench_scale_memory_ceiling(c: &mut Criterion) {
     const CEILING: u64 = 160 * 1024 * 1024;
     let source = campaign(2000, 500);
@@ -113,7 +113,7 @@ fn bench_encode_throughput(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    g.bench_function("monolithic_build_256bench_100runs", |b| {
+    g.bench_function("one_shard_build_256bench_100runs", |b| {
         let sys = SystemModel::intel();
         let ids = scaled_roster(256);
         b.iter(|| {
@@ -130,22 +130,23 @@ fn bench_encode_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-/// LOGO evaluation through shards vs the monolithic encoded corpus on
-/// the paper roster. The two numbers this group reports are the ≤5%
+/// LOGO evaluation through 16-benchmark shards vs the one-shard layout
+/// on the paper roster. The two numbers this group reports are the ≤5%
 /// overhead claim; the tripwire assertion below only catches gross
 /// regressions so noisy CI boxes don't flake.
 fn bench_eval_overhead(c: &mut Criterion) {
     let corpus = Corpus::collect(&SystemModel::intel(), 100, 7);
     let cfg = cfg();
     let spec = few_runs_spec(&cfg);
-    let enc = EncodedCorpus::build(&corpus, &spec).unwrap();
+    let one = EncodedCorpus::build(&corpus, &spec).unwrap();
     let sh = ShardedCorpus::builder(ShardSource::Corpus(&corpus), &spec)
         .shard_size(16)
         .build()
         .unwrap();
-    let mono = evaluate_few_runs_encoded(&enc, cfg).unwrap();
-    let sharded = evaluate_few_runs_sharded(&sh, cfg).unwrap();
-    assert_eq!(mono, sharded, "sharded eval must be bit-identical");
+    let eval = |sh: &ShardedCorpus<'_>| -> EvalSummary {
+        evaluate_few_runs_incremental(sh, cfg, &[]).unwrap().summary
+    };
+    assert_eq!(eval(&one), eval(&sh), "sharded eval must be bit-identical");
 
     let time = |f: &dyn Fn()| {
         let mut best = Duration::MAX;
@@ -156,14 +157,14 @@ fn bench_eval_overhead(c: &mut Criterion) {
         }
         best
     };
-    let t_mono = time(&|| {
-        black_box(evaluate_few_runs_encoded(&enc, cfg).unwrap());
+    let t_one = time(&|| {
+        black_box(eval(&one));
     });
     let t_shard = time(&|| {
-        black_box(evaluate_few_runs_sharded(&sh, cfg).unwrap());
+        black_box(eval(&sh));
     });
-    let ratio = t_shard.as_secs_f64() / t_mono.as_secs_f64();
-    println!("sharded/monolithic eval ratio: {ratio:.3} ({t_shard:.1?} vs {t_mono:.1?})");
+    let ratio = t_shard.as_secs_f64() / t_one.as_secs_f64();
+    println!("shard16/one-shard eval ratio: {ratio:.3} ({t_shard:.1?} vs {t_one:.1?})");
     assert!(
         ratio < 1.25,
         "sharded eval overhead {ratio:.3}x exceeds the 1.25x tripwire"
@@ -173,11 +174,11 @@ fn bench_eval_overhead(c: &mut Criterion) {
     g.warm_up_time(Duration::from_millis(500));
     g.measurement_time(Duration::from_secs(5));
     g.sample_size(10);
-    g.bench_function("monolithic_logo_60bench", |b| {
-        b.iter(|| evaluate_few_runs_encoded(black_box(&enc), cfg).unwrap())
+    g.bench_function("one_shard_logo_60bench", |b| {
+        b.iter(|| eval(black_box(&one)))
     });
     g.bench_function("sharded_logo_60bench_shard16", |b| {
-        b.iter(|| evaluate_few_runs_sharded(black_box(&sh), cfg).unwrap())
+        b.iter(|| eval(black_box(&sh)))
     });
     g.finish();
 }

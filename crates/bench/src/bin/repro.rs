@@ -31,14 +31,15 @@ use std::time::{Duration, Instant};
 use pv_bench::{
     amd_campaign, campaign_spec, intel_campaign, uc1_config, uc2_config, ObsFlags, CAMPAIGN_SEED,
 };
-use pv_core::eval::{evaluate_cross_system_encoded, evaluate_few_runs_encoded, EvalSummary};
+use pv_core::eval::EvalSummary;
+use pv_core::incremental::{evaluate_cross_system_incremental, evaluate_few_runs_incremental};
 use pv_core::pipeline::{EncodedCorpus, EncodingSpec};
 use pv_core::report::{kde_curve, overlay, sparkline, summary_table, violin_row, write_csv};
 use pv_core::resilience::{silence_injected_panics, FaultPlan, PvError, DEFAULT_MAX_RETRIES};
 use pv_core::shard::{CampaignSource, ShardSource, ShardedCorpus};
 use pv_core::sweep::{CellCache, CellOutcome, GridSpec, Sweep, SweepReport};
-use pv_core::usecase1::FewRunsPredictor;
-use pv_core::usecase2::CrossSystemPredictor;
+use pv_core::usecase1::{FewRunsConfig, FewRunsPredictor};
+use pv_core::usecase2::{CrossSystemConfig, CrossSystemPredictor};
 use pv_core::{ModelKind, ReprKind};
 use pv_stats::ks::ks2_statistic;
 use pv_stats::rng::Xoshiro256pp;
@@ -285,7 +286,7 @@ fn fig5() {
     let enc = intel_enc();
     let cfg = uc1_config(ReprKind::PearsonRnd, ModelKind::Knn, 10);
     // Score every benchmark under LOGO, then show overlays at quantiles.
-    let summary = evaluate_few_runs_encoded(enc, cfg).expect("eval");
+    let summary = eval_uc1(enc, cfg);
     let mut order: Vec<usize> = (0..summary.scores.len()).collect();
     order.sort_by(|&a, &b| {
         summary.scores[a]
@@ -339,7 +340,7 @@ fn fig6() {
     let mut labels = Vec::new();
     for &s in &pv_bench::UC1_SAMPLE_COUNTS {
         let cfg = uc1_config(ReprKind::PearsonRnd, ModelKind::Knn, s);
-        let summary = evaluate_few_runs_encoded(enc, cfg).expect("eval");
+        let summary = eval_uc1(enc, cfg);
         println!(
             "{}",
             violin_row(&format!("{s} samples"), &summary.ks_values(), 44).expect("violin")
@@ -374,8 +375,8 @@ fn fig7() {
 fn fig8() {
     println!("== Fig. 8: direction of prediction (PearsonRnd + kNN) ==");
     let cfg = uc2_config(ReprKind::PearsonRnd, ModelKind::Knn);
-    let a2i = evaluate_cross_system_encoded(amd_enc(), intel_enc(), cfg).expect("eval");
-    let i2a = evaluate_cross_system_encoded(intel_enc(), amd_enc(), cfg).expect("eval");
+    let a2i = eval_uc2(amd_enc(), intel_enc(), cfg);
+    let i2a = eval_uc2(intel_enc(), amd_enc(), cfg);
     println!(
         "{}",
         violin_row("AMD -> Intel", &a2i.ks_values(), 44).expect("violin")
@@ -415,7 +416,7 @@ fn fig9() {
     let amd = amd();
     let intel = intel();
     let cfg = uc2_config(ReprKind::PearsonRnd, ModelKind::Knn);
-    let summary = evaluate_cross_system_encoded(amd_enc(), intel_enc(), cfg).expect("eval");
+    let summary = eval_uc2(amd_enc(), intel_enc(), cfg);
     let mut order: Vec<usize> = (0..summary.scores.len()).collect();
     order.sort_by(|&a, &b| {
         summary.scores[a]
@@ -549,7 +550,7 @@ fn baselines() {
     for s in [2usize, 5, 10, 25, 100] {
         let raw = empirical_baseline_encoded(enc, s).expect("baseline");
         let cfg = uc1_config(ReprKind::PearsonRnd, ModelKind::Knn, s);
-        let learned = evaluate_few_runs_encoded(enc, cfg).expect("eval");
+        let learned = eval_uc1(enc, cfg);
         println!(
             "  s = {s:<4} raw-empirical {:.3}   learned {:.3}   gain {:+.3}",
             raw.mean,
@@ -1536,16 +1537,16 @@ OPTIONS:
                          so unchanged folds replay from the fold cache
     --benchmarks N       scale scenario: sweep a synthetic campaign of N
                          benchmarks (Table I roster first, then generated
-                         entries) through the sharded data plane, generating
-                         and encoding one shard at a time so peak memory is
-                         bounded by the resident-shard budget, not N. Unless
+                         entries) instead of the 60-benchmark roster. Unless
                          --reprs/--models are given, the grid defaults to
                          PearsonRnd x kNN
-    --shard-size K       benchmarks per shard for the sharded data plane
-                         (default 256; implies the sharded path even without
-                         --benchmarks). Results are bit-identical to the
-                         monolithic path at any K
-    --cache DIR          cell cache directory (default target/repro/sweep-cache)
+    --shard-size K       benchmarks per shard (default 256, so the Table I
+                         roster is one shard). The campaign is generated and
+                         encoded one shard at a time, so peak memory is
+                         bounded by the resident-shard budget, not N.
+                         Results are identical at any K
+    --cache DIR          cell cache directory (default target/repro/sweep-cache);
+                         encoded shards spill to DIR/shard-spill
     --no-cache           run without a cell cache
     --keep-going         exit 0 even when cells fail; report them in the
                          failure summary instead
@@ -1814,110 +1815,97 @@ fn sweep_cmd(args: &[String], obs: &ObsFlags) {
 
     // The sharded data plane: generate and encode the campaign one
     // benchmark-range shard at a time, never materializing a whole
-    // corpus, with an LRU-bounded resident set. Cells are bit-identical
-    // to (and cache-compatible with) the monolithic path below.
-    let report = if benchmarks.is_some() || shard_size.is_some() {
-        let n_bench = benchmarks.unwrap_or_else(|| pv_sysmodel::roster().len());
-        let shard_sz = shard_size.unwrap_or(256);
-        if append >= n_bench && append > 0 {
-            eprintln!("sweep: --append {append} leaves no base corpus ({n_bench} benchmarks)");
-            std::process::exit(2);
-        }
-        let spill_dir = cache_dir.as_ref().map(|d| d.join("shard-spill"));
-        let campaign = |system: pv_sysmodel::SystemModel, n: usize| CampaignSource {
-            system,
-            n_benchmarks: n,
-            n_runs: runs,
-            seed: CAMPAIGN_SEED,
-        };
-        let build_sharded = |what: &str, source: CampaignSource, spec: &EncodingSpec| {
-            let t = Instant::now();
-            let mut b =
-                ShardedCorpus::builder(ShardSource::Campaign(source), spec).shard_size(shard_sz);
-            if let Some(dir) = &spill_dir {
-                b = b.spill_dir(dir);
-            }
-            let sh = b.build().unwrap_or_else(|e| {
-                eprintln!("sweep: cannot build sharded {what} corpus: {e}");
-                std::process::exit(1);
-            });
-            println!(
-                "[setup] {what} campaign sharded in {:.1?} ({} benchmarks, {} shard(s) of ≤{shard_sz}, {} resident)",
-                t.elapsed(),
-                sh.len(),
-                sh.layout().n_shards(),
-                sh.resident_budget(),
-            );
-            sh
-        };
-        let run_pass = |n: usize, faults: FaultPlan| -> SweepReport {
-            match uc {
-                1 => {
-                    let sh = build_sharded(
-                        "primary",
-                        campaign(pv_sysmodel::SystemModel::intel(), n),
-                        &grid.few_runs_encoding(),
-                    );
-                    let mut sweep = Sweep::few_runs_sharded(&sh)
-                        .with_max_retries(max_retries)
-                        .with_faults(faults);
-                    if let Some(c) = cache.clone() {
-                        sweep = sweep.with_cache(c);
-                    }
-                    run_sweep_streaming(&sweep, &grid, progress)
-                }
-                _ => {
-                    let (src_sys, dst_sys) = if reverse {
-                        (
-                            pv_sysmodel::SystemModel::intel(),
-                            pv_sysmodel::SystemModel::amd(),
-                        )
-                    } else {
-                        (
-                            pv_sysmodel::SystemModel::amd(),
-                            pv_sysmodel::SystemModel::intel(),
-                        )
-                    };
-                    let (src_spec, dst_spec) = grid.cross_system_encoding_for_runs(runs);
-                    let src = build_sharded("source", campaign(src_sys, n), &src_spec);
-                    let dst = build_sharded("destination", campaign(dst_sys, n), &dst_spec);
-                    let mut sweep = Sweep::cross_system_sharded(&src, &dst)
-                        .with_max_retries(max_retries)
-                        .with_faults(faults);
-                    if let Some(c) = cache.clone() {
-                        sweep = sweep.with_cache(c);
-                    }
-                    run_sweep_streaming(&sweep, &grid, progress)
-                }
-            }
-        };
-        if append > 0 {
-            println!(
-                "[append] phase 1/2: base campaign, {} of {n_bench} benchmarks",
-                n_bench - append
-            );
-            let seeded = run_pass(n_bench - append, FaultPlan::none());
-            println!(
-                "[append] fold cache seeded: {} fold(s) scored across {} cell(s)",
-                seeded.fold_stats.misses + seeded.fold_stats.deltas,
-                seeded.misses,
-            );
-            println!("[append] phase 2/2: full campaign, +{append} benchmark(s)");
-        }
-        run_pass(n_bench, faults)
-    } else {
-        monolithic_sweep(MonolithicSweep {
-            uc,
-            reverse,
-            grid: &grid,
-            runs,
-            append,
-            cache: cache.clone(),
-            max_retries,
-            faults,
-            progress,
-        })
+    // corpus, with an LRU-bounded resident set. At the default shard
+    // size the Table I roster is a single shard; cells are identical
+    // (and cache-compatible) at every shard size.
+    let n_bench = benchmarks.unwrap_or_else(|| pv_sysmodel::roster().len());
+    let shard_sz = shard_size.unwrap_or(256);
+    if append >= n_bench && append > 0 {
+        eprintln!("sweep: --append {append} leaves no base corpus ({n_bench} benchmarks)");
+        std::process::exit(2);
+    }
+    let spill_dir = cache_dir.as_ref().map(|d| d.join("shard-spill"));
+    let campaign = |system: pv_sysmodel::SystemModel, n: usize| CampaignSource {
+        system,
+        n_benchmarks: n,
+        n_runs: runs,
+        seed: CAMPAIGN_SEED,
     };
+    let build_sharded = |what: &str, source: CampaignSource, spec: &EncodingSpec| {
+        let t = Instant::now();
+        let mut b =
+            ShardedCorpus::builder(ShardSource::Campaign(source), spec).shard_size(shard_sz);
+        if let Some(dir) = &spill_dir {
+            b = b.spill_dir(dir);
+        }
+        let sh = b.build().unwrap_or_else(|e| {
+            eprintln!("sweep: cannot build sharded {what} corpus: {e}");
+            std::process::exit(1);
+        });
+        println!(
+            "[setup] {what} campaign sharded in {:.1?} ({} benchmarks, {} shard(s) of ≤{shard_sz}, {} resident)",
+            t.elapsed(),
+            sh.len(),
+            sh.layout().n_shards(),
+            sh.resident_budget(),
+        );
+        sh
+    };
+    let run_pass = |n: usize, faults: FaultPlan| -> SweepReport {
+        match uc {
+            1 => {
+                let sh = build_sharded(
+                    "primary",
+                    campaign(pv_sysmodel::SystemModel::intel(), n),
+                    &grid.few_runs_encoding(),
+                );
+                let mut sweep = Sweep::few_runs(&sh)
+                    .with_max_retries(max_retries)
+                    .with_faults(faults);
+                if let Some(c) = cache.clone() {
+                    sweep = sweep.with_cache(c);
+                }
+                run_sweep_streaming(&sweep, &grid, progress)
+            }
+            _ => {
+                let (src_sys, dst_sys) = if reverse {
+                    (
+                        pv_sysmodel::SystemModel::intel(),
+                        pv_sysmodel::SystemModel::amd(),
+                    )
+                } else {
+                    (
+                        pv_sysmodel::SystemModel::amd(),
+                        pv_sysmodel::SystemModel::intel(),
+                    )
+                };
+                let (src_spec, dst_spec) = grid.cross_system_encoding_for_runs(runs);
+                let src = build_sharded("source", campaign(src_sys, n), &src_spec);
+                let dst = build_sharded("destination", campaign(dst_sys, n), &dst_spec);
+                let mut sweep = Sweep::cross_system(&src, &dst)
+                    .with_max_retries(max_retries)
+                    .with_faults(faults);
+                if let Some(c) = cache.clone() {
+                    sweep = sweep.with_cache(c);
+                }
+                run_sweep_streaming(&sweep, &grid, progress)
+            }
+        }
+    };
+    if append > 0 {
+        println!(
+            "[append] phase 1/2: base campaign, {} of {n_bench} benchmarks",
+            n_bench - append
+        );
+        let seeded = run_pass(n_bench - append, FaultPlan::none());
+        println!(
+            "[append] fold cache seeded: {} fold(s) scored across {} cell(s)",
+            seeded.fold_stats.misses + seeded.fold_stats.deltas,
+            seeded.misses,
+        );
+        println!("[append] phase 2/2: full campaign, +{append} benchmark(s)");
+    }
+    let report = run_pass(n_bench, faults);
 
     // Summary table in grid order (healthy + degraded cells) + CSV.
     println!();
@@ -2001,158 +1989,6 @@ fn sweep_cmd(args: &[String], obs: &ObsFlags) {
         eprintln!("sweep: failing cells present (re-run with --keep-going to tolerate them)");
         std::process::exit(1);
     }
-}
-
-/// Everything the monolithic (non-sharded) sweep path needs.
-struct MonolithicSweep<'g> {
-    uc: usize,
-    reverse: bool,
-    grid: &'g GridSpec,
-    runs: usize,
-    append: usize,
-    cache: Option<CellCache>,
-    max_retries: u32,
-    faults: FaultPlan,
-    progress: bool,
-}
-
-/// The classic sweep path: collect (or reuse) whole corpora, encode them
-/// once, and run the grid over them. Bit-identical to the sharded path
-/// on the same campaign.
-fn monolithic_sweep(p: MonolithicSweep<'_>) -> SweepReport {
-    let MonolithicSweep {
-        uc,
-        reverse,
-        grid,
-        runs,
-        append,
-        cache,
-        max_retries,
-        faults,
-        progress,
-    } = p;
-    // Own the corpora only when the run count deviates from the shared
-    // campaign; the common path reuses the process-wide caches.
-    let full = runs == pv_bench::CAMPAIGN_RUNS;
-    let collect = |sys: pv_sysmodel::SystemModel| Corpus::collect(&sys, runs, CAMPAIGN_SEED);
-
-    let t = Instant::now();
-    let (primary, secondary): (&Corpus, Option<Corpus>);
-    let local: Corpus;
-    match (uc, reverse) {
-        (1, _) => {
-            if full {
-                primary = intel();
-                secondary = None;
-            } else {
-                local = collect(pv_sysmodel::SystemModel::intel());
-                primary = &local;
-                secondary = None;
-            }
-        }
-        (2, false) => {
-            if full {
-                primary = amd();
-                secondary = Some(intel().clone());
-            } else {
-                local = collect(pv_sysmodel::SystemModel::amd());
-                primary = &local;
-                secondary = Some(collect(pv_sysmodel::SystemModel::intel()));
-            }
-        }
-        (2, true) => {
-            if full {
-                primary = intel();
-                secondary = Some(amd().clone());
-            } else {
-                local = collect(pv_sysmodel::SystemModel::intel());
-                primary = &local;
-                secondary = Some(collect(pv_sysmodel::SystemModel::amd()));
-            }
-        }
-        _ => unreachable!("--uc validated"),
-    }
-    if !full || uc == 2 {
-        println!("[setup] corpora ready in {:.1?}", t.elapsed());
-    }
-
-    // Encode once for the whole grid, then run the cells over the cache.
-    fn encode_or_die<'c>(
-        what: &str,
-        r: Result<EncodedCorpus<'c>, pv_stats::StatsError>,
-    ) -> EncodedCorpus<'c> {
-        r.unwrap_or_else(|e| {
-            eprintln!("sweep: cannot encode {what} corpus: {e}");
-            std::process::exit(1);
-        })
-    }
-    // One grid pass over a (primary, secondary) corpus pair. Reused by
-    // the `--append` growth scenario, which sweeps a truncated base
-    // corpus first so the full-corpus pass can replay unchanged folds.
-    let run_grid = |primary: &Corpus, secondary: Option<&Corpus>, faults: FaultPlan| {
-        let t = Instant::now();
-        match uc {
-            1 => {
-                let enc = encode_or_die(
-                    "primary",
-                    EncodedCorpus::build(primary, &grid.few_runs_encoding()),
-                );
-                println!("[setup] corpus encoded in {:.1?}", t.elapsed());
-                let mut sweep = Sweep::few_runs(&enc)
-                    .with_max_retries(max_retries)
-                    .with_faults(faults);
-                if let Some(c) = cache.clone() {
-                    sweep = sweep.with_cache(c);
-                }
-                run_sweep_streaming(&sweep, grid, progress)
-            }
-            _ => {
-                let dst_corpus = secondary.expect("uc2 destination");
-                let (src_spec, dst_spec) = grid.cross_system_encoding(primary);
-                let src = encode_or_die("source", EncodedCorpus::build(primary, &src_spec));
-                let dst = encode_or_die("destination", EncodedCorpus::build(dst_corpus, &dst_spec));
-                println!("[setup] corpora encoded in {:.1?}", t.elapsed());
-                let mut sweep = Sweep::cross_system(&src, &dst)
-                    .with_max_retries(max_retries)
-                    .with_faults(faults);
-                if let Some(c) = cache.clone() {
-                    sweep = sweep.with_cache(c);
-                }
-                run_sweep_streaming(&sweep, grid, progress)
-            }
-        }
-    };
-    if append > 0 {
-        let n = primary.benchmarks.len();
-        if append >= n {
-            eprintln!("sweep: --append {append} leaves no base corpus ({n} benchmarks)");
-            std::process::exit(2);
-        }
-        // Phase 1: the corpus as it stood before the last `append`
-        // benchmarks arrived. Collection is per-benchmark seeded, so a
-        // truncated clone is bit-identical to having measured the
-        // smaller corpus directly. Faults are armed only for the full
-        // pass — they address cells of the run under test.
-        let mut base = primary.clone();
-        base.benchmarks.truncate(n - append);
-        let base_secondary = secondary.as_ref().map(|s| {
-            let mut s = s.clone();
-            s.benchmarks.truncate(n - append);
-            s
-        });
-        println!(
-            "[append] phase 1/2: base corpus, {} of {n} benchmarks",
-            n - append
-        );
-        let seeded = run_grid(&base, base_secondary.as_ref(), FaultPlan::none());
-        println!(
-            "[append] fold cache seeded: {} fold(s) scored across {} cell(s)",
-            seeded.fold_stats.misses + seeded.fold_stats.deltas,
-            seeded.misses,
-        );
-        println!("[append] phase 2/2: full corpus, +{append} benchmark(s)");
-    }
-    run_grid(primary, secondary.as_ref(), faults)
 }
 
 /// Renders the failure summary table; returns true when the run is clean.
@@ -2299,6 +2135,24 @@ fn axis_pair(a: &[f64], b: &[f64]) -> (f64, f64) {
     (l1.min(l2), h1.max(h2))
 }
 
+/// A cold use-case-1 evaluation over a shared encoded corpus.
+fn eval_uc1(enc: &EncodedCorpus<'_>, cfg: FewRunsConfig) -> EvalSummary {
+    evaluate_few_runs_incremental(enc, cfg, &[])
+        .expect("eval")
+        .summary
+}
+
+/// A cold use-case-2 evaluation, `src` → `dst`, over shared encodings.
+fn eval_uc2(
+    src: &EncodedCorpus<'_>,
+    dst: &EncodedCorpus<'_>,
+    cfg: CrossSystemConfig,
+) -> EvalSummary {
+    evaluate_cross_system_incremental(src, dst, cfg, &[])
+        .expect("eval")
+        .summary
+}
+
 /// The 3×3 representation × model grid.
 fn grid_cells() -> Vec<(ReprKind, ModelKind)> {
     ReprKind::ALL
@@ -2317,7 +2171,7 @@ fn grid_uc1(enc: &EncodedCorpus<'_>, s: usize) -> Vec<(String, EvalSummary)> {
         .into_par_iter()
         .map(|(repr, model)| {
             let t = Instant::now();
-            let summary = evaluate_few_runs_encoded(enc, uc1_config(repr, model, s)).expect("eval");
+            let summary = eval_uc1(enc, uc1_config(repr, model, s));
             (repr, model, summary, t.elapsed())
         })
         .collect();
@@ -2330,8 +2184,7 @@ fn grid_uc2(src: &EncodedCorpus<'_>, dst: &EncodedCorpus<'_>) -> Vec<(String, Ev
         .into_par_iter()
         .map(|(repr, model)| {
             let t = Instant::now();
-            let summary =
-                evaluate_cross_system_encoded(src, dst, uc2_config(repr, model)).expect("eval");
+            let summary = eval_uc2(src, dst, uc2_config(repr, model));
             (repr, model, summary, t.elapsed())
         })
         .collect();

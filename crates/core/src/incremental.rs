@@ -53,14 +53,11 @@ use pv_stats::fingerprint::Fnv1a;
 use pv_stats::StatsError;
 
 use crate::eval::{
-    cross_system_assemble, cross_system_runner, cross_system_truth, few_runs_assemble,
-    few_runs_runner, few_runs_truth, validate_cross_system_pair, validate_cross_system_sharded,
+    cross_system_assemble, few_runs_assemble, fold_truth, logo_runner, validate_cross_system,
     BenchScore, EvalSummary,
 };
-use crate::pipeline::{EncodedCorpus, FoldRunner, FoldTruth, FoldView};
-use crate::shard::{
-    cross_system_assemble_sharded, few_runs_assemble_sharded, sharded_truth, ShardedCorpus,
-};
+use crate::pipeline::{FoldRunner, FoldTruth, FoldView};
+use crate::shard::ShardedCorpus;
 use crate::usecase1::FewRunsConfig;
 use crate::usecase2::CrossSystemConfig;
 
@@ -379,106 +376,24 @@ fn config_json<C: Serialize>(tag: &str, cfg: &C) -> Result<String, StatsError> {
     Ok(format!("{tag}:{json}"))
 }
 
-/// Incremental [`crate::eval::evaluate_few_runs_encoded`]: bit-identical
-/// summary, but folds whose fingerprints (or kNN neighbour lists) match
-/// verified `prior` entries are served from cache.
+/// Leave-one-group-out evaluation of use case #1 over `sh`, at any shard
+/// layout (an [`crate::pipeline::EncodedCorpus`] is the one-shard
+/// layout): the summary is bit-identical to a cold run, but folds whose
+/// fingerprints (or kNN neighbour lists) match verified `prior` entries
+/// are served from cache.
 ///
-/// With an empty `prior` this is a cold run that additionally returns
-/// the fold entries to seed the next one.
+/// With an empty `prior` this is the cold run, and it additionally
+/// returns the fold entries to seed the next one. Fold fingerprints hash
+/// the per-benchmark digests, which do not depend on the shard layout,
+/// so entries written at one layout serve exact hits and append-deltas
+/// at any other. Peak memory is bounded by the corpus's resident-shard
+/// budget, not the corpus size.
 ///
 /// # Errors
-/// Everything the non-incremental evaluation can fail with.
+/// Fails when the corpus's spec does not cover
+/// [`crate::eval::few_runs_spec`], plus training/prediction failures
+/// from any fold.
 pub fn evaluate_few_runs_incremental(
-    enc: &EncodedCorpus,
-    cfg: FewRunsConfig,
-    prior: &[FoldEntry],
-) -> Result<IncrementalEval, StatsError> {
-    let _span = pv_obs::span!(
-        "pv.core.eval.few_runs",
-        repr = cfg.repr.name(),
-        model = cfg.model.name(),
-        s = cfg.n_profile_runs,
-    );
-    let json = config_json("uc1", &cfg)?;
-    let repr = cfg.repr.build();
-    let runner = few_runs_runner(enc.len(), &cfg, repr.as_ref());
-    run_folds(
-        &runner,
-        |fold_seed| cfg.model.build(fold_seed),
-        few_runs_assemble(enc, cfg),
-        few_runs_truth(enc),
-        FoldReuse {
-            bench_fps: enc.bench_fingerprints(),
-            config_json: &json,
-            delta_model: cfg.model.neighbor_delta_model(),
-            prior,
-        },
-    )
-}
-
-/// Incremental [`crate::eval::evaluate_cross_system_encoded`]; see
-/// [`evaluate_few_runs_incremental`].
-///
-/// Per-fold fingerprints hash the *pair* of source/destination benchmark
-/// digests, so a change on either system invalidates exactly the folds
-/// that observe it.
-///
-/// # Errors
-/// Everything the non-incremental evaluation can fail with.
-pub fn evaluate_cross_system_incremental(
-    src: &EncodedCorpus,
-    dst: &EncodedCorpus,
-    cfg: CrossSystemConfig,
-    prior: &[FoldEntry],
-) -> Result<IncrementalEval, StatsError> {
-    let _span = pv_obs::span!(
-        "pv.core.eval.cross_system",
-        repr = cfg.repr.name(),
-        model = cfg.model.name(),
-        s = cfg.profile_runs,
-    );
-    validate_cross_system_pair(src.corpus(), dst.corpus())?;
-    let json = config_json("uc2", &cfg)?;
-    let bench_fps: Vec<u64> = src
-        .bench_fingerprints()
-        .iter()
-        .zip(dst.bench_fingerprints())
-        .map(|(&s, &d)| {
-            let mut h = Fnv1a::new();
-            h.write_str("pv-bench-pair");
-            h.write_u64(s);
-            h.write_u64(d);
-            h.finish()
-        })
-        .collect();
-    let repr = cfg.repr.build();
-    let runner = cross_system_runner(src.len(), &cfg, repr.as_ref());
-    run_folds(
-        &runner,
-        |fold_seed| cfg.model.build(fold_seed),
-        cross_system_assemble(src, dst, cfg),
-        cross_system_truth(dst),
-        FoldReuse {
-            bench_fps: &bench_fps,
-            config_json: &json,
-            delta_model: cfg.model.neighbor_delta_model(),
-            prior,
-        },
-    )
-}
-
-/// Incremental [`crate::eval::evaluate_few_runs_sharded`]: the sharded
-/// corpus analogue of [`evaluate_few_runs_incremental`].
-///
-/// Fold fingerprints hash the per-benchmark digests the shards carry —
-/// the same digests the monolithic path computes, independent of shard
-/// layout — so fold entries written by a monolithic run serve exact hits
-/// and append-deltas to a sharded run of the same campaign and vice
-/// versa, at any shard size.
-///
-/// # Errors
-/// Everything the non-incremental sharded evaluation can fail with.
-pub fn evaluate_few_runs_incremental_sharded(
     sh: &ShardedCorpus<'_>,
     cfg: FewRunsConfig,
     prior: &[FoldEntry],
@@ -491,12 +406,12 @@ pub fn evaluate_few_runs_incremental_sharded(
     );
     let json = config_json("uc1", &cfg)?;
     let repr = cfg.repr.build();
-    let runner = few_runs_runner(sh.len(), &cfg, repr.as_ref());
+    let runner = logo_runner(sh.len(), cfg.seed, cfg.model, repr.as_ref());
     run_folds(
         &runner,
         |fold_seed| cfg.model.build(fold_seed),
-        few_runs_assemble_sharded(sh, cfg),
-        sharded_truth(sh),
+        few_runs_assemble(sh, cfg),
+        fold_truth(sh),
         FoldReuse {
             bench_fps: sh.bench_fingerprints(),
             config_json: &json,
@@ -506,12 +421,18 @@ pub fn evaluate_few_runs_incremental_sharded(
     )
 }
 
-/// Incremental [`crate::eval::evaluate_cross_system_sharded`]; see
-/// [`evaluate_few_runs_incremental_sharded`].
+/// Leave-one-group-out evaluation of use case #2, `src` → `dst`; see
+/// [`evaluate_few_runs_incremental`]. The two corpora may use different
+/// shard layouts.
+///
+/// Per-fold fingerprints hash the *pair* of source/destination benchmark
+/// digests, so a change on either system invalidates exactly the folds
+/// that observe it.
 ///
 /// # Errors
-/// Everything the non-incremental sharded evaluation can fail with.
-pub fn evaluate_cross_system_incremental_sharded(
+/// Fails on mismatched rosters, a shared system, or uncovered specs,
+/// plus training/prediction failures from any fold.
+pub fn evaluate_cross_system_incremental(
     src: &ShardedCorpus<'_>,
     dst: &ShardedCorpus<'_>,
     cfg: CrossSystemConfig,
@@ -523,7 +444,7 @@ pub fn evaluate_cross_system_incremental_sharded(
         model = cfg.model.name(),
         s = cfg.profile_runs,
     );
-    validate_cross_system_sharded(src, dst)?;
+    validate_cross_system(src, dst)?;
     let json = config_json("uc2", &cfg)?;
     let bench_fps: Vec<u64> = src
         .bench_fingerprints()
@@ -538,12 +459,12 @@ pub fn evaluate_cross_system_incremental_sharded(
         })
         .collect();
     let repr = cfg.repr.build();
-    let runner = cross_system_runner(src.len(), &cfg, repr.as_ref());
+    let runner = logo_runner(src.len(), cfg.seed, cfg.model, repr.as_ref());
     run_folds(
         &runner,
         |fold_seed| cfg.model.build(fold_seed),
-        cross_system_assemble_sharded(src, dst, cfg),
-        sharded_truth(dst),
+        cross_system_assemble(src, dst, cfg),
+        fold_truth(dst),
         FoldReuse {
             bench_fps: &bench_fps,
             config_json: &json,
@@ -557,9 +478,9 @@ pub fn evaluate_cross_system_incremental_sharded(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::eval::{evaluate_few_runs_encoded, few_runs_spec};
+    use crate::eval::few_runs_spec;
     use crate::model::ModelKind;
-    use crate::pipeline::EncodingSpec;
+    use crate::pipeline::{EncodedCorpus, EncodingSpec};
     use crate::repr::ReprKind;
     use pv_sysmodel::{Corpus, SystemModel};
 
@@ -583,13 +504,25 @@ mod tests {
         }
     }
 
+    /// The plain fold loop ([`FoldRunner::run`]) over the same assembly
+    /// and truth: what the incremental loop must reproduce bit for bit.
+    fn plain(sh: &ShardedCorpus<'_>, cfg: FewRunsConfig) -> EvalSummary {
+        let repr = cfg.repr.build();
+        logo_runner(sh.len(), cfg.seed, cfg.model, repr.as_ref())
+            .run(
+                |fold_seed| cfg.model.build(fold_seed),
+                few_runs_assemble(sh, cfg),
+                fold_truth(sh),
+            )
+            .unwrap()
+    }
+
     #[test]
     fn cold_incremental_matches_plain_eval_bitwise() {
         let c = corpus(30);
         let enc = EncodedCorpus::build(&c, &few_runs_spec(&cfg())).unwrap();
-        let plain = evaluate_few_runs_encoded(&enc, cfg()).unwrap();
         let inc = evaluate_few_runs_incremental(&enc, cfg(), &[]).unwrap();
-        assert_eq!(inc.summary, plain);
+        assert_eq!(inc.summary, plain(&enc, cfg()));
         assert_eq!(inc.stats.misses, c.len());
         assert_eq!(inc.stats.reused(), 0);
         assert_eq!(inc.folds.len(), c.len());
@@ -619,7 +552,7 @@ mod tests {
 
         let full_enc = EncodedCorpus::build(&full, &spec).unwrap();
         let warm = evaluate_few_runs_incremental(&full_enc, cfg(), &prior.folds).unwrap();
-        let cold = evaluate_few_runs_encoded(&full_enc, cfg()).unwrap();
+        let cold = plain(&full_enc, cfg());
         assert_eq!(warm.summary, cold, "reuse must be bit-identical");
         // An append changes every surviving fold's training set, so
         // exact hits cannot fire; reuse comes from the delta path.
@@ -712,8 +645,7 @@ mod tests {
         assert_eq!(warm.stats.reused(), 0);
         assert_eq!(warm.stats.misses, full.len());
         // And it still matches the cold evaluation bitwise.
-        let cold = evaluate_few_runs_encoded(&full_enc, rf).unwrap();
-        assert_eq!(warm.summary, cold);
+        assert_eq!(warm.summary, plain(&full_enc, rf));
     }
 
     #[test]
@@ -730,7 +662,14 @@ mod tests {
         let src = EncodedCorpus::build(&amd, &src_spec).unwrap();
         let dst = EncodedCorpus::build(&intel, &dst_spec).unwrap();
         let cold = evaluate_cross_system_incremental(&src, &dst, uc2, &[]).unwrap();
-        let plain = crate::eval::evaluate_cross_system_encoded(&src, &dst, uc2).unwrap();
+        let repr = uc2.repr.build();
+        let plain = logo_runner(src.len(), uc2.seed, uc2.model, repr.as_ref())
+            .run(
+                |fold_seed| uc2.model.build(fold_seed),
+                cross_system_assemble(&src, &dst, uc2),
+                fold_truth(&dst),
+            )
+            .unwrap();
         assert_eq!(cold.summary, plain);
         let warm = evaluate_cross_system_incremental(&src, &dst, uc2, &cold.folds).unwrap();
         assert_eq!(warm.stats.hits, amd.len());

@@ -18,18 +18,28 @@
 //! | III-A2 cross-system prediction | [`usecase2`] |
 //! | IV-E / V KS-scored leave-one-group-out evaluation | [`eval`] |
 //! | shared encode-once cache + LOGO fold runner | [`pipeline`] |
-//! | incremental fold-level evaluation (per-fold score cache + append delta) | [`incremental`] |
+//! | sharded corpora: shard layouts, LRU residency, verified spill | [`shard`] |
+//! | the LOGO fold loop with per-fold score cache + append delta | [`incremental`] |
 //! | config-grid sweep service with cached cells | [`sweep`] |
 //! | trained-model registry (sealed fitted artifacts for serving) | [`registry`] |
 //! | fault tolerance: error taxonomy, retries, quarantine, fault injection | [`resilience`] |
 //! | figure/table rendering | [`report`] |
 //!
 //! Every evaluation path — both use cases, the kNN ablation grid, and the
-//! baselines — runs on the [`pipeline`] layer: an [`pipeline::EncodedCorpus`]
-//! computes profiles and target encodings once (in parallel), and a
+//! baselines — runs on the [`pipeline`] layer: an encoded corpus computes
+//! profiles and target encodings once (in parallel), and a
 //! [`pipeline::FoldRunner`] owns the leave-one-group-out scaffolding, so a
-//! fold is row slicing plus a model fit. Results are bit-identical to
+//! fold is row streaming plus a model fit. Results are bit-identical to
 //! training each fold from scratch, for any thread count.
+//!
+//! Both use cases have one evaluation path:
+//! [`evaluate_few_runs_incremental`] and
+//! [`evaluate_cross_system_incremental`] over a [`shard::ShardedCorpus`]
+//! at any shard layout, with an optional prior of cached folds (empty
+//! for a cold run). A whole in-memory corpus is the one-shard layout,
+//! [`pipeline::EncodedCorpus`], which derefs to its `ShardedCorpus`;
+//! [`evaluate_few_runs`] and [`evaluate_cross_system`] run the same loop
+//! cold on a collected [`pv_sysmodel::Corpus`].
 //!
 //! ## Sixty-second example
 //!
@@ -73,14 +83,9 @@ pub use baseline::{
     empirical_baseline, empirical_baseline_encoded, population_baseline,
     population_baseline_encoded,
 };
-pub use eval::{
-    evaluate_cross_system, evaluate_cross_system_encoded, evaluate_cross_system_sharded,
-    evaluate_few_runs, evaluate_few_runs_encoded, evaluate_few_runs_sharded, BenchScore,
-    EvalSummary,
-};
+pub use eval::{evaluate_cross_system, evaluate_few_runs, BenchScore, EvalSummary};
 pub use incremental::{
-    evaluate_cross_system_incremental, evaluate_cross_system_incremental_sharded,
-    evaluate_few_runs_incremental, evaluate_few_runs_incremental_sharded, fold_fingerprint,
+    evaluate_cross_system_incremental, evaluate_few_runs_incremental, fold_fingerprint,
     FoldCacheStats, FoldEntry, IncrementalEval,
 };
 pub use model::{binned_trees_default, tree_kernel_tag, FittedModel, ModelKind};

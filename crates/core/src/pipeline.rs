@@ -9,7 +9,9 @@
 //!
 //! * [`EncodedCorpus`] — per-benchmark profiles (for each requested window
 //!   setting) and per-representation target encodings, computed in
-//!   parallel up front; folds become row slicing.
+//!   parallel up front; folds become row slicing. It is the one-shard
+//!   layout of a [`ShardedCorpus`], so every evaluation runs on the one
+//!   shard-streaming fold assembly in [`crate::eval`].
 //! * [`FoldRunner`] — the LOGO scaffolding itself: include-set
 //!   construction, per-fold seed derivation, optional standardization,
 //!   model fit, representation decode, and KS scoring. Callers supply a
@@ -22,6 +24,8 @@
 //! from scratch, for any thread count.
 
 use std::borrow::Cow;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -36,6 +40,7 @@ use pv_sysmodel::{BenchmarkData, BenchmarkId, Corpus, RunSet, SystemId};
 use crate::eval::{BenchScore, EvalSummary};
 use crate::profile::Profile;
 use crate::repr::{DistributionRepr, ReprKind};
+use crate::shard::{EncodedShard, ShardSource, ShardedCorpus};
 
 /// Per-benchmark content fingerprints of a corpus, roster order.
 ///
@@ -68,9 +73,9 @@ pub(crate) fn bench_digest(b: &BenchmarkData) -> u64 {
 
 /// Folds campaign identity + per-benchmark digests into the corpus
 /// fingerprint. Takes the identity fields directly so a
-/// [`crate::shard::ShardedCorpus`] — which never materializes a `Corpus`
-/// — can produce the exact same fingerprint as the monolithic path (and
-/// hence share fold and cell caches with it).
+/// [`ShardedCorpus`] over a generated campaign — which never
+/// materializes a `Corpus` — produces the exact same fingerprint as the
+/// collected corpus (and hence shares fold and cell caches with it).
 pub(crate) fn corpus_digest_parts(
     system: SystemId,
     n_runs: usize,
@@ -89,11 +94,6 @@ pub(crate) fn corpus_digest_parts(
     h.finish()
 }
 
-/// Folds per-benchmark digests into the corpus fingerprint.
-fn fold_corpus_digest(corpus: &Corpus, per_bench: &[u64]) -> u64 {
-    corpus_digest_parts(corpus.system, corpus.n_runs, corpus.seed, per_bench)
-}
-
 /// Stable content fingerprint of a corpus.
 ///
 /// Covers everything an [`EncodedCorpus`] (and hence every evaluation)
@@ -106,7 +106,12 @@ fn fold_corpus_digest(corpus: &Corpus, per_bench: &[u64]) -> u64 {
 /// The per-benchmark hashing runs in parallel; benchmark digests are
 /// folded in roster order, so the result is thread-count independent.
 pub fn corpus_fingerprint(corpus: &Corpus) -> u64 {
-    fold_corpus_digest(corpus, &bench_fingerprints(corpus))
+    corpus_digest_parts(
+        corpus.system,
+        corpus.n_runs,
+        corpus.seed,
+        &bench_fingerprints(corpus),
+    )
 }
 
 /// What to precompute when building an [`EncodedCorpus`].
@@ -213,10 +218,6 @@ impl EncodingSpec {
     }
 }
 
-/// A corpus with its fold-invariant features and targets precomputed.
-///
-/// Construction is parallel over benchmarks; everything computed here is
-/// RNG-free, so the cache is a pure function of the corpus and spec.
 /// One feature row per benchmark, roster order.
 type BenchRows = Vec<Vec<f64>>;
 
@@ -224,11 +225,10 @@ type BenchRows = Vec<Vec<f64>>;
 type BenchWindows = Vec<Vec<Vec<f64>>>;
 
 /// The encoded payload of a contiguous run of benchmarks — everything an
-/// evaluation reads, keyed by *local* index. [`EncodedCorpus`] wraps one
-/// block covering a whole corpus (local = global index);
-/// [`crate::shard::EncodedShard`] wraps one block per benchmark range.
-/// Both paths run the exact same per-benchmark encode, so sharding a
-/// corpus never changes an encoded bit.
+/// evaluation reads, keyed by *local* index. Each [`EncodedShard`] wraps
+/// one block for its benchmark range; every range runs the exact same
+/// per-benchmark encode, so the shard layout never changes an encoded
+/// bit.
 pub(crate) struct EncodedBlock {
     pub(crate) rel: Vec<Vec<f64>>,
     /// `rel` sorted ascending (`total_cmp`), cached once at encode time
@@ -466,21 +466,40 @@ impl EncodedBlock {
     }
 }
 
+/// A corpus with its fold-invariant features and targets precomputed:
+/// the one-shard layout of a [`ShardedCorpus`], its single shard
+/// covering the whole roster and pinned for the corpus' lifetime.
+///
+/// Construction is parallel over benchmarks; everything computed here is
+/// RNG-free, so the cache is a pure function of the corpus and spec. It
+/// dereferences to its [`ShardedCorpus`], so it is accepted wherever one
+/// is (every evaluation entry point, [`crate::sweep::Sweep`]), and adds
+/// slice-lending accessors that index the pinned shard directly.
 pub struct EncodedCorpus<'c> {
     corpus: &'c Corpus,
-    block: EncodedBlock,
+    sharded: ShardedCorpus<'c>,
+    /// The one shard (benchmarks `0..len`, local = global index), held
+    /// so the accessors can lend slices out of it.
+    shard: Arc<EncodedShard>,
 }
 
 impl<'c> EncodedCorpus<'c> {
     /// Precomputes everything the spec asks for.
     ///
     /// # Errors
-    /// Fails when a window setting does not fit the corpus run count or
-    /// an encoding fails.
+    /// Fails when a window setting does not fit the corpus run count, an
+    /// encoding fails, or the corpus is empty (no shard to cover it).
     pub fn build(corpus: &'c Corpus, spec: &EncodingSpec) -> Result<Self, StatsError> {
         let _span = pv_obs::span!("pv.core.pipeline.encode_corpus", benches = corpus.len());
-        let block = EncodedBlock::build(&corpus.benchmarks, corpus.n_runs, spec)?;
-        Ok(EncodedCorpus { corpus, block })
+        let sharded = ShardedCorpus::builder(ShardSource::Corpus(corpus), spec)
+            .shard_size(corpus.len().max(1))
+            .encode()?;
+        let shard = sharded.shard(0)?;
+        Ok(EncodedCorpus {
+            corpus,
+            sharded,
+            shard,
+        })
     }
 
     /// The underlying corpus.
@@ -488,38 +507,16 @@ impl<'c> EncodedCorpus<'c> {
         self.corpus
     }
 
-    /// Cached per-benchmark content digests, roster order — the same
-    /// values [`bench_fingerprints`] computes, hashed once at build time.
-    pub fn bench_fingerprints(&self) -> &[u64] {
-        &self.block.bench_fps
-    }
-
-    /// Cached corpus fingerprint — equals [`corpus_fingerprint`] on the
-    /// underlying corpus without re-hashing every run.
-    pub fn fingerprint(&self) -> u64 {
-        fold_corpus_digest(self.corpus, &self.block.bench_fps)
-    }
-
-    /// Number of benchmarks.
-    pub fn len(&self) -> usize {
-        self.corpus.len()
-    }
-
-    /// Whether the corpus has no benchmarks.
-    pub fn is_empty(&self) -> bool {
-        self.corpus.is_empty()
-    }
-
     /// Cached relative times of benchmark `bi`.
     pub fn rel_times(&self, bi: usize) -> &[f64] {
-        self.block.rel_times(bi)
+        self.shard.block.rel_times(bi)
     }
 
     /// Cached relative times of benchmark `bi`, sorted ascending — fold
     /// truths built from this (with `sorted: true`) let scoring use the
     /// allocation-free presorted KS path.
     pub fn rel_times_sorted(&self, bi: usize) -> &[f64] {
-        self.block.rel_times_sorted(bi)
+        self.shard.block.rel_times_sorted(bi)
     }
 
     /// Cached window-`w` profile of benchmark `bi` for window setting `s`.
@@ -528,7 +525,7 @@ impl<'c> EncodedCorpus<'c> {
     /// Fails when `(s, w)` was not covered by the build spec or `bi` is
     /// out of range.
     pub fn profile(&self, s: usize, bi: usize, w: usize) -> Result<&[f64], StatsError> {
-        self.block.profile(s, bi, w)
+        self.shard.block.profile(s, bi, w)
     }
 
     /// Cached target encoding of benchmark `bi` under `repr`.
@@ -537,7 +534,7 @@ impl<'c> EncodedCorpus<'c> {
     /// Fails when `repr` was not covered by the build spec or `bi` is out
     /// of range.
     pub fn target(&self, repr: ReprKind, bi: usize) -> Result<&[f64], StatsError> {
-        self.block.target(repr, bi)
+        self.shard.block.target(repr, bi)
     }
 
     /// Cached joined row (profile ⊕ encoding) of benchmark `bi`.
@@ -546,7 +543,15 @@ impl<'c> EncodedCorpus<'c> {
     /// Fails when `(s, repr)` was not covered by the build spec or `bi`
     /// is out of range.
     pub fn joined(&self, s: usize, repr: ReprKind, bi: usize) -> Result<&[f64], StatsError> {
-        self.block.joined(s, repr, bi)
+        self.shard.block.joined(s, repr, bi)
+    }
+}
+
+impl<'c> Deref for EncodedCorpus<'c> {
+    type Target = ShardedCorpus<'c>;
+
+    fn deref(&self) -> &ShardedCorpus<'c> {
+        &self.sharded
     }
 }
 
@@ -574,11 +579,11 @@ pub type RowSink<'s> = dyn FnMut(&[f64], &[f64], usize) -> Result<(), StatsError
 ///
 /// The assemble closure declares the fold's shape up front and hands the
 /// runner a visitor that yields `(x_row, y_row, group)` triples borrowed
-/// from whatever cache backs the fold — an [`EncodedCorpus`], or one
-/// resident [`crate::shard::EncodedShard`] at a time. The runner
+/// from whatever cache backs the fold — one resident [`EncodedShard`] at
+/// a time, or an [`EncodedCorpus`]'s pinned shard. The runner
 /// materializes the fold matrix exactly once, while visiting; no
 /// intermediate row-pointer vectors or full-matrix copies exist on the
-/// hot path, monolithic or sharded.
+/// hot path, at any shard layout.
 pub struct FoldView<'a> {
     n_rows: usize,
     x_dim: usize,
@@ -642,8 +647,9 @@ pub struct FoldTruth<'a> {
     /// Identity reported in the per-benchmark score.
     pub id: BenchmarkId,
     /// Measured relative times the prediction is scored against.
-    /// Borrowed on the monolithic path; owned on the sharded path (the
-    /// backing shard may be evicted before scoring finishes).
+    /// Borrowed when the caller pins the backing cache (the ablations);
+    /// owned on the shard-streaming path (the backing shard may be
+    /// evicted before scoring finishes).
     pub rel: Cow<'a, [f64]>,
     /// Whether `rel` is already sorted ascending (`total_cmp` order).
     /// When true, scoring skips the copy-and-sort of the truth side and
@@ -968,8 +974,8 @@ mod tests {
         let enc = EncodedCorpus::build(&c, &spec).unwrap();
         assert!(enc.profile(5, 0, 2).is_ok());
         assert!(enc.joined(5, ReprKind::PearsonRnd, 0).is_ok());
-        assert_eq!(enc.block.targets.len(), 1);
-        assert_eq!(enc.block.joined.len(), 1);
+        assert_eq!(enc.shard.block.targets.len(), 1);
+        assert_eq!(enc.shard.block.joined.len(), 1);
     }
 
     #[test]

@@ -1,30 +1,33 @@
-//! Sharded corpora: the encode/evaluate data plane at scale.
+//! Sharded corpora: the encode/evaluate data plane.
 //!
 //! A [`ShardedCorpus`] splits a campaign into contiguous benchmark-index
 //! ranges. Each shard is independently generated (via per-benchmark
-//! seeding in `pv-sysmodel`) and independently encoded (via the same
-//! [`EncodedBlock`] kernel the monolithic [`EncodedCorpus`](crate::pipeline::EncodedCorpus)
-//! runs), fingerprinted with `pv_stats::fingerprint`, and spillable to
-//! disk with the temp-file+rename + verify-on-load discipline of the
-//! cell and fold caches. An LRU-bounded resident set keeps at most a
-//! budgeted number of encoded shards in memory, so peak memory is
-//! `O(shard)` — one raw benchmark range during generation plus the
-//! resident encoded shards — not `O(corpus)`.
+//! seeding in `pv-sysmodel`) and independently encoded (via the
+//! [`EncodedBlock`] kernel), fingerprinted with `pv_stats::fingerprint`,
+//! and spillable to disk with the temp-file+rename + verify-on-load
+//! discipline of the cell and fold caches. An LRU-bounded resident set
+//! keeps at most a budgeted number of encoded shards in memory, so peak
+//! memory is `O(shard)` — one raw benchmark range during generation plus
+//! the resident encoded shards — not `O(corpus)`.
 //!
-//! ## Bit-identity guarantee
+//! Every evaluation runs on this plane. A whole in-memory corpus is the
+//! one-shard layout: [`EncodedCorpus`](crate::pipeline::EncodedCorpus)
+//! is a `ShardedCorpus` with a single pinned shard covering the roster.
 //!
-//! Sharding never changes an output bit, at any shard layout and any
-//! thread count:
+//! ## Layout independence
+//!
+//! The shard layout never changes an output bit, at any thread count:
 //!
 //! * generation seeds every stage from the benchmark id, so a range is
 //!   bit-identical to the same slice of a full campaign;
 //! * encoding runs the same per-benchmark kernel in the same order;
-//! * fold assembly streams include rows in ascending benchmark order —
-//!   the exact row order the monolithic path produces — through the
-//!   [`FoldView`] abstraction, pinning one shard at a time;
+//! * fold assembly streams include rows in ascending benchmark order
+//!   through the [`FoldView`](crate::pipeline::FoldView) abstraction,
+//!   pinning one shard at a time, so every layout yields the row order
+//!   of the one-shard layout;
 //! * the corpus fingerprint is computed from the same per-benchmark
-//!   digests with the same domain tag, so sharded and monolithic runs of
-//!   one campaign share fold caches and sweep cell caches.
+//!   digests with the same domain tag, so runs of one campaign at
+//!   different layouts share fold caches and sweep cell caches.
 //!
 //! ## Spill format
 //!
@@ -48,10 +51,8 @@ use pv_stats::fingerprint::Fnv1a;
 use pv_stats::StatsError;
 use pv_sysmodel::{collect_benchmarks, BenchmarkData, BenchmarkId, Corpus, SystemId, SystemModel};
 
-use crate::pipeline::{corpus_digest_parts, EncodedBlock, EncodingSpec, FoldTruth, FoldView};
+use crate::pipeline::{corpus_digest_parts, EncodedBlock, EncodingSpec};
 use crate::resilience::PvError;
-use crate::usecase1::FewRunsConfig;
-use crate::usecase2::CrossSystemConfig;
 
 /// Spill format version; bump to orphan every spilled shard.
 const SPILL_MAGIC: &[u8; 8] = b"PVSHARD1";
@@ -199,7 +200,7 @@ impl ShardSource<'_> {
 pub struct EncodedShard {
     start: usize,
     ids: Vec<BenchmarkId>,
-    block: EncodedBlock,
+    pub(crate) block: EncodedBlock,
     content_fp: u64,
 }
 
@@ -620,6 +621,20 @@ impl<'c> ShardedCorpusBuilder<'c> {
     /// [`PvError::CacheIo`] when the spill directory cannot be created;
     /// encoding/validation failures convert from [`StatsError`].
     pub fn build(self) -> Result<ShardedCorpus<'c>, PvError> {
+        if let Some(dir) = &self.spill_dir {
+            fs::create_dir_all(dir)
+                .map_err(|e| spill_err("create dir", format!("{}: {e}", dir.display())))?;
+            // Crashed writers leak `*.tmp.<pid>` files; reclaim them
+            // before this run starts spilling its own.
+            crate::resilience::sweep_stale_temps(dir);
+        }
+        Ok(self.encode()?)
+    }
+
+    /// [`ShardedCorpusBuilder::build`] after the spill directory is
+    /// ready: validates the layout and runs the encode pass. Without a
+    /// spill dir this is the whole build.
+    pub(crate) fn encode(self) -> Result<ShardedCorpus<'c>, StatsError> {
         let ShardedCorpusBuilder {
             source,
             spec,
@@ -632,43 +647,34 @@ impl<'c> ShardedCorpusBuilder<'c> {
         let layout = match layout {
             Some(l) => {
                 if l.n_benchmarks() != n {
-                    return Err(PvError::Invalid {
-                        what: "ShardedCorpus".into(),
-                        detail: format!(
+                    return Err(StatsError::invalid(
+                        "ShardedCorpus",
+                        format!(
                             "layout covers {} benchmarks, corpus has {n}",
                             l.n_benchmarks()
                         ),
-                    });
+                    ));
                 }
                 l
             }
             None => ShardLayout::uniform(n, shard_size)?,
         };
-        if let Some(dir) = &spill_dir {
-            fs::create_dir_all(dir)
-                .map_err(|e| spill_err("create dir", format!("{}: {e}", dir.display())))?;
-            // Crashed writers leak `*.tmp.<pid>` files; reclaim them
-            // before this run starts spilling its own.
-            crate::resilience::sweep_stale_temps(dir);
-        }
         let budget = resident_shards
             .unwrap_or_else(|| (rayon::current_num_threads() + 2).max(4))
             .max(1);
+        let n_shards = layout.n_shards();
         let mut sc = ShardedCorpus {
             ids: source.ids(),
             source,
             spec,
             layout,
             bench_fps: Vec::with_capacity(n),
-            shard_fps: Vec::new(),
+            shard_fps: Vec::with_capacity(n_shards),
             spill_dir,
             budget,
-            resident: Mutex::new(Resident::new(0)),
-            load_guards: Vec::new(),
+            resident: Mutex::new(Resident::new(n_shards)),
+            load_guards: (0..n_shards).map(|_| Mutex::new(())).collect(),
         };
-        let n_shards = sc.layout.n_shards();
-        sc.resident = Mutex::new(Resident::new(n_shards));
-        sc.load_guards = (0..n_shards).map(|_| Mutex::new(())).collect();
         let _span = pv_obs::span!(
             "pv.core.shard.build",
             benches = n,
@@ -697,7 +703,7 @@ impl<'c> ShardedCorpusBuilder<'c> {
 
 /// A corpus as a set of benchmark-range shards with an LRU-bounded
 /// resident set. See the module docs for the memory model and the
-/// bit-identity guarantee.
+/// layout-independence guarantee.
 pub struct ShardedCorpus<'c> {
     source: ShardSource<'c>,
     spec: EncodingSpec,
@@ -778,8 +784,7 @@ impl<'c> ShardedCorpus<'c> {
     }
 
     /// Per-benchmark content digests, roster order — identical to
-    /// [`crate::pipeline::bench_fingerprints`] on the equivalent
-    /// monolithic corpus.
+    /// [`crate::pipeline::bench_fingerprints`] on the collected corpus.
     pub fn bench_fingerprints(&self) -> &[u64] {
         &self.bench_fps
     }
@@ -790,9 +795,9 @@ impl<'c> ShardedCorpus<'c> {
     }
 
     /// Corpus fingerprint — identical to
-    /// [`crate::pipeline::corpus_fingerprint`] on the equivalent
-    /// monolithic corpus, independent of shard layout, so sharded and
-    /// monolithic runs share fold and cell caches.
+    /// [`crate::pipeline::corpus_fingerprint`] on the collected corpus
+    /// and independent of shard layout, so runs at different layouts
+    /// share fold and cell caches.
     pub fn fingerprint(&self) -> u64 {
         corpus_digest_parts(
             self.source.system(),
@@ -946,9 +951,20 @@ impl<'c> ShardedCorpus<'c> {
     /// one or two shards pinned at a time.
     ///
     /// # Errors
-    /// Propagates recompute (generation/encode) failures; spill problems
+    /// A typed invalid error when `si` is not a shard of the layout (as
+    /// `layout().shard_of(bi)` returns for any `bi >= len()`); otherwise
+    /// propagates recompute (generation/encode) failures. Spill problems
     /// never propagate — a bad file is recomputed silently.
     pub fn shard(&self, si: usize) -> Result<Arc<EncodedShard>, StatsError> {
+        if si >= self.layout.n_shards() {
+            return Err(StatsError::invalid(
+                "ShardedCorpus",
+                format!(
+                    "shard {si} out of range ({} shards)",
+                    self.layout.n_shards()
+                ),
+            ));
+        }
         if let Some(shard) = self.lock_resident().get(si) {
             return Ok(shard);
         }
@@ -978,118 +994,6 @@ impl<'c> ShardedCorpus<'c> {
         self.lock_resident()
             .insert(si, Arc::clone(&shard), self.budget);
         Ok(shard)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Shard-aware fold assembly: same rows, same order, one shard pinned at
-// a time.
-
-/// The use-case-1 fold assembly over shards: include rows stream in
-/// ascending benchmark order (windows inner) — exactly the
-/// include-rank-major order of the monolithic
-/// [`crate::eval::few_runs_assemble`] — pinning each shard once per fold.
-pub(crate) fn few_runs_assemble_sharded<'a>(
-    sh: &'a ShardedCorpus<'_>,
-    cfg: FewRunsConfig,
-) -> impl Fn(usize, Vec<usize>) -> Result<FoldView<'a>, StatsError> + Send + Sync + 'a {
-    let s = cfg.n_profile_runs;
-    let windows = cfg.profiles_per_benchmark.max(1);
-    move |held, include| {
-        let held_shard = sh.shard(sh.layout.shard_of(held))?;
-        let query = held_shard.profile(s, held, 0)?.to_vec();
-        let x_dim = query.len();
-        let y_dim = held_shard.target(cfg.repr, held)?.len();
-        drop(held_shard);
-        Ok(FoldView::new(
-            include.len() * windows,
-            x_dim,
-            y_dim,
-            query,
-            move |sink| {
-                let mut i = 0;
-                for si in 0..sh.layout.n_shards() {
-                    let end = sh.layout.range(si).end;
-                    if i >= include.len() || include[i] >= end {
-                        continue;
-                    }
-                    let shard = sh.shard(si)?;
-                    while i < include.len() && include[i] < end {
-                        let bi = include[i];
-                        let target = shard.target(cfg.repr, bi)?;
-                        for w in 0..windows {
-                            sink(shard.profile(s, bi, w)?, target, bi)?;
-                        }
-                        i += 1;
-                    }
-                }
-                Ok(())
-            },
-        ))
-    }
-}
-
-/// The use-case-2 fold assembly over shards: ascending include order,
-/// one source shard and one destination shard pinned at a time (layouts
-/// may differ between the two corpora).
-pub(crate) fn cross_system_assemble_sharded<'a>(
-    src: &'a ShardedCorpus<'_>,
-    dst: &'a ShardedCorpus<'_>,
-    cfg: CrossSystemConfig,
-) -> impl Fn(usize, Vec<usize>) -> Result<FoldView<'a>, StatsError> + Send + Sync + 'a {
-    let s_eff = cfg.profile_runs.min(src.n_runs()).max(1);
-    move |held, include| {
-        let held_src = src.shard(src.layout.shard_of(held))?;
-        let query = held_src.joined(s_eff, cfg.repr, held)?.to_vec();
-        let x_dim = query.len();
-        drop(held_src);
-        let held_dst = dst.shard(dst.layout.shard_of(held))?;
-        let y_dim = held_dst.target(cfg.repr, held)?.len();
-        drop(held_dst);
-        Ok(FoldView::new(
-            include.len(),
-            x_dim,
-            y_dim,
-            query,
-            move |sink| {
-                let mut src_cur: Option<Arc<EncodedShard>> = None;
-                let mut dst_cur: Option<Arc<EncodedShard>> = None;
-                for &bi in &include {
-                    if !src_cur.as_ref().is_some_and(|sh| sh.range().contains(&bi)) {
-                        src_cur = Some(src.shard(src.layout.shard_of(bi))?);
-                    }
-                    if !dst_cur.as_ref().is_some_and(|sh| sh.range().contains(&bi)) {
-                        dst_cur = Some(dst.shard(dst.layout.shard_of(bi))?);
-                    }
-                    let (Some(s_sh), Some(d_sh)) = (&src_cur, &dst_cur) else {
-                        unreachable!("shards assigned above");
-                    };
-                    sink(
-                        s_sh.joined(s_eff, cfg.repr, bi)?,
-                        d_sh.target(cfg.repr, bi)?,
-                        bi,
-                    )?;
-                }
-                Ok(())
-            },
-        ))
-    }
-}
-
-/// The fold-truth closure over a sharded corpus. The relative times are
-/// copied out of the shard (owned `Cow`) so scoring never depends on
-/// the shard staying resident; the copy is taken from the shard's
-/// presorted cache so scoring skips the per-fold truth sort.
-pub(crate) fn sharded_truth<'a>(
-    sh: &'a ShardedCorpus<'_>,
-) -> impl Fn(usize) -> Result<FoldTruth<'a>, StatsError> + Send + Sync + 'a {
-    move |held| {
-        let shard = sh.shard(sh.layout.shard_of(held))?;
-        Ok(FoldTruth {
-            id: sh.id(held),
-            rel: std::borrow::Cow::Owned(shard.rel_times_sorted(held)?.to_vec()),
-            sorted: true,
-        })
     }
 }
 
@@ -1133,7 +1037,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_encodings_match_monolithic() {
+    fn sharded_encodings_match_one_shard() {
         let c = Corpus::collect(&SystemModel::intel(), 20, 3);
         let enc = crate::pipeline::EncodedCorpus::build(&c, &spec()).unwrap();
         let sh = ShardedCorpus::builder(ShardSource::Corpus(&c), &spec())
@@ -1245,6 +1149,24 @@ mod tests {
             .unwrap();
         assert_eq!(err.kind(), "cache-io");
         let _ = fs::remove_file(&file);
+    }
+
+    #[test]
+    fn out_of_range_shard_index_is_typed_invalid() {
+        let c = Corpus::collect(&SystemModel::intel(), 10, 1);
+        let sh = ShardedCorpus::builder(ShardSource::Corpus(&c), &spec())
+            .shard_size(16)
+            .build()
+            .unwrap();
+        // `shard_of` maps any index past the roster to one past the last
+        // shard; asking for it is an error, not an index panic.
+        let past_end = sh.layout().shard_of(sh.len());
+        assert_eq!(past_end, sh.layout().n_shards());
+        for si in [past_end, past_end + 5] {
+            let err = sh.shard(si).err().unwrap();
+            assert_eq!(PvError::from(err).kind(), "invalid", "shard {si}");
+        }
+        assert!(sh.shard(past_end - 1).is_ok());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The paper's evaluation is inherently a grid — representations ×
 //! models × profile sample counts (× seeds), scored by LOGO/KS — and the
 //! [`pipeline`](crate::pipeline) layer already lets every cell of such a
-//! grid share one [`EncodedCorpus`]. This module turns the grid into a
-//! service:
+//! grid share one encoded corpus (a [`ShardedCorpus`] at any layout, an
+//! [`EncodedCorpus`](crate::pipeline::EncodedCorpus) being the one-shard
+//! layout). This module turns the grid into a service:
 //!
 //! * [`GridSpec`] declares the axes; it expands into [`CellConfig`]s in
 //!   a fixed deterministic order and derives the [`EncodingSpec`]s that
@@ -50,12 +51,10 @@ use pv_sysmodel::Corpus;
 
 use crate::eval::{cross_system_specs_for_runs, few_runs_spec, EvalSummary};
 use crate::incremental::{
-    evaluate_cross_system_incremental, evaluate_cross_system_incremental_sharded,
-    evaluate_few_runs_incremental, evaluate_few_runs_incremental_sharded, FoldCacheStats,
-    FoldEntry,
+    evaluate_cross_system_incremental, evaluate_few_runs_incremental, FoldCacheStats, FoldEntry,
 };
 use crate::model::ModelKind;
-use crate::pipeline::{EncodedCorpus, EncodingSpec};
+use crate::pipeline::EncodingSpec;
 use crate::repr::ReprKind;
 use crate::resilience::{
     panic_message, retry_seed, validate_summary, CacheLock, FaultKind, FaultPlan, PvError,
@@ -227,7 +226,7 @@ impl GridSpec {
     }
 
     /// [`GridSpec::cross_system_encoding`] from the source run count
-    /// alone — for sharded campaigns that never materialize a corpus.
+    /// alone — for generated campaigns that never materialize a corpus.
     pub fn cross_system_encoding_for_runs(
         &self,
         src_n_runs: usize,
@@ -582,8 +581,8 @@ impl CellCache {
 }
 
 /// The cell-cache fingerprint of a cross-system pair: both corpus
-/// fingerprints under a domain tag, identical for sharded and
-/// monolithic targets over the same campaigns.
+/// fingerprints under a domain tag, identical at every shard layout of
+/// the same campaigns.
 pub fn cross_fingerprint(src: u64, dst: u64) -> u64 {
     let mut h = Fnv1a::new();
     h.write_str("pv-sweep-cross");
@@ -592,26 +591,16 @@ pub fn cross_fingerprint(src: u64, dst: u64) -> u64 {
     h.finish()
 }
 
-/// What a sweep evaluates its cells against.
+/// What a sweep evaluates its cells against. Results and cache keys do
+/// not depend on the corpora's shard layouts.
 pub enum SweepTarget<'a, 'c> {
     /// Use case 1 over one encoded corpus.
-    FewRuns(&'a EncodedCorpus<'c>),
+    FewRuns(&'a ShardedCorpus<'c>),
     /// Use case 2, source → destination.
     CrossSystem {
-        /// The (encoded) corpus measured on the source system.
-        src: &'a EncodedCorpus<'c>,
-        /// The (encoded) corpus measured on the destination system.
-        dst: &'a EncodedCorpus<'c>,
-    },
-    /// Use case 1 over a sharded corpus (bounded-memory path; results
-    /// and cache keys identical to [`SweepTarget::FewRuns`] on the
-    /// equivalent monolithic corpus).
-    FewRunsSharded(&'a ShardedCorpus<'c>),
-    /// Use case 2 over sharded corpora, source → destination.
-    CrossSystemSharded {
-        /// The (sharded) corpus measured on the source system.
+        /// The encoded corpus measured on the source system.
         src: &'a ShardedCorpus<'c>,
-        /// The (sharded) corpus measured on the destination system.
+        /// The encoded corpus measured on the destination system.
         dst: &'a ShardedCorpus<'c>,
     },
 }
@@ -771,26 +760,20 @@ pub struct Sweep<'a, 'c> {
 }
 
 impl<'a, 'c> Sweep<'a, 'c> {
-    /// A use-case-1 sweep over `enc`.
-    pub fn few_runs(enc: &'a EncodedCorpus<'c>) -> Self {
-        Self::new(SweepTarget::FewRuns(enc))
+    /// A use-case-1 sweep over `sh` (any shard layout; an
+    /// [`EncodedCorpus`](crate::pipeline::EncodedCorpus) derefs to one).
+    pub fn few_runs(sh: &'a ShardedCorpus<'c>) -> Self {
+        Self::new(SweepTarget::FewRuns(sh))
+    }
+
+    /// Alias of [`Sweep::few_runs`], kept for existing callers.
+    pub fn few_runs_sharded(sh: &'a ShardedCorpus<'c>) -> Self {
+        Self::few_runs(sh)
     }
 
     /// A use-case-2 sweep, `src` → `dst`.
-    pub fn cross_system(src: &'a EncodedCorpus<'c>, dst: &'a EncodedCorpus<'c>) -> Self {
+    pub fn cross_system(src: &'a ShardedCorpus<'c>, dst: &'a ShardedCorpus<'c>) -> Self {
         Self::new(SweepTarget::CrossSystem { src, dst })
-    }
-
-    /// A use-case-1 sweep over a sharded corpus. Cells evaluate
-    /// bit-identically to [`Sweep::few_runs`] on the equivalent
-    /// monolithic corpus and share its cell cache (same fingerprint).
-    pub fn few_runs_sharded(sh: &'a ShardedCorpus<'c>) -> Self {
-        Self::new(SweepTarget::FewRunsSharded(sh))
-    }
-
-    /// A use-case-2 sweep over sharded corpora, `src` → `dst`.
-    pub fn cross_system_sharded(src: &'a ShardedCorpus<'c>, dst: &'a ShardedCorpus<'c>) -> Self {
-        Self::new(SweepTarget::CrossSystemSharded { src, dst })
     }
 
     fn new(target: SweepTarget<'a, 'c>) -> Self {
@@ -837,12 +820,8 @@ impl<'a, 'c> Sweep<'a, 'c> {
     /// use case 1, a combination of both corpora's for use case 2.
     pub fn fingerprint(&self) -> u64 {
         match &self.target {
-            SweepTarget::FewRuns(enc) => enc.fingerprint(),
-            SweepTarget::FewRunsSharded(sh) => sh.fingerprint(),
+            SweepTarget::FewRuns(sh) => sh.fingerprint(),
             SweepTarget::CrossSystem { src, dst } => {
-                cross_fingerprint(src.fingerprint(), dst.fingerprint())
-            }
-            SweepTarget::CrossSystemSharded { src, dst } => {
                 cross_fingerprint(src.fingerprint(), dst.fingerprint())
             }
         }
@@ -852,12 +831,12 @@ impl<'a, 'c> Sweep<'a, 'c> {
     /// order).
     pub fn cells(&self, grid: &GridSpec) -> Vec<CellConfig> {
         match &self.target {
-            SweepTarget::FewRuns(_) | SweepTarget::FewRunsSharded(_) => grid
+            SweepTarget::FewRuns(_) => grid
                 .few_runs_cells()
                 .into_iter()
                 .map(CellConfig::FewRuns)
                 .collect(),
-            SweepTarget::CrossSystem { .. } | SweepTarget::CrossSystemSharded { .. } => grid
+            SweepTarget::CrossSystem { .. } => grid
                 .cross_system_cells()
                 .into_iter()
                 .map(CellConfig::CrossSystem)
@@ -874,17 +853,11 @@ impl<'a, 'c> Sweep<'a, 'c> {
         prior: &[FoldEntry],
     ) -> Result<(EvalSummary, Vec<FoldEntry>, FoldCacheStats), StatsError> {
         let result = match (&self.target, cfg) {
-            (SweepTarget::FewRuns(enc), CellConfig::FewRuns(c)) => {
-                evaluate_few_runs_incremental(enc, *c, prior)?
+            (SweepTarget::FewRuns(sh), CellConfig::FewRuns(c)) => {
+                evaluate_few_runs_incremental(sh, *c, prior)?
             }
             (SweepTarget::CrossSystem { src, dst }, CellConfig::CrossSystem(c)) => {
                 evaluate_cross_system_incremental(src, dst, *c, prior)?
-            }
-            (SweepTarget::FewRunsSharded(sh), CellConfig::FewRuns(c)) => {
-                evaluate_few_runs_incremental_sharded(sh, *c, prior)?
-            }
-            (SweepTarget::CrossSystemSharded { src, dst }, CellConfig::CrossSystem(c)) => {
-                evaluate_cross_system_incremental_sharded(src, dst, *c, prior)?
             }
             _ => {
                 return Err(StatsError::invalid(
@@ -1054,12 +1027,7 @@ impl<'a, 'c> Sweep<'a, 'c> {
         let fingerprint = self.fingerprint();
         let _sweep_span = pv_obs::span!("pv.core.sweep.run", cells = cells.len());
         pv_obs::metrics::preregister_counters(SWEEP_OBS_COUNTERS);
-        if matches!(
-            self.target,
-            SweepTarget::FewRunsSharded(_) | SweepTarget::CrossSystemSharded { .. }
-        ) {
-            pv_obs::metrics::preregister_counters(&SHARD_OBS_COUNTERS);
-        }
+        pv_obs::metrics::preregister_counters(&SHARD_OBS_COUNTERS);
         pv_obs::gauge_set!("pv.core.sweep.cells_total", cells.len());
         // The advisory lock covers cache reads, writes, and the
         // quarantine update; it is held until this function returns.
@@ -1242,7 +1210,7 @@ impl<'a, 'c> Sweep<'a, 'c> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::eval::evaluate_few_runs_encoded;
+    use crate::pipeline::EncodedCorpus;
     use pv_sysmodel::SystemModel;
 
     fn corpus() -> Corpus {
@@ -1296,7 +1264,7 @@ mod tests {
             let CellConfig::FewRuns(cfg) = cell.config else {
                 panic!("uc1 sweep produced a uc2 cell");
             };
-            let direct = evaluate_few_runs_encoded(&enc, cfg).unwrap();
+            let direct = crate::eval::evaluate_few_runs(&c, cfg).unwrap();
             assert_eq!(cell.summary().unwrap(), &direct, "{}", cell.config.label());
             assert!(cell.outcome.is_ok());
             assert_eq!(cell.outcome.attempts(), 1);
@@ -1400,7 +1368,7 @@ mod tests {
             seed: crate::resilience::retry_seed(cfg.seed, 1),
             ..cfg
         };
-        let direct = evaluate_few_runs_encoded(&enc, reseeded).unwrap();
+        let direct = crate::eval::evaluate_few_runs(&c, reseeded).unwrap();
         assert_eq!(report.cells[0].summary().unwrap(), &direct);
     }
 

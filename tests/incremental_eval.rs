@@ -6,10 +6,11 @@ use std::path::PathBuf;
 
 use perfvar_suite::core::eval::few_runs_spec;
 use perfvar_suite::core::pipeline::EncodedCorpus;
+use perfvar_suite::core::shard::{ShardSource, ShardedCorpus};
 use perfvar_suite::core::sweep::{CellCache, GridSpec, Sweep};
 use perfvar_suite::core::{
-    evaluate_few_runs_encoded, evaluate_few_runs_incremental, fold_fingerprint, FewRunsConfig,
-    ModelKind, ReprKind,
+    evaluate_few_runs, evaluate_few_runs_incremental, fold_fingerprint, FewRunsConfig, ModelKind,
+    ReprKind,
 };
 use perfvar_suite::sysmodel::{Corpus, SystemModel};
 
@@ -56,38 +57,68 @@ fn grown_pair(n_runs: usize, drop: usize) -> (Corpus, Corpus) {
     (full, base)
 }
 
+/// `corpus` encoded for `cfg` at `shard_size` benchmarks per shard
+/// (`None`: the one-shard layout, sized to the corpus).
+fn layout<'c>(
+    corpus: &'c Corpus,
+    cfg: &FewRunsConfig,
+    shard_size: Option<usize>,
+) -> ShardedCorpus<'c> {
+    ShardedCorpus::builder(ShardSource::Corpus(corpus), &few_runs_spec(cfg))
+        .shard_size(shard_size.unwrap_or(corpus.len()))
+        .build()
+        .unwrap()
+}
+
+/// Fold entries seeded at one shard layout serve the grown corpus at
+/// another: at every (base, grown) layout pair the warm summary equals a
+/// cold run and the hit/delta/miss tallies are the same.
 #[test]
 fn append_serves_unchanged_folds_from_the_delta_path() {
     let (full, base) = grown_pair(30, 1);
     let cfg = knn_cfg();
-    let spec = few_runs_spec(&cfg);
-    let base_enc = EncodedCorpus::build(&base, &spec).unwrap();
-    let seeded = evaluate_few_runs_incremental(&base_enc, cfg, &[]).unwrap();
-    assert_eq!(seeded.stats.misses, base.len(), "cold seed is all misses");
+    let cold = evaluate_few_runs(&full, cfg).unwrap();
+    let mut tallies = Vec::new();
+    for (base_size, full_size) in [(None, None), (None, Some(7)), (Some(5), Some(13))] {
+        let pair = format!("{base_size:?} -> {full_size:?}");
+        let base_sh = layout(&base, &cfg, base_size);
+        let seeded = evaluate_few_runs_incremental(&base_sh, cfg, &[]).unwrap();
+        assert_eq!(seeded.stats.misses, base.len(), "cold seed is all misses");
 
-    let full_enc = EncodedCorpus::build(&full, &spec).unwrap();
-    let warm = evaluate_few_runs_incremental(&full_enc, cfg, &seeded.folds).unwrap();
-    let cold = evaluate_few_runs_encoded(&full_enc, cfg).unwrap();
-    assert_eq!(warm.summary, cold, "append reuse must be bit-identical");
+        let full_sh = layout(&full, &cfg, full_size);
+        let warm = evaluate_few_runs_incremental(&full_sh, cfg, &seeded.folds).unwrap();
+        assert_eq!(
+            warm.summary, cold,
+            "append reuse must be bit-identical ({pair})"
+        );
 
-    // Every surviving fold's training set grew, so exact hits cannot
-    // fire; reuse is the kNN neighbour-delta path, and only folds whose
-    // neighbourhood the new benchmark actually entered (expected rate
-    // ≈ k/n) plus the new benchmark's own fold recompute.
-    assert_eq!(warm.stats.hits, 0);
-    assert!(
-        warm.stats.deltas > 0,
-        "no neighbour-stable folds: {:?}",
-        warm.stats
-    );
-    assert!(warm.stats.misses >= 1, "the new fold has no prior entry");
-    assert_eq!(warm.stats.total(), full.len());
+        // Every surviving fold's training set grew, so exact hits cannot
+        // fire; reuse is the kNN neighbour-delta path, and only folds
+        // whose neighbourhood the new benchmark actually entered
+        // (expected rate ≈ k/n) plus the new benchmark's own fold
+        // recompute.
+        assert_eq!(warm.stats.hits, 0, "{pair}");
+        assert!(
+            warm.stats.deltas > 0,
+            "no neighbour-stable folds ({pair}): {:?}",
+            warm.stats
+        );
+        assert!(warm.stats.misses >= 1, "the new fold has no prior entry");
+        assert_eq!(warm.stats.total(), full.len());
 
-    // A rerun on the unchanged full corpus is pure fingerprint hits.
-    let rerun = evaluate_few_runs_incremental(&full_enc, cfg, &warm.folds).unwrap();
-    assert_eq!(rerun.stats.hits, full.len());
-    assert_eq!(rerun.stats.reused(), full.len());
-    assert_eq!(rerun.summary, cold);
+        // A rerun on the unchanged full corpus is pure fingerprint hits.
+        let rerun = evaluate_few_runs_incremental(&full_sh, cfg, &warm.folds).unwrap();
+        assert_eq!(rerun.stats.hits, full.len(), "{pair}");
+        assert_eq!(rerun.stats.reused(), full.len());
+        assert_eq!(rerun.summary, cold);
+        tallies.push((warm.stats, pair));
+    }
+    for (stats, pair) in &tallies[1..] {
+        assert_eq!(
+            *stats, tallies[0].0,
+            "tallies moved with the layout: {pair}"
+        );
+    }
 }
 
 #[test]

@@ -365,21 +365,26 @@ fn stats_verb_returns_live_windows_and_joins_the_partition() {
         .spawn()
         .expect("spawn pv-serve");
     let mut stdin = child.stdin.take().expect("stdin");
-    let stdout = BufReader::new(child.stdout.take().expect("stdout"));
-
-    let lines = [
-        request_line(key, &corpus, 0, 1),
-        "{\"op\": \"stats\", \"id\": 4}".to_string(),
-        "{\"op\": \"no-such-op\"}".to_string(),
-        "{\"shutdown\": true}".to_string(),
-    ];
-    for line in &lines {
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout")).lines();
+    let mut send = |line: &str| {
         stdin.write_all(line.as_bytes()).expect("write");
         stdin.write_all(b"\n").expect("write");
-    }
-    stdin.flush().expect("flush");
+        stdin.flush().expect("flush");
+    };
 
-    let replies: Vec<String> = stdout.lines().map(|l| l.expect("read reply")).collect();
+    // Jobs of one batch run in parallel, and `totals.requests` counts
+    // the requests sealed *before* the stats probe, so the predict reply
+    // must be read before the probe is written.
+    send(&request_line(key, &corpus, 0, 1));
+    let mut replies = vec![stdout.next().expect("predict reply").expect("read reply")];
+    for line in [
+        "{\"op\": \"stats\", \"id\": 4}",
+        "{\"op\": \"no-such-op\"}",
+        "{\"shutdown\": true}",
+    ] {
+        send(line);
+    }
+    replies.extend(stdout.map(|l| l.expect("read reply")));
     assert_eq!(replies.len(), 4, "{replies:?}");
     assert!(replies[0].contains("\"ok\":true"), "{}", replies[0]);
     let stats = &replies[1];

@@ -1,6 +1,7 @@
-//! The sharded data plane is a pure re-layering: evaluations through a
-//! `ShardedCorpus` must reproduce, bit for bit, what the monolithic
-//! `EncodedCorpus` path computes — at every shard layout, at any thread
+//! The shard layout is a pure re-layering: evaluating a `ShardedCorpus`
+//! split into many shards must reproduce, bit for bit, the one-shard
+//! layout (`EncodedCorpus`, which `evaluate_few_runs` and
+//! `evaluate_cross_system` run on) — at every layout, at any thread
 //! count, whether shards stay resident, get evicted and recomputed, or
 //! round-trip through spill files (including tampered ones).
 
@@ -9,8 +10,10 @@ use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use perfvar_suite::core::eval::{
-    cross_system_specs, evaluate_cross_system, evaluate_cross_system_sharded, evaluate_few_runs,
-    evaluate_few_runs_sharded, few_runs_spec, EvalSummary,
+    cross_system_specs, evaluate_cross_system, evaluate_few_runs, few_runs_spec, EvalSummary,
+};
+use perfvar_suite::core::incremental::{
+    evaluate_cross_system_incremental, evaluate_few_runs_incremental,
 };
 use perfvar_suite::core::shard::{CampaignSource, ShardLayout, ShardSource, ShardedCorpus};
 use perfvar_suite::core::sweep::{CellCache, GridSpec, Sweep};
@@ -61,38 +64,44 @@ fn sharded<'c>(c: &'c Corpus, cfg: &FewRunsConfig, shard_size: usize) -> Sharded
         .unwrap()
 }
 
+/// A cold use-case-1 evaluation of `sh`, whatever its layout.
+fn eval_uc1(sh: &ShardedCorpus<'_>, cfg: FewRunsConfig) -> EvalSummary {
+    evaluate_few_runs_incremental(sh, cfg, &[]).unwrap().summary
+}
+
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pv-shard-eq-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     dir
 }
 
-/// Shard sizes {1, 7, 64, corpus}: every boundary shape from
-/// one-benchmark shards through a single corpus-wide shard yields the
-/// exact monolithic summary, for both a standardizing kNN fold and a
+/// Shard sizes {1, 7, 16, corpus − 1}: every multi-shard boundary shape,
+/// from one-benchmark shards to a one-benchmark tail shard, yields the
+/// exact one-shard summary, for both a standardizing kNN fold and a
 /// random forest fold.
 #[test]
 fn uc1_sharded_matches_monolithic_at_every_shard_size() {
     let c = corpus(SystemModel::intel());
     for model in [ModelKind::Knn, ModelKind::RandomForest] {
         let cfg = uc1_cfg(model);
-        let mono = evaluate_few_runs(&c, cfg).unwrap();
-        for shard_size in [1, 7, 64, c.len()] {
+        let one_shard = evaluate_few_runs(&c, cfg).unwrap();
+        for shard_size in [1, 7, 16, c.len() - 1] {
             let sh = sharded(&c, &cfg, shard_size);
-            let summary = evaluate_few_runs_sharded(&sh, cfg).unwrap();
-            assert_eq!(summary, mono, "{model:?} shard_size={shard_size}");
+            assert!(sh.layout().n_shards() > 1, "shard_size={shard_size}");
+            let summary = eval_uc1(&sh, cfg);
+            assert_eq!(summary, one_shard, "{model:?} shard_size={shard_size}");
         }
     }
 }
 
 /// Use case 2 with *different* shard layouts on the source and the
-/// destination corpora still reproduces the monolithic summary.
+/// destination corpora still reproduces the one-shard summary.
 #[test]
 fn uc2_sharded_matches_monolithic_with_mismatched_layouts() {
     let src = corpus(SystemModel::amd());
     let dst = corpus(SystemModel::intel());
     let cfg = uc2_cfg(ModelKind::Knn);
-    let mono = evaluate_cross_system(&src, &dst, cfg).unwrap();
+    let one_shard = evaluate_cross_system(&src, &dst, cfg).unwrap();
     let (src_spec, dst_spec) = cross_system_specs(&src, &cfg);
     for (ss, ds) in [(7, 13), (1, 64), (64, 1)] {
         let src_sh = ShardedCorpus::builder(ShardSource::Corpus(&src), &src_spec)
@@ -103,8 +112,10 @@ fn uc2_sharded_matches_monolithic_with_mismatched_layouts() {
             .shard_size(ds)
             .build()
             .unwrap();
-        let summary = evaluate_cross_system_sharded(&src_sh, &dst_sh, cfg).unwrap();
-        assert_eq!(summary, mono, "src={ss} dst={ds}");
+        let summary = evaluate_cross_system_incremental(&src_sh, &dst_sh, cfg, &[])
+            .unwrap()
+            .summary;
+        assert_eq!(summary, one_shard, "src={ss} dst={ds}");
     }
 }
 
@@ -126,7 +137,7 @@ fn sharded_eval_is_thread_count_independent() {
                     .resident_shards(2)
                     .build()
                     .unwrap();
-                evaluate_few_runs_sharded(&sh, cfg).unwrap()
+                eval_uc1(&sh, cfg)
             })
     };
     let single = run(1);
@@ -159,10 +170,7 @@ fn campaign_source_evaluates_identically_to_collected_corpus() {
         sh.fingerprint(),
         perfvar_suite::core::corpus_fingerprint(&c)
     );
-    assert_eq!(
-        evaluate_few_runs_sharded(&sh, cfg).unwrap(),
-        evaluate_few_runs(&c, cfg).unwrap()
-    );
+    assert_eq!(eval_uc1(&sh, cfg), evaluate_few_runs(&c, cfg).unwrap());
 }
 
 /// Tampered, truncated, or garbage spill files are silently recomputed —
@@ -174,7 +182,7 @@ fn tampered_spill_files_recover_silently() {
     let dir = tmp_dir("tamper");
     let c = corpus(SystemModel::intel());
     let cfg = uc1_cfg(ModelKind::Knn);
-    let mono = evaluate_few_runs(&c, cfg).unwrap();
+    let one_shard = evaluate_few_runs(&c, cfg).unwrap();
     let sh = ShardedCorpus::builder(ShardSource::Corpus(&c), &few_runs_spec(&cfg))
         .shard_size(8)
         .spill_dir(&dir)
@@ -206,8 +214,7 @@ fn tampered_spill_files_recover_silently() {
     }
     // Budget 1 forces every fold to fault shards back in through the
     // corrupted files.
-    let summary = evaluate_few_runs_sharded(&sh, cfg).unwrap();
-    assert_eq!(summary, mono);
+    assert_eq!(eval_uc1(&sh, cfg), one_shard);
     // Recomputed shards were re-spilled; a fresh build warm-loads them.
     let warm = ShardedCorpus::builder(ShardSource::Corpus(&c), &few_runs_spec(&cfg))
         .shard_size(8)
@@ -241,7 +248,7 @@ fn concurrent_eviction_hammer_reads_identical_bits_with_zero_verify_fails() {
     assert!(sh.layout().n_shards() > 4, "need real eviction churn");
 
     // Expected bits, read once up front (through the same evicting
-    // corpus — equivalence to the monolithic path is pinned elsewhere).
+    // corpus — equivalence to the one-shard layout is pinned elsewhere).
     let expected: Vec<(Vec<f64>, Vec<f64>)> = (0..c.len())
         .map(|bi| {
             let shard = sh.shard(sh.layout().shard_of(bi)).unwrap();
@@ -317,9 +324,9 @@ fn unusable_spill_dir_is_typed_cache_io() {
     let _ = fs::remove_file(&file);
 }
 
-/// Sweep-level interop: a sharded sweep and a monolithic sweep over the
-/// same campaign share one cell cache — whichever runs second gets pure
-/// hits and identical summaries.
+/// Sweep-level interop: a one-shard sweep and a multi-shard sweep over
+/// the same campaign share one cell cache — whichever runs second gets
+/// pure hits and identical summaries.
 #[test]
 fn sharded_and_monolithic_sweeps_share_the_cell_cache() {
     let dir = tmp_dir("sweep-interop");
@@ -332,27 +339,27 @@ fn sharded_and_monolithic_sweeps_share_the_cell_cache() {
     };
     let enc =
         perfvar_suite::core::pipeline::EncodedCorpus::build(&c, &grid.few_runs_encoding()).unwrap();
-    let mono = Sweep::few_runs(&enc)
+    let one_shard = Sweep::few_runs(&enc)
         .with_cache(CellCache::new(&dir))
         .run(&grid)
         .unwrap();
-    assert_eq!(mono.misses, 1);
+    assert_eq!(one_shard.misses, 1);
     let sh = ShardedCorpus::builder(ShardSource::Corpus(&c), &grid.few_runs_encoding())
         .shard_size(9)
         .build()
         .unwrap();
-    let sharded = Sweep::few_runs_sharded(&sh)
+    let sharded = Sweep::few_runs(&sh)
         .with_cache(CellCache::new(&dir))
         .run(&grid)
         .unwrap();
     assert_eq!(
         sharded.hits, 1,
-        "sharded sweep must hit the monolithic cell"
+        "multi-shard sweep must hit the one-shard cell"
     );
-    assert_eq!(sharded.fingerprint, mono.fingerprint);
+    assert_eq!(sharded.fingerprint, one_shard.fingerprint);
     assert_eq!(
         sharded.cells[0].summary().unwrap(),
-        mono.cells[0].summary().unwrap()
+        one_shard.cells[0].summary().unwrap()
     );
     let _ = fs::remove_dir_all(&dir);
 }
@@ -365,7 +372,7 @@ mod boundary_properties {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         /// Random shard boundaries never change fold assembly: any cut
-        /// set over the corpus produces the monolithic evaluation bits.
+        /// set over the corpus produces the one-shard evaluation bits.
         #[test]
         fn random_boundaries_never_change_fold_assembly(
             cuts in prop::collection::vec(0usize..60, 0..12),
@@ -378,8 +385,7 @@ mod boundary_properties {
                 .resident_shards(3)
                 .build()
                 .unwrap();
-            let summary = evaluate_few_runs_sharded(&sh, cfg).unwrap();
-            prop_assert_eq!(summary, evaluate_few_runs(&c, cfg).unwrap());
+            prop_assert_eq!(eval_uc1(&sh, cfg), evaluate_few_runs(&c, cfg).unwrap());
         }
     }
 }
