@@ -13,7 +13,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 use crate::dataset::Dataset;
-use crate::tree::{RegressionTree, TreeConfig};
+use crate::tree::{validate_fit_input, BinnedFeatures, RegressionTree, TreeConfig};
 use crate::{Regressor, Result};
 
 /// Per-node feature subsampling policy.
@@ -53,8 +53,9 @@ pub struct RandomForestRegressor {
     /// Whether to bootstrap rows (true = classic bagging).
     pub bootstrap: bool,
     /// Use histogram (pre-binned) split finding in every tree; see
-    /// [`TreeConfig::binned`]. Off by default — the exact path is what
-    /// the pinned goldens run on.
+    /// [`TreeConfig::binned`]. Off in this constructor's defaults; the
+    /// evaluation forest (`pv_core::ModelKind::RandomForest`) turns it
+    /// on unless `PV_EXACT_TREES` is set.
     pub binned: bool,
     /// Root RNG seed.
     pub seed: u64,
@@ -142,6 +143,7 @@ impl Regressor for RandomForestRegressor {
                 got: 0,
             });
         }
+        validate_fit_input(data)?;
         let n = data.len();
         let d = data.n_features();
         let max_feats = self.max_features.resolve(d);
@@ -153,19 +155,18 @@ impl Regressor for RandomForestRegressor {
 
         // One bin table serves the whole forest: binning only reads the
         // feature matrix, and every bootstrap row is a copy of an
-        // original row, so each tree maps its rows back into the shared
-        // table instead of re-sorting every feature per replicate.
-        let shared_bins = binned.then(|| crate::tree::BinnedFeatures::build(data));
-        let trees: Result<Vec<RegressionTree>> = (0..self.n_trees)
+        // original row, so each tree reads its rows through its
+        // bootstrap draw instead of copying a replicate.
+        let shared_bins = binned.then(|| BinnedFeatures::build(&data.x));
+        let trees: Vec<RegressionTree> = (0..self.n_trees)
             .into_par_iter()
             .map(|t| {
                 let stream = derive_stream(seed, t as u64);
                 let mut rng = Xoshiro256pp::seed_from_u64(stream);
-                let idx: Option<Vec<usize>> =
-                    bootstrap.then(|| (0..n).map(|_| rng.gen_range(0..n)).collect());
-                let subset = match &idx {
-                    Some(idx) => data.subset(idx),
-                    None => data.clone(),
+                let rows: Vec<usize> = if bootstrap {
+                    (0..n).map(|_| rng.gen_range(0..n)).collect()
+                } else {
+                    (0..n).collect()
                 };
                 let cfg = TreeConfig {
                     max_depth,
@@ -177,14 +178,11 @@ impl Regressor for RandomForestRegressor {
                     binned,
                 };
                 let mut tree = RegressionTree::new(cfg);
-                match &shared_bins {
-                    Some(bins) => tree.fit_with_shared_bins(&subset, bins, idx.as_deref())?,
-                    None => tree.fit(&subset)?,
-                }
-                Ok(tree)
+                tree.fit_rows(&data.x, &data.y, rows, shared_bins.as_ref(), None);
+                tree
             })
             .collect();
-        self.trees = trees?;
+        self.trees = trees;
         self.n_outputs = data.n_outputs();
         Ok(())
     }
@@ -330,6 +328,35 @@ mod tests {
         assert!(f.predict(&[1.0]).is_err()); // unfitted
         let mut f = RandomForestRegressor::new(0);
         assert!(f.fit(&grid_dataset()).is_err());
+    }
+
+    #[test]
+    fn non_finite_input_is_rejected_at_fit_entry() {
+        // A NaN anywhere is rejected up front with the tree's error,
+        // whether or not any bootstrap draw would have picked its row.
+        for (r, c, in_x) in [(5, 1, true), (77, 0, false)] {
+            let mut data = grid_dataset();
+            if in_x {
+                data.x.set(r, c, f64::NAN);
+            } else {
+                data.y.set(r, c, f64::NAN);
+            }
+            for binned in [false, true] {
+                let err = RandomForestRegressor::new(3)
+                    .with_binned(binned)
+                    .fit(&data)
+                    .unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        StatsError::NonFinite {
+                            what: "RegressionTree::fit"
+                        }
+                    ),
+                    "{err:?}"
+                );
+            }
+        }
     }
 
     #[test]

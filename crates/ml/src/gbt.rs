@@ -15,7 +15,9 @@ use rand::Rng;
 use rand::SeedableRng;
 
 use crate::dataset::{Dataset, DenseMatrix};
-use crate::tree::{RegressionTree, TreeConfig};
+use crate::tree::{
+    validate_finite, validate_fit_input, BinnedFeatures, FeatureRanks, RegressionTree, TreeConfig,
+};
 use crate::{Regressor, Result};
 
 /// Gradient-boosting hyper-parameters and fitted state.
@@ -36,7 +38,9 @@ pub struct GradientBoostingRegressor {
     /// Root RNG seed (used only when `subsample < 1`).
     pub seed: u64,
     /// Use histogram (pre-binned) split finding in every round's tree;
-    /// see [`TreeConfig::binned`]. Off by default.
+    /// see [`TreeConfig::binned`]. Off in this constructor's defaults;
+    /// the evaluation booster (`pv_core::ModelKind::XgBoost`) turns it
+    /// on unless `PV_EXACT_TREES` is set.
     pub binned: bool,
     base: Vec<f64>,
     trees: Vec<RegressionTree>,
@@ -135,6 +139,7 @@ impl Regressor for GradientBoostingRegressor {
                 got: 0,
             });
         }
+        validate_fit_input(data)?;
         let n = data.len();
         let t = data.n_outputs();
 
@@ -158,20 +163,21 @@ impl Regressor for GradientBoostingRegressor {
         let mut trees = Vec::with_capacity(self.n_rounds);
         let mut rng = Xoshiro256pp::seed_from_u64(self.seed);
         // Residuals change every round but the feature matrix never
-        // does, and binning only reads features — so one bin table
-        // serves all rounds, with each round's subsample mapped back
-        // into it.
-        let shared_bins = self
-            .binned
-            .then(|| crate::tree::BinnedFeatures::build(data));
+        // does, and binning and ranking only read features — so one bin
+        // table and one rank table serve all rounds, and each round's
+        // tree reads features and residuals through its subsample's row
+        // list instead of a per-round copy.
+        let shared_bins = self.binned.then(|| BinnedFeatures::build(&data.x));
+        let ranks = FeatureRanks::build(&data.x);
+        let mut resid = DenseMatrix::zeros(n, t);
         for round in 0..self.n_rounds {
             // Residual matrix for this round.
-            let mut resid = DenseMatrix::zeros(n, t);
             for r in 0..n {
                 for c in 0..t {
                     resid.set(r, c, data.y.get(r, c) - current.get(r, c));
                 }
             }
+            validate_finite(&resid)?;
             // Row subsample (without replacement).
             let rows: Vec<usize> = if self.subsample < 1.0 {
                 let m = ((n as f64 * self.subsample).round() as usize).clamp(1, n);
@@ -185,11 +191,6 @@ impl Regressor for GradientBoostingRegressor {
             } else {
                 (0..n).collect()
             };
-            let round_data = Dataset::new(
-                data.x.select_rows(&rows),
-                resid.select_rows(&rows),
-                rows.iter().map(|&i| data.groups[i]).collect(),
-            )?;
             let cfg = TreeConfig {
                 max_depth: self.max_depth,
                 min_samples_split: 2,
@@ -200,10 +201,7 @@ impl Regressor for GradientBoostingRegressor {
                 binned: self.binned,
             };
             let mut tree = RegressionTree::new(cfg);
-            match &shared_bins {
-                Some(bins) => tree.fit_with_shared_bins(&round_data, bins, Some(&rows))?,
-                None => tree.fit(&round_data)?,
-            }
+            tree.fit_rows(&data.x, &resid, rows, shared_bins.as_ref(), Some(&ranks));
             // Update the running prediction.
             for r in 0..n {
                 let p = tree.predict(data.x.row(r))?;
@@ -350,6 +348,64 @@ mod tests {
             .is_err());
         let g = GradientBoostingRegressor::new(5);
         assert!(g.predict(&[1.0]).is_err()); // unfitted
+    }
+
+    #[test]
+    fn non_finite_input_is_rejected_at_fit_entry() {
+        for (r, c, in_x) in [(9, 0, true), (40, 1, false)] {
+            let mut data = sine_dataset();
+            if in_x {
+                data.x.set(r, c, f64::NAN);
+            } else {
+                data.y.set(r, c, f64::NAN);
+            }
+            for binned in [false, true] {
+                let err = GradientBoostingRegressor::new(5)
+                    .with_subsample(0.5)
+                    .with_binned(binned)
+                    .fit(&data)
+                    .unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        StatsError::NonFinite {
+                            what: "RegressionTree::fit"
+                        }
+                    ),
+                    "{err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_residuals_are_rejected() {
+        // Finite but huge targets pass the entry check, then overflow
+        // the base mean to inf: the round's residuals are non-finite and
+        // must be refused, not fitted.
+        let rows: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64]).collect();
+        let ys: Vec<Vec<f64>> = (0..8)
+            .map(|i| vec![if i < 4 { f64::MAX } else { -f64::MAX }])
+            .collect();
+        let data = Dataset::ungrouped(
+            DenseMatrix::from_rows(&rows).unwrap(),
+            DenseMatrix::from_rows(&ys).unwrap(),
+        )
+        .unwrap();
+        let err = GradientBoostingRegressor::new(3)
+            .with_learning_rate(1.0)
+            .with_lambda(0.0)
+            .fit(&data)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StatsError::NonFinite {
+                    what: "RegressionTree::fit"
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

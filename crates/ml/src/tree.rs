@@ -6,6 +6,18 @@
 //! of variance reduction), computed in O(n) per feature via prefix sums
 //! over sorted rows.
 //!
+//! Rows reach that scan in ascending value order by one of two routes.
+//! A tree that scans every feature at every node (a boosting round, a
+//! plain CART fit) takes them from presorted column blocks: each feature
+//! is ranked once per fit (`FeatureRanks`) and each split
+//! stable-partitions the node's block segments, so no node sorts. A tree
+//! that draws a few features per node (a forest) sorts just those
+//! features' node rows instead, which is cheaper than partitioning every
+//! feature's block. Both routes give the same order wherever a feature's
+//! values are distinct, so they grow bit-identical trees; a feature with
+//! repeated values always takes the per-node sort (see
+//! `FeatureRanks`).
+//!
 //! Leaf values support an optional L2 shrinkage `λ` (`value = Σy / (n+λ)`),
 //! which is exactly the XGBoost leaf-weight formula for squared loss —
 //! plain CART uses λ = 0.
@@ -17,7 +29,7 @@ use pv_stats::StatsError;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, DenseMatrix};
 use crate::{Regressor, Result};
 
 /// Tree growth hyper-parameters.
@@ -35,10 +47,12 @@ pub struct TreeConfig {
     pub leaf_lambda: f64,
     /// Seed for per-node feature subsampling.
     pub seed: u64,
-    /// Split-finding strategy. `false` (the default, and the path every
-    /// pinned golden runs on) sorts each node's rows per feature; `true`
+    /// Split-finding strategy. `false` (this struct's default) scans
+    /// every adjacent-value midpoint of each node's sorted rows; `true`
     /// pre-bins every feature into ≤ 256 value bins once per fit and
-    /// finds splits with an O(n + bins) histogram scan per feature.
+    /// finds splits on nodes larger than a feature's bin count with an
+    /// O(n + bins) histogram scan. The evaluation models
+    /// (`pv_core::ModelKind`) turn it on unless `PV_EXACT_TREES` is set.
     pub binned: bool,
 }
 
@@ -104,56 +118,64 @@ impl RegressionTree {
         RegressionTree::new(TreeConfig::default())
     }
 
-    /// [`Regressor::fit`] with a pre-built bin table (see [`BinView`]):
-    /// `map`, when present, sends each of `data`'s rows to the row of
-    /// the table's corpus it replicates. Ensembles bin their corpus once
-    /// and fit every member through here.
-    ///
-    /// # Errors
-    /// Same contract as [`Regressor::fit`].
-    pub(crate) fn fit_with_shared_bins(
+    /// Grows the tree on the source rows `rows` of `x`/`y` (repeats
+    /// allowed: a bootstrap draw, a boosting subsample). Ensembles fit
+    /// every member through here over one source matrix, sharing one
+    /// bin table (`bins`, built when the config is `binned`) and one
+    /// rank table (`ranks`, used when the config scans every feature;
+    /// built here when absent and needed). Input validation is the
+    /// caller's job.
+    pub(crate) fn fit_rows(
         &mut self,
-        data: &Dataset,
-        bins: &BinnedFeatures,
-        map: Option<&[usize]>,
-    ) -> Result<()> {
-        validate_fit_input(data)?;
-        self.fit_trunk(data, Some(BinView { bins, map }));
-        Ok(())
+        x: &DenseMatrix,
+        y: &DenseMatrix,
+        rows: Vec<usize>,
+        bins: Option<&BinnedFeatures>,
+        ranks: Option<&FeatureRanks>,
+    ) {
+        let d = x.cols();
+        let scans_all = self.config.max_features.is_none_or(|m| m.max(1) >= d);
+        let sorted = scans_all.then(|| match ranks {
+            Some(ranks) => SortedBlocks::new(ranks, &rows),
+            None => SortedBlocks::new(&FeatureRanks::build(x), &rows),
+        });
+        self.grow(x, y, rows, bins, sorted);
     }
 
     /// The common fit body: grows the tree with an optional histogram
-    /// bin view. Input validation is the caller's job.
-    fn fit_trunk(&mut self, data: &Dataset, bins: Option<BinView<'_>>) {
-        let t = data.n_outputs();
-        let nb = match &bins {
-            Some(view) => view
-                .bins
-                .thresholds
-                .iter()
-                .map(|t| t.len() + 1)
-                .max()
-                .unwrap_or(1),
-            None => 0,
-        };
+    /// bin table and, when `sorted` is set, presorted column blocks of
+    /// exactly `rows` instead of per-node sorts.
+    fn grow(
+        &mut self,
+        x: &DenseMatrix,
+        y: &DenseMatrix,
+        mut rows: Vec<usize>,
+        bins: Option<&BinnedFeatures>,
+        sorted: Option<SortedBlocks>,
+    ) {
+        let t = y.cols();
+        let nb = bins.map_or(0, |b| {
+            b.thresholds.iter().map(|t| t.len() + 1).max().unwrap_or(1)
+        });
         let mut builder = Builder {
-            data,
+            x,
+            y,
             cfg: self.config,
             rng: Xoshiro256pp::seed_from_u64(self.config.seed),
             nodes: Vec::new(),
-            importance: vec![0.0; data.n_features()],
+            importance: vec![0.0; x.cols()],
             bins,
-            scratch: Vec::with_capacity(data.len()),
+            sorted,
+            scratch: Vec::new(),
             left: vec![0.0; t],
             hist_counts: vec![0; nb],
             hist_sums: vec![0.0; nb * t],
             hist_sqs: vec![0.0; nb],
         };
-        let mut idx: Vec<usize> = (0..data.len()).collect();
-        builder.build(&mut idx, 0);
+        builder.build(&mut rows, 0, 0);
         self.nodes = builder.nodes;
-        self.n_features = data.n_features();
-        self.n_outputs = data.n_outputs();
+        self.n_features = x.cols();
+        self.n_outputs = t;
         // Normalize importances to a distribution over features.
         let total: f64 = builder.importance.iter().sum();
         if total > 0.0 {
@@ -191,7 +213,7 @@ impl RegressionTree {
 /// When a feature has ≤ 256 distinct values each value gets its own bin
 /// and the candidate thresholds coincide with the exact path's adjacent-
 /// value midpoints; otherwise bins are equal-frequency quantile cuts.
-/// Split finding then replaces the exact path's per-node O(n log n) sort
+/// Split finding then replaces the exact scan over a node's sorted rows
 /// with one O(n) histogram fill plus an O(bins) boundary scan.
 pub(crate) struct BinnedFeatures {
     n_rows: usize,
@@ -207,18 +229,18 @@ pub(crate) struct BinnedFeatures {
 impl BinnedFeatures {
     const MAX_BINS: usize = 256;
 
-    /// Bins `data.x` (targets are never read, so one table serves every
-    /// bootstrap replicate of a forest and every residual round of a
-    /// boosting fit).
-    pub(crate) fn build(data: &Dataset) -> Self {
-        let n = data.len();
-        let d = data.n_features();
+    /// Bins the feature matrix `x` (targets are never read, so one table
+    /// serves every bootstrap replicate of a forest and every residual
+    /// round of a boosting fit).
+    pub(crate) fn build(x: &DenseMatrix) -> Self {
+        let n = x.rows();
+        let d = x.cols();
         let mut codes = vec![0u8; d * n];
         let mut thresholds = Vec::with_capacity(d);
         let mut sorted: Vec<f64> = Vec::with_capacity(n);
         for f in 0..d {
             sorted.clear();
-            sorted.extend((0..n).map(|i| data.x.get(i, f)));
+            sorted.extend((0..n).map(|i| x.get(i, f)));
             sorted.sort_unstable_by(f64::total_cmp);
             // Bin upper bounds: every distinct value when they fit in
             // 256 bins, else equal-frequency quantile cuts (the final
@@ -250,7 +272,7 @@ impl BinnedFeatures {
                 th.push(0.5 * (upper + sorted[j]));
             }
             for i in 0..n {
-                let v = data.x.get(i, f);
+                let v = x.get(i, f);
                 codes[f * n + i] = uppers.partition_point(|u| *u < v) as u8;
             }
             thresholds.push(th);
@@ -268,30 +290,208 @@ impl BinnedFeatures {
     }
 }
 
-/// A borrowed bin table, optionally re-indexed: `map[i]` is the row in
-/// the table's corpus that the builder's row `i` is a copy of. `None`
-/// means the identity (the builder trains on the table's own corpus).
-/// This is what lets an ensemble bin once and train each member on a
-/// bootstrap/subsample replicate without rebuilding the table.
-#[derive(Clone, Copy)]
-pub(crate) struct BinView<'b> {
-    pub(crate) bins: &'b BinnedFeatures,
-    pub(crate) map: Option<&'b [usize]>,
+/// Ascending feature value: the order the split scan walks a node's
+/// `(value, row)` pairs in.
+#[inline]
+fn by_value(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0)
 }
 
-impl BinView<'_> {
-    #[inline]
-    fn code(&self, f: usize, i: usize) -> usize {
-        let i = match self.map {
-            Some(m) => m[i],
-            None => i,
-        };
-        self.bins.code(f, i)
+/// Every tie-free feature's rows ranked once per fit: block `slot[f]`
+/// of `pairs` (column-major, `n_rows` pairs per block) holds feature
+/// `f`'s `(value, row)` pairs by value. A feature on which two rows
+/// share a value gets no block (`slot[f] == None`) and keeps the
+/// per-node sort: the order a tie's rows are scanned in sets the
+/// rounding of the split sums, and only that sort reproduces the order
+/// it gives them, so the tree is the one a per-node-sort fit grows.
+/// Like the bin table it reads only features, so one ranking serves
+/// every round of a boosting fit.
+pub(crate) struct FeatureRanks {
+    n_rows: usize,
+    slot: Vec<Option<usize>>,
+    pairs: Vec<(f64, u32)>,
+}
+
+impl FeatureRanks {
+    /// Ranks every column of `x`, keeping the tie-free ones.
+    pub(crate) fn build(x: &DenseMatrix) -> Self {
+        let n = x.rows();
+        let mut slot = Vec::with_capacity(x.cols());
+        let mut pairs = Vec::with_capacity(n * x.cols());
+        for f in 0..x.cols() {
+            let col = pairs.len();
+            pairs.extend((0..n).map(|r| (x.get(r, f), r as u32)));
+            pairs[col..].sort_unstable_by(by_value);
+            if pairs[col..].windows(2).any(|w| w[0].0 == w[1].0) {
+                pairs.truncate(col);
+                slot.push(None);
+            } else {
+                slot.push(Some(col / n.max(1)));
+            }
+        }
+        FeatureRanks {
+            n_rows: n,
+            slot,
+            pairs,
+        }
+    }
+}
+
+/// Presorted column blocks of one tree's training rows, partitioned in
+/// step with the builder's row list: while a node holds positions
+/// `lo..lo + n` of that list, a ranked feature's block holds the same
+/// rows' pairs by value at `lo..lo + n`. A row the list repeats (a
+/// bootstrap draw) appears as that many identical pairs.
+struct SortedBlocks {
+    /// Block index per feature, as in [`FeatureRanks`].
+    slot: Vec<Option<usize>>,
+    /// Rows per block (the tree's training-row count, repeats included).
+    len: usize,
+    pairs: Vec<(f64, u32)>,
+    /// Per source row: whether the split being applied sends it left.
+    goes_left: Vec<bool>,
+    /// The right-hand rows of the segment being partitioned.
+    tmp: Vec<(f64, u32)>,
+}
+
+impl SortedBlocks {
+    /// Filters the ranked pairs down to `rows` in one O(d · N) pass,
+    /// emitting each source row as often as `rows` repeats it.
+    fn new(ranks: &FeatureRanks, rows: &[usize]) -> Self {
+        let mut copies = vec![0u32; ranks.n_rows];
+        for &r in rows {
+            copies[r] += 1;
+        }
+        // Every ranked pair is written and the cursor advances by its
+        // row's copy count: branch-free for the usual 0/1 counts, with
+        // one slot of slack for a skipped pair written past the end.
+        let kept = rows.len() * (ranks.pairs.len() / ranks.n_rows.max(1));
+        let mut pairs = vec![(0.0, 0); kept + 1];
+        let mut w = 0;
+        for &(v, r) in &ranks.pairs {
+            let c = copies[r as usize] as usize;
+            pairs[w] = (v, r);
+            if c > 1 {
+                pairs[w..w + c].fill((v, r));
+            }
+            w += c;
+        }
+        pairs.truncate(kept);
+        SortedBlocks {
+            slot: ranks.slot.clone(),
+            len: rows.len(),
+            pairs,
+            goes_left: vec![false; ranks.n_rows],
+            tmp: Vec::new(),
+        }
     }
 
+    /// Feature `f`'s pairs at row-list positions `lo..lo + n`, by value;
+    /// `None` for a feature without a block.
     #[inline]
-    fn thresholds(&self, f: usize) -> &[f64] {
-        &self.bins.thresholds[f]
+    fn segment(&self, f: usize, lo: usize, n: usize) -> Option<&[(f64, u32)]> {
+        let block = self.slot[f]?;
+        Some(&self.pairs[block * self.len + lo..][..n])
+    }
+
+    /// Splits every block's segment `lo..lo + left.len() + right.len()`
+    /// into the rows of `left` followed by those of `right`, each side
+    /// keeping its order.
+    fn partition(&mut self, lo: usize, left: &[usize], right: &[usize]) {
+        for &r in left {
+            self.goes_left[r] = true;
+        }
+        for &r in right {
+            self.goes_left[r] = false;
+        }
+        let n = left.len() + right.len();
+        self.tmp.resize(n, (0.0, 0));
+        for block in self.pairs.chunks_exact_mut(self.len) {
+            let seg = &mut block[lo..lo + n];
+            // Branch-free: each pair is written to both sides and only
+            // the side it belongs to advances.
+            let (mut nl, mut nr) = (0, 0);
+            for k in 0..n {
+                let pair = seg[k];
+                let l = usize::from(self.goes_left[pair.1 as usize]);
+                seg[nl] = pair;
+                self.tmp[nr] = pair;
+                nl += l;
+                nr += 1 - l;
+            }
+            seg[nl..].copy_from_slice(&self.tmp[..nr]);
+        }
+    }
+}
+
+/// A node's target totals, shared by every candidate split of it.
+struct NodeTotals {
+    /// Σy per output.
+    tot: Vec<f64>,
+    /// The scalar Σ_k Σ y².
+    tot2_sum: f64,
+    /// The node's own SSE, the baseline every gain is measured against.
+    parent_sse: f64,
+}
+
+/// The best split found so far: `(feature, threshold, gain)`.
+type Best = Option<(usize, f64, f64)>;
+
+/// Scans feature `f`'s node rows, given by value, for the
+/// split with the largest SSE reduction, updating `best` on a strict
+/// improvement. `left` is scratch of one slot per output.
+fn scan_sorted(
+    f: usize,
+    sorted: &[(f64, u32)],
+    y: &DenseMatrix,
+    totals: &NodeTotals,
+    min_leaf: usize,
+    left: &mut [f64],
+    best: &mut Best,
+) {
+    let n = sorted.len();
+    if sorted[0].0 == sorted[n - 1].0 {
+        return; // constant feature in this node
+    }
+    left.iter_mut().for_each(|v| *v = 0.0);
+    // Σ_k left2_k only ever appears summed over outputs, so track it as
+    // a scalar; histogram-style targets are mostly zeros, and skipping
+    // them cuts the dominant accumulation loop.
+    let mut left_sq = 0.0;
+    for pos in 0..n - 1 {
+        let row = sorted[pos].1 as usize;
+        for (l, &y) in left.iter_mut().zip(y.row(row)) {
+            if y != 0.0 {
+                *l += y;
+                left_sq += y * y;
+            }
+        }
+        let nl = pos + 1;
+        let nr = n - nl;
+        if nl < min_leaf || nr < min_leaf {
+            continue;
+        }
+        let xl = sorted[pos].0;
+        let xr = sorted[pos + 1].0;
+        if xl == xr {
+            continue; // can't split between equal values
+        }
+        // SSE_left + SSE_right, vectorized over outputs:
+        //   Σ_k left2_k − (Σ_k left_k²)/nl
+        // + (tot2 − Σ_k left2_k) − (Σ_k (tot_k − left_k)²)/nr
+        let mut sum_l2 = 0.0;
+        let mut sum_r2 = 0.0;
+        for (l, t0) in left.iter().zip(&totals.tot) {
+            sum_l2 += l * l;
+            let r = t0 - l;
+            sum_r2 += r * r;
+        }
+        let sse =
+            (left_sq - sum_l2 / nl as f64) + ((totals.tot2_sum - left_sq) - sum_r2 / nr as f64);
+        let gain = totals.parent_sse - sse;
+        if gain > best.map_or(1e-12, |b| b.2) {
+            *best = Some((f, 0.5 * (xl + xr), gain));
+        }
     }
 }
 
@@ -299,12 +499,16 @@ impl BinView<'_> {
 /// the `hist_*` histograms) live here so one allocation serves every
 /// node of the tree instead of being re-made per split search.
 struct Builder<'a> {
-    data: &'a Dataset,
+    /// Source features and targets; the row lists hold their row ids.
+    x: &'a DenseMatrix,
+    y: &'a DenseMatrix,
     cfg: TreeConfig,
     rng: Xoshiro256pp,
     nodes: Vec<Node>,
     importance: Vec<f64>,
-    bins: Option<BinView<'a>>,
+    bins: Option<&'a BinnedFeatures>,
+    /// Presorted blocks; `None` sorts each candidate feature per node.
+    sorted: Option<SortedBlocks>,
     scratch: Vec<(f64, u32)>,
     left: Vec<f64>,
     hist_counts: Vec<u32>,
@@ -316,10 +520,10 @@ impl<'a> Builder<'a> {
     /// Leaf value Σy/(n+λ) over the rows in `idx`.
     #[inline]
     fn leaf_value(&self, idx: &[usize]) -> Vec<f64> {
-        let t = self.data.n_outputs();
+        let t = self.y.cols();
         let mut v = vec![0.0; t];
         for &i in idx {
-            for (acc, y) in v.iter_mut().zip(self.data.y.row(i)) {
+            for (acc, y) in v.iter_mut().zip(self.y.row(i)) {
                 *acc += y;
             }
         }
@@ -330,12 +534,13 @@ impl<'a> Builder<'a> {
         v
     }
 
-    /// Finds the best (feature, threshold) split of `idx`, returning
+    /// Finds the best (feature, threshold) split of the node holding
+    /// positions `lo..lo + idx.len()` of the row list, returning
     /// `(feature, threshold, gain)`; `None` when no valid split exists.
-    fn best_split(&mut self, idx: &mut [usize]) -> Option<(usize, f64, f64)> {
+    fn best_split(&mut self, idx: &[usize], lo: usize) -> Best {
         let n = idx.len();
-        let d = self.data.n_features();
-        let t = self.data.n_outputs();
+        let d = self.x.cols();
+        let t = self.y.cols();
         if n < self.cfg.min_samples_split || n < 2 * self.cfg.min_samples_leaf {
             return None;
         }
@@ -344,7 +549,7 @@ impl<'a> Builder<'a> {
         let mut tot = vec![0.0; t];
         let mut tot2_sum = 0.0;
         for &i in idx.iter() {
-            for (acc, &y) in tot.iter_mut().zip(self.data.y.row(i)) {
+            for (acc, &y) in tot.iter_mut().zip(self.y.row(i)) {
                 *acc += y;
                 tot2_sum += y * y;
             }
@@ -353,6 +558,11 @@ impl<'a> Builder<'a> {
         if parent_sse <= 1e-12 {
             return None; // already pure
         }
+        let totals = NodeTotals {
+            tot,
+            tot2_sum,
+            parent_sse,
+        };
 
         // Candidate features: all, or a random subset per node.
         let n_cand = self.cfg.max_features.unwrap_or(d).clamp(1, d);
@@ -366,13 +576,15 @@ impl<'a> Builder<'a> {
             features.truncate(n_cand);
         }
 
-        let mut best: Option<(usize, f64, f64)> = None;
+        let mut best: Best = None;
         let min_leaf = self.cfg.min_samples_leaf.max(1);
-        // Disjoint field borrows: the bin table is read while the
-        // scratch/histogram buffers are written.
+        // Disjoint field borrows: the bin table and blocks are read
+        // while the scratch/histogram buffers are written.
         let Builder {
-            data,
+            x,
+            y,
             bins,
+            sorted,
             scratch,
             left,
             hist_counts,
@@ -380,21 +592,21 @@ impl<'a> Builder<'a> {
             hist_sqs,
             ..
         } = self;
-        let data: &Dataset = data;
+        let (x, y, bins) = (*x, *y, *bins);
         // Kernel choice is per node *and* per feature: the histogram
-        // kernel replaces an O(n log n) sort with an O(n) fill — but its
-        // O(bins) clear + boundary scan is paid regardless of node size,
-        // so on nodes smaller than the bin count (the vast majority of
-        // nodes in a deep tree) the exact sort kernel is cheaper. Both
-        // kernels induce the same row partitions on data with ≤ 256
-        // distinct values per feature, where bin boundaries coincide
-        // with adjacent-value midpoints.
+        // kernel needs no sorted rows — an O(n) fill replaces the
+        // per-node sort — but its O(bins) clear + boundary scan is paid
+        // regardless of node size, so on nodes smaller than the bin
+        // count (the vast majority of nodes in a deep tree) the exact
+        // scan is cheaper. Both kernels induce the same row
+        // partitions on data with ≤ 256 distinct values per feature,
+        // where bin boundaries coincide with adjacent-value midpoints.
         for &f in &features {
-            match bins.as_ref() {
+            match bins {
                 // A globally constant feature can never split any node.
-                Some(bins) if bins.thresholds(f).is_empty() => continue,
-                Some(bins) if n > bins.thresholds(f).len() => {
-                    let th = bins.thresholds(f);
+                Some(bins) if bins.thresholds[f].is_empty() => continue,
+                Some(bins) if n > bins.thresholds[f].len() => {
+                    let th = &bins.thresholds[f];
                     let nb = th.len() + 1;
                     let counts = &mut hist_counts[..nb];
                     counts.fill(0);
@@ -406,7 +618,7 @@ impl<'a> Builder<'a> {
                         let b = bins.code(f, i);
                         counts[b] += 1;
                         let mut sq = 0.0;
-                        for (acc, &y) in sums[b * t..(b + 1) * t].iter_mut().zip(data.y.row(i)) {
+                        for (acc, &y) in sums[b * t..(b + 1) * t].iter_mut().zip(y.row(i)) {
                             if y != 0.0 {
                                 *acc += y;
                                 sq += y * y;
@@ -429,87 +641,48 @@ impl<'a> Builder<'a> {
                         }
                         let mut sum_l2 = 0.0;
                         let mut sum_r2 = 0.0;
-                        for (l, t0) in left.iter().zip(&tot) {
+                        for (l, t0) in left.iter().zip(&totals.tot) {
                             sum_l2 += l * l;
                             let r = t0 - l;
                             sum_r2 += r * r;
                         }
                         let sse = (left_sq - sum_l2 / nl as f64)
-                            + ((tot2_sum - left_sq) - sum_r2 / nr as f64);
-                        let gain = parent_sse - sse;
+                            + ((totals.tot2_sum - left_sq) - sum_r2 / nr as f64);
+                        let gain = totals.parent_sse - sse;
                         // Strict improvement: an empty bin's boundary
                         // repeats the previous partition with equal gain
                         // and is skipped.
-                        if gain > best.map_or(1e-12, |b: (usize, f64, f64)| b.2) {
+                        if gain > best.map_or(1e-12, |b| b.2) {
                             best = Some((f, th[b], gain));
                         }
                     }
                 }
-                _ => {
-                    // Scratch of (feature value, row) pairs: sorting a
-                    // contiguous key buffer is several times faster than
-                    // sorting `idx` through an indirect matrix-access
-                    // comparator, and this loop dominates tree (and
-                    // therefore forest/boosting) training time.
-                    scratch.clear();
-                    scratch.extend(idx.iter().map(|&i| (data.x.get(i, f), i as u32)));
-                    scratch.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-                    if scratch[0].0 == scratch[n - 1].0 {
-                        continue; // constant feature in this node
+                _ => match sorted.as_ref().and_then(|b| b.segment(f, lo, n)) {
+                    Some(seg) => scan_sorted(f, seg, y, &totals, min_leaf, left, &mut best),
+                    None => {
+                        // Scratch of (feature value, row) pairs: sorting a
+                        // contiguous key buffer is several times faster
+                        // than sorting `idx` through an indirect
+                        // matrix-access comparator.
+                        scratch.clear();
+                        scratch.extend(idx.iter().map(|&i| (x.get(i, f), i as u32)));
+                        scratch.sort_unstable_by(by_value);
+                        scan_sorted(f, scratch, y, &totals, min_leaf, left, &mut best);
                     }
-                    left.iter_mut().for_each(|v| *v = 0.0);
-                    // Σ_k left2_k only ever appears summed over outputs,
-                    // so track it as a scalar; histogram-style targets
-                    // are mostly zeros, and skipping them cuts the
-                    // dominant accumulation loop.
-                    let mut left_sq = 0.0;
-                    for pos in 0..n - 1 {
-                        let row = scratch[pos].1 as usize;
-                        for (l, &y) in left.iter_mut().zip(data.y.row(row)) {
-                            if y != 0.0 {
-                                *l += y;
-                                left_sq += y * y;
-                            }
-                        }
-                        let nl = pos + 1;
-                        let nr = n - nl;
-                        if nl < min_leaf || nr < min_leaf {
-                            continue;
-                        }
-                        let xl = scratch[pos].0;
-                        let xr = scratch[pos + 1].0;
-                        if xl == xr {
-                            continue; // can't split between equal values
-                        }
-                        // SSE_left + SSE_right, vectorized over outputs:
-                        //   Σ_k left2_k − (Σ_k left_k²)/nl
-                        // + (tot2 − Σ_k left2_k) − (Σ_k (tot_k − left_k)²)/nr
-                        let mut sum_l2 = 0.0;
-                        let mut sum_r2 = 0.0;
-                        for (l, t0) in left.iter().zip(&tot) {
-                            sum_l2 += l * l;
-                            let r = t0 - l;
-                            sum_r2 += r * r;
-                        }
-                        let sse = (left_sq - sum_l2 / nl as f64)
-                            + ((tot2_sum - left_sq) - sum_r2 / nr as f64);
-                        let gain = parent_sse - sse;
-                        if gain > best.map_or(1e-12, |b| b.2) {
-                            best = Some((f, 0.5 * (xl + xr), gain));
-                        }
-                    }
-                }
+                },
             }
         }
         best
     }
 
-    fn build(&mut self, idx: &mut [usize], depth: usize) -> usize {
+    /// Grows the subtree over `idx`, the row-list positions
+    /// `lo..lo + idx.len()`, and returns its node index.
+    fn build(&mut self, idx: &mut [usize], lo: usize, depth: usize) -> usize {
         let make_leaf = depth >= self.cfg.max_depth || idx.len() < self.cfg.min_samples_split;
         let split = if make_leaf {
             None
         } else {
-            self.best_split(idx)
+            self.best_split(idx, lo)
         };
         match split {
             None => {
@@ -519,13 +692,20 @@ impl<'a> Builder<'a> {
             }
             Some((feature, threshold, gain)) => {
                 self.importance[feature] += gain;
-                // Partition indices around the threshold.
-                let mid = itertools_partition(idx, |&i| self.data.x.get(i, feature) <= threshold);
+                // Partition rows around the threshold.
+                let x = self.x;
+                let mid = itertools_partition(idx, |&i| x.get(i, feature) <= threshold);
+                let (l_idx, r_idx) = idx.split_at_mut(mid);
+                // Children at the depth limit are leaves and never scan.
+                if depth + 1 < self.cfg.max_depth {
+                    if let Some(blocks) = self.sorted.as_mut() {
+                        blocks.partition(lo, l_idx, r_idx);
+                    }
+                }
                 let slot = self.nodes.len();
                 self.nodes.push(Node::Leaf { value: Vec::new() }); // placeholder
-                let (l_idx, r_idx) = idx.split_at_mut(mid);
-                let left = self.build(l_idx, depth + 1);
-                let right = self.build(r_idx, depth + 1);
+                let left = self.build(l_idx, lo, depth + 1);
+                let right = self.build(r_idx, lo + mid, depth + 1);
                 self.nodes[slot] = Node::Split {
                     feature,
                     threshold,
@@ -552,8 +732,9 @@ fn itertools_partition<T, F: Fn(&T) -> bool>(xs: &mut [T], pred: F) -> usize {
     store
 }
 
-/// The shared fit-input contract: non-empty, all-finite data.
-fn validate_fit_input(data: &Dataset) -> Result<()> {
+/// The shared fit-input contract: non-empty, all-finite data. Ensembles
+/// check it once per fit, not once per member.
+pub(crate) fn validate_fit_input(data: &Dataset) -> Result<()> {
     if data.is_empty() {
         return Err(StatsError::EmptyInput {
             what: "RegressionTree::fit",
@@ -561,9 +742,14 @@ fn validate_fit_input(data: &Dataset) -> Result<()> {
             got: 0,
         });
     }
-    if data.x.as_slice().iter().any(|v| !v.is_finite())
-        || data.y.as_slice().iter().any(|v| !v.is_finite())
-    {
+    validate_finite(&data.x)?;
+    validate_finite(&data.y)
+}
+
+/// The finite half of [`validate_fit_input`], also applied to targets
+/// that change between ensemble members (boosting residuals).
+pub(crate) fn validate_finite(m: &DenseMatrix) -> Result<()> {
+    if m.as_slice().iter().any(|v| !v.is_finite()) {
         return Err(StatsError::NonFinite {
             what: "RegressionTree::fit",
         });
@@ -574,8 +760,14 @@ fn validate_fit_input(data: &Dataset) -> Result<()> {
 impl Regressor for RegressionTree {
     fn fit(&mut self, data: &Dataset) -> Result<()> {
         validate_fit_input(data)?;
-        let owned = self.config.binned.then(|| BinnedFeatures::build(data));
-        self.fit_trunk(data, owned.as_ref().map(|bins| BinView { bins, map: None }));
+        let bins = self.config.binned.then(|| BinnedFeatures::build(&data.x));
+        self.fit_rows(
+            &data.x,
+            &data.y,
+            (0..data.len()).collect(),
+            bins.as_ref(),
+            None,
+        );
         Ok(())
     }
 
@@ -618,7 +810,6 @@ impl Regressor for RegressionTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::DenseMatrix;
 
     fn step_dataset() -> Dataset {
         // y = 0 for x < 5, y = 10 for x ≥ 5 (plus second output = -y).
@@ -839,6 +1030,231 @@ mod tests {
             var += (data.y.get(r, 0) - mean).powi(2);
         }
         assert!(sse < 0.05 * var, "sse {sse} vs var {var}");
+    }
+
+    /// Tie-free random data: `n` rows, 6 features, `t` outputs.
+    fn random_dataset(n: usize, t: usize, seed: u64) -> Dataset {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let x: Vec<f64> = (0..n * 6).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
+        let y: Vec<f64> = (0..n * t).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
+        Dataset::ungrouped(
+            DenseMatrix::from_flat(n, 6, x).unwrap(),
+            DenseMatrix::from_flat(n, t, y).unwrap(),
+        )
+        .unwrap()
+    }
+
+    /// The row lists a tree trains on: every row, a boosting-style
+    /// subsample (90%, shuffled, no repeats), and a bootstrap draw.
+    fn row_maps(n: usize, seed: u64) -> Vec<(&'static str, Vec<usize>)> {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let m = ((n as f64 * 0.9).round() as usize).clamp(1, n);
+        let mut sub: Vec<usize> = (0..n).collect();
+        for i in 0..m {
+            let j = rng.gen_range(i..n);
+            sub.swap(i, j);
+        }
+        sub.truncate(m);
+        let boot = (0..n).map(|_| rng.gen_range(0..n)).collect();
+        vec![
+            ("all", (0..n).collect()),
+            ("subsample", sub),
+            ("bootstrap", boot),
+        ]
+    }
+
+    /// Grows one tree per ordering on the same rows: presorted blocks,
+    /// then per-node sorts.
+    fn grow_both(data: &Dataset, rows: &[usize], cfg: TreeConfig) -> [RegressionTree; 2] {
+        grow_both_ranked(data, rows, cfg, &FeatureRanks::build(&data.x))
+    }
+
+    fn grow_both_ranked(
+        data: &Dataset,
+        rows: &[usize],
+        cfg: TreeConfig,
+        ranks: &FeatureRanks,
+    ) -> [RegressionTree; 2] {
+        let bins = cfg.binned.then(|| BinnedFeatures::build(&data.x));
+        let mut presorted = RegressionTree::new(cfg);
+        let blocks = SortedBlocks::new(ranks, rows);
+        presorted.grow(&data.x, &data.y, rows.to_vec(), bins.as_ref(), Some(blocks));
+        let mut per_node = RegressionTree::new(cfg);
+        per_node.grow(&data.x, &data.y, rows.to_vec(), bins.as_ref(), None);
+        [presorted, per_node]
+    }
+
+    /// Node count, split features, threshold bits, child links, leaf
+    /// value bits and importance bits all agree.
+    fn assert_same_tree(a: &RegressionTree, b: &RegressionTree, what: &str) {
+        assert_eq!(a.nodes.len(), b.nodes.len(), "{what}: node count");
+        for (k, (na, nb)) in a.nodes.iter().zip(&b.nodes).enumerate() {
+            match (na, nb) {
+                (Node::Leaf { value: va }, Node::Leaf { value: vb }) => {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(va), bits(vb), "{what}: leaf {k}");
+                }
+                (
+                    Node::Split {
+                        feature: fa,
+                        threshold: ta,
+                        left: la,
+                        right: ra,
+                    },
+                    Node::Split {
+                        feature: fb,
+                        threshold: tb,
+                        left: lb,
+                        right: rb,
+                    },
+                ) => {
+                    assert_eq!((fa, la, ra), (fb, lb, rb), "{what}: split {k}");
+                    assert_eq!(ta.to_bits(), tb.to_bits(), "{what}: threshold {k}");
+                }
+                _ => panic!("{what}: node {k} is a leaf in one tree only"),
+            }
+        }
+        let bits = |t: &RegressionTree| -> Vec<u64> {
+            t.feature_importances()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(a), bits(b), "{what}: importances");
+    }
+
+    /// A boosting round's weak learner and a deep plain CART tree.
+    fn both_configs(binned: bool) -> [TreeConfig; 2] {
+        let round = TreeConfig {
+            max_depth: 3,
+            leaf_lambda: 1.0,
+            binned,
+            ..TreeConfig::default()
+        };
+        let deep = TreeConfig {
+            binned,
+            ..TreeConfig::default()
+        };
+        [round, deep]
+    }
+
+    #[test]
+    fn presorted_and_per_node_orderings_grow_the_same_tree_on_tie_free_data() {
+        for n in [2usize, 19, 59, 300] {
+            for t in [1usize, 4, 15] {
+                let data = random_dataset(n, t, (n * 31 + t) as u64);
+                let ranks = FeatureRanks::build(&data.x);
+                assert!(ranks.slot.iter().all(Option::is_some), "n={n}: ties");
+                if n > 256 {
+                    // More distinct values than bins: quantile cuts, and
+                    // the root takes the histogram branch.
+                    let bins = BinnedFeatures::build(&data.x);
+                    assert!(bins.thresholds.iter().all(|th| th.len() == 255));
+                }
+                for (map, rows) in row_maps(n, n as u64) {
+                    for binned in [false, true] {
+                        for cfg in both_configs(binned) {
+                            let [a, b] = grow_both(&data, &rows, cfg);
+                            let what = format!(
+                                "n={n} t={t} rows={map} binned={binned} depth={}",
+                                cfg.max_depth
+                            );
+                            assert!(a.n_nodes() > 1 || n == 2, "{what}: stump");
+                            assert_same_tree(&a, &b, &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Ranks every feature, tied ones included (ties by row), so the
+    /// presorted path runs where [`FeatureRanks::build`] would not.
+    fn rank_all(x: &DenseMatrix) -> FeatureRanks {
+        let n = x.rows();
+        let mut pairs = Vec::with_capacity(n * x.cols());
+        for f in 0..x.cols() {
+            let col = pairs.len();
+            pairs.extend((0..n).map(|r| (x.get(r, f), r as u32)));
+            pairs[col..].sort_by(by_value);
+        }
+        FeatureRanks {
+            n_rows: n,
+            slot: (0..x.cols()).map(Some).collect(),
+            pairs,
+        }
+    }
+
+    #[test]
+    fn tied_features_keep_the_per_node_sort() {
+        // Three tie-free features and three integer ones with few
+        // levels. Only the tie-free ones get blocks; the tied ones
+        // scan in the per-node sort's order, so even fractional targets
+        // (where the order of a tie's rows changes the rounding) grow
+        // the same tree as sorting every feature per node.
+        let tie_free = random_dataset(300, 4, 5);
+        let integer = integer_dataset(300, 7);
+        let rows: Vec<Vec<f64>> = (0..300)
+            .map(|r| {
+                let mut row = tie_free.x.row(r)[..3].to_vec();
+                row.extend_from_slice(integer.x.row(r));
+                row
+            })
+            .collect();
+        let data = Dataset::ungrouped(DenseMatrix::from_rows(&rows).unwrap(), tie_free.y).unwrap();
+        let ranks = FeatureRanks::build(&data.x);
+        let ranked: Vec<bool> = ranks.slot.iter().map(Option::is_some).collect();
+        assert_eq!(ranked, [true, true, true, false, false, false]);
+        for (map, rows) in row_maps(data.len(), 17) {
+            for binned in [false, true] {
+                for cfg in both_configs(binned) {
+                    let [a, b] = grow_both_ranked(&data, &rows, cfg, &ranks);
+                    let what = format!("rows={map} binned={binned} depth={}", cfg.max_depth);
+                    assert_same_tree(&a, &b, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn presorted_blocks_on_tied_integer_data_match_the_per_node_sort() {
+        // Integer features and targets: every sum is exact, so the order
+        // of a tie's rows cannot change any bit, and blocks ranked with
+        // ties (by row) must grow the per-node sort's tree.
+        let data = integer_dataset(300, 7);
+        let ranks = rank_all(&data.x);
+        for (map, rows) in row_maps(data.len(), 17) {
+            for binned in [false, true] {
+                for cfg in both_configs(binned) {
+                    let [a, b] = grow_both_ranked(&data, &rows, cfg, &ranks);
+                    let what = format!("rows={map} binned={binned} depth={}", cfg.max_depth);
+                    assert!(a.n_nodes() > 7, "{what}: tree too small to test");
+                    assert_same_tree(&a, &b, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fit_presorts_only_when_every_feature_is_scanned() {
+        let data = random_dataset(59, 4, 3);
+        let rows: Vec<usize> = (0..data.len()).collect();
+        let mut fitted = RegressionTree::default_cart();
+        fitted.fit(&data).unwrap();
+        let [presorted, _] = grow_both(&data, &rows, TreeConfig::default());
+        assert_same_tree(&fitted, &presorted, "fit vs presorted");
+        // A feature-subsampling tree draws its candidates from the RNG
+        // and sorts them per node; fitting it twice is reproducible.
+        let cfg = TreeConfig {
+            max_features: Some(2),
+            seed: 4,
+            ..TreeConfig::default()
+        };
+        let mut t1 = RegressionTree::new(cfg);
+        let mut t2 = RegressionTree::new(cfg);
+        t1.fit(&data).unwrap();
+        t2.fit(&data).unwrap();
+        assert_same_tree(&t1, &t2, "subsampled refit");
     }
 
     #[test]

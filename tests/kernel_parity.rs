@@ -15,14 +15,19 @@
 //!    predictions bit-identical to `predict`;
 //! 4. exact-vs-binned tree splits — the accuracy thresholds that gate
 //!    the binned default (`PV_EXACT_TREES` opt-out) at the evaluation
-//!    level.
+//!    level;
+//! 5. the evaluation XGBoost's prediction bits on fixed datasets, so a
+//!    change to the split search that moves any fitted split shows.
+
+use std::sync::Mutex;
 
 use perfvar_suite::core::usecase1::FewRunsConfig;
-use perfvar_suite::core::{evaluate_few_runs, ModelKind, ReprKind};
+use perfvar_suite::core::{evaluate_few_runs, FittedModel, ModelKind, ReprKind};
 use perfvar_suite::ml::dataset::Dataset;
 use perfvar_suite::ml::distance::{cosine_with_sq_norms, squared_norm, Distance};
 use perfvar_suite::ml::kernel::{cosine_distance_matrix, TILE_Q, TILE_T};
 use perfvar_suite::ml::{DenseMatrix, GradientBoostingRegressor, KnnRegressor, Regressor};
+use perfvar_suite::stats::fingerprint::Fnv1a;
 use perfvar_suite::stats::kernel::{
     central_sums4, dot4, dot8_f32, max_abs_diff4, sq_norm4, sq_norm8_f32, sum4, sum_abs_diff4,
     sum_sq_diff4,
@@ -282,6 +287,10 @@ fn knn_batch_predictions_are_bit_identical_to_row_predictions() {
 // 4. exact vs binned trees: the thresholds gating the default
 // -----------------------------------------------------------------
 
+/// Serializes the tests that build tree models through `ModelKind`:
+/// one of them toggles `PV_EXACT_TREES`, which `build_fitted` reads.
+static TREE_ENV: Mutex<()> = Mutex::new(());
+
 /// Restores `PV_EXACT_TREES` to "unset" when dropped, even on panic.
 struct ExactTreesGuard;
 
@@ -296,8 +305,9 @@ fn binned_eval_summary_is_within_the_documented_threshold_of_exact() {
     // The gate for default-on (DESIGN.md "Kernel contracts"): a full
     // few-runs RandomForest evaluation under binned splits must land
     // within |Δ mean KS| ≤ 0.02 of exhaustive exact splits. This test
-    // owns the PV_EXACT_TREES toggle; no other test in this binary
-    // builds tree models through ModelKind.
+    // owns the PV_EXACT_TREES toggle; the other tests in this binary
+    // that build tree models through ModelKind hold TREE_ENV too.
+    let _env = TREE_ENV.lock().unwrap_or_else(|e| e.into_inner());
     let corpus = Corpus::collect(&SystemModel::intel(), 24, 0x51);
     let cfg = FewRunsConfig {
         repr: ReprKind::Histogram,
@@ -355,5 +365,72 @@ fn binned_gbt_predictions_stay_close_to_exact_fits() {
     assert!(
         mean_abs_delta <= 0.05 * 2.0, // targets span [-2, 2)
         "mean |Δ| = {mean_abs_delta}"
+    );
+}
+
+// -----------------------------------------------------------------
+// 5. the evaluation XGBoost: pinned prediction bits
+// -----------------------------------------------------------------
+
+/// `rows × width` integers in `0..levels`, as `f64`: every feature has
+/// at most `levels` distinct values, so nodes larger than that take the
+/// histogram branch of the binned kernel (the root always does).
+fn integer_rows(rows: usize, width: usize, levels: u64, seed: u64) -> Vec<Vec<f64>> {
+    let mut state = seed;
+    (0..rows)
+        .map(|_| {
+            (0..width)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    ((state >> 33) % levels) as f64
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Fits `ModelKind::XgBoost.build_fitted(seed)` on `(xs, ys)` and hashes
+/// the bits of its predictions on every training row and five fresh
+/// queries.
+fn xgb_prediction_digest(xs: &[Vec<f64>], ys: &[Vec<f64>], seed: u64) -> u64 {
+    let data = Dataset::ungrouped(
+        DenseMatrix::from_rows(xs).unwrap(),
+        DenseMatrix::from_rows(ys).unwrap(),
+    )
+    .unwrap();
+    let _env = TREE_ENV.lock().unwrap_or_else(|e| e.into_inner());
+    let FittedModel::XgBoost(mut m) = ModelKind::XgBoost.build_fitted(seed) else {
+        unreachable!("XgBoost builds a booster")
+    };
+    assert!(
+        m.binned,
+        "the pins are recorded on the default binned kernel"
+    );
+    m.fit(&data).unwrap();
+    let mut h = Fnv1a::new();
+    for q in xs.iter().chain(&vecs(5, xs[0].len(), seed + 1000)) {
+        h.write_f64s(&m.predict(q).unwrap());
+    }
+    h.finish()
+}
+
+#[test]
+fn xgboost_prediction_bits_are_pinned() {
+    // Tie-free features at the paper grid's fold shape (19 rows × 272
+    // features, t = 4 moments and t = 15 histogram bins), then integer
+    // features with heavy ties (≤ 6 distinct values each, so the
+    // histogram branch runs at the root and at every large node).
+    const WANT: [u64; 3] = [0x9193ef591afdf01d, 0xea7a6e048b1a4c10, 0x42c1c57468663a99];
+    let got = [
+        xgb_prediction_digest(&vecs(19, 272, 101), &vecs(19, 4, 102), 11),
+        xgb_prediction_digest(&vecs(19, 272, 103), &vecs(19, 15, 104), 12),
+        xgb_prediction_digest(&integer_rows(300, 12, 6, 105), &vecs(300, 4, 106), 13),
+    ];
+    assert_eq!(
+        got, WANT,
+        "XGBoost prediction digests moved (tie-free t=4, tie-free t=15, \
+         integer ties t=4): {got:#018x?}"
     );
 }

@@ -290,3 +290,42 @@ fn golden_sweep_cell_means_are_pinned() {
         "golden cell means moved; cells: {labels:?}, bits: {got:#018x?}"
     );
 }
+
+/// The tree-model sibling of [`golden_sweep_cell_means_are_pinned`]: the
+/// exact bit patterns of RandomForest and XGBoost cell means on the same
+/// 100-run campaign, so any change to the tree split kernels that moves
+/// a fitted split shows here. Run with `cargo test --release -- --ignored`.
+#[test]
+#[ignore = "slow in debug; exercised by the release CI job"]
+fn golden_tree_sweep_cell_means_are_pinned() {
+    let corpus = Corpus::collect(&SystemModel::intel(), 100, 0xC0FFEE);
+    let grid = GridSpec {
+        reprs: vec![ReprKind::Histogram, ReprKind::PearsonRnd],
+        models: vec![ModelKind::RandomForest, ModelKind::XgBoost],
+        sample_counts: vec![10],
+        seeds: vec![0xC0FFEE],
+        profiles_per_benchmark: 1,
+    };
+    let enc = EncodedCorpus::build(&corpus, &grid.few_runs_encoding()).unwrap();
+    let report = Sweep::few_runs(&enc).run(&grid).unwrap();
+
+    // Cells in grid order: Histogram+RandomForest, Histogram+XGBoost,
+    // PearsonRnd+RandomForest, PearsonRnd+XGBoost (all s=10, seed
+    // 0xC0FFEE).
+    const EXPECTED_MEAN_BITS: [u64; 4] = [
+        0x3fccba3b41664374, // 0.2244...
+        0x3fcca0045e7b272f, // 0.2236...
+        0x3fcb69d0369d036a, // 0.2141...
+        0x3fccb17e4b17e4b1, // 0.2241...
+    ];
+    let got: Vec<u64> = report
+        .cells
+        .iter()
+        .map(|c| c.summary().expect("healthy cell").mean.to_bits())
+        .collect();
+    let labels: Vec<String> = report.cells.iter().map(|c| c.config.label()).collect();
+    assert_eq!(
+        got, EXPECTED_MEAN_BITS,
+        "golden cell means moved; cells: {labels:?}, bits: {got:#018x?}"
+    );
+}
