@@ -25,7 +25,7 @@
 
 use std::borrow::Cow;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -231,12 +231,14 @@ type BenchWindows = Vec<Vec<Vec<f64>>>;
 /// bit.
 pub(crate) struct EncodedBlock {
     pub(crate) rel: Vec<Vec<f64>>,
-    /// `rel` sorted ascending (`total_cmp`), cached once at encode time
-    /// so every fold's KS scoring can take the allocation-free
-    /// [`pv_stats::ks::ks2_statistic_presorted`] path. The KS statistic is
-    /// an order-invariant of the input multisets, so scoring against the
-    /// sorted copy is bit-identical to scoring against `rel`.
-    pub(crate) rel_sorted: Vec<Vec<f64>>,
+    /// `rel[bi]` sorted ascending (`total_cmp`), filled on first use so
+    /// every fold's KS scoring can take the allocation-free
+    /// [`pv_stats::ks::ks2_statistic_presorted`] path. A fold scores one
+    /// held-out truth, so a shard faulted in for its training rows never
+    /// pays for sorting the rest. The KS statistic is an order-invariant
+    /// of the input multisets, so scoring against the sorted copy is
+    /// bit-identical to scoring against `rel`.
+    pub(crate) rel_sorted: Vec<OnceLock<Vec<f64>>>,
     /// `s` → per-benchmark window profiles.
     pub(crate) profiles: Vec<(usize, BenchWindows)>,
     /// Representation → per-benchmark target encoding.
@@ -362,17 +364,9 @@ impl EncodedBlock {
             }
         }
 
-        let rel_sorted = rel
-            .iter()
-            .map(|r| {
-                let mut s = r.clone();
-                s.sort_by(f64::total_cmp);
-                s
-            })
-            .collect();
         let mut block = EncodedBlock {
+            rel_sorted: (0..n).map(|_| OnceLock::new()).collect(),
             rel,
-            rel_sorted,
             profiles,
             targets,
             joined: Vec::new(),
@@ -405,9 +399,13 @@ impl EncodedBlock {
     }
 
     /// Cached *sorted* relative times of local benchmark `bi` — the
-    /// truth side of the presorted KS fast path.
+    /// truth side of the presorted KS fast path. Sorted on first use.
     pub(crate) fn rel_times_sorted(&self, bi: usize) -> &[f64] {
-        &self.rel_sorted[bi]
+        self.rel_sorted[bi].get_or_init(|| {
+            let mut sorted = self.rel[bi].clone();
+            sorted.sort_by(f64::total_cmp);
+            sorted
+        })
     }
 
     /// Cached window-`w` profile of local benchmark `bi` for setting `s`.

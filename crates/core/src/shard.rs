@@ -31,23 +31,32 @@
 //!
 //! ## Spill format
 //!
-//! `shard-{index:05}-{key:016x}.bin`: magic, a key fingerprint binding
-//! the file to (system, runs, seed, roster size, range, encoding-spec
-//! coverage), the serialized shard payload, and a trailing FNV-1a digest
-//! of the payload bytes. Loads verify magic, key, and digest before
-//! parsing; after the initial build the digest must additionally equal
-//! the shard fingerprint recorded at build time. Any mismatch —
-//! truncation, tampering, a stale spec — is treated as a miss and the
-//! shard is recomputed silently (a `verify_fail` counter records it),
-//! exactly like a corrupted cell-cache entry.
+//! `shard-{index:05}-{key:016x}.bin`: the magic `PVSHARD2`, a key
+//! fingerprint binding the file to (system, runs, seed, roster size,
+//! range, encoding-spec coverage), the serialized shard payload, and a
+//! trailing [`lane_digest`] (eight-lane FNV-1a) of the payload bytes.
+//! Loads verify magic, key, and digest before parsing; after the initial
+//! build the digest must additionally equal the shard fingerprint
+//! recorded at build time. Parsing checks the stored range and every
+//! stored benchmark label against the roster slice the key was computed
+//! for — the key binds the roster's size, not its order, so a reordered
+//! roster must not adopt another roster's files. Any mismatch —
+//! truncation, tampering, a stale spec, another roster — is treated as a
+//! miss and the shard is recomputed silently (a `verify_fail` counter
+//! records it), exactly like a corrupted cell-cache entry.
+//!
+//! A fault costs a file read, a digest and a copy: the sorted
+//! truths the KS scoring reads are derived data, filled per benchmark on
+//! first use ([`EncodedShard::rel_times_sorted`]), so a shard faulted in
+//! for its training rows never sorts them.
 
 use std::collections::VecDeque;
 use std::fs;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use pv_stats::fingerprint::Fnv1a;
+use pv_stats::fingerprint::{lane_digest, Fnv1a};
 use pv_stats::StatsError;
 use pv_sysmodel::{collect_benchmarks, BenchmarkData, BenchmarkId, Corpus, SystemId, SystemModel};
 
@@ -55,7 +64,7 @@ use crate::pipeline::{corpus_digest_parts, EncodedBlock, EncodingSpec};
 use crate::resilience::PvError;
 
 /// Spill format version; bump to orphan every spilled shard.
-const SPILL_MAGIC: &[u8; 8] = b"PVSHARD1";
+const SPILL_MAGIC: &[u8; 8] = b"PVSHARD2";
 
 /// Counters this module emits (pre-registered by the sweep service so
 /// they export as explicit zeros when a run never touches a path).
@@ -214,7 +223,7 @@ impl EncodedShard {
         pv_obs::counter_inc!("pv.core.shard.encode");
         let block = EncodedBlock::build(benches, n_runs, spec)?;
         let ids: Vec<BenchmarkId> = benches.iter().map(|b| b.id).collect();
-        let content_fp = pv_stats::fingerprint::fnv1a(&payload_bytes(start, &ids, &block));
+        let content_fp = lane_digest(&payload_bytes(start, &ids, &block));
         Ok(EncodedShard {
             start,
             ids,
@@ -238,8 +247,9 @@ impl EncodedShard {
         self.ids.is_empty()
     }
 
-    /// Content fingerprint: FNV-1a over the shard's serialized payload
-    /// (ids, per-benchmark digests, every encoded value, bit-exact).
+    /// Content fingerprint: the [`lane_digest`] of the shard's serialized
+    /// payload (ids, per-benchmark digests, every encoded value,
+    /// bit-exact).
     pub fn fingerprint(&self) -> u64 {
         self.content_fp
     }
@@ -269,7 +279,8 @@ impl EncodedShard {
     }
 
     /// Cached relative times of benchmark `bi` (global index), sorted
-    /// ascending — the truth side of the presorted KS fast path.
+    /// ascending — the truth side of the presorted KS fast path. Sorted
+    /// on first use and kept while the shard lives.
     ///
     /// # Errors
     /// Fails when `bi` is outside the shard's range.
@@ -421,10 +432,13 @@ impl<'a> Reader<'a> {
             .collect())
     }
 
-    fn str(&mut self) -> Result<String, PvError> {
+    fn bytes(&mut self) -> Result<&'a [u8], PvError> {
         let n = self.count("string byte")?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
+        self.take(n)
+    }
+
+    fn str(&mut self) -> Result<&'a str, PvError> {
+        std::str::from_utf8(self.bytes()?)
             .map_err(|_| spill_err("parse", "non-UTF-8 string in shard payload"))
     }
 }
@@ -436,21 +450,31 @@ fn spill_err(what: &str, detail: impl Into<String>) -> PvError {
     }
 }
 
-fn parse_payload(payload: &[u8]) -> Result<(usize, Vec<BenchmarkId>, EncodedBlock), PvError> {
+/// Parses a digest-verified payload into the block of `ids`, the roster
+/// slice starting at benchmark `start` that the spill key was computed
+/// for. A stored start, count or label that disagrees with it is a
+/// mismatch, not a shard.
+fn parse_payload(
+    payload: &[u8],
+    start: usize,
+    ids: &[BenchmarkId],
+) -> Result<EncodedBlock, PvError> {
     let mut r = Reader {
         buf: payload,
         pos: 0,
     };
-    let start = r.u64()? as usize;
-    let n = r.count("benchmark")?;
-    let mut ids = Vec::with_capacity(n);
-    for _ in 0..n {
-        let label = r.str()?;
-        ids.push(
-            pv_sysmodel::suites::find(&label)
-                .ok_or_else(|| spill_err("parse", format!("unknown benchmark label {label:?}")))?,
-        );
+    if r.u64()? != start as u64 || r.count("benchmark")? != ids.len() {
+        return Err(spill_err("verify", "shard range mismatch"));
     }
+    for id in ids {
+        if r.bytes()? != id.qualified().as_bytes() {
+            return Err(spill_err(
+                "verify",
+                format!("label mismatch: roster has {id}"),
+            ));
+        }
+    }
+    let n = ids.len();
     let mut bench_fps = Vec::with_capacity(n);
     for _ in 0..n {
         bench_fps.push(r.u64()?);
@@ -504,29 +528,14 @@ fn parse_payload(payload: &[u8]) -> Result<(usize, Vec<BenchmarkId>, EncodedBloc
     if r.pos != payload.len() {
         return Err(spill_err("parse", "trailing bytes in shard payload"));
     }
-    // The sorted-rel cache is derived data; rebuilding it on load keeps
-    // the spill format unchanged (and a hand-tampered spill file cannot
-    // desynchronize the two).
-    let rel_sorted = rel
-        .iter()
-        .map(|r| {
-            let mut s = r.clone();
-            s.sort_by(f64::total_cmp);
-            s
-        })
-        .collect();
-    Ok((
-        start,
-        ids,
-        EncodedBlock {
-            rel,
-            rel_sorted,
-            profiles,
-            targets,
-            joined,
-            bench_fps,
-        },
-    ))
+    Ok(EncodedBlock {
+        rel_sorted: (0..n).map(|_| OnceLock::new()).collect(),
+        rel,
+        profiles,
+        targets,
+        joined,
+        bench_fps,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -605,7 +614,12 @@ impl<'c> ShardedCorpusBuilder<'c> {
     }
 
     /// Resident-set budget in shards (≥ 1; default
-    /// `max(4, rayon threads + 2)` so parallel folds rarely thrash).
+    /// `max(4, rayon threads + 2)`). Every LOGO fold walks all shards in
+    /// ascending order, which is LRU's worst case: a budget below the
+    /// shard count faults most of the layout back in on every fold.
+    /// 13 spilled shards under budget 4 take 2,687 faults per 200-fold
+    /// pass on one thread and ~1,350–1,850 on two (~7–9 per fold, as
+    /// the threads' walks happen to share loads).
     pub fn resident_shards(mut self, n: usize) -> Self {
         self.resident_shards = Some(n);
         self
@@ -845,7 +859,7 @@ impl<'c> ShardedCorpus<'c> {
 
     /// Loads shard `si` from its spill file, verifying magic, key
     /// fingerprint, payload digest (against `expect_fp` when the build
-    /// already pinned it), and range. Any failure is a miss.
+    /// already pinned it), range and labels. Any failure is a miss.
     fn try_load_spill(&self, si: usize, expect_fp: Option<u64>) -> Option<Arc<EncodedShard>> {
         let path = self.spill_path(si)?;
         match self.load_spill(&path, si, expect_fp) {
@@ -886,7 +900,7 @@ impl<'c> ShardedCorpus<'c> {
         let mut fp_arr = [0u8; 8];
         fp_arr.copy_from_slice(trailer);
         let stored_fp = u64::from_le_bytes(fp_arr);
-        let content_fp = pv_stats::fingerprint::fnv1a(payload);
+        let content_fp = lane_digest(payload);
         if content_fp != stored_fp {
             return Err(spill_err("verify", "payload digest mismatch"));
         }
@@ -895,15 +909,12 @@ impl<'c> ShardedCorpus<'c> {
                 return Err(spill_err("verify", "shard fingerprint mismatch"));
             }
         }
-        let (start, ids, block) = parse_payload(payload)?;
         let range = self.layout.range(si);
-        if start != range.start || ids.len() != range.len() {
-            return Err(spill_err("verify", "shard range mismatch"));
-        }
+        let ids = &self.ids[range.clone()];
         Ok(EncodedShard {
-            start,
-            ids,
-            block,
+            start: range.start,
+            block: parse_payload(payload, range.start, ids)?,
+            ids: ids.to_vec(),
             content_fp,
         })
     }
@@ -919,7 +930,7 @@ impl<'c> ShardedCorpus<'c> {
         bytes.extend_from_slice(SPILL_MAGIC);
         bytes.extend_from_slice(&self.spill_key(si).to_le_bytes());
         bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&pv_stats::fingerprint::fnv1a(&payload).to_le_bytes());
+        bytes.extend_from_slice(&shard.content_fp.to_le_bytes());
         let tmp = path.with_extension(format!("bin.tmp.{}", std::process::id()));
         let ok = fs::write(&tmp, &bytes).is_ok() && fs::rename(&tmp, &path).is_ok();
         if ok {
@@ -1134,6 +1145,65 @@ mod tests {
             .unwrap();
         assert_eq!(warm.fingerprint(), sh.fingerprint());
         assert_eq!(warm.shard_fingerprints(), sh.shard_fingerprints());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reordered_roster_does_not_adopt_another_rosters_spill_files() {
+        let dir = std::env::temp_dir().join(format!("pv-shard-reorder-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let c = Corpus::collect(&SystemModel::intel(), 10, 2);
+        let mut swapped = c.clone();
+        swapped.benchmarks.swap(0, 1);
+        fn build<'c>(corpus: &'c Corpus, dir: &Path) -> ShardedCorpus<'c> {
+            ShardedCorpus::builder(ShardSource::Corpus(corpus), &spec())
+                .shard_size(16)
+                .spill_dir(dir)
+                .build()
+                .unwrap()
+        }
+        let cold = build(&swapped, &dir.join("cold"));
+        build(&c, &dir.join("shared"));
+        // Same system, runs, seed and size: the spill keys collide, and
+        // only the stored labels tell the two rosters apart.
+        let warm = build(&swapped, &dir.join("shared"));
+        assert_ne!(warm.fingerprint(), crate::pipeline::corpus_fingerprint(&c));
+        assert_eq!(warm.fingerprint(), cold.fingerprint());
+        assert_eq!(warm.shard_fingerprints(), cold.shard_fingerprints());
+        for si in 0..warm.layout().n_shards() {
+            let range = warm.layout().range(si);
+            assert_eq!(warm.shard(si).unwrap().ids, warm.ids()[range]);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spill_loaded_shard_sorts_its_truths_on_first_use() {
+        let dir = std::env::temp_dir().join(format!("pv-shard-lazy-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let c = Corpus::collect(&SystemModel::intel(), 10, 2);
+        let sh = ShardedCorpus::builder(ShardSource::Corpus(&c), &spec())
+            .shard_size(16)
+            .spill_dir(&dir)
+            .resident_shards(1)
+            .build()
+            .unwrap();
+        sh.shard(1).unwrap();
+        let shard = sh.shard(0).unwrap();
+        let filled = || {
+            shard
+                .block
+                .rel_sorted
+                .iter()
+                .filter(|slot| slot.get().is_some())
+                .count()
+        };
+        assert_eq!(filled(), 0, "a fault must not sort any truth");
+        let mut want = shard.rel_times(3).unwrap().to_vec();
+        want.sort_by(f64::total_cmp);
+        assert_eq!(shard.rel_times_sorted(3).unwrap(), want.as_slice());
+        assert_eq!(filled(), 1);
+        assert!(shard.block.rel_sorted[3].get().is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 
