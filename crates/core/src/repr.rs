@@ -256,18 +256,22 @@ impl DistributionRepr for MaxEntRepr {
         let lo = s.mean - k * s.std;
         let hi = s.mean + k * s.std;
         if let Ok(d) = MaxEntDensity::from_summary(&s, (lo, hi)) {
+            pv_obs::counter_inc!("pv.maxent.constraints.4");
             return Ok(d.sample_n(rng, n));
         }
         // The four-moment problem has no solution on this support (tail
-        // moments a bounded density cannot carry, or Newton divergence —
-        // the same failure modes PyMaxEnt exhibits). Degrade by dropping
-        // constraints: the two-moment max-ent density (a truncated
-        // Gaussian), and as a last resort the zero-constraint one (the
-        // uniform density on the support).
+        // moments a bounded density cannot carry — kurtosis above
+        // k² − γ₁²/(k² − 1) — or Newton divergence; the same failure modes
+        // PyMaxEnt exhibits). Degrade by dropping constraints: the
+        // two-moment max-ent density (a truncated Gaussian), and as a last
+        // resort the zero-constraint one (the uniform density on the
+        // support).
         let mu = pv_maxent::central_to_raw_moments(&s);
         if let Ok(d) = MaxEntDensity::from_raw_moments(&mu[..3], (lo, hi)) {
+            pv_obs::counter_inc!("pv.maxent.constraints.2");
             return Ok(d.sample_n(rng, n));
         }
+        pv_obs::counter_inc!("pv.maxent.constraints.0");
         Ok((0..n)
             .map(|_| {
                 use rand::Rng;
@@ -440,6 +444,36 @@ mod tests {
         for kind in ReprKind::ALL {
             assert_eq!(kind.build().name(), kind.name());
         }
+    }
+
+    /// Sample digests of `MaxEntRepr::decode`: three summaries above the
+    /// μ ± 3.5σ kurtosis ceiling `β₂ ≤ 12.25 − γ₁²/11.25` (the four-moment
+    /// solve fails and the two-moment fallback answers) and one feasible
+    /// summary (all four moments hold). Rejecting an infeasible target
+    /// before Newton must not move a single sample.
+    #[test]
+    fn maxent_decode_samples_are_pinned() {
+        use pv_stats::fingerprint::Fnv1a;
+        let cases: [([f64; 4], u64); 4] = [
+            ([1.0, 0.05, 2.3, 17.4], 0x0cf6_1eac_853d_c033),
+            ([1.02, 0.03, 0.4, 13.0], 0x545b_1804_b0ba_e0c6),
+            ([0.98, 0.08, -3.1, 28.0], 0xff35_ea03_a902_7f2c),
+            ([1.0, 0.04, 0.7, 3.8], 0xb624_1af2_a6db_cf9d),
+        ];
+        let got: Vec<String> = cases
+            .iter()
+            .map(|(features, _)| {
+                let mut rng = Xoshiro256pp::seed_from_u64(11);
+                let ys = MaxEntRepr::default()
+                    .decode(features, &mut rng, 256)
+                    .unwrap();
+                let mut h = Fnv1a::new();
+                h.write_f64s(&ys);
+                format!("{:#018x}", h.finish())
+            })
+            .collect();
+        let want: Vec<String> = cases.iter().map(|(_, d)| format!("{d:#018x}")).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Observability tier: span-tree well-formedness under rayon, counter
 //! totals invariant across thread counts, lossless exporter round-trips,
-//! exact counter/report agreement on fault-injected sweeps, and the
-//! bit-identity of evaluation results with a collector installed.
+//! exact counter/report agreement on fault-injected sweeps, the
+//! bit-identity of evaluation results with a collector installed, and the
+//! MaxEnt constraint-level and solver-outcome counters of a decode.
 //!
 //! Every test takes [`exclusive`] first: the collector and the metrics
 //! registry are process-global, so a test running instrumented code
@@ -383,4 +384,33 @@ fn warm_cache_rerun_reports_every_cell_as_a_hit() {
     for (c, w) in cold.cells.iter().zip(&warm.cells) {
         assert_eq!(c.summary(), w.summary());
     }
+}
+
+#[test]
+fn maxent_counters_report_the_constraint_level_of_every_decode() {
+    use perfvar_suite::core::repr::MaxEntRepr;
+    use perfvar_suite::core::DistributionRepr;
+    use perfvar_suite::stats::rng::Xoshiro256pp;
+    use rand::SeedableRng;
+
+    let _guard = exclusive();
+    let collector = Collector::install();
+    let repr = MaxEntRepr::default();
+    let mut rng = Xoshiro256pp::seed_from_u64(3);
+    // A feasible summary keeps all four moments; kurtosis 17.4 at skew
+    // 2.3 is above what the μ ± 3.5σ support can carry
+    // (12.25 − 2.3²/11.25 ≈ 11.78), so its four-moment target is
+    // rejected before Newton and the two-moment solve answers.
+    for features in [[1.0, 0.04, 0.7, 3.8], [1.0, 0.05, 2.3, 17.4]] {
+        assert_eq!(repr.decode(&features, &mut rng, 64).unwrap().len(), 64);
+    }
+    let obs = collector.finish();
+
+    let counter = |name: &str| obs.metrics.counter(name).unwrap_or(0);
+    assert_eq!(counter("pv.maxent.constraints.4"), 1);
+    assert_eq!(counter("pv.maxent.constraints.2"), 1);
+    assert_eq!(counter("pv.maxent.constraints.0"), 0);
+    assert_eq!(counter("pv.maxent.solver.infeasible"), 1);
+    assert_eq!(counter("pv.maxent.solver.failed"), 0);
+    assert_eq!(counter("pv.maxent.solver.converged"), 2);
 }

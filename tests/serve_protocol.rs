@@ -374,14 +374,14 @@ fn stats_verb_returns_live_windows_and_joins_the_partition() {
 
     // Jobs of one batch run in parallel, and `totals.requests` counts
     // the requests sealed *before* the stats probe, so the predict reply
-    // must be read before the probe is written.
+    // must be read before the probe is written, and the probe's reply
+    // before the unknown op (sealed in the same batch, it could land in
+    // the totals first).
     send(&request_line(key, &corpus, 0, 1));
     let mut replies = vec![stdout.next().expect("predict reply").expect("read reply")];
-    for line in [
-        "{\"op\": \"stats\", \"id\": 4}",
-        "{\"op\": \"no-such-op\"}",
-        "{\"shutdown\": true}",
-    ] {
+    send("{\"op\": \"stats\", \"id\": 4}");
+    replies.push(stdout.next().expect("stats reply").expect("read reply"));
+    for line in ["{\"op\": \"no-such-op\"}", "{\"shutdown\": true}"] {
         send(line);
     }
     replies.extend(stdout.map(|l| l.expect("read reply")));
