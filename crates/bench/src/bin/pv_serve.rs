@@ -23,16 +23,16 @@
 
 #![warn(clippy::unwrap_used)]
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use pv_bench::cli::{usage, Args, CliError, Command};
 use pv_bench::serve::{
     preregister_serve_counters, run_socket, run_stdio, ServeEngine, ServeOpts, ServeTelemetry,
     TelemetryOpts, DEFAULT_BATCH, DEFAULT_MAX_LINE, DEFAULT_QUEUE,
 };
-use pv_bench::ObsFlags;
 use pv_core::registry::ModelRegistry;
 use pv_core::resilience::ServeFaultPlan;
 
@@ -93,9 +93,31 @@ the daemon degraded — a bad deploy can never crash the serving path.
 Malformed requests get a typed error reply, never a crash; an unknown
 model key gets a not-found reply listing how many models are loaded.";
 
-fn usage_error(msg: &str) -> ! {
-    eprintln!("pv-serve: {msg}\n\n{HELP}");
-    std::process::exit(2);
+const SERVE: Command = Command {
+    name: "pv-serve",
+    help: HELP,
+    values: "--registry --socket --batch --max-line --deadline-ms --queue --inject-serve --slo-ms \
+             --access-log --telemetry-out --telemetry-prom --telemetry-interval-ms \
+             --flight-recorder --recorder-capacity --anomaly-threshold",
+    switches: "",
+    operands: false,
+    main: serve,
+};
+
+/// Writes the stats document and/or the Prometheus exposition via
+/// temp+rename, so scrapers never read a torn file.
+fn flush_telemetry(engine: &ServeEngine, stats: Option<&Path>, prom: Option<&Path>) {
+    if let Some(path) = stats {
+        if let Err(e) = pv_obs::telemetry::write_atomic(path, &format!("{}\n", engine.stats_json()))
+        {
+            eprintln!("pv-serve: telemetry flush failed: {e}");
+        }
+    }
+    if let Some(path) = prom {
+        if let Err(e) = pv_obs::telemetry::write_atomic(path, &engine.telemetry_prometheus()) {
+            eprintln!("pv-serve: prometheus flush failed: {e}");
+        }
+    }
 }
 
 /// Raised by the SIGHUP handler, polled by the dispatcher between
@@ -123,106 +145,41 @@ fn install_sighup() {
 fn install_sighup() {}
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let obs = ObsFlags::extract(&mut args);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    SERVE.run(&argv);
+}
 
-    let mut registry_dir: Option<PathBuf> = None;
-    let mut socket: Option<PathBuf> = None;
-    let mut batch = DEFAULT_BATCH;
-    let mut max_line = DEFAULT_MAX_LINE;
-    let mut queue = DEFAULT_QUEUE;
-    let mut deadline_ms = 0u64;
-    let mut plan = ServeFaultPlan::none();
-    let mut telemetry = TelemetryOpts::default();
-    let mut slo_ms = 0u64;
-    let mut telemetry_out: Option<PathBuf> = None;
-    let mut telemetry_prom: Option<PathBuf> = None;
-    let mut telemetry_interval = Duration::from_millis(1000);
-    let mut i = 0;
-    let value = |i: &mut usize, args: &[String], flag: &str| -> String {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+fn serve(args: &Args) -> Result<(), CliError> {
+    let registry_dir = args
+        .path("--registry")
+        .ok_or_else(|| usage("--registry DIR is required"))?;
+    let millis = |flag: &str| -> Result<Option<Duration>, CliError> {
+        let ms: u64 = args.get(flag, 0)?;
+        Ok((ms > 0).then(|| Duration::from_millis(ms)))
     };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--help" | "-h" => {
-                println!("{HELP}");
-                return;
-            }
-            "--registry" => {
-                registry_dir = Some(PathBuf::from(value(&mut i, &args, "--registry")));
-            }
-            "--socket" => socket = Some(PathBuf::from(value(&mut i, &args, "--socket"))),
-            "--batch" => {
-                batch = value(&mut i, &args, "--batch")
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| usage_error("--batch wants an integer"))
-                    .max(1);
-            }
-            "--max-line" => {
-                max_line = value(&mut i, &args, "--max-line")
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| usage_error("--max-line wants a byte count"))
-                    .max(64);
-            }
-            "--deadline-ms" => {
-                deadline_ms = value(&mut i, &args, "--deadline-ms")
-                    .parse::<u64>()
-                    .unwrap_or_else(|_| usage_error("--deadline-ms wants milliseconds"));
-            }
-            "--queue" => {
-                queue = value(&mut i, &args, "--queue")
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| usage_error("--queue wants a capacity"));
-            }
-            "--inject-serve" => {
-                plan = value(&mut i, &args, "--inject-serve")
-                    .parse::<ServeFaultPlan>()
-                    .unwrap_or_else(|e| usage_error(&format!("--inject-serve: {e}")));
-            }
-            "--slo-ms" => {
-                slo_ms = value(&mut i, &args, "--slo-ms")
-                    .parse::<u64>()
-                    .unwrap_or_else(|_| usage_error("--slo-ms wants milliseconds"));
-            }
-            "--access-log" => {
-                telemetry.access_log = Some(PathBuf::from(value(&mut i, &args, "--access-log")));
-            }
-            "--telemetry-out" => {
-                telemetry_out = Some(PathBuf::from(value(&mut i, &args, "--telemetry-out")));
-            }
-            "--telemetry-prom" => {
-                telemetry_prom = Some(PathBuf::from(value(&mut i, &args, "--telemetry-prom")));
-            }
-            "--telemetry-interval-ms" => {
-                let ms = value(&mut i, &args, "--telemetry-interval-ms")
-                    .parse::<u64>()
-                    .unwrap_or_else(|_| usage_error("--telemetry-interval-ms wants milliseconds"));
-                telemetry_interval = Duration::from_millis(ms.max(10));
-            }
-            "--flight-recorder" => {
-                telemetry.recorder = Some(PathBuf::from(value(&mut i, &args, "--flight-recorder")));
-            }
-            "--recorder-capacity" => {
-                telemetry.recorder_capacity = value(&mut i, &args, "--recorder-capacity")
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| usage_error("--recorder-capacity wants an integer"))
-                    .max(1);
-            }
-            "--anomaly-threshold" => {
-                telemetry.anomaly_threshold = value(&mut i, &args, "--anomaly-threshold")
-                    .parse::<u64>()
-                    .unwrap_or_else(|_| usage_error("--anomaly-threshold wants an integer"));
-            }
-            other => usage_error(&format!("unknown flag {other:?}")),
-        }
-        i += 1;
-    }
-    let registry_dir = registry_dir.unwrap_or_else(|| usage_error("--registry DIR is required"));
+    let defaults = TelemetryOpts::default();
+    let telemetry = TelemetryOpts {
+        access_log: args.path("--access-log"),
+        slo: millis("--slo-ms")?,
+        recorder: args.path("--flight-recorder"),
+        recorder_capacity: args
+            .get("--recorder-capacity", defaults.recorder_capacity)?
+            .max(1),
+        anomaly_threshold: args.get("--anomaly-threshold", defaults.anomaly_threshold)?,
+        ..defaults
+    };
+    let mut opts = ServeOpts {
+        batch: args.get("--batch", DEFAULT_BATCH)?.max(1),
+        max_line: args.get("--max-line", DEFAULT_MAX_LINE)?.max(64),
+        queue: args.get("--queue", DEFAULT_QUEUE)?,
+        reload_signal: None,
+    };
+    let deadline = millis("--deadline-ms")?;
+    let plan: ServeFaultPlan = args.get("--inject-serve", ServeFaultPlan::none())?;
+    let (stats_out, prom_out) = (args.path("--telemetry-out"), args.path("--telemetry-prom"));
+    let interval = Duration::from_millis(args.get("--telemetry-interval-ms", 1000u64)?.max(10));
 
-    let collector = obs.install();
+    let collector = args.install_obs();
     preregister_serve_counters();
 
     let registry = ModelRegistry::new(&registry_dir);
@@ -237,7 +194,6 @@ fn main() {
             std::process::exit(1);
         }
     };
-    telemetry.slo = (slo_ms > 0).then(|| Duration::from_millis(slo_ms));
     let telemetry = match ServeTelemetry::new(telemetry) {
         Ok(t) => t,
         Err(e) => {
@@ -246,7 +202,7 @@ fn main() {
         }
     };
     let engine = engine
-        .with_deadline((deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)))
+        .with_deadline(deadline)
         .with_fault_plan(plan)
         .with_telemetry(telemetry);
     if engine.is_empty() {
@@ -284,65 +240,27 @@ fn main() {
             std::thread::sleep(Duration::from_millis(50));
         });
     }
-    let opts = ServeOpts {
-        batch,
-        max_line,
-        queue,
-        reload_signal: Some(reload_flag),
-    };
+    opts.reload_signal = Some(reload_flag);
 
     let engine = Arc::new(engine);
-    // Periodic telemetry flusher: writes the stats document and/or the
-    // Prometheus exposition every interval via temp+rename, so scrapers
-    // never read a torn file. A final flush lands after the serve loop.
-    let flush = |engine: &ServeEngine| {
-        if let Some(path) = &telemetry_out {
-            if let Err(e) =
-                pv_obs::telemetry::write_atomic(path, &format!("{}\n", engine.stats_json()))
-            {
-                eprintln!("pv-serve: telemetry flush failed: {e}");
-            }
-        }
-        if let Some(path) = &telemetry_prom {
-            if let Err(e) = pv_obs::telemetry::write_atomic(path, &engine.telemetry_prometheus()) {
-                eprintln!("pv-serve: prometheus flush failed: {e}");
-            }
-        }
-    };
-    let flusher = (telemetry_out.is_some() || telemetry_prom.is_some()).then(|| {
+    // Periodic telemetry flusher; a final flush lands after the serve loop.
+    let flusher = (stats_out.is_some() || prom_out.is_some()).then(|| {
         let engine = Arc::clone(&engine);
-        let telemetry_out = telemetry_out.clone();
-        let telemetry_prom = telemetry_prom.clone();
+        let (stats_out, prom_out) = (stats_out.clone(), prom_out.clone());
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
-            let flush = |engine: &ServeEngine| {
-                if let Some(path) = &telemetry_out {
-                    if let Err(e) =
-                        pv_obs::telemetry::write_atomic(path, &format!("{}\n", engine.stats_json()))
-                    {
-                        eprintln!("pv-serve: telemetry flush failed: {e}");
-                    }
-                }
-                if let Some(path) = &telemetry_prom {
-                    if let Err(e) =
-                        pv_obs::telemetry::write_atomic(path, &engine.telemetry_prometheus())
-                    {
-                        eprintln!("pv-serve: prometheus flush failed: {e}");
-                    }
-                }
-            };
             while !stop_flag.load(Ordering::SeqCst) {
-                std::thread::sleep(telemetry_interval);
-                flush(&engine);
+                std::thread::sleep(interval);
+                flush_telemetry(&engine, stats_out.as_deref(), prom_out.as_deref());
             }
         });
         (stop, handle)
     });
-    let served = match &socket {
+    let served = match args.path("--socket") {
         Some(path) => {
             eprintln!("pv-serve: listening on {}", path.display());
-            run_socket(Arc::clone(&engine), path, opts)
+            run_socket(Arc::clone(&engine), &path, opts)
         }
         None => run_stdio(Arc::clone(&engine), opts),
     };
@@ -351,11 +269,33 @@ fn main() {
         let _ = handle.join();
     }
     // Final flush so the files on disk reflect the complete run.
-    flush(&engine);
+    flush_telemetry(&engine, stats_out.as_deref(), prom_out.as_deref());
     if let Err(e) = served {
         eprintln!("pv-serve: serve loop failed: {e}");
         std::process::exit(1);
     }
     eprintln!("pv-serve: shutting down");
-    obs.finalize(collector, pv_bench::serve::SERVE_OBS_COUNTERS);
+    args.finalize_obs(collector, pv_bench::serve::SERVE_OBS_COUNTERS);
+    Ok(())
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pv_serve_accepts_exactly_the_flags_its_help_names() {
+        let shared = ["--trace-out", "--metrics-out", "--obs-summary", "--help"];
+        let mut documented: Vec<&str> = HELP
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--") && w.len() > 2 && !shared.contains(w))
+            .collect();
+        documented.sort_unstable();
+        documented.dedup();
+        let flags = SERVE.values.split_whitespace();
+        let mut table: Vec<&str> = flags.chain(SERVE.switches.split_whitespace()).collect();
+        table.sort_unstable();
+        assert_eq!(documented, table);
+    }
 }

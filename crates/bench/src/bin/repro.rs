@@ -17,35 +17,38 @@
 //! campaign corpus ([`intel_campaign`]/[`amd_campaign`]) and its
 //! [`EncodedCorpus`] built from [`campaign_spec`] — profiles for every
 //! swept sample count, target encodings for all three representations,
-//! and use-case-2 joined rows. Grids then run their cells in parallel
-//! over the shared cache; all outputs are bit-identical to the former
-//! train-per-fold harness.
+//! and use-case-2 joined rows. Every leave-one-group-out evaluation an
+//! exhibit shows runs as a grid of cells through `pv_core::sweep`
+//! ([`run_grid`]), the scheduler `repro sweep` uses, with no cell cache
+//! and no retries. Every command reads its arguments through one
+//! [`cli::Command`] flag table.
 
 #![warn(clippy::unwrap_used)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
+use pv_bench::cli::{self, usage, Args, CliError, Command};
 use pv_bench::{
-    amd_campaign, campaign_spec, intel_campaign, uc1_config, uc2_config, ObsFlags, CAMPAIGN_SEED,
+    amd_campaign, campaign_grid, campaign_spec, intel_campaign, served_cell, uc1_config,
+    uc2_config, ServedCorpora, CAMPAIGN_RUNS, CAMPAIGN_SEED, UC2_PROFILE_RUNS,
 };
 use pv_core::eval::EvalSummary;
-use pv_core::incremental::{evaluate_cross_system_incremental, evaluate_few_runs_incremental};
 use pv_core::pipeline::{EncodedCorpus, EncodingSpec};
 use pv_core::report::{kde_curve, overlay, sparkline, summary_table, violin_row, write_csv};
 use pv_core::resilience::{silence_injected_panics, FaultPlan, PvError, DEFAULT_MAX_RETRIES};
 use pv_core::shard::{CampaignSource, ShardSource, ShardedCorpus};
-use pv_core::sweep::{CellCache, CellOutcome, GridSpec, Sweep, SweepReport};
-use pv_core::usecase1::{FewRunsConfig, FewRunsPredictor};
-use pv_core::usecase2::{CrossSystemConfig, CrossSystemPredictor};
-use pv_core::{ModelKind, ReprKind};
+use pv_core::sweep::{
+    CellCache, CellConfig, CellOutcome, CellResult, GridSpec, Sweep, SweepReport,
+};
+use pv_core::usecase1::FewRunsPredictor;
+use pv_core::usecase2::CrossSystemPredictor;
+use pv_core::{FaultKind, ModelKind, ReprKind};
 use pv_stats::ks::ks2_statistic;
 use pv_stats::rng::Xoshiro256pp;
-use pv_sysmodel::{Corpus, AMD_METRICS, INTEL_METRICS};
-use rand::SeedableRng;
-use rayon::prelude::*;
+use pv_sysmodel::{Corpus, MetricDef, SystemModel, AMD_METRICS, INTEL_METRICS};
 
 fn out_dir() -> PathBuf {
     PathBuf::from("target/repro")
@@ -96,78 +99,84 @@ fn amd_enc() -> &'static EncodedCorpus<'static> {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let obs = ObsFlags::extract(&mut args);
-    if args.first().map(String::as_str) == Some("sweep") {
-        sweep_cmd(&args[1..], &obs);
-        return;
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    let commands = [&SWEEP, &OBS_CHECK, &TRAIN, &LOAD_GEN];
+    let sub = cli::subcommand_index(&argv)
+        .and_then(|i| Some((i, *commands.iter().find(|c| c.name == argv[i])?)));
+    match sub {
+        Some((i, command)) => {
+            argv.remove(i);
+            command.run(&argv);
+        }
+        None => REPRO.run(&argv),
     }
-    if args.first().map(String::as_str) == Some("obs-check") {
-        obs_check_cmd(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("train") {
-        train_cmd(&args[1..], &obs);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("load-gen") {
-        load_gen_cmd(&args[1..]);
-        return;
-    }
-    let all = args.is_empty() || args.iter().any(|a| a == "all");
-    let want = |name: &str| all || args.iter().any(|a| a == name);
+}
 
+const REPRO: Command = Command {
+    name: "repro",
+    help: "\
+repro — regenerate the paper's tables and figures
+
+USAGE:
+    repro [EXHIBIT]...     run exhibits (default: all): all, table1, table2, table3,
+                           fig1, fig3, fig4, fig5, fig6, fig7, fig8, fig9,
+                           ablations, baselines
+    repro COMMAND --help   sweep, train, load-gen, obs-check
+
+Every command also takes --trace-out FILE, --metrics-out FILE and
+--obs-summary, before or after its name.",
+    values: "",
+    switches: "",
+    operands: true,
+    main: exhibits_cmd,
+};
+
+/// An exhibit's name and the function that regenerates it.
+type Exhibit = (&'static str, fn());
+
+/// Every exhibit, in the order `all` runs them.
+const EXHIBITS: [Exhibit; 13] = [
+    ("table1", table1),
+    ("table2", || {
+        table_metrics("Table II (Intel, 68 metrics)", &INTEL_METRICS)
+    }),
+    ("table3", || {
+        table_metrics("Table III (AMD, 75 metrics)", &AMD_METRICS)
+    }),
+    ("fig1", fig1),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("ablations", ablations),
+    ("baselines", baselines),
+];
+
+/// The exhibit path: regenerate the named tables and figures, in
+/// [`EXHIBITS`] order, or all of them for no operand or `all`.
+fn exhibits_cmd(args: &Args) -> Result<(), CliError> {
+    let named = |name: &str| args.operands.iter().any(|a| a == name);
+    let known = |a: &String| a == "all" || EXHIBITS.iter().any(|(name, _)| name == a);
+    if let Some(bad) = args.operands.iter().find(|a| !known(a)) {
+        return Err(usage(format!("unknown exhibit {bad:?}")));
+    }
+    let all = args.operands.is_empty() || named("all");
     let started = Instant::now();
-    let collector = obs.install();
+    let collector = args.install_obs();
     println!("perfvar reproduction harness — seed {CAMPAIGN_SEED:#x}");
     println!("outputs: {}", out_dir().display());
     println!();
-
-    if want("table1") {
-        table1();
+    for (name, exhibit) in EXHIBITS {
+        if all || named(name) {
+            exhibit();
+        }
     }
-    if want("table2") {
-        table_metrics(
-            "Table II (Intel, 68 metrics)",
-            &INTEL_METRICS.map(|m| m.name),
-        );
-    }
-    if want("table3") {
-        table_metrics("Table III (AMD, 75 metrics)", &AMD_METRICS.map(|m| m.name));
-    }
-    if want("fig1") {
-        fig1();
-    }
-    if want("fig3") {
-        fig3();
-    }
-    if want("fig4") {
-        fig4();
-    }
-    if want("fig5") {
-        fig5();
-    }
-    if want("fig6") {
-        fig6();
-    }
-    if want("fig7") {
-        fig7();
-    }
-    if want("fig8") {
-        fig8();
-    }
-    if want("fig9") {
-        fig9();
-    }
-    if want("ablations") {
-        ablations();
-    }
-    if want("baselines") {
-        baselines();
-    }
-
     println!("\ntotal: {:.1?}", started.elapsed());
-    obs.finalize(collector, pv_core::sweep::SWEEP_OBS_COUNTERS);
+    args.finalize_obs(collector, pv_core::sweep::SWEEP_OBS_COUNTERS);
+    Ok(())
 }
 
 /// Table I: the benchmark roster.
@@ -180,15 +189,15 @@ fn table1() {
 }
 
 /// Tables II/III: the metric catalogs.
-fn table_metrics(title: &str, names: &[&str]) {
+fn table_metrics(title: &str, metrics: &[MetricDef]) {
     println!("== {title} ==");
-    for (i, name) in names.iter().enumerate() {
-        print!("{i:>3} {name:<42}");
+    for (i, metric) in metrics.iter().enumerate() {
+        print!("{i:>3} {:<42}", metric.name);
         if i % 2 == 1 {
             println!();
         }
     }
-    if names.len() % 2 == 1 {
+    if metrics.len() % 2 == 1 {
         println!();
     }
     println!();
@@ -272,9 +281,11 @@ fn fig3() {
 /// runs, on the Intel system.
 fn fig4() {
     println!("== Fig. 4: use case 1, representation × model (Intel, 10 runs) ==");
-    let summaries = grid_uc1(intel_enc(), 10);
-    render_grid(&summaries, "fig4");
-    headline_uc(&summaries);
+    let sweep = Sweep::few_runs(intel_enc());
+    render_grid(
+        &run_grid(sweep, &ReprKind::ALL, &ModelKind::ALL, &[10]),
+        "fig4",
+    );
 }
 
 /// Fig. 5: measured-vs-predicted overlays across the KS spectrum (UC1).
@@ -285,62 +296,26 @@ fn fig5() {
     let intel = intel();
     let enc = intel_enc();
     let cfg = uc1_config(ReprKind::PearsonRnd, ModelKind::Knn, 10);
-    // Score every benchmark under LOGO, then show overlays at quantiles.
-    let summary = eval_uc1(enc, cfg);
-    let mut order: Vec<usize> = (0..summary.scores.len()).collect();
-    order.sort_by(|&a, &b| {
-        summary.scores[a]
-            .ks
-            .partial_cmp(&summary.scores[b].ks)
-            .expect("finite")
-    });
-    let picks: Vec<usize> = (0..8).map(|i| order[i * (order.len() - 1) / 7]).collect();
-    let mut rows = Vec::new();
-    let mut labels = Vec::new();
-    for &bi in &picks {
-        let bench = &intel.benchmarks[bi];
+    let summary = pearson_knn(Sweep::few_runs(enc), 10);
+    overlays(&summary, "fig5", "measured", |bi| {
         let include: Vec<usize> = (0..intel.len()).filter(|&i| i != bi).collect();
         let p = FewRunsPredictor::train_encoded(enc, &include, cfg).expect("train");
-        let predicted = p
-            .predict_distribution(&bench.runs, 1000, bi as u64)
-            .expect("predict");
-        let rel = bench.runs.rel_times();
-        let (lo, hi) = axis_pair(&rel, &predicted);
-        println!(
-            "  {} (KS = {:.3})",
-            bench.id.qualified(),
-            summary.scores[bi].ks
-        );
-        print!(
-            "{}",
-            overlay(&rel, &predicted, lo, hi, 64).expect("overlay")
-        );
-        for (tag, xs) in [("measured", &rel), ("predicted", &predicted)] {
-            labels.push(format!("{}:{tag}", bench.id.qualified()));
-            let mut row = vec![summary.scores[bi].ks, lo, hi];
-            row.extend(kde_curve(xs, lo, hi, 64).expect("kde"));
-            rows.push(row);
-        }
-    }
-    write_csv(
-        &out_dir().join("fig5.csv"),
-        &["series", "ks", "axis_lo", "axis_hi", "density_curve"],
-        &rows,
-        Some(&labels),
-    )
-    .expect("csv");
-    println!();
+        let runs = &intel.benchmarks[bi].runs;
+        let predicted = p.predict_distribution(runs, 1000, bi as u64);
+        (runs.rel_times(), predicted.expect("predict"))
+    });
 }
 
 /// Fig. 6: KS score vs. number of profile runs (UC1, best repr+model).
 fn fig6() {
     println!("== Fig. 6: KS vs number of samples (UC1, PearsonRnd+kNN, Intel) ==");
-    let enc = intel_enc();
+    let sweep = Sweep::few_runs(intel_enc());
+    let counts = pv_bench::UC1_SAMPLE_COUNTS;
+    let cells = run_grid(sweep, &[ReprKind::PearsonRnd], &[ModelKind::Knn], &counts);
     let mut rows = Vec::new();
     let mut labels = Vec::new();
-    for &s in &pv_bench::UC1_SAMPLE_COUNTS {
-        let cfg = uc1_config(ReprKind::PearsonRnd, ModelKind::Knn, s);
-        let summary = eval_uc1(enc, cfg);
+    for (cell, summary) in &cells {
+        let s = cell.sample_count();
         println!(
             "{}",
             violin_row(&format!("{s} samples"), &summary.ks_values(), 44).expect("violin")
@@ -366,17 +341,16 @@ fn fig6() {
 /// AMD → Intel.
 fn fig7() {
     println!("== Fig. 7: use case 2, representation × model (AMD → Intel) ==");
-    let summaries = grid_uc2(amd_enc(), intel_enc());
-    render_grid(&summaries, "fig7");
-    headline_uc(&summaries);
+    let sweep = Sweep::cross_system(amd_enc(), intel_enc());
+    let cells = run_grid(sweep, &ReprKind::ALL, &ModelKind::ALL, &[UC2_PROFILE_RUNS]);
+    render_grid(&cells, "fig7");
 }
 
 /// Fig. 8: prediction direction comparison (AMD→Intel vs Intel→AMD).
 fn fig8() {
     println!("== Fig. 8: direction of prediction (PearsonRnd + kNN) ==");
-    let cfg = uc2_config(ReprKind::PearsonRnd, ModelKind::Knn);
-    let a2i = eval_uc2(amd_enc(), intel_enc(), cfg);
-    let i2a = eval_uc2(intel_enc(), amd_enc(), cfg);
+    let [a2i, i2a] = [(amd_enc(), intel_enc()), (intel_enc(), amd_enc())]
+        .map(|(src, dst)| pearson_knn(Sweep::cross_system(src, dst), UC2_PROFILE_RUNS));
     println!(
         "{}",
         violin_row("AMD -> Intel", &a2i.ks_values(), 44).expect("violin")
@@ -416,50 +390,18 @@ fn fig9() {
     let amd = amd();
     let intel = intel();
     let cfg = uc2_config(ReprKind::PearsonRnd, ModelKind::Knn);
-    let summary = eval_uc2(amd_enc(), intel_enc(), cfg);
-    let mut order: Vec<usize> = (0..summary.scores.len()).collect();
-    order.sort_by(|&a, &b| {
-        summary.scores[a]
-            .ks
-            .partial_cmp(&summary.scores[b].ks)
-            .expect("finite")
-    });
-    let picks: Vec<usize> = (0..8).map(|i| order[i * (order.len() - 1) / 7]).collect();
-    let mut rows = Vec::new();
-    let mut labels = Vec::new();
-    for &bi in &picks {
+    let sweep = Sweep::cross_system(amd_enc(), intel_enc());
+    let summary = pearson_knn(sweep, UC2_PROFILE_RUNS);
+    overlays(&summary, "fig9", "actual", |bi| {
         let include: Vec<usize> = (0..amd.len()).filter(|&i| i != bi).collect();
         let p = CrossSystemPredictor::train_encoded(amd_enc(), intel_enc(), &include, cfg)
             .expect("train");
-        let predicted = p
-            .predict_distribution(&amd.benchmarks[bi], 1000, bi as u64)
-            .expect("predict");
-        let truth = intel.benchmarks[bi].runs.rel_times();
-        let (lo, hi) = axis_pair(&truth, &predicted);
-        println!(
-            "  {} (KS = {:.3})",
-            intel.benchmarks[bi].id.qualified(),
-            summary.scores[bi].ks
-        );
-        print!(
-            "{}",
-            overlay(&truth, &predicted, lo, hi, 64).expect("overlay")
-        );
-        for (tag, xs) in [("actual", &truth), ("predicted", &predicted)] {
-            labels.push(format!("{}:{tag}", intel.benchmarks[bi].id.qualified()));
-            let mut row = vec![summary.scores[bi].ks, lo, hi];
-            row.extend(kde_curve(xs, lo, hi, 64).expect("kde"));
-            rows.push(row);
-        }
-    }
-    write_csv(
-        &out_dir().join("fig9.csv"),
-        &["series", "ks", "axis_lo", "axis_hi", "density_curve"],
-        &rows,
-        Some(&labels),
-    )
-    .expect("csv");
-    println!();
+        let predicted = p.predict_distribution(&amd.benchmarks[bi], 1000, bi as u64);
+        (
+            intel.benchmarks[bi].runs.rel_times(),
+            predicted.expect("predict"),
+        )
+    });
 }
 
 /// Ablations of the paper's inline design claims: distance metric, k,
@@ -545,12 +487,17 @@ fn baselines() {
     use pv_core::baseline::{empirical_baseline_encoded, population_baseline_encoded};
     let enc = intel_enc();
     println!("== Baselines vs the learned predictor (UC1, PearsonRnd + kNN) ==");
+    let counts = [2usize, 5, 10, 25, 100];
+    let cells = run_grid(
+        Sweep::few_runs(enc),
+        &[ReprKind::PearsonRnd],
+        &[ModelKind::Knn],
+        &counts,
+    );
     let mut rows = Vec::new();
     let mut labels = Vec::new();
-    for s in [2usize, 5, 10, 25, 100] {
+    for (&s, (_, learned)) in counts.iter().zip(&cells) {
         let raw = empirical_baseline_encoded(enc, s).expect("baseline");
-        let cfg = uc1_config(ReprKind::PearsonRnd, ModelKind::Knn, s);
-        let learned = eval_uc1(enc, cfg);
         println!(
             "  s = {s:<4} raw-empirical {:.3}   learned {:.3}   gain {:+.3}",
             raw.mean,
@@ -573,12 +520,7 @@ fn baselines() {
 }
 
 // ---------------------------------------------------------------------
-// observability output (shared by `repro all` and `repro sweep`)
-
-// `--trace-out` / `--metrics-out` / `--obs-summary` are valid on any
-// subcommand, extracted before dispatch so exhibit selection and the
-// sweep parser never see them. The obs flag handling lives in `pv_bench::obs_cli` so `repro` and
-// `pv-serve` share one implementation.
+// the obs-check subcommand
 
 const OBS_CHECK_HELP: &str = "\
 repro obs-check — validate observability artifacts (CI gate)
@@ -599,60 +541,22 @@ metrics snapshot. --telemetry cross-checks a flushed stats document:
 its exact totals must also equal those counters. Exits 1 on the first
 violation.";
 
+const OBS_CHECK: Command = Command {
+    name: "obs-check",
+    help: OBS_CHECK_HELP,
+    values: "--require --access-log --telemetry",
+    switches: "",
+    operands: true,
+    main: obs_check_cmd,
+};
+
 /// The `obs-check` subcommand: parse the two artifact files and assert
 /// required counters are non-zero.
-fn obs_check_cmd(args: &[String]) {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut required: Vec<String> = Vec::new();
-    let mut access_log: Option<PathBuf> = None;
-    let mut telemetry: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--help" | "-h" => {
-                println!("{OBS_CHECK_HELP}");
-                std::process::exit(0);
-            }
-            "--require" => {
-                i += 1;
-                match args.get(i) {
-                    Some(name) => required.push(name.clone()),
-                    None => {
-                        eprintln!("obs-check: --require needs a counter name\n\n{OBS_CHECK_HELP}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--access-log" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => access_log = Some(PathBuf::from(path)),
-                    None => {
-                        eprintln!("obs-check: --access-log needs a path\n\n{OBS_CHECK_HELP}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--telemetry" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => telemetry = Some(PathBuf::from(path)),
-                    None => {
-                        eprintln!("obs-check: --telemetry needs a path\n\n{OBS_CHECK_HELP}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => paths.push(PathBuf::from(other)),
-        }
-        i += 1;
-    }
-    let [trace_path, metrics_path] = paths.as_slice() else {
-        eprintln!("obs-check: expected exactly TRACE.jsonl METRICS.json\n\n{OBS_CHECK_HELP}");
-        std::process::exit(2);
+fn obs_check_cmd(args: &Args) -> Result<(), CliError> {
+    let [trace_path, metrics_path] = args.operands.as_slice() else {
+        return Err(usage("expected exactly TRACE.jsonl METRICS.json"));
     };
-
-    let events = pv_obs::read_trace(trace_path).unwrap_or_else(|e| {
+    let events = pv_obs::read_trace(Path::new(trace_path)).unwrap_or_else(|e| {
         eprintln!("obs-check: trace: {e}");
         std::process::exit(1);
     });
@@ -684,10 +588,10 @@ fn obs_check_cmd(args: &[String]) {
     println!(
         "obs-check: trace ok — {} events ({enters} spans) in {}",
         events.len(),
-        trace_path.display()
+        trace_path
     );
 
-    let metrics = pv_obs::read_metrics(metrics_path).unwrap_or_else(|e| {
+    let metrics = pv_obs::read_metrics(Path::new(metrics_path)).unwrap_or_else(|e| {
         eprintln!("obs-check: metrics: {e}");
         std::process::exit(1);
     });
@@ -696,9 +600,9 @@ fn obs_check_cmd(args: &[String]) {
         metrics.counters.len(),
         metrics.gauges.len(),
         metrics.histograms.len(),
-        metrics_path.display()
+        metrics_path
     );
-    for name in &required {
+    for name in args.all("--require") {
         match metrics.counter(name) {
             Some(v) if v > 0 => println!("obs-check: {name} = {v}"),
             Some(_) => {
@@ -716,13 +620,13 @@ fn obs_check_cmd(args: &[String]) {
     // the per-request access log, and the flushed stats document —
     // count the same requests on the same code paths, so any pair that
     // is present must agree exactly.
-    let tally = access_log.as_deref().map(|path| {
-        let tally = check_access_log(path);
+    let tally = args.path("--access-log").map(|path| {
+        let tally = check_access_log(&path);
         reconcile("access log", &tally, &metrics);
         tally
     });
-    if let Some(path) = telemetry.as_deref() {
-        let totals = read_telemetry_totals(path);
+    if let Some(path) = args.path("--telemetry") {
+        let totals = read_telemetry_totals(&path);
         reconcile("telemetry totals", &totals, &metrics);
         if let Some(tally) = &tally {
             for (name, n) in &totals {
@@ -737,6 +641,7 @@ fn obs_check_cmd(args: &[String]) {
             println!("obs-check: telemetry totals match the access log");
         }
     }
+    Ok(())
 }
 
 /// Parses a pv-serve JSONL access log: every line must decode with
@@ -936,167 +841,73 @@ A verified existing entry is reused (printed as 'verified'); a missing,
 stale, or corrupt entry is healed by re-fitting (printed as 'trained').
 Also accepts --trace-out/--metrics-out/--obs-summary.";
 
-fn train_usage_error(msg: &str) -> ! {
-    eprintln!("train: {msg}\n\n{TRAIN_HELP}");
-    std::process::exit(2);
-}
+const TRAIN: Command = Command {
+    name: "train",
+    help: TRAIN_HELP,
+    values: "--registry --uc --reprs --models --samples --runs --from-sweep",
+    switches: "--reverse --force",
+    operands: false,
+    main: train_cmd,
+};
 
-struct TrainArgs {
-    registry: PathBuf,
-    uc: usize,
-    reverse: bool,
-    reprs: Vec<ReprKind>,
-    models: Vec<ModelKind>,
-    samples: Vec<usize>,
-    runs: usize,
-    from_sweep: Option<PathBuf>,
-    force: bool,
-}
-
-fn parse_train_args(args: &[String]) -> TrainArgs {
-    let mut parsed = TrainArgs {
-        registry: PathBuf::new(),
-        uc: 1,
-        reverse: false,
-        reprs: vec![ReprKind::PearsonRnd],
-        models: vec![ModelKind::Knn],
-        samples: vec![10],
-        runs: pv_bench::CAMPAIGN_RUNS,
-        from_sweep: None,
-        force: false,
-    };
-    let mut registry = None;
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .unwrap_or_else(|| train_usage_error(&format!("{flag} needs a value")))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--help" | "-h" => {
-                println!("{TRAIN_HELP}");
-                std::process::exit(0);
-            }
-            "--registry" => registry = Some(PathBuf::from(value(&mut i, "--registry"))),
-            "--uc" => {
-                parsed.uc = value(&mut i, "--uc")
-                    .parse()
-                    .unwrap_or_else(|_| train_usage_error("--uc must be 1 or 2"));
-                if !(1..=2).contains(&parsed.uc) {
-                    train_usage_error("--uc must be 1 or 2");
-                }
-            }
-            "--reverse" => parsed.reverse = true,
-            "--reprs" => {
-                parsed.reprs = value(&mut i, "--reprs")
-                    .split(',')
-                    .map(|s| {
-                        s.parse()
-                            .unwrap_or_else(|e| train_usage_error(&format!("{e}")))
-                    })
-                    .collect();
-            }
-            "--models" => {
-                parsed.models = value(&mut i, "--models")
-                    .split(',')
-                    .map(|s| {
-                        s.parse()
-                            .unwrap_or_else(|e| train_usage_error(&format!("{e}")))
-                    })
-                    .collect();
-            }
-            "--samples" => {
-                parsed.samples = value(&mut i, "--samples")
-                    .split(',')
-                    .map(|s| {
-                        s.parse()
-                            .unwrap_or_else(|_| train_usage_error("--samples wants integers"))
-                    })
-                    .collect();
-            }
-            "--runs" => {
-                parsed.runs = value(&mut i, "--runs")
-                    .parse()
-                    .unwrap_or_else(|_| train_usage_error("--runs wants an integer"));
-            }
-            "--from-sweep" => {
-                parsed.from_sweep = Some(PathBuf::from(value(&mut i, "--from-sweep")))
-            }
-            "--force" => parsed.force = true,
-            other => train_usage_error(&format!("unknown flag {other:?}")),
-        }
-        i += 1;
+/// `--uc`: use case 1 (the default) or 2.
+fn use_case(args: &Args) -> Result<usize, CliError> {
+    match args.get("--uc", 1)? {
+        uc @ (1 | 2) => Ok(uc),
+        uc => Err(usage(format!("--uc must be 1 or 2, got {uc}"))),
     }
-    parsed.registry = registry.unwrap_or_else(|| train_usage_error("--registry DIR is required"));
-    parsed
 }
 
 /// The `train` subcommand: explicit model fitting into the registry,
 /// with verified-entry reuse, corruption healing, and sweep scavenging.
-fn train_cmd(args: &[String], obs: &ObsFlags) {
-    use pv_core::registry::{artifact_key, ModelRegistry, REGISTRY_OBS_COUNTERS};
-    use pv_core::sweep::{cross_fingerprint, CellConfig};
+fn train_cmd(args: &Args) -> Result<(), CliError> {
+    use pv_core::registry::{ModelRegistry, REGISTRY_OBS_COUNTERS};
 
-    let p = parse_train_args(args);
-    let collector = obs.install();
+    let registry_dir = args
+        .path("--registry")
+        .ok_or_else(|| usage("--registry DIR is required"))?;
+    let uc = use_case(args)?;
+    let runs = args.get("--runs", CAMPAIGN_RUNS)?;
+    let reprs = args
+        .list("--reprs", str::parse)?
+        .unwrap_or(vec![ReprKind::PearsonRnd]);
+    let models = args
+        .list("--models", str::parse)?
+        .unwrap_or(vec![ModelKind::Knn]);
+    let samples = args.list("--samples", str::parse)?.unwrap_or(vec![10]);
+    let mut cells = Vec::new();
+    for &repr in &reprs {
+        for &model in &models {
+            for &s in &samples {
+                cells.push(served_cell(uc, repr, model, s, runs));
+            }
+        }
+    }
+
+    let collector = args.install_obs();
     pv_obs::metrics::preregister_counters(REGISTRY_OBS_COUNTERS);
-    let registry = ModelRegistry::new(&p.registry);
+    let registry = ModelRegistry::new(&registry_dir);
     let fail = |what: &str, e: PvError| -> ! {
         eprintln!("train: {what}: [{}] {e}", e.kind());
         std::process::exit(1);
     };
 
-    let collect = |sys: pv_sysmodel::SystemModel| Corpus::collect(&sys, p.runs, CAMPAIGN_SEED);
     let started = Instant::now();
-    // The pair is collected for both use cases so --from-sweep can seal
-    // whatever cell kinds the cache holds; uc 1 only touches `primary`.
-    let (primary, secondary) = if p.reverse {
-        (
-            collect(pv_sysmodel::SystemModel::intel()),
-            collect(pv_sysmodel::SystemModel::amd()),
-        )
-    } else {
-        (
-            collect(pv_sysmodel::SystemModel::amd()),
-            collect(pv_sysmodel::SystemModel::intel()),
-        )
-    };
-    let uc1_corpus = if p.reverse { &primary } else { &secondary };
-    let uc1_fp = pv_core::corpus_fingerprint(uc1_corpus);
-    let cross_fp = cross_fingerprint(
-        pv_core::corpus_fingerprint(&primary),
-        pv_core::corpus_fingerprint(&secondary),
-    );
+    // Both campaigns are collected for either use case so --from-sweep
+    // can seal whatever cell kinds the cache holds.
+    let corpora = ServedCorpora::collect(runs, args.has("--reverse"));
     println!(
         "registry: {} ({} entries before)",
-        p.registry.display(),
+        registry_dir.display(),
         registry.keys().len()
     );
 
-    let mut cells: Vec<CellConfig> = Vec::new();
-    for &repr in &p.reprs {
-        for &model in &p.models {
-            match p.uc {
-                1 => {
-                    for &s in &p.samples {
-                        let mut cfg = uc1_config(repr, model, s);
-                        cfg.profiles_per_benchmark =
-                            cfg.profiles_per_benchmark.min(p.runs / s.max(1)).max(1);
-                        cells.push(CellConfig::FewRuns(cfg));
-                    }
-                }
-                _ => cells.push(CellConfig::CrossSystem(uc2_config(repr, model))),
-            }
-        }
-    }
-    if let Some(dir) = &p.from_sweep {
-        let cache = CellCache::new(dir);
-        let scavenged: Vec<CellConfig> = cache
-            .configs(uc1_fp)
-            .into_iter()
-            .chain(cache.configs(cross_fp))
+    if let Some(dir) = args.path("--from-sweep") {
+        let cache = CellCache::new(&dir);
+        let scavenged: Vec<CellConfig> = corpora
+            .fingerprints
+            .iter()
+            .flat_map(|&fp| cache.configs(fp))
             .collect();
         println!(
             "from-sweep: {} completed cell(s) scavenged from {}",
@@ -1109,29 +920,21 @@ fn train_cmd(args: &[String], obs: &ObsFlags) {
     cells.dedup();
 
     for cell in &cells {
-        let fp = match cell {
-            CellConfig::FewRuns(_) => uc1_fp,
-            CellConfig::CrossSystem(_) => cross_fp,
-        };
-        if p.force {
+        let (fp, key) = corpora.key(cell);
+        if args.has("--force") {
             if let Ok(path) = registry.entry_path(fp, cell) {
                 let _ = std::fs::remove_file(path);
             }
         }
-        let (key, trained) = match *cell {
-            CellConfig::FewRuns(cfg) => {
-                let (_, trained) = registry
-                    .ensure_few_runs(uc1_corpus, cfg)
-                    .unwrap_or_else(|e| fail(&cell.label(), e));
-                (artifact_key(fp, cell).expect("key"), trained)
-            }
-            CellConfig::CrossSystem(cfg) => {
-                let (_, trained) = registry
-                    .ensure_cross_system(&primary, &secondary, cfg)
-                    .unwrap_or_else(|e| fail(&cell.label(), e));
-                (artifact_key(fp, cell).expect("key"), trained)
-            }
-        };
+        let trained = match *cell {
+            CellConfig::FewRuns(cfg) => registry
+                .ensure_few_runs(corpora.training(cell), cfg)
+                .map(|(_, trained)| trained),
+            CellConfig::CrossSystem(cfg) => registry
+                .ensure_cross_system(&corpora.src, &corpora.dst, cfg)
+                .map(|(_, trained)| trained),
+        }
+        .unwrap_or_else(|e| fail(&cell.label(), e));
         println!(
             "  {}  model-{key:016x}  {}",
             if trained { "trained " } else { "verified" },
@@ -1144,7 +947,8 @@ fn train_cmd(args: &[String], obs: &ObsFlags) {
         started.elapsed(),
         registry.keys().len()
     );
-    obs.finalize(collector, REGISTRY_OBS_COUNTERS);
+    args.finalize_obs(collector, REGISTRY_OBS_COUNTERS);
+    Ok(())
 }
 
 const LOAD_GEN_HELP: &str = "\
@@ -1175,148 +979,53 @@ and build one profile per benchmark, then cycles benchmarks across the
 connections. Prints the sustained rate plus shed/retry stats; exits 1 on
 any failed response (the success line always ends in \"0 failed\").";
 
-fn load_gen_usage_error(msg: &str) -> ! {
-    eprintln!("load-gen: {msg}\n\n{LOAD_GEN_HELP}");
-    std::process::exit(2);
-}
+const LOAD_GEN: Command = Command {
+    name: "load-gen",
+    help: LOAD_GEN_HELP,
+    values: "--socket --requests --concurrency --retries --repr --model --samples --runs --uc \
+             --n-samples",
+    switches: "--expect-shed --reverse",
+    operands: false,
+    main: load_gen_cmd,
+};
 
 /// The `load-gen` subcommand: a protocol client that doubles as the CI
 /// smoke load for the serving path.
-fn load_gen_cmd(args: &[String]) {
-    use pv_core::registry::artifact_key;
-    use pv_core::sweep::{cross_fingerprint, CellConfig};
+fn load_gen_cmd(args: &Args) -> Result<(), CliError> {
     use pv_core::Profile;
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
 
-    let mut socket: Option<PathBuf> = None;
-    let mut requests = 2000usize;
-    let mut concurrency = 8usize;
-    let mut expect_shed = false;
-    let mut retries = 4u32;
-    let mut repr = ReprKind::PearsonRnd;
-    let mut model = ModelKind::Knn;
-    let mut samples = 10usize;
-    let mut runs = pv_bench::CAMPAIGN_RUNS;
-    let mut uc = 1usize;
-    let mut reverse = false;
-    let mut n_samples = 1000usize;
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .unwrap_or_else(|| load_gen_usage_error(&format!("{flag} needs a value")))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--help" | "-h" => {
-                println!("{LOAD_GEN_HELP}");
-                std::process::exit(0);
-            }
-            "--socket" => socket = Some(PathBuf::from(value(&mut i, "--socket"))),
-            "--requests" => {
-                requests = value(&mut i, "--requests")
-                    .parse()
-                    .unwrap_or_else(|_| load_gen_usage_error("--requests wants an integer"));
-            }
-            "--concurrency" => {
-                concurrency = value(&mut i, "--concurrency")
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| load_gen_usage_error("--concurrency wants an integer"))
-                    .max(1);
-            }
-            "--expect-shed" => expect_shed = true,
-            "--retries" => {
-                retries = value(&mut i, "--retries")
-                    .parse()
-                    .unwrap_or_else(|_| load_gen_usage_error("--retries wants an integer"));
-            }
-            "--repr" => {
-                repr = value(&mut i, "--repr")
-                    .parse()
-                    .unwrap_or_else(|e| load_gen_usage_error(&format!("{e}")));
-            }
-            "--model" => {
-                model = value(&mut i, "--model")
-                    .parse()
-                    .unwrap_or_else(|e| load_gen_usage_error(&format!("{e}")));
-            }
-            "--samples" => {
-                samples = value(&mut i, "--samples")
-                    .parse()
-                    .unwrap_or_else(|_| load_gen_usage_error("--samples wants an integer"));
-            }
-            "--runs" => {
-                runs = value(&mut i, "--runs")
-                    .parse()
-                    .unwrap_or_else(|_| load_gen_usage_error("--runs wants an integer"));
-            }
-            "--uc" => {
-                uc = value(&mut i, "--uc")
-                    .parse()
-                    .unwrap_or_else(|_| load_gen_usage_error("--uc must be 1 or 2"));
-            }
-            "--reverse" => reverse = true,
-            "--n-samples" => {
-                n_samples = value(&mut i, "--n-samples")
-                    .parse()
-                    .unwrap_or_else(|_| load_gen_usage_error("--n-samples wants an integer"));
-            }
-            other => load_gen_usage_error(&format!("unknown flag {other:?}")),
-        }
-        i += 1;
-    }
-    let socket = socket.unwrap_or_else(|| load_gen_usage_error("--socket PATH is required"));
+    let socket = args
+        .path("--socket")
+        .ok_or_else(|| usage("--socket PATH is required"))?;
+    let requests: usize = args.get("--requests", 2000)?;
+    let concurrency = args.get("--concurrency", 8usize)?.max(1);
+    let expect_shed = args.has("--expect-shed");
+    let retries: u32 = args.get("--retries", 4)?;
+    let runs = args.get("--runs", CAMPAIGN_RUNS)?;
+    let repr = args.get("--repr", ReprKind::PearsonRnd)?;
+    let model = args.get("--model", ModelKind::Knn)?;
+    let samples = args.get("--samples", 10)?;
+    let cell = served_cell(use_case(args)?, repr, model, samples, runs);
+    let n_samples: usize = args.get("--n-samples", 1000)?;
 
-    // Derive the registry key exactly as `repro train` sealed it.
-    let collect = |sys: pv_sysmodel::SystemModel| Corpus::collect(&sys, runs, CAMPAIGN_SEED);
-    let (src, key) = if uc == 1 {
-        let corpus = if reverse {
-            collect(pv_sysmodel::SystemModel::amd())
-        } else {
-            collect(pv_sysmodel::SystemModel::intel())
-        };
-        let mut cfg = uc1_config(repr, model, samples);
-        cfg.profiles_per_benchmark = cfg.profiles_per_benchmark.min(runs / samples.max(1)).max(1);
-        let fp = pv_core::corpus_fingerprint(&corpus);
-        let key = artifact_key(fp, &CellConfig::FewRuns(cfg)).expect("key");
-        (corpus, key)
-    } else {
-        let (src, dst) = if reverse {
-            (
-                collect(pv_sysmodel::SystemModel::intel()),
-                collect(pv_sysmodel::SystemModel::amd()),
-            )
-        } else {
-            (
-                collect(pv_sysmodel::SystemModel::amd()),
-                collect(pv_sysmodel::SystemModel::intel()),
-            )
-        };
-        let fp = cross_fingerprint(
-            pv_core::corpus_fingerprint(&src),
-            pv_core::corpus_fingerprint(&dst),
-        );
-        let key = artifact_key(fp, &CellConfig::CrossSystem(uc2_config(repr, model))).expect("key");
-        (src, key)
-    };
-
+    // Derive the registry key exactly as `repro train` sealed it, and
+    // profile the corpus the model predicts from.
+    let corpora = ServedCorpora::collect(runs, args.has("--reverse"));
+    let (_, key) = corpora.key(&cell);
+    let uc2 = matches!(cell, CellConfig::CrossSystem(_));
     // One request line per benchmark, cycled.
-    let profile_runs = if uc == 1 {
-        samples
-    } else {
-        pv_bench::UC2_PROFILE_RUNS.min(runs).max(1)
-    };
-    let lines: Vec<String> = src
+    let lines: Vec<String> = corpora
+        .training(&cell)
         .benchmarks
         .iter()
         .enumerate()
         .map(|(bi, b)| {
-            let s = profile_runs.min(b.runs.len()).max(1);
+            let s = cell.sample_count().min(b.runs.len()).max(1);
             let profile = Profile::from_runs(&b.runs, s).expect("profile");
             let profile_json = serde_json::to_string(&profile).expect("profile json");
-            let rel = if uc == 2 {
+            let rel = if uc2 {
                 let rel_json = serde_json::to_string(&b.runs.rel_times()).expect("rel json");
                 format!(", \"rel_times\": {rel_json}")
             } else {
@@ -1507,6 +1216,7 @@ fn load_gen_cmd(args: &[String]) {
     if failures > 0 {
         std::process::exit(1);
     }
+    Ok(())
 }
 
 /// The load generator's backoff jitter seed (arbitrary fixed constant).
@@ -1571,231 +1281,118 @@ them (delete quarantine.json to retry). MaxEnt cells whose solver does
 not converge fall back to a histogram representation and are marked
 degraded.";
 
-/// Parsed `sweep` flags.
-struct SweepArgs {
-    uc: usize,
-    reverse: bool,
-    grid: GridSpec,
-    runs: usize,
-    append: usize,
-    benchmarks: Option<usize>,
-    shard_size: Option<usize>,
-    cache_dir: Option<PathBuf>,
-    keep_going: bool,
-    max_retries: u32,
-    faults: FaultPlan,
-    progress: bool,
+const SWEEP: Command = Command {
+    name: "sweep",
+    help: SWEEP_HELP,
+    values: "--uc --reprs --models --samples --seeds --runs --append --benchmarks --shard-size \
+             --cache --max-retries --inject",
+    switches: "--reverse --no-cache --keep-going --progress",
+    operands: false,
+    main: sweep_cmd,
+};
+
+/// A `--reprs`/`--models` axis: `all` in any case, a comma list, or
+/// `default` when the flag is absent.
+fn grid_axis<T>(args: &Args, flag: &str, all: &[T], default: Vec<T>) -> Result<Vec<T>, CliError>
+where
+    T: std::str::FromStr + Copy,
+    T::Err: std::fmt::Display,
+{
+    match args.value(flag) {
+        Some(v) if v.eq_ignore_ascii_case("all") => Ok(all.to_vec()),
+        _ => Ok(args.list(flag, str::parse)?.unwrap_or(default)),
+    }
 }
 
-fn sweep_usage_error(msg: &str) -> ! {
-    eprintln!("sweep: {msg}\n\n{SWEEP_HELP}");
-    std::process::exit(2);
-}
-
-fn parse_sweep_args(args: &[String]) -> SweepArgs {
-    let mut parsed = SweepArgs {
-        uc: 1,
-        reverse: false,
-        grid: GridSpec {
-            seeds: vec![CAMPAIGN_SEED],
-            profiles_per_benchmark: pv_bench::PROFILES_PER_BENCHMARK,
-            ..GridSpec::default()
-        },
-        runs: pv_bench::CAMPAIGN_RUNS,
-        append: 0,
-        benchmarks: None,
-        shard_size: None,
-        cache_dir: Some(out_dir().join("sweep-cache")),
-        keep_going: false,
-        max_retries: DEFAULT_MAX_RETRIES,
-        faults: FaultPlan::none(),
-        progress: false,
-    };
-    let mut i = 0;
-    let mut reprs_given = false;
-    let mut models_given = false;
-    let value = |i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .unwrap_or_else(|| sweep_usage_error(&format!("{flag} needs a value")))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--help" | "-h" => {
-                println!("{SWEEP_HELP}");
-                std::process::exit(0);
-            }
-            "--uc" => {
-                parsed.uc = match value(&mut i, "--uc").as_str() {
-                    "1" => 1,
-                    "2" => 2,
-                    other => sweep_usage_error(&format!("--uc must be 1 or 2, got {other:?}")),
-                };
-            }
-            "--reverse" => parsed.reverse = true,
-            "--keep-going" => parsed.keep_going = true,
-            "--progress" => parsed.progress = true,
-            "--max-retries" => {
-                parsed.max_retries = value(&mut i, "--max-retries")
-                    .parse()
-                    .unwrap_or_else(|e| sweep_usage_error(&format!("--max-retries: {e}")));
-            }
-            "--inject" => {
-                for spec in value(&mut i, "--inject").split(',') {
-                    let (cell, kind, attempts) = parse_fault_spec(spec.trim());
-                    parsed.faults = parsed.faults.inject_transient(cell, kind, attempts);
-                }
-            }
-            "--no-cache" => parsed.cache_dir = None,
-            "--cache" => parsed.cache_dir = Some(PathBuf::from(value(&mut i, "--cache"))),
-            "--runs" => {
-                parsed.runs = value(&mut i, "--runs")
-                    .parse()
-                    .unwrap_or_else(|e| sweep_usage_error(&format!("--runs: {e}")));
-            }
-            "--append" => {
-                parsed.append = value(&mut i, "--append")
-                    .parse()
-                    .unwrap_or_else(|e| sweep_usage_error(&format!("--append: {e}")));
-            }
-            "--benchmarks" => {
-                let n: usize = value(&mut i, "--benchmarks")
-                    .parse()
-                    .unwrap_or_else(|e| sweep_usage_error(&format!("--benchmarks: {e}")));
-                if n == 0 {
-                    sweep_usage_error("--benchmarks must be at least 1");
-                }
-                parsed.benchmarks = Some(n);
-            }
-            "--shard-size" => {
-                let k: usize = value(&mut i, "--shard-size")
-                    .parse()
-                    .unwrap_or_else(|e| sweep_usage_error(&format!("--shard-size: {e}")));
-                if k == 0 {
-                    sweep_usage_error("--shard-size must be at least 1");
-                }
-                parsed.shard_size = Some(k);
-            }
-            "--samples" => {
-                parsed.grid.sample_counts = value(&mut i, "--samples")
-                    .split(',')
-                    .map(|t| {
-                        t.trim()
-                            .parse()
-                            .unwrap_or_else(|e| sweep_usage_error(&format!("--samples: {e}")))
-                    })
-                    .collect();
-            }
-            "--seeds" => {
-                parsed.grid.seeds = value(&mut i, "--seeds")
-                    .split(',')
-                    .map(|t| parse_seed(t.trim()))
-                    .collect();
-            }
-            "--reprs" => {
-                reprs_given = true;
-                let v = value(&mut i, "--reprs");
-                if !v.eq_ignore_ascii_case("all") {
-                    parsed.grid.reprs = v
-                        .split(',')
-                        .map(|t| {
-                            t.trim()
-                                .parse()
-                                .unwrap_or_else(|e| sweep_usage_error(&format!("--reprs: {e}")))
-                        })
-                        .collect();
-                }
-            }
-            "--models" => {
-                models_given = true;
-                let v = value(&mut i, "--models");
-                if !v.eq_ignore_ascii_case("all") {
-                    parsed.grid.models = v
-                        .split(',')
-                        .map(|t| {
-                            t.trim()
-                                .parse()
-                                .unwrap_or_else(|e| sweep_usage_error(&format!("--models: {e}")))
-                        })
-                        .collect();
-                }
-            }
-            other => sweep_usage_error(&format!("unknown flag {other:?}")),
-        }
-        i += 1;
+/// `flag`'s count, or `default`; it must be at least 1.
+fn at_least_one(args: &Args, flag: &str, default: usize) -> Result<usize, CliError> {
+    match args.get(flag, default)? {
+        0 => Err(usage(format!("{flag} must be at least 1"))),
+        n => Ok(n),
     }
-    // A scale run over thousands of benchmarks defaults to the cheap
-    // PearsonRnd × kNN cell so the grid doesn't multiply the campaign.
-    if parsed.benchmarks.is_some() {
-        if !reprs_given {
-            parsed.grid.reprs = vec![ReprKind::PearsonRnd];
-        }
-        if !models_given {
-            parsed.grid.models = vec![ModelKind::Knn];
-        }
-    }
-    if parsed.grid.is_degenerate() {
-        sweep_usage_error("the grid has an empty axis");
-    }
-    if parsed.append > 0 && parsed.cache_dir.is_none() {
-        sweep_usage_error("--append needs the cell cache (drop --no-cache)");
-    }
-    if parsed.append > 0 && parsed.append >= parsed.benchmarks.unwrap_or(usize::MAX) {
-        sweep_usage_error("--append must leave at least one base benchmark");
-    }
-    parsed
 }
 
 /// Parses one `--inject` spec: `KIND@CELL[:ATTEMPTS]`.
-fn parse_fault_spec(spec: &str) -> (usize, pv_core::FaultKind, u32) {
+fn parse_fault_spec(spec: &str) -> Result<(usize, FaultKind, u32), CliError> {
+    let bad = |what: String| usage(format!("--inject: {spec:?}: {what}"));
     let (kind, rest) = spec
         .split_once('@')
-        .unwrap_or_else(|| sweep_usage_error(&format!("--inject: {spec:?} is not KIND@CELL")));
-    let kind = kind
-        .parse()
-        .unwrap_or_else(|e| sweep_usage_error(&format!("--inject: {e}")));
+        .ok_or_else(|| bad("not KIND@CELL[:ATTEMPTS]".into()))?;
     let (cell, attempts) = match rest.split_once(':') {
-        Some((c, a)) => (
-            c,
-            a.parse()
-                .unwrap_or_else(|e| sweep_usage_error(&format!("--inject: attempts: {e}"))),
+        Some((cell, attempts)) => (
+            cell,
+            attempts
+                .parse()
+                .map_err(|e| bad(format!("attempts: {e}")))?,
         ),
         None => (rest, u32::MAX),
     };
-    let cell: usize = cell
-        .parse()
-        .unwrap_or_else(|e| sweep_usage_error(&format!("--inject: cell: {e}")));
-    (cell, kind, attempts)
+    Ok((
+        cell.parse().map_err(|e| bad(format!("cell: {e}")))?,
+        kind.parse().map_err(bad)?,
+        attempts,
+    ))
 }
 
-fn parse_seed(t: &str) -> u64 {
-    let parsed = match t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
+/// A `--seeds` entry: decimal, or hex after `0x`/`0X`.
+fn parse_seed(t: &str) -> Result<u64, std::num::ParseIntError> {
+    match t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
         Some(hex) => u64::from_str_radix(hex, 16),
         None => t.parse(),
-    };
-    parsed.unwrap_or_else(|e| sweep_usage_error(&format!("--seeds: {t:?}: {e}")))
+    }
 }
 
 /// The `sweep` subcommand: expand the grid, run it over the cell cache,
 /// stream per-cell lines as they finish, and render the summary table.
-fn sweep_cmd(args: &[String], obs: &ObsFlags) {
-    let SweepArgs {
-        uc,
-        reverse,
-        grid,
-        runs,
-        append,
-        benchmarks,
-        shard_size,
-        cache_dir,
-        keep_going,
-        max_retries,
-        faults,
-        progress,
-    } = parse_sweep_args(args);
+fn sweep_cmd(args: &Args) -> Result<(), CliError> {
+    let uc = use_case(args)?;
+    let runs = args.get("--runs", CAMPAIGN_RUNS)?;
+    // A scale run over thousands of benchmarks defaults to the cheap
+    // PearsonRnd × kNN cell so the grid doesn't multiply the campaign.
+    let (reprs, models) = match args.value("--benchmarks") {
+        Some(_) => (vec![ReprKind::PearsonRnd], vec![ModelKind::Knn]),
+        None => (ReprKind::ALL.to_vec(), ModelKind::ALL.to_vec()),
+    };
+    let grid = GridSpec {
+        seeds: args
+            .list("--seeds", parse_seed)?
+            .unwrap_or(vec![CAMPAIGN_SEED]),
+        ..campaign_grid(
+            &grid_axis(args, "--reprs", &ReprKind::ALL, reprs)?,
+            &grid_axis(args, "--models", &ModelKind::ALL, models)?,
+            &args.list("--samples", str::parse)?.unwrap_or(vec![10]),
+        )
+    };
+    let mut faults = FaultPlan::none();
+    for spec in args.all("--inject").flat_map(|v| v.split(',')) {
+        let (cell, kind, attempts) = parse_fault_spec(spec.trim())?;
+        faults = faults.inject_transient(cell, kind, attempts);
+    }
+    let cache_dir = match args.last_of(&["--cache", "--no-cache"]) {
+        Some("--no-cache") => None,
+        _ => Some(
+            args.path("--cache")
+                .unwrap_or_else(|| out_dir().join("sweep-cache")),
+        ),
+    };
+    let append = args.get("--append", 0)?;
+    let n_bench = at_least_one(args, "--benchmarks", pv_sysmodel::roster().len())?;
+    let shard_size = at_least_one(args, "--shard-size", 256)?;
+    let max_retries = args.get("--max-retries", DEFAULT_MAX_RETRIES)?;
+    let (reverse, progress) = (args.has("--reverse"), args.has("--progress"));
+    if grid.is_degenerate() {
+        return Err(usage("the grid has an empty axis"));
+    }
+    if append > 0 && cache_dir.is_none() {
+        return Err(usage("--append needs the cell cache (drop --no-cache)"));
+    }
+    if append > 0 && append >= n_bench {
+        return Err(usage(format!(
+            "--append {append} leaves no base corpus ({n_bench} benchmarks)"
+        )));
+    }
     let started = Instant::now();
-    let collector = obs.install();
+    let collector = args.install_obs();
     println!("perfvar sweep service — use case {uc}, {runs} runs/benchmark");
     if !faults.is_empty() {
         silence_injected_panics();
@@ -1818,14 +1415,8 @@ fn sweep_cmd(args: &[String], obs: &ObsFlags) {
     // corpus, with an LRU-bounded resident set. At the default shard
     // size the Table I roster is a single shard; cells are identical
     // (and cache-compatible) at every shard size.
-    let n_bench = benchmarks.unwrap_or_else(|| pv_sysmodel::roster().len());
-    let shard_sz = shard_size.unwrap_or(256);
-    if append >= n_bench && append > 0 {
-        eprintln!("sweep: --append {append} leaves no base corpus ({n_bench} benchmarks)");
-        std::process::exit(2);
-    }
     let spill_dir = cache_dir.as_ref().map(|d| d.join("shard-spill"));
-    let campaign = |system: pv_sysmodel::SystemModel, n: usize| CampaignSource {
+    let campaign = |system: SystemModel, n: usize| CampaignSource {
         system,
         n_benchmarks: n,
         n_runs: runs,
@@ -1834,7 +1425,7 @@ fn sweep_cmd(args: &[String], obs: &ObsFlags) {
     let build_sharded = |what: &str, source: CampaignSource, spec: &EncodingSpec| {
         let t = Instant::now();
         let mut b =
-            ShardedCorpus::builder(ShardSource::Campaign(source), spec).shard_size(shard_sz);
+            ShardedCorpus::builder(ShardSource::Campaign(source), spec).shard_size(shard_size);
         if let Some(dir) = &spill_dir {
             b = b.spill_dir(dir);
         }
@@ -1843,7 +1434,7 @@ fn sweep_cmd(args: &[String], obs: &ObsFlags) {
             std::process::exit(1);
         });
         println!(
-            "[setup] {what} campaign sharded in {:.1?} ({} benchmarks, {} shard(s) of ≤{shard_sz}, {} resident)",
+            "[setup] {what} campaign sharded in {:.1?} ({} benchmarks, {} shard(s) of ≤{shard_size}, {} resident)",
             t.elapsed(),
             sh.len(),
             sh.layout().n_shards(),
@@ -1852,45 +1443,28 @@ fn sweep_cmd(args: &[String], obs: &ObsFlags) {
         sh
     };
     let run_pass = |n: usize, faults: FaultPlan| -> SweepReport {
-        match uc {
-            1 => {
-                let sh = build_sharded(
-                    "primary",
-                    campaign(pv_sysmodel::SystemModel::intel(), n),
-                    &grid.few_runs_encoding(),
-                );
-                let mut sweep = Sweep::few_runs(&sh)
-                    .with_max_retries(max_retries)
-                    .with_faults(faults);
-                if let Some(c) = cache.clone() {
-                    sweep = sweep.with_cache(c);
-                }
-                run_sweep_streaming(&sweep, &grid, progress)
-            }
-            _ => {
-                let (src_sys, dst_sys) = if reverse {
-                    (
-                        pv_sysmodel::SystemModel::intel(),
-                        pv_sysmodel::SystemModel::amd(),
-                    )
-                } else {
-                    (
-                        pv_sysmodel::SystemModel::amd(),
-                        pv_sysmodel::SystemModel::intel(),
-                    )
-                };
-                let (src_spec, dst_spec) = grid.cross_system_encoding_for_runs(runs);
-                let src = build_sharded("source", campaign(src_sys, n), &src_spec);
-                let dst = build_sharded("destination", campaign(dst_sys, n), &dst_spec);
-                let mut sweep = Sweep::cross_system(&src, &dst)
-                    .with_max_retries(max_retries)
-                    .with_faults(faults);
-                if let Some(c) = cache.clone() {
-                    sweep = sweep.with_cache(c);
-                }
-                run_sweep_streaming(&sweep, &grid, progress)
-            }
-        }
+        let (primary, src, dst);
+        let sweep = if uc == 1 {
+            let spec = grid.few_runs_encoding();
+            primary = build_sharded("primary", campaign(SystemModel::intel(), n), &spec);
+            Sweep::few_runs(&primary)
+        } else {
+            let (src_sys, dst_sys) = if reverse {
+                (SystemModel::intel(), SystemModel::amd())
+            } else {
+                (SystemModel::amd(), SystemModel::intel())
+            };
+            let (src_spec, dst_spec) = grid.cross_system_encoding_for_runs(runs);
+            src = build_sharded("source", campaign(src_sys, n), &src_spec);
+            dst = build_sharded("destination", campaign(dst_sys, n), &dst_spec);
+            Sweep::cross_system(&src, &dst)
+        };
+        let sweep = sweep.with_max_retries(max_retries).with_faults(faults);
+        let sweep = match cache.clone() {
+            Some(c) => sweep.with_cache(c),
+            None => sweep,
+        };
+        run_sweep_streaming(&sweep, &grid, progress)
     };
     if append > 0 {
         println!(
@@ -1984,11 +1558,12 @@ fn sweep_cmd(args: &[String], obs: &ObsFlags) {
     println!("total: {:.1?}", started.elapsed());
     // Finalize obs before any failure exit so traces of the failing run
     // are exactly the ones worth inspecting.
-    obs.finalize(collector, pv_core::sweep::SWEEP_OBS_COUNTERS);
-    if !ok && !keep_going {
+    args.finalize_obs(collector, pv_core::sweep::SWEEP_OBS_COUNTERS);
+    if !ok && !args.has("--keep-going") {
         eprintln!("sweep: failing cells present (re-run with --keep-going to tolerate them)");
         std::process::exit(1);
     }
+    Ok(())
 }
 
 /// Renders the failure summary table; returns true when the run is clean.
@@ -2135,84 +1710,108 @@ fn axis_pair(a: &[f64], b: &[f64]) -> (f64, f64) {
     (l1.min(l2), h1.max(h2))
 }
 
-/// A cold use-case-1 evaluation over a shared encoded corpus.
-fn eval_uc1(enc: &EncodedCorpus<'_>, cfg: FewRunsConfig) -> EvalSummary {
-    evaluate_few_runs_incremental(enc, cfg, &[])
-        .expect("eval")
-        .summary
+/// Figs. 5 and 9: orders the benchmarks by their LOGO KS in `summary`,
+/// then overlays the true and predicted distributions of eight of them
+/// at KS quantiles and writes them to `<stem>.csv`. `predict(bi)`
+/// returns benchmark `bi`'s truth and its leave-it-out prediction.
+fn overlays(
+    summary: &EvalSummary,
+    stem: &str,
+    truth_tag: &str,
+    predict: impl Fn(usize) -> (Vec<f64>, Vec<f64>),
+) {
+    let mut order: Vec<usize> = (0..summary.scores.len()).collect();
+    order.sort_by(|&a, &b| {
+        summary.scores[a]
+            .ks
+            .partial_cmp(&summary.scores[b].ks)
+            .expect("finite")
+    });
+    let mut rows = Vec::new();
+    let mut labels = Vec::new();
+    for bi in (0..8).map(|i| order[i * (order.len() - 1) / 7]) {
+        let (truth, predicted) = predict(bi);
+        let (name, ks) = (intel().benchmarks[bi].id.qualified(), summary.scores[bi].ks);
+        let (lo, hi) = axis_pair(&truth, &predicted);
+        println!("  {name} (KS = {ks:.3})");
+        print!(
+            "{}",
+            overlay(&truth, &predicted, lo, hi, 64).expect("overlay")
+        );
+        for (tag, xs) in [(truth_tag, &truth), ("predicted", &predicted)] {
+            labels.push(format!("{name}:{tag}"));
+            let mut row = vec![ks, lo, hi];
+            row.extend(kde_curve(xs, lo, hi, 64).expect("kde"));
+            rows.push(row);
+        }
+    }
+    write_csv(
+        &out_dir().join(format!("{stem}.csv")),
+        &["series", "ks", "axis_lo", "axis_hi", "density_curve"],
+        &rows,
+        Some(&labels),
+    )
+    .expect("csv");
+    println!();
 }
 
-/// A cold use-case-2 evaluation, `src` → `dst`, over shared encodings.
-fn eval_uc2(
-    src: &EncodedCorpus<'_>,
-    dst: &EncodedCorpus<'_>,
-    cfg: CrossSystemConfig,
-) -> EvalSummary {
-    evaluate_cross_system_incremental(src, dst, cfg, &[])
-        .expect("eval")
-        .summary
-}
-
-/// The 3×3 representation × model grid.
-fn grid_cells() -> Vec<(ReprKind, ModelKind)> {
-    ReprKind::ALL
-        .iter()
-        .flat_map(|&repr| ModelKind::ALL.iter().map(move |&model| (repr, model)))
-        .collect()
-}
-
-/// Runs the full 3×3 grid for use case 1 at `s` profile runs.
-///
-/// Cells run in parallel over the shared cache; the order-preserving
-/// collect keeps output order (and contents) identical to the serial
-/// grid.
-fn grid_uc1(enc: &EncodedCorpus<'_>, s: usize) -> Vec<(String, EvalSummary)> {
-    let cells: Vec<(ReprKind, ModelKind, EvalSummary, Duration)> = grid_cells()
-        .into_par_iter()
-        .map(|(repr, model)| {
-            let t = Instant::now();
-            let summary = eval_uc1(enc, uc1_config(repr, model, s));
-            (repr, model, summary, t.elapsed())
-        })
-        .collect();
-    finish_grid(cells)
-}
-
-/// Runs the full 3×3 grid for use case 2 (src → dst), cells in parallel.
-fn grid_uc2(src: &EncodedCorpus<'_>, dst: &EncodedCorpus<'_>) -> Vec<(String, EvalSummary)> {
-    let cells: Vec<(ReprKind, ModelKind, EvalSummary, Duration)> = grid_cells()
-        .into_par_iter()
-        .map(|(repr, model)| {
-            let t = Instant::now();
-            let summary = eval_uc2(src, dst, uc2_config(repr, model));
-            (repr, model, summary, t.elapsed())
-        })
-        .collect();
-    finish_grid(cells)
-}
-
-fn finish_grid(
-    cells: Vec<(ReprKind, ModelKind, EvalSummary, Duration)>,
-) -> Vec<(String, EvalSummary)> {
-    cells
-        .into_iter()
-        .map(|(repr, model, summary, elapsed)| {
+/// Runs the campaign grid `reprs` × `models` × `samples` through
+/// `sweep` with no cell cache and no retries, returning each cell's
+/// summary in grid order. A cell that does not evaluate cleanly on its
+/// first attempt is fatal: an exhibit never shows a reseeded or degraded
+/// cell.
+fn run_grid(
+    sweep: Sweep<'_, '_>,
+    reprs: &[ReprKind],
+    models: &[ModelKind],
+    samples: &[usize],
+) -> Vec<(CellConfig, EvalSummary)> {
+    let report = sweep
+        .with_max_retries(0)
+        .run(&campaign_grid(reprs, models, samples))
+        .expect("a sweep without a cache takes no lock");
+    let clean = |cell: CellResult| match cell.outcome {
+        CellOutcome::Ok { summary, .. } => (cell.config, summary),
+        CellOutcome::Degraded { error, .. } | CellOutcome::Failed { error, .. } => {
             eprintln!(
-                "  [{} × {}] mean KS {:.3} ({:.1?})",
-                repr.name(),
-                model.name(),
-                summary.mean,
-                elapsed
+                "repro: cell {}: [{}] {error}",
+                cell.config.label(),
+                error.kind()
             );
-            (format!("{} + {}", repr.name(), model.name()), summary)
-        })
-        .collect()
+            std::process::exit(1);
+        }
+        CellOutcome::Quarantined { .. } => {
+            unreachable!("a sweep without a cache quarantines nothing")
+        }
+    };
+    report.cells.into_iter().map(clean).collect()
 }
 
-fn render_grid(summaries: &[(String, EvalSummary)], stem: &str) {
-    let rows: Vec<(String, &EvalSummary)> = summaries.iter().map(|(l, s)| (l.clone(), s)).collect();
+/// The PearsonRnd + kNN cell at `samples` profile runs, which the
+/// overlay and direction exhibits show.
+fn pearson_knn(sweep: Sweep<'_, '_>, samples: usize) -> EvalSummary {
+    let mut cells = run_grid(
+        sweep,
+        &[ReprKind::PearsonRnd],
+        &[ModelKind::Knn],
+        &[samples],
+    );
+    cells.remove(0).1
+}
+
+/// Renders a representation × model grid: one stderr line per cell, the
+/// summary table, `<stem>.csv`, and the best cell.
+fn render_grid(cells: &[(CellConfig, EvalSummary)], stem: &str) {
+    let rows: Vec<(String, &EvalSummary)> = cells
+        .iter()
+        .map(|(cell, s)| {
+            let (repr, model) = (cell.repr().name(), cell.model().name());
+            eprintln!("  [{repr} × {model}] mean KS {:.3}", s.mean);
+            (format!("{repr} + {model}"), s)
+        })
+        .collect();
     println!("{}", summary_table(&rows).expect("table"));
-    let csv_rows: Vec<Vec<f64>> = summaries
+    let csv_rows: Vec<Vec<f64>> = rows
         .iter()
         .map(|(_, s)| {
             let mut r = vec![s.mean, s.spread.median, s.spread.q1, s.spread.q3];
@@ -2220,7 +1819,7 @@ fn render_grid(summaries: &[(String, EvalSummary)], stem: &str) {
             r
         })
         .collect();
-    let labels: Vec<String> = summaries.iter().map(|(l, _)| l.replace(' ', "")).collect();
+    let labels: Vec<String> = rows.iter().map(|(l, _)| l.replace(' ', "")).collect();
     write_csv(
         &out_dir().join(format!("{stem}.csv")),
         &["config", "mean", "median", "q1", "q3", "per_benchmark_ks"],
@@ -2228,19 +1827,110 @@ fn render_grid(summaries: &[(String, EvalSummary)], stem: &str) {
         Some(&labels),
     )
     .expect("csv");
-}
-
-fn headline_uc(summaries: &[(String, EvalSummary)]) {
-    let best = summaries
+    let (best, s) = rows
         .iter()
-        .min_by(|a, b| a.1.mean.partial_cmp(&b.1.mean).expect("finite"))
+        .min_by(|a, b| a.1.mean.total_cmp(&b.1.mean))
         .expect("non-empty");
-    println!("  best cell: {} (mean KS {:.3})\n", best.0, best.1.mean);
+    println!("  best cell: {best} (mean KS {:.3})\n", s.mean);
 }
 
-/// Used by fig5/fig9 smoke tests (keeps the RNG import warm even when
-/// only tables are requested).
-#[allow(dead_code)]
-fn _rng() -> Xoshiro256pp {
-    Xoshiro256pp::seed_from_u64(CAMPAIGN_SEED)
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+
+    fn argv(tokens: &[&str]) -> Vec<String> {
+        tokens.iter().map(|t| t.to_string()).collect()
+    }
+
+    /// The `--flags` a help text names, without the shared obs flags and
+    /// `--help`, sorted.
+    fn documented_flags(help: &str) -> Vec<&str> {
+        let shared = ["--trace-out", "--metrics-out", "--obs-summary", "--help"];
+        let mut flags: Vec<&str> = help
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--") && w.len() > 2 && !shared.contains(w))
+            .collect();
+        flags.sort_unstable();
+        flags.dedup();
+        flags
+    }
+
+    #[test]
+    fn every_command_accepts_exactly_the_flags_its_help_names() {
+        for cmd in [&REPRO, &SWEEP, &TRAIN, &LOAD_GEN, &OBS_CHECK] {
+            let flags = cmd.values.split_whitespace();
+            let mut table: Vec<&str> = flags.chain(cmd.switches.split_whitespace()).collect();
+            table.sort_unstable();
+            assert_eq!(documented_flags(cmd.help), table, "{}", cmd.name);
+        }
+    }
+
+    #[test]
+    fn the_exhibit_path_takes_exactly_the_exhibit_names() {
+        // Rejected before any exhibit runs.
+        for (bad, culprit) in [
+            (&["fig44"][..], "fig44"),
+            (&["fig4", "Fig6"], "Fig6"),
+            (&["all", "sweep2"], "sweep2"),
+            (&["fig4", "--uc", "2"], "--uc"),
+        ] {
+            match REPRO.parse(&argv(bad)).and_then(|a| exhibits_cmd(&a)) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains(culprit), "{msg}"),
+                other => panic!("{bad:?}: expected a usage error, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            REPRO.parse(&argv(&["fig4", "-h"])).unwrap_err(),
+            CliError::Help
+        );
+        for (name, _) in EXHIBITS {
+            assert!(REPRO.help.contains(name), "{name} missing from the help");
+        }
+        assert!(REPRO.help.contains("all,"));
+    }
+
+    #[test]
+    fn sweep_flags_keep_their_rules() {
+        let args = SWEEP
+            .parse(&argv(&["--reprs", "ALL", "--models", "knn, RF"]))
+            .unwrap();
+        let reprs = grid_axis(&args, "--reprs", &ReprKind::ALL, vec![]).unwrap();
+        assert_eq!(reprs, ReprKind::ALL);
+        let models = grid_axis(&args, "--models", &ModelKind::ALL, vec![]).unwrap();
+        assert_eq!(models, [ModelKind::Knn, ModelKind::RandomForest]);
+        let seeds = grid_axis(&args, "--seeds", &[], vec![7u64]).unwrap();
+        assert_eq!(seeds, [7], "an absent axis takes its default");
+        assert_eq!(parse_seed("10"), Ok(10));
+        assert_eq!(parse_seed("0x10"), Ok(16));
+        assert_eq!(parse_seed("0X20"), Ok(32));
+        assert_eq!(
+            parse_fault_spec("nonconv@3:1"),
+            Ok((3, FaultKind::NonConvergence, 1))
+        );
+        assert_eq!(
+            parse_fault_spec("panic@0"),
+            Ok((0, FaultKind::Panic, u32::MAX))
+        );
+        // Every rule below rejects the line before the sweep does anything.
+        // `--inject` accumulates, so a bad early spec is still an error.
+        for bad in [
+            &["--uc", "3"][..],
+            &["--benchmarks", "0"],
+            &["--shard-size", "0"],
+            &["--append", "60"],
+            &["--append", "1", "--no-cache"],
+            &["--inject", "panic"],
+            &["--inject", "nan@x", "--inject", "panic@0"],
+            &["--seeds", "0xZZ"],
+            &["--samples", "5,,10"],
+        ] {
+            let result = SWEEP.parse(&argv(bad)).and_then(|a| sweep_cmd(&a));
+            assert!(
+                matches!(result, Err(CliError::Usage(_))),
+                "{bad:?} must be a usage error"
+            );
+        }
+        assert!(SWEEP.parse(&argv(&["extra"])).is_err());
+    }
 }
