@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pv_ml::distance::{cosine_with_sq_norms, squared_norm};
-use pv_ml::kernel::{cosine_distance_matrix, F32Train, TILE_Q, TILE_T};
+use pv_ml::kernel::{cosine_distance_matrix, TILE_Q, TILE_T};
 use pv_ml::DenseMatrix;
 use pv_stats::kernel::{central_sums4, dot4, sum4};
 use pv_stats::ks::{ks2_statistic, ks2_statistic_presorted};
@@ -140,27 +140,6 @@ fn bench_knn_scoring(c: &mut Criterion) {
         })
     });
 
-    let shadow = F32Train::build(&train);
-    g.bench_function("f32_prescreen_59q_472t", |bch| {
-        bch.iter(|| {
-            let mut out = 0usize;
-            for q in 0..nq {
-                let qrow = queries.row(q);
-                let qn = squared_norm(qrow);
-                let cand = shadow.prescreen(qrow, k);
-                let mut dists: Vec<(usize, f64)> = cand
-                    .rows
-                    .into_iter()
-                    .map(|r| (r, cosine_with_sq_norms(qrow, train.row(r), qn, tn[r])))
-                    .collect();
-                let kk = k.min(dists.len());
-                dists
-                    .select_nth_unstable_by(kk - 1, |x, y| x.1.total_cmp(&y.1).then(x.0.cmp(&y.0)));
-                out += dists[kk - 1].0;
-            }
-            out
-        })
-    });
     g.finish();
 }
 

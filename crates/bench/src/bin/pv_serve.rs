@@ -35,6 +35,7 @@ use pv_bench::serve::{
 };
 use pv_core::registry::ModelRegistry;
 use pv_core::resilience::ServeFaultPlan;
+use pv_core::store::write_atomic;
 
 const HELP: &str = "\
 pv-serve — answer prediction queries from a trained-model registry
@@ -108,13 +109,13 @@ const SERVE: Command = Command {
 /// temp+rename, so scrapers never read a torn file.
 fn flush_telemetry(engine: &ServeEngine, stats: Option<&Path>, prom: Option<&Path>) {
     if let Some(path) = stats {
-        if let Err(e) = pv_obs::telemetry::write_atomic(path, &format!("{}\n", engine.stats_json()))
-        {
+        let doc = format!("{}\n", engine.stats_json());
+        if let Err(e) = write_atomic(path, doc.as_bytes()) {
             eprintln!("pv-serve: telemetry flush failed: {e}");
         }
     }
     if let Some(path) = prom {
-        if let Err(e) = pv_obs::telemetry::write_atomic(path, &engine.telemetry_prometheus()) {
+        if let Err(e) = write_atomic(path, engine.telemetry_prometheus().as_bytes()) {
             eprintln!("pv-serve: prometheus flush failed: {e}");
         }
     }

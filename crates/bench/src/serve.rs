@@ -72,11 +72,12 @@ use serde::Content;
 
 use pv_core::registry::{ModelRegistry, REGISTRY_OBS_COUNTERS};
 use pv_core::resilience::{PvError, ServeFaultPlan};
+use pv_core::store::write_atomic;
 use pv_core::usecase1::FewRunsPredictor;
 use pv_core::usecase2::CrossSystemPredictor;
 use pv_core::{Artifact, Profile};
 use pv_obs::window::{RollingCounter, RollingHisto, WindowClock, WINDOWS};
-use pv_obs::{humanize_ns, telemetry::write_atomic, MetricsSnapshot};
+use pv_obs::{humanize_ns, MetricsSnapshot};
 use pv_stats::ks::ks2_test;
 
 /// Default reconstruction sample count per prediction.
@@ -554,7 +555,7 @@ impl FlightRecorder {
                 model
             ));
         }
-        if let Err(e) = write_atomic(&self.path, &out) {
+        if let Err(e) = write_atomic(&self.path, out.as_bytes()) {
             eprintln!("pv-serve: flight-recorder dump failed: {e}");
         }
     }
@@ -2726,5 +2727,82 @@ mod tests {
             "{prom}"
         );
         assert!(prom.contains("pv_serve_window_latency_ns_bucket"), "{prom}");
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        /// One engine for every case: training dominates a case's cost.
+        fn engine() -> &'static (ServeEngine, String) {
+            static ENGINE: OnceLock<(ServeEngine, String)> = OnceLock::new();
+            ENGINE.get_or_init(|| {
+                let (engine, key, corpus) = tiny_engine();
+                let profile = Profile::from_runs(&corpus.benchmarks[0].runs, 10).expect("profile");
+                (engine, request_line(key, &profile))
+            })
+        }
+
+        /// The reply contract for any line: one JSON document carrying a
+        /// boolean `ok`, and a typed `error.kind` whenever `ok` is false.
+        fn assert_typed_reply(line: &str) -> Result<(), TestCaseError> {
+            let (reply, _) = engine().0.handle_line(line);
+            let Ok(Json(doc)) = serde_json::from_str::<Json>(&reply) else {
+                return Err(TestCaseError::fail(format!("not JSON: {reply}")));
+            };
+            match get(&doc, "ok") {
+                Content::Bool(true) => {}
+                Content::Bool(false) => {
+                    prop_assert!(
+                        matches!(get(&doc, "error.kind"), Content::Str(k) if !k.is_empty()),
+                        "untyped error: {reply}"
+                    );
+                }
+                other => prop_assert!(false, "ok is {other:?}: {reply}"),
+            }
+            Ok(())
+        }
+
+        fn line_of(bytes: &[u8]) -> String {
+            // The daemon splits on newlines and decodes lossily.
+            String::from_utf8_lossy(bytes).replace('\n', " ")
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn random_byte_lines_get_one_typed_reply(
+                bytes in prop::collection::vec(any::<u8>(), 0..300),
+            ) {
+                assert_typed_reply(&line_of(&bytes))?;
+            }
+
+            /// A valid request with one byte overwritten, cut short, a
+            /// span deleted, or a run of brackets spliced in.
+            #[test]
+            fn mutated_requests_get_one_typed_reply(
+                mode in 0u8..4,
+                pos in any::<usize>(),
+                byte in any::<u8>(),
+                len in 0usize..400,
+            ) {
+                let mut bytes = engine().1.clone().into_bytes();
+                let at = pos % bytes.len();
+                match mode {
+                    0 => bytes[at] = byte,
+                    1 => bytes.truncate(at),
+                    2 => {
+                        bytes.drain(at..(at + len % 24).min(bytes.len()));
+                    }
+                    _ => {
+                        let open = [b'[', b'{'][usize::from(byte) % 2];
+                        bytes.splice(at..at, std::iter::repeat_n(open, len));
+                    }
+                }
+                assert_typed_reply(&line_of(&bytes))?;
+            }
+        }
     }
 }

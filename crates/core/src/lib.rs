@@ -23,6 +23,7 @@
 //! | config-grid sweep service with cached cells | [`sweep`] |
 //! | trained-model registry (sealed fitted artifacts for serving) | [`registry`] |
 //! | fault tolerance: error taxonomy, retries, quarantine, fault injection | [`resilience`] |
+//! | the on-disk contract: sealed envelope, atomic writer | [`store`] |
 //! | figure/table rendering | [`report`] |
 //!
 //! Every evaluation path — both use cases, the kNN ablation grid, and the
@@ -75,6 +76,7 @@ pub mod report;
 pub mod repr;
 pub mod resilience;
 pub mod shard;
+pub mod store;
 pub mod sweep;
 pub mod usecase1;
 pub mod usecase2;
@@ -95,7 +97,7 @@ pub use pipeline::{
 };
 pub use profile::Profile;
 pub use registry::{
-    artifact_key, Artifact, ModelRegistry, RegistryEntry, REGISTRY_OBS_COUNTERS, REGISTRY_VERSION,
+    artifact_key, Artifact, ModelRegistry, RegistryEntry, REGISTRY_MAGIC, REGISTRY_OBS_COUNTERS,
 };
 pub use repr::{DistributionRepr, ReprKind};
 pub use resilience::{FaultKind, FaultPlan, PvError, Quarantine};

@@ -19,7 +19,6 @@
 //! re-sealed.
 
 use std::fs;
-use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
@@ -34,13 +33,14 @@ use crate::sweep::{cross_fingerprint, CellConfig};
 use crate::usecase1::{FewRunsArtifact, FewRunsConfig, FewRunsPredictor};
 use crate::usecase2::{CrossSystemArtifact, CrossSystemConfig, CrossSystemPredictor};
 
-/// Registry entry format version. Bump on any change to the sealed
-/// entry layout or the artifact schema; stale-version entries are
-/// rejected (and healed by `repro train`), never reinterpreted.
-/// (v2: the vectorized kernel layer — kNN models gained the f32
-/// prescreen fields, tree models default to binned splits, and artifact
-/// keys carry the tree-kernel tag.)
-pub const REGISTRY_VERSION: u32 = 2;
+/// Registry envelope magic; the trailing digits are the format version.
+/// Bump on any change to the entry layout or the artifact schema;
+/// entries under another magic are rejected (and healed by `repro
+/// train`), never reinterpreted. (v2: the vectorized kernel layer — tree
+/// models default to binned splits, and artifact keys carry the
+/// tree-kernel tag; v3: the sealed envelope of [`crate::store`], and kNN
+/// models lost the f32 prescreen fields.)
+pub const REGISTRY_MAGIC: &[u8; 8] = b"PVMODEL3";
 
 /// The observability counters the registry emits.
 pub const REGISTRY_OBS_COUNTERS: &[&str] = &[
@@ -76,10 +76,10 @@ impl Artifact {
     }
 }
 
-/// The registry key of an artifact: FNV-1a over a domain tag, the entry
-/// format version, the corpus fingerprint, and the config's canonical
-/// JSON — the cell cache's `cell_key` scheme under a serving-specific
-/// domain so registry and cache entries can never collide.
+/// The registry key of an artifact: FNV-1a over a domain tag, the format
+/// magic, the corpus fingerprint, and the config's canonical JSON — the
+/// cell cache's `cell_key` scheme under a serving-specific domain so
+/// registry and cache entries can never collide.
 ///
 /// For use case 2 pass [`cross_fingerprint`]`(src, dst)` as the
 /// fingerprint, exactly as the sweep layer keys its cross-system cells.
@@ -92,34 +92,13 @@ pub fn artifact_key(fingerprint: u64, cfg: &CellConfig) -> Result<u64, StatsErro
         .map_err(|e| StatsError::invalid("artifact_key", format!("serialize config: {e}")))?;
     let mut h = Fnv1a::new();
     h.write_str("pv-registry");
-    h.write_u64(REGISTRY_VERSION as u64);
+    h.write_bytes(REGISTRY_MAGIC);
     h.write_u64(fingerprint);
     // Binned vs exact tree splits produce different fitted models; a
     // `PV_EXACT_TREES` run must never serve a default run's artifacts.
     h.write_str(crate::model::tree_kernel_tag());
     h.write_str(&json);
     Ok(h.finish())
-}
-
-/// Integrity digest of a sealed entry's payload bytes.
-fn payload_checksum(payload: &str) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_str("pv-registry-seal");
-    h.write_str(payload);
-    h.finish()
-}
-
-/// What a registry file holds: the artifact as a verbatim JSON string,
-/// sealed by a checksum over exactly those bytes, plus the key
-/// components so a load verifies *what* it got, not just that it
-/// parsed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct SealedEntry {
-    version: u32,
-    fingerprint: u64,
-    config: CellConfig,
-    checksum: u64,
-    payload: String,
 }
 
 /// A verified artifact together with its registry identity — what
@@ -137,9 +116,10 @@ pub struct RegistryEntry {
 
 /// A serde-backed on-disk registry of trained models.
 ///
-/// Writes go through a temp file in the same directory followed by an
-/// atomic rename, so concurrent trainers and a running daemon never
-/// observe partial entries.
+/// Each entry is a [`crate::store`] envelope under [`REGISTRY_MAGIC`]
+/// and the entry's key, whose payload is the JSON pair `[fingerprint,
+/// artifact]`. Writes are atomic, so concurrent trainers and a running
+/// daemon never observe partial entries.
 #[derive(Debug, Clone)]
 pub struct ModelRegistry {
     dir: PathBuf,
@@ -148,10 +128,10 @@ pub struct ModelRegistry {
 impl ModelRegistry {
     /// A registry rooted at `dir`. The directory is created on first
     /// store. Stale temp files leaked by crashed writers are swept on
-    /// open (see [`crate::resilience::sweep_stale_temps`]).
+    /// open (see [`crate::store`]).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         let dir = dir.into();
-        crate::resilience::sweep_stale_temps(&dir);
+        crate::store::sweep_stale_temps(&dir);
         ModelRegistry { dir }
     }
 
@@ -200,43 +180,13 @@ impl ModelRegistry {
     /// [`PvError::CacheIo`] on filesystem failure, [`PvError::Invalid`]
     /// when the artifact cannot be serialized.
     pub fn store(&self, fingerprint: u64, artifact: &Artifact) -> Result<u64, PvError> {
-        let config = artifact.config();
-        let key = artifact_key(fingerprint, &config)?;
-        let path = self.key_path(key);
-        fs::create_dir_all(&self.dir).map_err(|e| PvError::CacheIo {
-            what: "ModelRegistry::store".into(),
-            detail: format!("create {}: {e}", self.dir.display()),
-        })?;
-        let payload = serde_json::to_string(artifact).map_err(|e| PvError::Invalid {
-            what: "ModelRegistry::store".into(),
-            detail: format!("serialize artifact: {e}"),
-        })?;
-        let entry = SealedEntry {
-            version: REGISTRY_VERSION,
-            fingerprint,
-            config,
-            checksum: payload_checksum(&payload),
-            payload,
-        };
-        let json = serde_json::to_string(&entry).map_err(|e| PvError::Invalid {
-            what: "ModelRegistry::store".into(),
-            detail: format!("serialize entry: {e}"),
-        })?;
-        let tmp = path.with_extension(format!("json.tmp.{}", std::process::id()));
-        fs::write(&tmp, json).map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            PvError::CacheIo {
-                what: "ModelRegistry::store".into(),
-                detail: format!("write {}: {e}", tmp.display()),
-            }
-        })?;
-        fs::rename(&tmp, &path).map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            PvError::CacheIo {
-                what: "ModelRegistry::store".into(),
-                detail: format!("rename {}: {e}", path.display()),
-            }
-        })?;
+        let key = artifact_key(fingerprint, &artifact.config())?;
+        crate::store::write_json(
+            &self.key_path(key),
+            REGISTRY_MAGIC,
+            key,
+            &(fingerprint, artifact),
+        )?;
         pv_obs::counter_inc!("pv.core.registry.store");
         Ok(key)
     }
@@ -247,8 +197,7 @@ impl ModelRegistry {
     /// # Errors
     /// [`PvError::CacheIo`] when the entry is missing or unreadable;
     /// [`PvError::Invalid`] when it exists but fails verification
-    /// (unparsable, stale version, wrong fingerprint/config, checksum
-    /// mismatch).
+    /// (envelope, payload parse, or fingerprint/config identity).
     pub fn load(&self, fingerprint: u64, cfg: &CellConfig) -> Result<Artifact, PvError> {
         let key = artifact_key(fingerprint, cfg)?;
         let entry = self.load_key(key)?;
@@ -267,52 +216,27 @@ impl ModelRegistry {
     /// # Errors
     /// Same contract as [`Self::load`].
     pub fn load_key(&self, key: u64) -> Result<RegistryEntry, PvError> {
-        let path = self.key_path(key);
-        let text = fs::read_to_string(&path).map_err(|e| {
-            let detail = if e.kind() == ErrorKind::NotFound {
-                format!("no entry {}", path.display())
-            } else {
-                format!("read {}: {e}", path.display())
-            };
-            PvError::CacheIo {
-                what: "ModelRegistry::load".into(),
-                detail,
-            }
-        })?;
-        let invalid = |detail: String| {
-            pv_obs::counter_inc!("pv.core.registry.verify_fail");
-            PvError::Invalid {
-                what: "ModelRegistry::load".into(),
-                detail,
-            }
-        };
-        let entry = serde_json::from_str::<SealedEntry>(&text)
-            .map_err(|e| invalid(format!("unparsable entry {}: {e}", path.display())))?;
-        if entry.version != REGISTRY_VERSION {
-            return Err(invalid(format!(
-                "entry version {} != registry version {REGISTRY_VERSION}",
-                entry.version
-            )));
+        let entry = crate::store::open(&self.key_path(key), REGISTRY_MAGIC, key)
+            .and_then(|sealed| sealed.json::<(u64, Artifact)>())
+            .and_then(|(fingerprint, artifact)| {
+                if artifact_key(fingerprint, &artifact.config())? != key {
+                    return Err(PvError::Invalid {
+                        what: "ModelRegistry::load".into(),
+                        detail: "entry key disagrees with sealed identity".into(),
+                    });
+                }
+                Ok(RegistryEntry {
+                    key,
+                    fingerprint,
+                    artifact,
+                })
+            });
+        match &entry {
+            Ok(_) => pv_obs::counter_inc!("pv.core.registry.load"),
+            Err(PvError::Invalid { .. }) => pv_obs::counter_inc!("pv.core.registry.verify_fail"),
+            Err(_) => {}
         }
-        if entry.checksum != payload_checksum(&entry.payload) {
-            return Err(invalid("payload checksum mismatch".into()));
-        }
-        let artifact = serde_json::from_str::<Artifact>(&entry.payload)
-            .map_err(|e| invalid(format!("unparsable artifact payload: {e}")))?;
-        if artifact.config() != entry.config {
-            return Err(invalid(
-                "payload config disagrees with sealed config".into(),
-            ));
-        }
-        if artifact_key(entry.fingerprint, &entry.config)? != key {
-            return Err(invalid("entry key disagrees with sealed identity".into()));
-        }
-        pv_obs::counter_inc!("pv.core.registry.load");
-        Ok(RegistryEntry {
-            key,
-            fingerprint: entry.fingerprint,
-            artifact,
-        })
+        entry
     }
 
     /// Loads and verifies every entry in the registry, ascending by
@@ -446,30 +370,6 @@ mod tests {
             first.predict_distribution(runs, 200, 1).unwrap(),
             second.predict_distribution(runs, 200, 1).unwrap()
         );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn failed_store_leaves_no_temp_files_behind() {
-        let dir = tmp_dir("no-temp-leak");
-        let reg = ModelRegistry::new(&dir);
-        let corpus = small_corpus();
-        let include: Vec<usize> = (0..corpus.len()).collect();
-        let trained = FewRunsPredictor::train(&corpus, &include, cfg()).unwrap();
-        let artifact = Artifact::FewRuns(trained.to_artifact());
-        let fp = corpus_fingerprint(&corpus);
-        // Force the rename to fail: a directory squats on the entry path.
-        let path = reg.entry_path(fp, &CellConfig::FewRuns(cfg())).unwrap();
-        fs::create_dir_all(path.join("squatter")).unwrap();
-        let err = reg.store(fp, &artifact).expect_err("rename must fail");
-        assert_eq!(err.kind(), "cache-io");
-        let leaked: Vec<String> = fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.contains(".tmp."))
-            .collect();
-        assert!(leaked.is_empty(), "leaked temps: {leaked:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 

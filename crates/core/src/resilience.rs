@@ -617,7 +617,7 @@ impl std::str::FromStr for ServeFaultPlan {
 }
 
 // ---------------------------------------------------------------------
-// Process liveness and temp-file hygiene
+// Process liveness
 
 /// Whether `pid` definitely no longer exists. Linux only: a live pid has
 /// a `/proc` entry. On other platforms the answer is always `false` —
@@ -646,36 +646,6 @@ pub fn pid_start_token(pid: u32) -> Option<u64> {
     after_comm.split_whitespace().nth(19)?.parse::<u64>().ok()
 }
 
-/// Removes orphaned temp files left behind by crashed writers.
-///
-/// Every temp-file+rename site in this codebase names its temp
-/// `<target>.tmp.<pid>`; a writer that dies between write and rename
-/// leaks it. This sweep removes any `*.tmp.<pid>` in `dir` whose pid is
-/// provably dead (or whose suffix is not a pid at all), and leaves temps
-/// owned by this or any other live process untouched. Returns the number
-/// of files removed; a missing or unreadable directory sweeps nothing.
-pub fn sweep_stale_temps(dir: &Path) -> usize {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return 0;
-    };
-    let mut removed = 0;
-    for entry in entries.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let Some((_, suffix)) = name.rsplit_once(".tmp.") else {
-            continue;
-        };
-        let stale = match suffix.parse::<u32>() {
-            Ok(pid) => pid != std::process::id() && pid_is_dead(pid),
-            // A mangled suffix cannot belong to a live writer.
-            Err(_) => true,
-        };
-        if stale && fs::remove_file(entry.path()).is_ok() {
-            removed += 1;
-        }
-    }
-    removed
-}
-
 /// One quarantined cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuarantineEntry {
@@ -689,15 +659,10 @@ pub struct QuarantineEntry {
     pub attempts: u32,
 }
 
-/// On-disk wrapper so the quarantine file is a self-describing object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct QuarantineFile {
-    version: u32,
-    entries: Vec<QuarantineEntry>,
-}
-
-/// The quarantine version tag; bump on layout changes.
-const QUARANTINE_VERSION: u32 = 1;
+/// Quarantine envelope magic; the trailing digits are the format
+/// version. The payload is the JSON list of entries, under key 0 (one
+/// file per directory).
+const QUARANTINE_MAGIC: &[u8; 8] = b"PVQUAR02";
 
 /// Name of the quarantine file inside a cell-cache directory.
 pub const QUARANTINE_FILE: &str = "quarantine.json";
@@ -721,53 +686,35 @@ impl Quarantine {
         Quarantine::default()
     }
 
-    /// Loads the quarantine stored in `dir` (empty when missing or
-    /// unparsable — a quarantine must never be the thing that fails).
+    /// Loads the quarantine stored in `dir`: empty when the file is
+    /// missing, and empty with a `pv.core.sweep.cache_verify_fail` count
+    /// when it fails verification (a quarantine must never be the thing
+    /// that fails; the next save rewrites it).
     pub fn load(dir: &Path) -> Self {
-        let Ok(text) = fs::read_to_string(dir.join(QUARANTINE_FILE)) else {
-            return Quarantine::default();
-        };
-        match serde_json::from_str::<QuarantineFile>(&text) {
-            Ok(f) if f.version == QUARANTINE_VERSION => Quarantine { entries: f.entries },
-            _ => Quarantine::default(),
+        match crate::store::open(&dir.join(QUARANTINE_FILE), QUARANTINE_MAGIC, 0)
+            .and_then(|sealed| sealed.json())
+        {
+            Ok(entries) => Quarantine { entries },
+            Err(e) => {
+                if matches!(e, PvError::Invalid { .. }) {
+                    pv_obs::counter_inc!("pv.core.sweep.cache_verify_fail");
+                }
+                Quarantine::default()
+            }
         }
     }
 
-    /// Persists the quarantine into `dir` (temp file + rename, like the
-    /// cell cache).
+    /// Persists the quarantine into `dir` (see [`crate::store`]).
     ///
     /// # Errors
     /// Returns [`PvError::CacheIo`] on filesystem failures.
     pub fn save(&self, dir: &Path) -> Result<(), PvError> {
-        fs::create_dir_all(dir).map_err(|e| PvError::CacheIo {
-            what: "Quarantine::save".to_string(),
-            detail: format!("create {}: {e}", dir.display()),
-        })?;
-        let file = QuarantineFile {
-            version: QUARANTINE_VERSION,
-            entries: self.entries.clone(),
-        };
-        let json = serde_json::to_string(&file).map_err(|e| PvError::CacheIo {
-            what: "Quarantine::save".to_string(),
-            detail: format!("serialize: {e}"),
-        })?;
-        let path = dir.join(QUARANTINE_FILE);
-        let tmp = path.with_extension(format!("json.tmp.{}", std::process::id()));
-        fs::write(&tmp, json).map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            PvError::CacheIo {
-                what: "Quarantine::save".to_string(),
-                detail: format!("write {}: {e}", tmp.display()),
-            }
-        })?;
-        fs::rename(&tmp, &path).map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            PvError::CacheIo {
-                what: "Quarantine::save".to_string(),
-                detail: format!("rename {}: {e}", path.display()),
-            }
-        })?;
-        Ok(())
+        crate::store::write_json(
+            &dir.join(QUARANTINE_FILE),
+            QUARANTINE_MAGIC,
+            0,
+            &self.entries,
+        )
     }
 
     /// Removes the quarantine file from `dir` (idempotent).
@@ -1207,28 +1154,6 @@ mod tests {
             assert_eq!(parts.next().unwrap().parse::<u64>().unwrap(), token);
         }
         drop(lock);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_temp_sweep_removes_dead_writers_only() {
-        let dir = temp_dir("temp-sweep");
-        fs::create_dir_all(&dir).unwrap();
-        let dead = dir.join("cell-1.json.tmp.999999999");
-        let mangled = dir.join("cell-2.json.tmp.notapid");
-        let live = dir.join(format!("cell-3.json.tmp.{}", std::process::id()));
-        let innocent = dir.join("cell-4.json");
-        for p in [&dead, &mangled, &live, &innocent] {
-            fs::write(p, "x").unwrap();
-        }
-        assert_eq!(sweep_stale_temps(&dir), 2);
-        assert!(!dead.exists());
-        assert!(!mangled.exists());
-        assert!(live.exists(), "a live writer's temp must survive");
-        assert!(innocent.exists(), "non-temp files must survive");
-        // Idempotent; missing directory sweeps nothing.
-        assert_eq!(sweep_stale_temps(&dir), 0);
-        assert_eq!(sweep_stale_temps(&dir.join("nope")), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

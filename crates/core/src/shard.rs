@@ -4,11 +4,11 @@
 //! ranges. Each shard is independently generated (via per-benchmark
 //! seeding in `pv-sysmodel`) and independently encoded (via the
 //! [`EncodedBlock`] kernel), fingerprinted with `pv_stats::fingerprint`,
-//! and spillable to disk with the temp-file+rename + verify-on-load
-//! discipline of the cell and fold caches. An LRU-bounded resident set
-//! keeps at most a budgeted number of encoded shards in memory, so peak
-//! memory is `O(shard)` — one raw benchmark range during generation plus
-//! the resident encoded shards — not `O(corpus)`.
+//! and spillable to disk as a [`crate::store`] envelope, like the cell
+//! cache. An LRU-bounded resident set keeps at most a budgeted number of
+//! encoded shards in memory, so peak memory is `O(shard)` — one raw
+//! benchmark range during generation plus the resident encoded shards —
+//! not `O(corpus)`.
 //!
 //! Every evaluation runs on this plane. A whole in-memory corpus is the
 //! one-shard layout: [`EncodedCorpus`](crate::pipeline::EncodedCorpus)
@@ -31,19 +31,19 @@
 //!
 //! ## Spill format
 //!
-//! `shard-{index:05}-{key:016x}.bin`: the magic `PVSHARD2`, a key
-//! fingerprint binding the file to (system, runs, seed, roster size,
-//! range, encoding-spec coverage), the serialized shard payload, and a
-//! trailing [`lane_digest`] (eight-lane FNV-1a) of the payload bytes.
-//! Loads verify magic, key, and digest before parsing; after the initial
-//! build the digest must additionally equal the shard fingerprint
-//! recorded at build time. Parsing checks the stored range and every
-//! stored benchmark label against the roster slice the key was computed
-//! for — the key binds the roster's size, not its order, so a reordered
-//! roster must not adopt another roster's files. Any mismatch —
-//! truncation, tampering, a stale spec, another roster — is treated as a
-//! miss and the shard is recomputed silently (a `verify_fail` counter
-//! records it), exactly like a corrupted cell-cache entry.
+//! `shard-{index:05}-{key:016x}.bin`: a [`crate::store`] envelope under
+//! the magic `PVSHARD2` and a key binding the file to (system, runs,
+//! seed, roster size, range, encoding-spec coverage), whose payload is
+//! the serialized shard and whose trailing [`lane_digest`] is the shard
+//! fingerprint. After the initial build that digest must additionally
+//! equal the fingerprint recorded at build time. Parsing checks the
+//! stored range and every stored benchmark label against the roster
+//! slice the key was computed for — the key binds the roster's size, not
+//! its order, so a reordered roster must not adopt another roster's
+//! files. Any mismatch — truncation, tampering, a stale spec, another
+//! roster — is treated as a miss and the shard is recomputed silently (a
+//! `verify_fail` counter records it), exactly like a corrupted
+//! cell-cache entry.
 //!
 //! A fault costs a file read, a digest and a copy: the sorted
 //! truths the KS scoring reads are derived data, filled per benchmark on
@@ -63,7 +63,8 @@ use pv_sysmodel::{collect_benchmarks, BenchmarkData, BenchmarkId, Corpus, System
 use crate::pipeline::{corpus_digest_parts, EncodedBlock, EncodingSpec};
 use crate::resilience::PvError;
 
-/// Spill format version; bump to orphan every spilled shard.
+/// Spill envelope magic; the trailing digit is the format version. Bump
+/// to orphan every spilled shard.
 const SPILL_MAGIC: &[u8; 8] = b"PVSHARD2";
 
 /// Counters this module emits (pre-registered by the sweep service so
@@ -444,7 +445,7 @@ impl<'a> Reader<'a> {
 }
 
 fn spill_err(what: &str, detail: impl Into<String>) -> PvError {
-    PvError::CacheIo {
+    PvError::Invalid {
         what: format!("shard spill {what}"),
         detail: detail.into(),
     }
@@ -636,11 +637,13 @@ impl<'c> ShardedCorpusBuilder<'c> {
     /// encoding/validation failures convert from [`StatsError`].
     pub fn build(self) -> Result<ShardedCorpus<'c>, PvError> {
         if let Some(dir) = &self.spill_dir {
-            fs::create_dir_all(dir)
-                .map_err(|e| spill_err("create dir", format!("{}: {e}", dir.display())))?;
+            fs::create_dir_all(dir).map_err(|e| PvError::CacheIo {
+                what: "shard spill create dir".into(),
+                detail: format!("{}: {e}", dir.display()),
+            })?;
             // Crashed writers leak `*.tmp.<pid>` files; reclaim them
             // before this run starts spilling its own.
-            crate::resilience::sweep_stale_temps(dir);
+            crate::store::sweep_stale_temps(dir);
         }
         Ok(self.encode()?)
     }
@@ -857,9 +860,10 @@ impl<'c> ShardedCorpus<'c> {
         Some(dir.join(format!("shard-{si:05}-{:016x}.bin", self.spill_key(si))))
     }
 
-    /// Loads shard `si` from its spill file, verifying magic, key
-    /// fingerprint, payload digest (against `expect_fp` when the build
-    /// already pinned it), range and labels. Any failure is a miss.
+    /// Loads shard `si` from its spill file, verifying the envelope, the
+    /// payload digest against `expect_fp` when the build already pinned
+    /// it, then range and labels. Any failure is a miss; a failed check
+    /// (not a missing file) is counted.
     fn try_load_spill(&self, si: usize, expect_fp: Option<u64>) -> Option<Arc<EncodedShard>> {
         let path = self.spill_path(si)?;
         match self.load_spill(&path, si, expect_fp) {
@@ -868,11 +872,8 @@ impl<'c> ShardedCorpus<'c> {
                 Some(Arc::new(shard))
             }
             Err(e) => {
-                if path.exists() {
-                    // A missing file is a plain cold miss; anything else
-                    // is a verification failure worth counting.
+                if matches!(e, PvError::Invalid { .. }) {
                     pv_obs::counter_inc!("pv.core.shard.verify_fail");
-                    let _ = e;
                 }
                 None
             }
@@ -885,58 +886,31 @@ impl<'c> ShardedCorpus<'c> {
         si: usize,
         expect_fp: Option<u64>,
     ) -> Result<EncodedShard, PvError> {
-        let bytes =
-            fs::read(path).map_err(|e| spill_err("read", format!("{}: {e}", path.display())))?;
-        if bytes.len() < SPILL_MAGIC.len() + 16 || &bytes[..SPILL_MAGIC.len()] != SPILL_MAGIC {
-            return Err(spill_err("verify", "bad magic"));
-        }
-        let (header, rest) = bytes.split_at(SPILL_MAGIC.len() + 8);
-        let mut key_arr = [0u8; 8];
-        key_arr.copy_from_slice(&header[SPILL_MAGIC.len()..]);
-        if u64::from_le_bytes(key_arr) != self.spill_key(si) {
-            return Err(spill_err("verify", "key fingerprint mismatch"));
-        }
-        let (payload, trailer) = rest.split_at(rest.len() - 8);
-        let mut fp_arr = [0u8; 8];
-        fp_arr.copy_from_slice(trailer);
-        let stored_fp = u64::from_le_bytes(fp_arr);
-        let content_fp = lane_digest(payload);
-        if content_fp != stored_fp {
-            return Err(spill_err("verify", "payload digest mismatch"));
-        }
-        if let Some(expect) = expect_fp {
-            if content_fp != expect {
-                return Err(spill_err("verify", "shard fingerprint mismatch"));
-            }
+        let sealed = crate::store::open(path, SPILL_MAGIC, self.spill_key(si))?;
+        let content_fp = sealed.digest();
+        if expect_fp.is_some_and(|expect| expect != content_fp) {
+            return Err(spill_err("verify", "shard fingerprint mismatch"));
         }
         let range = self.layout.range(si);
         let ids = &self.ids[range.clone()];
         Ok(EncodedShard {
             start: range.start,
-            block: parse_payload(payload, range.start, ids)?,
+            block: parse_payload(sealed.payload(), range.start, ids)?,
             ids: ids.to_vec(),
             content_fp,
         })
     }
 
-    /// Spills a shard with the temp-file+rename discipline. Failures are
-    /// non-fatal (the shard can always be recomputed) and counted.
+    /// Spills a shard (see [`crate::store`]). Failures are non-fatal (the
+    /// shard can always be recomputed) and counted.
     fn write_spill(&self, si: usize, shard: &EncodedShard) {
         let Some(path) = self.spill_path(si) else {
             return;
         };
         let payload = payload_bytes(shard.start, &shard.ids, &shard.block);
-        let mut bytes = Vec::with_capacity(SPILL_MAGIC.len() + 16 + payload.len());
-        bytes.extend_from_slice(SPILL_MAGIC);
-        bytes.extend_from_slice(&self.spill_key(si).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&shard.content_fp.to_le_bytes());
-        let tmp = path.with_extension(format!("bin.tmp.{}", std::process::id()));
-        let ok = fs::write(&tmp, &bytes).is_ok() && fs::rename(&tmp, &path).is_ok();
-        if ok {
+        let sealed = crate::store::seal(SPILL_MAGIC, self.spill_key(si), &payload);
+        if crate::store::write_atomic(&path, &sealed).is_ok() {
             pv_obs::counter_inc!("pv.core.shard.spill");
-        } else {
-            let _ = fs::remove_file(&tmp);
         }
     }
 

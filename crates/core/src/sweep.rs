@@ -17,8 +17,8 @@
 //! * [`CellCache`] persists completed cells to disk, keyed by
 //!   `(corpus fingerprint, cell config)`. Re-running a widened grid
 //!   loads the old cells and computes only the delta; a stale or
-//!   corrupted file fails its fingerprint/config check and is recomputed
-//!   rather than trusted.
+//!   corrupted file fails its [`crate::store`] envelope or its
+//!   fingerprint/config check and is recomputed rather than trusted.
 //!
 //! Cached results are bit-identical to fresh ones: every cell evaluation
 //! is a pure function of (corpus, config) independent of thread count
@@ -64,14 +64,15 @@ use crate::shard::{ShardedCorpus, SHARD_OBS_COUNTERS};
 use crate::usecase1::FewRunsConfig;
 use crate::usecase2::CrossSystemConfig;
 
-/// Version tag baked into every cache entry; bump on any change to the
-/// cell layout or evaluation semantics to orphan old entries.
-/// (v2: entries carry the degraded-fallback marker; v3: entries carry
-/// per-fold [`FoldEntry`] scores for the incremental fold cache; v4:
-/// the vectorized kernel layer — chunked-lane cosine rounding and the
-/// binned-trees default changed evaluation numerics, and cell keys now
-/// carry the tree-kernel tag.)
-const CACHE_VERSION: u32 = 4;
+/// Cell-cache envelope magic; the trailing digits are the format version.
+/// Bump on any change to the cell layout or evaluation semantics to
+/// orphan old entries. (v2: entries carry the degraded-fallback marker;
+/// v3: entries carry per-fold [`FoldEntry`] scores for the incremental
+/// fold cache; v4: the vectorized kernel layer — chunked-lane cosine
+/// rounding and the binned-trees default changed evaluation numerics,
+/// and cell keys now carry the tree-kernel tag; v5: the sealed envelope
+/// of [`crate::store`].)
+const CELL_MAGIC: &[u8; 8] = b"PVCELL05";
 
 /// How long a sweep waits for the cache directory's advisory lock
 /// before giving up, unless overridden by [`Sweep::with_lock_timeout`].
@@ -324,10 +325,11 @@ impl CellConfig {
     }
 }
 
-/// The stable on-disk key of a cell: FNV-1a over the corpus fingerprint,
-/// the tree-kernel tag (binned vs exact split finding changes tree-model
-/// scores, so a `PV_EXACT_TREES` run must never alias a default run's
-/// entries), and the cell config's canonical JSON form.
+/// The stable on-disk key of a cell: FNV-1a over the format magic, the
+/// corpus fingerprint, the tree-kernel tag (binned vs exact split
+/// finding changes tree-model scores, so a `PV_EXACT_TREES` run must
+/// never alias a default run's entries), and the cell config's canonical
+/// JSON form.
 ///
 /// # Errors
 /// Fails when the config cannot be serialized (never happens for the
@@ -336,21 +338,20 @@ pub fn cell_key(fingerprint: u64, cfg: &CellConfig) -> Result<u64, StatsError> {
     let json = serde_json::to_string(cfg)
         .map_err(|e| StatsError::invalid("cell_key", format!("serialize config: {e}")))?;
     let mut h = Fnv1a::new();
-    h.write_u64(CACHE_VERSION as u64);
+    h.write_bytes(CELL_MAGIC);
     h.write_u64(fingerprint);
     h.write_str(crate::model::tree_kernel_tag());
     h.write_str(&json);
     Ok(h.finish())
 }
 
-/// What a cell cache file holds. The fingerprint and config are stored
-/// alongside the summary so a hit can be *verified*, not assumed: a file
-/// that fails to parse, carries another corpus' fingerprint, or holds a
-/// different config (hash collision, hand-edited file) is treated as a
-/// miss and recomputed.
+/// The payload of a cell cache file. The fingerprint and config are
+/// stored alongside the summary so a hit can be *verified*, not assumed:
+/// an entry that carries another corpus' fingerprint or a different
+/// config (hash collision, hand-edited file) is treated as a miss and
+/// recomputed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct CachedCell {
-    version: u32,
     fingerprint: u64,
     config: CellConfig,
     summary: EvalSummary,
@@ -369,9 +370,10 @@ struct CachedCell {
 
 /// A serde-backed on-disk cache of completed sweep cells.
 ///
-/// Layout: one JSON file per cell, `cell-<key:016x>.json` under the
-/// cache directory, where the key is [`cell_key`]. Writes go through a
-/// temp file + rename, so concurrent sweeps sharing a directory never
+/// Layout: one file per cell, `cell-<key:016x>.json` under the cache
+/// directory, where the key is [`cell_key`]: a [`crate::store`]
+/// envelope under the magic `PVCELL05` whose payload is the cell's JSON.
+/// Writes are atomic, so concurrent sweeps sharing a directory never
 /// observe partial entries.
 #[derive(Debug, Clone)]
 pub struct CellCache {
@@ -381,10 +383,10 @@ pub struct CellCache {
 impl CellCache {
     /// A cache rooted at `dir`. The directory is created on first store.
     /// Stale temp files leaked by crashed writers are swept on open (see
-    /// [`crate::resilience::sweep_stale_temps`]).
+    /// [`crate::store`]).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         let dir = dir.into();
-        crate::resilience::sweep_stale_temps(&dir);
+        crate::store::sweep_stale_temps(&dir);
         CellCache { dir }
     }
 
@@ -398,50 +400,74 @@ impl CellCache {
     /// # Errors
     /// Propagates [`cell_key`] failures.
     pub fn entry_path(&self, fingerprint: u64, cfg: &CellConfig) -> Result<PathBuf, StatsError> {
-        let key = cell_key(fingerprint, cfg)?;
-        Ok(self.dir.join(format!("cell-{key:016x}.json")))
+        Ok(self.key_path(cell_key(fingerprint, cfg)?))
+    }
+
+    fn key_path(&self, key: u64) -> PathBuf {
+        self.dir.join(format!("cell-{key:016x}.json"))
+    }
+
+    /// The keys of every file named like a cell entry, ascending.
+    fn keys(&self) -> Vec<u64> {
+        let Ok(read) = fs::read_dir(&self.dir) else {
+            return Vec::new();
+        };
+        let mut keys: Vec<u64> = read
+            .filter_map(|e| e.ok())
+            .filter_map(|e| {
+                let name = e.file_name();
+                let hex = name
+                    .to_str()?
+                    .strip_prefix("cell-")?
+                    .strip_suffix(".json")?;
+                u64::from_str_radix(hex, 16).ok()
+            })
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// Opens and parses the entry stored under `key`.
+    fn read(&self, key: u64) -> Result<CachedCell, PvError> {
+        crate::store::open(&self.key_path(key), CELL_MAGIC, key)?.json()
+    }
+
+    /// Every entry on disk that verifies, ascending by key.
+    fn verified(&self) -> impl Iterator<Item = (u64, CachedCell)> + '_ {
+        self.keys()
+            .into_iter()
+            .filter_map(|key| self.read(key).ok().map(|cell| (key, cell)))
     }
 
     /// Number of cell entries currently on disk.
     pub fn entries(&self) -> usize {
-        let Ok(read) = fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        read.filter_map(|e| e.ok())
-            .filter(|e| {
-                let name = e.file_name();
-                let name = name.to_string_lossy();
-                name.starts_with("cell-") && name.ends_with(".json")
-            })
-            .count()
+        self.keys().len()
     }
 
     /// Loads a cell if a verified entry exists, together with its
     /// degraded-fallback marker (`None` for a healthy cell).
     ///
-    /// Any failure — missing file, unparsable JSON, version/fingerprint/
-    /// config mismatch — is a miss, never an error: the cache must be
-    /// safe to point at a stale or vandalized directory.
+    /// Any failure — missing file, failed envelope, unparsable payload,
+    /// fingerprint/config mismatch — is a miss, never an error: the cache
+    /// must be safe to point at a stale or vandalized directory.
     pub fn load(
         &self,
         fingerprint: u64,
         cfg: &CellConfig,
     ) -> Option<(EvalSummary, Option<PvError>)> {
-        let path = self.entry_path(fingerprint, cfg).ok()?;
-        let text = fs::read_to_string(path).ok()?;
-        let verified = serde_json::from_str::<CachedCell>(&text)
-            .ok()
-            .filter(|cell| {
-                cell.version == CACHE_VERSION
-                    && cell.fingerprint == fingerprint
-                    && cell.config == *cfg
-            });
-        if verified.is_none() {
-            // The entry existed but was corrupt or stale — distinct from a
-            // plain miss (no file), which the sweep counts separately.
-            pv_obs::counter_inc!("pv.core.sweep.cache_verify_fail");
+        let key = cell_key(fingerprint, cfg).ok()?;
+        match self.read(key) {
+            Ok(cell) if cell.fingerprint == fingerprint && cell.config == *cfg => {
+                Some((cell.summary, cell.degraded))
+            }
+            // No file at all is a plain miss, which the sweep counts.
+            Err(PvError::CacheIo { .. }) => None,
+            // The entry existed but was corrupt or stale.
+            _ => {
+                pv_obs::counter_inc!("pv.core.sweep.cache_verify_fail");
+                None
+            }
         }
-        verified.map(|cell| (cell.summary, cell.degraded))
     }
 
     /// The configs of every verified, non-degraded cell stored for
@@ -451,32 +477,14 @@ impl CellCache {
     /// [model registry](crate::registry). Unreadable or stale files are
     /// skipped.
     pub fn configs(&self, fingerprint: u64) -> Vec<CellConfig> {
-        let Ok(read) = fs::read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        let mut out: Vec<(u64, CellConfig)> = read
-            .filter_map(|e| e.ok())
-            .filter(|e| {
-                let name = e.file_name();
-                let name = name.to_string_lossy();
-                name.starts_with("cell-") && name.ends_with(".json")
-            })
-            .filter_map(|e| fs::read_to_string(e.path()).ok())
-            .filter_map(|text| serde_json::from_str::<CachedCell>(&text).ok())
-            .filter(|cell| {
-                cell.version == CACHE_VERSION
-                    && cell.fingerprint == fingerprint
+        self.verified()
+            .filter(|(key, cell)| {
+                cell.fingerprint == fingerprint
                     && cell.degraded.is_none()
+                    && cell_key(fingerprint, &cell.config).ok() == Some(*key)
             })
-            .filter_map(|cell| {
-                cell_key(fingerprint, &cell.config)
-                    .ok()
-                    .map(|k| (k, cell.config))
-            })
-            .collect();
-        out.sort_by_key(|&(k, _)| k);
-        out.dedup_by_key(|&mut (k, _)| k);
-        out.into_iter().map(|(_, c)| c).collect()
+            .map(|(_, cell)| cell.config)
+            .collect()
     }
 
     /// The best fold-cache donors on disk for corpora *other than*
@@ -497,26 +505,8 @@ impl CellCache {
     ) -> std::collections::HashMap<CellConfig, Vec<FoldEntry>> {
         let mut best: std::collections::HashMap<CellConfig, (usize, u64, Vec<FoldEntry>)> =
             std::collections::HashMap::new();
-        let Ok(read) = fs::read_dir(&self.dir) else {
-            return std::collections::HashMap::new();
-        };
-        for entry in read.filter_map(|e| e.ok()) {
-            let name = entry.file_name();
-            let name = name.to_string_lossy().into_owned();
-            if !(name.starts_with("cell-") && name.ends_with(".json")) {
-                continue;
-            }
-            let Ok(text) = fs::read_to_string(entry.path()) else {
-                continue;
-            };
-            let Ok(cell) = serde_json::from_str::<CachedCell>(&text) else {
-                continue;
-            };
-            if cell.version != CACHE_VERSION
-                || cell.fingerprint == fingerprint
-                || cell.degraded.is_some()
-                || cell.folds.is_empty()
-            {
+        for (_, cell) in self.verified() {
+            if cell.fingerprint == fingerprint || cell.degraded.is_some() || cell.folds.is_empty() {
                 continue;
             }
             let candidate = (cell.folds.len(), cell.fingerprint);
@@ -538,7 +528,8 @@ impl CellCache {
     /// entries future incremental evaluations can reuse).
     ///
     /// # Errors
-    /// Fails on filesystem errors (unwritable directory, disk full).
+    /// [`PvError::CacheIo`] on filesystem errors (unwritable directory,
+    /// disk full).
     pub fn store(
         &self,
         fingerprint: u64,
@@ -546,37 +537,16 @@ impl CellCache {
         summary: &EvalSummary,
         degraded: Option<&PvError>,
         folds: &[FoldEntry],
-    ) -> Result<(), StatsError> {
-        let path = self.entry_path(fingerprint, cfg)?;
-        fs::create_dir_all(&self.dir).map_err(|e| {
-            StatsError::invalid(
-                "CellCache::store",
-                format!("create {}: {e}", self.dir.display()),
-            )
-        })?;
+    ) -> Result<(), PvError> {
+        let key = cell_key(fingerprint, cfg)?;
         let cell = CachedCell {
-            version: CACHE_VERSION,
             fingerprint,
             config: *cfg,
             summary: summary.clone(),
             degraded: degraded.cloned(),
             folds: folds.to_vec(),
         };
-        let json = serde_json::to_string(&cell)
-            .map_err(|e| StatsError::invalid("CellCache::store", format!("serialize: {e}")))?;
-        let tmp = path.with_extension(format!("json.tmp.{}", std::process::id()));
-        fs::write(&tmp, json).map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            StatsError::invalid("CellCache::store", format!("write {}: {e}", tmp.display()))
-        })?;
-        fs::rename(&tmp, &path).map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            StatsError::invalid(
-                "CellCache::store",
-                format!("rename {}: {e}", path.display()),
-            )
-        })?;
-        Ok(())
+        crate::store::write_json(&self.key_path(key), CELL_MAGIC, key, &cell)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Vectorized distance kernels for the kNN hot path.
 //!
-//! Three layers, all sharing the lane-order contract of
+//! Two layers, both sharing the lane-order contract of
 //! [`pv_stats::kernel`] so that every route to a given distance value is
 //! bit-identical (see DESIGN.md "Kernel contracts"):
 //!
@@ -13,19 +13,11 @@
 //!   bit-identical to row-at-a-time scoring at *any* tile shape; the
 //!   tiling exists purely to keep a train tile hot in cache across a
 //!   whole query tile.
-//! * **f32 prescreen** — [`F32Candidates`] scores every training row in
-//!   f32 (eight lanes), keeps everything within a conservative margin of
-//!   the k-th best f32 score, and leaves the exact f64 kernel to re-score
-//!   only the survivors. The margin over-covers the f32 rounding error,
-//!   so the exact top-k set is always among the candidates and selected
-//!   neighbour sets are unchanged (pinned by `tests/kernel_parity.rs`).
 //!
 //! Dispatch counters (`pv.ml.kernel.*`) record which path served each
 //! query so obs artifacts show what actually ran.
 
-use serde::{Deserialize, Serialize};
-
-use pv_stats::kernel::{dot4, dot8_f32, sq_norm4, sq_norm8_f32};
+use pv_stats::kernel::{dot4, sq_norm4};
 
 use crate::dataset::DenseMatrix;
 
@@ -35,7 +27,7 @@ pub const TILE_Q: usize = 8;
 pub const TILE_T: usize = 64;
 
 /// Shared cosine finalization: every cosine path (naive, cached-norm,
-/// batch, f32-rescore) funnels through this one expression, which is
+/// batch) funnels through this one expression, which is
 /// what makes them mutually bit-identical.
 #[inline]
 pub(crate) fn cosine_finish(dot: f64, na: f64, nb: f64) -> f64 {
@@ -103,98 +95,6 @@ pub fn cosine_distance_matrix(
     out
 }
 
-/// f32 shadow of a cosine training set: row-major f32 copies of the
-/// training rows plus their f32 squared norms, built once at fit time.
-///
-/// Serializes with the model (f32 values round-trip exactly through the
-/// shortest-repr f64 JSON path), but the prescreen is a pure
-/// accelerator: a model whose shadow is absent falls back to the exact
-/// path with bit-identical predictions, so the serialized form is a
-/// cache, never a correctness input.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct F32Train {
-    data: Vec<f32>,
-    norms: Vec<f32>,
-    cols: usize,
-}
-
-/// The outcome of an f32 prescreen: candidate training-row indices that
-/// provably contain the exact cosine top-k.
-pub struct F32Candidates {
-    /// Surviving row indices, ascending.
-    pub rows: Vec<usize>,
-}
-
-/// Relative error bound of an f32 cosine score against the f64 value.
-///
-/// The f32 pipeline rounds inputs (2⁻²⁴ each), every product, and every
-/// of the ~d additions; for the feature widths this crate sees (≤ a few
-/// thousand) the accumulated relative error on a quantity in [0, 2] is
-/// well under 2⁻¹⁴. The prescreen margin uses 2⁻¹⁰ — a ~16× safety
-/// factor that still rejects the vast majority of rows — and the parity
-/// tier hammers neighbour-set identity on adversarial near-tie data.
-const F32_MARGIN: f32 = 1.0 / 1024.0;
-
-impl F32Train {
-    /// Builds the f32 shadow of a training matrix.
-    pub fn build(train: &DenseMatrix) -> Self {
-        let cols = train.cols();
-        let mut data = Vec::with_capacity(train.rows() * cols);
-        for r in 0..train.rows() {
-            data.extend(train.row(r).iter().map(|&x| x as f32));
-        }
-        let norms = (0..train.rows())
-            .map(|r| sq_norm8_f32(&data[r * cols..(r + 1) * cols]))
-            .collect();
-        F32Train { data, norms, cols }
-    }
-
-    /// Number of shadowed training rows.
-    pub fn rows(&self) -> usize {
-        self.norms.len()
-    }
-
-    /// Scores `query` against every shadowed row in f32 and returns the
-    /// rows whose f32 cosine distance is within [`F32_MARGIN`] of the
-    /// k-th smallest — a superset of the exact top-k whenever the f32
-    /// error bound holds (which the margin over-covers).
-    pub fn prescreen(&self, query: &[f64], k: usize) -> F32Candidates {
-        let n = self.rows();
-        let qf: Vec<f32> = query.iter().map(|&x| x as f32).collect();
-        let qn = sq_norm8_f32(&qf);
-        let scores: Vec<f32> = (0..n)
-            .map(|r| {
-                let row = &self.data[r * self.cols..(r + 1) * self.cols];
-                let dot = dot8_f32(&qf, row);
-                let (na, nb) = (qn, self.norms[r]);
-                if na == 0.0 || nb == 0.0 {
-                    1.0
-                } else {
-                    (1.0 - (dot / (na.sqrt() * nb.sqrt()))).clamp(0.0, 2.0)
-                }
-            })
-            .collect();
-        let k = k.min(n);
-        let mut order: Vec<usize> = (0..n).collect();
-        order.select_nth_unstable_by(k - 1, |&a, &b| scores[a].total_cmp(&scores[b]));
-        let kth = order[..k]
-            .iter()
-            .map(|&r| scores[r])
-            .fold(f32::NEG_INFINITY, f32::max);
-        let cut = kth + F32_MARGIN;
-        // NaN scores (degenerate f32 overflow, never seen on scaled
-        // features) are kept: the exact re-score decides, never the
-        // screen.
-        let rows: Vec<usize> = scores
-            .iter()
-            .enumerate()
-            .filter(|&(_, &s)| s <= cut || s.is_nan())
-            .map(|(r, _)| r)
-            .collect();
-        F32Candidates { rows }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,40 +130,5 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "tile ({tq},{tt})");
             }
         }
-    }
-
-    #[test]
-    fn prescreen_candidates_contain_exact_top_k() {
-        let t = matrix(200, 68, 3);
-        let tn: Vec<f64> = (0..t.rows()).map(|r| sq_norm4(t.row(r))).collect();
-        let shadow = F32Train::build(&t);
-        let q = matrix(1, 68, 4);
-        for k in [1usize, 5, 15, 50] {
-            let cand = shadow.prescreen(q.row(0), k);
-            // Exact top-k by f64 cosine.
-            let mut exact: Vec<(usize, f64)> = (0..t.rows())
-                .map(|r| {
-                    (
-                        r,
-                        cosine_cached(q.row(0), t.row(r), sq_norm4(q.row(0)), tn[r]),
-                    )
-                })
-                .collect();
-            exact.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            for (r, _) in &exact[..k] {
-                assert!(cand.rows.contains(r), "k={k} lost exact neighbour {r}");
-            }
-            // And it actually screens: nowhere near all rows survive.
-            assert!(cand.rows.len() < t.rows(), "k={k} screened nothing");
-        }
-    }
-
-    #[test]
-    fn prescreen_handles_k_larger_than_train() {
-        let t = matrix(3, 8, 5);
-        let shadow = F32Train::build(&t);
-        let q = matrix(1, 8, 6);
-        let cand = shadow.prescreen(q.row(0), 10);
-        assert_eq!(cand.rows, vec![0, 1, 2]);
     }
 }

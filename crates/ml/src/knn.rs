@@ -11,7 +11,7 @@ use pv_stats::StatsError;
 
 use crate::dataset::{Dataset, DenseMatrix};
 use crate::distance::{cosine_with_sq_norms, squared_norm, Distance};
-use crate::kernel::{self, F32Train, TILE_Q, TILE_T};
+use crate::kernel::{self, TILE_Q, TILE_T};
 use crate::{Regressor, Result};
 
 /// The canonical neighbour *selection* order: ascending distance, ties
@@ -50,17 +50,6 @@ pub struct KnnRegressor {
     /// predict stops re-deriving every candidate norm per query. `None`
     /// (other metrics) falls back to the bit-identical naive path.
     train_sq_norms: Option<Vec<f64>>,
-    /// Screen cosine candidates in f32 lanes before the exact f64
-    /// re-score (see [`crate::kernel::F32Train`]). Off by default; the
-    /// selected neighbour set — and hence every prediction — is
-    /// unchanged either way (pinned by `tests/kernel_parity.rs`).
-    pub f32_prescreen: bool,
-    /// f32 shadow of the training rows, built at fit time when the
-    /// prescreen is enabled. Round-trips through serde with the rest of
-    /// the model; a model without one (prescreen off, or the shadow
-    /// stripped) falls back to the exact path with identical predictions
-    /// because the screen never changes the neighbour set.
-    train_f32: Option<F32Train>,
 }
 
 impl KnnRegressor {
@@ -74,8 +63,6 @@ impl KnnRegressor {
             train_x: None,
             train_y: None,
             train_sq_norms: None,
-            f32_prescreen: false,
-            train_f32: None,
         }
     }
 
@@ -88,14 +75,6 @@ impl KnnRegressor {
     /// Builder: weighting scheme.
     pub fn with_weights(mut self, w: WeightScheme) -> Self {
         self.weights = w;
-        self
-    }
-
-    /// Builder: f32 candidate prescreen on/off. Takes effect at the next
-    /// `fit` (the f32 shadow of the training rows is built there); only
-    /// the cosine metric uses it.
-    pub fn with_f32_prescreen(mut self, on: bool) -> Self {
-        self.f32_prescreen = on;
         self
     }
 
@@ -112,41 +91,17 @@ impl KnnRegressor {
                 format!("row has {} features, model expects {}", x.len(), tx.cols()),
             ));
         }
+        pv_obs::counter_inc!("pv.ml.kernel.knn_row_path");
         let mut dists: Vec<(usize, f64)> = match (self.distance, &self.train_sq_norms) {
             (Distance::Cosine, Some(norms)) => {
                 let qn = squared_norm(x);
-                match (self.f32_prescreen, &self.train_f32) {
-                    (true, Some(shadow)) => {
-                        // f32 screen, exact re-score of the survivors.
-                        // The candidate set provably contains the exact
-                        // top-k, and selection below uses only exact f64
-                        // distances, so the chosen k-set is identical to
-                        // the unscreened path's.
-                        pv_obs::counter_inc!("pv.ml.kernel.knn_f32_prescreen");
-                        let cand = shadow.prescreen(x, self.k);
-                        pv_obs::counter_add!(
-                            "pv.ml.kernel.knn_f32_rescore_rows",
-                            cand.rows.len() as u64
-                        );
-                        cand.rows
-                            .into_iter()
-                            .map(|r| (r, cosine_with_sq_norms(x, tx.row(r), qn, norms[r])))
-                            .collect()
-                    }
-                    _ => {
-                        pv_obs::counter_inc!("pv.ml.kernel.knn_row_path");
-                        (0..tx.rows())
-                            .map(|r| (r, cosine_with_sq_norms(x, tx.row(r), qn, norms[r])))
-                            .collect()
-                    }
-                }
-            }
-            _ => {
-                pv_obs::counter_inc!("pv.ml.kernel.knn_row_path");
                 (0..tx.rows())
-                    .map(|r| (r, self.distance.eval(x, tx.row(r))))
+                    .map(|r| (r, cosine_with_sq_norms(x, tx.row(r), qn, norms[r])))
                     .collect()
             }
+            _ => (0..tx.rows())
+                .map(|r| (r, self.distance.eval(x, tx.row(r))))
+                .collect(),
         };
         let k = self.k.min(dists.len());
         // Partial selection then sort of the head: O(n + k log k).
@@ -235,8 +190,6 @@ impl Regressor for KnnRegressor {
             ),
             _ => None,
         };
-        self.train_f32 = (self.f32_prescreen && self.distance == Distance::Cosine)
-            .then(|| F32Train::build(&data.x));
         self.train_x = Some(data.x.clone());
         self.train_y = Some(data.y.clone());
         Ok(())
@@ -515,54 +468,6 @@ mod tests {
         // Width mismatch errors like the row path.
         let narrow = DenseMatrix::from_rows(&[vec![1.0, 2.0]]).unwrap();
         assert!(m.predict_batch(&narrow).is_err());
-    }
-
-    #[test]
-    fn f32_prescreen_preserves_neighbor_sets_and_predictions() {
-        let data = wide_dataset(150, 68);
-        let mut exact = KnnRegressor::new(15).with_distance(Distance::Cosine);
-        exact.fit(&data).unwrap();
-        let mut screened = KnnRegressor::new(15)
-            .with_distance(Distance::Cosine)
-            .with_f32_prescreen(true);
-        screened.fit(&data).unwrap();
-        assert!(screened.train_f32.is_some());
-        for r in (0..150).step_by(7) {
-            let q = data.x.row(r);
-            assert_eq!(
-                exact.neighbor_indices(q).unwrap(),
-                screened.neighbor_indices(q).unwrap(),
-                "query {r}"
-            );
-            let a = exact.predict(q).unwrap();
-            let b = screened.predict(q).unwrap();
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "query {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn prescreen_model_roundtrips_and_survives_shadow_stripping() {
-        let data = wide_dataset(60, 33);
-        let mut m = KnnRegressor::new(7)
-            .with_distance(Distance::Cosine)
-            .with_f32_prescreen(true);
-        m.fit(&data).unwrap();
-        let json = serde_json::to_string(&m).unwrap();
-        let reloaded: KnnRegressor = serde_json::from_str(&json).unwrap();
-        // The f32 shadow round-trips (f32 → f64 JSON → f32 is exact)...
-        assert!(reloaded.train_f32.is_some());
-        // ...and a model whose shadow is stripped falls back to the
-        // exact path; both must match the original bit-for-bit.
-        let mut stripped = reloaded.clone();
-        stripped.train_f32 = None;
-        for r in (0..60).step_by(11) {
-            let q = data.x.row(r);
-            let want = m.predict(q).unwrap();
-            assert_eq!(want, reloaded.predict(q).unwrap(), "query {r}");
-            assert_eq!(want, stripped.predict(q).unwrap(), "query {r}");
-        }
     }
 
     #[test]

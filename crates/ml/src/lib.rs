@@ -13,8 +13,7 @@
 //! * [`scaler`] — feature standardization,
 //! * [`distance`] — Euclidean / Manhattan / cosine / Chebyshev metrics,
 //! * [`kernel`] — vectorized distance kernels: the blocked batch-kNN
-//!   path and the f32 candidate prescreen (lane-order contracts in
-//!   DESIGN.md),
+//!   path (lane-order contracts in DESIGN.md),
 //! * [`knn`] — multi-output kNN with uniform or inverse-distance weights,
 //! * [`tree`] — multi-output CART regression trees (variance-sum
 //!   impurity),
@@ -44,7 +43,6 @@ pub use distance::Distance;
 pub use forest::{MaxFeatures, RandomForestRegressor};
 pub use gbt::GradientBoostingRegressor;
 pub use importance::{forest_importances, permutation_importance};
-pub use kernel::F32Train;
 pub use knn::{KnnRegressor, WeightScheme};
 pub use scaler::StandardScaler;
 pub use tree::RegressionTree;

@@ -2,15 +2,9 @@
 //!
 //! [`render_prometheus`] turns a [`MetricsSnapshot`] into the Prometheus
 //! text exposition format (metric names sanitized `.` → `_`, histograms as
-//! cumulative `le` buckets with log10 edges mapped back to nanoseconds),
-//! and [`write_atomic`] publishes any telemetry document via
-//! temp-file + rename so a scraper or a crash never observes a torn file —
-//! at most one flush interval is lost.
+//! cumulative `le` buckets with log10 edges mapped back to nanoseconds).
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::Path;
 
 use crate::metrics::MetricsSnapshot;
 
@@ -74,28 +68,6 @@ pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
     out
 }
 
-/// Writes `contents` to `path` atomically: write a sibling temp file, then
-/// rename over the target. Readers always see either the previous complete
-/// document or the new one.
-pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
-    let tmp = path.with_extension(format!(
-        "{}tmp.{}",
-        path.extension()
-            .and_then(|e| e.to_str())
-            .map(|e| format!("{e}."))
-            .unwrap_or_default(),
-        std::process::id()
-    ));
-    fs::write(&tmp, contents)?;
-    match fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,23 +110,5 @@ mod tests {
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             assert_eq!(line.split_whitespace().count(), 2, "line: {line}");
         }
-    }
-
-    #[test]
-    fn atomic_write_replaces_whole_file() {
-        let dir = std::env::temp_dir().join(format!("pv_obs_telemetry_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("stats.json");
-        write_atomic(&path, "{\"v\":1}").expect("first write");
-        write_atomic(&path, "{\"v\":2}").expect("second write");
-        assert_eq!(std::fs::read_to_string(&path).expect("read"), "{\"v\":2}");
-        // No temp litter left behind.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .expect("dir")
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().contains("tmp"))
-            .collect();
-        assert!(leftovers.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,13 +5,13 @@
 //! other metrics, central-moment power sums — is memory-light and
 //! add-latency-bound: a single scalar accumulator serializes one `fadd`
 //! (≈4 cycles) per element. These kernels break that chain with **four
-//! independent f64 accumulator lanes** (eight for f32), letting the
-//! compiler keep multiple additions in flight and auto-vectorize the
-//! lane updates, without any platform intrinsics.
+//! independent f64 accumulator lanes**, letting the compiler keep
+//! multiple additions in flight and auto-vectorize the lane updates,
+//! without any platform intrinsics.
 //!
 //! ## Lane order (the contract every caller pins against)
 //!
-//! All f64 kernels share one accumulation order, fixed and documented so
+//! All kernels share one accumulation order, fixed and documented so
 //! that two code paths computing the same quantity through this module
 //! are **bit-identical by construction**:
 //!
@@ -20,9 +20,6 @@
 //! 2. Lanes reduce as `(acc0 + acc1) + (acc2 + acc3)`.
 //! 3. Remainder elements (`len % 4`) are added to that scalar in element
 //!    order.
-//!
-//! The f32 kernels use the same scheme with eight lanes and the reduce
-//! `((a0+a1) + (a2+a3)) + ((a4+a5) + (a6+a7))`.
 //!
 //! Chunked sums are **not** bit-identical to a naive single-accumulator
 //! scalar loop (float addition is not associative); callers that need a
@@ -204,47 +201,6 @@ pub fn central_sums4(xs: &[f64], mean: f64) -> (f64, f64, f64) {
     (m2, m3, m4)
 }
 
-/// f32 dot product over eight lanes: `chunks_exact(8)`, lane `j` takes
-/// element `j`, reduce `((a0+a1)+(a2+a3)) + ((a4+a5)+(a6+a7))`, tail in
-/// element order. Used by the kNN f32 prescreen, where only a bounded
-/// error (not bitwise agreement) is required.
-#[inline]
-pub fn dot8_f32(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut acc = [0.0f32; 8];
-    let mut ca = a.chunks_exact(8);
-    let mut cb = b.chunks_exact(8);
-    for (x, y) in ca.by_ref().zip(cb.by_ref()) {
-        for j in 0..8 {
-            acc[j] += x[j] * y[j];
-        }
-    }
-    let mut s = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        s += x * y;
-    }
-    s
-}
-
-/// f32 squared norm over eight lanes (same scheme as [`dot8_f32`]).
-#[inline]
-pub fn sq_norm8_f32(v: &[f32]) -> f32 {
-    let mut acc = [0.0f32; 8];
-    let mut chunks = v.chunks_exact(8);
-    for c in chunks.by_ref() {
-        for j in 0..8 {
-            acc[j] += c[j] * c[j];
-        }
-    }
-    let mut s = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-    for &x in chunks.remainder() {
-        s += x * x;
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,30 +300,12 @@ mod tests {
     }
 
     #[test]
-    fn f32_kernels_track_f64_within_f32_tolerance() {
-        let a = series(300, 29);
-        let b = series(300, 31);
-        let af: Vec<f32> = a.iter().map(|&x| x as f32).collect();
-        let bf: Vec<f32> = b.iter().map(|&x| x as f32).collect();
-        let dot = dot8_f32(&af, &bf) as f64;
-        let exact = dot4(&a, &b);
-        assert!(
-            (dot - exact).abs() <= 1e-4 * (1.0 + exact.abs()),
-            "{dot} vs {exact}"
-        );
-        let nrm = sq_norm8_f32(&af) as f64;
-        let exact_n = sq_norm4(&a);
-        assert!((nrm - exact_n).abs() <= 1e-4 * (1.0 + exact_n.abs()));
-    }
-
-    #[test]
     fn empty_and_degenerate_inputs() {
         assert_eq!(sum4(&[]), 0.0);
         assert_eq!(dot4(&[], &[]), 0.0);
         assert_eq!(sq_norm4(&[]), 0.0);
         assert_eq!(max_abs_diff4(&[], &[]), 0.0);
         assert_eq!(central_sums4(&[], 0.0), (0.0, 0.0, 0.0));
-        assert_eq!(dot8_f32(&[], &[]), 0.0);
         assert_eq!(sum4(&[2.5]), 2.5);
     }
 }

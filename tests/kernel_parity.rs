@@ -7,16 +7,13 @@
 //!    *bitwise* where the contract says bitwise (Chebyshev max, the
 //!    norm/dot chain identity), *tolerance* where reassociation is real
 //!    (sums, dots, central moments);
-//! 2. the f32 cosine prescreen — neighbour-set and prediction identity
-//!    against the unscreened exact path, including adversarial near-tie
-//!    data;
-//! 3. the blocked batch-kNN distance matrix — bit-identical to
+//! 2. the blocked batch-kNN distance matrix — bit-identical to
 //!    row-at-a-time scoring at several tile shapes, and batch
 //!    predictions bit-identical to `predict`;
-//! 4. exact-vs-binned tree splits — the accuracy thresholds that gate
+//! 3. exact-vs-binned tree splits — the accuracy thresholds that gate
 //!    the binned default (`PV_EXACT_TREES` opt-out) at the evaluation
 //!    level;
-//! 5. the evaluation XGBoost's prediction bits on fixed datasets, so a
+//! 4. the evaluation XGBoost's prediction bits on fixed datasets, so a
 //!    change to the split search that moves any fitted split shows.
 
 use std::sync::Mutex;
@@ -29,8 +26,7 @@ use perfvar_suite::ml::kernel::{cosine_distance_matrix, TILE_Q, TILE_T};
 use perfvar_suite::ml::{DenseMatrix, GradientBoostingRegressor, KnnRegressor, Regressor};
 use perfvar_suite::stats::fingerprint::Fnv1a;
 use perfvar_suite::stats::kernel::{
-    central_sums4, dot4, dot8_f32, max_abs_diff4, sq_norm4, sq_norm8_f32, sum4, sum_abs_diff4,
-    sum_sq_diff4,
+    central_sums4, dot4, max_abs_diff4, sq_norm4, sum4, sum_abs_diff4, sum_sq_diff4,
 };
 use perfvar_suite::sysmodel::{Corpus, SystemModel};
 
@@ -127,24 +123,6 @@ fn central_sums_match_scalar_reference_within_tolerance() {
 }
 
 #[test]
-fn f32_kernels_track_the_f64_values_within_f32_tolerance() {
-    for width in [3usize, 68, 300] {
-        for pair in vecs(6, width, 1234).chunks(2) {
-            let (a, b) = (&pair[0], &pair[1]);
-            let af: Vec<f32> = a.iter().map(|&x| x as f32).collect();
-            let bf: Vec<f32> = b.iter().map(|&x| x as f32).collect();
-            let d64 = dot4(a, b);
-            let d32 = dot8_f32(&af, &bf) as f64;
-            let n64 = sq_norm4(a);
-            let n32 = sq_norm8_f32(&af) as f64;
-            let scale = (width as f64).sqrt().max(1.0);
-            assert!((d64 - d32).abs() <= 1e-4 * scale, "dot width {width}");
-            assert!((n64 - n32).abs() <= 1e-4 * scale, "norm width {width}");
-        }
-    }
-}
-
-#[test]
 fn all_cosine_routes_agree_bitwise() {
     // eval, cached-norm, and the batch matrix must be the same chain.
     let rows = vecs(12, 68, 5150);
@@ -166,78 +144,7 @@ fn all_cosine_routes_agree_bitwise() {
 }
 
 // -----------------------------------------------------------------
-// 2. f32 prescreen: neighbour sets and predictions are unchanged
-// -----------------------------------------------------------------
-
-fn fit_pair(data: &Dataset, k: usize) -> (KnnRegressor, KnnRegressor) {
-    let mut exact = KnnRegressor::new(k).with_distance(Distance::Cosine);
-    exact.fit(data).unwrap();
-    let mut screened = KnnRegressor::new(k)
-        .with_distance(Distance::Cosine)
-        .with_f32_prescreen(true);
-    screened.fit(data).unwrap();
-    (exact, screened)
-}
-
-fn assert_identical_neighbors(exact: &KnnRegressor, screened: &KnnRegressor, q: &[f64]) {
-    assert_eq!(
-        exact.neighbor_indices(q).unwrap(),
-        screened.neighbor_indices(q).unwrap()
-    );
-    let a = exact.predict(q).unwrap();
-    let b = screened.predict(q).unwrap();
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.to_bits(), y.to_bits());
-    }
-}
-
-#[test]
-fn f32_prescreen_is_invisible_on_random_data() {
-    let xs = vecs(240, 75, 42);
-    let ys = vecs(240, 4, 43);
-    let data = Dataset::ungrouped(
-        DenseMatrix::from_rows(&xs).unwrap(),
-        DenseMatrix::from_rows(&ys).unwrap(),
-    )
-    .unwrap();
-    for k in [1usize, 15, 60] {
-        let (exact, screened) = fit_pair(&data, k);
-        for q in xs.iter().step_by(13) {
-            assert_identical_neighbors(&exact, &screened, q);
-        }
-    }
-}
-
-#[test]
-fn f32_prescreen_is_invisible_on_adversarial_near_ties() {
-    // Clusters of rows that differ by ~1e-13 — far below f32 resolution,
-    // so the screen sees exact ties everywhere and must over-admit; the
-    // exact re-score and the canonical (distance, row-index) order still
-    // have to pick the same k-set as the unscreened path.
-    let mut next = lcg(0xBAD_CAFE);
-    let base = vecs(12, 68, 0xFEED);
-    let mut xs = Vec::new();
-    for b in &base {
-        for _ in 0..10 {
-            xs.push(b.iter().map(|&v| v + next() * 1e-13).collect::<Vec<f64>>());
-        }
-    }
-    let ys = vecs(xs.len(), 3, 0xD00D);
-    let data = Dataset::ungrouped(
-        DenseMatrix::from_rows(&xs).unwrap(),
-        DenseMatrix::from_rows(&ys).unwrap(),
-    )
-    .unwrap();
-    for k in [5usize, 15] {
-        let (exact, screened) = fit_pair(&data, k);
-        for q in xs.iter().step_by(17) {
-            assert_identical_neighbors(&exact, &screened, q);
-        }
-    }
-}
-
-// -----------------------------------------------------------------
-// 3. blocked batch path: bit-identity at several tile shapes
+// 2. blocked batch path: bit-identity at several tile shapes
 // -----------------------------------------------------------------
 
 #[test]
@@ -284,7 +191,7 @@ fn knn_batch_predictions_are_bit_identical_to_row_predictions() {
 }
 
 // -----------------------------------------------------------------
-// 4. exact vs binned trees: the thresholds gating the default
+// 3. exact vs binned trees: the thresholds gating the default
 // -----------------------------------------------------------------
 
 /// Serializes the tests that build tree models through `ModelKind`:
@@ -369,7 +276,7 @@ fn binned_gbt_predictions_stay_close_to_exact_fits() {
 }
 
 // -----------------------------------------------------------------
-// 5. the evaluation XGBoost: pinned prediction bits
+// 4. the evaluation XGBoost: pinned prediction bits
 // -----------------------------------------------------------------
 
 /// `rows × width` integers in `0..levels`, as `f64`: every feature has

@@ -6,7 +6,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use perfvar_suite::core::registry::{artifact_key, Artifact, ModelRegistry, REGISTRY_VERSION};
+use perfvar_suite::core::registry::{artifact_key, Artifact, ModelRegistry, REGISTRY_MAGIC};
 use perfvar_suite::core::sweep::CellConfig;
 use perfvar_suite::core::usecase1::{FewRunsConfig, FewRunsPredictor};
 use perfvar_suite::core::{corpus_fingerprint, ModelKind, ReprKind};
@@ -63,8 +63,8 @@ fn bit_flipped_entry_is_typed_invalid() {
     let dir = tmp_dir("bitflip");
     let (registry, fp, path) = seeded(&dir);
     let mut bytes = fs::read(&path).expect("read entry");
-    // A low-bit flip keeps the file valid UTF-8, so the corruption is
-    // caught by the seal (checksum/parse), not by the byte decoder.
+    // A low-bit flip inside the payload can leave the JSON parsable (a
+    // digit changes); the envelope's digest catches it before parsing.
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
     fs::write(&path, &bytes).expect("tamper");
@@ -95,10 +95,12 @@ fn garbage_entry_is_typed_invalid() {
 fn stale_version_entry_is_typed_invalid() {
     let dir = tmp_dir("stale");
     let (registry, fp, path) = seeded(&dir);
-    let text = fs::read_to_string(&path).expect("read entry");
-    let needle = format!("\"version\":{REGISTRY_VERSION}");
-    assert!(text.contains(&needle), "entry layout changed");
-    fs::write(&path, text.replace(&needle, "\"version\":9999")).expect("tamper");
+    let mut bytes = fs::read(&path).expect("read entry");
+    assert_eq!(&bytes[..8], REGISTRY_MAGIC, "entry layout changed");
+    // The magic's last byte is the format version: an entry sealed by the
+    // previous version is rejected, never reinterpreted.
+    bytes[7] -= 1;
+    fs::write(&path, &bytes).expect("tamper");
     assert_eq!(load_err_kind(&registry, fp), "invalid");
     let _ = fs::remove_dir_all(&dir);
 }

@@ -215,6 +215,44 @@ fn oversized_line_is_rejected_not_fatal() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A line of nothing but opening brackets, far under the line cap, is a
+/// typed `bad-request` and the daemon keeps answering: the JSON parser
+/// caps nesting instead of recursing until the stack overflows (which
+/// aborts the process; no panic handler can catch it).
+#[test]
+fn deeply_nested_line_is_a_typed_error_not_a_crash() {
+    let dir = tmp_dir("deep");
+    seed_registry(&dir);
+    let mut child = Command::new(serve_binary())
+        .args(["--registry"])
+        .arg(&dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn pv-serve");
+    let mut stdin = child.stdin.take().expect("stdin");
+    let stdout = BufReader::new(child.stdout.take().expect("stdout"));
+
+    let deep = "[".repeat(20_000);
+    for line in [deep.as_str(), "{\"op\":\"health\"}", "{\"shutdown\": true}"] {
+        stdin.write_all(line.as_bytes()).expect("write");
+        stdin.write_all(b"\n").expect("write");
+    }
+    stdin.flush().expect("flush");
+
+    let replies: Vec<String> = stdout.lines().map(|l| l.expect("read reply")).collect();
+    assert_eq!(replies.len(), 3, "{replies:?}");
+    assert!(replies[0].contains("bad-request"), "{}", replies[0]);
+    assert!(replies[0].contains("recursion limit"), "{}", replies[0]);
+    assert!(replies[1].contains("\"op\":\"health\""), "{}", replies[1]);
+    assert!(replies[1].contains("\"ok\":true"), "{}", replies[1]);
+    assert!(replies[2].contains("\"shutdown\":true"), "{}", replies[2]);
+    drop(stdin);
+    wait_exit_ok(child);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// A client that sends shutdown and hangs up without reading the ack
 /// must still stop the daemon (regression: the EPIPE from the ack
 /// write used to eat the shutdown signal and leave the accept loop
