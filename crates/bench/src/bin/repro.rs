@@ -1257,7 +1257,8 @@ OPTIONS:
                          Results are identical at any K
     --cache DIR          cell cache directory (default target/repro/sweep-cache);
                          encoded shards spill to DIR/shard-spill
-    --no-cache           run without a cell cache
+    --no-cache           run without a cell cache; encoded shards still
+                         spill, to target/repro/shard-spill
     --keep-going         exit 0 even when cells fail; report them in the
                          failure summary instead
     --max-retries N      retry a failing cell up to N times with a fresh
@@ -1414,8 +1415,13 @@ fn sweep_cmd(args: &Args) -> Result<(), CliError> {
     // benchmark-range shard at a time, never materializing a whole
     // corpus, with an LRU-bounded resident set. At the default shard
     // size the Table I roster is a single shard; cells are identical
-    // (and cache-compatible) at every shard size.
-    let spill_dir = cache_dir.as_ref().map(|d| d.join("shard-spill"));
+    // (and cache-compatible) at every shard size. Shards spill with or
+    // without a cell cache: without a spill file, every LRU fault would
+    // regenerate and re-encode its range.
+    let spill_dir = cache_dir
+        .clone()
+        .unwrap_or_else(out_dir)
+        .join("shard-spill");
     let campaign = |system: SystemModel, n: usize| CampaignSource {
         system,
         n_benchmarks: n,
@@ -1424,15 +1430,14 @@ fn sweep_cmd(args: &Args) -> Result<(), CliError> {
     };
     let build_sharded = |what: &str, source: CampaignSource, spec: &EncodingSpec| {
         let t = Instant::now();
-        let mut b =
-            ShardedCorpus::builder(ShardSource::Campaign(source), spec).shard_size(shard_size);
-        if let Some(dir) = &spill_dir {
-            b = b.spill_dir(dir);
-        }
-        let sh = b.build().unwrap_or_else(|e| {
-            eprintln!("sweep: cannot build sharded {what} corpus: {e}");
-            std::process::exit(1);
-        });
+        let sh = ShardedCorpus::builder(ShardSource::Campaign(source), spec)
+            .shard_size(shard_size)
+            .spill_dir(&spill_dir)
+            .build()
+            .unwrap_or_else(|e| {
+                eprintln!("sweep: cannot build sharded {what} corpus: {e}");
+                std::process::exit(1);
+            });
         println!(
             "[setup] {what} campaign sharded in {:.1?} ({} benchmarks, {} shard(s) of ≤{shard_size}, {} resident)",
             t.elapsed(),

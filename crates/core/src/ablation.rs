@@ -99,7 +99,6 @@ pub fn evaluate_knn_variant_encoded(
             Ok(FoldTruth {
                 id: corpus.benchmarks[held].id,
                 rel: Cow::Borrowed(enc.rel_times_sorted(held)),
-                sorted: true,
             })
         },
     )

@@ -273,7 +273,6 @@ pub(crate) fn fold_truth<'a>(
         Ok(FoldTruth {
             id: sh.id(held),
             rel: Cow::Owned(shard_for(sh, held)?.rel_times_sorted(held)?.to_vec()),
-            sorted: true,
         })
     }
 }

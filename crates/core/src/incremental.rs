@@ -2,30 +2,38 @@
 //! corpus-append delta recompute.
 //!
 //! A LOGO evaluation is a set of independent folds, and each fold's score
-//! is a pure function of (config, held-out benchmark, ordered training
-//! set). This module keys every fold by a **fold fingerprint** — FNV-1a
-//! over the config's canonical JSON, the held-out benchmark's content
-//! digest, and the *ordered* per-benchmark digests of its training set
-//! (order matters: [`pv_ml::StandardScaler`] accumulates moments in row
-//! order, so permuted training sets are not bit-identical) — and reuses
-//! cached [`FoldEntry`]s whenever the fingerprint proves nothing the fold
-//! can observe has changed.
+//! is a pure function of (config, held-out benchmark, *ordered* training
+//! set) — order matters: [`pv_ml::StandardScaler`] accumulates moments in
+//! row order, so permuted training sets are not bit-identical. Every fold
+//! of one evaluation trains on the same roster minus its own benchmark,
+//! so the roster is the one thing a cached evaluation needs to remember:
+//! a [`FoldEntry`] stores only its held-out benchmark's content digest,
+//! and a prior's entries in fold order spell the roster it was scored on.
 //!
-//! When a corpus *grows* (benchmarks appended to the roster), every old
-//! fold's training set changes, so exact fingerprint hits never fire on
-//! an append. For uniform-weight kNN there is a cheaper truth: the
-//! prediction is the mean of the neighbours' unscaled target rows,
-//! accumulated in ascending row order — a pure function of the
-//! neighbour *set*. If the held-out query's k-set survives the append
-//! (standardization shifts every distance and near-ties swap ranks, but
-//! membership only changes when the new rows actually enter the
-//! neighbourhood — expected rate ≈ k/n per appended benchmark), the
-//! prediction — and the decode and KS score behind it, which dominate
-//! fold cost — is bit-identical. The **delta path** prepares the fold
-//! (cheap: row assembly + scaling), fits the kNN (cheap: it just stores
-//! rows), recomputes the canonical neighbour set, and reuses the cached
-//! score on an exact match; any mismatch falls through to a full
-//! recompute. Soundness rests on three pinned properties:
+//! Reuse is decided once per evaluation, by comparing the prior's roster
+//! with this one's:
+//!
+//! * **equal** — every fold sees the same training set as before, so
+//!   every verified entry is an exact hit;
+//! * **strict prefix** (a pure append) — every surviving fold's training
+//!   set grew, so entries are reused only through the kNN
+//!   neighbour-delta check below;
+//! * **anything else** (permuted, changed, shrunk) — nothing is reused.
+//!
+//! When a corpus *grows*, exact hits never fire. For uniform-weight kNN
+//! there is a cheaper truth: the prediction is the mean of the
+//! neighbours' unscaled target rows, accumulated in ascending row order —
+//! a pure function of the neighbour *set*. If the held-out query's k-set
+//! survives the append (standardization shifts every distance and
+//! near-ties swap ranks, but membership only changes when the new rows
+//! actually enter the neighbourhood — expected rate ≈ k/n per appended
+//! benchmark), the prediction — and the decode and KS score behind it,
+//! which dominate fold cost — is bit-identical. The **delta path**
+//! prepares the fold (cheap: row assembly + scaling), fits the kNN
+//! (cheap: it just stores rows), recomputes the canonical neighbour set,
+//! and reuses the cached score on an exact match; any mismatch falls
+//! through to a full recompute. Soundness rests on three pinned
+//! properties:
 //!
 //! * `ModelKind::neighbor_delta_model` is exactly what `build` runs for
 //!   kNN (uniform weights, k = 15, cosine), and uniform-kNN accumulates
@@ -39,9 +47,11 @@
 //!   `select_nth` accident, and `neighbor_indices` reports it sorted
 //!   ascending.
 //!
-//! Every cached entry carries an integrity digest over its own fields; a
-//! tampered or torn entry fails [`FoldEntry::verify`] and is recomputed,
-//! never trusted (mirroring the sweep cell cache's verified loads).
+//! Every entry carries an integrity digest over its own fields, its fold
+//! index and the evaluation's config; an entry that fails it — tampered,
+//! torn, moved to another fold or made under another config — is
+//! recomputed, never trusted (mirroring the sweep cell cache's verified
+//! loads).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -61,69 +71,29 @@ use crate::shard::ShardedCorpus;
 use crate::usecase1::FewRunsConfig;
 use crate::usecase2::CrossSystemConfig;
 
-/// Domain tag of the fold fingerprint; bump to orphan all cached folds
-/// on any change to fold evaluation semantics.
-const FOLD_FP_TAG: &str = "pv-fold-v1";
-
-/// The fold fingerprint: everything fold `held_index`'s score is a
-/// function of, hashed bit-exactly.
-///
-/// `config_json` is the canonical serde_json form of the evaluation
-/// config (repr, model, sample count, windows, seed); `held_fp` is the
-/// held-out benchmark's content digest; `train_fps` are the training
-/// benchmarks' digests **in training order**.
-pub fn fold_fingerprint(
-    config_json: &str,
-    held_index: usize,
-    held_fp: u64,
-    train_fps: &[u64],
-) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_str(FOLD_FP_TAG);
-    h.write_str(config_json);
-    h.write_usize(held_index);
-    h.write_u64(held_fp);
-    h.write_usize(train_fps.len());
-    for &fp in train_fps {
-        h.write_u64(fp);
-    }
-    h.finish()
-}
-
-/// One cached fold: its fingerprint inputs, its score, and (for kNN) the
-/// held-out query's canonical ordered neighbour list.
+/// One cached fold: its held-out benchmark's digest, its score, and (for
+/// kNN) the held-out query's canonical ordered neighbour list. The fold
+/// index is the entry's position in its evaluation's fold list.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FoldEntry {
-    /// Fold index (= held-out benchmark's roster index).
-    pub held_index: usize,
     /// Content digest of the held-out benchmark.
     pub held_fp: u64,
-    /// Content digests of the training benchmarks, training order.
-    pub train_fps: Vec<u64>,
-    /// The fold fingerprint ([`fold_fingerprint`] over the above plus
-    /// the config).
-    pub fold_fp: u64,
     /// The fold's KS score.
     pub score: BenchScore,
     /// The held-out query's neighbour row indices, ascending (`Some`
     /// only for neighbour-delta-eligible models, i.e. kNN).
     pub neighbors: Option<Vec<u32>>,
-    /// Integrity digest over every field above; entries that fail
-    /// [`FoldEntry::verify`] are recomputed, not trusted.
+    /// Integrity digest over the fields above, the fold index and the
+    /// config; an entry that fails it is recomputed, not trusted.
     pub check: u64,
 }
 
 impl FoldEntry {
-    fn integrity(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_str("pv-fold-entry-v1");
-        h.write_usize(self.held_index);
+    /// `config` is the evaluation's [`config_digest`] state.
+    fn integrity(&self, config: &Fnv1a, index: usize) -> u64 {
+        let mut h = config.clone();
+        h.write_usize(index);
         h.write_u64(self.held_fp);
-        h.write_usize(self.train_fps.len());
-        for &fp in &self.train_fps {
-            h.write_u64(fp);
-        }
-        h.write_u64(self.fold_fp);
         h.write_str(&self.score.id.qualified());
         h.write_f64(self.score.ks);
         match &self.neighbors {
@@ -139,22 +109,23 @@ impl FoldEntry {
         h.finish()
     }
 
-    /// Seals the entry: stamps the integrity digest.
-    fn sealed(mut self) -> Self {
-        self.check = self.integrity();
+    /// Seals the entry of fold `index`: stamps the integrity digest.
+    fn sealed(mut self, config: &Fnv1a, index: usize) -> Self {
+        self.check = self.integrity(config, index);
         self
     }
 
-    /// Whether the entry's integrity digest matches its content.
-    pub fn verify(&self) -> bool {
-        self.check == self.integrity()
+    /// Whether the entry is fold `index` of an evaluation under `config`,
+    /// unaltered.
+    fn verify(&self, config: &Fnv1a, index: usize) -> bool {
+        self.check == self.integrity(config, index)
     }
 }
 
 /// Per-fold cache tallies of one incremental evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FoldCacheStats {
-    /// Folds reused on an exact fold-fingerprint match.
+    /// Folds reused as they were (the prior's roster equals this one).
     pub hits: usize,
     /// Folds reused after a verified kNN neighbour-delta check.
     pub deltas: usize,
@@ -194,37 +165,27 @@ pub struct IncrementalEval {
     pub stats: FoldCacheStats,
 }
 
-/// Whether `old` is a strict prefix of `new` — the training-set shape a
-/// pure corpus append produces for every surviving fold.
-fn is_strict_prefix(old: &[u64], new: &[u64]) -> bool {
-    old.len() < new.len() && new[..old.len()] == *old
-}
-
-/// The generic incremental fold loop shared by both use cases.
-///
-/// For each fold: an exact fold-fingerprint match against a verified
-/// prior entry reuses the cached score outright; otherwise, when
-/// `delta_model` is available and the prior entry describes the same
-/// held-out benchmark under this config with a strictly-grown training
-/// set, the fold is prepared and the cached score reused iff the
-/// recomputed canonical neighbour set matches; everything else is a
-/// full recompute. Folds run in parallel; rayon preserves order, and
-/// every reuse is bit-identical by construction, so the summary is
-/// independent of both thread count and cache state.
-/// The cache-side inputs of [`run_folds`]: everything fold identity and
-/// reuse decisions read, as opposed to the evaluation closures.
+/// The cache-side inputs of [`run_folds`]: everything reuse decisions
+/// read, as opposed to the evaluation closures.
 struct FoldReuse<'p> {
     /// Per-benchmark content digests, roster order.
     bench_fps: &'p [u64],
-    /// Canonical config JSON (hashed into every fold fingerprint).
-    config_json: &'p str,
+    /// The config's [`config_digest`], folded into every entry's
+    /// integrity digest.
+    config: Fnv1a,
     /// The neighbour-delta probe model, when the config's model is
     /// delta-eligible (kNN).
     delta_model: Option<KnnRegressor>,
-    /// Fold entries from a previous run (any corpus state).
+    /// Fold entries of a previous evaluation (any corpus state), fold
+    /// order.
     prior: &'p [FoldEntry],
 }
 
+/// The generic incremental fold loop shared by both use cases: the
+/// module docs' reuse rule, reusing a prior entry only if it verifies as
+/// its fold under this config. Folds run in parallel; rayon preserves
+/// order, and every reuse is bit-identical by construction, so the
+/// summary is independent of both thread count and cache state.
 fn run_folds<'a, M, A, T>(
     runner: &FoldRunner<'_>,
     build_model: M,
@@ -239,11 +200,18 @@ where
 {
     let FoldReuse {
         bench_fps,
-        config_json,
+        config,
         delta_model,
         prior,
     } = reuse;
     let _span = pv_obs::span!("pv.core.pipeline.logo_eval", folds = runner.n_folds);
+    // The prior's roster (its entries' held digests, fold order) decides
+    // reuse once: equal — exact hits; a strict prefix, i.e. a pure
+    // append — neighbour-delta checks; anything else — nothing.
+    let prefix = prior.len() <= bench_fps.len()
+        && prior.iter().zip(bench_fps).all(|(e, &fp)| e.held_fp == fp);
+    let exact = prefix && prior.len() == bench_fps.len();
+    let prior = if prefix { prior } else { &[] };
     let hits = AtomicUsize::new(0);
     let deltas = AtomicUsize::new(0);
     let misses = AtomicUsize::new(0);
@@ -252,44 +220,16 @@ where
         .map(|held| {
             let _fold_span = pv_obs::span!("pv.core.pipeline.fold", held = held);
             let held_fp = bench_fps[held];
-            let train_fps: Vec<u64> = (0..runner.n_folds)
-                .filter(|&i| i != held)
-                .map(|i| bench_fps[i])
-                .collect();
-            let fold_fp = fold_fingerprint(config_json, held, held_fp, &train_fps);
             // Verification at the point of consumption: a prior entry
             // that fails its integrity digest is simply absent.
-            let cached = prior.iter().find(|e| e.held_index == held && e.verify());
-
-            if let Some(e) = cached {
-                if e.fold_fp == fold_fp {
+            if let Some(e) = prior.get(held).filter(|e| e.verify(&config, held)) {
+                if exact {
                     // Nothing this fold observes has changed.
                     pv_obs::counter_inc!("pv.core.pipeline.fold_cache.hit");
                     hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(FoldEntry {
-                        held_index: held,
-                        held_fp,
-                        train_fps,
-                        fold_fp,
-                        score: e.score,
-                        neighbors: e.neighbors.clone(),
-                        check: 0,
-                    }
-                    .sealed());
+                    return Ok(e.clone());
                 }
-                // Delta eligibility: the entry must have been produced
-                // under this exact config (its own fold fingerprint must
-                // reproduce from its stored inputs — that pins the
-                // config JSON), describe the same held-out content, and
-                // its training set must be a strict prefix of ours (a
-                // pure append).
-                let same_config_and_held = e.held_fp == held_fp
-                    && fold_fingerprint(config_json, held, e.held_fp, &e.train_fps) == e.fold_fp;
-                if let (Some(knn), Some(old_neighbors), true) = (
-                    &delta_model,
-                    e.neighbors.as_ref(),
-                    same_config_and_held && is_strict_prefix(&e.train_fps, &train_fps),
-                ) {
+                if let (Some(knn), Some(old_neighbors)) = (&delta_model, e.neighbors.as_ref()) {
                     let prepared = runner.prepare_fold(held, &assemble)?;
                     let mut knn = knn.clone();
                     knn.fit(&prepared.data)?;
@@ -300,16 +240,7 @@ where
                         // predict, decode, and KS. Skip all three.
                         pv_obs::counter_inc!("pv.core.pipeline.fold_cache.delta");
                         deltas.fetch_add(1, Ordering::Relaxed);
-                        return Ok(FoldEntry {
-                            held_index: held,
-                            held_fp,
-                            train_fps,
-                            fold_fp,
-                            score: e.score,
-                            neighbors: Some(neighbors),
-                            check: 0,
-                        }
-                        .sealed());
+                        return Ok(e.clone());
                     }
                     // The append disturbed the neighbourhood: pay for
                     // the back half on the already-prepared fold.
@@ -317,15 +248,12 @@ where
                     misses.fetch_add(1, Ordering::Relaxed);
                     let score = runner.score_fold(held, &prepared, &build_model, &truth)?;
                     return Ok(FoldEntry {
-                        held_index: held,
                         held_fp,
-                        train_fps,
-                        fold_fp,
                         score,
                         neighbors: Some(neighbors),
                         check: 0,
                     }
-                    .sealed());
+                    .sealed(&config, held));
                 }
             }
 
@@ -344,15 +272,12 @@ where
             };
             let score = runner.score_fold(held, &prepared, &build_model, &truth)?;
             Ok(FoldEntry {
-                held_index: held,
                 held_fp,
-                train_fps,
-                fold_fp,
                 score,
                 neighbors,
                 check: 0,
             }
-            .sealed())
+            .sealed(&config, held))
         })
         .collect();
     let folds = folds?;
@@ -368,23 +293,28 @@ where
     })
 }
 
-/// Serializes a config into the canonical JSON the fold fingerprint
-/// hashes.
-fn config_json<C: Serialize>(tag: &str, cfg: &C) -> Result<String, StatsError> {
+/// The hasher state every fold entry's integrity digest starts from: a
+/// version tag and the config's canonical serde_json form (repr, model,
+/// sample count, windows, seed) under its use-case tag.
+fn config_digest<C: Serialize>(tag: &str, cfg: &C) -> Result<Fnv1a, StatsError> {
     let json = serde_json::to_string(cfg)
         .map_err(|e| StatsError::invalid("incremental", format!("serialize config: {e}")))?;
-    Ok(format!("{tag}:{json}"))
+    let mut h = Fnv1a::new();
+    h.write_str("pv-fold-entry-v2");
+    h.write_str(tag);
+    h.write_str(&json);
+    Ok(h)
 }
 
 /// Leave-one-group-out evaluation of use case #1 over `sh`, at any shard
 /// layout (an [`crate::pipeline::EncodedCorpus`] is the one-shard
-/// layout): the summary is bit-identical to a cold run, but folds whose
-/// fingerprints (or kNN neighbour lists) match verified `prior` entries
-/// are served from cache.
+/// layout): the summary is bit-identical to a cold run, but folds the
+/// reuse rule (module docs) lets verified `prior` entries answer are
+/// served from cache.
 ///
 /// With an empty `prior` this is the cold run, and it additionally
-/// returns the fold entries to seed the next one. Fold fingerprints hash
-/// the per-benchmark digests, which do not depend on the shard layout,
+/// returns the fold entries to seed the next one. Rosters are compared
+/// by per-benchmark digests, which do not depend on the shard layout,
 /// so entries written at one layout serve exact hits and append-deltas
 /// at any other. Peak memory is bounded by the corpus's resident-shard
 /// budget, not the corpus size.
@@ -404,7 +334,7 @@ pub fn evaluate_few_runs_incremental(
         model = cfg.model.name(),
         s = cfg.n_profile_runs,
     );
-    let json = config_json("uc1", &cfg)?;
+    let config = config_digest("uc1", &cfg)?;
     let repr = cfg.repr.build();
     let runner = logo_runner(sh.len(), cfg.seed, cfg.model, repr.as_ref());
     run_folds(
@@ -414,7 +344,7 @@ pub fn evaluate_few_runs_incremental(
         fold_truth(sh),
         FoldReuse {
             bench_fps: sh.bench_fingerprints(),
-            config_json: &json,
+            config,
             delta_model: cfg.model.neighbor_delta_model(),
             prior,
         },
@@ -425,9 +355,8 @@ pub fn evaluate_few_runs_incremental(
 /// [`evaluate_few_runs_incremental`]. The two corpora may use different
 /// shard layouts.
 ///
-/// Per-fold fingerprints hash the *pair* of source/destination benchmark
-/// digests, so a change on either system invalidates exactly the folds
-/// that observe it.
+/// The roster is made of the digests of each source/destination
+/// benchmark *pair*, so a change on either system is a changed roster.
 ///
 /// # Errors
 /// Fails on mismatched rosters, a shared system, or uncovered specs,
@@ -445,7 +374,7 @@ pub fn evaluate_cross_system_incremental(
         s = cfg.profile_runs,
     );
     validate_cross_system(src, dst)?;
-    let json = config_json("uc2", &cfg)?;
+    let config = config_digest("uc2", &cfg)?;
     let bench_fps: Vec<u64> = src
         .bench_fingerprints()
         .iter()
@@ -467,7 +396,7 @@ pub fn evaluate_cross_system_incremental(
         fold_truth(dst),
         FoldReuse {
             bench_fps: &bench_fps,
-            config_json: &json,
+            config,
             delta_model: cfg.model.neighbor_delta_model(),
             prior,
         },
@@ -526,7 +455,12 @@ mod tests {
         assert_eq!(inc.stats.misses, c.len());
         assert_eq!(inc.stats.reused(), 0);
         assert_eq!(inc.folds.len(), c.len());
-        assert!(inc.folds.iter().all(|f| f.verify()));
+        let config = config_digest("uc1", &cfg()).unwrap();
+        assert!(inc
+            .folds
+            .iter()
+            .enumerate()
+            .all(|(i, f)| f.verify(&config, i)));
         assert!(inc.folds.iter().all(|f| f.neighbors.is_some()));
     }
 
@@ -598,11 +532,12 @@ mod tests {
         let mut vandalized = cold.folds.clone();
         // A lying score with a stale integrity digest…
         vandalized[3].score.ks += 0.25;
-        // …and one where the attacker also "fixed" nothing else.
-        vandalized[7].fold_fp ^= 1;
+        // …and a neighbour set a later delta check would trust.
+        vandalized[7].neighbors.as_mut().unwrap()[0] ^= 1;
         let warm = evaluate_few_runs_incremental(&enc, cfg(), &vandalized).unwrap();
-        // Both tampered folds fail verification and recompute; the
-        // summary still comes out bit-identical to the cold run.
+        // Both tampered folds fail verification and recompute alone (the
+        // roster still matches); the summary still comes out
+        // bit-identical to the cold run.
         assert_eq!(warm.summary, cold.summary);
         assert_eq!(warm.stats.hits, c.len() - 2);
         assert_eq!(warm.stats.misses, 2);
@@ -623,7 +558,7 @@ mod tests {
         };
         let cross = evaluate_few_runs_incremental(&enc, other, &cold.folds).unwrap();
         // Same corpus, different config: no hit, no delta (the prior
-        // entries' fingerprints don't reproduce under this config).
+        // entries' integrity digests don't verify under this config).
         assert_eq!(cross.stats.reused(), 0);
         assert_eq!(cross.stats.misses, c.len());
     }
@@ -674,14 +609,5 @@ mod tests {
         let warm = evaluate_cross_system_incremental(&src, &dst, uc2, &cold.folds).unwrap();
         assert_eq!(warm.stats.hits, amd.len());
         assert_eq!(warm.summary, plain);
-    }
-
-    #[test]
-    fn strict_prefix_detection() {
-        assert!(is_strict_prefix(&[1, 2], &[1, 2, 3]));
-        assert!(!is_strict_prefix(&[1, 2], &[1, 2]));
-        assert!(!is_strict_prefix(&[1, 3], &[1, 2, 3]));
-        assert!(!is_strict_prefix(&[1, 2, 3], &[1, 2]));
-        assert!(is_strict_prefix(&[], &[9]));
     }
 }

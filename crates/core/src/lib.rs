@@ -87,8 +87,8 @@ pub use baseline::{
 };
 pub use eval::{evaluate_cross_system, evaluate_few_runs, BenchScore, EvalSummary};
 pub use incremental::{
-    evaluate_cross_system_incremental, evaluate_few_runs_incremental, fold_fingerprint,
-    FoldCacheStats, FoldEntry, IncrementalEval,
+    evaluate_cross_system_incremental, evaluate_few_runs_incremental, FoldCacheStats, FoldEntry,
+    IncrementalEval,
 };
 pub use model::{binned_trees_default, tree_kernel_tag, FittedModel, ModelKind};
 pub use pipeline::{

@@ -510,9 +510,9 @@ impl<'c> EncodedCorpus<'c> {
         self.shard.block.rel_times(bi)
     }
 
-    /// Cached relative times of benchmark `bi`, sorted ascending — fold
-    /// truths built from this (with `sorted: true`) let scoring use the
-    /// allocation-free presorted KS path.
+    /// Cached relative times of benchmark `bi`, sorted ascending — what
+    /// fold truths are built from, so scoring uses the allocation-free
+    /// presorted KS path.
     pub fn rel_times_sorted(&self, bi: usize) -> &[f64] {
         self.shard.block.rel_times_sorted(bi)
     }
@@ -644,17 +644,13 @@ impl<'a> FoldView<'a> {
 pub struct FoldTruth<'a> {
     /// Identity reported in the per-benchmark score.
     pub id: BenchmarkId,
-    /// Measured relative times the prediction is scored against.
-    /// Borrowed when the caller pins the backing cache (the ablations);
-    /// owned on the shard-streaming path (the backing shard may be
-    /// evicted before scoring finishes).
+    /// Measured relative times the prediction is scored against, sorted
+    /// ascending (`total_cmp` order) so scoring feeds them straight to
+    /// [`pv_stats::ks::ks2_statistic_presorted`]. Borrowed when the
+    /// caller pins the backing cache (the ablations); owned on the
+    /// shard-streaming path (the backing shard may be evicted before
+    /// scoring finishes).
     pub rel: Cow<'a, [f64]>,
-    /// Whether `rel` is already sorted ascending (`total_cmp` order).
-    /// When true, scoring skips the copy-and-sort of the truth side and
-    /// feeds [`pv_stats::ks::ks2_statistic_presorted`] directly; the KS
-    /// value is bit-identical either way (the statistic is an
-    /// order-invariant of its input multisets).
-    pub sorted: bool,
 }
 
 /// Generic leave-one-group-out fold runner.
@@ -824,13 +820,7 @@ impl FoldRunner<'_> {
         // copied and re-sorted on every fold.
         predicted.sort_by(f64::total_cmp);
         let t = truth(held)?;
-        let ks = if t.sorted {
-            ks2_statistic_presorted(&predicted, &t.rel)?
-        } else {
-            let mut rel = t.rel.into_owned();
-            rel.sort_by(f64::total_cmp);
-            ks2_statistic_presorted(&predicted, &rel)?
-        };
+        let ks = ks2_statistic_presorted(&predicted, &t.rel)?;
         Ok(BenchScore { id: t.id, ks })
     }
 

@@ -34,7 +34,8 @@
 //! `shard-{index:05}-{key:016x}.bin`: a [`crate::store`] envelope under
 //! the magic `PVSHARD2` and a key binding the file to (system, runs,
 //! seed, roster size, range, encoding-spec coverage), whose payload is
-//! the serialized shard and whose trailing [`lane_digest`] is the shard
+//! the serialized shard and whose trailing
+//! [`lane_digest`](pv_stats::fingerprint::lane_digest) is the shard
 //! fingerprint. After the initial build that digest must additionally
 //! equal the fingerprint recorded at build time. Parsing checks the
 //! stored range and every stored benchmark label against the roster
@@ -56,12 +57,13 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use pv_stats::fingerprint::{lane_digest, Fnv1a};
+use pv_stats::fingerprint::Fnv1a;
 use pv_stats::StatsError;
 use pv_sysmodel::{collect_benchmarks, BenchmarkData, BenchmarkId, Corpus, SystemId, SystemModel};
 
 use crate::pipeline::{corpus_digest_parts, EncodedBlock, EncodingSpec};
 use crate::resilience::PvError;
+use crate::store::Unsealed;
 
 /// Spill envelope magic; the trailing digit is the format version. Bump
 /// to orphan every spilled shard.
@@ -215,22 +217,25 @@ pub struct EncodedShard {
 }
 
 impl EncodedShard {
+    /// Encodes a benchmark range and serializes it once: the returned
+    /// payload is the one the fingerprint was taken from, ready to spill.
     fn encode(
         start: usize,
         benches: &[BenchmarkData],
         n_runs: usize,
         spec: &EncodingSpec,
-    ) -> Result<Self, StatsError> {
+    ) -> Result<(Self, Unsealed), StatsError> {
         pv_obs::counter_inc!("pv.core.shard.encode");
         let block = EncodedBlock::build(benches, n_runs, spec)?;
         let ids: Vec<BenchmarkId> = benches.iter().map(|b| b.id).collect();
-        let content_fp = lane_digest(&payload_bytes(start, &ids, &block));
-        Ok(EncodedShard {
+        let payload = Unsealed::new(|buf| write_payload(buf, start, &ids, &block));
+        let shard = EncodedShard {
             start,
             ids,
             block,
-            content_fp,
-        })
+            content_fp: payload.digest(),
+        };
+        Ok((shard, payload))
     }
 
     /// Global benchmark-index range this shard covers.
@@ -248,9 +253,10 @@ impl EncodedShard {
         self.ids.is_empty()
     }
 
-    /// Content fingerprint: the [`lane_digest`] of the shard's serialized
-    /// payload (ids, per-benchmark digests, every encoded value,
-    /// bit-exact).
+    /// Content fingerprint: the
+    /// [`lane_digest`](pv_stats::fingerprint::lane_digest) of the shard's
+    /// serialized payload (ids, per-benchmark digests, every encoded
+    /// value, bit-exact).
     pub fn fingerprint(&self) -> u64 {
         self.content_fp
     }
@@ -343,46 +349,44 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-fn payload_bytes(start: usize, ids: &[BenchmarkId], block: &EncodedBlock) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u64(&mut buf, start as u64);
-    put_u64(&mut buf, ids.len() as u64);
+fn write_payload(buf: &mut Vec<u8>, start: usize, ids: &[BenchmarkId], block: &EncodedBlock) {
+    put_u64(buf, start as u64);
+    put_u64(buf, ids.len() as u64);
     for id in ids {
-        put_str(&mut buf, &id.qualified());
+        put_str(buf, &id.qualified());
     }
     for &fp in &block.bench_fps {
-        put_u64(&mut buf, fp);
+        put_u64(buf, fp);
     }
     for rel in &block.rel {
-        put_f64s(&mut buf, rel);
+        put_f64s(buf, rel);
     }
-    put_u64(&mut buf, block.profiles.len() as u64);
+    put_u64(buf, block.profiles.len() as u64);
     for (s, per_bench) in &block.profiles {
-        put_u64(&mut buf, *s as u64);
+        put_u64(buf, *s as u64);
         let windows = per_bench.first().map_or(0, Vec::len);
-        put_u64(&mut buf, windows as u64);
+        put_u64(buf, windows as u64);
         for bench_windows in per_bench {
             for w in bench_windows {
-                put_f64s(&mut buf, w);
+                put_f64s(buf, w);
             }
         }
     }
-    put_u64(&mut buf, block.targets.len() as u64);
+    put_u64(buf, block.targets.len() as u64);
     for (kind, per_bench) in &block.targets {
-        put_str(&mut buf, kind.name());
+        put_str(buf, kind.name());
         for row in per_bench {
-            put_f64s(&mut buf, row);
+            put_f64s(buf, row);
         }
     }
-    put_u64(&mut buf, block.joined.len() as u64);
+    put_u64(buf, block.joined.len() as u64);
     for ((s, kind), per_bench) in &block.joined {
-        put_u64(&mut buf, *s as u64);
-        put_str(&mut buf, kind.name());
+        put_u64(buf, *s as u64);
+        put_str(buf, kind.name());
         for row in per_bench {
-            put_f64s(&mut buf, row);
+            put_f64s(buf, row);
         }
     }
-    buf
 }
 
 struct Reader<'a> {
@@ -704,11 +708,7 @@ impl<'c> ShardedCorpusBuilder<'c> {
             // same trust model as the cell cache's verified loads.)
             let shard = match sc.try_load_spill(si, None) {
                 Some(s) => s,
-                None => {
-                    let fresh = Arc::new(sc.encode_shard(si)?);
-                    sc.write_spill(si, &fresh);
-                    fresh
-                }
+                None => Arc::new(sc.encode_shard(si)?),
             };
             sc.bench_fps.extend_from_slice(shard.bench_fingerprints());
             sc.shard_fps.push(shard.fingerprint());
@@ -727,8 +727,8 @@ pub struct ShardedCorpus<'c> {
     layout: ShardLayout,
     ids: Vec<BenchmarkId>,
     /// Per-benchmark content digests, roster order — always resident
-    /// (8 bytes per benchmark); fold fingerprints read these without
-    /// touching any shard.
+    /// (8 bytes per benchmark); the fold cache compares rosters of these
+    /// without touching any shard.
     bench_fps: Vec<u64>,
     /// Expected content fingerprint per shard, pinned at build time;
     /// post-build spill loads must match exactly.
@@ -901,33 +901,29 @@ impl<'c> ShardedCorpus<'c> {
         })
     }
 
-    /// Spills a shard (see [`crate::store`]). Failures are non-fatal (the
-    /// shard can always be recomputed) and counted.
-    fn write_spill(&self, si: usize, shard: &EncodedShard) {
-        let Some(path) = self.spill_path(si) else {
-            return;
-        };
-        let payload = payload_bytes(shard.start, &shard.ids, &shard.block);
-        let sealed = crate::store::seal(SPILL_MAGIC, self.spill_key(si), &payload);
-        if crate::store::write_atomic(&path, &sealed).is_ok() {
-            pv_obs::counter_inc!("pv.core.shard.spill");
-        }
-    }
-
-    /// Generates (or borrows) shard `si`'s benchmark range and encodes
-    /// it. The raw range data lives only for the duration of this call.
+    /// Generates (or borrows) shard `si`'s benchmark range, encodes it
+    /// and, with a spill dir, spills it (see [`crate::store`]). The raw
+    /// range data lives only for the duration of this call. A failed
+    /// spill is non-fatal: the shard can always be recomputed.
     fn encode_shard(&self, si: usize) -> Result<EncodedShard, StatsError> {
         let range = self.layout.range(si);
-        match &self.source {
+        let (shard, payload) = match &self.source {
             ShardSource::Corpus(c) => {
-                EncodedShard::encode(range.start, &c.benchmarks[range], c.n_runs, &self.spec)
+                EncodedShard::encode(range.start, &c.benchmarks[range], c.n_runs, &self.spec)?
             }
             ShardSource::Campaign(g) => {
                 let benches =
                     collect_benchmarks(&g.system, &self.ids[range.clone()], g.n_runs, g.seed);
-                EncodedShard::encode(range.start, &benches, g.n_runs, &self.spec)
+                EncodedShard::encode(range.start, &benches, g.n_runs, &self.spec)?
+            }
+        };
+        if let Some(path) = self.spill_path(si) {
+            let sealed = payload.seal(SPILL_MAGIC, self.spill_key(si));
+            if crate::store::write_atomic(&path, &sealed).is_ok() {
+                pv_obs::counter_inc!("pv.core.shard.spill");
             }
         }
+        Ok(shard)
     }
 
     /// The shard at index `si`, resident or faulted in (spill load when
@@ -963,14 +959,11 @@ impl<'c> ShardedCorpus<'c> {
             return Ok(shard);
         }
         let expect = self.shard_fps.get(si).copied();
+        // A recompute heals the spill file, so the next fault is a load
+        // again.
         let shard = match self.try_load_spill(si, expect) {
             Some(s) => s,
-            None => {
-                let fresh = Arc::new(self.encode_shard(si)?);
-                // Heal the spill file so the next fault is a load again.
-                self.write_spill(si, &fresh);
-                fresh
-            }
+            None => Arc::new(self.encode_shard(si)?),
         };
         debug_assert!(
             expect.is_none() || expect == Some(shard.fingerprint()),

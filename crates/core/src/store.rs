@@ -105,14 +105,41 @@ pub(crate) fn sweep_stale_temps(dir: &Path) -> usize {
     removed
 }
 
+/// A payload serialized in place, after room for the envelope header,
+/// and digested once: [`Unsealed::seal`] writes the header and trailer
+/// around it without copying or digesting it again.
+pub(crate) struct Unsealed {
+    bytes: Vec<u8>,
+    digest: u64,
+}
+
+impl Unsealed {
+    /// Serializes a payload with `write` (which appends it to the buffer
+    /// it is given) and takes the payload's digest.
+    pub fn new(write: impl FnOnce(&mut Vec<u8>)) -> Self {
+        let mut bytes = vec![0; HEADER];
+        write(&mut bytes);
+        let digest = lane_digest(&bytes[HEADER..]);
+        Unsealed { bytes, digest }
+    }
+
+    /// The payload's [`lane_digest`], as the trailer will carry it.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// The envelope bytes of the payload under `magic` and `key`.
+    pub fn seal(mut self, magic: &[u8; 8], key: u64) -> Vec<u8> {
+        self.bytes[..8].copy_from_slice(magic);
+        self.bytes[8..HEADER].copy_from_slice(&key.to_le_bytes());
+        self.bytes.extend_from_slice(&self.digest.to_le_bytes());
+        self.bytes
+    }
+}
+
 /// The envelope bytes of `payload` under `magic` and `key`.
 pub(crate) fn seal(magic: &[u8; 8], key: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER + payload.len() + TRAILER);
-    out.extend_from_slice(magic);
-    out.extend_from_slice(&key.to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&lane_digest(payload).to_le_bytes());
-    out
+    Unsealed::new(|buf| buf.extend_from_slice(payload)).seal(magic, key)
 }
 
 /// Seals the compact JSON of `value` and writes it atomically to `path`.

@@ -71,8 +71,9 @@ use crate::usecase2::CrossSystemConfig;
 /// fold cache; v4: the vectorized kernel layer — chunked-lane cosine
 /// rounding and the binned-trees default changed evaluation numerics,
 /// and cell keys now carry the tree-kernel tag; v5: the sealed envelope
-/// of [`crate::store`].)
-const CELL_MAGIC: &[u8; 8] = b"PVCELL05";
+/// of [`crate::store`]; v6: a fold entry stores its held-out digest, not
+/// its training digests — the cell's folds spell its roster once.)
+const CELL_MAGIC: &[u8; 8] = b"PVCELL06";
 
 /// How long a sweep waits for the cache directory's advisory lock
 /// before giving up, unless overridden by [`Sweep::with_lock_timeout`].
@@ -360,7 +361,8 @@ struct CachedCell {
     /// marker keeps warm re-runs honest — a degraded cell stays visibly
     /// degraded instead of laundering into a clean hit.
     degraded: Option<PvError>,
-    /// Per-fold score entries (fold order). When the corpus grows, a
+    /// Per-fold score entries (fold order; their held-out digests are
+    /// the roster the cell was scored on). When the corpus grows, a
     /// later sweep with a *different* fingerprint but the same config
     /// uses these as the incremental fold cache's prior, so only the
     /// folds the growth actually changed are recomputed. Empty for
@@ -372,7 +374,7 @@ struct CachedCell {
 ///
 /// Layout: one file per cell, `cell-<key:016x>.json` under the cache
 /// directory, where the key is [`cell_key`]: a [`crate::store`]
-/// envelope under the magic `PVCELL05` whose payload is the cell's JSON.
+/// envelope under the magic `PVCELL06` whose payload is the cell's JSON.
 /// Writes are atomic, so concurrent sweeps sharing a directory never
 /// observe partial entries.
 #[derive(Debug, Clone)]

@@ -1,16 +1,17 @@
 //! Incremental-evaluation tier: corpus-append fold reuse through the
-//! public facade, fold-fingerprint algebra, and recovery from tampered
-//! cached folds — every path bit-identical to a cold evaluation.
+//! public facade, the roster reuse rule case by case, linear cell
+//! entries, and recovery from tampered cached folds — every path
+//! bit-identical to a cold evaluation.
 
 use std::path::PathBuf;
 
 use perfvar_suite::core::eval::few_runs_spec;
 use perfvar_suite::core::pipeline::EncodedCorpus;
 use perfvar_suite::core::shard::{ShardSource, ShardedCorpus};
-use perfvar_suite::core::sweep::{CellCache, GridSpec, Sweep};
+use perfvar_suite::core::sweep::{CellCache, CellConfig, GridSpec, Sweep};
 use perfvar_suite::core::{
-    evaluate_few_runs, evaluate_few_runs_incremental, fold_fingerprint, FewRunsConfig, ModelKind,
-    ReprKind,
+    evaluate_few_runs, evaluate_few_runs_incremental, FewRunsConfig, FoldCacheStats, FoldEntry,
+    ModelKind, ReprKind,
 };
 use perfvar_suite::sysmodel::{Corpus, SystemModel};
 
@@ -106,7 +107,7 @@ fn append_serves_unchanged_folds_from_the_delta_path() {
         assert!(warm.stats.misses >= 1, "the new fold has no prior entry");
         assert_eq!(warm.stats.total(), full.len());
 
-        // A rerun on the unchanged full corpus is pure fingerprint hits.
+        // A rerun on the unchanged full corpus is pure exact hits.
         let rerun = evaluate_few_runs_incremental(&full_sh, cfg, &warm.folds).unwrap();
         assert_eq!(rerun.stats.hits, full.len(), "{pair}");
         assert_eq!(rerun.stats.reused(), full.len());
@@ -182,9 +183,7 @@ fn tampered_donor_folds_are_recomputed_and_stay_bit_identical() {
     let donors = cache.donor_folds(full_fp);
     let (cfg, mut folds) = donors.into_iter().next().expect("donor entry present");
     assert_eq!(folds.len(), base.len());
-    assert!(folds.iter().all(|f| f.verify()));
     folds[2].score.ks += 0.5;
-    assert!(!folds[2].verify(), "tamper must break the integrity digest");
     let summary = seeded.cells[0].summary().unwrap().clone();
     cache
         .store(base_sweep.fingerprint(), &cfg, &summary, None, &folds)
@@ -203,75 +202,160 @@ fn tampered_donor_folds_are_recomputed_and_stay_bit_identical() {
     assert!(grown.fold_stats.deltas > 0, "{:?}", grown.fold_stats);
 }
 
-mod properties {
-    use super::*;
-    use proptest::prelude::*;
+/// A stored cell grows linearly with the roster: each fold entry holds
+/// one benchmark digest (its held-out benchmark's), so doubling the
+/// roster about doubles the entry.
+#[test]
+fn stored_cell_grows_linearly_with_the_roster() {
+    let full = Corpus::collect(&SystemModel::intel(), 30, 23);
+    let grid = GridSpec {
+        reprs: vec![ReprKind::PearsonRnd],
+        models: vec![ModelKind::Knn],
+        sample_counts: vec![5],
+        seeds: vec![17],
+        profiles_per_benchmark: 1,
+    };
+    let tmp = TempCache::new("linear");
+    let mut sizes = Vec::new();
+    for n in [30, 60] {
+        let mut corpus = full.clone();
+        corpus.benchmarks.truncate(n);
+        let enc = EncodedCorpus::build(&corpus, &grid.few_runs_encoding()).unwrap();
+        let sweep = Sweep::few_runs(&enc).with_cache(tmp.cache());
+        let report = sweep.run(&grid).unwrap();
+        assert_eq!(report.fold_stats.total(), n);
+        let path = tmp
+            .cache()
+            .entry_path(sweep.fingerprint(), &CellConfig::FewRuns(knn_cfg()))
+            .unwrap();
+        sizes.push(std::fs::metadata(path).unwrap().len() as f64);
+    }
+    assert!(
+        sizes[1] < 2.5 * sizes[0],
+        "60-benchmark entry is {:.2}x the 30-benchmark one ({sizes:?} bytes)",
+        sizes[1] / sizes[0]
+    );
+}
 
-    /// An order-sensitive reference implementation: the fingerprint must
-    /// separate any two (held, held_fp, train_fps) tuples that differ
-    /// anywhere, including pure permutations of the training digests.
-    fn inputs_differ(a: &(usize, u64, Vec<u64>), b: &(usize, u64, Vec<u64>)) -> bool {
-        a != b
+/// The reuse rule, case by case: a prior's roster (its entries' held
+/// digests, fold order) must equal the evaluated roster for exact hits
+/// or be a strict prefix of it for neighbour-delta checks, under the
+/// same config, entry by verified entry. Anything else reuses nothing.
+/// Every case runs at 1 and 8 threads with the same tallies and a
+/// summary bit-identical to a cold evaluation.
+mod reuse_rule {
+    use super::*;
+
+    /// The first 20 benchmarks of a 30-run campaign.
+    fn roster() -> Corpus {
+        let mut c = Corpus::collect(&SystemModel::intel(), 30, 23);
+        c.benchmarks.truncate(20);
+        c
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+    /// The fold entries a cold evaluation of `corpus` under `cfg` seeds.
+    fn prior(corpus: &Corpus, cfg: FewRunsConfig) -> Vec<FoldEntry> {
+        evaluate_few_runs_incremental(&layout(corpus, &cfg, None), cfg, &[])
+            .unwrap()
+            .folds
+    }
 
-        /// Same inputs, same fingerprint — across calls and regardless
-        /// of how the digest vector was built.
-        #[test]
-        fn fold_fingerprint_is_deterministic(
-            held in 0usize..64,
-            held_fp in any::<u64>(),
-            train in prop::collection::vec(any::<u64>(), 1..20),
-        ) {
-            let a = fold_fingerprint("cfg", held, held_fp, &train);
-            let b = fold_fingerprint("cfg", held, held_fp, &train.clone());
-            prop_assert_eq!(a, b);
+    /// Evaluates `corpus` against `prior` at 1 and 8 threads and returns
+    /// the (thread-count-independent) tallies.
+    fn reuse(corpus: &Corpus, prior: &[FoldEntry]) -> FoldCacheStats {
+        let cfg = knn_cfg();
+        let sh = layout(corpus, &cfg, None);
+        let cold = evaluate_few_runs(corpus, cfg).unwrap();
+        let mut tallies = Vec::new();
+        for n in [1, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build()
+                .unwrap();
+            let warm = pool
+                .install(|| evaluate_few_runs_incremental(&sh, cfg, prior))
+                .unwrap();
+            assert_eq!(
+                warm.summary, cold,
+                "reuse must be bit-identical ({n} threads)"
+            );
+            tallies.push(warm.stats);
         }
+        assert_eq!(
+            tallies[0], tallies[1],
+            "tallies moved with the thread count"
+        );
+        tallies[0]
+    }
 
-        /// Permuting the training digests changes the fingerprint: the
-        /// scaler accumulates moments in row order, so a permuted
-        /// training set is a *different* fold even with equal content.
-        #[test]
-        fn fold_fingerprint_is_order_sensitive(
-            held in 0usize..64,
-            held_fp in any::<u64>(),
-            train in prop::collection::vec(any::<u64>(), 2..20),
-            rot in 1usize..19,
-        ) {
-            let mut permuted = train.clone();
-            permuted.rotate_left(rot % train.len());
-            prop_assume!(inputs_differ(
-                &(held, held_fp, train.clone()),
-                &(held, held_fp, permuted.clone()),
-            ));
-            let a = fold_fingerprint("cfg", held, held_fp, &train);
-            let b = fold_fingerprint("cfg", held, held_fp, &permuted);
-            prop_assert!(a != b);
+    fn tally(hits: usize, deltas: usize, misses: usize) -> FoldCacheStats {
+        FoldCacheStats {
+            hits,
+            deltas,
+            misses,
         }
+    }
 
-        /// Each fingerprint input is load-bearing: config, fold index,
-        /// held digest, and any single training digest all separate.
-        #[test]
-        fn fold_fingerprint_separates_every_input(
-            held in 0usize..64,
-            held_fp in any::<u64>(),
-            train in prop::collection::vec(any::<u64>(), 1..20),
-            flip in any::<usize>(),
-        ) {
-            let base = fold_fingerprint("cfg", held, held_fp, &train);
-            prop_assert!(base != fold_fingerprint("cfg2", held, held_fp, &train));
-            prop_assert!(base != fold_fingerprint("cfg", held + 1, held_fp, &train));
-            prop_assert!(base != fold_fingerprint("cfg", held, held_fp ^ 1, &train));
-            let mut bumped = train.clone();
-            let i = flip % bumped.len();
-            bumped[i] ^= 1;
-            prop_assert!(base != fold_fingerprint("cfg", held, held_fp, &bumped));
-            // Growing the set separates too (an append is never a hit).
-            let mut grown = train.clone();
-            grown.push(held_fp);
-            prop_assert!(base != fold_fingerprint("cfg", held, held_fp, &grown));
-        }
+    #[test]
+    fn equal_roster_reuses_every_fold() {
+        let c = roster();
+        assert_eq!(reuse(&c, &prior(&c, knn_cfg())), tally(c.len(), 0, 0));
+    }
+
+    #[test]
+    fn appended_roster_reuses_only_through_the_neighbour_check() {
+        let c = roster();
+        let mut base = c.clone();
+        base.benchmarks.pop();
+        let stats = reuse(&c, &prior(&base, knn_cfg()));
+        assert_eq!(stats.hits, 0, "a grown roster is never an exact hit");
+        assert!(stats.deltas > 0, "no neighbour-stable folds: {stats:?}");
+        assert!(stats.misses >= 1, "the new fold has no prior entry");
+        assert_eq!(stats.total(), c.len());
+    }
+
+    /// The scaler accumulates moments in row order, so a permuted
+    /// training set is a different fold even with equal content.
+    #[test]
+    fn permuted_roster_reuses_nothing() {
+        let c = roster();
+        let mut permuted = c.clone();
+        permuted.benchmarks.swap(9, 10);
+        assert_eq!(
+            reuse(&permuted, &prior(&c, knn_cfg())),
+            tally(0, 0, c.len())
+        );
+    }
+
+    /// A remeasured middle benchmark, a shrunk roster and a prior made
+    /// under another config each leave no fold reusable.
+    #[test]
+    fn changed_shrunk_or_reconfigured_prior_reuses_nothing() {
+        let c = roster();
+        let prior_c = prior(&c, knn_cfg());
+        let remeasured = Corpus::collect(&SystemModel::intel(), 30, 24);
+        let mut changed = c.clone();
+        changed.benchmarks[10] = remeasured.benchmarks[10].clone();
+        assert_eq!(reuse(&changed, &prior_c), tally(0, 0, c.len()));
+
+        let mut shrunk = c.clone();
+        shrunk.benchmarks.pop();
+        assert_eq!(reuse(&shrunk, &prior_c), tally(0, 0, shrunk.len()));
+
+        let other = FewRunsConfig {
+            seed: 18,
+            ..knn_cfg()
+        };
+        assert_eq!(reuse(&c, &prior(&c, other)), tally(0, 0, c.len()));
+    }
+
+    /// A lying score fails its entry's integrity digest: that fold is
+    /// recomputed and every other fold is still an exact hit.
+    #[test]
+    fn tampered_fold_recomputes_alone() {
+        let c = roster();
+        let mut vandalized = prior(&c, knn_cfg());
+        vandalized[5].score.ks += 0.25;
+        assert_eq!(reuse(&c, &vandalized), tally(c.len() - 1, 0, 1));
     }
 }
