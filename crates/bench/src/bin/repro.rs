@@ -1276,11 +1276,11 @@ OPTIONS:
 
 A re-run with a widened grid loads finished cells from the cache and
 computes only the delta; cached results are bit-identical to fresh ones.
-Failing cells never abort the sweep: they are retried, recorded in the
-failure summary, and quarantined next to the cache so later runs skip
-them (delete quarantine.json to retry). MaxEnt cells whose solver does
-not converge fall back to a histogram representation and are marked
-degraded.";
+Failing cells never abort the sweep: they are retried, listed in the
+failure summary, and recorded as failed in their cell file so later
+runs skip them (delete the cell file the summary names to retry).
+MaxEnt cells whose solver does not converge fall back to a histogram
+representation and are marked degraded.";
 
 const SWEEP: Command = Command {
     name: "sweep",
@@ -1559,7 +1559,7 @@ fn sweep_cmd(args: &Args) -> Result<(), CliError> {
             f.hits, f.deltas, f.misses,
         );
     }
-    let ok = print_failure_summary(&report);
+    let ok = print_failure_summary(&report, cache.as_ref());
     println!("total: {:.1?}", started.elapsed());
     // Finalize obs before any failure exit so traces of the failing run
     // are exactly the ones worth inspecting.
@@ -1572,7 +1572,9 @@ fn sweep_cmd(args: &Args) -> Result<(), CliError> {
 }
 
 /// Renders the failure summary table; returns true when the run is clean.
-fn print_failure_summary(report: &SweepReport) -> bool {
+/// With a cache, a failed or skipped cell's row names the cell file to
+/// delete to retry it.
+fn print_failure_summary(report: &SweepReport, cache: Option<&CellCache>) -> bool {
     if report.store_failures > 0 {
         eprintln!(
             "warning: {} cache write(s) failed; those cells will recompute next run",
@@ -1610,7 +1612,17 @@ fn print_failure_summary(report: &SweepReport) -> bool {
                 ("QUAR", format!("skipped, previously failed: {error}"))
             }
         };
-        println!("  {:<6} {:<42} {detail}", status, cell.config.label());
+        let retry = match cache.map(|c| c.entry_path(report.fingerprint, &cell.config)) {
+            Some(Ok(path)) if cell.summary().is_none() => {
+                format!(" (delete {} to retry)", path.display())
+            }
+            _ => String::new(),
+        };
+        println!(
+            "  {:<6} {:<42} {detail}{retry}",
+            status,
+            cell.config.label()
+        );
     }
     report.failed == 0 && report.quarantined == 0
 }

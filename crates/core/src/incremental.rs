@@ -73,8 +73,10 @@ use crate::usecase2::CrossSystemConfig;
 
 /// One cached fold: its held-out benchmark's digest, its score, and (for
 /// kNN) the held-out query's canonical ordered neighbour list. The fold
-/// index is the entry's position in its evaluation's fold list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// index is the entry's position in its evaluation's fold list. A sweep
+/// cell file stores every field but the score, which the cell's summary
+/// holds at the same position.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FoldEntry {
     /// Content digest of the held-out benchmark.
     pub held_fp: u64,

@@ -22,7 +22,7 @@
 //! | the LOGO fold loop with per-fold score cache + append delta | [`incremental`] |
 //! | config-grid sweep service with cached cells | [`sweep`] |
 //! | trained-model registry (sealed fitted artifacts for serving) | [`registry`] |
-//! | fault tolerance: error taxonomy, retries, quarantine, fault injection | [`resilience`] |
+//! | fault tolerance: error taxonomy, retries, fault injection, cache lock | [`resilience`] |
 //! | the on-disk contract: sealed envelope, atomic writer | [`store`] |
 //! | figure/table rendering | [`report`] |
 //!
@@ -90,7 +90,7 @@ pub use incremental::{
     evaluate_cross_system_incremental, evaluate_few_runs_incremental, FoldCacheStats, FoldEntry,
     IncrementalEval,
 };
-pub use model::{binned_trees_default, tree_kernel_tag, FittedModel, ModelKind};
+pub use model::{FittedModel, ModelKind};
 pub use pipeline::{
     bench_fingerprints, corpus_fingerprint, EncodedCorpus, EncodingSpec, FoldRunner, FoldTruth,
     FoldView, PreparedFold, RowSink, SeedMode,
@@ -100,7 +100,7 @@ pub use registry::{
     artifact_key, Artifact, ModelRegistry, RegistryEntry, REGISTRY_MAGIC, REGISTRY_OBS_COUNTERS,
 };
 pub use repr::{DistributionRepr, ReprKind};
-pub use resilience::{FaultKind, FaultPlan, PvError, Quarantine};
+pub use resilience::{FaultKind, FaultPlan, PvError};
 pub use shard::{
     CampaignSource, EncodedShard, ShardLayout, ShardSource, ShardedCorpus, ShardedCorpusBuilder,
     SHARD_OBS_COUNTERS,

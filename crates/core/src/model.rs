@@ -12,34 +12,6 @@ use pv_ml::{
 };
 use pv_stats::StatsError;
 
-/// Whether tree models use histogram (pre-binned) split finding.
-///
-/// Default **on** since the vectorized-kernel PR: the binned kernel's
-/// accuracy parity with exact splits is gated by `tests/kernel_parity.rs`
-/// (EvalSummary deltas within documented thresholds, see DESIGN.md
-/// "Kernel contracts"), and it is substantially faster on the wide
-/// feature matrices the sweep fits. Set `PV_EXACT_TREES=1` to fall back
-/// to exhaustive exact split scanning — e.g. to reproduce pre-binned
-/// historical artifacts or to re-derive the parity baseline.
-///
-/// The choice feeds [`tree_kernel_tag`], which is written into sweep
-/// cell keys and registry artifact keys so binned and exact runs never
-/// alias each other's caches.
-pub fn binned_trees_default() -> bool {
-    !std::env::var("PV_EXACT_TREES").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// Cache-key tag naming the tree split kernel in effect (`"binned"` or
-/// `"exact"`). Fed into [`crate::sweep`] cell keys and
-/// [`crate::registry`] artifact keys.
-pub fn tree_kernel_tag() -> &'static str {
-    if binned_trees_default() {
-        "binned"
-    } else {
-        "exact"
-    }
-}
-
 /// Which regression model to use — the second comparison axis of
 /// Figs. 4 and 7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -113,10 +85,10 @@ impl ModelKind {
     /// stored rows, leaf values) can round-trip through the model
     /// registry. A unit test pins this to `build`.
     ///
-    /// Tree models take the histogram (binned) split kernel from
-    /// [`binned_trees_default`] — on unless `PV_EXACT_TREES` is set.
+    /// Tree models use the histogram (binned) split kernel; its accuracy
+    /// against exhaustive exact splits is gated by
+    /// `tests/kernel_parity.rs` (DESIGN.md §10).
     pub fn build_fitted(&self, seed: u64) -> FittedModel {
-        let binned = binned_trees_default();
         match self {
             ModelKind::Knn => {
                 FittedModel::Knn(KnnRegressor::new(15).with_distance(Distance::Cosine))
@@ -125,7 +97,7 @@ impl ModelKind {
                 RandomForestRegressor::new(100)
                     .with_max_depth(14)
                     .with_max_features(MaxFeatures::Sqrt)
-                    .with_binned(binned)
+                    .with_binned(true)
                     .with_seed(seed),
             ),
             ModelKind::XgBoost => FittedModel::XgBoost(
@@ -134,7 +106,7 @@ impl ModelKind {
                     .with_max_depth(3)
                     .with_lambda(1.0)
                     .with_subsample(0.9)
-                    .with_binned(binned)
+                    .with_binned(true)
                     .with_seed(seed),
             ),
         }
@@ -287,22 +259,6 @@ mod tests {
                 kind.name()
             );
         }
-    }
-
-    #[test]
-    fn tree_kernel_tag_tracks_the_binned_default() {
-        // Whatever the environment says, the cache-key tag must name the
-        // kernel `build_fitted` actually uses.
-        let binned = binned_trees_default();
-        assert_eq!(tree_kernel_tag(), if binned { "binned" } else { "exact" });
-        let FittedModel::RandomForest(rf) = ModelKind::RandomForest.build_fitted(1) else {
-            panic!("wrong variant");
-        };
-        assert_eq!(rf.binned, binned);
-        let FittedModel::XgBoost(gbt) = ModelKind::XgBoost.build_fitted(1) else {
-            panic!("wrong variant");
-        };
-        assert_eq!(gbt.binned, binned);
     }
 
     #[test]

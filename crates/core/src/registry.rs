@@ -77,9 +77,10 @@ impl Artifact {
 }
 
 /// The registry key of an artifact: FNV-1a over a domain tag, the format
-/// magic, the corpus fingerprint, and the config's canonical JSON — the
-/// cell cache's `cell_key` scheme under a serving-specific domain so
-/// registry and cache entries can never collide.
+/// magic, the corpus fingerprint, the tree split kernel's name and the
+/// config's canonical JSON — the cell cache's `cell_key` scheme under a
+/// serving-specific domain so registry and cache entries can never
+/// collide.
 ///
 /// For use case 2 pass [`cross_fingerprint`]`(src, dst)` as the
 /// fingerprint, exactly as the sweep layer keys its cross-system cells.
@@ -94,9 +95,9 @@ pub fn artifact_key(fingerprint: u64, cfg: &CellConfig) -> Result<u64, StatsErro
     h.write_str("pv-registry");
     h.write_bytes(REGISTRY_MAGIC);
     h.write_u64(fingerprint);
-    // Binned vs exact tree splits produce different fitted models; a
-    // `PV_EXACT_TREES` run must never serve a default run's artifacts.
-    h.write_str(crate::model::tree_kernel_tag());
+    // The name of the tree split kernel every key was made with; the
+    // kernel is fixed now, and keeping its name keeps the keys.
+    h.write_str("binned");
     h.write_str(&json);
     Ok(h.finish())
 }

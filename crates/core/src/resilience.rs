@@ -19,9 +19,6 @@
 //!   forced sheds) or reload attempt (registry I/O failures), so the
 //!   `tests/serve_chaos.rs` tier can pin *exactly-k* shed and timed-out
 //!   requests regardless of thread count.
-//! * [`Quarantine`] — a persisted list of known-bad cells kept next to
-//!   the cell cache; re-runs skip-and-report them instead of burning
-//!   retries on a cell that failed deterministically last time.
 //! * [`CacheLock`] — an advisory lock (atomic marker file) held for the
 //!   duration of a sweep's cache writes, so two concurrent `repro sweep`
 //!   invocations sharing a directory cannot interleave temp-file renames.
@@ -646,116 +643,6 @@ pub fn pid_start_token(pid: u32) -> Option<u64> {
     after_comm.split_whitespace().nth(19)?.parse::<u64>().ok()
 }
 
-/// One quarantined cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuarantineEntry {
-    /// The cell's cache key ([`crate::sweep::cell_key`]).
-    pub key: u64,
-    /// Human-readable cell label at quarantine time.
-    pub label: String,
-    /// The error that exhausted the cell's retries.
-    pub error: PvError,
-    /// Attempts spent before giving up.
-    pub attempts: u32,
-}
-
-/// Quarantine envelope magic; the trailing digits are the format
-/// version. The payload is the JSON list of entries, under key 0 (one
-/// file per directory).
-const QUARANTINE_MAGIC: &[u8; 8] = b"PVQUAR02";
-
-/// Name of the quarantine file inside a cell-cache directory.
-pub const QUARANTINE_FILE: &str = "quarantine.json";
-
-/// A persisted list of known-bad cells, kept next to the cell cache.
-///
-/// A cell lands here when it exhausts its retries without a usable
-/// (possibly degraded) result; subsequent sweeps over the same cache
-/// directory skip it and report [`CellOutcome::Quarantined`]
-/// (see [`crate::sweep::CellOutcome`]) instead of re-burning retries.
-/// Like the cell cache, loading is infallible: a missing or corrupt
-/// file is simply an empty quarantine.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Quarantine {
-    entries: Vec<QuarantineEntry>,
-}
-
-impl Quarantine {
-    /// An empty quarantine.
-    pub fn new() -> Self {
-        Quarantine::default()
-    }
-
-    /// Loads the quarantine stored in `dir`: empty when the file is
-    /// missing, and empty with a `pv.core.sweep.cache_verify_fail` count
-    /// when it fails verification (a quarantine must never be the thing
-    /// that fails; the next save rewrites it).
-    pub fn load(dir: &Path) -> Self {
-        match crate::store::open(&dir.join(QUARANTINE_FILE), QUARANTINE_MAGIC, 0)
-            .and_then(|sealed| sealed.json())
-        {
-            Ok(entries) => Quarantine { entries },
-            Err(e) => {
-                if matches!(e, PvError::Invalid { .. }) {
-                    pv_obs::counter_inc!("pv.core.sweep.cache_verify_fail");
-                }
-                Quarantine::default()
-            }
-        }
-    }
-
-    /// Persists the quarantine into `dir` (see [`crate::store`]).
-    ///
-    /// # Errors
-    /// Returns [`PvError::CacheIo`] on filesystem failures.
-    pub fn save(&self, dir: &Path) -> Result<(), PvError> {
-        crate::store::write_json(
-            &dir.join(QUARANTINE_FILE),
-            QUARANTINE_MAGIC,
-            0,
-            &self.entries,
-        )
-    }
-
-    /// Removes the quarantine file from `dir` (idempotent).
-    pub fn clear(dir: &Path) {
-        let _ = fs::remove_file(dir.join(QUARANTINE_FILE));
-    }
-
-    /// Number of quarantined cells.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the quarantine is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The entry for cache key `key`, if quarantined.
-    pub fn get(&self, key: u64) -> Option<&QuarantineEntry> {
-        self.entries.iter().find(|e| e.key == key)
-    }
-
-    /// Whether cache key `key` is quarantined.
-    pub fn contains(&self, key: u64) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Inserts (or replaces) an entry.
-    pub fn insert(&mut self, entry: QuarantineEntry) {
-        match self.entries.iter_mut().find(|e| e.key == entry.key) {
-            Some(slot) => *slot = entry,
-            None => self.entries.push(entry),
-        }
-    }
-
-    /// All entries, insertion order.
-    pub fn entries(&self) -> &[QuarantineEntry] {
-        &self.entries
-    }
-}
-
 /// Name of the advisory lock file inside a cell-cache directory.
 pub const LOCK_FILE: &str = "sweep.lock";
 
@@ -1046,46 +933,6 @@ mod tests {
             assert_eq!(kind.name().parse::<FaultKind>().unwrap(), kind);
         }
         assert!("gremlin".parse::<FaultKind>().is_err());
-    }
-
-    #[test]
-    fn quarantine_round_trips_and_tolerates_corruption() {
-        let dir = temp_dir("quarantine");
-        assert!(Quarantine::load(&dir).is_empty());
-
-        let mut q = Quarantine::new();
-        q.insert(QuarantineEntry {
-            key: 0xDEAD,
-            label: "uc1 PyMaxEnt+kNN s=5".into(),
-            error: PvError::CellPanic {
-                message: "boom".into(),
-            },
-            attempts: 3,
-        });
-        q.save(&dir).unwrap();
-        let back = Quarantine::load(&dir);
-        assert_eq!(back, q);
-        assert!(back.contains(0xDEAD));
-        assert!(!back.contains(0xBEEF));
-        assert_eq!(back.get(0xDEAD).unwrap().attempts, 3);
-
-        // Inserting the same key replaces the entry.
-        let mut q2 = back.clone();
-        q2.insert(QuarantineEntry {
-            key: 0xDEAD,
-            label: "same cell".into(),
-            error: PvError::NumericDomain { what: "ks".into() },
-            attempts: 1,
-        });
-        assert_eq!(q2.len(), 1);
-        assert_eq!(q2.get(0xDEAD).unwrap().attempts, 1);
-
-        // Corrupt file → empty quarantine, never an error.
-        fs::write(dir.join(QUARANTINE_FILE), "not json").unwrap();
-        assert!(Quarantine::load(&dir).is_empty());
-        Quarantine::clear(&dir);
-        assert!(!dir.join(QUARANTINE_FILE).exists());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The on-disk contract: one atomic writer and one sealed envelope.
 //!
-//! Every file the pipeline persists — sweep cells, the quarantine list,
-//! registry artifacts, shard spills, and pv-serve's telemetry documents —
-//! is written by [`write_atomic`], and every one of them that is read
-//! back (all but the telemetry, which only scrapers read) is a sealed
-//! envelope checked by `open` before a byte of it is trusted.
+//! Every file the pipeline persists — sweep cells (failed ones
+//! included), registry artifacts, shard spills, and pv-serve's telemetry
+//! documents — is written by [`write_atomic`], and every one of them
+//! that is read back (all but the telemetry, which only scrapers read)
+//! is a sealed envelope checked by `open` before a byte of it is
+//! trusted.
 //!
 //! ## The envelope
 //!
@@ -238,7 +239,6 @@ mod tests {
 
     use crate::eval::{BenchScore, EvalSummary};
     use crate::registry::{Artifact, ModelRegistry};
-    use crate::resilience::{Quarantine, QuarantineEntry, QUARANTINE_FILE};
     use crate::sweep::{CellCache, CellConfig};
     use crate::usecase1::{FewRunsConfig, FewRunsPredictor};
 
@@ -298,11 +298,11 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Every writer of the codebase — registry, cell cache, quarantine,
-    /// telemetry — reports a failed write as `cache-io` and leaves no
-    /// temp file behind, whether the rename fails (a directory squats on
-    /// the target) or the write itself does (the temp is a link to a
-    /// full device).
+    /// Every writer of the codebase — registry, cell cache, telemetry —
+    /// reports a failed write as `cache-io` and leaves no temp file
+    /// behind, whether the rename fails (a directory squats on the
+    /// target) or the write itself does (the temp is a link to a full
+    /// device).
     #[test]
     fn failed_store_leaves_no_temp_files_behind() {
         let corpus = pv_sysmodel::Corpus::collect(&pv_sysmodel::SystemModel::intel(), 40, 5);
@@ -323,20 +323,13 @@ mod tests {
             ks: 0.25,
         }])
         .unwrap();
-        let mut quarantine = Quarantine::new();
-        quarantine.insert(QuarantineEntry {
-            key: 1,
-            label: "cell".into(),
-            error: PvError::NumericDomain { what: "ks".into() },
-            attempts: 3,
-        });
         let cell = CellConfig::FewRuns(cfg);
 
         type Writer<'a> = (
             &'a str,
             Box<dyn Fn(&Path) -> (PathBuf, Result<(), PvError>) + 'a>,
         );
-        let writers: [Writer; 4] = [
+        let writers: [Writer; 3] = [
             (
                 "registry",
                 Box::new(|dir: &Path| {
@@ -356,10 +349,6 @@ mod tests {
                         cache.store(42, &cell, &summary, None, &[]),
                     )
                 }),
-            ),
-            (
-                "quarantine",
-                Box::new(|dir: &Path| (dir.join(QUARANTINE_FILE), quarantine.save(dir))),
             ),
             (
                 "telemetry",

@@ -14,11 +14,12 @@
 //!   shared cache(s), streaming each [`CellResult`] to a callback the
 //!   moment it finishes and returning all of them (cell order, not
 //!   completion order) in a [`SweepReport`].
-//! * [`CellCache`] persists completed cells to disk, keyed by
-//!   `(corpus fingerprint, cell config)`. Re-running a widened grid
-//!   loads the old cells and computes only the delta; a stale or
-//!   corrupted file fails its [`crate::store`] envelope or its
-//!   fingerprint/config check and is recomputed rather than trusted.
+//! * [`CellCache`] persists every finished cell to disk, one file per
+//!   `(corpus fingerprint, cell config)` whatever its outcome.
+//!   Re-running a widened grid loads the old cells and computes only the
+//!   delta; a stale or corrupted file fails its [`crate::store`]
+//!   envelope or its fingerprint/config check and is recomputed rather
+//!   than trusted.
 //!
 //! Cached results are bit-identical to fresh ones: every cell evaluation
 //! is a pure function of (corpus, config) independent of thread count
@@ -30,10 +31,11 @@
 //! each cell attempt runs behind a panic-isolation boundary, failing
 //! cells are retried with fresh deterministic sub-seeds, solver failures
 //! fall back to the histogram representation with a recorded
-//! [`CellOutcome::Degraded`] marker, cells that exhaust their retries
-//! are quarantined next to the cache, and the whole run holds an
-//! advisory [`CacheLock`] on the cache directory so concurrent sweeps
-//! cannot interleave writes. A failing cell yields a
+//! [`CellOutcome::Degraded`] marker, a cell that exhausts its retries
+//! is recorded as failed in its own cell file (later runs report it
+//! [`CellOutcome::Quarantined`] until that file is deleted), and the
+//! whole run holds an advisory [`CacheLock`] on the cache directory so
+//! concurrent sweeps cannot interleave writes. A failing cell yields a
 //! [`CellOutcome::Failed`] — it never sinks the pool.
 
 use std::fs;
@@ -58,7 +60,7 @@ use crate::pipeline::EncodingSpec;
 use crate::repr::ReprKind;
 use crate::resilience::{
     panic_message, retry_seed, validate_summary, CacheLock, FaultKind, FaultPlan, PvError,
-    Quarantine, QuarantineEntry, DEFAULT_MAX_RETRIES,
+    DEFAULT_MAX_RETRIES,
 };
 use crate::shard::{ShardedCorpus, SHARD_OBS_COUNTERS};
 use crate::usecase1::FewRunsConfig;
@@ -70,10 +72,13 @@ use crate::usecase2::CrossSystemConfig;
 /// v3: entries carry per-fold [`FoldEntry`] scores for the incremental
 /// fold cache; v4: the vectorized kernel layer — chunked-lane cosine
 /// rounding and the binned-trees default changed evaluation numerics,
-/// and cell keys now carry the tree-kernel tag; v5: the sealed envelope
+/// and cell keys carried the tree-kernel tag; v5: the sealed envelope
 /// of [`crate::store`]; v6: a fold entry stores its held-out digest, not
-/// its training digests — the cell's folds spell its roster once.)
-const CELL_MAGIC: &[u8; 8] = b"PVCELL06";
+/// its training digests — the cell's folds spell its roster once; v7:
+/// one record per cell, failed cells included, with one shape per
+/// outcome; stored folds drop their scores, which the summary holds; the
+/// key drops the tree-kernel tag.)
+const CELL_MAGIC: &[u8; 8] = b"PVCELL07";
 
 /// How long a sweep waits for the cache directory's advisory lock
 /// before giving up, unless overridden by [`Sweep::with_lock_timeout`].
@@ -327,10 +332,7 @@ impl CellConfig {
 }
 
 /// The stable on-disk key of a cell: FNV-1a over the format magic, the
-/// corpus fingerprint, the tree-kernel tag (binned vs exact split
-/// finding changes tree-model scores, so a `PV_EXACT_TREES` run must
-/// never alias a default run's entries), and the cell config's canonical
-/// JSON form.
+/// corpus fingerprint and the cell config's canonical JSON form.
 ///
 /// # Errors
 /// Fails when the config cannot be serialized (never happens for the
@@ -341,42 +343,138 @@ pub fn cell_key(fingerprint: u64, cfg: &CellConfig) -> Result<u64, StatsError> {
     let mut h = Fnv1a::new();
     h.write_bytes(CELL_MAGIC);
     h.write_u64(fingerprint);
-    h.write_str(crate::model::tree_kernel_tag());
     h.write_str(&json);
     Ok(h.finish())
 }
 
-/// The payload of a cell cache file. The fingerprint and config are
-/// stored alongside the summary so a hit can be *verified*, not assumed:
-/// an entry that carries another corpus' fingerprint or a different
-/// config (hash collision, hand-edited file) is treated as a miss and
-/// recomputed.
+/// The payload of a cell file, the one on-disk record of a cell. The
+/// fingerprint and config are stored alongside the outcome so a hit can
+/// be *verified*, not assumed: an entry that carries another corpus'
+/// fingerprint or a different config (hash collision, hand-edited file)
+/// is treated as a miss and recomputed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct CachedCell {
     fingerprint: u64,
     config: CellConfig,
-    summary: EvalSummary,
-    /// `Some(error)` when the summary is a degraded histogram fallback
-    /// recorded after `error`; `None` for a healthy cell. Persisting the
-    /// marker keeps warm re-runs honest — a degraded cell stays visibly
-    /// degraded instead of laundering into a clean hit.
-    degraded: Option<PvError>,
-    /// Per-fold score entries (fold order; their held-out digests are
-    /// the roster the cell was scored on). When the corpus grows, a
-    /// later sweep with a *different* fingerprint but the same config
-    /// uses these as the incremental fold cache's prior, so only the
-    /// folds the growth actually changed are recomputed. Empty for
-    /// degraded cells and cells recovered by a reseeded retry.
-    folds: Vec<FoldEntry>,
+    outcome: StoredOutcome,
 }
 
-/// A serde-backed on-disk cache of completed sweep cells.
+/// How a stored cell ended, one shape per outcome.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum StoredOutcome {
+    /// A healthy cell and its fold entries in fold order (their held-out
+    /// digests are the roster the cell was scored on). When the corpus
+    /// grows, a later sweep with a *different* fingerprint but the same
+    /// config uses them as the incremental fold cache's prior, so only
+    /// the folds the growth changed are recomputed. Empty for a cell
+    /// recovered by a reseeded retry.
+    Ok {
+        summary: EvalSummary,
+        folds: Vec<StoredFold>,
+    },
+    /// A degraded histogram fallback recorded after `error`. Persisting
+    /// the marker keeps warm re-runs honest — a degraded cell stays
+    /// visibly degraded instead of laundering into a clean hit.
+    Degraded {
+        summary: EvalSummary,
+        error: PvError,
+    },
+    /// A cell that exhausted its retries. Later sweeps skip it as
+    /// [`CellOutcome::Quarantined`] until the file is deleted.
+    Failed { error: PvError, attempts: u32 },
+}
+
+impl StoredOutcome {
+    /// The outcome a sweep reports for a cell it found on disk: a hit
+    /// for a summary, a skip for a recorded failure.
+    fn replay(self) -> CellOutcome {
+        match self {
+            StoredOutcome::Ok { summary, .. } => CellOutcome::Ok {
+                summary,
+                attempts: 0,
+            },
+            StoredOutcome::Degraded { summary, error } => CellOutcome::Degraded {
+                summary,
+                fallback: ReprKind::Histogram,
+                error,
+                attempts: 0,
+            },
+            StoredOutcome::Failed { error, .. } => CellOutcome::Quarantined {
+                error: error.to_string(),
+            },
+        }
+    }
+}
+
+/// A [`FoldEntry`] as stored: its score is the summary's score at the
+/// same position, so the file holds each KS once.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct StoredFold {
+    held_fp: u64,
+    neighbors: Option<Vec<u32>>,
+    check: u64,
+}
+
+fn invalid(detail: String) -> PvError {
+    PvError::Invalid {
+        what: "CellCache".to_string(),
+        detail,
+    }
+}
+
+/// A cell stores no folds or one per score.
+fn check_fold_count(folds: usize, scores: usize) -> Result<(), PvError> {
+    if folds == 0 || folds == scores {
+        Ok(())
+    } else {
+        Err(invalid(format!("{folds} folds for {scores} scores")))
+    }
+}
+
+/// The stored form of `folds`, which must be empty or score exactly the
+/// summary's benchmarks in order.
+fn stored_folds(summary: &EvalSummary, folds: &[FoldEntry]) -> Result<Vec<StoredFold>, PvError> {
+    check_fold_count(folds.len(), summary.scores.len())?;
+    folds
+        .iter()
+        .zip(&summary.scores)
+        .enumerate()
+        .map(|(i, (f, s))| {
+            if f.score.id != s.id || f.score.ks.to_bits() != s.ks.to_bits() {
+                return Err(invalid(format!(
+                    "fold {i} scores differently from the summary"
+                )));
+            }
+            Ok(StoredFold {
+                held_fp: f.held_fp,
+                neighbors: f.neighbors.clone(),
+                check: f.check,
+            })
+        })
+        .collect()
+}
+
+/// Rebuilds fold entries from their stored form and the summary's scores.
+fn fold_entries(summary: EvalSummary, folds: Vec<StoredFold>) -> Vec<FoldEntry> {
+    folds
+        .into_iter()
+        .zip(summary.scores)
+        .map(|(f, score)| FoldEntry {
+            held_fp: f.held_fp,
+            score,
+            neighbors: f.neighbors,
+            check: f.check,
+        })
+        .collect()
+}
+
+/// A serde-backed on-disk cache of finished sweep cells.
 ///
 /// Layout: one file per cell, `cell-<key:016x>.json` under the cache
 /// directory, where the key is [`cell_key`]: a [`crate::store`]
-/// envelope under the magic `PVCELL06` whose payload is the cell's JSON.
-/// Writes are atomic, so concurrent sweeps sharing a directory never
-/// observe partial entries.
+/// envelope under the magic `PVCELL07` whose payload is the cell's JSON
+/// record — ok, degraded or failed. Writes are atomic, so concurrent
+/// sweeps sharing a directory never observe partial entries.
 #[derive(Debug, Clone)]
 pub struct CellCache {
     dir: PathBuf,
@@ -429,9 +527,14 @@ impl CellCache {
         keys
     }
 
-    /// Opens and parses the entry stored under `key`.
+    /// Opens and parses the entry stored under `key`. A fold list that
+    /// does not match the summary's scores one to one is `invalid`.
     fn read(&self, key: u64) -> Result<CachedCell, PvError> {
-        crate::store::open(&self.key_path(key), CELL_MAGIC, key)?.json()
+        let cell: CachedCell = crate::store::open(&self.key_path(key), CELL_MAGIC, key)?.json()?;
+        if let StoredOutcome::Ok { summary, folds } = &cell.outcome {
+            check_fold_count(folds.len(), summary.scores.len())?;
+        }
+        Ok(cell)
     }
 
     /// Every entry on disk that verifies, ascending by key.
@@ -446,21 +549,14 @@ impl CellCache {
         self.keys().len()
     }
 
-    /// Loads a cell if a verified entry exists, together with its
-    /// degraded-fallback marker (`None` for a healthy cell).
-    ///
-    /// Any failure — missing file, failed envelope, unparsable payload,
-    /// fingerprint/config mismatch — is a miss, never an error: the cache
-    /// must be safe to point at a stale or vandalized directory.
-    pub fn load(
-        &self,
-        fingerprint: u64,
-        cfg: &CellConfig,
-    ) -> Option<(EvalSummary, Option<PvError>)> {
+    /// The verified record of a cell. A missing file is a plain `None`;
+    /// a file that fails any check is a `None` counted as
+    /// `pv.core.sweep.cache_verify_fail`.
+    fn lookup(&self, fingerprint: u64, cfg: &CellConfig) -> Option<StoredOutcome> {
         let key = cell_key(fingerprint, cfg).ok()?;
         match self.read(key) {
             Ok(cell) if cell.fingerprint == fingerprint && cell.config == *cfg => {
-                Some((cell.summary, cell.degraded))
+                Some(cell.outcome)
             }
             // No file at all is a plain miss, which the sweep counts.
             Err(PvError::CacheIo { .. }) => None,
@@ -472,17 +568,36 @@ impl CellCache {
         }
     }
 
-    /// The configs of every verified, non-degraded cell stored for
+    /// Loads a cell if a verified entry with a summary exists, together
+    /// with its degraded-fallback marker (`None` for a healthy cell). A
+    /// failed cell's record has no summary: `None`.
+    ///
+    /// Any failure — missing file, failed envelope, unparsable payload,
+    /// fingerprint/config mismatch — is a miss, never an error: the cache
+    /// must be safe to point at a stale or vandalized directory.
+    pub fn load(
+        &self,
+        fingerprint: u64,
+        cfg: &CellConfig,
+    ) -> Option<(EvalSummary, Option<PvError>)> {
+        match self.lookup(fingerprint, cfg)? {
+            StoredOutcome::Ok { summary, .. } => Some((summary, None)),
+            StoredOutcome::Degraded { summary, error } => Some((summary, Some(error))),
+            StoredOutcome::Failed { .. } => None,
+        }
+    }
+
+    /// The configs of every verified healthy cell stored for
     /// `fingerprint`, deterministically ordered by cell key. This is
     /// what `repro train --from-sweep` scavenges: each config a sweep
     /// completed is a model worth fitting and sealing into the
-    /// [model registry](crate::registry). Unreadable or stale files are
-    /// skipped.
+    /// [model registry](crate::registry). Unreadable or stale files,
+    /// degraded cells and failed cells are skipped.
     pub fn configs(&self, fingerprint: u64) -> Vec<CellConfig> {
         self.verified()
             .filter(|(key, cell)| {
                 cell.fingerprint == fingerprint
-                    && cell.degraded.is_none()
+                    && matches!(cell.outcome, StoredOutcome::Ok { .. })
                     && cell_key(fingerprint, &cell.config).ok() == Some(*key)
             })
             .map(|(_, cell)| cell.config)
@@ -490,9 +605,9 @@ impl CellCache {
     }
 
     /// The best fold-cache donors on disk for corpora *other than*
-    /// `fingerprint`: for every config with at least one non-degraded
-    /// entry carrying folds, the entry with the most folds (ties broken
-    /// by smaller fingerprint, so the pick is deterministic for any
+    /// `fingerprint`: for every config with at least one healthy entry
+    /// carrying folds, the entry with the most folds (ties broken by
+    /// smaller fingerprint, so the pick is deterministic for any
     /// directory enumeration order).
     ///
     /// This is what turns a corpus append into an incremental sweep:
@@ -505,24 +620,29 @@ impl CellCache {
         &self,
         fingerprint: u64,
     ) -> std::collections::HashMap<CellConfig, Vec<FoldEntry>> {
-        let mut best: std::collections::HashMap<CellConfig, (usize, u64, Vec<FoldEntry>)> =
+        let mut best: std::collections::HashMap<CellConfig, (u64, EvalSummary, Vec<StoredFold>)> =
             std::collections::HashMap::new();
         for (_, cell) in self.verified() {
-            if cell.fingerprint == fingerprint || cell.degraded.is_some() || cell.folds.is_empty() {
+            let StoredOutcome::Ok { summary, folds } = cell.outcome else {
+                continue;
+            };
+            if cell.fingerprint == fingerprint || folds.is_empty() {
                 continue;
             }
-            let candidate = (cell.folds.len(), cell.fingerprint);
             let better = match best.get(&cell.config) {
-                Some(&(len, fp, _)) => {
-                    candidate.0 > len || (candidate.0 == len && candidate.1 < fp)
+                Some((fp, _, held)) => {
+                    folds.len() > held.len()
+                        || (folds.len() == held.len() && cell.fingerprint < *fp)
                 }
                 None => true,
             };
             if better {
-                best.insert(cell.config, (candidate.0, candidate.1, cell.folds));
+                best.insert(cell.config, (cell.fingerprint, summary, folds));
             }
         }
-        best.into_iter().map(|(k, (_, _, v))| (k, v)).collect()
+        best.into_iter()
+            .map(|(cfg, (_, summary, folds))| (cfg, fold_entries(summary, folds)))
+            .collect()
     }
 
     /// Persists a completed cell (`degraded` records the error a
@@ -530,8 +650,10 @@ impl CellCache {
     /// entries future incremental evaluations can reuse).
     ///
     /// # Errors
-    /// [`PvError::CacheIo`] on filesystem errors (unwritable directory,
-    /// disk full).
+    /// [`PvError::Invalid`] when `folds` is neither empty nor one entry
+    /// per summary score with the same score in the same order, or when a
+    /// degraded cell is given folds; [`PvError::CacheIo`] on filesystem
+    /// errors (unwritable directory, disk full).
     pub fn store(
         &self,
         fingerprint: u64,
@@ -540,13 +662,32 @@ impl CellCache {
         degraded: Option<&PvError>,
         folds: &[FoldEntry],
     ) -> Result<(), PvError> {
+        let outcome = match degraded {
+            None => StoredOutcome::Ok {
+                summary: summary.clone(),
+                folds: stored_folds(summary, folds)?,
+            },
+            Some(error) if folds.is_empty() => StoredOutcome::Degraded {
+                summary: summary.clone(),
+                error: error.clone(),
+            },
+            Some(_) => return Err(invalid("a degraded cell stores no folds".to_string())),
+        };
+        self.put(fingerprint, cfg, outcome)
+    }
+
+    /// Writes the record of a cell.
+    fn put(
+        &self,
+        fingerprint: u64,
+        cfg: &CellConfig,
+        outcome: StoredOutcome,
+    ) -> Result<(), PvError> {
         let key = cell_key(fingerprint, cfg)?;
         let cell = CachedCell {
             fingerprint,
             config: *cfg,
-            summary: summary.clone(),
-            degraded: degraded.cloned(),
-            folds: folds.to_vec(),
+            outcome,
         };
         crate::store::write_json(&self.key_path(key), CELL_MAGIC, key, &cell)
     }
@@ -602,17 +743,19 @@ pub enum CellOutcome {
         attempts: u32,
     },
     /// The cell exhausted its retries without a usable result. With a
-    /// cache attached the cell is quarantined for subsequent runs.
+    /// cache attached, its cell file records the failure, and later runs
+    /// report it [`CellOutcome::Quarantined`] until that file is deleted.
     Failed {
         /// The error from the final attempt.
         error: PvError,
         /// Attempts spent.
         attempts: u32,
     },
-    /// The cell was on the cache directory's quarantine list and was
-    /// skipped without evaluation.
+    /// The cell's file records a failure from an earlier run, so the
+    /// cell was skipped without evaluation. Deleting the file
+    /// ([`CellCache::entry_path`]) re-arms it.
     Quarantined {
-        /// The persisted error description from the quarantining run.
+        /// The persisted error description from the failing run.
         error: String,
     },
 }
@@ -653,7 +796,7 @@ impl CellOutcome {
         matches!(self, CellOutcome::Failed { .. })
     }
 
-    /// Whether the cell was skipped via the quarantine list.
+    /// Whether the cell was skipped for a recorded failure.
     pub fn is_quarantined(&self) -> bool {
         matches!(self, CellOutcome::Quarantined { .. })
     }
@@ -695,7 +838,7 @@ pub struct SweepReport {
     pub failed: usize,
     /// Cells that completed on a degraded fallback representation.
     pub degraded: usize,
-    /// Cells skipped via the quarantine list.
+    /// Cells skipped because their file records an earlier failure.
     pub quarantined: usize,
     /// Cache-store failures (non-fatal: the summary was still returned).
     pub store_failures: usize,
@@ -709,15 +852,6 @@ impl SweepReport {
     /// Whether every cell produced a clean (non-degraded) result.
     pub fn is_clean(&self) -> bool {
         self.failed == 0 && self.degraded == 0 && self.quarantined == 0
-    }
-
-    /// The cells that did not produce a usable summary (failed or
-    /// quarantined), grid order.
-    pub fn failures(&self) -> Vec<&CellResult> {
-        self.cells
-            .iter()
-            .filter(|c| c.outcome.is_failed() || c.outcome.is_quarantined())
-            .collect()
     }
 }
 
@@ -781,11 +915,6 @@ impl<'a, 'c> Sweep<'a, 'c> {
     pub fn with_lock_timeout(mut self, timeout: Duration) -> Self {
         self.lock_timeout = timeout;
         self
-    }
-
-    /// The attached cache, if any.
-    pub fn cache(&self) -> Option<&CellCache> {
-        self.cache.as_ref()
     }
 
     /// The fingerprint cells are keyed under: the corpus fingerprint for
@@ -986,7 +1115,8 @@ impl<'a, 'c> Sweep<'a, 'c> {
     /// deterministic sub-seed per attempt), solver failures fall back to
     /// the histogram representation as [`CellOutcome::Degraded`], and a
     /// cell that exhausts its budget becomes [`CellOutcome::Failed`] and
-    /// (with a cache attached) is quarantined so re-runs skip it.
+    /// (with a cache attached) its file records the failure at once, so
+    /// re-runs skip it as [`CellOutcome::Quarantined`].
     ///
     /// # Errors
     /// Fails only when the cache directory's advisory lock cannot be
@@ -1001,15 +1131,11 @@ impl<'a, 'c> Sweep<'a, 'c> {
         pv_obs::metrics::preregister_counters(SWEEP_OBS_COUNTERS);
         pv_obs::metrics::preregister_counters(&SHARD_OBS_COUNTERS);
         pv_obs::gauge_set!("pv.core.sweep.cells_total", cells.len());
-        // The advisory lock covers cache reads, writes, and the
-        // quarantine update; it is held until this function returns.
+        // The advisory lock covers cache reads and writes; it is held
+        // until this function returns.
         let _lock = match &self.cache {
             Some(cache) => Some(CacheLock::acquire(cache.dir(), self.lock_timeout)?),
             None => None,
-        };
-        let quarantine = match &self.cache {
-            Some(cache) => Quarantine::load(cache.dir()),
-            None => Quarantine::new(),
         };
         // One directory scan up front: the best same-config donor folds
         // from *other* corpus fingerprints (i.e. earlier, smaller
@@ -1030,46 +1156,22 @@ impl<'a, 'c> Sweep<'a, 'c> {
                 let config = cells[index];
                 let _cell_span = pv_obs::span!("pv.core.sweep.cell", index = index);
                 pv_obs::counter_inc!("pv.core.sweep.cells");
-                if let Some(entry) = cell_key(fingerprint, &config)
-                    .ok()
-                    .and_then(|k| quarantine.get(k))
-                {
-                    // Known-bad from a previous run: skip-and-report
-                    // (counted in neither hits nor misses — nothing was
-                    // looked up or computed).
-                    pv_obs::counter_inc!("pv.core.sweep.quarantine_skip");
-                    let result = CellResult {
-                        index,
-                        config,
-                        outcome: CellOutcome::Quarantined {
-                            error: entry.error.to_string(),
-                        },
-                        from_cache: false,
-                    };
-                    on_cell(&result);
-                    return result;
-                }
-                let cached = self
+                let stored = self
                     .cache
                     .as_ref()
-                    .and_then(|c| c.load(fingerprint, &config));
-                let (outcome, from_cache) = match cached {
-                    Some((summary, degraded)) => {
+                    .and_then(|c| c.lookup(fingerprint, &config));
+                let (outcome, from_cache) = match stored.map(StoredOutcome::replay) {
+                    Some(skipped @ CellOutcome::Quarantined { .. }) => {
+                        // Known-bad from a previous run: skip-and-report
+                        // (counted in neither hits nor misses — nothing
+                        // was computed).
+                        pv_obs::counter_inc!("pv.core.sweep.quarantine_skip");
+                        (skipped, false)
+                    }
+                    Some(hit) => {
                         hits.fetch_add(1, Ordering::Relaxed);
                         pv_obs::counter_inc!("pv.core.sweep.cache_hit");
-                        let outcome = match degraded {
-                            Some(error) => CellOutcome::Degraded {
-                                summary,
-                                fallback: ReprKind::Histogram,
-                                error,
-                                attempts: 0,
-                            },
-                            None => CellOutcome::Ok {
-                                summary,
-                                attempts: 0,
-                            },
-                        };
-                        (outcome, true)
+                        (hit, true)
                     }
                     None => {
                         misses.fetch_add(1, Ordering::Relaxed);
@@ -1088,7 +1190,15 @@ impl<'a, 'c> Sweep<'a, 'c> {
                                 CellOutcome::Degraded { summary, error, .. } => {
                                     cache.store(fingerprint, &config, summary, Some(error), &[])
                                 }
-                                _ => Ok(()),
+                                CellOutcome::Failed { error, attempts } => cache.put(
+                                    fingerprint,
+                                    &config,
+                                    StoredOutcome::Failed {
+                                        error: error.clone(),
+                                        attempts: *attempts,
+                                    },
+                                ),
+                                CellOutcome::Quarantined { .. } => Ok(()),
                             };
                             if stored.is_err() {
                                 // A failed store must not fail the cell:
@@ -1126,30 +1236,6 @@ impl<'a, 'c> Sweep<'a, 'c> {
                 result
             })
             .collect();
-
-        if let Some(cache) = &self.cache {
-            // Quarantine newly failed cells (grid order → deterministic
-            // file content for a given plan, any thread count).
-            let mut q = quarantine;
-            let mut dirty = false;
-            for r in &results {
-                if let CellOutcome::Failed { error, attempts } = &r.outcome {
-                    if let Ok(key) = cell_key(fingerprint, &r.config) {
-                        q.insert(QuarantineEntry {
-                            key,
-                            label: r.config.label(),
-                            error: error.clone(),
-                            attempts: *attempts,
-                        });
-                        dirty = true;
-                    }
-                }
-            }
-            if dirty && q.save(cache.dir()).is_err() {
-                store_failures.fetch_add(1, Ordering::Relaxed);
-                pv_obs::counter_inc!("pv.core.sweep.cache_store_fail");
-            }
-        }
 
         let mut report = SweepReport {
             fingerprint,
@@ -1407,6 +1493,75 @@ mod tests {
         assert_ne!(cell_key(1, &a).unwrap(), cell_key(2, &a).unwrap());
         assert_ne!(cell_key(1, &a).unwrap(), cell_key(1, &b).unwrap());
         assert_eq!(cell_key(7, &a).unwrap(), cell_key(7, &a).unwrap());
+    }
+
+    #[test]
+    fn stored_folds_must_match_the_summary_and_failed_records_carry_none() {
+        let c = corpus();
+        let cfg = FewRunsConfig {
+            repr: ReprKind::PearsonRnd,
+            model: ModelKind::Knn,
+            n_profile_runs: 5,
+            profiles_per_benchmark: 1,
+            seed: 3,
+        };
+        let enc = EncodedCorpus::build(&c, &few_runs_spec(&cfg)).unwrap();
+        let eval = evaluate_few_runs_incremental(&enc, cfg, &[]).unwrap();
+        let (fp, cell) = (enc.fingerprint(), CellConfig::FewRuns(cfg));
+        let dir = std::env::temp_dir().join(format!("pv-sweep-record-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cache = CellCache::new(&dir);
+
+        // Folds that would be dropped or disagree with the summary are
+        // refused, typed, and nothing is written.
+        let refused = |degraded: Option<&PvError>, folds: &[FoldEntry]| {
+            cache
+                .store(fp, &cell, &eval.summary, degraded, folds)
+                .unwrap_err()
+                .kind()
+        };
+        let mut lying = eval.folds.clone();
+        lying[2].score.ks += 0.5;
+        let panic = PvError::CellPanic {
+            message: "boom".into(),
+        };
+        assert_eq!(refused(None, &lying), "invalid");
+        assert_eq!(refused(None, &eval.folds[1..]), "invalid");
+        assert_eq!(refused(Some(&panic), &eval.folds), "invalid");
+        assert_eq!(cache.entries(), 0);
+
+        // Stored, the folds come back whole: their scores are the
+        // summary's.
+        cache
+            .store(fp, &cell, &eval.summary, None, &eval.folds)
+            .unwrap();
+        assert_eq!(cache.donor_folds(fp ^ 1)[&cell], eval.folds);
+        assert_eq!(cache.configs(fp), vec![cell]);
+
+        // A stored fold list one short of the scores is invalid.
+        let mut short = stored_folds(&eval.summary, &eval.folds).unwrap();
+        short.pop();
+        let ok = StoredOutcome::Ok {
+            summary: eval.summary.clone(),
+            folds: short,
+        };
+        cache.put(fp, &cell, ok).unwrap();
+        let key = cell_key(fp, &cell).unwrap();
+        assert_eq!(cache.read(key).unwrap_err().kind(), "invalid");
+        assert!(cache.load(fp, &cell).is_none());
+
+        // A failed record is read back as such, but it has no summary,
+        // donates no folds and is no config worth training.
+        let failed = StoredOutcome::Failed {
+            error: panic.clone(),
+            attempts: 3,
+        };
+        cache.put(fp, &cell, failed.clone()).unwrap();
+        assert_eq!(cache.lookup(fp, &cell), Some(failed));
+        assert!(cache.load(fp, &cell).is_none());
+        assert!(cache.donor_folds(fp ^ 1).is_empty());
+        assert!(cache.configs(fp).is_empty());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

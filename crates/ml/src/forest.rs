@@ -55,7 +55,7 @@ pub struct RandomForestRegressor {
     /// Use histogram (pre-binned) split finding in every tree; see
     /// [`TreeConfig::binned`]. Off in this constructor's defaults; the
     /// evaluation forest (`pv_core::ModelKind::RandomForest`) turns it
-    /// on unless `PV_EXACT_TREES` is set.
+    /// on.
     pub binned: bool,
     /// Root RNG seed.
     pub seed: u64,

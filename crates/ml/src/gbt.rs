@@ -40,7 +40,7 @@ pub struct GradientBoostingRegressor {
     /// Use histogram (pre-binned) split finding in every round's tree;
     /// see [`TreeConfig::binned`]. Off in this constructor's defaults;
     /// the evaluation booster (`pv_core::ModelKind::XgBoost`) turns it
-    /// on unless `PV_EXACT_TREES` is set.
+    /// on.
     pub binned: bool,
     base: Vec<f64>,
     trees: Vec<RegressionTree>,

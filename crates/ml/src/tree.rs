@@ -52,7 +52,7 @@ pub struct TreeConfig {
     /// pre-bins every feature into ≤ 256 value bins once per fit and
     /// finds splits on nodes larger than a feature's bin count with an
     /// O(n + bins) histogram scan. The evaluation models
-    /// (`pv_core::ModelKind`) turn it on unless `PV_EXACT_TREES` is set.
+    /// (`pv_core::ModelKind`) turn it on.
     pub binned: bool,
 }
 

@@ -1,13 +1,13 @@
 //! Deterministic fault-injection tier: a sweep with k injected faults
 //! completes, reports exactly k failed/degraded cells, and every
 //! healthy cell is bit-identical to a fault-free run. Also covers
-//! quarantine persistence, cache-corruption healing, and the
+//! failed-cell records across runs, cache-corruption healing, and the
 //! thread-count independence of outcomes under random fault plans.
 
 use std::path::PathBuf;
 
 use perfvar_suite::core::pipeline::EncodedCorpus;
-use perfvar_suite::core::resilience::{silence_injected_panics, FaultKind, FaultPlan, Quarantine};
+use perfvar_suite::core::resilience::{silence_injected_panics, FaultKind, FaultPlan};
 use perfvar_suite::core::sweep::{CellCache, CellOutcome, GridSpec, Sweep, SweepReport};
 use perfvar_suite::core::{ModelKind, ReprKind};
 use perfvar_suite::sysmodel::{Corpus, SystemModel};
@@ -138,7 +138,11 @@ fn failed_cells_are_quarantined_across_runs_until_cleared() {
         .with_faults(FaultPlan::none().inject(0, FaultKind::Panic));
     let first = faulty.run(&grid).unwrap();
     assert_eq!(first.failed, 1);
-    assert!(!Quarantine::load(&tmp.dir).is_empty());
+    let record = tmp
+        .cache()
+        .entry_path(first.fingerprint, &first.cells[0].config)
+        .unwrap();
+    assert!(record.is_file(), "the failed cell's file records it");
 
     // A later fault-free run must not re-evaluate the poisoned cell: it
     // comes back quarantined, everything else from the cache.
@@ -148,9 +152,9 @@ fn failed_cells_are_quarantined_across_runs_until_cleared() {
     assert!(second.cells[0].outcome.is_quarantined());
     assert_eq!((second.hits, second.misses), (5, 0));
 
-    // Clearing the quarantine lets the cell recompute — successfully,
+    // Deleting the cell's file lets the cell recompute — successfully,
     // now that no fault is armed.
-    Quarantine::clear(&tmp.dir);
+    std::fs::remove_file(&record).unwrap();
     let third = clean.run(&grid).unwrap();
     assert!(third.is_clean());
     assert!(third.cells[0].outcome.is_ok());

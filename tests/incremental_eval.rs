@@ -14,6 +14,7 @@ use perfvar_suite::core::{
     ModelKind, ReprKind,
 };
 use perfvar_suite::sysmodel::{Corpus, SystemModel};
+use serde::Content;
 
 /// A unique, self-cleaning cache directory per test.
 struct TempCache {
@@ -175,16 +176,26 @@ fn tampered_donor_folds_are_recomputed_and_stay_bit_identical() {
     let base_sweep = Sweep::few_runs(&base_enc).with_cache(tmp.cache());
     let seeded = base_sweep.run(&grid).unwrap();
 
-    // Vandalize the stored folds: a lying score whose integrity digest
-    // no longer matches, re-stored at the same cache slot.
+    // A stored fold holds no score of its own (the summary does), so a
+    // lying score cannot even be stored: the store refuses it, typed.
     let full_enc = EncodedCorpus::build(&full, &grid.few_runs_encoding()).unwrap();
     let full_fp = Sweep::few_runs(&full_enc).fingerprint();
     let cache = tmp.cache();
     let donors = cache.donor_folds(full_fp);
     let (cfg, mut folds) = donors.into_iter().next().expect("donor entry present");
     assert_eq!(folds.len(), base.len());
-    folds[2].score.ks += 0.5;
     let summary = seeded.cells[0].summary().unwrap().clone();
+    let mut lying = folds.clone();
+    lying[2].score.ks += 0.5;
+    let refused = cache
+        .store(base_sweep.fingerprint(), &cfg, &summary, None, &lying)
+        .unwrap_err();
+    assert_eq!(refused.kind(), "invalid", "{refused}");
+
+    // Vandalize a field a stored fold does carry: one neighbour index,
+    // whose integrity digest no longer matches, re-stored at the same
+    // cache slot.
+    folds[2].neighbors.as_mut().unwrap()[0] ^= 1;
     cache
         .store(base_sweep.fingerprint(), &cfg, &summary, None, &folds)
         .unwrap();
@@ -235,6 +246,62 @@ fn stored_cell_grows_linearly_with_the_roster() {
         "60-benchmark entry is {:.2}x the 30-benchmark one ({sizes:?} bytes)",
         sizes[1] / sizes[0]
     );
+}
+
+/// Any JSON value, as the parsed tree.
+struct Tree(Content);
+
+impl<'de> serde::Deserialize<'de> for Tree {
+    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        d.take_content().map(Tree)
+    }
+}
+
+/// The number of `"ks"` keys anywhere in `value`.
+fn count_ks(value: &Content) -> usize {
+    match value {
+        Content::Map(fields) => fields
+            .iter()
+            .map(|(k, v)| usize::from(k == "ks") + count_ks(v))
+            .sum(),
+        Content::Seq(items) => items.iter().map(count_ks).sum(),
+        _ => 0,
+    }
+}
+
+/// A stored ok cell holds each fold's KS once: in the summary's scores,
+/// which the stored folds' scores are rebuilt from.
+#[test]
+fn stored_cell_holds_each_ks_once() {
+    let mut corpus = Corpus::collect(&SystemModel::intel(), 30, 23);
+    corpus.benchmarks.truncate(20);
+    let grid = GridSpec {
+        reprs: vec![ReprKind::PearsonRnd],
+        models: vec![ModelKind::Knn],
+        sample_counts: vec![5],
+        seeds: vec![17],
+        profiles_per_benchmark: 1,
+    };
+    let tmp = TempCache::new("ks-once");
+    let enc = EncodedCorpus::build(&corpus, &grid.few_runs_encoding()).unwrap();
+    let sweep = Sweep::few_runs(&enc).with_cache(tmp.cache());
+    let report = sweep.run(&grid).unwrap();
+    assert_eq!(report.fold_stats.total(), corpus.len());
+    let path = tmp
+        .cache()
+        .entry_path(sweep.fingerprint(), &CellConfig::FewRuns(knn_cfg()))
+        .unwrap();
+    // The sealed envelope: 16 header bytes, the JSON payload, an 8-byte
+    // digest trailer.
+    let bytes = std::fs::read(path).unwrap();
+    let text = std::str::from_utf8(&bytes[16..bytes.len() - 8]).unwrap();
+    let Tree(payload) = serde_json::from_str(text).unwrap();
+    assert_eq!(count_ks(&payload), corpus.len());
+    // The folds still come back whole, scores included.
+    let donors = tmp.cache().donor_folds(sweep.fingerprint() ^ 1);
+    let folds = &donors[&CellConfig::FewRuns(knn_cfg())];
+    let scores: Vec<_> = folds.iter().map(|f| f.score).collect();
+    assert_eq!(scores, report.cells[0].summary().unwrap().scores);
 }
 
 /// The reuse rule, case by case: a prior's roster (its entries' held

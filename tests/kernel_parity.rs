@@ -11,15 +11,17 @@
 //!    row-at-a-time scoring at several tile shapes, and batch
 //!    predictions bit-identical to `predict`;
 //! 3. exact-vs-binned tree splits — the accuracy thresholds that gate
-//!    the binned default (`PV_EXACT_TREES` opt-out) at the evaluation
-//!    level;
+//!    the binned kernel the evaluation models use, with the exact scan
+//!    as the reference, at the evaluation level;
 //! 4. the evaluation XGBoost's prediction bits on fixed datasets, so a
 //!    change to the split search that moves any fitted split shows.
 
-use std::sync::Mutex;
+use std::borrow::Cow;
 
+use perfvar_suite::core::eval::{few_runs_spec, RECONSTRUCTION_SAMPLES};
+use perfvar_suite::core::pipeline::{EncodedCorpus, FoldRunner, FoldTruth, FoldView, SeedMode};
 use perfvar_suite::core::usecase1::FewRunsConfig;
-use perfvar_suite::core::{evaluate_few_runs, FittedModel, ModelKind, ReprKind};
+use perfvar_suite::core::{evaluate_few_runs, EvalSummary, FittedModel, ModelKind, ReprKind};
 use perfvar_suite::ml::dataset::Dataset;
 use perfvar_suite::ml::distance::{cosine_with_sq_norms, squared_norm, Distance};
 use perfvar_suite::ml::kernel::{cosine_distance_matrix, TILE_Q, TILE_T};
@@ -191,30 +193,63 @@ fn knn_batch_predictions_are_bit_identical_to_row_predictions() {
 }
 
 // -----------------------------------------------------------------
-// 3. exact vs binned trees: the thresholds gating the default
+// 3. exact vs binned trees: the thresholds gating the binned kernel
 // -----------------------------------------------------------------
 
-/// Serializes the tests that build tree models through `ModelKind`:
-/// one of them toggles `PV_EXACT_TREES`, which `build_fitted` reads.
-static TREE_ENV: Mutex<()> = Mutex::new(());
-
-/// Restores `PV_EXACT_TREES` to "unset" when dropped, even on panic.
-struct ExactTreesGuard;
-
-impl Drop for ExactTreesGuard {
-    fn drop(&mut self) {
-        std::env::remove_var("PV_EXACT_TREES");
-    }
+/// A few-runs evaluation (one profile window per benchmark) through the
+/// public [`FoldRunner`], as `pv_core::ablation` runs its grids, with
+/// the evaluation forest switched to the binned or the exact kernel.
+fn forest_eval(enc: &EncodedCorpus, cfg: FewRunsConfig, binned: bool) -> EvalSummary {
+    let repr = cfg.repr.build();
+    let runner = FoldRunner {
+        n_folds: enc.len(),
+        seed: cfg.seed,
+        seed_mode: SeedMode::PerFold,
+        standardize: cfg.model.wants_standardization(),
+        n_samples: RECONSTRUCTION_SAMPLES,
+        repr: repr.as_ref(),
+    };
+    let s = cfg.n_profile_runs;
+    runner
+        .run(
+            |fold_seed| {
+                let FittedModel::RandomForest(rf) = cfg.model.build_fitted(fold_seed) else {
+                    unreachable!("RandomForest builds a forest")
+                };
+                Box::new(rf.with_binned(binned)) as Box<dyn Regressor>
+            },
+            |held, include| {
+                let query = enc.profile(s, held, 0)?.to_vec();
+                let x_dim = query.len();
+                let y_dim = enc.target(cfg.repr, held)?.len();
+                Ok(FoldView::new(
+                    include.len(),
+                    x_dim,
+                    y_dim,
+                    query,
+                    move |sink| {
+                        for &bi in &include {
+                            sink(enc.profile(s, bi, 0)?, enc.target(cfg.repr, bi)?, bi)?;
+                        }
+                        Ok(())
+                    },
+                ))
+            },
+            |held| {
+                Ok(FoldTruth {
+                    id: enc.corpus().benchmarks[held].id,
+                    rel: Cow::Borrowed(enc.rel_times_sorted(held)),
+                })
+            },
+        )
+        .unwrap()
 }
 
 #[test]
 fn binned_eval_summary_is_within_the_documented_threshold_of_exact() {
-    // The gate for default-on (DESIGN.md "Kernel contracts"): a full
-    // few-runs RandomForest evaluation under binned splits must land
-    // within |Δ mean KS| ≤ 0.02 of exhaustive exact splits. This test
-    // owns the PV_EXACT_TREES toggle; the other tests in this binary
-    // that build tree models through ModelKind hold TREE_ENV too.
-    let _env = TREE_ENV.lock().unwrap_or_else(|e| e.into_inner());
+    // The gate for the binned kernel (DESIGN.md "Kernel contracts"): a
+    // full few-runs RandomForest evaluation under binned splits must
+    // land within |Δ mean KS| ≤ 0.02 of exhaustive exact splits.
     let corpus = Corpus::collect(&SystemModel::intel(), 24, 0x51);
     let cfg = FewRunsConfig {
         repr: ReprKind::Histogram,
@@ -223,10 +258,11 @@ fn binned_eval_summary_is_within_the_documented_threshold_of_exact() {
         profiles_per_benchmark: 1,
         seed: 9,
     };
-    let binned = evaluate_few_runs(&corpus, cfg).unwrap();
-    let _guard = ExactTreesGuard;
-    std::env::set_var("PV_EXACT_TREES", "1");
-    let exact = evaluate_few_runs(&corpus, cfg).unwrap();
+    let enc = EncodedCorpus::build(&corpus, &few_runs_spec(&cfg)).unwrap();
+    let binned = forest_eval(&enc, cfg, true);
+    // The binned run is the evaluation path itself, bit for bit.
+    assert_eq!(binned, evaluate_few_runs(&corpus, cfg).unwrap());
+    let exact = forest_eval(&enc, cfg, false);
     let delta = (binned.mean - exact.mean).abs();
     assert!(
         delta <= 0.02,
@@ -307,14 +343,10 @@ fn xgb_prediction_digest(xs: &[Vec<f64>], ys: &[Vec<f64>], seed: u64) -> u64 {
         DenseMatrix::from_rows(ys).unwrap(),
     )
     .unwrap();
-    let _env = TREE_ENV.lock().unwrap_or_else(|e| e.into_inner());
     let FittedModel::XgBoost(mut m) = ModelKind::XgBoost.build_fitted(seed) else {
         unreachable!("XgBoost builds a booster")
     };
-    assert!(
-        m.binned,
-        "the pins are recorded on the default binned kernel"
-    );
+    assert!(m.binned, "the pins are recorded on the binned kernel");
     m.fit(&data).unwrap();
     let mut h = Fnv1a::new();
     for q in xs.iter().chain(&vecs(5, xs[0].len(), seed + 1000)) {

@@ -1,5 +1,5 @@
-//! Adversarial tier for every on-disk format: shard spill, sweep cell,
-//! quarantine list and registry artifact.
+//! Adversarial tier for every on-disk format: shard spill, sweep cell
+//! (a healthy cell's and a failed cell's record) and registry artifact.
 //!
 //! Each format seals one small entry, then goes through every single
 //! byte flip, every truncation, and one paired bit-7 flip inside the
@@ -17,7 +17,7 @@ use perfvar_suite::core::eval::few_runs_spec;
 use perfvar_suite::core::incremental::evaluate_few_runs_incremental;
 use perfvar_suite::core::pipeline::{EncodedCorpus, EncodingSpec};
 use perfvar_suite::core::registry::{Artifact, ModelRegistry};
-use perfvar_suite::core::resilience::{silence_injected_panics, QUARANTINE_FILE};
+use perfvar_suite::core::resilience::silence_injected_panics;
 use perfvar_suite::core::shard::{CampaignSource, ShardSource, ShardedCorpus};
 use perfvar_suite::core::sweep::{CellCache, CellConfig, CellOutcome, GridSpec, Sweep};
 use perfvar_suite::core::usecase1::{FewRunsConfig, FewRunsPredictor};
@@ -166,14 +166,14 @@ fn every_flip_and_truncation_of_a_cell_entry_is_a_counted_healed_miss() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// The quarantine heals through the sweep itself: cell 0 always panics,
-/// so a tampered list is a counted miss, the cell re-runs, fails, and is
-/// quarantined again. No case may skip cell 1 instead.
+/// A failed cell's record heals through the sweep itself: cell 0 always
+/// panics, so a tampered record is a counted miss, the cell re-runs,
+/// fails, and is recorded again. No case may skip cell 1 instead.
 #[test]
-fn every_flip_and_truncation_of_a_quarantine_is_a_counted_healed_miss() {
+fn every_flip_and_truncation_of_a_failed_cell_record_is_a_counted_healed_miss() {
     let _guard = obs_serial();
     silence_injected_panics();
-    let dir = tmp_dir("quarantine");
+    let dir = tmp_dir("failed-cell");
     let corpus = small_corpus();
     let grid = GridSpec {
         reprs: vec![ReprKind::Histogram],
@@ -183,8 +183,9 @@ fn every_flip_and_truncation_of_a_quarantine_is_a_counted_healed_miss() {
         profiles_per_benchmark: 1,
     };
     let enc = EncodedCorpus::build(&corpus, &grid.few_runs_encoding()).unwrap();
+    let cache = CellCache::new(&dir);
     let sweep = Sweep::few_runs(&enc)
-        .with_cache(CellCache::new(&dir))
+        .with_cache(cache.clone())
         .with_faults(FaultPlan::none().inject(0, FaultKind::Panic));
     let first = sweep.run(&grid).unwrap();
     assert_eq!((first.failed, first.quarantined), (1, 0));
@@ -193,9 +194,13 @@ fn every_flip_and_truncation_of_a_quarantine_is_a_counted_healed_miss() {
         skipped.cells[0].outcome,
         CellOutcome::Quarantined { .. }
     ));
+    assert_eq!((skipped.hits, skipped.misses), (1, 0));
+    let record = cache
+        .entry_path(first.fingerprint, &first.cells[0].config)
+        .unwrap();
     every_case(
-        "quarantine",
-        &dir.join(QUARANTINE_FILE),
+        "failed cell",
+        &record,
         "pv.core.sweep.cache_verify_fail",
         |k| {
             let report = sweep.run(&grid).unwrap();
