@@ -38,7 +38,7 @@ use pv_bench::{
 use pv_core::eval::EvalSummary;
 use pv_core::pipeline::{EncodedCorpus, EncodingSpec};
 use pv_core::report::{kde_curve, overlay, sparkline, summary_table, violin_row, write_csv};
-use pv_core::resilience::{silence_injected_panics, FaultPlan, PvError, DEFAULT_MAX_RETRIES};
+use pv_core::resilience::{silence_injected_panics, FaultPlan, PvError};
 use pv_core::shard::{CampaignSource, ShardSource, ShardedCorpus};
 use pv_core::sweep::{
     CellCache, CellConfig, CellOutcome, CellResult, GridSpec, Sweep, SweepReport,
@@ -833,7 +833,7 @@ OPTIONS:
     --models LIST     comma list of knn,randomforest,xgboost (default knn)
     --samples LIST    use-case-1 profile-run counts (default 10)
     --runs N          runs per benchmark in the training corpus (default 1000)
-    --from-sweep DIR  also seal a model for every completed, non-degraded
+    --from-sweep DIR  also seal a model for every healthy (not failed)
                       cell a sweep cache holds for the same corpus
     --force           re-fit even when a verified entry already exists
 
@@ -1261,14 +1261,11 @@ OPTIONS:
                          spill, to target/repro/shard-spill
     --keep-going         exit 0 even when cells fail; report them in the
                          failure summary instead
-    --max-retries N      retry a failing cell up to N times with a fresh
-                         deterministic sub-seed (default 2)
     --inject LIST        deterministic fault injection, comma list of
-                         KIND@CELL[:ATTEMPTS] where KIND is one of
-                         panic,nonconv,nan,corrupt — e.g. panic@3 or
-                         nonconv@0:1 (transient: fails attempt 0 only)
+                         KIND@CELL where KIND is one of
+                         panic,nonconv,nan,corrupt — e.g. panic@3,nonconv@0
     --progress           periodic progress line on stderr (completed/total,
-                         hit rate, failed/degraded, ETA)
+                         hit rate, failed, ETA)
     --trace-out FILE     write a JSONL span trace of the run
     --metrics-out FILE   write the metrics snapshot as JSON
     --obs-summary        print the observability summary table at the end
@@ -1276,17 +1273,16 @@ OPTIONS:
 
 A re-run with a widened grid loads finished cells from the cache and
 computes only the delta; cached results are bit-identical to fresh ones.
-Failing cells never abort the sweep: they are retried, listed in the
-failure summary, and recorded as failed in their cell file so later
-runs skip them (delete the cell file the summary names to retry).
-MaxEnt cells whose solver does not converge fall back to a histogram
-representation and are marked degraded.";
+Each cell is evaluated once, under its own config. Failing cells never
+abort the sweep: they are listed in the failure summary and recorded as
+failed in their cell file so later runs skip them (delete the cell file
+the summary names to retry).";
 
 const SWEEP: Command = Command {
     name: "sweep",
     help: SWEEP_HELP,
     values: "--uc --reprs --models --samples --seeds --runs --append --benchmarks --shard-size \
-             --cache --max-retries --inject",
+             --cache --inject",
     switches: "--reverse --no-cache --keep-going --progress",
     operands: false,
     main: sweep_cmd,
@@ -1313,25 +1309,15 @@ fn at_least_one(args: &Args, flag: &str, default: usize) -> Result<usize, CliErr
     }
 }
 
-/// Parses one `--inject` spec: `KIND@CELL[:ATTEMPTS]`.
-fn parse_fault_spec(spec: &str) -> Result<(usize, FaultKind, u32), CliError> {
+/// Parses one `--inject` spec: `KIND@CELL`.
+fn parse_fault_spec(spec: &str) -> Result<(usize, FaultKind), CliError> {
     let bad = |what: String| usage(format!("--inject: {spec:?}: {what}"));
-    let (kind, rest) = spec
+    let (kind, cell) = spec
         .split_once('@')
-        .ok_or_else(|| bad("not KIND@CELL[:ATTEMPTS]".into()))?;
-    let (cell, attempts) = match rest.split_once(':') {
-        Some((cell, attempts)) => (
-            cell,
-            attempts
-                .parse()
-                .map_err(|e| bad(format!("attempts: {e}")))?,
-        ),
-        None => (rest, u32::MAX),
-    };
+        .ok_or_else(|| bad("not KIND@CELL".into()))?;
     Ok((
         cell.parse().map_err(|e| bad(format!("cell: {e}")))?,
         kind.parse().map_err(bad)?,
-        attempts,
     ))
 }
 
@@ -1366,8 +1352,8 @@ fn sweep_cmd(args: &Args) -> Result<(), CliError> {
     };
     let mut faults = FaultPlan::none();
     for spec in args.all("--inject").flat_map(|v| v.split(',')) {
-        let (cell, kind, attempts) = parse_fault_spec(spec.trim())?;
-        faults = faults.inject_transient(cell, kind, attempts);
+        let (cell, kind) = parse_fault_spec(spec.trim())?;
+        faults = faults.inject(cell, kind);
     }
     let cache_dir = match args.last_of(&["--cache", "--no-cache"]) {
         Some("--no-cache") => None,
@@ -1379,7 +1365,6 @@ fn sweep_cmd(args: &Args) -> Result<(), CliError> {
     let append = args.get("--append", 0)?;
     let n_bench = at_least_one(args, "--benchmarks", pv_sysmodel::roster().len())?;
     let shard_size = at_least_one(args, "--shard-size", 256)?;
-    let max_retries = args.get("--max-retries", DEFAULT_MAX_RETRIES)?;
     let (reverse, progress) = (args.has("--reverse"), args.has("--progress"));
     if grid.is_degenerate() {
         return Err(usage("the grid has an empty axis"));
@@ -1464,7 +1449,7 @@ fn sweep_cmd(args: &Args) -> Result<(), CliError> {
             dst = build_sharded("destination", campaign(dst_sys, n), &dst_spec);
             Sweep::cross_system(&src, &dst)
         };
-        let sweep = sweep.with_max_retries(max_retries).with_faults(faults);
+        let sweep = sweep.with_faults(faults);
         let sweep = match cache.clone() {
             Some(c) => sweep.with_cache(c),
             None => sweep,
@@ -1486,7 +1471,7 @@ fn sweep_cmd(args: &Args) -> Result<(), CliError> {
     }
     let report = run_pass(n_bench, faults);
 
-    // Summary table in grid order (healthy + degraded cells) + CSV.
+    // Summary table in grid order (healthy cells) + CSV.
     println!();
     let rows: Vec<(String, &EvalSummary)> = report
         .cells
@@ -1513,7 +1498,6 @@ fn sweep_cmd(args: &Args) -> Result<(), CliError> {
                 s.spread.q1,
                 s.spread.q3,
                 if c.from_cache { 1.0 } else { 0.0 },
-                if c.outcome.is_degraded() { 1.0 } else { 0.0 },
             ]
         })
         .collect();
@@ -1532,7 +1516,6 @@ fn sweep_cmd(args: &Args) -> Result<(), CliError> {
             "q1",
             "q3",
             "from_cache",
-            "degraded",
         ],
         &csv_rows,
         Some(&labels),
@@ -1585,37 +1568,20 @@ fn print_failure_summary(report: &SweepReport, cache: Option<&CellCache>) -> boo
         return true;
     }
     println!(
-        "failure summary: {} failed, {} degraded, {} quarantined",
-        report.failed, report.degraded, report.quarantined
+        "failure summary: {} failed, {} quarantined",
+        report.failed, report.quarantined
     );
     println!("  {:<6} {:<42} DETAIL", "STATUS", "CELL");
     for cell in &report.cells {
         let (status, detail) = match &cell.outcome {
             CellOutcome::Ok { .. } => continue,
-            CellOutcome::Degraded {
-                fallback,
-                error,
-                attempts,
-                ..
-            } => (
-                "DEGR",
-                format!(
-                    "fell back to {} after {attempts} attempt(s): {error}",
-                    fallback.name()
-                ),
-            ),
-            CellOutcome::Failed { error, attempts } => (
-                "FAIL",
-                format!("[{}] after {attempts} attempt(s): {error}", error.kind()),
-            ),
+            CellOutcome::Failed { error } => ("FAIL", format!("[{}] {error}", error.kind())),
             CellOutcome::Quarantined { error } => {
                 ("QUAR", format!("skipped, previously failed: {error}"))
             }
         };
         let retry = match cache.map(|c| c.entry_path(report.fingerprint, &cell.config)) {
-            Some(Ok(path)) if cell.summary().is_none() => {
-                format!(" (delete {} to retry)", path.display())
-            }
+            Some(Ok(path)) => format!(" (delete {} to retry)", path.display()),
             _ => String::new(),
         };
         println!(
@@ -1624,7 +1590,7 @@ fn print_failure_summary(report: &SweepReport, cache: Option<&CellCache>) -> boo
             cell.config.label()
         );
     }
-    report.failed == 0 && report.quarantined == 0
+    false
 }
 
 /// Minimum spacing between `--progress` stderr lines.
@@ -1638,7 +1604,6 @@ fn run_sweep_streaming(sweep: &Sweep<'_, '_>, grid: &GridSpec, progress: bool) -
     let done = AtomicUsize::new(0);
     let hits = AtomicUsize::new(0);
     let failed = AtomicUsize::new(0);
-    let degraded = AtomicUsize::new(0);
     let started = Instant::now();
     let last_line = std::sync::Mutex::new(Instant::now());
     let result = sweep.run_streaming(grid, |cell| {
@@ -1646,14 +1611,8 @@ fn run_sweep_streaming(sweep: &Sweep<'_, '_>, grid: &GridSpec, progress: bool) -
         if cell.from_cache {
             hits.fetch_add(1, Ordering::Relaxed);
         }
-        match &cell.outcome {
-            CellOutcome::Failed { .. } | CellOutcome::Quarantined { .. } => {
-                failed.fetch_add(1, Ordering::Relaxed);
-            }
-            CellOutcome::Degraded { .. } => {
-                degraded.fetch_add(1, Ordering::Relaxed);
-            }
-            CellOutcome::Ok { .. } => {}
+        if !cell.outcome.is_ok() {
+            failed.fetch_add(1, Ordering::Relaxed);
         }
         let provenance = if cell.from_cache {
             "cache hit"
@@ -1661,19 +1620,10 @@ fn run_sweep_streaming(sweep: &Sweep<'_, '_>, grid: &GridSpec, progress: bool) -
             "computed"
         };
         let line = match &cell.outcome {
-            CellOutcome::Ok { summary, .. } => {
+            CellOutcome::Ok { summary } => {
                 format!("mean KS {:.3}  ({provenance})", summary.mean)
             }
-            CellOutcome::Degraded {
-                summary, fallback, ..
-            } => format!(
-                "mean KS {:.3}  ({provenance}, degraded -> {})",
-                summary.mean,
-                fallback.name()
-            ),
-            CellOutcome::Failed { error, attempts } => {
-                format!("FAILED after {attempts} attempt(s): [{}]", error.kind())
-            }
+            CellOutcome::Failed { error } => format!("FAILED: [{}]", error.kind()),
             CellOutcome::Quarantined { .. } => "quarantined (skipped)".to_string(),
         };
         println!("  [{k:>3}/{n_cells}] {:<42} {line}", cell.config.label());
@@ -1687,10 +1637,9 @@ fn run_sweep_streaming(sweep: &Sweep<'_, '_>, grid: &GridSpec, progress: bool) -
                 let elapsed = started.elapsed();
                 let eta = elapsed.mul_f64((n_cells - k) as f64 / k as f64);
                 eprintln!(
-                    "[progress] {k}/{n_cells} cells, {:.0}% hit, {} failed, {} degraded, ETA {:.1?}",
+                    "[progress] {k}/{n_cells} cells, {:.0}% hit, {} failed, ETA {:.1?}",
                     100.0 * hits.load(Ordering::Relaxed) as f64 / k as f64,
                     failed.load(Ordering::Relaxed),
-                    degraded.load(Ordering::Relaxed),
                     eta,
                 );
             }
@@ -1773,10 +1722,8 @@ fn overlays(
 }
 
 /// Runs the campaign grid `reprs` × `models` × `samples` through
-/// `sweep` with no cell cache and no retries, returning each cell's
-/// summary in grid order. A cell that does not evaluate cleanly on its
-/// first attempt is fatal: an exhibit never shows a reseeded or degraded
-/// cell.
+/// `sweep` with no cell cache, returning each cell's summary in grid
+/// order. A cell that fails is fatal: an exhibit never leaves one out.
 fn run_grid(
     sweep: Sweep<'_, '_>,
     reprs: &[ReprKind],
@@ -1784,12 +1731,11 @@ fn run_grid(
     samples: &[usize],
 ) -> Vec<(CellConfig, EvalSummary)> {
     let report = sweep
-        .with_max_retries(0)
         .run(&campaign_grid(reprs, models, samples))
         .expect("a sweep without a cache takes no lock");
     let clean = |cell: CellResult| match cell.outcome {
-        CellOutcome::Ok { summary, .. } => (cell.config, summary),
-        CellOutcome::Degraded { error, .. } | CellOutcome::Failed { error, .. } => {
+        CellOutcome::Ok { summary } => (cell.config, summary),
+        CellOutcome::Failed { error } => {
             eprintln!(
                 "repro: cell {}: [{}] {error}",
                 cell.config.label(),
@@ -1922,13 +1868,10 @@ mod tests {
         assert_eq!(parse_seed("0x10"), Ok(16));
         assert_eq!(parse_seed("0X20"), Ok(32));
         assert_eq!(
-            parse_fault_spec("nonconv@3:1"),
-            Ok((3, FaultKind::NonConvergence, 1))
+            parse_fault_spec("nonconv@3"),
+            Ok((3, FaultKind::NonConvergence))
         );
-        assert_eq!(
-            parse_fault_spec("panic@0"),
-            Ok((0, FaultKind::Panic, u32::MAX))
-        );
+        assert_eq!(parse_fault_spec("panic@0"), Ok((0, FaultKind::Panic)));
         // Every rule below rejects the line before the sweep does anything.
         // `--inject` accumulates, so a bad early spec is still an error.
         for bad in [
@@ -1938,6 +1881,8 @@ mod tests {
             &["--append", "60"],
             &["--append", "1", "--no-cache"],
             &["--inject", "panic"],
+            &["--inject", "panic@0:1"],
+            &["--max-retries", "2"],
             &["--inject", "nan@x", "--inject", "panic@0"],
             &["--seeds", "0xZZ"],
             &["--samples", "5,,10"],

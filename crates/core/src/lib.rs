@@ -22,7 +22,7 @@
 //! | the LOGO fold loop with per-fold score cache + append delta | [`incremental`] |
 //! | config-grid sweep service with cached cells | [`sweep`] |
 //! | trained-model registry (sealed fitted artifacts for serving) | [`registry`] |
-//! | fault tolerance: error taxonomy, retries, fault injection, cache lock | [`resilience`] |
+//! | fault tolerance: error taxonomy, fault injection, cache lock | [`resilience`] |
 //! | the on-disk contract: sealed envelope, atomic writer | [`store`] |
 //! | figure/table rendering | [`report`] |
 //!

@@ -8,12 +8,12 @@
 //!
 //! * [`PvError`] — the typed error taxonomy. Every failure a cell can
 //!   produce is classified (solver non-convergence, degenerate input,
-//!   numeric domain violation, cache I/O, panic-in-cell) so retry and
-//!   fallback policy can dispatch on *kind* instead of string-matching.
+//!   numeric domain violation, cache I/O, panic-in-cell) so reports and
+//!   failed-cell records carry a *kind* instead of a bare string.
 //! * [`FaultPlan`] — a deterministic fault-injection harness. Faults are
-//!   keyed by cell index and attempt number and the plan is seeded, so a
-//!   failing campaign replays exactly — the property the
-//!   `tests/fault_injection.rs` tier is built on.
+//!   keyed by cell index and the plan is seeded, so a failing campaign
+//!   replays exactly — the property the `tests/fault_injection.rs` tier
+//!   is built on.
 //! * [`ServeFaultPlan`] — the same discipline for the query plane:
 //!   faults are keyed by request arrival sequence (slow predictions,
 //!   forced sheds) or reload attempt (registry I/O failures), so the
@@ -22,8 +22,7 @@
 //! * [`CacheLock`] — an advisory lock (atomic marker file) held for the
 //!   duration of a sweep's cache writes, so two concurrent `repro sweep`
 //!   invocations sharing a directory cannot interleave temp-file renames.
-//! * [`retry_seed`] / [`validate_summary`] — deterministic re-seeding
-//!   for retry attempts and the numeric post-condition every computed
+//! * [`validate_summary`] — the numeric post-condition every computed
 //!   summary must satisfy before it is trusted.
 
 use std::fmt;
@@ -38,17 +37,14 @@ use pv_stats::StatsError;
 
 use crate::eval::EvalSummary;
 
-/// Retries a failing cell gets by default (attempts = 1 + retries).
-pub const DEFAULT_MAX_RETRIES: u32 = 2;
-
 /// Typed error taxonomy for the evaluation and sweep paths.
 ///
 /// Where [`StatsError`] describes *what a statistical routine objected
-/// to*, `PvError` describes *what the sweep should do about it*: solver
-/// failures are eligible for a degraded fallback, degenerate input and
-/// numeric-domain failures are data problems worth quarantining, cache
-/// I/O failures are environmental, and a panic is a bug that must be
-/// contained but reported loudly.
+/// to*, `PvError` describes *what kind of failure a sweep reports*:
+/// solver failures, degenerate input and numeric-domain failures are
+/// data problems worth quarantining, cache I/O failures are
+/// environmental, and a panic is a bug that must be contained but
+/// reported loudly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PvError {
     /// An iterative solver failed to converge.
@@ -104,14 +100,6 @@ impl PvError {
             PvError::CellPanic { .. } => "panic",
             PvError::Invalid { .. } => "invalid",
         }
-    }
-
-    /// Whether a degraded-representation fallback is worth attempting:
-    /// only solver non-convergence is — the histogram representation has
-    /// no solver to fail, whereas degenerate input or a panic would hit
-    /// the fallback exactly the same way.
-    pub fn fallback_eligible(&self) -> bool {
-        matches!(self, PvError::Solver { .. })
     }
 }
 
@@ -201,18 +189,6 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Deterministic sub-seed for retry `attempt` of a cell rooted at
-/// `root`. Attempt 0 must use `root` itself (so an un-faulted cell is
-/// bit-identical with or without the retry machinery); attempts ≥ 1 get
-/// decorrelated fresh streams.
-pub fn retry_seed(root: u64, attempt: u32) -> u64 {
-    if attempt == 0 {
-        root
-    } else {
-        derive_stream(root, attempt as u64)
-    }
-}
-
 /// The numeric post-condition a computed [`EvalSummary`] must satisfy
 /// before the sweep trusts (and caches) it.
 ///
@@ -248,8 +224,8 @@ pub fn validate_summary(summary: &EvalSummary) -> Result<(), PvError> {
 pub enum FaultKind {
     /// Panic inside the cell evaluation (exercises `catch_unwind`).
     Panic,
-    /// Return a solver non-convergence error (exercises the degraded
-    /// histogram fallback).
+    /// Return a solver non-convergence error (the cell fails with a
+    /// `solver` error).
     NonConvergence,
     /// Poison the computed summary with a NaN (exercises
     /// [`validate_summary`]).
@@ -260,7 +236,7 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Kinds that fire inside the evaluation attempt (as opposed to the
+    /// Kinds that fire inside the cell evaluation (as opposed to the
     /// store path).
     pub const EVAL_KINDS: [FaultKind; 3] = [
         FaultKind::Panic,
@@ -295,25 +271,20 @@ impl std::str::FromStr for FaultKind {
     }
 }
 
-/// One injected fault: `kind` fires at cell `cell` while the attempt
-/// number is below `fail_attempts`.
+/// One injected fault: `kind` fires whenever cell `cell` is evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Fault {
     /// Grid index of the targeted cell.
     pub cell: usize,
     /// What to inject.
     pub kind: FaultKind,
-    /// The fault fires while `attempt < fail_attempts`; `u32::MAX` means
-    /// it always fires (a *persistent* fault), small values model
-    /// *transient* faults that retries recover from.
-    pub fail_attempts: u32,
 }
 
 /// A deterministic fault-injection plan.
 ///
-/// Faults are keyed by `(cell index, attempt)`, both of which are
-/// deterministic for a fixed grid regardless of thread count or
-/// completion order — so a plan replays a failure campaign exactly.
+/// Faults are keyed by cell index, which is deterministic for a fixed
+/// grid regardless of thread count or completion order — so a plan
+/// replays a failure campaign exactly.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     faults: Vec<Fault>,
@@ -335,30 +306,14 @@ impl FaultPlan {
         &self.faults
     }
 
-    /// Adds a persistent fault at `cell` (fires on every attempt).
+    /// Adds a fault at `cell`.
     pub fn inject(mut self, cell: usize, kind: FaultKind) -> Self {
-        self.faults.push(Fault {
-            cell,
-            kind,
-            fail_attempts: u32::MAX,
-        });
-        self
-    }
-
-    /// Adds a transient fault at `cell`: fires while
-    /// `attempt < fail_attempts`, then stops — a retry recovers it.
-    pub fn inject_transient(mut self, cell: usize, kind: FaultKind, fail_attempts: u32) -> Self {
-        self.faults.push(Fault {
-            cell,
-            kind,
-            fail_attempts,
-        });
+        self.faults.push(Fault { cell, kind });
         self
     }
 
     /// A seeded random plan: `k` distinct cells out of `n_cells`, each
-    /// with a random evaluation fault kind and random persistence (1–3
-    /// failing attempts or persistent). Same `(seed, n_cells, k)` →
+    /// with a random evaluation fault kind. Same `(seed, n_cells, k)` →
     /// same plan, which is what the property tests rely on.
     pub fn random(seed: u64, n_cells: usize, k: usize) -> Self {
         use rand::{Rng, SeedableRng};
@@ -374,29 +329,18 @@ impl FaultPlan {
         let mut plan = FaultPlan::none();
         for cell in cells {
             let kind = FaultKind::EVAL_KINDS[rng.gen_range(0..FaultKind::EVAL_KINDS.len())];
-            let fail_attempts = if rng.gen_range(0..2) == 0 {
-                u32::MAX
-            } else {
-                rng.gen_range(1..4)
-            };
-            plan.faults.push(Fault {
-                cell,
-                kind,
-                fail_attempts,
-            });
+            plan = plan.inject(cell, kind);
         }
         plan
     }
 
-    /// The evaluation fault (if any) that fires at `(cell, attempt)`.
+    /// The evaluation fault (if any) that fires at `cell`.
     /// Cache-corruption faults never fire here — see
     /// [`FaultPlan::corrupts_store`].
-    pub fn eval_fault(&self, cell: usize, attempt: u32) -> Option<FaultKind> {
+    pub fn eval_fault(&self, cell: usize) -> Option<FaultKind> {
         self.faults
             .iter()
-            .find(|f| {
-                f.cell == cell && f.kind != FaultKind::CacheCorruption && attempt < f.fail_attempts
-            })
+            .find(|f| f.cell == cell && f.kind != FaultKind::CacheCorruption)
             .map(|f| f.kind)
     }
 
@@ -405,20 +349,6 @@ impl FaultPlan {
         self.faults
             .iter()
             .any(|f| f.cell == cell && f.kind == FaultKind::CacheCorruption)
-    }
-
-    /// Cells targeted by evaluation faults that never stop firing — the
-    /// set a resilient sweep must report as failed or degraded.
-    pub fn persistent_eval_cells(&self) -> Vec<usize> {
-        let mut cells: Vec<usize> = self
-            .faults
-            .iter()
-            .filter(|f| f.kind != FaultKind::CacheCorruption && f.fail_attempts == u32::MAX)
-            .map(|f| f.cell)
-            .collect();
-        cells.sort_unstable();
-        cells.dedup();
-        cells
     }
 }
 
@@ -814,17 +744,6 @@ mod tests {
             let pv: PvError = stats.into();
             assert_eq!(pv.kind(), kind, "{pv}");
         }
-        // Only solver failures are fallback-eligible.
-        let solver: PvError = StatsError::NoConvergence {
-            what: "solve",
-            iterations: 7,
-        }
-        .into();
-        assert!(solver.fallback_eligible());
-        assert!(!PvError::CellPanic {
-            message: "boom".into()
-        }
-        .fallback_eligible());
     }
 
     #[test]
@@ -847,14 +766,6 @@ mod tests {
             let back: PvError = serde_json::from_str(&json).unwrap();
             assert_eq!(e, back);
         }
-    }
-
-    #[test]
-    fn retry_seeds_are_fresh_but_attempt_zero_is_the_root() {
-        assert_eq!(retry_seed(42, 0), 42);
-        assert_ne!(retry_seed(42, 1), 42);
-        assert_ne!(retry_seed(42, 1), retry_seed(42, 2));
-        assert_eq!(retry_seed(42, 3), retry_seed(42, 3));
     }
 
     #[test]
@@ -883,26 +794,21 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_fires_by_cell_and_attempt() {
+    fn fault_plan_fires_by_cell() {
         let plan = FaultPlan::none()
             .inject(3, FaultKind::Panic)
-            .inject_transient(5, FaultKind::NanRun, 2);
-        assert_eq!(plan.eval_fault(3, 0), Some(FaultKind::Panic));
-        assert_eq!(plan.eval_fault(3, 99), Some(FaultKind::Panic));
-        assert_eq!(plan.eval_fault(5, 0), Some(FaultKind::NanRun));
-        assert_eq!(plan.eval_fault(5, 1), Some(FaultKind::NanRun));
-        assert_eq!(plan.eval_fault(5, 2), None);
-        assert_eq!(plan.eval_fault(0, 0), None);
-        assert_eq!(plan.persistent_eval_cells(), vec![3]);
+            .inject(5, FaultKind::NanRun);
+        assert_eq!(plan.eval_fault(3), Some(FaultKind::Panic));
+        assert_eq!(plan.eval_fault(5), Some(FaultKind::NanRun));
+        assert_eq!(plan.eval_fault(0), None);
     }
 
     #[test]
     fn corruption_faults_never_fire_in_eval() {
         let plan = FaultPlan::none().inject(2, FaultKind::CacheCorruption);
-        assert_eq!(plan.eval_fault(2, 0), None);
+        assert_eq!(plan.eval_fault(2), None);
         assert!(plan.corrupts_store(2));
         assert!(!plan.corrupts_store(1));
-        assert!(plan.persistent_eval_cells().is_empty());
     }
 
     #[test]

@@ -28,17 +28,16 @@
 //! round-trip preserves every `f64` (shortest-round-trip formatting).
 //!
 //! Execution is fault tolerant (see [`resilience`](crate::resilience)):
-//! each cell attempt runs behind a panic-isolation boundary, failing
-//! cells are retried with fresh deterministic sub-seeds, solver failures
-//! fall back to the histogram representation with a recorded
-//! [`CellOutcome::Degraded`] marker, a cell that exhausts its retries
-//! is recorded as failed in its own cell file (later runs report it
-//! [`CellOutcome::Quarantined`] until that file is deleted), and the
-//! whole run holds an advisory [`CacheLock`] on the cache directory so
-//! concurrent sweeps cannot interleave writes. A failing cell yields a
-//! [`CellOutcome::Failed`] — it never sinks the pool.
+//! each cell is evaluated once, under its own config, behind a
+//! panic-isolation boundary. A cell that fails yields a
+//! [`CellOutcome::Failed`] — it never sinks the pool — and is recorded
+//! as failed in its own cell file (later runs report it
+//! [`CellOutcome::Quarantined`] until that file is deleted). The whole
+//! run holds an advisory [`CacheLock`] on the cache directory so
+//! concurrent sweeps cannot interleave writes.
 
 use std::fs;
+use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,8 +58,7 @@ use crate::model::ModelKind;
 use crate::pipeline::EncodingSpec;
 use crate::repr::ReprKind;
 use crate::resilience::{
-    panic_message, retry_seed, validate_summary, CacheLock, FaultKind, FaultPlan, PvError,
-    DEFAULT_MAX_RETRIES,
+    panic_message, validate_summary, CacheLock, FaultKind, FaultPlan, PvError,
 };
 use crate::shard::{ShardedCorpus, SHARD_OBS_COUNTERS};
 use crate::usecase1::FewRunsConfig;
@@ -77,8 +75,10 @@ use crate::usecase2::CrossSystemConfig;
 /// its training digests — the cell's folds spell its roster once; v7:
 /// one record per cell, failed cells included, with one shape per
 /// outcome; stored folds drop their scores, which the summary holds; the
-/// key drops the tree-kernel tag.)
-const CELL_MAGIC: &[u8; 8] = b"PVCELL07";
+/// key drops the tree-kernel tag; v8: one attempt per cell — no reseeded
+/// retries, no degraded fallback, a failed record carries only its
+/// error.) A sweep deletes the cell files of older versions.
+const CELL_MAGIC: &[u8; 8] = b"PVCELL08";
 
 /// How long a sweep waits for the cache directory's advisory lock
 /// before giving up, unless overridden by [`Sweep::with_lock_timeout`].
@@ -86,22 +86,19 @@ pub const DEFAULT_LOCK_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// The operational counters a sweep pre-registers at run start (when a
 /// collector is installed), so metrics snapshots and summary tables list
-/// every one of them even at zero — "0 retries" is an observation, a
+/// every one of them even at zero — "0 failed" is an observation, a
 /// missing row is not. Includes the lock/store/quarantine tallies that
 /// were previously visible only when non-zero at exit.
 pub const SWEEP_OBS_COUNTERS: &[&str] = &[
     "pv.core.pipeline.fold_cache.delta",
     "pv.core.pipeline.fold_cache.hit",
     "pv.core.pipeline.fold_cache.miss",
-    "pv.core.resilience.fallback",
     "pv.core.resilience.panic_caught",
-    "pv.core.resilience.retry",
     "pv.core.sweep.cache_hit",
     "pv.core.sweep.cache_miss",
     "pv.core.sweep.cache_store_fail",
     "pv.core.sweep.cache_verify_fail",
     "pv.core.sweep.cells",
-    "pv.core.sweep.degraded",
     "pv.core.sweep.failed",
     "pv.core.sweep.lock_steal",
     "pv.core.sweep.ok",
@@ -204,30 +201,21 @@ impl GridSpec {
         cells
     }
 
-    /// The encoding spec covering every use-case-1 cell of this grid,
-    /// plus the histogram-representation coverage each cell's degraded
-    /// fallback would need — so a MaxEnt cell that falls back mid-sweep
-    /// finds its encodings already cached.
+    /// The encoding spec covering every use-case-1 cell of this grid.
     pub fn few_runs_encoding(&self) -> EncodingSpec {
         // The spec builder is idempotent, so merging per-cell specs
         // unions coverage instead of accumulating duplicates.
         self.few_runs_cells()
             .iter()
             .fold(EncodingSpec::new(), |spec, cfg| {
-                let fallback = FewRunsConfig {
-                    repr: ReprKind::Histogram,
-                    ..*cfg
-                };
                 spec.merge(&few_runs_spec(cfg))
-                    .merge(&few_runs_spec(&fallback))
             })
     }
 
     /// The (source, destination) encoding specs covering every
-    /// use-case-2 cell of this grid (plus histogram fallback coverage,
-    /// as in [`GridSpec::few_runs_encoding`]). `src` is needed to clamp
-    /// profile windows to the source corpus' run count, exactly as
-    /// evaluation does.
+    /// use-case-2 cell of this grid. `src` is needed to clamp profile
+    /// windows to the source corpus' run count, exactly as evaluation
+    /// does.
     pub fn cross_system_encoding(&self, src: &Corpus) -> (EncodingSpec, EncodingSpec) {
         self.cross_system_encoding_for_runs(src.n_runs)
     }
@@ -241,13 +229,8 @@ impl GridSpec {
         self.cross_system_cells().iter().fold(
             (EncodingSpec::new(), EncodingSpec::new()),
             |(src_spec, dst_spec), cfg| {
-                let fallback = CrossSystemConfig {
-                    repr: ReprKind::Histogram,
-                    ..*cfg
-                };
                 let (s, d) = cross_system_specs_for_runs(src_n_runs, cfg);
-                let (fs, fd) = cross_system_specs_for_runs(src_n_runs, &fallback);
-                (src_spec.merge(&s).merge(&fs), dst_spec.merge(&d).merge(&fd))
+                (src_spec.merge(&s), dst_spec.merge(&d))
             },
         )
     }
@@ -292,25 +275,6 @@ impl CellConfig {
         match self {
             CellConfig::FewRuns(c) => c.seed,
             CellConfig::CrossSystem(c) => c.seed,
-        }
-    }
-
-    /// The same cell with a different seed (used by the retry policy to
-    /// re-run a failing cell under a fresh deterministic sub-seed).
-    pub fn with_seed(self, seed: u64) -> Self {
-        match self {
-            CellConfig::FewRuns(c) => CellConfig::FewRuns(FewRunsConfig { seed, ..c }),
-            CellConfig::CrossSystem(c) => CellConfig::CrossSystem(CrossSystemConfig { seed, ..c }),
-        }
-    }
-
-    /// The same cell with a different representation (used by the
-    /// degraded fallback to re-run a solver-failed cell on the
-    /// histogram representation).
-    pub fn with_repr(self, repr: ReprKind) -> Self {
-        match self {
-            CellConfig::FewRuns(c) => CellConfig::FewRuns(FewRunsConfig { repr, ..c }),
-            CellConfig::CrossSystem(c) => CellConfig::CrossSystem(CrossSystemConfig { repr, ..c }),
         }
     }
 
@@ -366,22 +330,15 @@ enum StoredOutcome {
     /// digests are the roster the cell was scored on). When the corpus
     /// grows, a later sweep with a *different* fingerprint but the same
     /// config uses them as the incremental fold cache's prior, so only
-    /// the folds the growth changed are recomputed. Empty for a cell
-    /// recovered by a reseeded retry.
+    /// the folds the growth changed are recomputed. Empty when the
+    /// writer stored the summary alone.
     Ok {
         summary: EvalSummary,
         folds: Vec<StoredFold>,
     },
-    /// A degraded histogram fallback recorded after `error`. Persisting
-    /// the marker keeps warm re-runs honest — a degraded cell stays
-    /// visibly degraded instead of laundering into a clean hit.
-    Degraded {
-        summary: EvalSummary,
-        error: PvError,
-    },
-    /// A cell that exhausted its retries. Later sweeps skip it as
+    /// A cell whose evaluation failed. Later sweeps skip it as
     /// [`CellOutcome::Quarantined`] until the file is deleted.
-    Failed { error: PvError, attempts: u32 },
+    Failed { error: PvError },
 }
 
 impl StoredOutcome {
@@ -389,17 +346,8 @@ impl StoredOutcome {
     /// for a summary, a skip for a recorded failure.
     fn replay(self) -> CellOutcome {
         match self {
-            StoredOutcome::Ok { summary, .. } => CellOutcome::Ok {
-                summary,
-                attempts: 0,
-            },
-            StoredOutcome::Degraded { summary, error } => CellOutcome::Degraded {
-                summary,
-                fallback: ReprKind::Histogram,
-                error,
-                attempts: 0,
-            },
-            StoredOutcome::Failed { error, .. } => CellOutcome::Quarantined {
+            StoredOutcome::Ok { summary, .. } => CellOutcome::Ok { summary },
+            StoredOutcome::Failed { error } => CellOutcome::Quarantined {
                 error: error.to_string(),
             },
         }
@@ -472,9 +420,9 @@ fn fold_entries(summary: EvalSummary, folds: Vec<StoredFold>) -> Vec<FoldEntry> 
 ///
 /// Layout: one file per cell, `cell-<key:016x>.json` under the cache
 /// directory, where the key is [`cell_key`]: a [`crate::store`]
-/// envelope under the magic `PVCELL07` whose payload is the cell's JSON
-/// record — ok, degraded or failed. Writes are atomic, so concurrent
-/// sweeps sharing a directory never observe partial entries.
+/// envelope under the magic `PVCELL08` whose payload is the cell's JSON
+/// record — ok or failed. Writes are atomic, so concurrent sweeps
+/// sharing a directory never observe partial entries.
 #[derive(Debug, Clone)]
 pub struct CellCache {
     dir: PathBuf,
@@ -549,6 +497,26 @@ impl CellCache {
         self.keys().len()
     }
 
+    /// Deletes every cell file an older format wrote: one whose first
+    /// eight bytes are `PVCELL` and two ASCII digits below the current
+    /// version's. Current and newer files, files shorter than eight
+    /// bytes and any other leading bytes are left alone — a damaged
+    /// current file is a counted miss that heals, not litter.
+    fn prune_older_formats(&self) {
+        for path in self.keys().into_iter().map(|key| self.key_path(key)) {
+            let mut head = [0u8; 8];
+            let read = fs::File::open(&path).and_then(|mut f| f.read_exact(&mut head));
+            // Two ASCII digits order like the numbers they spell.
+            let older = read.is_ok()
+                && head[..6] == CELL_MAGIC[..6]
+                && head[6..].iter().all(u8::is_ascii_digit)
+                && head[6..] < CELL_MAGIC[6..];
+            if older {
+                let _ = fs::remove_file(&path);
+            }
+        }
+    }
+
     /// The verified record of a cell. A missing file is a plain `None`;
     /// a file that fails any check is a `None` counted as
     /// `pv.core.sweep.cache_verify_fail`.
@@ -568,21 +536,15 @@ impl CellCache {
         }
     }
 
-    /// Loads a cell if a verified entry with a summary exists, together
-    /// with its degraded-fallback marker (`None` for a healthy cell). A
+    /// Loads a cell's summary if a verified healthy entry exists. A
     /// failed cell's record has no summary: `None`.
     ///
     /// Any failure — missing file, failed envelope, unparsable payload,
     /// fingerprint/config mismatch — is a miss, never an error: the cache
     /// must be safe to point at a stale or vandalized directory.
-    pub fn load(
-        &self,
-        fingerprint: u64,
-        cfg: &CellConfig,
-    ) -> Option<(EvalSummary, Option<PvError>)> {
+    pub fn load(&self, fingerprint: u64, cfg: &CellConfig) -> Option<EvalSummary> {
         match self.lookup(fingerprint, cfg)? {
-            StoredOutcome::Ok { summary, .. } => Some((summary, None)),
-            StoredOutcome::Degraded { summary, error } => Some((summary, Some(error))),
+            StoredOutcome::Ok { summary, .. } => Some(summary),
             StoredOutcome::Failed { .. } => None,
         }
     }
@@ -591,8 +553,8 @@ impl CellCache {
     /// `fingerprint`, deterministically ordered by cell key. This is
     /// what `repro train --from-sweep` scavenges: each config a sweep
     /// completed is a model worth fitting and sealing into the
-    /// [model registry](crate::registry). Unreadable or stale files,
-    /// degraded cells and failed cells are skipped.
+    /// [model registry](crate::registry). Unreadable or stale files and
+    /// failed cells are skipped.
     pub fn configs(&self, fingerprint: u64) -> Vec<CellConfig> {
         self.verified()
             .filter(|(key, cell)| {
@@ -645,33 +607,32 @@ impl CellCache {
             .collect()
     }
 
-    /// Persists a completed cell (`degraded` records the error a
-    /// degraded-fallback summary stands in for; `folds` are the per-fold
-    /// entries future incremental evaluations can reuse).
+    /// Persists a healthy cell (`folds` are the per-fold entries future
+    /// incremental evaluations can reuse). `error` must be `None`: a
+    /// cell's record holds its own evaluation or its failure, never a
+    /// summary standing in for an error. The parameter stays only for
+    /// the benchmark harness, which passes `None`, and goes with the
+    /// next change to the benchmark.
     ///
     /// # Errors
-    /// [`PvError::Invalid`] when `folds` is neither empty nor one entry
-    /// per summary score with the same score in the same order, or when a
-    /// degraded cell is given folds; [`PvError::CacheIo`] on filesystem
-    /// errors (unwritable directory, disk full).
+    /// [`PvError::Invalid`] when `error` is `Some`, or when `folds` is
+    /// neither empty nor one entry per summary score with the same score
+    /// in the same order; [`PvError::CacheIo`] on filesystem errors
+    /// (unwritable directory, disk full).
     pub fn store(
         &self,
         fingerprint: u64,
         cfg: &CellConfig,
         summary: &EvalSummary,
-        degraded: Option<&PvError>,
+        error: Option<&PvError>,
         folds: &[FoldEntry],
     ) -> Result<(), PvError> {
-        let outcome = match degraded {
-            None => StoredOutcome::Ok {
-                summary: summary.clone(),
-                folds: stored_folds(summary, folds)?,
-            },
-            Some(error) if folds.is_empty() => StoredOutcome::Degraded {
-                summary: summary.clone(),
-                error: error.clone(),
-            },
-            Some(_) => return Err(invalid("a degraded cell stores no folds".to_string())),
+        if let Some(error) = error {
+            return Err(invalid(format!("a summary stored with an error: {error}")));
+        }
+        let outcome = StoredOutcome::Ok {
+            summary: summary.clone(),
+            folds: stored_folds(summary, folds)?,
         };
         self.put(fingerprint, cfg, outcome)
     }
@@ -725,31 +686,13 @@ pub enum CellOutcome {
     Ok {
         /// The evaluation result.
         summary: EvalSummary,
-        /// Attempts spent (1 for a first-try success, 0 for a cache
-        /// hit, more when retries recovered a transient fault).
-        attempts: u32,
     },
-    /// The configured representation failed its solver; the summary is
-    /// a recorded fallback onto `fallback` — usable, but not the
-    /// fidelity the cell asked for. Never silently mixed with `Ok`.
-    Degraded {
-        /// The fallback evaluation result.
-        summary: EvalSummary,
-        /// Representation the cell fell back to.
-        fallback: ReprKind,
-        /// The error that forced the fallback.
-        error: PvError,
-        /// Attempts spent before falling back.
-        attempts: u32,
-    },
-    /// The cell exhausted its retries without a usable result. With a
-    /// cache attached, its cell file records the failure, and later runs
-    /// report it [`CellOutcome::Quarantined`] until that file is deleted.
+    /// The cell's evaluation failed. With a cache attached, its cell
+    /// file records the failure, and later runs report it
+    /// [`CellOutcome::Quarantined`] until that file is deleted.
     Failed {
-        /// The error from the final attempt.
+        /// Why the evaluation failed.
         error: PvError,
-        /// Attempts spent.
-        attempts: u32,
     },
     /// The cell's file records a failure from an earlier run, so the
     /// cell was skipped without evaluation. Deleting the file
@@ -761,23 +704,11 @@ pub enum CellOutcome {
 }
 
 impl CellOutcome {
-    /// The usable summary, if the cell produced one (clean or degraded).
+    /// The summary, if the cell evaluated cleanly.
     pub fn summary(&self) -> Option<&EvalSummary> {
         match self {
-            CellOutcome::Ok { summary, .. } | CellOutcome::Degraded { summary, .. } => {
-                Some(summary)
-            }
+            CellOutcome::Ok { summary } => Some(summary),
             _ => None,
-        }
-    }
-
-    /// Attempts spent on this cell in this run.
-    pub fn attempts(&self) -> u32 {
-        match self {
-            CellOutcome::Ok { attempts, .. }
-            | CellOutcome::Degraded { attempts, .. }
-            | CellOutcome::Failed { attempts, .. } => *attempts,
-            CellOutcome::Quarantined { .. } => 0,
         }
     }
 
@@ -786,12 +717,7 @@ impl CellOutcome {
         matches!(self, CellOutcome::Ok { .. })
     }
 
-    /// Whether the cell fell back to a degraded representation.
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, CellOutcome::Degraded { .. })
-    }
-
-    /// Whether the cell failed outright.
+    /// Whether the cell's evaluation failed in this run.
     pub fn is_failed(&self) -> bool {
         matches!(self, CellOutcome::Failed { .. })
     }
@@ -834,10 +760,8 @@ pub struct SweepReport {
     pub hits: usize,
     /// Cells computed (and, with a cache attached, persisted).
     pub misses: usize,
-    /// Cells that failed after exhausting retries.
+    /// Cells whose evaluation failed in this run.
     pub failed: usize,
-    /// Cells that completed on a degraded fallback representation.
-    pub degraded: usize,
     /// Cells skipped because their file records an earlier failure.
     pub quarantined: usize,
     /// Cache-store failures (non-fatal: the summary was still returned).
@@ -849,19 +773,18 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Whether every cell produced a clean (non-degraded) result.
+    /// Whether every cell produced a clean result.
     pub fn is_clean(&self) -> bool {
-        self.failed == 0 && self.degraded == 0 && self.quarantined == 0
+        self.failed == 0 && self.quarantined == 0
     }
 }
 
-/// The sweep service: a target plus an optional cell cache, a retry
-/// budget, and (for the test tiers) a fault-injection plan.
+/// The sweep service: a target plus an optional cell cache and (for the
+/// test tiers) a fault-injection plan.
 pub struct Sweep<'a, 'c> {
     target: SweepTarget<'a, 'c>,
     cache: Option<CellCache>,
     faults: FaultPlan,
-    max_retries: u32,
     lock_timeout: Duration,
 }
 
@@ -887,7 +810,6 @@ impl<'a, 'c> Sweep<'a, 'c> {
             target,
             cache: None,
             faults: FaultPlan::none(),
-            max_retries: DEFAULT_MAX_RETRIES,
             lock_timeout: DEFAULT_LOCK_TIMEOUT,
         }
     }
@@ -902,12 +824,6 @@ impl<'a, 'c> Sweep<'a, 'c> {
     /// default plan injects nothing).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Sets the per-cell retry budget (attempts = 1 + retries).
-    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
         self
     }
 
@@ -970,23 +886,27 @@ impl<'a, 'c> Sweep<'a, 'c> {
         Ok((result.summary, result.folds, result.stats))
     }
 
-    /// One panic-isolated, fault-injectable evaluation attempt.
-    fn eval_attempt(
+    /// Evaluates one cell once, under its own config, behind the
+    /// panic-isolation boundary and the numeric post-condition.
+    /// Infallible by construction: every failure mode is folded into
+    /// the outcome.
+    ///
+    /// Alongside the outcome, returns the fold entries worth persisting
+    /// (none for a failed cell) and the fold-cache tallies of the work
+    /// performed.
+    fn eval_cell_isolated(
         &self,
         index: usize,
-        attempt: u32,
         cfg: &CellConfig,
         prior: &[FoldEntry],
-    ) -> Result<(EvalSummary, Vec<FoldEntry>, FoldCacheStats), PvError> {
-        type AttemptOk = (EvalSummary, Vec<FoldEntry>, FoldCacheStats);
-        // catch_unwind wraps the whole attempt (injection included), so
-        // a panic anywhere inside the cell becomes a typed error before
-        // rayon's scope can observe it and sink the pool.
-        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<AttemptOk, PvError> {
-            match self.faults.eval_fault(index, attempt) {
-                Some(FaultKind::Panic) => {
-                    panic!("injected fault: panic in cell {index} attempt {attempt}")
-                }
+    ) -> (CellOutcome, Vec<FoldEntry>, FoldCacheStats) {
+        type Evaluated = (EvalSummary, Vec<FoldEntry>, FoldCacheStats);
+        // catch_unwind wraps the whole evaluation (injection included),
+        // so a panic anywhere inside the cell becomes a typed error
+        // before rayon's scope can observe it and sink the pool.
+        let result = catch_unwind(AssertUnwindSafe(|| -> Result<Evaluated, PvError> {
+            match self.faults.eval_fault(index) {
+                Some(FaultKind::Panic) => panic!("injected fault: panic in cell {index}"),
                 Some(FaultKind::NonConvergence) => {
                     return Err(PvError::Solver {
                         what: format!("injected fault: non-convergence in cell {index}"),
@@ -1000,94 +920,26 @@ impl<'a, 'c> Sweep<'a, 'c> {
                 }
                 Some(FaultKind::CacheCorruption) | None => {}
             }
-            self.eval_cell(cfg, prior).map_err(PvError::from)
-        }));
-        match outcome {
-            Ok(result) => result.and_then(|(summary, folds, stats)| {
-                validate_summary(&summary)?;
-                Ok((summary, folds, stats))
-            }),
-            Err(payload) => {
-                pv_obs::counter_inc!("pv.core.resilience.panic_caught");
-                Err(PvError::CellPanic {
-                    message: panic_message(payload),
-                })
-            }
+            Ok(self.eval_cell(cfg, prior)?)
+        }))
+        .unwrap_or_else(|payload| {
+            pv_obs::counter_inc!("pv.core.resilience.panic_caught");
+            Err(PvError::CellPanic {
+                message: panic_message(payload),
+            })
+        })
+        .and_then(|(summary, folds, stats)| {
+            validate_summary(&summary)?;
+            Ok((summary, folds, stats))
+        });
+        match result {
+            Ok((summary, folds, stats)) => (CellOutcome::Ok { summary }, folds, stats),
+            Err(error) => (
+                CellOutcome::Failed { error },
+                Vec::new(),
+                FoldCacheStats::default(),
+            ),
         }
-    }
-
-    /// Evaluates one cell under the retry/fallback policy. Infallible by
-    /// construction: every failure mode is folded into the outcome.
-    ///
-    /// Alongside the outcome, returns the fold entries worth persisting
-    /// (only a first-attempt success produces any: a reseeded retry ran
-    /// under a different effective config, and a degraded fallback under
-    /// a different representation, so their folds would poison the
-    /// original cell's fold cache) and the fold-cache tallies of the
-    /// work actually performed.
-    fn eval_cell_resilient(
-        &self,
-        index: usize,
-        config: &CellConfig,
-        prior: &[FoldEntry],
-    ) -> (CellOutcome, Vec<FoldEntry>, FoldCacheStats) {
-        let attempts_allowed = self.max_retries.saturating_add(1);
-        let mut last_err = PvError::Invalid {
-            what: "Sweep".to_string(),
-            detail: "cell was given no attempts".to_string(),
-        };
-        for attempt in 0..attempts_allowed {
-            // Attempt 0 runs the configured seed (so an un-faulted cell
-            // is bit-identical with or without the retry machinery);
-            // later attempts re-seed deterministically.
-            if attempt > 0 {
-                pv_obs::counter_inc!("pv.core.resilience.retry");
-            }
-            let cfg = config.with_seed(retry_seed(config.seed(), attempt));
-            let attempt_prior = if attempt == 0 { prior } else { &[] };
-            match self.eval_attempt(index, attempt, &cfg, attempt_prior) {
-                Ok((summary, folds, stats)) => {
-                    let outcome = CellOutcome::Ok {
-                        summary,
-                        attempts: attempt + 1,
-                    };
-                    let folds = if attempt == 0 { folds } else { Vec::new() };
-                    return (outcome, folds, stats);
-                }
-                Err(e) => last_err = e,
-            }
-        }
-        if last_err.fallback_eligible() && config.repr() != ReprKind::Histogram {
-            // Solver non-convergence: fall back to the histogram
-            // representation under the original seed — recorded, never
-            // silently mixed with clean cells. No fault injection here
-            // (the faults model the configured repr's failure), but the
-            // panic boundary and numeric validation still apply.
-            let fallback_cfg = config.with_repr(ReprKind::Histogram);
-            let fallback = catch_unwind(AssertUnwindSafe(|| {
-                self.eval_cell(&fallback_cfg, &[]).map_err(PvError::from)
-            }));
-            if let Ok(Ok((summary, _folds, stats))) = fallback {
-                if validate_summary(&summary).is_ok() {
-                    pv_obs::counter_inc!("pv.core.resilience.fallback");
-                    let outcome = CellOutcome::Degraded {
-                        summary,
-                        fallback: ReprKind::Histogram,
-                        error: last_err,
-                        attempts: attempts_allowed,
-                    };
-                    return (outcome, Vec::new(), stats);
-                }
-            }
-        }
-        (
-            CellOutcome::Failed {
-                error: last_err,
-                attempts: attempts_allowed,
-            },
-            Vec::new(),
-            FoldCacheStats::default(),
-        )
     }
 
     /// Runs the grid, discarding the stream.
@@ -1110,13 +962,12 @@ impl<'a, 'c> Sweep<'a, 'c> {
     /// order: cell summaries are pure functions of (corpus, config), and
     /// the collected list is in grid order.
     ///
-    /// Execution is fault tolerant: a panicking, non-converging, or
-    /// NaN-producing cell is retried up to the retry budget (fresh
-    /// deterministic sub-seed per attempt), solver failures fall back to
-    /// the histogram representation as [`CellOutcome::Degraded`], and a
-    /// cell that exhausts its budget becomes [`CellOutcome::Failed`] and
-    /// (with a cache attached) its file records the failure at once, so
-    /// re-runs skip it as [`CellOutcome::Quarantined`].
+    /// Execution is fault tolerant: each cell is evaluated once, and a
+    /// panicking, non-converging, or NaN-producing cell becomes
+    /// [`CellOutcome::Failed`] and (with a cache attached) its file
+    /// records the failure at once, so re-runs skip it as
+    /// [`CellOutcome::Quarantined`]. While it holds the cache lock, the
+    /// run deletes the cell files older formats left behind.
     ///
     /// # Errors
     /// Fails only when the cache directory's advisory lock cannot be
@@ -1131,17 +982,21 @@ impl<'a, 'c> Sweep<'a, 'c> {
         pv_obs::metrics::preregister_counters(SWEEP_OBS_COUNTERS);
         pv_obs::metrics::preregister_counters(&SHARD_OBS_COUNTERS);
         pv_obs::gauge_set!("pv.core.sweep.cells_total", cells.len());
-        // The advisory lock covers cache reads and writes; it is held
-        // until this function returns.
+        // The advisory lock covers cache reads, writes and pruning; it
+        // is held until this function returns.
         let _lock = match &self.cache {
             Some(cache) => Some(CacheLock::acquire(cache.dir(), self.lock_timeout)?),
             None => None,
         };
-        // One directory scan up front: the best same-config donor folds
-        // from *other* corpus fingerprints (i.e. earlier, smaller
-        // corpora), feeding the incremental fold cache of every miss.
+        // One directory scan up front, after the older formats' files
+        // are gone: the best same-config donor folds from *other* corpus
+        // fingerprints (i.e. earlier, smaller corpora), feeding the
+        // incremental fold cache of every miss.
         let donors = match &self.cache {
-            Some(cache) => cache.donor_folds(fingerprint),
+            Some(cache) => {
+                cache.prune_older_formats();
+                cache.donor_folds(fingerprint)
+            }
             None => std::collections::HashMap::new(),
         };
         let hits = AtomicUsize::new(0);
@@ -1178,24 +1033,20 @@ impl<'a, 'c> Sweep<'a, 'c> {
                         pv_obs::counter_inc!("pv.core.sweep.cache_miss");
                         let prior = donors.get(&config).map(Vec::as_slice).unwrap_or_default();
                         let (outcome, folds, fstats) =
-                            self.eval_cell_resilient(index, &config, prior);
+                            self.eval_cell_isolated(index, &config, prior);
                         fold_hits.fetch_add(fstats.hits, Ordering::Relaxed);
                         fold_deltas.fetch_add(fstats.deltas, Ordering::Relaxed);
                         fold_misses.fetch_add(fstats.misses, Ordering::Relaxed);
                         if let Some(cache) = &self.cache {
                             let stored = match &outcome {
-                                CellOutcome::Ok { summary, .. } => {
+                                CellOutcome::Ok { summary } => {
                                     cache.store(fingerprint, &config, summary, None, &folds)
                                 }
-                                CellOutcome::Degraded { summary, error, .. } => {
-                                    cache.store(fingerprint, &config, summary, Some(error), &[])
-                                }
-                                CellOutcome::Failed { error, attempts } => cache.put(
+                                CellOutcome::Failed { error } => cache.put(
                                     fingerprint,
                                     &config,
                                     StoredOutcome::Failed {
                                         error: error.clone(),
-                                        attempts: *attempts,
                                     },
                                 ),
                                 CellOutcome::Quarantined { .. } => Ok(()),
@@ -1220,9 +1071,6 @@ impl<'a, 'c> Sweep<'a, 'c> {
                 };
                 match &outcome {
                     CellOutcome::Ok { .. } => pv_obs::counter_inc!("pv.core.sweep.ok"),
-                    CellOutcome::Degraded { .. } => {
-                        pv_obs::counter_inc!("pv.core.sweep.degraded")
-                    }
                     CellOutcome::Failed { .. } => pv_obs::counter_inc!("pv.core.sweep.failed"),
                     CellOutcome::Quarantined { .. } => {}
                 }
@@ -1243,7 +1091,6 @@ impl<'a, 'c> Sweep<'a, 'c> {
             hits: hits.load(Ordering::Relaxed),
             misses: misses.load(Ordering::Relaxed),
             failed: 0,
-            degraded: 0,
             quarantined: 0,
             store_failures: store_failures.load(Ordering::Relaxed),
             fold_stats: FoldCacheStats {
@@ -1255,7 +1102,6 @@ impl<'a, 'c> Sweep<'a, 'c> {
         for cell in &report.cells {
             match &cell.outcome {
                 CellOutcome::Ok { .. } => {}
-                CellOutcome::Degraded { .. } => report.degraded += 1,
                 CellOutcome::Failed { .. } => report.failed += 1,
                 CellOutcome::Quarantined { .. } => report.quarantined += 1,
             }
@@ -1325,20 +1171,8 @@ mod tests {
             let direct = crate::eval::evaluate_few_runs(&c, cfg).unwrap();
             assert_eq!(cell.summary().unwrap(), &direct, "{}", cell.config.label());
             assert!(cell.outcome.is_ok());
-            assert_eq!(cell.outcome.attempts(), 1);
+            assert!(!cell.from_cache);
         }
-    }
-
-    #[test]
-    fn config_rewrites_preserve_the_other_axes() {
-        let cfg = CellConfig::FewRuns(FewRunsConfig::default());
-        let reseeded = cfg.with_seed(99);
-        assert_eq!(reseeded.seed(), 99);
-        assert_eq!(reseeded.repr(), cfg.repr());
-        assert_eq!(reseeded.model(), cfg.model());
-        let histo = cfg.with_repr(ReprKind::Histogram);
-        assert_eq!(histo.repr(), ReprKind::Histogram);
-        assert_eq!(histo.seed(), cfg.seed());
     }
 
     #[test]
@@ -1354,95 +1188,17 @@ mod tests {
         assert_eq!(report.cells.len(), 2);
         assert_eq!(report.failed, 1);
         let failed = &report.cells[0];
-        let CellOutcome::Failed { error, attempts } = &failed.outcome else {
+        let CellOutcome::Failed { error } = &failed.outcome else {
             panic!("expected Failed, got {:?}", failed.outcome);
         };
         assert_eq!(error.kind(), "panic");
-        assert_eq!(*attempts, DEFAULT_MAX_RETRIES + 1);
+        // One attempt, under the cell's own index: no reseeded rerun.
+        assert_eq!(
+            error.to_string(),
+            "cell panicked: injected fault: panic in cell 0"
+        );
         // The sibling cell is untouched.
         assert!(report.cells[1].outcome.is_ok());
-    }
-
-    #[test]
-    fn nonconvergence_falls_back_to_histogram_as_degraded() {
-        let c = corpus();
-        let grid = small_grid(); // cells: [PearsonRnd, Histogram] × kNN
-        let enc = EncodedCorpus::build(&c, &grid.few_runs_encoding()).unwrap();
-        let report = Sweep::few_runs(&enc)
-            .with_faults(FaultPlan::none().inject(0, FaultKind::NonConvergence))
-            .run(&grid)
-            .unwrap();
-        assert_eq!(report.degraded, 1);
-        assert_eq!(report.failed, 0);
-        let CellOutcome::Degraded {
-            summary, fallback, ..
-        } = &report.cells[0].outcome
-        else {
-            panic!("expected Degraded, got {:?}", report.cells[0].outcome);
-        };
-        assert_eq!(*fallback, ReprKind::Histogram);
-        // The recorded fallback equals the histogram cell computed under
-        // the same seed/model/sample axes — cell 1 of this grid.
-        assert_eq!(Some(summary), report.cells[1].summary());
-    }
-
-    #[test]
-    fn nonconvergence_on_a_histogram_cell_fails_without_fallback() {
-        let c = corpus();
-        let mut grid = small_grid();
-        grid.reprs = vec![ReprKind::Histogram];
-        let enc = EncodedCorpus::build(&c, &grid.few_runs_encoding()).unwrap();
-        let report = Sweep::few_runs(&enc)
-            .with_faults(FaultPlan::none().inject(0, FaultKind::NonConvergence))
-            .run(&grid)
-            .unwrap();
-        // Histogram is already the floor of the degrade ladder.
-        assert_eq!(report.failed, 1);
-        assert_eq!(report.degraded, 0);
-    }
-
-    #[test]
-    fn transient_fault_recovers_via_reseeded_retry() {
-        crate::resilience::silence_injected_panics();
-        let c = corpus();
-        let grid = small_grid();
-        let enc = EncodedCorpus::build(&c, &grid.few_runs_encoding()).unwrap();
-        let report = Sweep::few_runs(&enc)
-            .with_faults(FaultPlan::none().inject_transient(0, FaultKind::Panic, 1))
-            .run(&grid)
-            .unwrap();
-        assert!(report.is_clean());
-        let CellOutcome::Ok { attempts, .. } = &report.cells[0].outcome else {
-            panic!("expected Ok, got {:?}", report.cells[0].outcome);
-        };
-        assert_eq!(*attempts, 2, "one failed attempt, one recovery");
-        // The recovered cell ran under a derived sub-seed, so it may
-        // differ from the fault-free value — but it must be the value
-        // the derived seed produces, deterministically.
-        let CellConfig::FewRuns(cfg) = report.cells[0].config else {
-            panic!("uc1 grid");
-        };
-        let reseeded = FewRunsConfig {
-            seed: crate::resilience::retry_seed(cfg.seed, 1),
-            ..cfg
-        };
-        let direct = crate::eval::evaluate_few_runs(&c, reseeded).unwrap();
-        assert_eq!(report.cells[0].summary().unwrap(), &direct);
-    }
-
-    #[test]
-    fn zero_retries_still_yields_one_attempt() {
-        let c = corpus();
-        let grid = small_grid();
-        let enc = EncodedCorpus::build(&c, &grid.few_runs_encoding()).unwrap();
-        let report = Sweep::few_runs(&enc)
-            .with_max_retries(0)
-            .with_faults(FaultPlan::none().inject_transient(0, FaultKind::NanRun, 1))
-            .run(&grid)
-            .unwrap();
-        // No retry budget: the transient fault is fatal for the cell.
-        assert_eq!(report.failed, 1);
-        assert_eq!(report.cells[0].outcome.attempts(), 1);
     }
 
     #[test]
@@ -1514,9 +1270,9 @@ mod tests {
 
         // Folds that would be dropped or disagree with the summary are
         // refused, typed, and nothing is written.
-        let refused = |degraded: Option<&PvError>, folds: &[FoldEntry]| {
+        let refused = |error: Option<&PvError>, folds: &[FoldEntry]| {
             cache
-                .store(fp, &cell, &eval.summary, degraded, folds)
+                .store(fp, &cell, &eval.summary, error, folds)
                 .unwrap_err()
                 .kind()
         };
@@ -1528,6 +1284,7 @@ mod tests {
         assert_eq!(refused(None, &lying), "invalid");
         assert_eq!(refused(None, &eval.folds[1..]), "invalid");
         assert_eq!(refused(Some(&panic), &eval.folds), "invalid");
+        assert_eq!(refused(Some(&panic), &[]), "invalid");
         assert_eq!(cache.entries(), 0);
 
         // Stored, the folds come back whole: their scores are the
@@ -1554,7 +1311,6 @@ mod tests {
         // donates no folds and is no config worth training.
         let failed = StoredOutcome::Failed {
             error: panic.clone(),
-            attempts: 3,
         };
         cache.put(fp, &cell, failed.clone()).unwrap();
         assert_eq!(cache.lookup(fp, &cell), Some(failed));

@@ -1,7 +1,8 @@
 //! Deterministic fault-injection tier: a sweep with k injected faults
-//! completes, reports exactly k failed/degraded cells, and every
-//! healthy cell is bit-identical to a fault-free run. Also covers
-//! failed-cell records across runs, cache-corruption healing, and the
+//! completes, reports exactly k failed cells, each evaluated once, and
+//! every healthy cell is bit-identical to a fault-free run. Also covers
+//! failed-cell records across runs, re-armed cells whose files match a
+//! fault-free cache byte for byte, cache-corruption healing, and the
 //! thread-count independence of outcomes under random fault plans.
 
 use std::path::PathBuf;
@@ -65,10 +66,10 @@ fn k_injected_faults_mean_exactly_k_affected_cells_and_healthy_cells_are_bit_ide
     let baseline = run_with(&corpus, &grid, FaultPlan::none());
     assert!(baseline.is_clean());
 
-    // Three persistent faults on distinct cells: a panic on a Histogram
-    // cell (no fallback: Failed), non-convergence on a PyMaxEnt cell
-    // (falls back to Histogram: Degraded), and NaN results on the other
-    // PyMaxEnt cell (validation rejects every attempt: Failed).
+    // Three faults on distinct cells, each failing its cell's one
+    // evaluation with its own error kind: a panic on a Histogram cell,
+    // non-convergence on a PyMaxEnt cell, and NaN results on the other
+    // PyMaxEnt cell (rejected by validation).
     let plan = FaultPlan::none()
         .inject(0, FaultKind::Panic)
         .inject(1, FaultKind::NonConvergence)
@@ -76,13 +77,13 @@ fn k_injected_faults_mean_exactly_k_affected_cells_and_healthy_cells_are_bit_ide
     let report = run_with(&corpus, &grid, plan);
 
     assert_eq!(report.cells.len(), 6);
-    assert_eq!(
-        (report.failed, report.degraded, report.quarantined),
-        (2, 1, 0)
-    );
-    assert!(report.cells[0].outcome.is_failed());
-    assert!(report.cells[1].outcome.is_degraded());
-    assert!(report.cells[4].outcome.is_failed());
+    assert_eq!((report.failed, report.quarantined), (3, 0));
+    for (i, kind) in [(0, "panic"), (1, "solver"), (4, "numeric-domain")] {
+        match &report.cells[i].outcome {
+            CellOutcome::Failed { error } => assert_eq!(error.kind(), kind, "cell {i}"),
+            other => panic!("cell {i}: expected a failed cell, got {other:?}"),
+        }
+    }
 
     // Healthy cells reproduce the fault-free run bit for bit.
     for i in [2usize, 3, 5] {
@@ -95,34 +96,6 @@ fn k_injected_faults_mean_exactly_k_affected_cells_and_healthy_cells_are_bit_ide
         assert_eq!(got, want, "cell {i} diverged from the fault-free run");
         assert_eq!(got.mean.to_bits(), want.mean.to_bits());
     }
-
-    // The degraded PyMaxEnt s=5 cell fell back to a histogram under the
-    // original seed — exactly what the Histogram s=5 cell computes.
-    match &report.cells[1].outcome {
-        CellOutcome::Degraded {
-            summary, fallback, ..
-        } => {
-            assert_eq!(*fallback, ReprKind::Histogram);
-            assert_eq!(summary, baseline.cells[0].summary().unwrap());
-        }
-        other => panic!("expected a degraded cell, got {other:?}"),
-    }
-}
-
-#[test]
-fn transient_fault_recovers_and_recovery_is_replayable() {
-    silence_injected_panics();
-    let corpus = Corpus::collect(&SystemModel::intel(), 30, 7);
-    let grid = six_cell_grid();
-
-    // The fault fires on attempt 0 only; attempt 1 (fresh sub-seed)
-    // succeeds. Both runs must agree exactly.
-    let plan = FaultPlan::none().inject_transient(2, FaultKind::Panic, 1);
-    let a = run_with(&corpus, &grid, plan.clone());
-    let b = run_with(&corpus, &grid, plan);
-    assert!(a.is_clean() && b.is_clean());
-    assert_eq!(a.cells[2].outcome.attempts(), 2);
-    assert_eq!(a.cells[2].outcome, b.cells[2].outcome);
 }
 
 #[test]
@@ -159,6 +132,66 @@ fn failed_cells_are_quarantined_across_runs_until_cleared() {
     assert!(third.is_clean());
     assert!(third.cells[0].outcome.is_ok());
     assert_eq!((third.hits, third.misses), (5, 1));
+}
+
+/// The cell files of a directory, by name.
+fn cell_files(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| e.file_name().to_string_lossy().starts_with("cell-"))
+        .map(|e| (e.file_name(), std::fs::read(e.path()).unwrap()))
+        .collect();
+    files.sort();
+    files
+}
+
+/// A failed cell re-armed by deleting its record and rerun without the
+/// fault is the cell a fault-free sweep computes: the cache it leaves is
+/// byte-identical to a fault-free sweep's, so every hit is its own
+/// config's evaluation.
+#[test]
+fn rearmed_cells_leave_a_cache_byte_identical_to_a_fault_free_one() {
+    silence_injected_panics();
+    let corpus = Corpus::collect(&SystemModel::intel(), 30, 7);
+    let grid = six_cell_grid();
+    let enc = EncodedCorpus::build(&corpus, &grid.few_runs_encoding()).unwrap();
+    let (healed, fresh) = (TempCache::new("healed"), TempCache::new("fresh"));
+
+    let faulty = Sweep::few_runs(&enc)
+        .with_cache(healed.cache())
+        .with_faults(
+            FaultPlan::none()
+                .inject(0, FaultKind::Panic)
+                .inject(1, FaultKind::NanRun),
+        );
+    let first = faulty.run(&grid).unwrap();
+    assert_eq!((first.failed, first.misses), (2, 6));
+    for cell in &first.cells[..2] {
+        let record = healed
+            .cache()
+            .entry_path(first.fingerprint, &cell.config)
+            .unwrap();
+        std::fs::remove_file(record).unwrap();
+    }
+    let rerun = Sweep::few_runs(&enc)
+        .with_cache(healed.cache())
+        .run(&grid)
+        .unwrap();
+    assert!(rerun.is_clean());
+    assert_eq!((rerun.hits, rerun.misses), (4, 2));
+
+    let clean = Sweep::few_runs(&enc)
+        .with_cache(fresh.cache())
+        .run(&grid)
+        .unwrap();
+    assert!(clean.is_clean());
+    let (got, want) = (cell_files(&healed.dir), cell_files(&fresh.dir));
+    assert_eq!(want.len(), 6);
+    assert!(
+        got == want,
+        "a re-armed cell's file differs from a fault-free sweep's"
+    );
 }
 
 #[test]
@@ -223,11 +256,12 @@ mod properties {
                 prop_assert!(cell.outcome.is_ok(), "healthy cell {} was lost: {:?}", i, cell.outcome);
                 prop_assert_eq!(cell.summary(), baseline.cells[i].summary());
             }
-            // Every persistently-faulted cell is reported, not dropped.
-            for i in plan.persistent_eval_cells() {
+            // Every faulted cell is reported failed, not dropped or
+            // replaced by another computation.
+            for &i in &faulted {
                 prop_assert!(
-                    report.cells[i].outcome.is_failed() || report.cells[i].outcome.is_degraded(),
-                    "persistent fault on cell {} went unreported: {:?}", i, report.cells[i].outcome
+                    report.cells[i].outcome.is_failed(),
+                    "fault on cell {} went unreported: {:?}", i, report.cells[i].outcome
                 );
             }
 
@@ -281,7 +315,9 @@ fn release_replay_random_plan_on_a_nine_cell_grid() {
             a.cells[i].outcome, b.cells[i].outcome,
             "replay diverged at cell {i}"
         );
-        if !faulted.contains(&i) {
+        if faulted.contains(&i) {
+            assert!(a.cells[i].outcome.is_failed(), "cell {i} was not failed");
+        } else {
             assert!(a.cells[i].outcome.is_ok());
             let (got, want) = (
                 a.cells[i].summary().unwrap(),

@@ -206,6 +206,46 @@ fn concurrent_sweeps_on_one_cache_dir_are_serialized_by_the_lock() {
     assert!(!tmp.dir.join("sweep.lock").exists());
 }
 
+/// A sweep deletes the cell files an older format left behind (they
+/// would be counted as entries and read whole by every donor scan) and
+/// leaves current and newer formats' files alone.
+#[test]
+fn older_format_cell_files_are_deleted_by_the_next_sweep() {
+    let corpus = Corpus::collect(&SystemModel::intel(), 30, 3);
+    let grid = one_cell_grid();
+    let tmp = TempCache::new("prune");
+
+    let enc = EncodedCorpus::build(&corpus, &grid.few_runs_encoding()).unwrap();
+    let sweep = Sweep::few_runs(&enc).with_cache(tmp.cache());
+    let first = sweep.run(&grid).unwrap();
+    let live = tmp
+        .cache()
+        .entry_path(first.fingerprint, &first.cells[0].config)
+        .unwrap();
+    let bytes = std::fs::read(&live).unwrap();
+    assert_eq!(&bytes[..8], b"PVCELL08");
+    let restamped = |version: &[u8; 2], name: &str| {
+        let mut copy = bytes.clone();
+        copy[6..8].copy_from_slice(version);
+        let path = tmp.dir.join(name);
+        std::fs::write(&path, copy).unwrap();
+        path
+    };
+    let older = restamped(b"06", "cell-0000000000000006.json");
+    let newer = restamped(b"09", "cell-0000000000000009.json");
+    assert_eq!(tmp.cache().entries(), 3);
+
+    let second = sweep.run(&grid).unwrap();
+    assert_eq!((second.hits, second.misses), (1, 0));
+    assert!(
+        !older.exists(),
+        "the older format's file survived the sweep"
+    );
+    assert!(newer.exists(), "the newer format's file was deleted");
+    assert!(live.exists());
+    assert_eq!(tmp.cache().entries(), 2);
+}
+
 fn first_cell_config(
     report: &perfvar_suite::core::sweep::SweepReport,
 ) -> perfvar_suite::core::sweep::CellConfig {
