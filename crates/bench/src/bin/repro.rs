@@ -1369,6 +1369,23 @@ fn sweep_cmd(args: &Args) -> Result<(), CliError> {
     if grid.is_degenerate() {
         return Err(usage("the grid has an empty axis"));
     }
+    // A fault that can never fire would let a drill pass untested.
+    let n_cells = grid.few_runs_cells().len();
+    for f in faults.faults() {
+        if f.cell >= n_cells {
+            return Err(usage(format!(
+                "--inject {}@{}: the grid has {n_cells} cell(s), numbered from 0",
+                f.kind.name(),
+                f.cell
+            )));
+        }
+        if f.kind == FaultKind::CacheCorruption && cache_dir.is_none() {
+            return Err(usage(format!(
+                "--inject corrupt@{}: --no-cache writes no cell file to corrupt",
+                f.cell
+            )));
+        }
+    }
     if append > 0 && cache_dir.is_none() {
         return Err(usage("--append needs the cell cache (drop --no-cache)"));
     }
@@ -1884,6 +1901,9 @@ mod tests {
             &["--inject", "panic@0:1"],
             &["--max-retries", "2"],
             &["--inject", "nan@x", "--inject", "panic@0"],
+            &["--inject", "panic@9"],
+            &["--models", "kNN", "--inject", "nan@3"],
+            &["--inject", "corrupt@0", "--no-cache"],
             &["--seeds", "0xZZ"],
             &["--samples", "5,,10"],
         ] {

@@ -9,18 +9,17 @@
 //! Both evaluations run on the shared [`pipeline`](crate::pipeline)
 //! layer: profiles and target encodings are computed once per corpus and
 //! each fold is assembled by row streaming inside a [`FoldRunner`]. This
-//! module holds the one fold assembly per use case, streaming rows shard
-//! by shard out of a [`ShardedCorpus`] (an [`EncodedCorpus`] is its
-//! one-shard layout). The evaluation loop itself is
-//! [`crate::incremental`]'s: [`evaluate_few_runs`] and
-//! [`evaluate_cross_system`] run it cold on a collected corpus, and
-//! grids that share one encoded corpus across cells call
-//! [`evaluate_few_runs_incremental`] /
-//! [`evaluate_cross_system_incremental`] directly (an empty prior is a
-//! cold run).
+//! module holds the one fold assembly per use case, reading rows from a
+//! [`ShardedCorpus`]'s row table (an [`EncodedCorpus`] is its one-shard
+//! layout), and the one truth closure, the only fold read that needs a
+//! shard. The evaluation loop itself is [`crate::incremental`]'s unit
+//! loop: [`evaluate_few_runs`] and [`evaluate_cross_system`] run it cold
+//! on a collected corpus, [`evaluate_few_runs_incremental`] /
+//! [`evaluate_cross_system_incremental`] run one cell over an encoded
+//! corpus (an empty prior is a cold run), and
+//! [`Sweep`](crate::sweep::Sweep) runs a whole grid's cells through it.
 
 use std::borrow::Cow;
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -32,7 +31,7 @@ use crate::incremental::{evaluate_cross_system_incremental, evaluate_few_runs_in
 use crate::model::ModelKind;
 use crate::pipeline::{EncodedCorpus, EncodingSpec, FoldRunner, FoldTruth, FoldView, SeedMode};
 use crate::repr::DistributionRepr;
-use crate::shard::{EncodedShard, ShardedCorpus};
+use crate::shard::ShardedCorpus;
 use crate::usecase1::FewRunsConfig;
 use crate::usecase2::CrossSystemConfig;
 
@@ -118,11 +117,17 @@ pub fn cross_system_specs_for_runs(
     src_n_runs: usize,
     cfg: &CrossSystemConfig,
 ) -> (EncodingSpec, EncodingSpec) {
-    let s_eff = cfg.profile_runs.min(src_n_runs).max(1);
+    let s_eff = source_window(cfg, src_n_runs);
     (
         EncodingSpec::new().joined(s_eff, cfg.repr),
         EncodingSpec::new().target(cfg.repr),
     )
+}
+
+/// The profile window use case 2 trains on: the configured profile runs,
+/// clamped to the source corpus' run count.
+pub(crate) fn source_window(cfg: &CrossSystemConfig, src_n_runs: usize) -> usize {
+    cfg.profile_runs.min(src_n_runs).max(1)
 }
 
 /// Leave-one-group-out evaluation of use case #2 (source → destination).
@@ -159,14 +164,9 @@ pub(crate) fn logo_runner(
     }
 }
 
-/// The shard holding benchmark `bi`.
-fn shard_for(sh: &ShardedCorpus<'_>, bi: usize) -> Result<Arc<EncodedShard>, StatsError> {
-    sh.shard(sh.layout().shard_of(bi))
-}
-
 /// The fold-assembly closure of use case 1: `windows` profile rows per
 /// included benchmark, all mapping to the benchmark's target encoding,
-/// pinning each shard once per fold.
+/// read from the corpus's row table (no shard is touched).
 ///
 /// Row order is include-rank-major (`rank × windows + w`, benchmarks
 /// ascending), at every shard layout — so when the corpus grows,
@@ -179,32 +179,18 @@ pub(crate) fn few_runs_assemble<'a>(
     let s = cfg.n_profile_runs;
     let windows = cfg.profiles_per_benchmark.max(1);
     move |held, include| {
-        let held_shard = shard_for(sh, held)?;
-        let query = held_shard.profile(s, held, 0)?.to_vec();
-        let x_dim = query.len();
-        let y_dim = held_shard.target(cfg.repr, held)?.len();
-        drop(held_shard);
+        let query = sh.profile(s, held, 0)?.to_vec();
+        let y_dim = sh.target(cfg.repr, held)?.len();
         Ok(FoldView::new(
             include.len() * windows,
-            x_dim,
+            query.len(),
             y_dim,
             query,
             move |sink| {
-                let layout = sh.layout();
-                let mut i = 0;
-                for si in 0..layout.n_shards() {
-                    let end = layout.range(si).end;
-                    if i >= include.len() || include[i] >= end {
-                        continue;
-                    }
-                    let shard = sh.shard(si)?;
-                    while i < include.len() && include[i] < end {
-                        let bi = include[i];
-                        let target = shard.target(cfg.repr, bi)?;
-                        for w in 0..windows {
-                            sink(shard.profile(s, bi, w)?, target, bi)?;
-                        }
-                        i += 1;
+                for &bi in &include {
+                    let target = sh.target(cfg.repr, bi)?;
+                    for w in 0..windows {
+                        sink(sh.profile(s, bi, w)?, target, bi)?;
                     }
                 }
                 Ok(())
@@ -215,42 +201,27 @@ pub(crate) fn few_runs_assemble<'a>(
 
 /// The fold-assembly closure of use case 2: one joined source row per
 /// included benchmark mapping to its destination target encoding,
-/// ascending include order (see [`few_runs_assemble`]), one source shard
-/// and one destination shard pinned at a time (the two layouts may
-/// differ).
+/// ascending include order (see [`few_runs_assemble`]), read from the two
+/// corpora's row tables (their shard layouts may differ).
 pub(crate) fn cross_system_assemble<'a>(
     src: &'a ShardedCorpus<'_>,
     dst: &'a ShardedCorpus<'_>,
     cfg: CrossSystemConfig,
 ) -> impl Fn(usize, Vec<usize>) -> Result<FoldView<'a>, StatsError> + Send + Sync + 'a {
-    let s_eff = cfg.profile_runs.min(src.n_runs()).max(1);
+    let s_eff = source_window(&cfg, src.n_runs());
     move |held, include| {
-        let query = shard_for(src, held)?
-            .joined(s_eff, cfg.repr, held)?
-            .to_vec();
-        let x_dim = query.len();
-        let y_dim = shard_for(dst, held)?.target(cfg.repr, held)?.len();
+        let query = src.joined(s_eff, cfg.repr, held)?.to_vec();
+        let y_dim = dst.target(cfg.repr, held)?.len();
         Ok(FoldView::new(
             include.len(),
-            x_dim,
+            query.len(),
             y_dim,
             query,
             move |sink| {
-                let mut src_cur: Option<Arc<EncodedShard>> = None;
-                let mut dst_cur: Option<Arc<EncodedShard>> = None;
                 for &bi in &include {
-                    if !src_cur.as_ref().is_some_and(|sh| sh.range().contains(&bi)) {
-                        src_cur = Some(shard_for(src, bi)?);
-                    }
-                    if !dst_cur.as_ref().is_some_and(|sh| sh.range().contains(&bi)) {
-                        dst_cur = Some(shard_for(dst, bi)?);
-                    }
-                    let (Some(s_sh), Some(d_sh)) = (&src_cur, &dst_cur) else {
-                        unreachable!("shards assigned above");
-                    };
                     sink(
-                        s_sh.joined(s_eff, cfg.repr, bi)?,
-                        d_sh.target(cfg.repr, bi)?,
+                        src.joined(s_eff, cfg.repr, bi)?,
+                        dst.target(cfg.repr, bi)?,
                         bi,
                     )?;
                 }
@@ -262,17 +233,18 @@ pub(crate) fn cross_system_assemble<'a>(
 
 /// The fold-truth closure of both use cases: score against the held-out
 /// benchmark's measured relative times in `sh` (the destination corpus
-/// for use case 2). The times are copied out of the shard (owned `Cow`)
-/// so scoring never depends on the shard staying resident; the copy is
-/// taken from the shard's presorted cache so scoring skips the per-fold
-/// truth sort.
+/// for use case 2) — the one read of a fold that needs its shard. The
+/// times are copied out of the shard (owned `Cow`) so scoring never
+/// depends on the shard staying resident; the copy is taken from the
+/// shard's presorted cache so scoring skips the per-fold truth sort.
 pub(crate) fn fold_truth<'a>(
     sh: &'a ShardedCorpus<'_>,
 ) -> impl Fn(usize) -> Result<FoldTruth<'a>, StatsError> + Send + Sync + 'a {
     move |held| {
+        let shard = sh.shard(sh.layout().shard_of(held))?;
         Ok(FoldTruth {
             id: sh.id(held),
-            rel: Cow::Owned(shard_for(sh, held)?.rel_times_sorted(held)?.to_vec()),
+            rel: Cow::Owned(shard.rel_times_sorted(held)?.to_vec()),
         })
     }
 }

@@ -1,5 +1,25 @@
-//! Incremental fold-level evaluation: per-fold score cache with
-//! corpus-append delta recompute.
+//! Incremental fold-level evaluation: the one evaluation loop, with a
+//! per-fold score cache and corpus-append delta recompute.
+//!
+//! ## The unit loop
+//!
+//! `run_cells` evaluates a list of cells (a sweep's misses, or the one
+//! cell of [`evaluate_few_runs_incremental`] /
+//! [`evaluate_cross_system_incremental`]) with the *(group, fold)* pair as
+//! the unit of work. A group is the cells that share a use case, a
+//! feature spec (`s` and windows, or use case 2's joined spec), a model
+//! and a target encoding ([`crate::repr::ReprKind::encoding`]), so its
+//! cells train on bit-identical folds and differ only in decoder
+//! (PyMaxEnt vs PearsonRnd) and root seed. A unit prepares its fold once
+//! (from the corpus's row table), loads the held-out truth once, fits kNN
+//! once — the prepared fold moves into the model, and one neighbour
+//! search yields both the prediction and the neighbour set — or a tree
+//! once per distinct fold seed, then decodes and scores each cell. Units
+//! run group-major across the pool; the worker that finishes a group's
+//! last unit hands each of its cells to the caller at once. A cell's
+//! result is bit-identical to evaluating it alone, at any thread count.
+//!
+//! ## Fold reuse
 //!
 //! A LOGO evaluation is a set of independent folds, and each fold's score
 //! is a pure function of (config, held-out benchmark, *ordered* training
@@ -10,8 +30,8 @@
 //! a [`FoldEntry`] stores only its held-out benchmark's content digest,
 //! and a prior's entries in fold order spell the roster it was scored on.
 //!
-//! Reuse is decided once per evaluation, by comparing the prior's roster
-//! with this one's:
+//! Reuse is decided once per cell, by comparing the prior's roster with
+//! this one's:
 //!
 //! * **equal** — every fold sees the same training set as before, so
 //!   every verified entry is an exact hit;
@@ -30,10 +50,11 @@
 //! benchmark), the prediction — and the decode and KS score behind it,
 //! which dominate fold cost — is bit-identical. The **delta path**
 //! prepares the fold (cheap: row assembly + scaling), fits the kNN
-//! (cheap: it just stores rows), recomputes the canonical neighbour set,
-//! and reuses the cached score on an exact match; any mismatch falls
-//! through to a full recompute. Soundness rests on three pinned
-//! properties:
+//! (cheap: it just stores rows), recomputes the canonical neighbour set
+//! — once per unit, for every cell of the group — and reuses each cell's
+//! cached score on an exact match; any mismatch falls through to a full
+//! recompute from the same search's prediction. Soundness rests on three
+//! pinned properties:
 //!
 //! * `ModelKind::neighbor_delta_model` is exactly what `build` runs for
 //!   kNN (uniform weights, k = 15, cosine), and uniform-kNN accumulates
@@ -53,21 +74,27 @@
 //! recomputed, never trusted (mirroring the sweep cell cache's verified
 //! loads).
 
+use std::borrow::Cow;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use pv_ml::{KnnRegressor, Regressor};
 use pv_stats::fingerprint::Fnv1a;
 use pv_stats::StatsError;
 
 use crate::eval::{
-    cross_system_assemble, few_runs_assemble, fold_truth, logo_runner, validate_cross_system,
-    BenchScore, EvalSummary,
+    cross_system_assemble, few_runs_assemble, fold_truth, logo_runner, source_window,
+    validate_cross_system, BenchScore, EvalSummary,
 };
-use crate::pipeline::{FoldRunner, FoldTruth, FoldView};
+use crate::model::ModelKind;
+use crate::pipeline::{FoldTruth, FoldView, PreparedFold};
+use crate::repr::{DistributionRepr, TargetEncoding};
+use crate::resilience::{panic_message, PvError};
 use crate::shard::ShardedCorpus;
+use crate::sweep::{CellConfig, SweepTarget};
 use crate::usecase1::FewRunsConfig;
 use crate::usecase2::CrossSystemConfig;
 
@@ -167,132 +194,485 @@ pub struct IncrementalEval {
     pub stats: FoldCacheStats,
 }
 
-/// The cache-side inputs of [`run_folds`]: everything reuse decisions
-/// read, as opposed to the evaluation closures.
-struct FoldReuse<'p> {
-    /// Per-benchmark content digests, roster order.
-    bench_fps: &'p [u64],
-    /// The config's [`config_digest`], folded into every entry's
-    /// integrity digest.
-    config: Fnv1a,
-    /// The neighbour-delta probe model, when the config's model is
-    /// delta-eligible (kNN).
-    delta_model: Option<KnnRegressor>,
-    /// Fold entries of a previous evaluation (any corpus state), fold
-    /// order.
-    prior: &'p [FoldEntry],
+/// Why a cell of [`run_cells`] produced no evaluation.
+#[derive(Debug, Clone)]
+pub(crate) enum CellFailure {
+    /// A fold step returned an error.
+    Error(StatsError),
+    /// A fold step panicked; the panic's message.
+    Panic(String),
 }
 
-/// The generic incremental fold loop shared by both use cases: the
-/// module docs' reuse rule, reusing a prior entry only if it verifies as
-/// its fold under this config. Folds run in parallel; rayon preserves
-/// order, and every reuse is bit-identical by construction, so the
-/// summary is independent of both thread count and cache state.
-fn run_folds<'a, M, A, T>(
-    runner: &FoldRunner<'_>,
-    build_model: M,
-    assemble: A,
-    truth: T,
-    reuse: FoldReuse<'_>,
-) -> Result<IncrementalEval, StatsError>
+impl From<CellFailure> for PvError {
+    fn from(f: CellFailure) -> Self {
+        match f {
+            CellFailure::Error(e) => PvError::from(e),
+            CellFailure::Panic(message) => PvError::CellPanic { message },
+        }
+    }
+}
+
+/// Runs `f` behind a panic-isolation boundary: a panic becomes
+/// [`CellFailure::Panic`] (counted as `pv.core.resilience.panic_caught`)
+/// and fails the cells that needed `f`, instead of unwinding into the
+/// worker pool and sinking the run.
+pub(crate) fn isolated<T>(f: impl FnOnce() -> Result<T, StatsError>) -> Result<T, CellFailure> {
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(result) => result.map_err(CellFailure::Error),
+        Err(payload) => {
+            pv_obs::counter_inc!("pv.core.resilience.panic_caught");
+            Err(CellFailure::Panic(panic_message(payload)))
+        }
+    }
+}
+
+/// One cell handed to [`run_cells`].
+pub(crate) struct CellTask<'p> {
+    /// What to evaluate; its use case must be the target's.
+    pub(crate) config: CellConfig,
+    /// Fold entries of an earlier evaluation of the same config, fold
+    /// order (empty: a cold run).
+    pub(crate) prior: &'p [FoldEntry],
+    /// Whether the cell gets a group of its own (a cell with an injected
+    /// fault must not change what its neighbours compute).
+    pub(crate) alone: bool,
+}
+
+/// What every unit of one target reads: the roster the reuse rule
+/// compares (one digest per fold) and each fold's held-out truth.
+struct Roster<'a> {
+    bench_fps: Cow<'a, [u64]>,
+    truth: Box<dyn Fn(usize) -> Result<FoldTruth<'a>, StatsError> + Send + Sync + 'a>,
+}
+
+impl<'a> Roster<'a> {
+    fn new(target: &SweepTarget<'a, '_>) -> Result<Self, StatsError> {
+        Ok(match *target {
+            SweepTarget::FewRuns(sh) => Roster {
+                bench_fps: Cow::Borrowed(sh.bench_fingerprints()),
+                truth: Box::new(fold_truth(sh)),
+            },
+            SweepTarget::CrossSystem { src, dst } => {
+                validate_cross_system(src, dst)?;
+                // A change on either system is a changed roster.
+                let pairs = src
+                    .bench_fingerprints()
+                    .iter()
+                    .zip(dst.bench_fingerprints())
+                    .map(|(&s, &d)| {
+                        let mut h = Fnv1a::new();
+                        h.write_str("pv-bench-pair");
+                        h.write_u64(s);
+                        h.write_u64(d);
+                        h.finish()
+                    })
+                    .collect();
+                Roster {
+                    bench_fps: Cow::Owned(pairs),
+                    truth: Box::new(fold_truth(dst)),
+                }
+            }
+        })
+    }
+
+    fn n_folds(&self) -> usize {
+        self.bench_fps.len()
+    }
+}
+
+/// A fold's training rows, as
+/// [`FoldRunner::prepare_fold`](crate::pipeline::FoldRunner::prepare_fold)
+/// assembles them.
+type Assemble<'a> =
+    Box<dyn Fn(usize, Vec<usize>) -> Result<FoldView<'a>, StatsError> + Send + Sync + 'a>;
+
+/// What cells share a unit by: use case, feature rows (window setting and
+/// count), model and target encoding. Such cells train on bit-identical
+/// folds; they differ only in decoder (PyMaxEnt vs PearsonRnd) and root
+/// seed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct GroupKey {
+    cross_system: bool,
+    s: usize,
+    windows: usize,
+    model: ModelKind,
+    encoding: TargetEncoding,
+}
+
+/// The cells one (group, fold) unit serves, and the per-fold outcomes its
+/// units leave for the unit that finishes the group.
+struct Group<'a, 'p> {
+    key: GroupKey,
+    /// Whether the group is one cell that runs alone.
+    alone: bool,
+    assemble: Assemble<'a>,
+    cells: Vec<GroupCell<'p>>,
+    /// Per fold, every cell's outcome, in cell order.
+    folds: Vec<Mutex<Vec<FoldOutcome>>>,
+    /// Units not yet finished; the unit that takes it to zero finishes
+    /// the group.
+    pending: AtomicUsize,
+}
+
+/// One cell of a [`Group`].
+struct GroupCell<'p> {
+    /// Position in [`run_cells`]' task list.
+    task: usize,
+    seed: u64,
+    repr: Box<dyn DistributionRepr>,
+    /// The config's [`config_digest`] state.
+    digest: Fnv1a,
+    /// The prior entries the reuse rule admits (empty when it admits
+    /// none).
+    prior: &'p [FoldEntry],
+    /// Whether the prior's roster equals this one (entries are exact
+    /// hits).
+    exact: bool,
+}
+
+/// How a cell's fold was served.
+#[derive(Debug, Clone, Copy)]
+enum Served {
+    Hit,
+    Delta,
+    Miss,
+}
+
+type FoldOutcome = Result<(FoldEntry, Served), CellFailure>;
+
+/// A unit's model, fitted once for all the cells it serves.
+enum Fitted {
+    /// kNN: the neighbour set and prediction every cell shares (kNN
+    /// ignores the seed).
+    Knn {
+        prediction: Vec<f64>,
+        neighbors: Vec<u32>,
+    },
+    /// Trees: the prepared fold, fitted once per distinct fold seed.
+    Trees(PreparedFold),
+}
+
+/// Evaluates `tasks` against `target` with the (group, fold) pair as the
+/// unit of work, and calls `on_cell(task index, result)` once per task,
+/// from the worker that finishes the task's group — as soon as its last
+/// fold is scored, not when the run ends.
+///
+/// Cells that share a [`GroupKey`] share every unit: each unit prepares
+/// its fold once (from the row table), loads its held-out truth once,
+/// fits kNN once or a tree once per distinct fold seed, then decodes and
+/// scores each of its cells. Units run group-major across the pool, so
+/// groups finish one after another. Every cell's result is bit-identical
+/// to evaluating it alone, at any thread count.
+pub(crate) fn run_cells<F>(target: &SweepTarget<'_, '_>, tasks: &[CellTask<'_>], on_cell: F)
 where
-    M: Fn(u64) -> Box<dyn Regressor> + Send + Sync,
-    A: Fn(usize, Vec<usize>) -> Result<FoldView<'a>, StatsError> + Send + Sync,
-    T: Fn(usize) -> Result<FoldTruth<'a>, StatsError> + Send + Sync,
+    F: Fn(usize, Result<IncrementalEval, CellFailure>) + Sync,
 {
-    let FoldReuse {
-        bench_fps,
-        config,
-        delta_model,
-        prior,
-    } = reuse;
-    let _span = pv_obs::span!("pv.core.pipeline.logo_eval", folds = runner.n_folds);
+    let roster = match Roster::new(target) {
+        Ok(roster) => roster,
+        Err(e) => {
+            for task in 0..tasks.len() {
+                on_cell(task, Err(CellFailure::Error(e.clone())));
+            }
+            return;
+        }
+    };
+    let n_folds = roster.n_folds();
+    let mut groups: Vec<Group<'_, '_>> = Vec::new();
+    for (task, t) in tasks.iter().enumerate() {
+        match group_cell(target, t, task, &roster) {
+            Ok((key, cell)) => {
+                let shared = (!t.alone)
+                    .then(|| groups.iter_mut().find(|g| !g.alone && g.key == key))
+                    .flatten();
+                match shared {
+                    Some(group) => group.cells.push(cell),
+                    None => groups.push(Group {
+                        key,
+                        alone: t.alone,
+                        assemble: assembler(target, &t.config),
+                        cells: vec![cell],
+                        folds: (0..n_folds).map(|_| Mutex::new(Vec::new())).collect(),
+                        pending: AtomicUsize::new(n_folds),
+                    }),
+                }
+            }
+            Err(e) => on_cell(task, Err(CellFailure::Error(e))),
+        }
+    }
+    let _span = pv_obs::span!(
+        "pv.core.pipeline.logo_eval",
+        groups = groups.len(),
+        folds = n_folds
+    );
+    if n_folds == 0 {
+        // No unit will finish these groups.
+        for group in &groups {
+            finish(group, &on_cell);
+        }
+        return;
+    }
+    let units: Vec<(usize, usize)> = (0..groups.len())
+        .flat_map(|g| (0..n_folds).map(move |held| (g, held)))
+        .collect();
+    let _: Vec<()> = units
+        .into_par_iter()
+        .map(|(g, held)| {
+            let group = &groups[g];
+            let outcomes = run_unit(&roster, group, held);
+            *lock(&group.folds[held]) = outcomes;
+            if group.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                finish(group, &on_cell);
+            }
+        })
+        .collect();
+}
+
+/// Locks `m`; a poisoned lock is still usable (panics are contained
+/// where they happen).
+pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// A task's group key and its [`GroupCell`]: the reuse rule of the module
+/// docs applied to its prior.
+fn group_cell<'p>(
+    target: &SweepTarget<'_, '_>,
+    t: &CellTask<'p>,
+    task: usize,
+    roster: &Roster<'_>,
+) -> Result<(GroupKey, GroupCell<'p>), StatsError> {
+    let (key, digest) = match (target, &t.config) {
+        (SweepTarget::FewRuns(_), CellConfig::FewRuns(c)) => (
+            GroupKey {
+                cross_system: false,
+                s: c.n_profile_runs,
+                windows: c.profiles_per_benchmark.max(1),
+                model: c.model,
+                encoding: c.repr.encoding(),
+            },
+            config_digest("uc1", c)?,
+        ),
+        (SweepTarget::CrossSystem { src, .. }, CellConfig::CrossSystem(c)) => (
+            GroupKey {
+                cross_system: true,
+                s: source_window(c, src.n_runs()),
+                windows: 1,
+                model: c.model,
+                encoding: c.repr.encoding(),
+            },
+            config_digest("uc2", c)?,
+        ),
+        _ => {
+            return Err(StatsError::invalid(
+                "run_cells",
+                "cell config does not match the sweep target's use case",
+            ))
+        }
+    };
     // The prior's roster (its entries' held digests, fold order) decides
     // reuse once: equal — exact hits; a strict prefix, i.e. a pure
     // append — neighbour-delta checks; anything else — nothing.
-    let prefix = prior.len() <= bench_fps.len()
-        && prior.iter().zip(bench_fps).all(|(e, &fp)| e.held_fp == fp);
-    let exact = prefix && prior.len() == bench_fps.len();
-    let prior = if prefix { prior } else { &[] };
-    let hits = AtomicUsize::new(0);
-    let deltas = AtomicUsize::new(0);
-    let misses = AtomicUsize::new(0);
-    let folds: Result<Vec<FoldEntry>, StatsError> = (0..runner.n_folds)
-        .into_par_iter()
-        .map(|held| {
-            let _fold_span = pv_obs::span!("pv.core.pipeline.fold", held = held);
-            let held_fp = bench_fps[held];
-            // Verification at the point of consumption: a prior entry
-            // that fails its integrity digest is simply absent.
-            if let Some(e) = prior.get(held).filter(|e| e.verify(&config, held)) {
-                if exact {
-                    // Nothing this fold observes has changed.
-                    pv_obs::counter_inc!("pv.core.pipeline.fold_cache.hit");
-                    hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(e.clone());
-                }
-                if let (Some(knn), Some(old_neighbors)) = (&delta_model, e.neighbors.as_ref()) {
-                    let prepared = runner.prepare_fold(held, &assemble)?;
-                    let mut knn = knn.clone();
-                    knn.fit(&prepared.data)?;
-                    let neighbors = knn.neighbor_indices(&prepared.query)?;
-                    if &neighbors == old_neighbors {
-                        // Same neighbour set ⇒ same row-ordered mean of
-                        // the same unscaled target rows ⇒ bit-identical
-                        // predict, decode, and KS. Skip all three.
-                        pv_obs::counter_inc!("pv.core.pipeline.fold_cache.delta");
-                        deltas.fetch_add(1, Ordering::Relaxed);
-                        return Ok(e.clone());
-                    }
-                    // The append disturbed the neighbourhood: pay for
-                    // the back half on the already-prepared fold.
-                    pv_obs::counter_inc!("pv.core.pipeline.fold_cache.miss");
-                    misses.fetch_add(1, Ordering::Relaxed);
-                    let score = runner.score_fold(held, &prepared, &build_model, &truth)?;
-                    return Ok(FoldEntry {
-                        held_fp,
-                        score,
-                        neighbors: Some(neighbors),
-                        check: 0,
-                    }
-                    .sealed(&config, held));
-                }
-            }
+    let fps = &roster.bench_fps;
+    let prefix = t.prior.len() <= fps.len()
+        && t.prior
+            .iter()
+            .zip(fps.iter())
+            .all(|(e, &fp)| e.held_fp == fp);
+    let cell = GroupCell {
+        task,
+        seed: t.config.seed(),
+        repr: t.config.repr().build(),
+        digest,
+        prior: if prefix { t.prior } else { &[] },
+        exact: prefix && t.prior.len() == fps.len(),
+    };
+    Ok((key, cell))
+}
 
-            // Full recompute; for delta-eligible models also record the
-            // canonical neighbour list so the *next* run can delta.
-            pv_obs::counter_inc!("pv.core.pipeline.fold_cache.miss");
-            misses.fetch_add(1, Ordering::Relaxed);
-            let prepared = runner.prepare_fold(held, &assemble)?;
-            let neighbors = match &delta_model {
+/// The fold assembly of a group's cells (any of them: they share it).
+fn assembler<'a>(target: &SweepTarget<'a, '_>, config: &CellConfig) -> Assemble<'a> {
+    match (*target, *config) {
+        (SweepTarget::CrossSystem { src, dst }, CellConfig::CrossSystem(c)) => {
+            Box::new(cross_system_assemble(src, dst, c))
+        }
+        (SweepTarget::FewRuns(sh), CellConfig::FewRuns(c)) => Box::new(few_runs_assemble(sh, c)),
+        // `group_cell` admitted only configs of the target's use case.
+        _ => unreachable!("cell config does not match the sweep target"),
+    }
+}
+
+/// Runs fold `held` for every cell of `group`: the reuse rule per cell,
+/// then — for the cells it leaves — one prepared fold, one model fit per
+/// distinct prediction, one truth load, and a decode and score per cell.
+fn run_unit(roster: &Roster<'_>, group: &Group<'_, '_>, held: usize) -> Vec<FoldOutcome> {
+    let _span = pv_obs::span!("pv.core.pipeline.fold", held = held);
+    let n_folds = roster.n_folds();
+    let knn = group.key.model.neighbor_delta_model();
+    // Verification at the point of consumption: a prior entry that fails
+    // its integrity digest is simply absent.
+    let reuse: Vec<Option<&FoldEntry>> = group
+        .cells
+        .iter()
+        .map(|c| c.prior.get(held).filter(|e| e.verify(&c.digest, held)))
+        .collect();
+    let all_hits = reuse
+        .iter()
+        .zip(&group.cells)
+        .all(|(e, c)| e.is_some() && c.exact);
+    let fitted = if all_hits {
+        // Nothing this fold observes has changed for any cell.
+        None
+    } else {
+        let first = &group.cells[0];
+        let runner = logo_runner(n_folds, first.seed, group.key.model, first.repr.as_ref());
+        Some(isolated(|| {
+            let prepared = runner.prepare_fold(held, &group.assemble)?;
+            Ok(match knn {
                 Some(knn) => {
-                    let mut knn = knn.clone();
-                    knn.fit(&prepared.data)?;
-                    Some(knn.neighbor_indices(&prepared.query)?)
+                    // The prepared fold moves into the model: no copy.
+                    let (prediction, neighbors) =
+                        knn.fit_owned_query(prepared.data, &prepared.query)?;
+                    Fitted::Knn {
+                        prediction,
+                        neighbors,
+                    }
                 }
-                None => None,
-            };
-            let score = runner.score_fold(held, &prepared, &build_model, &truth)?;
-            Ok(FoldEntry {
-                held_fp,
-                score,
-                neighbors,
-                check: 0,
+                None => Fitted::Trees(prepared),
+            })
+        }))
+    };
+    let mut outcomes: Vec<Option<FoldOutcome>> = reuse
+        .iter()
+        .zip(&group.cells)
+        .map(|(entry, cell)| {
+            let e = (*entry)?;
+            if cell.exact {
+                pv_obs::counter_inc!("pv.core.pipeline.fold_cache.hit");
+                return Some(Ok((e.clone(), Served::Hit)));
             }
-            .sealed(&config, held))
+            // Same neighbour set ⇒ same row-ordered mean of the same
+            // unscaled target rows ⇒ bit-identical predict, decode and KS.
+            let same = match &fitted {
+                Some(Ok(Fitted::Knn { neighbors, .. })) => e.neighbors.as_ref() == Some(neighbors),
+                _ => false,
+            };
+            same.then(|| {
+                pv_obs::counter_inc!("pv.core.pipeline.fold_cache.delta");
+                Ok((e.clone(), Served::Delta))
+            })
         })
         .collect();
-    let folds = folds?;
-    let summary = EvalSummary::from_scores(folds.iter().map(|f| f.score).collect())?;
-    Ok(IncrementalEval {
-        summary,
-        folds,
-        stats: FoldCacheStats {
-            hits: hits.load(Ordering::Relaxed),
-            deltas: deltas.load(Ordering::Relaxed),
-            misses: misses.load(Ordering::Relaxed),
-        },
-    })
+    let Some(fitted) = fitted.filter(|_| outcomes.iter().any(Option::is_none)) else {
+        return outcomes.into_iter().flatten().collect();
+    };
+    // Everything left recomputes in full against a truth loaded once; kNN
+    // entries also record the neighbour list so the next run can take the
+    // delta path.
+    let scoring = fitted.and_then(|f| Ok((isolated(|| (roster.truth)(held))?, f)));
+    let mut tree_fits = Vec::new();
+    for (slot, cell) in outcomes.iter_mut().zip(&group.cells) {
+        if slot.is_some() {
+            continue;
+        }
+        pv_obs::counter_inc!("pv.core.pipeline.fold_cache.miss");
+        let scored = scoring
+            .as_ref()
+            .map_err(Clone::clone)
+            .and_then(|(truth, fitted)| {
+                let ks = score_cell(group, cell, held, n_folds, fitted, truth, &mut tree_fits)?;
+                let neighbors = match fitted {
+                    Fitted::Knn { neighbors, .. } => Some(neighbors.clone()),
+                    Fitted::Trees(_) => None,
+                };
+                Ok(FoldEntry {
+                    held_fp: roster.bench_fps[held],
+                    score: BenchScore { id: truth.id, ks },
+                    neighbors,
+                    check: 0,
+                }
+                .sealed(&cell.digest, held))
+            });
+        *slot = Some(scored.map(|entry| (entry, Served::Miss)));
+    }
+    outcomes.into_iter().flatten().collect()
+}
+
+/// One cell's KS on fold `held`: the unit's kNN prediction, or a tree
+/// fitted for the cell's fold seed — once per distinct seed, kept in
+/// `tree_fits` — decoded by the cell's representation under that seed.
+fn score_cell(
+    group: &Group<'_, '_>,
+    cell: &GroupCell<'_>,
+    held: usize,
+    n_folds: usize,
+    fitted: &Fitted,
+    truth: &FoldTruth<'_>,
+    tree_fits: &mut Vec<(u64, Result<Vec<f64>, CellFailure>)>,
+) -> Result<f64, CellFailure> {
+    let runner = logo_runner(n_folds, cell.seed, group.key.model, cell.repr.as_ref());
+    let fold_seed = runner.fold_seed(held);
+    let features = match fitted {
+        Fitted::Knn { prediction, .. } => prediction,
+        Fitted::Trees(prepared) => {
+            let at = match tree_fits.iter().position(|(seed, _)| *seed == fold_seed) {
+                Some(at) => at,
+                None => {
+                    tree_fits.push((
+                        fold_seed,
+                        isolated(|| {
+                            let mut model = group.key.model.build(fold_seed);
+                            model.fit(&prepared.data)?;
+                            model.predict(&prepared.query)
+                        }),
+                    ));
+                    tree_fits.len() - 1
+                }
+            };
+            tree_fits[at].1.as_ref().map_err(Clone::clone)?
+        }
+    };
+    isolated(|| runner.score_prediction(held, fold_seed, features, &truth.rel))
+}
+
+/// Turns a finished group's fold outcomes into each cell's evaluation (or
+/// its first failure, in fold order) and hands it to `on_cell`.
+fn finish<F>(group: &Group<'_, '_>, on_cell: &F)
+where
+    F: Fn(usize, Result<IncrementalEval, CellFailure>) + Sync,
+{
+    let mut per_cell: Vec<Vec<FoldOutcome>> = group.cells.iter().map(|_| Vec::new()).collect();
+    for fold in &group.folds {
+        for (cell, outcome) in per_cell.iter_mut().zip(std::mem::take(&mut *lock(fold))) {
+            cell.push(outcome);
+        }
+    }
+    for (cell, outcomes) in group.cells.iter().zip(per_cell) {
+        let result = outcomes
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .and_then(|served| {
+                let mut stats = FoldCacheStats::default();
+                let folds: Vec<FoldEntry> = served
+                    .into_iter()
+                    .map(|(entry, how)| {
+                        match how {
+                            Served::Hit => stats.hits += 1,
+                            Served::Delta => stats.deltas += 1,
+                            Served::Miss => stats.misses += 1,
+                        }
+                        entry
+                    })
+                    .collect();
+                let summary = EvalSummary::from_scores(folds.iter().map(|f| f.score).collect())
+                    .map_err(CellFailure::Error)?;
+                Ok(IncrementalEval {
+                    summary,
+                    folds,
+                    stats,
+                })
+            });
+        on_cell(cell.task, result);
+    }
 }
 
 /// The hasher state every fold entry's integrity digest starts from: a
@@ -308,18 +688,44 @@ fn config_digest<C: Serialize>(tag: &str, cfg: &C) -> Result<Fnv1a, StatsError> 
     Ok(h)
 }
 
+/// One cell through [`run_cells`]: its evaluation, or its error. A panic
+/// in a fold resumes as a panic here.
+fn evaluate_one(
+    target: &SweepTarget<'_, '_>,
+    config: CellConfig,
+    prior: &[FoldEntry],
+) -> Result<IncrementalEval, StatsError> {
+    let result = Mutex::new(None);
+    let task = CellTask {
+        config,
+        prior,
+        alone: true,
+    };
+    run_cells(target, std::slice::from_ref(&task), |_, r| {
+        *lock(&result) = Some(r);
+    });
+    let result = result
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    match result.expect("run_cells answers every task") {
+        Ok(eval) => Ok(eval),
+        Err(CellFailure::Error(e)) => Err(e),
+        Err(CellFailure::Panic(message)) => panic!("{message}"),
+    }
+}
+
 /// Leave-one-group-out evaluation of use case #1 over `sh`, at any shard
 /// layout (an [`crate::pipeline::EncodedCorpus`] is the one-shard
 /// layout): the summary is bit-identical to a cold run, but folds the
 /// reuse rule (module docs) lets verified `prior` entries answer are
-/// served from cache.
+/// served from cache. This is the one-cell case of the sweep's unit loop.
 ///
 /// With an empty `prior` this is the cold run, and it additionally
 /// returns the fold entries to seed the next one. Rosters are compared
 /// by per-benchmark digests, which do not depend on the shard layout,
 /// so entries written at one layout serve exact hits and append-deltas
-/// at any other. Peak memory is bounded by the corpus's resident-shard
-/// budget, not the corpus size.
+/// at any other. Folds read their training rows from the corpus's row
+/// table; a fold faults a shard in only for its held-out truth.
 ///
 /// # Errors
 /// Fails when the corpus's spec does not cover
@@ -336,21 +742,7 @@ pub fn evaluate_few_runs_incremental(
         model = cfg.model.name(),
         s = cfg.n_profile_runs,
     );
-    let config = config_digest("uc1", &cfg)?;
-    let repr = cfg.repr.build();
-    let runner = logo_runner(sh.len(), cfg.seed, cfg.model, repr.as_ref());
-    run_folds(
-        &runner,
-        |fold_seed| cfg.model.build(fold_seed),
-        few_runs_assemble(sh, cfg),
-        fold_truth(sh),
-        FoldReuse {
-            bench_fps: sh.bench_fingerprints(),
-            config,
-            delta_model: cfg.model.neighbor_delta_model(),
-            prior,
-        },
-    )
+    evaluate_one(&SweepTarget::FewRuns(sh), CellConfig::FewRuns(cfg), prior)
 }
 
 /// Leave-one-group-out evaluation of use case #2, `src` → `dst`; see
@@ -375,33 +767,10 @@ pub fn evaluate_cross_system_incremental(
         model = cfg.model.name(),
         s = cfg.profile_runs,
     );
-    validate_cross_system(src, dst)?;
-    let config = config_digest("uc2", &cfg)?;
-    let bench_fps: Vec<u64> = src
-        .bench_fingerprints()
-        .iter()
-        .zip(dst.bench_fingerprints())
-        .map(|(&s, &d)| {
-            let mut h = Fnv1a::new();
-            h.write_str("pv-bench-pair");
-            h.write_u64(s);
-            h.write_u64(d);
-            h.finish()
-        })
-        .collect();
-    let repr = cfg.repr.build();
-    let runner = logo_runner(src.len(), cfg.seed, cfg.model, repr.as_ref());
-    run_folds(
-        &runner,
-        |fold_seed| cfg.model.build(fold_seed),
-        cross_system_assemble(src, dst, cfg),
-        fold_truth(dst),
-        FoldReuse {
-            bench_fps: &bench_fps,
-            config,
-            delta_model: cfg.model.neighbor_delta_model(),
-            prior,
-        },
+    evaluate_one(
+        &SweepTarget::CrossSystem { src, dst },
+        CellConfig::CrossSystem(cfg),
+        prior,
     )
 }
 

@@ -18,8 +18,8 @@
 //! | III-A2 cross-system prediction | [`usecase2`] |
 //! | IV-E / V KS-scored leave-one-group-out evaluation | [`eval`] |
 //! | shared encode-once cache + LOGO fold runner | [`pipeline`] |
-//! | sharded corpora: shard layouts, LRU residency, verified spill | [`shard`] |
-//! | the LOGO fold loop with per-fold score cache + append delta | [`incremental`] |
+//! | sharded corpora: shard layouts, the row table, LRU residency, verified spill | [`shard`] |
+//! | the one LOGO loop, (group, fold) units, per-fold score cache + append delta | [`incremental`] |
 //! | config-grid sweep service with cached cells | [`sweep`] |
 //! | trained-model registry (sealed fitted artifacts for serving) | [`registry`] |
 //! | fault tolerance: error taxonomy, fault injection, cache lock | [`resilience`] |
@@ -33,11 +33,13 @@
 //! fold is row streaming plus a model fit. Results are bit-identical to
 //! training each fold from scratch, for any thread count.
 //!
-//! Both use cases have one evaluation path:
-//! [`evaluate_few_runs_incremental`] and
-//! [`evaluate_cross_system_incremental`] over a [`shard::ShardedCorpus`]
-//! at any shard layout, with an optional prior of cached folds (empty
-//! for a cold run). A whole in-memory corpus is the one-shard layout,
+//! Both use cases have one evaluation loop, the unit loop of
+//! [`incremental`]: a [`sweep::Sweep`] runs a grid's cells through it,
+//! sharing each fold's preparation and fit among the cells that train on
+//! it, and [`evaluate_few_runs_incremental`] and
+//! [`evaluate_cross_system_incremental`] are its one-cell case over a
+//! [`shard::ShardedCorpus`] at any shard layout, with an optional prior
+//! of cached folds (empty for a cold run). A whole in-memory corpus is the one-shard layout,
 //! [`pipeline::EncodedCorpus`], which derefs to its `ShardedCorpus`;
 //! [`evaluate_few_runs`] and [`evaluate_cross_system`] run the same loop
 //! cold on a collected [`pv_sysmodel::Corpus`].

@@ -11,7 +11,8 @@
 //!   setting) and per-representation target encodings, computed in
 //!   parallel up front; folds become row slicing. It is the one-shard
 //!   layout of a [`ShardedCorpus`], so every evaluation runs on the one
-//!   shard-streaming fold assembly in [`crate::eval`].
+//!   fold assembly in [`crate::eval`], which reads the corpus's row
+//!   table.
 //! * [`FoldRunner`] — the LOGO scaffolding itself: include-set
 //!   construction, per-fold seed derivation, optional standardization,
 //!   model fit, representation decode, and KS scoring. Callers supply a
@@ -234,22 +235,33 @@ pub(crate) struct EncodedBlock {
     /// `rel[bi]` sorted ascending (`total_cmp`), filled on first use so
     /// every fold's KS scoring can take the allocation-free
     /// [`pv_stats::ks::ks2_statistic_presorted`] path. A fold scores one
-    /// held-out truth, so a shard faulted in for its training rows never
-    /// pays for sorting the rest. The KS statistic is an order-invariant
-    /// of the input multisets, so scoring against the sorted copy is
+    /// held-out truth, so a shard faulted in for one truth never pays for
+    /// sorting the rest. The KS statistic is an order-invariant of the
+    /// input multisets, so scoring against the sorted copy is
     /// bit-identical to scoring against `rel`.
     pub(crate) rel_sorted: Vec<OnceLock<Vec<f64>>>,
+    /// The training rows, shared with the row table of the
+    /// [`ShardedCorpus`] that encoded them.
+    pub(crate) rows: Arc<RowBlock>,
+    /// Per-benchmark content digests. Hashing every run of every
+    /// benchmark is the single most expensive step of an incremental
+    /// evaluation (FNV-1a is byte-serial), so it happens once here —
+    /// inside the parallel per-benchmark pass — not per eval call.
+    pub(crate) bench_fps: Vec<u64>,
+}
+
+/// The training rows of a contiguous run of benchmarks, keyed by *local*
+/// index: every profile, target and joined row of the encoding spec,
+/// and none of the measured runs. A [`ShardedCorpus`] keeps the block of
+/// every shard it encodes as its row table, so fold assembly never needs
+/// a shard back for them.
+pub(crate) struct RowBlock {
     /// `s` → per-benchmark window profiles.
     pub(crate) profiles: Vec<(usize, BenchWindows)>,
     /// Representation → per-benchmark target encoding.
     pub(crate) targets: Vec<(ReprKind, BenchRows)>,
     /// `(s, repr)` → per-benchmark joined row (profile ⊕ encoding).
     pub(crate) joined: Vec<((usize, ReprKind), BenchRows)>,
-    /// Per-benchmark content digests. Hashing every run of every
-    /// benchmark is the single most expensive step of an incremental
-    /// evaluation (FNV-1a is byte-serial), so it happens once here —
-    /// inside the parallel per-benchmark pass — not per eval call.
-    pub(crate) bench_fps: Vec<u64>,
 }
 
 impl EncodedBlock {
@@ -364,28 +376,30 @@ impl EncodedBlock {
             }
         }
 
-        let mut block = EncodedBlock {
-            rel_sorted: (0..n).map(|_| OnceLock::new()).collect(),
-            rel,
+        let mut rows = RowBlock {
             profiles,
             targets,
             joined: Vec::new(),
-            bench_fps,
         };
         for &(s, kind) in &spec.joined {
-            if block.joined.iter().any(|(key, _)| *key == (s, kind)) {
+            if rows.joined.iter().any(|(key, _)| *key == (s, kind)) {
                 continue;
             }
-            let rows = (0..n)
+            let joined = (0..n)
                 .map(|bi| {
-                    let mut row = block.profile(s, bi, 0)?.to_vec();
-                    row.extend_from_slice(block.target(kind, bi)?);
+                    let mut row = rows.profile(s, bi, 0)?.to_vec();
+                    row.extend_from_slice(rows.target(kind, bi)?);
                     Ok(row)
                 })
                 .collect::<Result<Vec<_>, StatsError>>()?;
-            block.joined.push(((s, kind), rows));
+            rows.joined.push(((s, kind), joined));
         }
-        Ok(block)
+        Ok(EncodedBlock {
+            rel_sorted: (0..n).map(|_| OnceLock::new()).collect(),
+            rel,
+            rows: Arc::new(rows),
+            bench_fps,
+        })
     }
 
     /// Number of benchmarks in the block.
@@ -407,7 +421,9 @@ impl EncodedBlock {
             sorted
         })
     }
+}
 
+impl RowBlock {
     /// Cached window-`w` profile of local benchmark `bi` for setting `s`.
     pub(crate) fn profile(&self, s: usize, bi: usize, w: usize) -> Result<&[f64], StatsError> {
         let (_, per_bench) = self.profiles.iter().find(|(t, _)| *t == s).ok_or_else(|| {
@@ -471,13 +487,15 @@ impl EncodedBlock {
 /// Construction is parallel over benchmarks; everything computed here is
 /// RNG-free, so the cache is a pure function of the corpus and spec. It
 /// dereferences to its [`ShardedCorpus`], so it is accepted wherever one
-/// is (every evaluation entry point, [`crate::sweep::Sweep`]), and adds
-/// slice-lending accessors that index the pinned shard directly.
+/// is (every evaluation entry point, [`crate::sweep::Sweep`]) and lends
+/// its rows ([`ShardedCorpus::profile`] and friends); it adds
+/// accessors that lend the measured times out of the pinned shard.
 pub struct EncodedCorpus<'c> {
     corpus: &'c Corpus,
     sharded: ShardedCorpus<'c>,
     /// The one shard (benchmarks `0..len`, local = global index), held
-    /// so the accessors can lend slices out of it.
+    /// so the accessors can lend slices out of it. Its rows are the row
+    /// table's, not a copy.
     shard: Arc<EncodedShard>,
 }
 
@@ -516,33 +534,6 @@ impl<'c> EncodedCorpus<'c> {
     pub fn rel_times_sorted(&self, bi: usize) -> &[f64] {
         self.shard.block.rel_times_sorted(bi)
     }
-
-    /// Cached window-`w` profile of benchmark `bi` for window setting `s`.
-    ///
-    /// # Errors
-    /// Fails when `(s, w)` was not covered by the build spec or `bi` is
-    /// out of range.
-    pub fn profile(&self, s: usize, bi: usize, w: usize) -> Result<&[f64], StatsError> {
-        self.shard.block.profile(s, bi, w)
-    }
-
-    /// Cached target encoding of benchmark `bi` under `repr`.
-    ///
-    /// # Errors
-    /// Fails when `repr` was not covered by the build spec or `bi` is out
-    /// of range.
-    pub fn target(&self, repr: ReprKind, bi: usize) -> Result<&[f64], StatsError> {
-        self.shard.block.target(repr, bi)
-    }
-
-    /// Cached joined row (profile ⊕ encoding) of benchmark `bi`.
-    ///
-    /// # Errors
-    /// Fails when `(s, repr)` was not covered by the build spec or `bi`
-    /// is out of range.
-    pub fn joined(&self, s: usize, repr: ReprKind, bi: usize) -> Result<&[f64], StatsError> {
-        self.shard.block.joined(s, repr, bi)
-    }
 }
 
 impl<'c> Deref for EncodedCorpus<'c> {
@@ -577,8 +568,8 @@ pub type RowSink<'s> = dyn FnMut(&[f64], &[f64], usize) -> Result<(), StatsError
 ///
 /// The assemble closure declares the fold's shape up front and hands the
 /// runner a visitor that yields `(x_row, y_row, group)` triples borrowed
-/// from whatever cache backs the fold — one resident [`EncodedShard`] at
-/// a time, or an [`EncodedCorpus`]'s pinned shard. The runner
+/// from whatever cache backs the fold — a [`ShardedCorpus`]'s row table
+/// (an [`EncodedCorpus`]'s included), or an [`EncodedShard`]. The runner
 /// materializes the fold matrix exactly once, while visiting; no
 /// intermediate row-pointer vectors or full-matrix copies exist on the
 /// hot path, at any shard layout.
@@ -647,9 +638,8 @@ pub struct FoldTruth<'a> {
     /// Measured relative times the prediction is scored against, sorted
     /// ascending (`total_cmp` order) so scoring feeds them straight to
     /// [`pv_stats::ks::ks2_statistic_presorted`]. Borrowed when the
-    /// caller pins the backing cache (the ablations); owned on the
-    /// shard-streaming path (the backing shard may be evicted before
-    /// scoring finishes).
+    /// caller pins the backing cache (the ablations); owned when read
+    /// from a shard (it may be evicted before scoring finishes).
     pub rel: Cow<'a, [f64]>,
 }
 
@@ -680,9 +670,10 @@ pub struct FoldRunner<'r> {
 ///
 /// Produced by [`FoldRunner::prepare_fold`]; consumed by
 /// [`FoldRunner::score_fold`]. The incremental layer
-/// (see [`crate::incremental`]) splits the fold here: it prepares a fold,
-/// probes the cheap delta check against a cached fold entry, and only
-/// pays for fit + decode + KS when the check fails.
+/// (see [`crate::incremental`]) splits the fold here: it prepares a fold
+/// once for every cell that shares it, probes the cheap delta check
+/// against each cell's cached fold entry, and fits, decodes and scores
+/// only for the cells whose check fails.
 pub struct PreparedFold {
     /// The fold's training set (scaled when the runner standardizes).
     pub data: Dataset,
@@ -809,19 +800,33 @@ impl FoldRunner<'_> {
         let mut model = build_model(prepared.fold_seed);
         model.fit(&prepared.data)?;
         let predicted_features = model.predict(&prepared.query)?;
-        let mut rng = Xoshiro256pp::seed_from_u64(derive_stream(prepared.fold_seed, held as u64));
-        let mut predicted = self
-            .repr
-            .decode(&predicted_features, &mut rng, self.n_samples)?;
+        let t = truth(held)?;
+        let ks = self.score_prediction(held, prepared.fold_seed, &predicted_features, &t.rel)?;
+        Ok(BenchScore { id: t.id, ks })
+    }
+
+    /// Decodes fold `held`'s predicted feature vector under `fold_seed`
+    /// and returns its KS statistic against `truth` (sorted ascending):
+    /// the part of a fold after the model.
+    ///
+    /// # Errors
+    /// Propagates decode and scoring failures.
+    pub(crate) fn score_prediction(
+        &self,
+        held: usize,
+        fold_seed: u64,
+        features: &[f64],
+        truth: &[f64],
+    ) -> Result<f64, StatsError> {
+        let mut rng = Xoshiro256pp::seed_from_u64(derive_stream(fold_seed, held as u64));
+        let mut predicted = self.repr.decode(features, &mut rng, self.n_samples)?;
         // Sort the freshly-decoded sample once and use the presorted KS
         // sweep: same sort order (`total_cmp`) and same merge as
         // `ks2_statistic`, so the D value is bit-identical — but the
         // truth side (cached sorted in the encode block) is no longer
         // copied and re-sorted on every fold.
         predicted.sort_by(f64::total_cmp);
-        let t = truth(held)?;
-        let ks = ks2_statistic_presorted(&predicted, &t.rel)?;
-        Ok(BenchScore { id: t.id, ks })
+        ks2_statistic_presorted(&predicted, truth)
     }
 
     /// Runs one fold end to end: prepare, fit, decode, score.
@@ -962,8 +967,8 @@ mod tests {
         let enc = EncodedCorpus::build(&c, &spec).unwrap();
         assert!(enc.profile(5, 0, 2).is_ok());
         assert!(enc.joined(5, ReprKind::PearsonRnd, 0).is_ok());
-        assert_eq!(enc.shard.block.targets.len(), 1);
-        assert_eq!(enc.shard.block.joined.len(), 1);
+        assert_eq!(enc.shard.block.rows.targets.len(), 1);
+        assert_eq!(enc.shard.block.rows.joined.len(), 1);
     }
 
     #[test]

@@ -99,6 +99,27 @@ impl ReprKind {
             ReprKind::PearsonRnd => "PearsonRnd",
         }
     }
+
+    /// The target encoding the representation trains on. Kinds with the
+    /// same encoding encode every sample to the same bits, so their
+    /// training sets, and every model fitted to them, are identical; only
+    /// their decoders differ.
+    pub fn encoding(&self) -> TargetEncoding {
+        match self {
+            ReprKind::Histogram => TargetEncoding::Histogram,
+            ReprKind::PyMaxEnt | ReprKind::PearsonRnd => TargetEncoding::Moments,
+        }
+    }
+}
+
+/// How a representation encodes a measured sample (see
+/// [`ReprKind::encoding`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TargetEncoding {
+    /// Fixed-range bin masses ([`HistogramRepr`]).
+    Histogram,
+    /// The first four moments ([`MaxEntRepr`] and [`PearsonRepr`] alike).
+    Moments,
 }
 
 impl std::str::FromStr for ReprKind {

@@ -6,9 +6,20 @@
 //! [`EncodedBlock`] kernel), fingerprinted with `pv_stats::fingerprint`,
 //! and spillable to disk as a [`crate::store`] envelope, like the cell
 //! cache. An LRU-bounded resident set keeps at most a budgeted number of
-//! encoded shards in memory, so peak memory is `O(shard)` — one raw
-//! benchmark range during generation plus the resident encoded shards —
-//! not `O(corpus)`.
+//! encoded shards in memory, so the measured runs in memory are
+//! `O(shard)` — one raw benchmark range during generation plus the
+//! resident encoded shards — not `O(corpus)`.
+//!
+//! What spans the roster is the **row table**: every profile, target and
+//! joined row of the encoding spec, kept from the encode pass for the
+//! corpus' lifetime (in memory only; it is never spilled). It costs
+//! `N × (x_dim + y_dim) × 8` bytes per spec entry — 276 doubles per
+//! benchmark at `s = 10`, ~442 KB at 200 benchmarks — against 8 KB of
+//! measured runs per benchmark in a shard. Fold assembly reads its
+//! training rows from the table ([`ShardedCorpus::profile`],
+//! [`ShardedCorpus::target`], [`ShardedCorpus::joined`]), so a fold
+//! faults a shard in only for its held-out truth, and folds run in
+//! ascending order load each shard about once per pass.
 //!
 //! Every evaluation runs on this plane. A whole in-memory corpus is the
 //! one-shard layout: [`EncodedCorpus`](crate::pipeline::EncodedCorpus)
@@ -22,9 +33,9 @@
 //!   bit-identical to the same slice of a full campaign;
 //! * encoding runs the same per-benchmark kernel in the same order;
 //! * fold assembly streams include rows in ascending benchmark order
-//!   through the [`FoldView`](crate::pipeline::FoldView) abstraction,
-//!   pinning one shard at a time, so every layout yields the row order
-//!   of the one-shard layout;
+//!   from the row table through the
+//!   [`FoldView`](crate::pipeline::FoldView) abstraction, so every
+//!   layout yields the row order of the one-shard layout;
 //! * the corpus fingerprint is computed from the same per-benchmark
 //!   digests with the same domain tag, so runs of one campaign at
 //!   different layouts share fold caches and sweep cell caches.
@@ -48,8 +59,8 @@
 //!
 //! A fault costs a file read, a digest and a copy: the sorted
 //! truths the KS scoring reads are derived data, filled per benchmark on
-//! first use ([`EncodedShard::rel_times_sorted`]), so a shard faulted in
-//! for its training rows never sorts them.
+//! first use ([`EncodedShard::rel_times_sorted`]), so a load sorts
+//! nothing until a fold scores against one of its truths.
 
 use std::collections::VecDeque;
 use std::fs;
@@ -61,7 +72,8 @@ use pv_stats::fingerprint::Fnv1a;
 use pv_stats::StatsError;
 use pv_sysmodel::{collect_benchmarks, BenchmarkData, BenchmarkId, Corpus, SystemId, SystemModel};
 
-use crate::pipeline::{corpus_digest_parts, EncodedBlock, EncodingSpec};
+use crate::pipeline::{corpus_digest_parts, EncodedBlock, EncodingSpec, RowBlock};
+use crate::repr::ReprKind;
 use crate::resilience::PvError;
 use crate::store::Unsealed;
 
@@ -301,7 +313,7 @@ impl EncodedShard {
     /// Fails when `bi` is outside the shard's range or `(s, w)` was not
     /// covered by the build spec.
     pub fn profile(&self, s: usize, bi: usize, w: usize) -> Result<&[f64], StatsError> {
-        self.block.profile(s, self.local(bi)?, w)
+        self.block.rows.profile(s, self.local(bi)?, w)
     }
 
     /// Cached target encoding of benchmark `bi` under `repr`.
@@ -309,8 +321,8 @@ impl EncodedShard {
     /// # Errors
     /// Fails when `bi` is outside the shard's range or `repr` was not
     /// covered by the build spec.
-    pub fn target(&self, repr: crate::repr::ReprKind, bi: usize) -> Result<&[f64], StatsError> {
-        self.block.target(repr, self.local(bi)?)
+    pub fn target(&self, repr: ReprKind, bi: usize) -> Result<&[f64], StatsError> {
+        self.block.rows.target(repr, self.local(bi)?)
     }
 
     /// Cached joined row (profile ⊕ encoding) of benchmark `bi`.
@@ -318,13 +330,8 @@ impl EncodedShard {
     /// # Errors
     /// Fails when `bi` is outside the shard's range or `(s, repr)` was
     /// not covered by the build spec.
-    pub fn joined(
-        &self,
-        s: usize,
-        repr: crate::repr::ReprKind,
-        bi: usize,
-    ) -> Result<&[f64], StatsError> {
-        self.block.joined(s, repr, self.local(bi)?)
+    pub fn joined(&self, s: usize, repr: ReprKind, bi: usize) -> Result<&[f64], StatsError> {
+        self.block.rows.joined(s, repr, self.local(bi)?)
     }
 }
 
@@ -361,8 +368,9 @@ fn write_payload(buf: &mut Vec<u8>, start: usize, ids: &[BenchmarkId], block: &E
     for rel in &block.rel {
         put_f64s(buf, rel);
     }
-    put_u64(buf, block.profiles.len() as u64);
-    for (s, per_bench) in &block.profiles {
+    let rows = &block.rows;
+    put_u64(buf, rows.profiles.len() as u64);
+    for (s, per_bench) in &rows.profiles {
         put_u64(buf, *s as u64);
         let windows = per_bench.first().map_or(0, Vec::len);
         put_u64(buf, windows as u64);
@@ -372,15 +380,15 @@ fn write_payload(buf: &mut Vec<u8>, start: usize, ids: &[BenchmarkId], block: &E
             }
         }
     }
-    put_u64(buf, block.targets.len() as u64);
-    for (kind, per_bench) in &block.targets {
+    put_u64(buf, rows.targets.len() as u64);
+    for (kind, per_bench) in &rows.targets {
         put_str(buf, kind.name());
         for row in per_bench {
             put_f64s(buf, row);
         }
     }
-    put_u64(buf, block.joined.len() as u64);
-    for ((s, kind), per_bench) in &block.joined {
+    put_u64(buf, rows.joined.len() as u64);
+    for ((s, kind), per_bench) in &rows.joined {
         put_u64(buf, *s as u64);
         put_str(buf, kind.name());
         for row in per_bench {
@@ -506,7 +514,7 @@ fn parse_payload(
     let n_targets = r.count("target kind")?;
     let mut targets = Vec::with_capacity(n_targets);
     for _ in 0..n_targets {
-        let kind: crate::repr::ReprKind = r
+        let kind: ReprKind = r
             .str()?
             .parse()
             .map_err(|e: StatsError| spill_err("parse", e.to_string()))?;
@@ -520,7 +528,7 @@ fn parse_payload(
     let mut joined = Vec::with_capacity(n_joined);
     for _ in 0..n_joined {
         let s = r.u64()? as usize;
-        let kind: crate::repr::ReprKind = r
+        let kind: ReprKind = r
             .str()?
             .parse()
             .map_err(|e: StatsError| spill_err("parse", e.to_string()))?;
@@ -536,9 +544,11 @@ fn parse_payload(
     Ok(EncodedBlock {
         rel_sorted: (0..n).map(|_| OnceLock::new()).collect(),
         rel,
-        profiles,
-        targets,
-        joined,
+        rows: Arc::new(RowBlock {
+            profiles,
+            targets,
+            joined,
+        }),
         bench_fps,
     })
 }
@@ -619,12 +629,13 @@ impl<'c> ShardedCorpusBuilder<'c> {
     }
 
     /// Resident-set budget in shards (≥ 1; default
-    /// `max(4, rayon threads + 2)`). Every LOGO fold walks all shards in
-    /// ascending order, which is LRU's worst case: a budget below the
-    /// shard count faults most of the layout back in on every fold.
-    /// 13 spilled shards under budget 4 take 2,687 faults per 200-fold
-    /// pass on one thread and ~1,350–1,850 on two (~7–9 per fold, as
-    /// the threads' walks happen to share loads).
+    /// `max(4, rayon threads + 2)`). Folds read their training rows from
+    /// the row table and fault a shard in only for a held-out truth, and
+    /// a sweep runs each group's folds in ascending order, so a pass
+    /// loads each shard about once per group at any budget: 13 spilled
+    /// shards under budget 4 take 13 loads per 200-fold pass of one
+    /// group (at most one more per worker). The budget bounds memory,
+    /// not loads.
     pub fn resident_shards(mut self, n: usize) -> Self {
         self.resident_shards = Some(n);
         self
@@ -691,6 +702,7 @@ impl<'c> ShardedCorpusBuilder<'c> {
             layout,
             bench_fps: Vec::with_capacity(n),
             shard_fps: Vec::with_capacity(n_shards),
+            rows: Vec::with_capacity(n_shards),
             spill_dir,
             budget,
             resident: Mutex::new(Resident::new(n_shards)),
@@ -712,6 +724,7 @@ impl<'c> ShardedCorpusBuilder<'c> {
             };
             sc.bench_fps.extend_from_slice(shard.bench_fingerprints());
             sc.shard_fps.push(shard.fingerprint());
+            sc.rows.push(Arc::clone(&shard.block.rows));
             sc.lock_resident().insert(si, shard, budget);
         }
         Ok(sc)
@@ -719,8 +732,9 @@ impl<'c> ShardedCorpusBuilder<'c> {
 }
 
 /// A corpus as a set of benchmark-range shards with an LRU-bounded
-/// resident set. See the module docs for the memory model and the
-/// layout-independence guarantee.
+/// resident set, plus the row table of every shard's training rows. See
+/// the module docs for the memory model and the layout-independence
+/// guarantee.
 pub struct ShardedCorpus<'c> {
     source: ShardSource<'c>,
     spec: EncodingSpec,
@@ -733,6 +747,11 @@ pub struct ShardedCorpus<'c> {
     /// Expected content fingerprint per shard, pinned at build time;
     /// post-build spill loads must match exactly.
     shard_fps: Vec<u64>,
+    /// The row table: every shard's [`RowBlock`] as the build encoded
+    /// (or warm-loaded) it, shard order. It lives in memory only, for
+    /// the corpus' lifetime, so fold assembly never faults a shard in;
+    /// a fold needs a shard only for its held-out truth.
+    rows: Vec<Arc<RowBlock>>,
     spill_dir: Option<PathBuf>,
     budget: usize,
     resident: Mutex<Resident>,
@@ -822,6 +841,53 @@ impl<'c> ShardedCorpus<'c> {
             self.source.seed(),
             &self.bench_fps,
         )
+    }
+
+    /// The row-table block holding benchmark `bi`, and `bi`'s index in
+    /// it.
+    fn row_block(&self, bi: usize) -> Result<(&RowBlock, usize), StatsError> {
+        // `shard_of` maps any index past the roster one past the last shard.
+        let si = self.layout.shard_of(bi);
+        let block = self.rows.get(si).ok_or_else(|| {
+            StatsError::invalid(
+                "ShardedCorpus",
+                format!("benchmark {bi} out of range ({} benchmarks)", self.len()),
+            )
+        })?;
+        Ok((block, bi - self.layout.range(si).start))
+    }
+
+    /// Window-`w` profile of benchmark `bi` for setting `s`, from the
+    /// row table (no shard is touched).
+    ///
+    /// # Errors
+    /// Fails when `(s, w)` was not covered by the build spec or `bi` is
+    /// out of range.
+    pub fn profile(&self, s: usize, bi: usize, w: usize) -> Result<&[f64], StatsError> {
+        let (block, local) = self.row_block(bi)?;
+        block.profile(s, local, w)
+    }
+
+    /// Target encoding of benchmark `bi` under `repr`, from the row
+    /// table.
+    ///
+    /// # Errors
+    /// Fails when `repr` was not covered by the build spec or `bi` is out
+    /// of range.
+    pub fn target(&self, repr: ReprKind, bi: usize) -> Result<&[f64], StatsError> {
+        let (block, local) = self.row_block(bi)?;
+        block.target(repr, local)
+    }
+
+    /// Joined row (profile ⊕ encoding) of benchmark `bi`, from the row
+    /// table.
+    ///
+    /// # Errors
+    /// Fails when `(s, repr)` was not covered by the build spec or `bi`
+    /// is out of range.
+    pub fn joined(&self, s: usize, repr: ReprKind, bi: usize) -> Result<&[f64], StatsError> {
+        let (block, local) = self.row_block(bi)?;
+        block.joined(s, repr, local)
     }
 
     /// Shards currently resident (≤ the budget).
@@ -979,7 +1045,6 @@ impl<'c> ShardedCorpus<'c> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::repr::ReprKind;
     use pv_sysmodel::SystemModel;
 
     #[test]

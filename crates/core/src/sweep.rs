@@ -10,10 +10,13 @@
 //! * [`GridSpec`] declares the axes; it expands into [`CellConfig`]s in
 //!   a fixed deterministic order and derives the [`EncodingSpec`]s that
 //!   cover every cell, so one encode pass serves the whole sweep.
-//! * [`Sweep`] schedules the cells across the rayon worker pool over the
-//!   shared cache(s), streaming each [`CellResult`] to a callback the
-//!   moment it finishes and returning all of them (cell order, not
-//!   completion order) in a [`SweepReport`].
+//! * [`Sweep`] answers what it can from the cell cache and hands the
+//!   rest to the unit loop of [`crate::incremental`], which runs them as
+//!   (group, fold) units across the rayon worker pool — one prepared
+//!   fold and one fit for every cell that shares them — streaming each
+//!   [`CellResult`] to a callback as soon as its group finishes and
+//!   returning all of them (cell order, not completion order) in a
+//!   [`SweepReport`].
 //! * [`CellCache`] persists every finished cell to disk, one file per
 //!   `(corpus fingerprint, cell config)` whatever its outcome.
 //!   Re-running a widened grid loads the old cells and computes only the
@@ -38,9 +41,9 @@
 
 use std::fs;
 use std::io::Read;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use rayon::prelude::*;
@@ -52,14 +55,12 @@ use pv_sysmodel::Corpus;
 
 use crate::eval::{cross_system_specs_for_runs, few_runs_spec, EvalSummary};
 use crate::incremental::{
-    evaluate_cross_system_incremental, evaluate_few_runs_incremental, FoldCacheStats, FoldEntry,
+    isolated, lock, run_cells, CellTask, FoldCacheStats, FoldEntry, IncrementalEval,
 };
 use crate::model::ModelKind;
 use crate::pipeline::EncodingSpec;
 use crate::repr::ReprKind;
-use crate::resilience::{
-    panic_message, validate_summary, CacheLock, FaultKind, FaultPlan, PvError,
-};
+use crate::resilience::{validate_summary, CacheLock, FaultKind, FaultPlan, PvError};
 use crate::shard::{ShardedCorpus, SHARD_OBS_COUNTERS};
 use crate::usecase1::FewRunsConfig;
 use crate::usecase2::CrossSystemConfig;
@@ -667,6 +668,7 @@ pub fn cross_fingerprint(src: u64, dst: u64) -> u64 {
 
 /// What a sweep evaluates its cells against. Results and cache keys do
 /// not depend on the corpora's shard layouts.
+#[derive(Clone, Copy)]
 pub enum SweepTarget<'a, 'c> {
     /// Use case 1 over one encoded corpus.
     FewRuns(&'a ShardedCorpus<'c>),
@@ -861,87 +863,6 @@ impl<'a, 'c> Sweep<'a, 'c> {
         }
     }
 
-    /// Evaluates one cell on the shared encoded corpora, incrementally
-    /// against `prior` fold entries (empty prior ⇒ a cold evaluation —
-    /// same bits, all folds counted as misses).
-    fn eval_cell(
-        &self,
-        cfg: &CellConfig,
-        prior: &[FoldEntry],
-    ) -> Result<(EvalSummary, Vec<FoldEntry>, FoldCacheStats), StatsError> {
-        let result = match (&self.target, cfg) {
-            (SweepTarget::FewRuns(sh), CellConfig::FewRuns(c)) => {
-                evaluate_few_runs_incremental(sh, *c, prior)?
-            }
-            (SweepTarget::CrossSystem { src, dst }, CellConfig::CrossSystem(c)) => {
-                evaluate_cross_system_incremental(src, dst, *c, prior)?
-            }
-            _ => {
-                return Err(StatsError::invalid(
-                    "Sweep::eval_cell",
-                    "cell config does not match the sweep target's use case",
-                ))
-            }
-        };
-        Ok((result.summary, result.folds, result.stats))
-    }
-
-    /// Evaluates one cell once, under its own config, behind the
-    /// panic-isolation boundary and the numeric post-condition.
-    /// Infallible by construction: every failure mode is folded into
-    /// the outcome.
-    ///
-    /// Alongside the outcome, returns the fold entries worth persisting
-    /// (none for a failed cell) and the fold-cache tallies of the work
-    /// performed.
-    fn eval_cell_isolated(
-        &self,
-        index: usize,
-        cfg: &CellConfig,
-        prior: &[FoldEntry],
-    ) -> (CellOutcome, Vec<FoldEntry>, FoldCacheStats) {
-        type Evaluated = (EvalSummary, Vec<FoldEntry>, FoldCacheStats);
-        // catch_unwind wraps the whole evaluation (injection included),
-        // so a panic anywhere inside the cell becomes a typed error
-        // before rayon's scope can observe it and sink the pool.
-        let result = catch_unwind(AssertUnwindSafe(|| -> Result<Evaluated, PvError> {
-            match self.faults.eval_fault(index) {
-                Some(FaultKind::Panic) => panic!("injected fault: panic in cell {index}"),
-                Some(FaultKind::NonConvergence) => {
-                    return Err(PvError::Solver {
-                        what: format!("injected fault: non-convergence in cell {index}"),
-                        iterations: 0,
-                    });
-                }
-                Some(FaultKind::NanRun) => {
-                    let (mut summary, folds, stats) = self.eval_cell(cfg, prior)?;
-                    summary.mean = f64::NAN;
-                    return Ok((summary, folds, stats));
-                }
-                Some(FaultKind::CacheCorruption) | None => {}
-            }
-            Ok(self.eval_cell(cfg, prior)?)
-        }))
-        .unwrap_or_else(|payload| {
-            pv_obs::counter_inc!("pv.core.resilience.panic_caught");
-            Err(PvError::CellPanic {
-                message: panic_message(payload),
-            })
-        })
-        .and_then(|(summary, folds, stats)| {
-            validate_summary(&summary)?;
-            Ok((summary, folds, stats))
-        });
-        match result {
-            Ok((summary, folds, stats)) => (CellOutcome::Ok { summary }, folds, stats),
-            Err(error) => (
-                CellOutcome::Failed { error },
-                Vec::new(),
-                FoldCacheStats::default(),
-            ),
-        }
-    }
-
     /// Runs the grid, discarding the stream.
     ///
     /// # Errors
@@ -956,18 +877,27 @@ impl<'a, 'c> Sweep<'a, 'c> {
     /// Runs the grid, invoking `on_cell` as each cell finishes
     /// (completion order; `CellResult::index` recovers grid order).
     ///
-    /// Cells are scheduled across the ambient rayon pool and each cell's
-    /// folds parallelize too, so small grids still saturate the machine.
-    /// The returned report is independent of thread count and completion
-    /// order: cell summaries are pure functions of (corpus, config), and
-    /// the collected list is in grid order.
+    /// Cached cells finish first, straight from their files. The cells
+    /// that missed are evaluated by the unit loop of
+    /// [`crate::incremental`]: cells that share a use case, features,
+    /// model and target encoding form a group, and the unit of work,
+    /// spread across the ambient rayon pool, is one fold of one group —
+    /// prepared, fitted and truth-loaded once for all of its cells. A
+    /// group's cells are validated, stored and streamed as soon as its
+    /// last fold finishes, so a slow group (XGBoost) never holds back
+    /// the cells of a fast one. The returned report is independent of
+    /// thread count and completion order: cell summaries are pure
+    /// functions of (corpus, config), and the collected list is in grid
+    /// order.
     ///
     /// Execution is fault tolerant: each cell is evaluated once, and a
     /// panicking, non-converging, or NaN-producing cell becomes
     /// [`CellOutcome::Failed`] and (with a cache attached) its file
     /// records the failure at once, so re-runs skip it as
-    /// [`CellOutcome::Quarantined`]. While it holds the cache lock, the
-    /// run deletes the cell files older formats left behind.
+    /// [`CellOutcome::Quarantined`]. A cell with an injected fault runs
+    /// in a group of its own, and a failed cell adds no fold tallies to
+    /// the report. While it holds the cache lock, the run deletes the
+    /// cell files older formats left behind.
     ///
     /// # Errors
     /// Fails only when the cache directory's advisory lock cannot be
@@ -1005,89 +935,154 @@ impl<'a, 'c> Sweep<'a, 'c> {
         let fold_hits = AtomicUsize::new(0);
         let fold_deltas = AtomicUsize::new(0);
         let fold_misses = AtomicUsize::new(0);
-        let results: Vec<CellResult> = (0..cells.len())
+        let results: Vec<Mutex<Option<CellResult>>> =
+            cells.iter().map(|_| Mutex::new(None)).collect();
+        // Counts a finished cell, streams it and keeps it for the report.
+        let finish = |index: usize, outcome: CellOutcome, from_cache: bool| {
+            match &outcome {
+                CellOutcome::Ok { .. } => pv_obs::counter_inc!("pv.core.sweep.ok"),
+                CellOutcome::Failed { .. } => pv_obs::counter_inc!("pv.core.sweep.failed"),
+                CellOutcome::Quarantined { .. } => {}
+            }
+            let result = CellResult {
+                index,
+                config: cells[index],
+                outcome,
+                from_cache,
+            };
+            on_cell(&result);
+            *lock(&results[index]) = Some(result);
+        };
+        // Validates, stores and finishes a cell this run evaluated (or
+        // whose injected fault failed it before evaluation).
+        let computed = |index: usize, evaluated: Result<IncrementalEval, PvError>| {
+            let _cell_span = pv_obs::span!("pv.core.sweep.cell", index = index);
+            let config = cells[index];
+            let evaluated = evaluated.and_then(|mut eval| {
+                if self.faults.eval_fault(index) == Some(FaultKind::NanRun) {
+                    eval.summary.mean = f64::NAN;
+                }
+                validate_summary(&eval.summary)?;
+                Ok(eval)
+            });
+            let (outcome, folds) = match evaluated {
+                Ok(eval) => {
+                    fold_hits.fetch_add(eval.stats.hits, Ordering::Relaxed);
+                    fold_deltas.fetch_add(eval.stats.deltas, Ordering::Relaxed);
+                    fold_misses.fetch_add(eval.stats.misses, Ordering::Relaxed);
+                    let summary = eval.summary;
+                    (CellOutcome::Ok { summary }, eval.folds)
+                }
+                Err(error) => (CellOutcome::Failed { error }, Vec::new()),
+            };
+            if let Some(cache) = &self.cache {
+                let stored = match &outcome {
+                    CellOutcome::Ok { summary } => {
+                        cache.store(fingerprint, &config, summary, None, &folds)
+                    }
+                    CellOutcome::Failed { error } => cache.put(
+                        fingerprint,
+                        &config,
+                        StoredOutcome::Failed {
+                            error: error.clone(),
+                        },
+                    ),
+                    CellOutcome::Quarantined { .. } => Ok(()),
+                };
+                if stored.is_err() {
+                    // A failed store must not fail the cell: the summary
+                    // is still valid, only the warm-start is lost.
+                    store_failures.fetch_add(1, Ordering::Relaxed);
+                    pv_obs::counter_inc!("pv.core.sweep.cache_store_fail");
+                } else if self.faults.corrupts_store(index) {
+                    // Torn-write drill: vandalize the entry we just
+                    // stored so the next run's verified load treats it
+                    // as a miss.
+                    if let Ok(path) = cache.entry_path(fingerprint, &config) {
+                        let _ = fs::write(&path, "{ corrupted by fault injection");
+                    }
+                }
+            }
+            finish(index, outcome, false);
+        };
+
+        // Cache lookups: hits and recorded failures finish at once.
+        let missed: Vec<Option<usize>> = (0..cells.len())
             .into_par_iter()
             .map(|index| {
-                let config = cells[index];
-                let _cell_span = pv_obs::span!("pv.core.sweep.cell", index = index);
                 pv_obs::counter_inc!("pv.core.sweep.cells");
                 let stored = self
                     .cache
                     .as_ref()
-                    .and_then(|c| c.lookup(fingerprint, &config));
-                let (outcome, from_cache) = match stored.map(StoredOutcome::replay) {
-                    Some(skipped @ CellOutcome::Quarantined { .. }) => {
+                    .and_then(|c| c.lookup(fingerprint, &cells[index]));
+                let Some(stored) = stored else {
+                    misses.fetch_add(1, Ordering::Relaxed);
+                    pv_obs::counter_inc!("pv.core.sweep.cache_miss");
+                    return Some(index);
+                };
+                let _cell_span = pv_obs::span!("pv.core.sweep.cell", index = index);
+                match stored.replay() {
+                    skipped @ CellOutcome::Quarantined { .. } => {
                         // Known-bad from a previous run: skip-and-report
                         // (counted in neither hits nor misses — nothing
                         // was computed).
                         pv_obs::counter_inc!("pv.core.sweep.quarantine_skip");
-                        (skipped, false)
+                        finish(index, skipped, false);
                     }
-                    Some(hit) => {
+                    hit => {
                         hits.fetch_add(1, Ordering::Relaxed);
                         pv_obs::counter_inc!("pv.core.sweep.cache_hit");
-                        (hit, true)
+                        finish(index, hit, true);
                     }
-                    None => {
-                        misses.fetch_add(1, Ordering::Relaxed);
-                        pv_obs::counter_inc!("pv.core.sweep.cache_miss");
-                        let prior = donors.get(&config).map(Vec::as_slice).unwrap_or_default();
-                        let (outcome, folds, fstats) =
-                            self.eval_cell_isolated(index, &config, prior);
-                        fold_hits.fetch_add(fstats.hits, Ordering::Relaxed);
-                        fold_deltas.fetch_add(fstats.deltas, Ordering::Relaxed);
-                        fold_misses.fetch_add(fstats.misses, Ordering::Relaxed);
-                        if let Some(cache) = &self.cache {
-                            let stored = match &outcome {
-                                CellOutcome::Ok { summary } => {
-                                    cache.store(fingerprint, &config, summary, None, &folds)
-                                }
-                                CellOutcome::Failed { error } => cache.put(
-                                    fingerprint,
-                                    &config,
-                                    StoredOutcome::Failed {
-                                        error: error.clone(),
-                                    },
-                                ),
-                                CellOutcome::Quarantined { .. } => Ok(()),
-                            };
-                            if stored.is_err() {
-                                // A failed store must not fail the cell:
-                                // the summary is still valid, only the
-                                // warm-start is lost.
-                                store_failures.fetch_add(1, Ordering::Relaxed);
-                                pv_obs::counter_inc!("pv.core.sweep.cache_store_fail");
-                            } else if self.faults.corrupts_store(index) {
-                                // Torn-write drill: vandalize the entry
-                                // we just stored so the next run's
-                                // verified load treats it as a miss.
-                                if let Ok(path) = cache.entry_path(fingerprint, &config) {
-                                    let _ = fs::write(&path, "{ corrupted by fault injection");
-                                }
-                            }
-                        }
-                        (outcome, false)
-                    }
-                };
-                match &outcome {
-                    CellOutcome::Ok { .. } => pv_obs::counter_inc!("pv.core.sweep.ok"),
-                    CellOutcome::Failed { .. } => pv_obs::counter_inc!("pv.core.sweep.failed"),
-                    CellOutcome::Quarantined { .. } => {}
                 }
-                let result = CellResult {
-                    index,
-                    config,
-                    outcome,
-                    from_cache,
-                };
-                on_cell(&result);
-                result
+                None
             })
             .collect();
 
+        // An injected panic or non-convergence fails its cell before any
+        // evaluation; a cell with any other fault runs alone.
+        let mut tasks = Vec::new();
+        let mut task_cells = Vec::new();
+        for index in missed.into_iter().flatten() {
+            let fault = self.faults.eval_fault(index);
+            let early = match fault {
+                Some(FaultKind::Panic) => isolated(|| -> Result<(), StatsError> {
+                    panic!("injected fault: panic in cell {index}")
+                })
+                .err()
+                .map(PvError::from),
+                Some(FaultKind::NonConvergence) => Some(PvError::Solver {
+                    what: format!("injected fault: non-convergence in cell {index}"),
+                    iterations: 0,
+                }),
+                Some(FaultKind::NanRun | FaultKind::CacheCorruption) | None => None,
+            };
+            if let Some(error) = early {
+                computed(index, Err(error));
+                continue;
+            }
+            let config = cells[index];
+            tasks.push(CellTask {
+                config,
+                prior: donors.get(&config).map(Vec::as_slice).unwrap_or_default(),
+                alone: fault.is_some() || self.faults.corrupts_store(index),
+            });
+            task_cells.push(index);
+        }
+        run_cells(&self.target, &tasks, |task, evaluated| {
+            computed(task_cells[task], evaluated.map_err(PvError::from));
+        });
+
         let mut report = SweepReport {
             fingerprint,
-            cells: results,
+            cells: results
+                .into_iter()
+                .map(|slot| {
+                    slot.into_inner()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .expect("every cell finishes once")
+                })
+                .collect(),
             hits: hits.load(Ordering::Relaxed),
             misses: misses.load(Ordering::Relaxed),
             failed: 0,
@@ -1114,6 +1109,7 @@ impl<'a, 'c> Sweep<'a, 'c> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::incremental::evaluate_few_runs_incremental;
     use crate::pipeline::EncodedCorpus;
     use pv_sysmodel::SystemModel;
 

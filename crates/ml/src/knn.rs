@@ -167,15 +167,34 @@ impl KnnRegressor {
             _ => Err(StatsError::invalid("KnnRegressor", "model not fitted")),
         }
     }
-}
 
-impl Regressor for KnnRegressor {
-    fn fit(&mut self, data: &Dataset) -> Result<()> {
-        let _timer = pv_obs::timed!("pv.ml.knn.fit_ns");
+    /// Fits on `data`, taking its rows instead of copying them, and
+    /// answers one query from a single neighbour search: the prediction
+    /// ([`Regressor::predict`]'s bits) and the neighbour row positions,
+    /// ascending ([`Self::neighbor_indices`]'s list). A caller that owns
+    /// its training set and needs both pays for no copy and one search.
+    ///
+    /// # Errors
+    /// As [`Regressor::fit`], then as [`Self::neighbors`].
+    pub fn fit_owned_query(mut self, data: Dataset, query: &[f64]) -> Result<(Vec<f64>, Vec<u32>)> {
+        {
+            let _timer = pv_obs::timed!("pv.ml.knn.fit_ns");
+            self.store(data.x, data.y)?;
+        }
+        let _timer = pv_obs::timed!("pv.ml.knn.predict_ns");
+        let neigh = self.neighbors(query)?;
+        let mut idx: Vec<u32> = neigh.iter().map(|&(i, _)| i as u32).collect();
+        idx.sort_unstable();
+        Ok((self.predict_from_neighbors(neigh)?, idx))
+    }
+
+    /// Keeps the training rows (and, for cosine, their squared norms):
+    /// the whole of a kNN fit.
+    fn store(&mut self, x: DenseMatrix, y: DenseMatrix) -> Result<()> {
         if self.k == 0 {
             return Err(StatsError::invalid("KnnRegressor", "k must be ≥ 1"));
         }
-        if data.is_empty() {
+        if x.rows() == 0 {
             return Err(StatsError::EmptyInput {
                 what: "KnnRegressor::fit",
                 needed: 1,
@@ -183,16 +202,19 @@ impl Regressor for KnnRegressor {
             });
         }
         self.train_sq_norms = match self.distance {
-            Distance::Cosine => Some(
-                (0..data.x.rows())
-                    .map(|r| squared_norm(data.x.row(r)))
-                    .collect(),
-            ),
+            Distance::Cosine => Some((0..x.rows()).map(|r| squared_norm(x.row(r))).collect()),
             _ => None,
         };
-        self.train_x = Some(data.x.clone());
-        self.train_y = Some(data.y.clone());
+        self.train_x = Some(x);
+        self.train_y = Some(y);
         Ok(())
+    }
+}
+
+impl Regressor for KnnRegressor {
+    fn fit(&mut self, data: &Dataset) -> Result<()> {
+        let _timer = pv_obs::timed!("pv.ml.knn.fit_ns");
+        self.store(data.x.clone(), data.y.clone())
     }
 
     fn predict(&self, x: &[f64]) -> Result<Vec<f64>> {
@@ -412,6 +434,30 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn owned_fit_query_matches_fit_predict_and_neighbor_indices() {
+        let data = wide_dataset(60, 12);
+        for q in (0..data.x.rows()).step_by(7) {
+            let query = data.x.row(q).to_vec();
+            let mut fitted = KnnRegressor::new(15).with_distance(Distance::Cosine);
+            fitted.fit(&data).unwrap();
+            let (prediction, neighbors) = KnnRegressor::new(15)
+                .with_distance(Distance::Cosine)
+                .fit_owned_query(data.clone(), &query)
+                .unwrap();
+            let want = fitted.predict(&query).unwrap();
+            assert_eq!(prediction.len(), want.len());
+            for (a, b) in prediction.iter().zip(&want) {
+                assert_eq!(a.to_bits(), b.to_bits(), "query {q}");
+            }
+            assert_eq!(neighbors, fitted.neighbor_indices(&query).unwrap());
+        }
+        assert!(KnnRegressor::new(0)
+            .fit_owned_query(toy(), &[1.0, 1.0])
+            .is_err());
+        assert!(KnnRegressor::new(2).fit_owned_query(toy(), &[1.0]).is_err());
     }
 
     #[test]

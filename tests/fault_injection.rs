@@ -7,6 +7,7 @@
 
 use std::path::PathBuf;
 
+use perfvar_suite::core::incremental::FoldCacheStats;
 use perfvar_suite::core::pipeline::EncodedCorpus;
 use perfvar_suite::core::resilience::{silence_injected_panics, FaultKind, FaultPlan};
 use perfvar_suite::core::sweep::{CellCache, CellOutcome, GridSpec, Sweep, SweepReport};
@@ -95,6 +96,42 @@ fn k_injected_faults_mean_exactly_k_affected_cells_and_healthy_cells_are_bit_ide
         let want = baseline.cells[i].summary().unwrap();
         assert_eq!(got, want, "cell {i} diverged from the fault-free run");
         assert_eq!(got.mean.to_bits(), want.mean.to_bits());
+    }
+}
+
+/// A fault takes its cell out of the group it would share folds with:
+/// the group mate (PearsonRnd beside PyMaxEnt, same model, same folds)
+/// comes out of a faulted sweep bit-identical to a fault-free one, and
+/// the fold tallies count the healthy cell's folds alone.
+#[test]
+fn a_faulted_cell_leaves_its_group_mate_bit_identical() {
+    silence_injected_panics();
+    let mut corpus = Corpus::collect(&SystemModel::intel(), 30, 7);
+    corpus.benchmarks.truncate(16);
+    let folds = corpus.benchmarks.len();
+    let grid = GridSpec {
+        reprs: vec![ReprKind::PyMaxEnt, ReprKind::PearsonRnd],
+        models: vec![ModelKind::RandomForest],
+        sample_counts: vec![5],
+        seeds: vec![17],
+        profiles_per_benchmark: 1,
+    };
+    let baseline = run_with(&corpus, &grid, FaultPlan::none());
+    assert!(baseline.is_clean());
+    assert_eq!(baseline.fold_stats.misses, 2 * folds);
+
+    for kind in FaultKind::EVAL_KINDS {
+        let report = run_with(&corpus, &grid, FaultPlan::none().inject(0, kind));
+        let tallies = (report.misses, report.failed, report.quarantined);
+        assert_eq!(tallies, (2, 1, 0), "{kind:?}");
+        assert!(report.cells[0].outcome.is_failed(), "{kind:?}");
+        assert_eq!(report.cells[1], baseline.cells[1], "{kind:?}");
+        let healthy = FoldCacheStats {
+            hits: 0,
+            deltas: 0,
+            misses: folds,
+        };
+        assert_eq!(report.fold_stats, healthy, "{kind:?}");
     }
 }
 

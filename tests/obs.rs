@@ -133,8 +133,11 @@ fn span_tree_is_well_formed_across_rayon_threads() {
     };
     assert_eq!(count("pv.core.sweep.run"), 1);
     assert_eq!(count("pv.core.sweep.cell"), report.cells.len());
-    assert_eq!(count("pv.core.eval.few_runs"), report.cells.len());
-    assert!(count("pv.core.pipeline.fold") > 0);
+    // The cells that missed run as one unit loop, one unit per fold of
+    // each group of cells sharing their folds: Histogram and the two
+    // moment representations at each of the two sample counts.
+    assert_eq!(count("pv.core.pipeline.logo_eval"), 1);
+    assert_eq!(count("pv.core.pipeline.fold"), 2 * 2 * corpus.len());
 }
 
 #[test]
@@ -299,6 +302,40 @@ fn fold_cache_counters_match_incremental_stats_exactly() {
         counter("pv.core.pipeline.fold_cache.miss"),
         (warm.stats.misses + rerun.stats.misses) as u64
     );
+}
+
+/// Cells that differ only in PyMaxEnt vs PearsonRnd train on the same
+/// folds, so a tree grid fits each model once per fold and target
+/// encoding — Histogram and moments, 2 × folds — and every cell still
+/// equals its own evaluation bit for bit.
+#[test]
+fn tree_grid_fits_each_model_once_per_fold_and_encoding() {
+    use perfvar_suite::core::eval::evaluate_few_runs;
+    use perfvar_suite::core::sweep::CellConfig;
+
+    let _guard = exclusive();
+    let mut corpus = Corpus::collect(&SystemModel::intel(), 24, 5);
+    corpus.benchmarks.truncate(12);
+    let grid = GridSpec {
+        reprs: ReprKind::ALL.to_vec(),
+        models: vec![ModelKind::RandomForest, ModelKind::XgBoost],
+        sample_counts: vec![5],
+        seeds: vec![3],
+        profiles_per_benchmark: 1,
+    };
+    let (report, obs) = observed_sweep(&corpus, &grid, FaultPlan::none());
+    let fits = |name: &str| obs.metrics.histogram(name).map_or(0, |h| h.count);
+    let folds = corpus.benchmarks.len() as u64;
+    assert_eq!(fits("pv.ml.forest.fit_ns"), 2 * folds);
+    assert_eq!(fits("pv.ml.gbt.fit_ns"), 2 * folds);
+    assert_eq!(report.cells.len(), 6);
+    for cell in &report.cells {
+        let CellConfig::FewRuns(cfg) = cell.config else {
+            panic!("uc1 sweep produced a uc2 cell");
+        };
+        let alone = evaluate_few_runs(&corpus, cfg).unwrap();
+        assert_eq!(cell.summary(), Some(&alone), "{}", cell.config.label());
+    }
 }
 
 #[test]

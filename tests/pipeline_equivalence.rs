@@ -10,6 +10,7 @@ use perfvar_suite::core::profile::Profile;
 use perfvar_suite::core::usecase1::{FewRunsConfig, FewRunsPredictor};
 use perfvar_suite::core::usecase2::{CrossSystemConfig, CrossSystemPredictor};
 use perfvar_suite::core::{ModelKind, ReprKind};
+use perfvar_suite::ml::{Dataset, DenseMatrix};
 use perfvar_suite::stats::ks::ks2_statistic;
 use perfvar_suite::stats::rng::derive_stream;
 use perfvar_suite::sysmodel::{Corpus, SystemModel};
@@ -88,6 +89,51 @@ fn cross_system_pipeline_reproduces_the_per_fold_loop_exactly() {
     let pipeline = evaluate_cross_system(&amd, &intel, cfg).unwrap();
     let manual = manual_cross_system(&amd, &intel, cfg);
     assert_eq!(pipeline, manual);
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// What lets a sweep share folds between cells: the two moment
+/// representations encode every benchmark to the same target bits, and
+/// kNN predicts the same bits whatever seed it is built with.
+#[test]
+fn moment_representations_share_targets_and_knn_ignores_its_seed() {
+    let corpus = Corpus::collect(&SystemModel::intel(), 40, 3);
+    assert_eq!(
+        ReprKind::PyMaxEnt.encoding(),
+        ReprKind::PearsonRnd.encoding()
+    );
+    assert_ne!(
+        ReprKind::Histogram.encoding(),
+        ReprKind::PearsonRnd.encoding()
+    );
+    let (maxent, pearson) = (ReprKind::PyMaxEnt.build(), ReprKind::PearsonRnd.build());
+    let (mut rows, mut targets) = (Vec::new(), Vec::new());
+    for bench in &corpus.benchmarks {
+        let rel = bench.runs.rel_times();
+        let target = maxent.encode(&rel).unwrap();
+        assert_eq!(
+            bits(&target),
+            bits(&pearson.encode(&rel).unwrap()),
+            "{}",
+            bench.id
+        );
+        rows.push(Profile::from_runs(&bench.runs, 5).unwrap().features);
+        targets.push(target);
+    }
+    let data = Dataset::ungrouped(
+        DenseMatrix::from_rows(&rows[1..]).unwrap(),
+        DenseMatrix::from_rows(&targets[1..]).unwrap(),
+    )
+    .unwrap();
+    let predict = |seed: u64| {
+        let mut knn = ModelKind::Knn.build(seed);
+        knn.fit(&data).unwrap();
+        knn.predict(&rows[0]).unwrap()
+    };
+    assert_eq!(bits(&predict(1)), bits(&predict(0xC0FFEE)));
 }
 
 mod cached_encodings {

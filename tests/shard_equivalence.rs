@@ -313,6 +313,51 @@ fn concurrent_eviction_hammer_reads_identical_bits_with_zero_verify_fails() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Folds read their training rows from the row table and fault a shard
+/// in only for the held-out truth, so a sweep over 13 spilled shards
+/// under a 4-shard budget loads each shard about once — at most one load
+/// per shard plus one per worker — and matches the one-shard layout.
+#[test]
+fn spilled_sweep_loads_each_shard_about_once() {
+    let _guard = obs_serial();
+    let dir = tmp_dir("loads");
+    let grid = GridSpec {
+        reprs: vec![ReprKind::PyMaxEnt, ReprKind::PearsonRnd],
+        models: vec![ModelKind::Knn],
+        sample_counts: vec![5],
+        seeds: vec![SEED],
+        profiles_per_benchmark: 1,
+    };
+    let campaign = |shard_size: usize| {
+        let source = ShardSource::Campaign(CampaignSource {
+            system: SystemModel::intel(),
+            n_benchmarks: 65,
+            n_runs: RUNS,
+            seed: SEED,
+        });
+        ShardedCorpus::builder(source, &grid.few_runs_encoding()).shard_size(shard_size)
+    };
+    let one_shard = Sweep::few_runs(&campaign(65).build().unwrap())
+        .run(&grid)
+        .unwrap();
+    let sh = campaign(5)
+        .spill_dir(&dir)
+        .resident_shards(4)
+        .build()
+        .unwrap();
+    assert_eq!(sh.layout().n_shards(), 13);
+
+    let collector = Collector::install();
+    let report = Sweep::few_runs(&sh).run(&grid).unwrap();
+    let metrics = collector.finish().metrics;
+    let loads = metrics.counter("pv.core.shard.load").unwrap_or(0);
+    let bound = 13 + rayon::current_num_threads() as u64;
+    assert!(loads <= bound, "{loads} shard loads, bound {bound}");
+    assert!(report.is_clean());
+    assert_eq!(report.cells, one_shard.cells);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Spill I/O failures surface as the typed `cache-io` error kind, not a
 /// panic or a stringly error.
 #[test]
