@@ -22,6 +22,17 @@
 //! | case | before | after | min ratio |
 //! |---|---|---|---|
 //! | `spill_reload_16bench_1000runs` | 558.6 / 689.6 µs, 776.5 / 903.4 µs | 92.4 / 117.2 µs, 90.4 / 122.9 µs | 6.2× |
+//!
+//! `shard_encode/*_256bench_100runs` generate, encode and digest a
+//! 256-benchmark × 100-run campaign (fixed 10 samples). Each
+//! benchmark's content digest was byte-serial FNV-1a over its runs; it
+//! is now one streaming pass of the eight-lane digest. Same VM, min /
+//! mean, two alternating runs per commit:
+//!
+//! | case | before | after | min ratio |
+//! |---|---|---|---|
+//! | `sharded_build_256bench_100runs` | 43.0 / 48.1 ms, 44.9 / 49.5 ms | 37.6 / 42.4 ms, 33.1 / 36.3 ms | 1.30× |
+//! | `one_shard_build_256bench_100runs` | 48.0 / 50.6 ms, 44.2 / 48.9 ms | 38.0 / 42.5 ms, 33.3 / 36.2 ms | 1.33× |
 
 use std::time::Duration;
 

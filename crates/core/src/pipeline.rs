@@ -32,7 +32,7 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 
 use pv_ml::{Dataset, DenseMatrix, Regressor, StandardScaler};
-use pv_stats::fingerprint::Fnv1a;
+use pv_stats::fingerprint::{Fnv1a, LaneDigest};
 use pv_stats::ks::ks2_statistic_presorted;
 use pv_stats::rng::{derive_stream, Xoshiro256pp};
 use pv_stats::StatsError;
@@ -59,15 +59,25 @@ pub fn bench_fingerprints(corpus: &Corpus) -> Vec<u64> {
         .collect()
 }
 
-/// One benchmark's content digest (identity + every run, bit-exact).
+/// One benchmark's content digest (identity + every run, bit-exact):
+/// one streaming [`LaneDigest`] over the label's [`Fnv1a`] hash, the run
+/// count, and each run's time, relative time, metric count and metrics,
+/// each one little-endian word. Counted as
+/// `pv.core.pipeline.bench_digest`.
 pub(crate) fn bench_digest(b: &BenchmarkData) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_str(&b.id.qualified());
+    pv_obs::counter_inc!("pv.core.pipeline.bench_digest");
+    let mut label = Fnv1a::new();
+    label.write_str(&b.id.qualified());
+    let mut h = LaneDigest::new();
+    h.write_u64(label.finish());
     h.write_usize(b.runs.records.len());
     for r in &b.runs.records {
         h.write_f64(r.time_s);
         h.write_f64(r.rel_time);
-        h.write_f64s(&r.metrics);
+        h.write_usize(r.metrics.len());
+        for &m in &r.metrics {
+            h.write_f64(m);
+        }
     }
     h.finish()
 }
@@ -99,8 +109,9 @@ pub(crate) fn corpus_digest_parts(
 ///
 /// Covers everything an [`EncodedCorpus`] (and hence every evaluation)
 /// can observe: the system, campaign shape, seed, and every run's times
-/// and metric readings, all fed bit-exactly (floats as IEEE-754 bit
-/// patterns) into FNV-1a. Two corpora fingerprint equal iff every
+/// and metric readings, fed bit-exactly (floats as IEEE-754 bit
+/// patterns) into one eight-lane digest per benchmark, whose values are
+/// folded through FNV-1a. Two corpora fingerprint equal iff every
 /// evaluation over them is bit-identical, so on-disk caches keyed by
 /// this value can trust a hit and must discard a mismatch.
 ///
@@ -883,6 +894,7 @@ impl FoldRunner<'_> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use pv_stats::fingerprint::lane_digest;
     use pv_sysmodel::SystemModel;
 
     fn corpus() -> Corpus {
@@ -1007,6 +1019,39 @@ mod tests {
         let mut tampered = a.clone();
         tampered.benchmarks[17].runs.records[3].rel_time += 1e-12;
         assert_ne!(corpus_fingerprint(&a), corpus_fingerprint(&tampered));
+    }
+
+    #[test]
+    fn bench_digest_is_pinned() {
+        let mut bench = Corpus::collect(&SystemModel::intel(), 3, 1)
+            .benchmarks
+            .swap_remove(0);
+        bench.runs.records = (0..3)
+            .map(|i| pv_sysmodel::RunRecord {
+                time_s: 1.5 + i as f64,
+                rel_time: 0.25 * i as f64,
+                component: 0,
+                metrics: vec![i as f64, -0.0, 1e-300],
+            })
+            .collect();
+        // The words the digest reads, spelled out.
+        let mut label = Fnv1a::new();
+        label.write_str("npb/bt");
+        let mut words = vec![label.finish(), 3];
+        for r in &bench.runs.records {
+            words.extend([r.time_s.to_bits(), r.rel_time.to_bits(), 3]);
+            words.extend(r.metrics.iter().map(|m| m.to_bits()));
+        }
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(bench.id.qualified(), "npb/bt");
+        assert_eq!(bench_digest(&bench), lane_digest(&bytes));
+        assert_eq!(
+            bench_digest(&bench),
+            0x2355_6abf_231e_62cb,
+            "the benchmark digest changed: every corpus fingerprint and stored \
+             benchmark digest moves with it, which needs new CELL_MAGIC and \
+             SPILL_MAGIC values"
+        );
     }
 
     #[test]

@@ -27,7 +27,8 @@ use pv_stats::fingerprint::Fnv1a;
 use pv_stats::StatsError;
 use pv_sysmodel::Corpus;
 
-use crate::pipeline::corpus_fingerprint;
+use crate::eval::{cross_system_specs, few_runs_spec};
+use crate::pipeline::EncodedCorpus;
 use crate::resilience::PvError;
 use crate::sweep::{cross_fingerprint, CellConfig};
 use crate::usecase1::{FewRunsArtifact, FewRunsConfig, FewRunsPredictor};
@@ -256,44 +257,52 @@ impl ModelRegistry {
     /// a (re-)fit happened — corrupt or stale entries are healed, not
     /// fatal.
     ///
+    /// The training encoding is built first: its fingerprint (equal to
+    /// [`crate::pipeline::corpus_fingerprint`]) keys the lookup and it
+    /// feeds the fit, so each benchmark is digested once per call.
+    ///
     /// # Errors
-    /// Propagates training and store failures.
+    /// Propagates encoding, training and store failures.
     pub fn ensure_few_runs(
         &self,
         corpus: &Corpus,
         cfg: FewRunsConfig,
     ) -> Result<(FewRunsPredictor, bool), PvError> {
-        let fingerprint = corpus_fingerprint(corpus);
+        let enc = EncodedCorpus::build(corpus, &few_runs_spec(&cfg))?;
+        let fingerprint = enc.fingerprint();
         let cell = CellConfig::FewRuns(cfg);
         if let Ok(Artifact::FewRuns(a)) = self.load(fingerprint, &cell) {
             return Ok((FewRunsPredictor::from_artifact(a)?, false));
         }
         pv_obs::counter_inc!("pv.core.registry.train");
         let include: Vec<usize> = (0..corpus.len()).collect();
-        let predictor = FewRunsPredictor::train(corpus, &include, cfg)?;
+        let predictor = FewRunsPredictor::train_encoded(&enc, &include, cfg)?;
         self.store(fingerprint, &Artifact::FewRuns(predictor.to_artifact()))?;
         Ok((predictor, true))
     }
 
     /// [`Self::ensure_few_runs`] for a cross-system pair, keyed by
-    /// [`cross_fingerprint`]`(src, dst)`.
+    /// [`cross_fingerprint`]`(src, dst)` of the two training encodings.
     ///
     /// # Errors
-    /// Propagates training and store failures.
+    /// Propagates encoding, training and store failures.
     pub fn ensure_cross_system(
         &self,
         src: &Corpus,
         dst: &Corpus,
         cfg: CrossSystemConfig,
     ) -> Result<(CrossSystemPredictor, bool), PvError> {
-        let fingerprint = cross_fingerprint(corpus_fingerprint(src), corpus_fingerprint(dst));
+        let (src_spec, dst_spec) = cross_system_specs(src, &cfg);
+        let src_enc = EncodedCorpus::build(src, &src_spec)?;
+        let dst_enc = EncodedCorpus::build(dst, &dst_spec)?;
+        let fingerprint = cross_fingerprint(src_enc.fingerprint(), dst_enc.fingerprint());
         let cell = CellConfig::CrossSystem(cfg);
         if let Ok(Artifact::CrossSystem(a)) = self.load(fingerprint, &cell) {
             return Ok((CrossSystemPredictor::from_artifact(a)?, false));
         }
         pv_obs::counter_inc!("pv.core.registry.train");
         let include: Vec<usize> = (0..src.len().min(dst.len())).collect();
-        let predictor = CrossSystemPredictor::train(src, dst, &include, cfg)?;
+        let predictor = CrossSystemPredictor::train_encoded(&src_enc, &dst_enc, &include, cfg)?;
         self.store(fingerprint, &Artifact::CrossSystem(predictor.to_artifact()))?;
         Ok((predictor, true))
     }
@@ -303,6 +312,7 @@ impl ModelRegistry {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::pipeline::corpus_fingerprint;
     use pv_sysmodel::SystemModel;
 
     fn tmp_dir(tag: &str) -> PathBuf {

@@ -43,7 +43,7 @@
 //! ## Spill format
 //!
 //! `shard-{index:05}-{key:016x}.bin`: a [`crate::store`] envelope under
-//! the magic `PVSHARD2` and a key binding the file to (system, runs,
+//! the magic `PVSHARD3` and a key binding the file to (system, runs,
 //! seed, roster size, range, encoding-spec coverage), whose payload is
 //! the serialized shard and whose trailing
 //! [`lane_digest`](pv_stats::fingerprint::lane_digest) is the shard
@@ -78,8 +78,10 @@ use crate::resilience::PvError;
 use crate::store::Unsealed;
 
 /// Spill envelope magic; the trailing digit is the format version. Bump
-/// to orphan every spilled shard.
-const SPILL_MAGIC: &[u8; 8] = b"PVSHARD2";
+/// to orphan every spilled shard; a build deletes the spill files of
+/// older versions. (v3: a payload's benchmark digests are eight-lane
+/// digests.)
+const SPILL_MAGIC: &[u8; 8] = b"PVSHARD3";
 
 /// Counters this module emits (pre-registered by the sweep service so
 /// they export as explicit zeros when a run never touches a path).
@@ -645,7 +647,8 @@ impl<'c> ShardedCorpusBuilder<'c> {
     /// generate (or borrow) the range, encode it, fingerprint it, spill
     /// it — keeping at most the resident budget in memory. With a spill
     /// dir, a key-matching self-verified spill file from a previous
-    /// build is loaded instead of regenerated (warm restart).
+    /// build is loaded instead of regenerated (warm restart), and the
+    /// files of older spill formats are deleted first.
     ///
     /// # Errors
     /// [`PvError::CacheIo`] when the spill directory cannot be created;
@@ -656,9 +659,11 @@ impl<'c> ShardedCorpusBuilder<'c> {
                 what: "shard spill create dir".into(),
                 detail: format!("{}: {e}", dir.display()),
             })?;
-            // Crashed writers leak `*.tmp.<pid>` files; reclaim them
-            // before this run starts spilling its own.
+            // Crashed writers leak `*.tmp.<pid>` files, and older spill
+            // formats leave files no build can load; reclaim both before
+            // this run starts spilling its own.
             crate::store::sweep_stale_temps(dir);
+            crate::store::prune_older_formats(dir, "shard-", ".bin", SPILL_MAGIC);
         }
         Ok(self.encode()?)
     }
@@ -1177,6 +1182,48 @@ mod tests {
             .unwrap();
         assert_eq!(warm.fingerprint(), sh.fingerprint());
         assert_eq!(warm.shard_fingerprints(), sh.shard_fingerprints());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_build_prunes_older_spill_formats_only() {
+        let dir = std::env::temp_dir().join(format!("pv-shard-prune-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let campaign = || CampaignSource {
+            system: SystemModel::intel(),
+            n_benchmarks: 60,
+            n_runs: 10,
+            seed: 4,
+        };
+        let build = || {
+            ShardedCorpus::builder(ShardSource::Campaign(campaign()), &spec())
+                .shard_size(16)
+                .spill_dir(&dir)
+                .build()
+                .unwrap()
+        };
+        build();
+        let live = fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
+        let bytes = fs::read(&live).unwrap();
+        assert_eq!(&bytes[..8], SPILL_MAGIC);
+        let restamped = |version: u8, name: &str| {
+            let mut copy = bytes.clone();
+            copy[7] = version;
+            let path = dir.join(name);
+            fs::write(&path, copy).unwrap();
+            path
+        };
+        let older = restamped(b'2', "shard-00000-0000000000000002.bin");
+        let newer = restamped(b'9', "shard-00000-0000000000000009.bin");
+        let sh = build();
+        assert!(!older.exists(), "the older format's spill file survived");
+        assert!(newer.exists(), "the newer format's spill file was deleted");
+        assert!(live.exists());
+        let collected = Corpus::collect(&SystemModel::intel(), 10, 4);
+        assert_eq!(
+            sh.fingerprint(),
+            crate::pipeline::corpus_fingerprint(&collected)
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

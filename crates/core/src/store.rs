@@ -34,8 +34,15 @@
 //! disk. Such a file fails `open` and heals like any other corrupt
 //! entry. A writer that dies between write and rename leaks its temp;
 //! `sweep_stale_temps` reclaims those when a directory is opened.
+//!
+//! ## Older formats
+//!
+//! A magic's trailing ASCII digits are its version. A file an older
+//! version wrote can never verify again, so `prune_older_formats`
+//! deletes it when its directory is next opened for writing.
 
 use std::fs;
+use std::io::Read;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
@@ -100,6 +107,60 @@ pub(crate) fn sweep_stale_temps(dir: &Path) -> usize {
             Err(_) => true,
         };
         if stale && fs::remove_file(entry.path()).is_ok() {
+            removed += 1;
+        }
+    }
+    removed
+}
+
+/// A magic split into its name and its version, the trailing ASCII
+/// digits read as a number (so `PVCELL10` is newer than `PVCELL09`).
+/// `None` when the magic ends in no digit.
+fn magic_version(magic: &[u8; 8]) -> Option<(&[u8], u64)> {
+    let name_len = magic
+        .iter()
+        .rposition(|b| !b.is_ascii_digit())
+        .map_or(0, |i| i + 1);
+    let digits = &magic[name_len..];
+    if digits.is_empty() {
+        return None;
+    }
+    let version = digits.iter().fold(0, |v, &d| v * 10 + u64::from(d - b'0'));
+    Some((&magic[..name_len], version))
+}
+
+/// Deletes every `<prefix>*<suffix>` file in `dir` that an older
+/// version of `magic` wrote: its first eight bytes are the same name
+/// followed by a smaller version. Current and newer files, files
+/// shorter than eight bytes and any other leading bytes are left alone
+/// — a damaged current file is a counted miss that heals, not litter.
+/// Returns the number of files deleted; a missing or unreadable
+/// directory deletes nothing.
+pub(crate) fn prune_older_formats(
+    dir: &Path,
+    prefix: &str,
+    suffix: &str,
+    magic: &[u8; 8],
+) -> usize {
+    let Some((name, version)) = magic_version(magic) else {
+        return 0;
+    };
+    let Ok(entries) = fs::read_dir(dir) else {
+        return 0;
+    };
+    let mut removed = 0;
+    for entry in entries.flatten() {
+        let file_name = entry.file_name();
+        let file_name = file_name.to_string_lossy();
+        if !(file_name.starts_with(prefix) && file_name.ends_with(suffix)) {
+            continue;
+        }
+        let path = entry.path();
+        let mut head = [0u8; 8];
+        let read = fs::File::open(&path).and_then(|mut f| f.read_exact(&mut head));
+        let older =
+            read.is_ok() && magic_version(&head).is_some_and(|(n, v)| n == name && v < version);
+        if older && fs::remove_file(&path).is_ok() {
             removed += 1;
         }
     }
@@ -385,6 +446,46 @@ mod tests {
             }
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn pruning_deletes_only_older_versions_of_the_same_format() {
+        let dir = tmp_dir("prune");
+        fs::create_dir_all(&dir).unwrap();
+        let file = |name: &str, head: &[u8]| {
+            let path = dir.join(name);
+            fs::write(&path, head).unwrap();
+            path
+        };
+        let older = file("entry-1.bin", b"PVTEST04 and a payload");
+        let oldest = file("entry-2.bin", b"PVTEST00");
+        let current = file("entry-3.bin", b"PVTEST05 and a payload");
+        let newer = file("entry-4.bin", b"PVTEST10 and a payload");
+        let short = file("entry-5.bin", b"PVTEST0");
+        let foreign = file("entry-6.bin", b"PVCELL01 and a payload");
+        let renamed = file("entry-7.bin", b"PVTESTX4 and a payload");
+        let other_name = file("other-8.bin", b"PVTEST04 and a payload");
+        let other_suffix = file("entry-9.json", b"PVTEST04 and a payload");
+        assert_eq!(prune_older_formats(&dir, "entry-", ".bin", b"PVTEST05"), 2);
+        assert!(!older.exists() && !oldest.exists());
+        for kept in [
+            &current,
+            &newer,
+            &short,
+            &foreign,
+            &renamed,
+            &other_name,
+            &other_suffix,
+        ] {
+            assert!(kept.exists(), "{} was deleted", kept.display());
+        }
+        // Idempotent; a missing directory deletes nothing.
+        assert_eq!(prune_older_formats(&dir, "entry-", ".bin", b"PVTEST05"), 0);
+        assert_eq!(
+            prune_older_formats(&dir.join("nope"), "", "", b"PVTEST05"),
+            0
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -40,7 +40,6 @@
 //! concurrent sweeps cannot interleave writes.
 
 use std::fs;
-use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -78,8 +77,10 @@ use crate::usecase2::CrossSystemConfig;
 /// outcome; stored folds drop their scores, which the summary holds; the
 /// key drops the tree-kernel tag; v8: one attempt per cell — no reseeded
 /// retries, no degraded fallback, a failed record carries only its
-/// error.) A sweep deletes the cell files of older versions.
-const CELL_MAGIC: &[u8; 8] = b"PVCELL08";
+/// error; v9: benchmark digests are eight-lane digests, so every corpus
+/// fingerprint and stored `held_fp` moved.) A sweep deletes the cell
+/// files of older versions.
+const CELL_MAGIC: &[u8; 8] = b"PVCELL09";
 
 /// How long a sweep waits for the cache directory's advisory lock
 /// before giving up, unless overridden by [`Sweep::with_lock_timeout`].
@@ -421,7 +422,7 @@ fn fold_entries(summary: EvalSummary, folds: Vec<StoredFold>) -> Vec<FoldEntry> 
 ///
 /// Layout: one file per cell, `cell-<key:016x>.json` under the cache
 /// directory, where the key is [`cell_key`]: a [`crate::store`]
-/// envelope under the magic `PVCELL08` whose payload is the cell's JSON
+/// envelope under the magic `PVCELL09` whose payload is the cell's JSON
 /// record — ok or failed. Writes are atomic, so concurrent sweeps
 /// sharing a directory never observe partial entries.
 #[derive(Debug, Clone)]
@@ -498,24 +499,10 @@ impl CellCache {
         self.keys().len()
     }
 
-    /// Deletes every cell file an older format wrote: one whose first
-    /// eight bytes are `PVCELL` and two ASCII digits below the current
-    /// version's. Current and newer files, files shorter than eight
-    /// bytes and any other leading bytes are left alone — a damaged
-    /// current file is a counted miss that heals, not litter.
+    /// Deletes every cell file an older cell format wrote (see
+    /// [`crate::store`] "Older formats").
     fn prune_older_formats(&self) {
-        for path in self.keys().into_iter().map(|key| self.key_path(key)) {
-            let mut head = [0u8; 8];
-            let read = fs::File::open(&path).and_then(|mut f| f.read_exact(&mut head));
-            // Two ASCII digits order like the numbers they spell.
-            let older = read.is_ok()
-                && head[..6] == CELL_MAGIC[..6]
-                && head[6..].iter().all(u8::is_ascii_digit)
-                && head[6..] < CELL_MAGIC[6..];
-            if older {
-                let _ = fs::remove_file(&path);
-            }
-        }
+        crate::store::prune_older_formats(&self.dir, "cell-", ".json", CELL_MAGIC);
     }
 
     /// The verified record of a cell. A missing file is a plain `None`;

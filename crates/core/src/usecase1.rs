@@ -17,8 +17,9 @@ use pv_stats::rng::{derive_stream, Xoshiro256pp};
 use pv_stats::StatsError;
 use pv_sysmodel::{Corpus, RunSet};
 
+use crate::eval::few_runs_spec;
 use crate::model::{FittedModel, ModelKind};
-use crate::pipeline::{EncodedCorpus, EncodingSpec};
+use crate::pipeline::EncodedCorpus;
 use crate::profile::Profile;
 use crate::repr::{DistributionRepr, ReprKind};
 
@@ -103,10 +104,7 @@ impl FewRunsPredictor {
                 "n_profile_runs = 0",
             ));
         }
-        let spec = EncodingSpec::new()
-            .profiles(cfg.n_profile_runs, cfg.profiles_per_benchmark.max(1))
-            .target(cfg.repr);
-        let enc = EncodedCorpus::build(corpus, &spec)?;
+        let enc = EncodedCorpus::build(corpus, &few_runs_spec(&cfg))?;
         Self::train_encoded(&enc, include, cfg)
     }
 
@@ -312,6 +310,7 @@ impl FewRunsPredictor {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::pipeline::EncodingSpec;
     use pv_stats::ks::ks2_statistic;
     use pv_sysmodel::SystemModel;
 

@@ -17,8 +17,9 @@ use pv_stats::rng::{derive_stream, Xoshiro256pp};
 use pv_stats::StatsError;
 use pv_sysmodel::{BenchmarkData, Corpus};
 
+use crate::eval::cross_system_specs;
 use crate::model::{FittedModel, ModelKind};
-use crate::pipeline::{EncodedCorpus, EncodingSpec};
+use crate::pipeline::EncodedCorpus;
 use crate::profile::Profile;
 use crate::repr::{DistributionRepr, ReprKind};
 
@@ -89,9 +90,9 @@ impl CrossSystemPredictor {
                 got: 0,
             });
         }
-        let s_eff = cfg.profile_runs.min(src.n_runs).max(1);
-        let src_enc = EncodedCorpus::build(src, &EncodingSpec::new().joined(s_eff, cfg.repr))?;
-        let dst_enc = EncodedCorpus::build(dst, &EncodingSpec::new().target(cfg.repr))?;
+        let (src_spec, dst_spec) = cross_system_specs(src, &cfg);
+        let src_enc = EncodedCorpus::build(src, &src_spec)?;
+        let dst_enc = EncodedCorpus::build(dst, &dst_spec)?;
         Self::train_encoded(&src_enc, &dst_enc, include, cfg)
     }
 
@@ -315,6 +316,7 @@ impl CrossSystemPredictor {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::pipeline::EncodingSpec;
     use pv_sysmodel::SystemModel;
 
     fn corpora() -> (Corpus, Corpus) {

@@ -10,10 +10,14 @@
 //! IEEE-754 bit patterns), so a fingerprint pins exact numeric content
 //! and two equal inputs hash identically forever.
 //!
-//! [`lane_digest`] checksums large byte strings (the shard spill files)
-//! with eight interleaved FNV-1a lanes: byte-serial FNV-1a is one
-//! xor-multiply dependency chain per byte, so it runs at the multiplier's
-//! latency; eight independent chains run at its throughput.
+//! [`lane_digest`] digests bulk content — every sealed file's payload
+//! and every benchmark's runs — with eight interleaved FNV-1a lanes:
+//! byte-serial FNV-1a is one xor-multiply dependency chain per byte, so
+//! it runs at the multiplier's latency; eight independent chains run at
+//! its throughput. [`LaneDigest`] is its streaming form over whole
+//! little-endian words, for content that is not one byte string in
+//! memory (a benchmark's runs), with the same result as `lane_digest`
+//! of the words' bytes.
 
 /// An incremental FNV-1a 64-bit hasher.
 #[derive(Debug, Clone)]
@@ -110,17 +114,79 @@ pub fn lane_digest(bytes: &[u8]) -> u64 {
     let mut lanes = [Fnv1a::OFFSET_BASIS; 8];
     let mut words = bytes.chunks_exact(8);
     for word in &mut words {
-        for (lane, &b) in lanes.iter_mut().zip(word) {
-            *lane = (*lane ^ u64::from(b)).wrapping_mul(Fnv1a::PRIME);
-        }
+        lane_step(&mut lanes, word);
     }
+    fold_lanes(&lanes, bytes.len(), words.remainder())
+}
+
+/// One 8-byte word of the lane digest: byte `j` enters lane `j`.
+#[inline]
+fn lane_step(lanes: &mut [u64; 8], word: &[u8]) {
+    for (lane, &b) in lanes.iter_mut().zip(word) {
+        *lane = (*lane ^ u64::from(b)).wrapping_mul(Fnv1a::PRIME);
+    }
+}
+
+/// Folds the lane states, the byte length and the `tail` (the bytes
+/// after the last whole word) into the digest.
+fn fold_lanes(lanes: &[u64; 8], len: usize, tail: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
-    for lane in lanes {
+    for &lane in lanes {
         h.write_u64(lane);
     }
-    h.write_usize(bytes.len());
-    h.write_bytes(words.remainder());
+    h.write_usize(len);
+    h.write_bytes(tail);
     h.finish()
+}
+
+/// [`lane_digest`] fed one whole little-endian word at a time: after
+/// words `w0, w1, …` [`LaneDigest::finish`] returns `lane_digest` of
+/// their concatenated little-endian bytes, without that byte string
+/// ever being built.
+#[derive(Debug, Clone)]
+pub struct LaneDigest {
+    lanes: [u64; 8],
+    words: usize,
+}
+
+impl LaneDigest {
+    /// A fresh digest, every lane at the FNV-1a offset basis.
+    pub fn new() -> Self {
+        LaneDigest {
+            lanes: [Fnv1a::OFFSET_BASIS; 8],
+            words: 0,
+        }
+    }
+
+    /// Feeds one word as its eight little-endian bytes.
+    #[inline]
+    pub fn write_u64(&mut self, word: u64) {
+        lane_step(&mut self.lanes, &word.to_le_bytes());
+        self.words += 1;
+    }
+
+    /// Feeds a `usize` widened to `u64` (stable across pointer widths).
+    #[inline]
+    pub fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    /// Feeds an `f64` as its IEEE-754 bit pattern.
+    #[inline]
+    pub fn write_f64(&mut self, v: f64) {
+        self.write_u64(v.to_bits());
+    }
+
+    /// The digest of the words fed so far.
+    pub fn finish(&self) -> u64 {
+        fold_lanes(&self.lanes, self.words * 8, &[])
+    }
+}
+
+impl Default for LaneDigest {
+    fn default() -> Self {
+        LaneDigest::new()
+    }
 }
 
 #[cfg(test)]
@@ -182,10 +248,35 @@ mod tests {
             (64, 0xbe1f_40fd_433c_63a6),
             (1000, 0xd3a9_6f50_c01d_5d42),
         ];
+        assert_eq!(LaneDigest::new().finish(), pinned[0].1, "empty stream");
         for (len, want) in pinned {
             let bytes = sample(len);
             assert_eq!(lane_digest(&bytes), lane_reference(&bytes), "len {len}");
             assert_eq!(lane_digest(&bytes), want, "len {len}");
+        }
+    }
+
+    mod properties {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The streaming digest of any word sequence, the empty one
+            /// included, is the lane digest of its little-endian bytes.
+            #[test]
+            fn streamed_words_digest_like_their_bytes(
+                words in prop::collection::vec(any::<u64>(), 0..40),
+            ) {
+                let mut streamed = LaneDigest::new();
+                let mut bytes = Vec::with_capacity(words.len() * 8);
+                for &w in &words {
+                    streamed.write_u64(w);
+                    bytes.extend_from_slice(&w.to_le_bytes());
+                }
+                prop_assert_eq!(streamed.finish(), lane_digest(&bytes));
+            }
         }
     }
 

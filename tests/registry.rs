@@ -1,16 +1,30 @@
 //! Registry integrity: a tampered, truncated, or stale entry must
 //! surface as a **typed** error — never a panic, never a silently wrong
 //! model — and the `repro train` heal policy (re-fit and re-seal) must
-//! recover every corruption mode.
+//! recover every corruption mode. `ensure_*` seals under the keys the
+//! serving side derives and digests each benchmark once per call.
+//!
+//! Every test takes [`exclusive`] first: the digest counter is
+//! process-global, and every test here digests benchmarks.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use perfvar_suite::core::registry::{artifact_key, Artifact, ModelRegistry, REGISTRY_MAGIC};
-use perfvar_suite::core::sweep::CellConfig;
+use perfvar_suite::core::sweep::{cross_fingerprint, CellConfig};
 use perfvar_suite::core::usecase1::{FewRunsConfig, FewRunsPredictor};
+use perfvar_suite::core::usecase2::CrossSystemConfig;
 use perfvar_suite::core::{corpus_fingerprint, ModelKind, ReprKind};
+use perfvar_suite::obs::Collector;
 use perfvar_suite::sysmodel::{Corpus, SystemModel};
+
+static LOCK: Mutex<()> = Mutex::new(());
+
+/// Serializes the tests in this file; the obs collector is process-wide.
+fn exclusive() -> MutexGuard<'static, ()> {
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 const RUNS: usize = 40;
 const SEED: u64 = 11;
@@ -60,6 +74,7 @@ fn load_err_kind(registry: &ModelRegistry, fp: u64) -> &'static str {
 
 #[test]
 fn bit_flipped_entry_is_typed_invalid() {
+    let _guard = exclusive();
     let dir = tmp_dir("bitflip");
     let (registry, fp, path) = seeded(&dir);
     let mut bytes = fs::read(&path).expect("read entry");
@@ -74,6 +89,7 @@ fn bit_flipped_entry_is_typed_invalid() {
 
 #[test]
 fn truncated_entry_is_typed_invalid() {
+    let _guard = exclusive();
     let dir = tmp_dir("truncate");
     let (registry, fp, path) = seeded(&dir);
     let bytes = fs::read(&path).expect("read entry");
@@ -84,6 +100,7 @@ fn truncated_entry_is_typed_invalid() {
 
 #[test]
 fn garbage_entry_is_typed_invalid() {
+    let _guard = exclusive();
     let dir = tmp_dir("garbage");
     let (registry, fp, path) = seeded(&dir);
     fs::write(&path, b"not json at all \x00\x01\x02").expect("tamper");
@@ -93,6 +110,7 @@ fn garbage_entry_is_typed_invalid() {
 
 #[test]
 fn stale_version_entry_is_typed_invalid() {
+    let _guard = exclusive();
     let dir = tmp_dir("stale");
     let (registry, fp, path) = seeded(&dir);
     let mut bytes = fs::read(&path).expect("read entry");
@@ -107,6 +125,7 @@ fn stale_version_entry_is_typed_invalid() {
 
 #[test]
 fn missing_entry_is_typed_cache_io() {
+    let _guard = exclusive();
     let dir = tmp_dir("missing");
     let (registry, fp, path) = seeded(&dir);
     fs::remove_file(&path).expect("remove");
@@ -119,6 +138,7 @@ fn missing_entry_is_typed_cache_io() {
 /// entry file to a different key's filename must not serve it.
 #[test]
 fn renamed_entry_fails_identity_check() {
+    let _guard = exclusive();
     let dir = tmp_dir("rename");
     let (registry, fp, path) = seeded(&dir);
     let other = artifact_key(fp ^ 0xDEAD, &CellConfig::FewRuns(cfg())).expect("key");
@@ -134,6 +154,7 @@ fn renamed_entry_fails_identity_check() {
 /// re-seals, and the next load verifies bit-identically.
 #[test]
 fn ensure_heals_every_corruption_mode() {
+    let _guard = exclusive();
     let dir = tmp_dir("heal");
     let (registry, _fp, path) = seeded(&dir);
     let corpus = corpus();
@@ -191,5 +212,65 @@ fn ensure_heals_every_corruption_mode() {
             "{name}: reused entry must answer identically"
         );
     }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Digests of one `ensure_*` call, its `trained` flag, and the keys on
+/// disk after it.
+fn counted<T>(
+    registry: &ModelRegistry,
+    ensure: impl FnOnce() -> (T, bool),
+) -> (u64, bool, Vec<u64>) {
+    let collector = Collector::install();
+    let (_, trained) = ensure();
+    let digests = collector
+        .finish()
+        .metrics
+        .counter("pv.core.pipeline.bench_digest")
+        .unwrap_or(0);
+    (digests, trained, registry.keys())
+}
+
+/// `ensure_few_runs` seals under `artifact_key(corpus_fingerprint(c),
+/// cfg)`, the key perfbench's serve lines, `repro load-gen` and
+/// `ServedCorpora` derive, digesting each of the 60 benchmarks once.
+#[test]
+fn ensure_few_runs_seals_under_the_served_key_digesting_once() {
+    let _guard = exclusive();
+    let dir = tmp_dir("served-key-uc1");
+    let registry = ModelRegistry::new(&dir);
+    let corpus = corpus();
+    assert_eq!(corpus.len(), 60);
+    let key = artifact_key(corpus_fingerprint(&corpus), &CellConfig::FewRuns(cfg())).unwrap();
+    let ensure = || registry.ensure_few_runs(&corpus, cfg()).expect("ensure");
+    assert_eq!(counted(&registry, ensure), (60, true, vec![key]));
+    assert_eq!(counted(&registry, ensure), (60, false, vec![key]));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `ensure_cross_system` seals under `cross_fingerprint` of the two
+/// corpora, digesting each corpus's 60 benchmarks once.
+#[test]
+fn ensure_cross_system_seals_under_the_served_key_digesting_once() {
+    let _guard = exclusive();
+    let dir = tmp_dir("served-key-uc2");
+    let registry = ModelRegistry::new(&dir);
+    let src = Corpus::collect(&SystemModel::amd(), RUNS, SEED);
+    let dst = corpus();
+    let uc2 = CrossSystemConfig {
+        repr: ReprKind::PearsonRnd,
+        model: ModelKind::Knn,
+        profile_runs: 10,
+        seed: SEED,
+    };
+    let fp = cross_fingerprint(corpus_fingerprint(&src), corpus_fingerprint(&dst));
+    let key = artifact_key(fp, &CellConfig::CrossSystem(uc2)).unwrap();
+    let ensure = || {
+        registry
+            .ensure_cross_system(&src, &dst, uc2)
+            .expect("ensure")
+    };
+    assert_eq!(counted(&registry, ensure), (120, true, vec![key]));
+    assert_eq!(counted(&registry, ensure), (120, false, vec![key]));
     let _ = fs::remove_dir_all(&dir);
 }
