@@ -4,16 +4,19 @@
 //! The engine carries the campaign's default use-case-1 model
 //! (pearsonrnd + kNN at s = 10) exactly as `repro train` seals it; each
 //! request decodes `n_samples = 100` reconstruction samples, so the
-//! numbers are end-to-end (parse → predict → decode → render), not
-//! model-predict alone. `batched_64` also asserts the acceptance floor:
-//! sustained throughput must clear 2,000 predictions/second.
+//! numbers are end-to-end (parse → predict → decode → render → seal),
+//! not model-predict alone. Every request goes through
+//! `ServeEngine::answer`, the daemon's one reply path. After the
+//! criterion runs, the bench asserts the acceptance floor: sustained
+//! batched throughput must clear 2,000 predictions/second on each of
+//! the three engines.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pv_bench::serve::{Outcome, ServeEngine, ServeTelemetry, ServedModel, TelemetryOpts};
+use pv_bench::serve::{Incoming, Outcome, ServeEngine, ServeTelemetry, ServedModel, TelemetryOpts};
 use pv_bench::{uc1_config, CAMPAIGN_SEED};
 use pv_core::registry::artifact_key;
 use pv_core::sweep::CellConfig;
@@ -79,8 +82,37 @@ fn fixture() -> &'static (ServeEngine, ServeEngine, ServeEngine, Vec<String>) {
     })
 }
 
+/// Answers a batch across the rayon pool the way the daemon's batcher
+/// does — one arrival time for the batch, arrival sequence = position —
+/// finishing each pending access-log record as the writer would.
+/// Returns how many replies were `ok`.
+fn answer_batch(engine: &ServeEngine, batch: &[&str]) -> usize {
+    let now = Instant::now();
+    let work: Vec<(usize, &str)> = batch.iter().copied().enumerate().collect();
+    let ok: Vec<bool> = work
+        .into_par_iter()
+        .map(|(k, line)| {
+            let reply = engine.answer(Incoming::Line(black_box(line)), k as u64, now);
+            if let Some(record) = reply.record {
+                record.finish(0);
+            }
+            reply.outcome == Outcome::Ok
+        })
+        .collect();
+    ok.into_iter().filter(|&ok| ok).count()
+}
+
 fn bench_serve_throughput(c: &mut Criterion) {
     let (engine, resilient, telemetered, lines) = fixture();
+    let batch: Vec<&str> = (0..64).map(|i| lines[i % lines.len()].as_str()).collect();
+    // Bare; with the resilience layer (per-request deadline checks);
+    // and with the full telemetry plane (windows + SLO + recorder +
+    // a real JSONL access log).
+    let engines = [
+        ("bare", "batched_64", engine),
+        ("resilient", "resilient_batched_64", resilient),
+        ("telemetry", "telemetry_batched_64", telemetered),
+    ];
     let mut g = c.benchmark_group("serve_throughput");
     g.warm_up_time(Duration::from_millis(500));
     g.measurement_time(Duration::from_secs(5));
@@ -96,110 +128,29 @@ fn bench_serve_throughput(c: &mut Criterion) {
         })
     });
 
-    g.bench_function("batched_64", |b| {
-        let batch: Vec<&str> = (0..64).map(|i| lines[i % lines.len()].as_str()).collect();
-        b.iter(|| {
-            let out = engine.handle_batch(black_box(&batch));
-            assert!(out.iter().all(|(_, o)| *o == Outcome::Ok));
-            out
-        })
-    });
-
-    g.bench_function("resilient_batched_64", |b| {
-        // The daemon's dispatch shape with the resilience layer live:
-        // per-request deadline checks via handle_timed across rayon.
-        let batch: Vec<&str> = (0..64).map(|i| lines[i % lines.len()].as_str()).collect();
-        b.iter(|| {
-            let now = Instant::now();
-            let work: Vec<(usize, &str)> = batch.iter().copied().enumerate().collect();
-            let out: Vec<(String, Outcome)> = work
-                .into_par_iter()
-                .map(|(k, line)| resilient.handle_timed(black_box(line), k as u64, now))
-                .collect();
-            assert!(out.iter().all(|(_, o)| *o == Outcome::Ok));
-            out
-        })
-    });
-
-    g.bench_function("telemetry_batched_64", |b| {
-        // The full observability plane live: sealed replies feeding the
-        // rolling windows, SLO budget, flight-recorder ring, and the
-        // JSONL access log, across rayon like the daemon's batcher.
-        let batch: Vec<&str> = (0..64).map(|i| lines[i % lines.len()].as_str()).collect();
-        b.iter(|| {
-            let now = Instant::now();
-            let work: Vec<(usize, &str)> = batch.iter().copied().enumerate().collect();
-            let out: Vec<usize> = work
-                .into_par_iter()
-                .map(|(k, line)| {
-                    let reply = telemetered.handle_timed_sealed(black_box(line), k as u64, now);
-                    if let Some(record) = reply.record {
-                        record.finish(0);
-                    }
-                    reply.text.len()
-                })
-                .collect();
-            assert_eq!(out.len(), 64);
-            out
-        })
-    });
+    for (_, name, engine) in engines {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let ok = answer_batch(engine, &batch);
+                assert_eq!(ok, batch.len());
+                ok
+            })
+        });
+    }
 
     g.finish();
 
     // Acceptance floor: the batched path must sustain >= 2,000
-    // predictions/second — bare, with the resilience layer (deadline
-    // checks) enabled, and with the full telemetry plane (windows +
-    // SLO + recorder + access log) enabled. Checked outside criterion's
+    // predictions/second on every engine. Checked outside criterion's
     // sampler so a regression fails the bench run loudly instead of
     // only shifting a tracked number.
-    let batch: Vec<&str> = (0..64).map(|i| lines[i % lines.len()].as_str()).collect();
-    for (label, run) in [
-        (
-            "bare",
-            Box::new(|| {
-                let out = engine.handle_batch(&batch);
-                assert!(out.iter().all(|(_, o)| *o == Outcome::Ok));
-                out.len()
-            }) as Box<dyn Fn() -> usize>,
-        ),
-        (
-            "resilient",
-            Box::new(|| {
-                let now = Instant::now();
-                let work: Vec<(usize, &str)> = batch.iter().copied().enumerate().collect();
-                let out: Vec<(String, Outcome)> = work
-                    .into_par_iter()
-                    .map(|(k, line)| resilient.handle_timed(line, k as u64, now))
-                    .collect();
-                assert!(out.iter().all(|(_, o)| *o == Outcome::Ok));
-                out.len()
-            }),
-        ),
-        (
-            "telemetry",
-            Box::new(|| {
-                let now = Instant::now();
-                let work: Vec<(usize, &str)> = batch.iter().copied().enumerate().collect();
-                let out: Vec<bool> = work
-                    .into_par_iter()
-                    .map(|(k, line)| {
-                        let reply = telemetered.handle_timed_sealed(line, k as u64, now);
-                        let ok = reply.text.contains("\"ok\":true");
-                        if let Some(record) = reply.record {
-                            record.finish(0);
-                        }
-                        ok
-                    })
-                    .collect();
-                assert!(out.iter().all(|&ok| ok));
-                out.len()
-            }),
-        ),
-    ] {
+    for (label, _, engine) in engines {
         let started = Instant::now();
         let mut answered = 0usize;
         while started.elapsed() < Duration::from_secs(2) {
-            answered += run();
+            let ok = answer_batch(engine, &batch);
+            assert_eq!(ok, batch.len(), "[{label}] non-ok replies");
+            answered += ok;
         }
         let rate = answered as f64 / started.elapsed().as_secs_f64();
         println!("serve_throughput[{label}]: sustained {rate:.0} predictions/sec (floor 2000)");

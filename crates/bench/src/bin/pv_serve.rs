@@ -122,8 +122,9 @@ fn flush_telemetry(engine: &ServeEngine, stats: Option<&Path>, prom: Option<&Pat
 }
 
 /// Raised by the SIGHUP handler, polled by the dispatcher between
-/// batches (plain flag — all the reload work happens on the dispatcher
-/// thread, the handler itself is async-signal-safe).
+/// batches through `ServeOpts::reload_signal` (plain flag — all the
+/// reload work happens on the dispatcher thread, the handler itself is
+/// async-signal-safe).
 static RELOAD_REQUESTED: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
@@ -169,11 +170,11 @@ fn serve(args: &Args) -> Result<(), CliError> {
         anomaly_threshold: args.get("--anomaly-threshold", defaults.anomaly_threshold)?,
         ..defaults
     };
-    let mut opts = ServeOpts {
+    let opts = ServeOpts {
         batch: args.get("--batch", DEFAULT_BATCH)?.max(1),
         max_line: args.get("--max-line", DEFAULT_MAX_LINE)?.max(64),
         queue: args.get("--queue", DEFAULT_QUEUE)?,
-        reload_signal: None,
+        reload_signal: Some(&RELOAD_REQUESTED),
     };
     let deadline = millis("--deadline-ms")?;
     let plan: ServeFaultPlan = args.get("--inject-serve", ServeFaultPlan::none())?;
@@ -229,19 +230,6 @@ fn serve(args: &Args) -> Result<(), CliError> {
     }
 
     install_sighup();
-    // A static can't hold the Arc the serve loop wants; bridge via a
-    // forwarder that the dispatcher polls.
-    let reload_flag = Arc::new(AtomicBool::new(false));
-    {
-        let reload_flag = Arc::clone(&reload_flag);
-        std::thread::spawn(move || loop {
-            if RELOAD_REQUESTED.swap(false, Ordering::SeqCst) {
-                reload_flag.store(true, Ordering::SeqCst);
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        });
-    }
-    opts.reload_signal = Some(reload_flag);
 
     let engine = Arc::new(engine);
     // Periodic telemetry flusher; a final flush lands after the serve loop.

@@ -532,7 +532,9 @@ USAGE:
 Parses the JSONL trace line by line and the metrics snapshot, checks the
 span tree is well-formed (every exit carries a duration and a matching
 enter), and asserts every --require'd counter is present with a value
-greater than zero.
+greater than zero. When the snapshot holds the pv.serve.latency_ns
+histogram, its count must equal pv.serve.request: pv-serve observes
+every answered line exactly once.
 
 --access-log cross-checks a pv-serve access log: every line must be
 parseable with total_ns == queue_ns + predict_ns + write_ns, and the
@@ -614,6 +616,19 @@ fn obs_check_cmd(args: &Args) -> Result<(), CliError> {
                 std::process::exit(1);
             }
         }
+    }
+
+    if let Some(latency) = metrics.histogram("pv.serve.latency_ns") {
+        let requests = metrics.counter("pv.serve.request").unwrap_or(0);
+        if latency.count != requests {
+            eprintln!(
+                "obs-check: pv.serve.latency_ns holds {} observation(s) but pv.serve.request = \
+                 {requests}",
+                latency.count
+            );
+            std::process::exit(1);
+        }
+        println!("obs-check: pv.serve.latency_ns count = pv.serve.request = {requests}");
     }
 
     // The three planes a serving run records — pv.serve.* counters,

@@ -29,9 +29,12 @@
 //! and one arriving while the daemon drains for shutdown `"draining"`.
 //! The daemon micro-batches concurrent queries — whatever is queued
 //! when a worker looks, up to a batch cap — across the rayon pool, and
-//! exports `pv.serve.*` metrics through `pv-obs`: by construction
-//! `pv.serve.request` equals the total response count and the per-kind
-//! counters partition it (pinned by `tests/serve_protocol.rs` and
+//! exports `pv.serve.*` metrics through `pv-obs`. Every line it answers
+//! (a prediction, an op, or any typed rejection) goes through
+//! [`ServeEngine::answer`], which counts and seals it in one place: by
+//! construction `pv.serve.request` equals the total response count, the
+//! per-kind counters partition it, and `pv.serve.latency_ns` observes
+//! each answer once (pinned by `tests/serve_protocol.rs` and
 //! `tests/serve_chaos.rs`).
 //!
 //! # Failure semantics on the serving path
@@ -500,14 +503,6 @@ struct SloState {
     violations: RollingCounter,
 }
 
-/// One request's footprint in the flight-recorder ring.
-#[derive(Debug, Clone)]
-struct FlightEvent {
-    seq: u64,
-    outcome: Outcome,
-    model: Option<u64>,
-}
-
 /// A bounded ring of the last N request events plus a one-shot dump
 /// latch: the first anomaly (shed/timeout burst, worker panic, failed
 /// reload) writes the ring to disk as JSONL — a post-mortem of what the
@@ -517,12 +512,12 @@ struct FlightRecorder {
     capacity: usize,
     path: PathBuf,
     threshold: u64,
-    events: Mutex<VecDeque<FlightEvent>>,
+    events: Mutex<VecDeque<RequestTrace>>,
     tripped: AtomicBool,
 }
 
 impl FlightRecorder {
-    fn push(&self, event: FlightEvent) {
+    fn push(&self, event: RequestTrace) {
         let mut ring = lock_mutex(&self.events);
         if ring.len() >= self.capacity.max(1) {
             ring.pop_front();
@@ -531,14 +526,15 @@ impl FlightRecorder {
     }
 
     /// Dumps the ring (first trigger only). Events are sorted by arrival
-    /// sequence so the dump is byte-stable whenever the event *set* is
-    /// deterministic (e.g. `--batch 1` plus an injected fault plan).
+    /// sequence and print only `seq / outcome / model` — no timings — so
+    /// the dump is byte-stable whenever the event *set* is deterministic
+    /// (e.g. `--batch 1` plus an injected fault plan).
     fn trip(&self, trigger: &str, seq: u64) {
         if self.tripped.swap(true, Ordering::SeqCst) {
             return;
         }
         pv_obs::counter_inc!("pv.serve.recorder.trip");
-        let mut events: Vec<FlightEvent> = lock_mutex(&self.events).iter().cloned().collect();
+        let mut events: Vec<RequestTrace> = lock_mutex(&self.events).iter().copied().collect();
         events.sort_by_key(|e| e.seq);
         let mut out = format!(
             "{{\"trigger\":\"{trigger}\",\"seq\":{seq},\"events\":{}}}\n",
@@ -561,17 +557,6 @@ impl FlightRecorder {
     }
 }
 
-/// Everything the access log needs about one answered request, held by
-/// the [`RecordHandle`] until the writer knows the write time.
-struct AccessRecord {
-    seq: u64,
-    outcome: Outcome,
-    model: Option<u64>,
-    queue_ns: u64,
-    predict_ns: u64,
-    virtual_ns: u64,
-}
-
 /// A pending access-log line: the response is sealed before it is
 /// written back, so the handle rides the [`Reply`] to the writer, which
 /// calls [`RecordHandle::finish`] with the measured write time after
@@ -580,49 +565,41 @@ struct AccessRecord {
 /// request gets exactly one access-log line.
 pub struct RecordHandle {
     telemetry: Arc<ServeTelemetry>,
-    rec: Option<AccessRecord>,
+    trace: Option<RequestTrace>,
 }
 
 impl RecordHandle {
     /// Logs the access line with the measured reply write time.
     pub fn finish(mut self, write_ns: u64) {
-        if let Some(rec) = self.rec.take() {
-            self.telemetry.log_access(&rec, write_ns);
+        if let Some(trace) = self.trace.take() {
+            self.telemetry.log_access(&trace, write_ns);
         }
     }
 }
 
 impl Drop for RecordHandle {
     fn drop(&mut self) {
-        if let Some(rec) = self.rec.take() {
-            self.telemetry.log_access(&rec, 0);
+        if let Some(trace) = self.trace.take() {
+            self.telemetry.log_access(&trace, 0);
         }
     }
 }
 
 /// A sealed response on its way back to the client: the rendered text,
-/// whether it acks a shutdown, and the pending access-log record.
+/// how the line was answered, and the pending access-log record.
 pub struct Reply {
     /// The response line (no trailing newline).
     pub text: String,
-    /// `true` when this reply acks a shutdown request.
-    pub shutdown: bool,
+    /// How the line was answered ([`Outcome::Shutdown`] acks a
+    /// shutdown request).
+    pub outcome: Outcome,
     /// The pending access-log line, if the log is configured.
     pub record: Option<RecordHandle>,
 }
 
-/// An answered line before sealing: the rendered response plus what
-/// the telemetry plane needs to attribute it.
-struct Answered {
-    text: String,
-    outcome: Outcome,
-    model: Option<u64>,
-    virtual_ns: u64,
-    panicked: bool,
-}
-
 /// The latency breakdown and identity of one answered request, as
 /// sealed into the telemetry plane.
+#[derive(Debug, Clone, Copy)]
 pub struct RequestTrace {
     /// Global arrival sequence (the request id in the access log).
     pub seq: u64,
@@ -647,8 +624,8 @@ pub struct RequestTrace {
 /// 10s/1m/5m windows for every outcome and latency stage, the SLO
 /// error budget, the per-request access log, and the flight recorder.
 ///
-/// Totals here are *independent* of `pv-obs` — plain atomics bumped on
-/// exactly the same code paths as the `pv.serve.*` counters — so
+/// Totals here are *independent* of `pv-obs` — plain atomics bumped in
+/// [`ServeEngine::answer`] next to the `pv.serve.*` counters — so
 /// `{"op":"stats"}` reconciles with the final metrics snapshot by
 /// construction, and works even when no obs collector is installed.
 pub struct ServeTelemetry {
@@ -784,11 +761,7 @@ impl ServeTelemetry {
             }
         }
         if let Some(rec) = &self.recorder {
-            rec.push(FlightEvent {
-                seq: t.seq,
-                outcome: t.outcome,
-                model: t.model,
-            });
+            rec.push(t);
             if t.panicked {
                 rec.trip("worker-panic", t.seq);
             } else if rec.threshold > 0 {
@@ -806,18 +779,11 @@ impl ServeTelemetry {
         }
         let record = self.access.as_ref().map(|_| RecordHandle {
             telemetry: Arc::clone(self),
-            rec: Some(AccessRecord {
-                seq: t.seq,
-                outcome: t.outcome,
-                model: t.model,
-                queue_ns: t.queue_ns,
-                predict_ns: t.predict_ns,
-                virtual_ns: t.virtual_ns,
-            }),
+            trace: Some(t),
         });
         Reply {
             text,
-            shutdown: t.outcome == Outcome::Shutdown,
+            outcome: t.outcome,
             record,
         }
     }
@@ -830,21 +796,21 @@ impl ServeTelemetry {
         }
     }
 
-    fn log_access(&self, rec: &AccessRecord, write_ns: u64) {
+    fn log_access(&self, t: &RequestTrace, write_ns: u64) {
         let Some(file) = &self.access else { return };
-        let model = rec
+        let model = t
             .model
             .map_or_else(|| "null".to_string(), |m| format!("\"{m:016x}\""));
-        let total_ns = rec.queue_ns + rec.predict_ns + write_ns;
+        let total_ns = t.queue_ns + t.predict_ns + write_ns;
         let line = format!(
             "{{\"req\":{},\"outcome\":\"{}\",\"model\":{},\"queue_ns\":{},\"predict_ns\":{},\"write_ns\":{},\"virtual_ns\":{},\"total_ns\":{}}}\n",
-            rec.seq,
-            rec.outcome.key(),
+            t.seq,
+            t.outcome.key(),
             model,
-            rec.queue_ns,
-            rec.predict_ns,
+            t.queue_ns,
+            t.predict_ns,
             write_ns,
-            rec.virtual_ns,
+            t.virtual_ns,
             total_ns
         );
         let mut f = lock_mutex(file);
@@ -1019,6 +985,7 @@ pub struct ServeEngine {
     degraded_note: Mutex<Option<String>>,
     reload_attempts: AtomicU64,
     reload_lock: Mutex<()>,
+    arrivals: AtomicU64,
     plan: ServeFaultPlan,
     deadline: Option<Duration>,
     telemetry: Arc<ServeTelemetry>,
@@ -1034,6 +1001,7 @@ impl ServeEngine {
             degraded_note: Mutex::new(None),
             reload_attempts: AtomicU64::new(0),
             reload_lock: Mutex::new(()),
+            arrivals: AtomicU64::new(0),
             plan: ServeFaultPlan::none(),
             deadline: None,
             telemetry: Arc::new(ServeTelemetry::default()),
@@ -1262,179 +1230,113 @@ impl ServeEngine {
         }
     }
 
-    /// Answers one protocol line: returns the response (without the
-    /// trailing newline) and its outcome, and updates the `pv.serve.*`
-    /// counters. No deadline or chaos applies on this path (see
-    /// [`Self::handle_timed`]).
+    /// Draws the next arrival sequence number — the key the chaos plan,
+    /// the access log and the flight recorder know a request by.
+    fn next_seq(&self) -> u64 {
+        self.arrivals.fetch_add(1, Ordering::SeqCst)
+    }
+
+    /// Answers one protocol line as if it arrived now: returns the
+    /// response (without the trailing newline) and its outcome. The line
+    /// draws its arrival sequence from [`Self::next_seq`] and is counted
+    /// and sealed like any other (see [`Self::answer`]).
     pub fn handle_line(&self, line: &str) -> (String, Outcome) {
-        let a = self.answer_full(line, false, false);
-        (a.text, a.outcome)
+        let Reply { text, outcome, .. } =
+            self.answer(Incoming::Line(line), self.next_seq(), Instant::now());
+        (text, outcome)
     }
 
-    /// Answers one protocol line on the daemon path: applies the chaos
-    /// plan's fault for arrival sequence `seq` and the per-request
-    /// deadline measured from `arrival`. An injected slow fault adds
-    /// its delay *virtually* to the elapsed time for the deadline check
-    /// (real sleep capped at [`SLOW_FAULT_REAL_CAP`]), so timeout
-    /// behavior is deterministic at any thread count.
-    pub fn handle_timed(&self, line: &str, seq: u64, arrival: Instant) -> (String, Outcome) {
-        let a = self.timed_full(line, seq, arrival);
-        (a.text, a.outcome)
-    }
-
-    /// [`Self::handle_timed`] plus telemetry sealing: the full daemon
-    /// path. `arrival` doubles as the queue-wait anchor — the elapsed
-    /// time when a worker picks the job up is the queue wait, the rest
-    /// is worker time.
-    pub fn handle_timed_sealed(&self, line: &str, seq: u64, arrival: Instant) -> Reply {
-        let queue_ns = arrival.elapsed().as_nanos() as u64;
-        let start = Instant::now();
-        let a = self.timed_full(line, seq, arrival);
-        self.telemetry.seal(
-            a.text,
-            RequestTrace {
-                seq,
-                outcome: a.outcome,
-                model: a.model,
-                queue_ns,
-                predict_ns: start.elapsed().as_nanos() as u64,
-                virtual_ns: a.virtual_ns,
-                panicked: a.panicked,
-            },
-        )
-    }
-
-    fn timed_full(&self, line: &str, seq: u64, arrival: Instant) -> Answered {
-        let mut penalty = Duration::ZERO;
-        if let Some(delay_ms) = self.plan.slow_at(seq) {
-            penalty = Duration::from_millis(delay_ms);
-            std::thread::sleep(penalty.min(SLOW_FAULT_REAL_CAP));
-        }
-        let expired = self
-            .deadline
-            .is_some_and(|d| arrival.elapsed() + penalty > d);
-        let mut a = self.answer_full(line, expired, self.plan.panics_at(seq));
-        a.virtual_ns = penalty.as_nanos() as u64;
-        a
-    }
-
-    /// Answers a line with the worker hardened against panics: a panic
-    /// inside prediction (or an injected one) is caught, counted
-    /// (`pv.serve.panic`), and answered as a typed `panic` error — one
-    /// poisoned request never takes the daemon down.
-    fn answer_full(&self, line: &str, expired: bool, inject_panic: bool) -> Answered {
+    /// The one reply path: answers whatever arrived as arrival sequence
+    /// `seq`, then counts and seals it. A line gets the chaos plan's
+    /// fault for `seq` and the per-request deadline measured from
+    /// `arrival`; an injected slow fault adds its delay *virtually* to
+    /// the elapsed time for the deadline check (real sleep capped at
+    /// [`SLOW_FAULT_REAL_CAP`]), so timeout behavior is deterministic at
+    /// any thread count. A panic while answering (or an injected one) is
+    /// caught and answered as a typed `panic` error — one poisoned
+    /// request never takes the daemon down.
+    ///
+    /// Every answer bumps `pv.serve.request`, its outcome counter,
+    /// `pv.serve.shed` or `pv.serve.panic` when it is one, and observes
+    /// `pv.serve.latency_ns`, then seals a [`RequestTrace`] into the
+    /// telemetry plane: `arrival` to now is the queue wait, the rest is
+    /// worker time (`predict_ns`, which the latency histogram records).
+    pub fn answer(&self, incoming: Incoming<'_>, seq: u64, arrival: Instant) -> Reply {
+        // Counted before the reply renders, so a stats reply's raw
+        // counters include the probe itself.
         pv_obs::counter_inc!("pv.serve.request");
         let start = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if inject_panic {
-                panic!("injected fault: worker panic");
-            }
-            self.respond(line, expired)
-        }));
-        let (text, outcome, model, panicked) = match result {
-            Ok((text, outcome, model)) => (text, outcome, model, false),
-            Err(_) => {
-                pv_obs::counter_inc!("pv.serve.panic");
-                (
-                    error_response(
-                        None,
-                        "panic",
-                        "worker panicked while answering; request aborted".into(),
-                    ),
-                    Outcome::Error,
-                    None,
-                    true,
-                )
-            }
+        let queue_ns = start.duration_since(arrival).as_nanos() as u64;
+        let mut penalty = Duration::ZERO;
+        let reject = |kind: &str, detail: String, outcome: Outcome| {
+            (error_response(None, kind, detail), outcome, None, false)
         };
+        let (text, outcome, model, panicked) = match incoming {
+            Incoming::Line(line) => {
+                if let Some(delay_ms) = self.plan.slow_at(seq) {
+                    penalty = Duration::from_millis(delay_ms);
+                    std::thread::sleep(penalty.min(SLOW_FAULT_REAL_CAP));
+                }
+                let expired = self
+                    .deadline
+                    .is_some_and(|d| arrival.elapsed() + penalty > d);
+                let inject_panic = self.plan.panics_at(seq);
+                match catch_unwind(AssertUnwindSafe(|| {
+                    if inject_panic {
+                        panic!("injected fault: worker panic");
+                    }
+                    self.respond(line, expired)
+                })) {
+                    Ok((text, outcome, model)) => (text, outcome, model, false),
+                    Err(_) => (
+                        error_response(
+                            None,
+                            "panic",
+                            "worker panicked while answering; request aborted".into(),
+                        ),
+                        Outcome::Error,
+                        None,
+                        true,
+                    ),
+                }
+            }
+            Incoming::Oversized(max_line) => reject(
+                "bad-request",
+                format!("request line exceeds {max_line} bytes"),
+                Outcome::BadRequest,
+            ),
+            Incoming::Shed(detail) => reject("overloaded", detail, Outcome::Overloaded),
+            Incoming::Draining => reject(
+                "draining",
+                "daemon is draining for shutdown; request rejected".into(),
+                Outcome::Draining,
+            ),
+        };
+        let predict_ns = start.elapsed().as_nanos() as u64;
+        pv_obs::counter_inc!(outcome.counter());
+        if outcome == Outcome::Overloaded {
+            pv_obs::counter_inc!("pv.serve.shed");
+        }
+        if panicked {
+            pv_obs::counter_inc!("pv.serve.panic");
+        }
         pv_obs::observe!(
             "pv.serve.latency_ns",
             pv_obs::metrics::BucketSpec::latency(),
-            start.elapsed().as_nanos() as f64
+            predict_ns as f64
         );
-        pv_obs::counter_inc!(outcome.counter());
-        Answered {
-            text,
-            outcome,
-            model,
-            virtual_ns: 0,
-            panicked,
-        }
-    }
-
-    /// The typed response to a line that exceeded the daemon's length
-    /// cap (counted like any other answered request).
-    pub fn handle_oversized(&self, max_line: usize) -> (String, Outcome) {
-        pv_obs::counter_inc!("pv.serve.request");
-        pv_obs::counter_inc!(Outcome::BadRequest.counter());
-        (
-            error_response(
-                None,
-                "bad-request",
-                format!("request line exceeds {max_line} bytes"),
-            ),
-            Outcome::BadRequest,
-        )
-    }
-
-    /// [`Self::handle_oversized`] plus telemetry sealing.
-    pub fn handle_oversized_sealed(&self, seq: u64, max_line: usize) -> Reply {
-        let (text, outcome) = self.handle_oversized(max_line);
-        self.seal_immediate(text, outcome, seq)
-    }
-
-    /// Seals a reader-path response (shed, draining, oversized) that
-    /// never waited in the queue or reached a worker.
-    pub fn seal_immediate(&self, text: String, outcome: Outcome, seq: u64) -> Reply {
         self.telemetry.seal(
             text,
             RequestTrace {
                 seq,
                 outcome,
-                model: None,
-                queue_ns: 0,
-                predict_ns: 0,
-                virtual_ns: 0,
-                panicked: false,
+                model,
+                queue_ns,
+                predict_ns,
+                virtual_ns: penalty.as_nanos() as u64,
+                panicked,
             },
         )
-    }
-
-    /// The typed response to a request shed at admission — queue full
-    /// or an injected shed fault. Sheds are answered by the *reader*,
-    /// before the line is ever parsed, so no `id` is echoed.
-    pub fn handle_shed(&self, detail: String) -> (String, Outcome) {
-        pv_obs::counter_inc!("pv.serve.request");
-        pv_obs::counter_inc!("pv.serve.shed");
-        pv_obs::counter_inc!(Outcome::Overloaded.counter());
-        (
-            error_response(None, "overloaded", detail),
-            Outcome::Overloaded,
-        )
-    }
-
-    /// The typed response to a line arriving while the daemon drains.
-    pub fn handle_draining(&self) -> (String, Outcome) {
-        pv_obs::counter_inc!("pv.serve.request");
-        pv_obs::counter_inc!(Outcome::Draining.counter());
-        (
-            error_response(
-                None,
-                "draining",
-                "daemon is draining for shutdown; request rejected".into(),
-            ),
-            Outcome::Draining,
-        )
-    }
-
-    /// Answers a micro-batch across the rayon pool, preserving order.
-    pub fn handle_batch(&self, lines: &[&str]) -> Vec<(String, Outcome)> {
-        pv_obs::counter_inc!("pv.serve.batch");
-        lines
-            .to_vec()
-            .into_par_iter()
-            .map(|l| self.handle_line(l))
-            .collect()
     }
 
     fn health_response(&self, id: Option<Content>) -> (String, Outcome) {
@@ -1740,6 +1642,21 @@ impl ServeEngine {
 // ---------------------------------------------------------------------
 // Daemon plumbing
 
+/// What [`ServeEngine::answer`] answers: a line, or one of the typed
+/// rejections a line can get before it is ever parsed.
+pub enum Incoming<'a> {
+    /// A complete line within the cap.
+    Line(&'a str),
+    /// A line that exceeded the cap (carried for the message) and was
+    /// discarded to its newline.
+    Oversized(usize),
+    /// A line shed at admission (queue full or an injected shed), with
+    /// the reason. Answered by the reader, so no `id` is echoed.
+    Shed(String),
+    /// A line that arrived while the daemon drains for shutdown.
+    Draining,
+}
+
 /// One line read from a client, or the marker that it blew the length
 /// cap (the payload is discarded, the event still gets a response).
 pub enum LineItem {
@@ -1747,6 +1664,17 @@ pub enum LineItem {
     Line(String),
     /// A line that exceeded the cap and was discarded to the newline.
     Oversized,
+}
+
+impl LineItem {
+    /// The item as the answer path sees it; `max_line` is the cap an
+    /// oversized line blew.
+    fn incoming(&self, max_line: usize) -> Incoming<'_> {
+        match self {
+            LineItem::Line(line) => Incoming::Line(line),
+            LineItem::Oversized => Incoming::Oversized(max_line),
+        }
+    }
 }
 
 /// A queued request: the line, its global arrival sequence and arrival
@@ -1853,8 +1781,9 @@ pub struct ServeOpts {
     /// Admission queue capacity (`0` = unbounded).
     pub queue: usize,
     /// When set, the dispatcher polls this flag between batches and
-    /// runs a registry reload when it is raised (the SIGHUP hook).
-    pub reload_signal: Option<Arc<AtomicBool>>,
+    /// runs a registry reload when it is raised (the flag a SIGHUP
+    /// handler raises).
+    pub reload_signal: Option<&'static AtomicBool>,
 }
 
 impl Default for ServeOpts {
@@ -1873,7 +1802,6 @@ impl Default for ServeOpts {
 pub struct ServeShared {
     engine: Arc<ServeEngine>,
     admission: Arc<Admission>,
-    seq: Arc<AtomicU64>,
     jobs: Sender<Job>,
     max_line: usize,
 }
@@ -1889,7 +1817,6 @@ impl ServeShared {
         ServeShared {
             engine,
             admission,
-            seq: Arc::new(AtomicU64::new(0)),
             jobs,
             max_line,
         }
@@ -1959,19 +1886,6 @@ pub fn read_lines_bounded<R: Read>(
     }
 }
 
-fn process_job(
-    engine: &ServeEngine,
-    item: &LineItem,
-    seq: u64,
-    arrival: Instant,
-    max_line: usize,
-) -> Reply {
-    match item {
-        LineItem::Line(l) => engine.handle_timed_sealed(l, seq, arrival),
-        LineItem::Oversized => engine.handle_oversized_sealed(seq, max_line),
-    }
-}
-
 /// After the shutdown ack: answer every job already admitted (plus a
 /// short grace window for readers that raced the drain flag), then
 /// abandon the queue. Every drained job still gets its typed response —
@@ -1982,15 +1896,10 @@ fn drain_remaining(
     admission: &Admission,
     max_line: usize,
 ) {
-    loop {
-        match jobs.recv_timeout(DRAIN_GRACE) {
-            Ok(job) => {
-                admission.leave();
-                let reply = process_job(engine, &job.item, job.seq, job.arrival, max_line);
-                let _ = job.reply.send(reply);
-            }
-            Err(_) => return,
-        }
+    while let Ok(job) = jobs.recv_timeout(DRAIN_GRACE) {
+        admission.leave();
+        let reply = engine.answer(job.item.incoming(max_line), job.seq, job.arrival);
+        let _ = job.reply.send(reply);
     }
 }
 
@@ -2008,7 +1917,7 @@ pub fn run_batcher(
 ) {
     let batch = opts.batch.max(1);
     loop {
-        if let Some(signal) = &opts.reload_signal {
+        if let Some(signal) = opts.reload_signal {
             if signal.swap(false, Ordering::SeqCst) {
                 let report = engine.reload();
                 eprintln!("pv-serve: SIGHUP {}", report.summary_line());
@@ -2030,17 +1939,15 @@ pub fn run_batcher(
             admission.leave();
         }
         pv_obs::counter_inc!("pv.serve.batch");
-        let work: Vec<(&LineItem, u64, Instant)> = pending
+        let results: Vec<Reply> = pending
             .iter()
-            .map(|j| (&j.item, j.seq, j.arrival))
-            .collect();
-        let results: Vec<Reply> = work
+            .collect::<Vec<&Job>>()
             .into_par_iter()
-            .map(|(item, seq, arrival)| process_job(engine, item, seq, arrival, opts.max_line))
+            .map(|job| engine.answer(job.item.incoming(opts.max_line), job.seq, job.arrival))
             .collect();
         let mut saw_shutdown = false;
         for (job, reply) in pending.iter().zip(results) {
-            saw_shutdown |= reply.shutdown;
+            saw_shutdown |= reply.outcome == Outcome::Shutdown;
             // A vanished client already closed its reply channel; fine.
             let _ = job.reply.send(reply);
         }
@@ -2075,32 +1982,33 @@ where
     let ServeShared {
         engine,
         admission,
-        seq,
         jobs,
         max_line,
     } = shared;
     std::thread::spawn(move || {
         let _ = read_lines_bounded(reader, max_line, |item| {
-            let seq = seq.fetch_add(1, Ordering::SeqCst);
+            let seq = engine.next_seq();
             let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
             if slots_tx.send(reply_rx).is_err() {
                 return false; // Writer is gone; stop reading.
             }
-            let immediate = if engine.is_draining() {
-                Some(engine.handle_draining())
+            let rejection = if engine.is_draining() {
+                Some(Incoming::Draining)
             } else if engine.plan().sheds_at(seq) {
-                Some(engine.handle_shed(format!("injected shed at arrival sequence {seq}")))
+                Some(Incoming::Shed(format!(
+                    "injected shed at arrival sequence {seq}"
+                )))
             } else if !admission.try_enter() {
-                Some(engine.handle_shed(format!(
+                Some(Incoming::Shed(format!(
                     "admission queue full ({} queued)",
                     admission.capacity()
                 )))
             } else {
                 None
             };
-            match immediate {
-                Some((response, outcome)) => {
-                    let _ = reply_tx.send(engine.seal_immediate(response, outcome, seq));
+            match rejection {
+                Some(incoming) => {
+                    let _ = reply_tx.send(engine.answer(incoming, seq, Instant::now()));
                     true
                 }
                 None => jobs
@@ -2121,7 +2029,7 @@ where
             return Ok(false);
         };
         let write_start = Instant::now();
-        if reply.shutdown {
+        if reply.outcome == Outcome::Shutdown {
             // Best-effort ack: the client may legitimately hang up the
             // moment it has read the ack bytes, racing our trailing
             // newline/flush into an EPIPE. The daemon is coming down
@@ -2236,6 +2144,12 @@ mod tests {
         (ServeEngine::from_models(models), key, corpus)
     }
 
+    /// Answers `incoming` as arrival `seq`, arriving now.
+    fn answered(engine: &ServeEngine, incoming: Incoming<'_>, seq: u64) -> (String, Outcome) {
+        let reply = engine.answer(incoming, seq, Instant::now());
+        (reply.text, reply.outcome)
+    }
+
     fn request_line(key: u64, profile: &Profile) -> String {
         format!(
             "{{\"model\": \"{key:016x}\", \"profile\": {}, \"n_samples\": 50, \"sample_seed\": 1}}",
@@ -2301,12 +2215,12 @@ mod tests {
             "{{\"id\": 42, \"model\": \"{key:016x}\", \"profile\": {}}}",
             serde_json::to_string(&profile).expect("json")
         );
-        let (resp, outcome) = engine.handle_timed(&line, 0, Instant::now());
+        let (resp, outcome) = answered(&engine, Incoming::Line(&line), 0);
         assert_eq!(outcome, Outcome::Timeout, "{resp}");
         assert!(resp.contains("timeout"), "{resp}");
         assert!(resp.contains("42"), "{resp}");
         // Ops are exempt from the deadline.
-        let (resp, outcome) = engine.handle_timed("{\"op\": \"health\"}", 1, Instant::now());
+        let (resp, outcome) = answered(&engine, Incoming::Line("{\"op\": \"health\"}"), 1);
         assert_eq!(outcome, Outcome::Health, "{resp}");
     }
 
@@ -2320,12 +2234,12 @@ mod tests {
         let line = request_line(key, &profile);
         // Un-faulted sequence: well within the deadline.
         let started = Instant::now();
-        let (_, outcome) = engine.handle_timed(&line, 4, Instant::now());
+        let (_, outcome) = answered(&engine, Incoming::Line(&line), 4);
         assert_eq!(outcome, Outcome::Ok);
         // Faulted sequence: a day of virtual delay versus an hour of
         // deadline — times out, but only ~SLOW_FAULT_REAL_CAP of real
         // time passes.
-        let (resp, outcome) = engine.handle_timed(&line, 5, Instant::now());
+        let (resp, outcome) = answered(&engine, Incoming::Line(&line), 5);
         assert_eq!(outcome, Outcome::Timeout, "{resp}");
         assert!(started.elapsed() < Duration::from_secs(30));
     }
@@ -2354,13 +2268,13 @@ mod tests {
     #[test]
     fn shed_and_draining_responses_are_typed() {
         let (engine, _, _) = tiny_engine();
-        let (resp, outcome) = engine.handle_shed("queue full".into());
+        let (resp, outcome) = answered(&engine, Incoming::Shed("queue full".into()), 0);
         assert_eq!(outcome, Outcome::Overloaded);
         assert!(resp.contains("overloaded"), "{resp}");
         assert!(!engine.is_draining());
         engine.begin_drain();
         assert!(engine.is_draining());
-        let (resp, outcome) = engine.handle_draining();
+        let (resp, outcome) = answered(&engine, Incoming::Draining, 1);
         assert_eq!(outcome, Outcome::Draining);
         assert!(resp.contains("draining"), "{resp}");
     }
@@ -2523,10 +2437,14 @@ mod tests {
         let profile = Profile::from_runs(&corpus.benchmarks[0].runs, 10).expect("profile");
         let line = request_line(key, &profile);
         for seq in 0..3 {
-            let reply = engine.handle_timed_sealed(&line, seq, Instant::now());
+            let reply = engine.answer(Incoming::Line(&line), seq, Instant::now());
             assert!(reply.text.contains("\"ok\":true"), "{}", reply.text);
         }
-        let reply = engine.handle_timed_sealed("{\"op\": \"stats\", \"id\": 8}", 3, Instant::now());
+        let reply = engine.answer(
+            Incoming::Line("{\"op\": \"stats\", \"id\": 8}"),
+            3,
+            Instant::now(),
+        );
         let doc = parse(&reply.text);
         assert_eq!(get(&doc, "ok"), &Content::Bool(true), "{doc:?}");
         assert_eq!(get_str(&doc, "op"), "stats");
@@ -2552,7 +2470,7 @@ mod tests {
         assert_eq!(engine.telemetry().total_outcome(Outcome::Stats), 1);
         // The deadline never applies to stats.
         let engine2 = ServeEngine::from_models(HashMap::new()).with_deadline(Some(Duration::ZERO));
-        let (resp, outcome) = engine2.handle_timed("{\"op\": \"stats\"}", 0, Instant::now());
+        let (resp, outcome) = answered(&engine2, Incoming::Line("{\"op\": \"stats\"}"), 0);
         assert_eq!(outcome, Outcome::Stats, "{resp}");
     }
 
@@ -2563,14 +2481,14 @@ mod tests {
         let engine = Arc::new(engine.with_fault_plan(ServeFaultPlan::none().inject_panic(1)));
         let profile = Profile::from_runs(&corpus.benchmarks[0].runs, 10).expect("profile");
         let line = request_line(key, &profile);
-        let before = engine.handle_timed_sealed(&line, 0, Instant::now());
+        let before = engine.answer(Incoming::Line(&line), 0, Instant::now());
         assert!(before.text.contains("\"ok\":true"), "{}", before.text);
-        let panicked = engine.handle_timed_sealed(&line, 1, Instant::now());
+        let panicked = engine.answer(Incoming::Line(&line), 1, Instant::now());
         let doc = parse(&panicked.text);
         assert_eq!(get(&doc, "ok"), &Content::Bool(false), "{doc:?}");
         assert_eq!(get_str(&doc, "error.kind"), "panic", "{doc:?}");
         // The engine keeps serving bit-identically after the panic.
-        let after = engine.handle_timed_sealed(&line, 2, Instant::now());
+        let after = engine.answer(Incoming::Line(&line), 2, Instant::now());
         assert_eq!(before.text, after.text);
         assert_eq!(engine.telemetry().total_requests(), 3);
         assert_eq!(engine.telemetry().total_outcome(Outcome::Error), 1);
@@ -2589,11 +2507,11 @@ mod tests {
         let profile = Profile::from_runs(&corpus.benchmarks[0].runs, 10).expect("profile");
         let line = request_line(key, &profile);
         for seq in 0..4 {
-            engine.handle_timed_sealed(&line, seq, Instant::now());
+            engine.answer(Incoming::Line(&line), seq, Instant::now());
         }
         // A bad request burns budget; ops never enter the budget.
-        engine.handle_timed_sealed("this is not json", 4, Instant::now());
-        engine.handle_timed_sealed("{\"op\": \"health\"}", 5, Instant::now());
+        engine.answer(Incoming::Line("this is not json"), 4, Instant::now());
+        engine.answer(Incoming::Line("{\"op\": \"health\"}"), 5, Instant::now());
         let (health, _) = engine.handle_line("{\"op\": \"health\"}");
         let doc = parse(&health);
         assert_eq!(get_u64(&doc, "slo.target_ms"), 3_600_000, "{doc:?}");
@@ -2623,7 +2541,11 @@ mod tests {
                 .with_telemetry(telemetry),
         );
         let profile = Profile::from_runs(&corpus.benchmarks[0].runs, 10).expect("profile");
-        let reply = engine.handle_timed_sealed(&request_line(key, &profile), 0, Instant::now());
+        let reply = engine.answer(
+            Incoming::Line(&request_line(key, &profile)),
+            0,
+            Instant::now(),
+        );
         assert!(reply.text.contains("\"ok\":true"), "{}", reply.text);
         let doc = parse(&engine.stats_json());
         assert_eq!(get_u64(&doc, "slo.eligible"), 1, "{doc:?}");
@@ -2648,8 +2570,7 @@ mod tests {
         let engine = Arc::new(engine.with_telemetry(telemetry));
         assert!(!dump.exists(), "recorder must not dump before an anomaly");
         for seq in 0..2 {
-            let (text, outcome) = engine.handle_shed("queue full".into());
-            engine.seal_immediate(text, outcome, seq);
+            engine.answer(Incoming::Shed("queue full".into()), seq, Instant::now());
         }
         assert!(dump.exists(), "two sheds in 10s must trip the recorder");
         let first = std::fs::read_to_string(&dump).expect("dump");
@@ -2665,8 +2586,7 @@ mod tests {
         assert_eq!(get_u64(&ring[1], "seq"), 1);
         // The latch is one-shot: later anomalies never overwrite the
         // first post-mortem.
-        let (text, outcome) = engine.handle_shed("queue full".into());
-        engine.seal_immediate(text, outcome, 2);
+        engine.answer(Incoming::Shed("queue full".into()), 2, Instant::now());
         engine.telemetry().trip_recorder("reload-failed", 9);
         assert_eq!(std::fs::read_to_string(&dump).expect("dump"), first);
         let _ = std::fs::remove_file(&dump);
@@ -2688,9 +2608,9 @@ mod tests {
         let line = request_line(key, &profile);
         // finish() logs the measured write time; a dropped handle (the
         // client vanished) still logs its line with write_ns 0.
-        let finished = engine.handle_timed_sealed(&line, 0, Instant::now());
+        let finished = engine.answer(Incoming::Line(&line), 0, Instant::now());
         finished.record.expect("record").finish(77);
-        let dropped = engine.handle_timed_sealed("not json", 1, Instant::now());
+        let dropped = engine.answer(Incoming::Line("not json"), 1, Instant::now());
         drop(dropped);
         let text = std::fs::read_to_string(&log).expect("access log");
         let entries: Vec<Content> = text.lines().map(parse).collect();
@@ -2710,12 +2630,85 @@ mod tests {
         let _ = std::fs::remove_file(&log);
     }
 
+    /// Every kind of answer — a prediction, a parse failure, an oversized
+    /// line, a shed, a draining rejection, a caught panic and each op —
+    /// is counted and sealed exactly once by `answer`, and `handle_line`
+    /// is sealed like any other line.
+    #[test]
+    fn every_answer_is_sealed_once_through_the_one_funnel() {
+        pv_core::resilience::silence_injected_panics();
+        let log =
+            std::env::temp_dir().join(format!("pv-serve-unit-funnel-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&log);
+        let (engine, key, corpus) = tiny_engine();
+        let telemetry = ServeTelemetry::new(TelemetryOpts {
+            access_log: Some(log.clone()),
+            ..TelemetryOpts::default()
+        })
+        .expect("telemetry");
+        let engine = engine
+            .with_fault_plan(ServeFaultPlan::none().inject_panic(5))
+            .with_telemetry(telemetry);
+        let profile = Profile::from_runs(&corpus.benchmarks[0].runs, 10).expect("profile");
+        let line = request_line(key, &profile);
+        let answers = [
+            (Incoming::Line(&line), Outcome::Ok),
+            (Incoming::Line("this is not json"), Outcome::BadRequest),
+            (Incoming::Oversized(64), Outcome::BadRequest),
+            (Incoming::Shed("queue full".into()), Outcome::Overloaded),
+            (Incoming::Draining, Outcome::Draining),
+            // Arrival 5 is the injected panic.
+            (Incoming::Line(&line), Outcome::Error),
+            (Incoming::Line("{\"op\": \"health\"}"), Outcome::Health),
+            (Incoming::Line("{\"op\": \"stats\"}"), Outcome::Stats),
+            (Incoming::Line("{\"op\": \"reload\"}"), Outcome::Reload),
+            (Incoming::Line("{\"shutdown\": true}"), Outcome::Shutdown),
+        ];
+        for (incoming, expected) in answers {
+            let seq = engine.next_seq();
+            let reply = engine.answer(incoming, seq, Instant::now());
+            assert_eq!(reply.outcome, expected, "arrival {seq}: {}", reply.text);
+        }
+        let t = engine.telemetry();
+        assert_eq!(t.total_requests(), 10);
+        for o in Outcome::ALL {
+            let expected = match o {
+                Outcome::BadRequest => 2,
+                Outcome::NotFound | Outcome::Timeout => 0,
+                _ => 1,
+            };
+            assert_eq!(t.total_outcome(o), expected, "{o:?}");
+        }
+        let logged_reqs = || {
+            let text = std::fs::read_to_string(&log).expect("access log");
+            let mut reqs: Vec<u64> = text.lines().map(|l| get_u64(&parse(l), "req")).collect();
+            let lines = reqs.len();
+            reqs.sort_unstable();
+            reqs.dedup();
+            assert_eq!(reqs.len(), lines, "duplicate req in {text}");
+            lines
+        };
+        assert_eq!(logged_reqs(), 10);
+
+        // handle_line is the same funnel: counted, sealed and logged.
+        let (_, outcome) = engine.handle_line("{\"op\": \"health\"}");
+        assert_eq!(outcome, Outcome::Health);
+        assert_eq!(t.total_requests(), 11);
+        assert_eq!(t.total_outcome(Outcome::Health), 2);
+        assert_eq!(logged_reqs(), 11);
+        let _ = std::fs::remove_file(&log);
+    }
+
     #[test]
     fn telemetry_prometheus_renders_without_a_collector() {
         let (engine, key, corpus) = tiny_engine();
         let engine = Arc::new(engine);
         let profile = Profile::from_runs(&corpus.benchmarks[0].runs, 10).expect("profile");
-        engine.handle_timed_sealed(&request_line(key, &profile), 0, Instant::now());
+        engine.answer(
+            Incoming::Line(&request_line(key, &profile)),
+            0,
+            Instant::now(),
+        );
         let prom = engine.telemetry_prometheus();
         assert!(
             prom.contains("pv_serve_request 1"),

@@ -632,14 +632,6 @@ impl<'a> FoldView<'a> {
     pub fn query(&self) -> &[f64] {
         &self.query
     }
-
-    /// Consumes the view, feeding every training row to `sink` in order.
-    ///
-    /// # Errors
-    /// Propagates row-production and sink failures.
-    pub fn visit_rows(self, sink: &mut RowSink<'_>) -> Result<(), StatsError> {
-        (self.visit)(sink)
-    }
 }
 
 /// Ground truth for scoring one fold.

@@ -20,13 +20,12 @@
 //! * [`forest`] — bagged random forests, trained in parallel with rayon,
 //! * [`gbt`] — gradient-boosted trees with XGBoost-style L2-regularized
 //!   leaf weights and shrinkage,
-//! * [`cv`] — leave-one-group-out and k-fold cross-validation,
-//! * [`metrics`] — MSE / MAE / R².
+//! * [`importance`] — impurity and permutation feature importances,
+//! * [`metrics`] — mean squared error.
 //!
 //! All models implement the [`Regressor`] trait so the prediction
 //! pipelines in `pv-core` can swap them freely.
 
-pub mod cv;
 pub mod dataset;
 pub mod distance;
 pub mod forest;

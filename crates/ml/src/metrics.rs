@@ -44,48 +44,6 @@ pub fn mse(truth: &DenseMatrix, pred: &DenseMatrix) -> Result<f64> {
         / n)
 }
 
-/// Mean absolute error over every (row, output) cell.
-///
-/// # Errors
-/// Fails on shape mismatch or empty input.
-pub fn mae(truth: &DenseMatrix, pred: &DenseMatrix) -> Result<f64> {
-    check_shapes("mae", truth, pred)?;
-    let n = (truth.rows() * truth.cols()) as f64;
-    Ok(truth
-        .as_slice()
-        .iter()
-        .zip(pred.as_slice())
-        .map(|(t, p)| (t - p).abs())
-        .sum::<f64>()
-        / n)
-}
-
-/// Coefficient of determination, averaged across outputs
-/// (scikit-learn's `uniform_average` convention). Constant-truth columns
-/// contribute R² = 0 unless predicted exactly.
-///
-/// # Errors
-/// Fails on shape mismatch or empty input.
-pub fn r2(truth: &DenseMatrix, pred: &DenseMatrix) -> Result<f64> {
-    check_shapes("r2", truth, pred)?;
-    let mut acc = 0.0;
-    for c in 0..truth.cols() {
-        let t = truth.column(c);
-        let p = pred.column(c);
-        let mean = t.iter().sum::<f64>() / t.len() as f64;
-        let ss_res: f64 = t.iter().zip(&p).map(|(a, b)| (a - b) * (a - b)).sum();
-        let ss_tot: f64 = t.iter().map(|a| (a - mean) * (a - mean)).sum();
-        acc += if ss_tot > 0.0 {
-            1.0 - ss_res / ss_tot
-        } else if ss_res == 0.0 {
-            1.0
-        } else {
-            0.0
-        };
-    }
-    Ok(acc / truth.cols() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,38 +56,13 @@ mod tests {
     fn perfect_prediction_scores() {
         let t = m(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         assert_eq!(mse(&t, &t).unwrap(), 0.0);
-        assert_eq!(mae(&t, &t).unwrap(), 0.0);
-        assert_eq!(r2(&t, &t).unwrap(), 1.0);
     }
 
     #[test]
-    fn known_mse_and_mae() {
+    fn known_mse() {
         let t = m(&[vec![0.0], vec![0.0]]);
         let p = m(&[vec![1.0], vec![-3.0]]);
         assert!((mse(&t, &p).unwrap() - 5.0).abs() < 1e-12);
-        assert!((mae(&t, &p).unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r2_of_mean_prediction_is_zero() {
-        let t = m(&[vec![1.0], vec![2.0], vec![3.0]]);
-        let p = m(&[vec![2.0], vec![2.0], vec![2.0]]);
-        assert!(r2(&t, &p).unwrap().abs() < 1e-12);
-    }
-
-    #[test]
-    fn r2_can_be_negative_for_bad_models() {
-        let t = m(&[vec![1.0], vec![2.0], vec![3.0]]);
-        let p = m(&[vec![10.0], vec![10.0], vec![10.0]]);
-        assert!(r2(&t, &p).unwrap() < 0.0);
-    }
-
-    #[test]
-    fn r2_constant_truth_convention() {
-        let t = m(&[vec![5.0], vec![5.0]]);
-        assert_eq!(r2(&t, &t).unwrap(), 1.0);
-        let p = m(&[vec![4.0], vec![6.0]]);
-        assert_eq!(r2(&t, &p).unwrap(), 0.0);
     }
 
     #[test]
@@ -137,7 +70,5 @@ mod tests {
         let a = m(&[vec![1.0]]);
         let b = m(&[vec![1.0, 2.0]]);
         assert!(mse(&a, &b).is_err());
-        assert!(mae(&a, &b).is_err());
-        assert!(r2(&a, &b).is_err());
     }
 }

@@ -1,7 +1,6 @@
 //! Property tests for the ML substrate.
 
 use proptest::prelude::*;
-use pv_ml::cv::{k_fold, leave_one_group_out};
 use pv_ml::{
     Dataset, DenseMatrix, Distance, GradientBoostingRegressor, KnnRegressor, RandomForestRegressor,
     Regressor, StandardScaler,
@@ -77,36 +76,6 @@ proptest! {
             for (got, want) in row.iter().zip(data.x.row(r)) {
                 prop_assert!((got - want).abs() < 1e-6 * (1.0 + want.abs()));
             }
-        }
-    }
-
-    #[test]
-    fn logo_splits_are_a_partition(groups in prop::collection::vec(0usize..6, 4..40)) {
-        let distinct: std::collections::BTreeSet<_> = groups.iter().collect();
-        prop_assume!(distinct.len() >= 2);
-        let splits = leave_one_group_out(&groups).unwrap();
-        prop_assert_eq!(splits.len(), distinct.len());
-        let mut seen = vec![0usize; groups.len()];
-        for s in &splits {
-            for &i in &s.test {
-                seen[i] += 1;
-            }
-            for &i in &s.train {
-                prop_assert!(!s.test.contains(&i));
-            }
-        }
-        prop_assert!(seen.iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn kfold_is_a_partition(n in 4usize..60, k in 2usize..6, seed in any::<u64>()) {
-        prop_assume!(k <= n);
-        let splits = k_fold(n, k, Some(seed)).unwrap();
-        let mut all: Vec<usize> = splits.iter().flat_map(|s| s.test.clone()).collect();
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..n).collect::<Vec<_>>());
-        for s in &splits {
-            prop_assert_eq!(s.train.len() + s.test.len(), n);
         }
     }
 }

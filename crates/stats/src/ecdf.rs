@@ -6,8 +6,7 @@ use crate::Result;
 /// An empirical CDF built from a sample.
 ///
 /// Stores the sorted sample; evaluation is a binary search. `Ecdf` is the
-/// common currency of the [KS statistic](crate::ks) and the quantile-based
-/// divergences.
+/// common currency of the [KS statistic](crate::ks).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
@@ -60,7 +59,7 @@ impl Ecdf {
     }
 
     /// Evaluates the ECDF on a regular grid of `m` points spanning
-    /// `[lo, hi]`; useful for plotting and for grid-based divergences.
+    /// `[lo, hi]`; useful for plotting.
     pub fn eval_grid(&self, lo: f64, hi: f64, m: usize) -> Vec<(f64, f64)> {
         (0..m)
             .map(|i| {

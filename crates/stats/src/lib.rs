@@ -12,8 +12,6 @@
 //!   bandwidths — the paper visualizes every distribution as a KDE,
 //! * [empirical CDFs](ecdf) and the [Kolmogorov–Smirnov statistic](ks) —
 //!   the paper's accuracy metric,
-//! * extra [divergences](divergence) (Wasserstein-1, Jensen–Shannon,
-//!   Hellinger, total variation) used by the ablation benches,
 //! * [random samplers](samplers) for the standard distribution families
 //!   (normal, gamma, beta, Student-t, …) needed by the Pearson system and
 //!   the system simulator,
@@ -38,11 +36,9 @@
 pub mod bootstrap;
 pub mod correlation;
 pub mod descriptive;
-pub mod divergence;
 pub mod ecdf;
 pub mod error;
 pub mod fingerprint;
-pub mod gof;
 pub mod histogram;
 pub mod kde;
 pub mod kernel;

@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 use pv_stats::correlation::cosine_similarity;
 use pv_stats::descriptive::{quantile, FiveNumber};
-use pv_stats::divergence::wasserstein1;
 use pv_stats::ecdf::Ecdf;
 use pv_stats::histogram::Histogram;
 use pv_stats::ks::{kolmogorov_sf, ks2_statistic};
@@ -121,21 +120,6 @@ proptest! {
     fn kolmogorov_sf_is_decreasing(l1 in 0.0..4.0f64, l2 in 0.0..4.0f64) {
         let (lo, hi) = if l1 <= l2 { (l1, l2) } else { (l2, l1) };
         prop_assert!(kolmogorov_sf(lo) >= kolmogorov_sf(hi) - 1e-12);
-    }
-
-    #[test]
-    fn wasserstein_properties(a in sample(60), b in sample(60)) {
-        let w = wasserstein1(&a, &b).unwrap();
-        prop_assert!(w >= 0.0);
-        prop_assert!((w - wasserstein1(&b, &a).unwrap()).abs() < 1e-9 * (1.0 + w));
-        prop_assert!(wasserstein1(&a, &a).unwrap().abs() < 1e-12);
-    }
-
-    #[test]
-    fn wasserstein_shift_equivariance(a in sample(60), shift in -1e3..1e3f64) {
-        let shifted: Vec<f64> = a.iter().map(|x| x + shift).collect();
-        let w = wasserstein1(&a, &shifted).unwrap();
-        prop_assert!((w - shift.abs()).abs() < 1e-6 * (1.0 + shift.abs()));
     }
 
     #[test]

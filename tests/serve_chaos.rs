@@ -804,3 +804,83 @@ fn injected_panic_is_survived_typed_and_trips_the_recorder() {
     assert_eq!(counter(&metrics, "pv.serve.recorder.trip"), 1);
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// SIGHUP reloads the registry like `{"op": "reload"}`: a model sealed
+/// into the live directory after startup shows up in the health probe
+/// without a restart, and the daemon still shuts down cleanly.
+#[test]
+fn sighup_reloads_a_model_sealed_after_startup() {
+    use std::os::unix::net::UnixStream;
+
+    // glibc is already linked; declare `kill` directly rather than
+    // growing a libc dependency for one call.
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGHUP: i32 = 1;
+
+    let dir = tmp_dir("sighup");
+    let (corpus, _) = seed_registry(&dir);
+    let socket = dir.join("pv-serve.sock");
+    let child = Command::new(serve_binary())
+        .args(["--registry"])
+        .arg(&dir)
+        .args(["--socket"])
+        .arg(&socket)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn pv-serve");
+    // The handler is installed before the socket is bound.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !socket.exists() {
+        assert!(Instant::now() < deadline, "socket never appeared");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let registry = ModelRegistry::new(&dir);
+    let cfg_b = FewRunsConfig {
+        n_profile_runs: 7,
+        ..cfg()
+    };
+    let include: Vec<usize> = (0..corpus.len()).collect();
+    let trained_b = FewRunsPredictor::train(&corpus, &include, cfg_b).expect("train b");
+    registry
+        .store(
+            corpus_fingerprint(&corpus),
+            &Artifact::FewRuns(trained_b.to_artifact()),
+        )
+        .expect("store b");
+
+    // SAFETY: `kill` only sends a signal to the child we spawned.
+    let sent = unsafe { kill(child.id() as i32, SIGHUP) };
+    assert_eq!(sent, 0, "kill -HUP failed");
+
+    let stream = UnixStream::connect(&socket).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        writer.write_all(b"{\"op\": \"health\"}\n").expect("write");
+        writer.flush().expect("flush");
+        let mut health = String::new();
+        reader.read_line(&mut health).expect("read health");
+        if health.matches("\"model\":").count() == 2 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "SIGHUP never reloaded the second model: {health}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    writer.write_all(b"{\"shutdown\": true}\n").expect("write");
+    writer.flush().expect("flush");
+    let mut ack = String::new();
+    reader.read_line(&mut ack).expect("read ack");
+    assert!(ack.contains("\"shutdown\":true"), "{ack}");
+    wait_exit_ok(child);
+    let _ = fs::remove_dir_all(&dir);
+}
