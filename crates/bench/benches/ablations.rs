@@ -19,7 +19,7 @@ fn problem(n: usize, d: usize, t: usize, seed: u64) -> Dataset {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     let x: Vec<f64> = (0..n * d).map(|_| rng.gen()).collect();
     let y: Vec<f64> = (0..n * t).map(|_| rng.gen()).collect();
-    Dataset::ungrouped(
+    Dataset::new(
         DenseMatrix::from_flat(n, d, x).unwrap(),
         DenseMatrix::from_flat(n, t, y).unwrap(),
     )

@@ -91,7 +91,7 @@ fn bench_forest_split_kernels(c: &mut Criterion) {
                     .sum::<f64>()]
             })
             .collect();
-        let data = Dataset::ungrouped(
+        let data = Dataset::new(
             DenseMatrix::from_rows(&x).unwrap(),
             DenseMatrix::from_rows(&y).unwrap(),
         )

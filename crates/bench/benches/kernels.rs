@@ -1,25 +1,25 @@
-//! Benchmarks for the vectorized kernel layer (`pv_stats::kernel`,
-//! `pv_ml::kernel`): chunked-lane primitives against scalar
-//! element-order references, and the blocked batch-kNN scoring path
-//! against row-at-a-time scalar scoring.
+//! Benchmarks for the vectorized kernel layer (`pv_stats::kernel` and
+//! the `pv_ml::distance` metrics built on it): chunked-lane primitives
+//! against scalar element-order references, and cosine kNN scoring —
+//! the cached-norm chunked row scan `KnnRegressor::neighbors` runs —
+//! against a row-at-a-time scalar loop.
 //!
 //! Fixed sample counts (`sample_size`) so successive runs measure the
 //! same work and the headline ratio below is reproducible.
 //!
-//! Headline (release, this container, 59 queries × 472 train × 272
-//! features, k = 15): batched cosine kNN scoring
-//! (`knn_score/batch_59q_472t`) runs **≥ 2×** faster than the
-//! row-at-a-time scalar loop (`knn_score/scalar_rows_59q_472t`) —
-//! measured ~2.0–2.7× across runs (scalar ~6.0–6.6 ms vs batch
-//! ~2.4–3.0 ms per pass; the cached-norm chunked row loop sits in
-//! between at ~3.0 ms). The `kernel_parity` tier pins that all paths
-//! select bit-identical neighbour sets.
+//! Headline (release, 2 vCPUs, 59 queries × 472 train × 272 features,
+//! k = 15, three runs; the stub reports [min mean max]): the chunked
+//! row scan (`knn_score/chunked_rows_59q_472t`, mean 2.69–2.98 ms, min
+//! 2.64–2.67 ms) runs ~2.0× faster than the scalar loop
+//! (`knn_score/scalar_rows_59q_472t`, mean 5.47–5.84 ms, min
+//! 5.17–5.32 ms): 1.96–2.03× on the means, 1.96–1.99× on the minima.
+//! The `kernel_parity` tier pins that both cosine routes are
+//! bit-identical.
 
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pv_ml::distance::{cosine_with_sq_norms, squared_norm};
-use pv_ml::kernel::{cosine_distance_matrix, TILE_Q, TILE_T};
 use pv_ml::DenseMatrix;
 use pv_stats::kernel::{central_sums4, dot4, sum4};
 use pv_stats::ks::{ks2_statistic, ks2_statistic_presorted};
@@ -80,7 +80,7 @@ fn bench_primitives(c: &mut Criterion) {
 
 fn bench_knn_scoring(c: &mut Criterion) {
     // The evaluation's fold shape, scaled up: score every query against
-    // every training row and keep the k best. Three variants over the
+    // every training row and keep the k best. Two variants over the
     // identical pair space — the headline ratio in the file header.
     let mut g = c.benchmark_group("knn_score");
     g.warm_up_time(Duration::from_millis(500));
@@ -114,24 +114,6 @@ fn bench_knn_scoring(c: &mut Criterion) {
                 let qn = squared_norm(qrow);
                 let mut dists: Vec<(usize, f64)> = (0..nt)
                     .map(|r| (r, cosine_with_sq_norms(qrow, train.row(r), qn, tn[r])))
-                    .collect();
-                dists.select_nth_unstable_by(k - 1, |x, y| x.1.total_cmp(&y.1).then(x.0.cmp(&y.0)));
-                out += dists[k - 1].0;
-            }
-            out
-        })
-    });
-
-    g.bench_function("batch_59q_472t", |bch| {
-        bch.iter(|| {
-            let qn: Vec<f64> = (0..nq).map(|r| squared_norm(queries.row(r))).collect();
-            let dmat = cosine_distance_matrix(&queries, &qn, &train, &tn, TILE_Q, TILE_T);
-            let mut out = 0usize;
-            for q in 0..nq {
-                let mut dists: Vec<(usize, f64)> = dmat[q * nt..(q + 1) * nt]
-                    .iter()
-                    .copied()
-                    .enumerate()
                     .collect();
                 dists.select_nth_unstable_by(k - 1, |x, y| x.1.total_cmp(&y.1).then(x.0.cmp(&y.0)));
                 out += dists[k - 1].0;

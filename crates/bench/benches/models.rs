@@ -50,7 +50,7 @@ fn problem(n: usize, d: usize, t: usize, seed: u64) -> Dataset {
             y.push(latent * (k + 1) as f64 + 0.1 * rng.gen::<f64>());
         }
     }
-    Dataset::ungrouped(
+    Dataset::new(
         DenseMatrix::from_flat(n, d, x).unwrap(),
         DenseMatrix::from_flat(n, t, y).unwrap(),
     )

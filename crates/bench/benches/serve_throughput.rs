@@ -12,7 +12,7 @@
 //! the three engines.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -25,61 +25,81 @@ use pv_core::{corpus_fingerprint, ModelKind, Profile, ReprKind};
 use pv_sysmodel::{Corpus, SystemModel};
 use rayon::prelude::*;
 
+/// The telemetry engine's scratch directory (access log and flight
+/// recorder), removed when dropped — when the bench ends, panics
+/// included.
+struct Scratch(PathBuf);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Three engines (plain, resilience-enabled, and full-telemetry) plus a
-/// ring of pre-rendered request lines, trained once per process. 200
-/// runs per benchmark keeps setup to a few seconds while leaving the
-/// serving path identical to production.
-fn fixture() -> &'static (ServeEngine, ServeEngine, ServeEngine, Vec<String>) {
-    static FIXTURE: OnceLock<(ServeEngine, ServeEngine, ServeEngine, Vec<String>)> =
-        OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let corpus = Corpus::collect(&SystemModel::intel(), 200, CAMPAIGN_SEED);
-        let cfg = uc1_config(ReprKind::PearsonRnd, ModelKind::Knn, 10);
-        let include: Vec<usize> = (0..corpus.len()).collect();
-        let predictor = FewRunsPredictor::train(&corpus, &include, cfg).expect("train");
-        let key =
-            artifact_key(corpus_fingerprint(&corpus), &CellConfig::FewRuns(cfg)).expect("key");
-        let engine_for = |p: FewRunsPredictor| {
-            let mut models = HashMap::new();
-            models.insert(key, ServedModel::FewRuns(p));
-            ServeEngine::from_models(models)
-        };
-        let twin = || {
-            FewRunsPredictor::from_artifact(predictor.to_artifact()).expect("artifact roundtrip")
-        };
-        let resilient = engine_for(twin()).with_deadline(Some(Duration::from_secs(5)));
-        // The full telemetry plane as an operator would run it: rolling
-        // windows (always on), an SLO budget, the flight recorder, and
-        // a real JSONL access log on disk.
-        let scratch =
-            std::env::temp_dir().join(format!("pv-serve-throughput-{}", std::process::id()));
-        let _ = std::fs::create_dir_all(&scratch);
-        let telemetry = ServeTelemetry::new(TelemetryOpts {
-            access_log: Some(scratch.join("access.jsonl")),
-            slo: Some(Duration::from_millis(250)),
-            recorder: Some(scratch.join("flight.jsonl")),
-            ..TelemetryOpts::default()
-        })
-        .expect("telemetry");
-        let telemetered = engine_for(twin())
-            .with_deadline(Some(Duration::from_secs(5)))
-            .with_telemetry(telemetry);
-        let engine = engine_for(predictor);
-        let lines: Vec<String> = corpus
-            .benchmarks
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                let profile = Profile::from_runs(&b.runs, 10).expect("profile");
-                format!(
-                    "{{\"id\": {i}, \"model\": \"{key:016x}\", \"profile\": {}, \
-                     \"n_samples\": 100, \"sample_seed\": {i}}}",
-                    serde_json::to_string(&profile).expect("json")
-                )
-            })
-            .collect();
-        (engine, resilient, telemetered, lines)
+/// ring of pre-rendered request lines. 200 runs per benchmark keeps
+/// setup to a few seconds while leaving the serving path identical to
+/// production. Fields drop in order, so the engines are gone before
+/// their scratch directory is removed.
+struct Fixture {
+    engine: ServeEngine,
+    resilient: ServeEngine,
+    telemetered: ServeEngine,
+    lines: Vec<String>,
+    _scratch: Scratch,
+}
+
+fn fixture() -> Fixture {
+    let corpus = Corpus::collect(&SystemModel::intel(), 200, CAMPAIGN_SEED);
+    let cfg = uc1_config(ReprKind::PearsonRnd, ModelKind::Knn, 10);
+    let include: Vec<usize> = (0..corpus.len()).collect();
+    let predictor = FewRunsPredictor::train(&corpus, &include, cfg).expect("train");
+    let key = artifact_key(corpus_fingerprint(&corpus), &CellConfig::FewRuns(cfg)).expect("key");
+    let engine_for = |p: FewRunsPredictor| {
+        let mut models = HashMap::new();
+        models.insert(key, ServedModel::FewRuns(p));
+        ServeEngine::from_models(models)
+    };
+    let twin =
+        || FewRunsPredictor::from_artifact(predictor.to_artifact()).expect("artifact roundtrip");
+    let resilient = engine_for(twin()).with_deadline(Some(Duration::from_secs(5)));
+    // The full telemetry plane as an operator would run it: rolling
+    // windows (always on), an SLO budget, the flight recorder, and
+    // a real JSONL access log on disk.
+    let scratch =
+        Scratch(std::env::temp_dir().join(format!("pv-serve-throughput-{}", std::process::id())));
+    let _ = std::fs::create_dir_all(&scratch.0);
+    let telemetry = ServeTelemetry::new(TelemetryOpts {
+        access_log: Some(scratch.0.join("access.jsonl")),
+        slo: Some(Duration::from_millis(250)),
+        recorder: Some(scratch.0.join("flight.jsonl")),
+        ..TelemetryOpts::default()
     })
+    .expect("telemetry");
+    let telemetered = engine_for(twin())
+        .with_deadline(Some(Duration::from_secs(5)))
+        .with_telemetry(telemetry);
+    let engine = engine_for(predictor);
+    let lines: Vec<String> = corpus
+        .benchmarks
+        .iter()
+        .enumerate()
+        .map(|(i, b)| {
+            let profile = Profile::from_runs(&b.runs, 10).expect("profile");
+            format!(
+                "{{\"id\": {i}, \"model\": \"{key:016x}\", \"profile\": {}, \
+                 \"n_samples\": 100, \"sample_seed\": {i}}}",
+                serde_json::to_string(&profile).expect("json")
+            )
+        })
+        .collect();
+    Fixture {
+        engine,
+        resilient,
+        telemetered,
+        lines,
+        _scratch: scratch,
+    }
 }
 
 /// Answers a batch across the rayon pool the way the daemon's batcher
@@ -103,7 +123,9 @@ fn answer_batch(engine: &ServeEngine, batch: &[&str]) -> usize {
 }
 
 fn bench_serve_throughput(c: &mut Criterion) {
-    let (engine, resilient, telemetered, lines) = fixture();
+    let fx = fixture();
+    let (engine, resilient, telemetered, lines) =
+        (&fx.engine, &fx.resilient, &fx.telemetered, &fx.lines);
     let batch: Vec<&str> = (0..64).map(|i| lines[i % lines.len()].as_str()).collect();
     // Bare; with the resilience layer (per-request deadline checks);
     // and with the full telemetry plane (windows + SLO + recorder +

@@ -82,13 +82,11 @@ pub fn evaluate_knn_variant_encoded(
                 y_dim,
                 query,
                 move |sink| {
-                    for (rank, &i) in include.iter().enumerate() {
-                        // The historical loop used `Dataset::ungrouped`, so
-                        // groups are include ranks, not benchmark indices.
+                    for &i in &include {
                         sink(
                             enc.profile(s, i, 0)?,
                             enc.target(ReprKind::PearsonRnd, i)?,
-                            rank,
+                            i,
                         )?;
                     }
                     Ok(())
@@ -185,7 +183,7 @@ mod tests {
                 let mut scaler = StandardScaler::new();
                 let x = scaler.fit_transform(&x).unwrap();
                 let mut model = KnnRegressor::new(k).with_distance(distance);
-                model.fit(&Dataset::ungrouped(x, y).unwrap()).unwrap();
+                model.fit(&Dataset::new(x, y).unwrap()).unwrap();
                 let mut q = features[held].clone();
                 scaler.transform_row(&mut q).unwrap();
                 let predicted_features = model.predict(&q).unwrap();

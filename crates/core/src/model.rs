@@ -193,7 +193,7 @@ mod tests {
         ])
         .unwrap();
         let y = DenseMatrix::from_rows(&[vec![1.0], vec![2.0], vec![1.5], vec![1.2]]).unwrap();
-        Dataset::ungrouped(x, y).unwrap()
+        Dataset::new(x, y).unwrap()
     }
 
     #[test]

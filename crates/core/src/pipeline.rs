@@ -571,14 +571,16 @@ pub enum SeedMode {
     Shared,
 }
 
-/// Row consumer fed by a [`FoldView`]: `(x_row, y_row, group)` per
-/// training row, in training order.
+/// Row consumer fed by a [`FoldView`]: `(x_row, y_row, _)` per training
+/// row, in training order. The third argument is ignored (datasets carry
+/// no group labels); it stays only because the frozen benchmark replay in
+/// `perfbench/` passes one, and goes at the next benchmark change.
 pub type RowSink<'s> = dyn FnMut(&[f64], &[f64], usize) -> Result<(), StatsError> + 's;
 
 /// A streaming view over one fold's training rows.
 ///
 /// The assemble closure declares the fold's shape up front and hands the
-/// runner a visitor that yields `(x_row, y_row, group)` triples borrowed
+/// runner a visitor that yields `(x_row, y_row)` pairs borrowed
 /// from whatever cache backs the fold — a [`ShardedCorpus`]'s row table
 /// (an [`EncodedCorpus`]'s included), or an [`EncodedShard`]. The runner
 /// materializes the fold matrix exactly once, while visiting; no
@@ -733,14 +735,13 @@ impl FoldRunner<'_> {
         // fit-on-borrows-then-copy).
         let mut x_flat = Vec::with_capacity(n_rows * x_dim);
         let mut y_flat = Vec::with_capacity(n_rows * y_dim);
-        let mut groups = Vec::with_capacity(n_rows);
-        let mut sink = |x_row: &[f64], y_row: &[f64], group: usize| {
+        let mut visited = 0;
+        let mut sink = |x_row: &[f64], y_row: &[f64], _: usize| {
             if x_row.len() != x_dim || y_row.len() != y_dim {
                 return Err(StatsError::invalid(
                     "FoldRunner",
                     format!(
-                        "fold {held} row {}: {}×{} features/targets, expected {x_dim}×{y_dim}",
-                        groups.len(),
+                        "fold {held} row {visited}: {}×{} features/targets, expected {x_dim}×{y_dim}",
                         x_row.len(),
                         y_row.len()
                     ),
@@ -748,17 +749,14 @@ impl FoldRunner<'_> {
             }
             x_flat.extend_from_slice(x_row);
             y_flat.extend_from_slice(y_row);
-            groups.push(group);
+            visited += 1;
             Ok(())
         };
         visit(&mut sink)?;
-        if groups.len() != n_rows {
+        if visited != n_rows {
             return Err(StatsError::invalid(
                 "FoldRunner",
-                format!(
-                    "fold {held} visited {} rows, view declared {n_rows}",
-                    groups.len()
-                ),
+                format!("fold {held} visited {visited} rows, view declared {n_rows}"),
             ));
         }
         let mut x = DenseMatrix::from_flat(n_rows, x_dim, x_flat)?;
@@ -773,7 +771,7 @@ impl FoldRunner<'_> {
             None
         };
         let y = DenseMatrix::from_flat(n_rows, y_dim, y_flat)?;
-        let data = Dataset::new(x, y, groups)?;
+        let data = Dataset::new(x, y)?;
         if let Some(sc) = &scaler {
             sc.transform_row(&mut query)?;
         }
@@ -1049,7 +1047,7 @@ mod tests {
     #[test]
     fn prepare_fold_reads_each_row_exactly_once() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        // Five single-row groups; the view counts how many times the
+        // Five single-row benchmarks; the view counts how many times the
         // runner pulls a row. Both the scaled and unscaled paths must
         // stream every training row exactly once — a second pass would
         // mean a full-matrix copy crept back onto the hot path.

@@ -40,22 +40,6 @@ pub fn sparkline(curve: &[f64]) -> String {
         .collect()
 }
 
-/// Renders a density curve as a multi-row block plot (`height` rows).
-pub fn block_plot(curve: &[f64], height: usize) -> String {
-    let height = height.max(1);
-    let max = curve.iter().cloned().fold(0.0f64, f64::max).max(1e-300);
-    let mut out = String::new();
-    for row in (0..height).rev() {
-        for &y in curve {
-            let level = y / max * height as f64 - row as f64;
-            let idx = (level * 8.0).clamp(0.0, 8.0) as usize;
-            out.push(BLOCKS[idx]);
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Renders measured and predicted distributions on a shared axis: two
 /// sparkline rows plus an axis caption — the textual analogue of the
 /// paper's Fig. 5/9 overlays.
@@ -195,14 +179,6 @@ mod tests {
         assert_eq!(chars.len(), 5);
         assert_eq!(chars[2], '█');
         assert_eq!(chars[0], ' ');
-    }
-
-    #[test]
-    fn block_plot_has_height_rows() {
-        let c = vec![0.1, 0.5, 1.0, 0.5, 0.1];
-        let p = block_plot(&c, 4);
-        assert_eq!(p.lines().count(), 4);
-        assert!(p.lines().all(|l| l.chars().count() == 5));
     }
 
     #[test]

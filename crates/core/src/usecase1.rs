@@ -134,7 +134,6 @@ impl FewRunsPredictor {
         let repr = cfg.repr.build();
         let mut x_rows: Vec<&[f64]> = Vec::with_capacity(include.len() * windows);
         let mut y_rows: Vec<&[f64]> = Vec::with_capacity(include.len() * windows);
-        let mut groups: Vec<usize> = Vec::with_capacity(include.len() * windows);
         for &bi in include {
             if bi >= corpus.len() {
                 return Err(StatsError::invalid("FewRunsPredictor::train", "bad index"));
@@ -143,7 +142,6 @@ impl FewRunsPredictor {
             for w in 0..windows {
                 x_rows.push(enc.profile(s, bi, w)?);
                 y_rows.push(target);
-                groups.push(bi);
             }
         }
         let x = DenseMatrix::from_row_refs(&x_rows)?;
@@ -157,7 +155,7 @@ impl FewRunsPredictor {
         } else {
             (None, x)
         };
-        let data = Dataset::new(x, y, groups)?;
+        let data = Dataset::new(x, y)?;
         let mut model = cfg.model.build_fitted(cfg.seed);
         model.regressor_mut().fit(&data)?;
         Ok(FewRunsPredictor {

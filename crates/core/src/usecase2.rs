@@ -136,7 +136,6 @@ impl CrossSystemPredictor {
         let repr = cfg.repr.build();
         let mut x_rows: Vec<&[f64]> = Vec::with_capacity(include.len());
         let mut y_rows: Vec<&[f64]> = Vec::with_capacity(include.len());
-        let mut groups = Vec::with_capacity(include.len());
         for &bi in include {
             let s = src_corpus
                 .benchmarks
@@ -151,7 +150,6 @@ impl CrossSystemPredictor {
             }
             x_rows.push(src.joined(s_eff, cfg.repr, bi)?);
             y_rows.push(dst.target(cfg.repr, bi)?);
-            groups.push(bi);
         }
         let x = DenseMatrix::from_row_refs(&x_rows)?;
         let y = DenseMatrix::from_row_refs(&y_rows)?;
@@ -164,7 +162,7 @@ impl CrossSystemPredictor {
         } else {
             (None, x)
         };
-        let data = Dataset::new(x, y, groups)?;
+        let data = Dataset::new(x, y)?;
         let mut model = cfg.model.build_fitted(cfg.seed);
         model.regressor_mut().fit(&data)?;
         Ok(CrossSystemPredictor {

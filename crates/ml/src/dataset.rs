@@ -1,4 +1,4 @@
-//! Dense matrices and grouped supervised datasets.
+//! Dense matrices and supervised datasets.
 
 use serde::{Deserialize, Serialize};
 
@@ -97,12 +97,6 @@ impl DenseMatrix {
         })
     }
 
-    /// Borrowing view of a subset of rows — no data is copied until
-    /// [`RowsView::to_matrix`]. Indices may repeat.
-    pub fn view_rows<'m>(&'m self, idx: &'m [usize]) -> RowsView<'m> {
-        RowsView { matrix: self, idx }
-    }
-
     /// A zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         DenseMatrix {
@@ -147,91 +141,32 @@ impl DenseMatrix {
         (0..self.rows).map(|r| self.get(r, c)).collect()
     }
 
-    /// Builds a new matrix from a subset of row indices (rows may repeat —
-    /// bootstrap sampling uses this).
-    pub fn select_rows(&self, idx: &[usize]) -> DenseMatrix {
-        let mut data = Vec::with_capacity(idx.len() * self.cols);
-        for &i in idx {
-            data.extend_from_slice(self.row(i));
-        }
-        DenseMatrix {
-            rows: idx.len(),
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// The flat row-major buffer.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
 }
 
-/// A borrowed row-subset view of a [`DenseMatrix`].
+/// A supervised dataset: features and multi-output targets, one row per
+/// sample.
 ///
-/// Fold training repeatedly needs "all rows except the held-out group";
-/// a view carries only the parent matrix and the index list, deferring
-/// the copy to the one place that truly needs owned data.
-#[derive(Debug, Clone, Copy)]
-pub struct RowsView<'m> {
-    matrix: &'m DenseMatrix,
-    idx: &'m [usize],
-}
-
-impl<'m> RowsView<'m> {
-    /// Number of rows in the view.
-    pub fn rows(&self) -> usize {
-        self.idx.len()
-    }
-
-    /// Number of columns (same as the parent matrix).
-    pub fn cols(&self) -> usize {
-        self.matrix.cols()
-    }
-
-    /// The `i`-th viewed row (borrowed from the parent matrix).
-    pub fn row(&self, i: usize) -> &'m [f64] {
-        self.matrix.row(self.idx[i])
-    }
-
-    /// Iterates the viewed rows in order.
-    pub fn iter(&self) -> impl Iterator<Item = &'m [f64]> + '_ {
-        self.idx.iter().map(|&i| self.matrix.row(i))
-    }
-
-    /// The viewed rows as a slice list (for APIs taking `&[&[f64]]`).
-    pub fn row_slices(&self) -> Vec<&'m [f64]> {
-        self.iter().collect()
-    }
-
-    /// Materializes the view into an owned matrix (the single copy).
-    pub fn to_matrix(&self) -> DenseMatrix {
-        self.matrix.select_rows(self.idx)
-    }
-}
-
-/// A supervised dataset: features, multi-output targets, and a group label
-/// per row.
-///
-/// Groups drive leave-one-group-out cross-validation: the paper groups the
-/// ~10 profile rows of each benchmark under one label so that a model is
-/// never evaluated on a benchmark it saw during training.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Which rows a fold trains on is decided before a dataset is built (the
+/// leave-one-group-out include sets of `pv_core::pipeline::FoldRunner`),
+/// so the dataset carries no group labels.
+#[derive(Debug, Clone)]
 pub struct Dataset {
     /// Feature matrix, `n × d`.
     pub x: DenseMatrix,
     /// Target matrix, `n × t`.
     pub y: DenseMatrix,
-    /// Group label per row (`n`); rows of the same application share one.
-    pub groups: Vec<usize>,
 }
 
 impl Dataset {
-    /// Bundles features, targets, and groups into a dataset.
+    /// Bundles features and targets into a dataset.
     ///
     /// # Errors
     /// Fails when row counts disagree or the dataset is empty.
-    pub fn new(x: DenseMatrix, y: DenseMatrix, groups: Vec<usize>) -> Result<Self> {
+    pub fn new(x: DenseMatrix, y: DenseMatrix) -> Result<Self> {
         if x.rows() == 0 {
             return Err(StatsError::EmptyInput {
                 what: "Dataset",
@@ -239,28 +174,13 @@ impl Dataset {
                 got: 0,
             });
         }
-        if x.rows() != y.rows() || x.rows() != groups.len() {
+        if x.rows() != y.rows() {
             return Err(StatsError::invalid(
                 "Dataset",
-                format!(
-                    "row mismatch: x={}, y={}, groups={}",
-                    x.rows(),
-                    y.rows(),
-                    groups.len()
-                ),
+                format!("row mismatch: x={}, y={}", x.rows(), y.rows()),
             ));
         }
-        Ok(Dataset { x, y, groups })
-    }
-
-    /// Convenience constructor when group structure is irrelevant (each
-    /// row is its own group).
-    ///
-    /// # Errors
-    /// Same as [`Dataset::new`].
-    pub fn ungrouped(x: DenseMatrix, y: DenseMatrix) -> Result<Self> {
-        let groups = (0..x.rows()).collect();
-        Dataset::new(x, y, groups)
+        Ok(Dataset { x, y })
     }
 
     /// Number of samples.
@@ -282,59 +202,6 @@ impl Dataset {
     pub fn n_outputs(&self) -> usize {
         self.y.cols()
     }
-
-    /// Extracts the sub-dataset at the given row indices.
-    pub fn subset(&self, idx: &[usize]) -> Dataset {
-        Dataset {
-            x: self.x.select_rows(idx),
-            y: self.y.select_rows(idx),
-            groups: idx.iter().map(|&i| self.groups[i]).collect(),
-        }
-    }
-
-    /// Borrowing row-subset view (the no-copy counterpart of
-    /// [`Dataset::subset`]).
-    pub fn view<'d>(&'d self, idx: &'d [usize]) -> DatasetView<'d> {
-        DatasetView {
-            x: self.x.view_rows(idx),
-            y: self.y.view_rows(idx),
-            dataset: self,
-            idx,
-        }
-    }
-}
-
-/// A borrowed row-subset view of a [`Dataset`].
-#[derive(Debug, Clone, Copy)]
-pub struct DatasetView<'d> {
-    /// Feature rows of the subset.
-    pub x: RowsView<'d>,
-    /// Target rows of the subset.
-    pub y: RowsView<'d>,
-    dataset: &'d Dataset,
-    idx: &'d [usize],
-}
-
-impl<'d> DatasetView<'d> {
-    /// Number of samples in the view.
-    pub fn len(&self) -> usize {
-        self.idx.len()
-    }
-
-    /// Whether the view selects no rows.
-    pub fn is_empty(&self) -> bool {
-        self.idx.is_empty()
-    }
-
-    /// Group label of the `i`-th viewed row.
-    pub fn group(&self, i: usize) -> usize {
-        self.dataset.groups[self.idx[i]]
-    }
-
-    /// Materializes the view into an owned [`Dataset`].
-    pub fn materialize(&self) -> Dataset {
-        self.dataset.subset(self.idx)
-    }
 }
 
 #[cfg(test)]
@@ -344,7 +211,7 @@ mod tests {
     fn sample_dataset() -> Dataset {
         let x = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
         let y = DenseMatrix::from_rows(&[vec![10.0], vec![20.0], vec![30.0]]).unwrap();
-        Dataset::new(x, y, vec![0, 0, 1]).unwrap()
+        Dataset::new(x, y).unwrap()
     }
 
     #[test]
@@ -378,16 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn select_rows_allows_repeats() {
-        let m = DenseMatrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]).unwrap();
-        let s = m.select_rows(&[2, 2, 0]);
-        assert_eq!(s.rows(), 3);
-        assert_eq!(s.row(0), &[3.0]);
-        assert_eq!(s.row(1), &[3.0]);
-        assert_eq!(s.row(2), &[1.0]);
-    }
-
-    #[test]
     fn dataset_shape_checks() {
         let d = sample_dataset();
         assert_eq!(d.len(), 3);
@@ -397,25 +254,7 @@ mod tests {
 
         let x = DenseMatrix::zeros(2, 2);
         let y = DenseMatrix::zeros(3, 1);
-        assert!(Dataset::new(x, y, vec![0, 1]).is_err());
-    }
-
-    #[test]
-    fn subset_carries_groups() {
-        let d = sample_dataset();
-        let s = d.subset(&[2, 0]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.groups, vec![1, 0]);
-        assert_eq!(s.x.row(0), &[5.0, 6.0]);
-        assert_eq!(s.y.row(1), &[10.0]);
-    }
-
-    #[test]
-    fn ungrouped_assigns_unique_groups() {
-        let x = DenseMatrix::zeros(3, 1);
-        let y = DenseMatrix::zeros(3, 1);
-        let d = Dataset::ungrouped(x, y).unwrap();
-        assert_eq!(d.groups, vec![0, 1, 2]);
+        assert!(Dataset::new(x, y).is_err());
     }
 
     #[test]
@@ -429,34 +268,5 @@ mod tests {
         let ragged: Vec<&[f64]> = vec![&[1.0], &[1.0, 2.0]];
         assert!(DenseMatrix::from_row_refs(&ragged).is_err());
         assert!(DenseMatrix::from_row_refs(&[]).is_err());
-    }
-
-    #[test]
-    fn rows_view_borrows_without_copying() {
-        let m = DenseMatrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]).unwrap();
-        let idx = [2, 0, 2];
-        let v = m.view_rows(&idx);
-        assert_eq!(v.rows(), 3);
-        assert_eq!(v.cols(), 1);
-        assert_eq!(v.row(0), &[3.0]);
-        assert_eq!(v.row(1), &[1.0]);
-        let collected: Vec<&[f64]> = v.iter().collect();
-        assert_eq!(collected, v.row_slices());
-        assert_eq!(v.to_matrix(), m.select_rows(&idx));
-    }
-
-    #[test]
-    fn dataset_view_matches_subset() {
-        let d = sample_dataset();
-        let idx = [2, 0];
-        let v = d.view(&idx);
-        assert_eq!(v.len(), 2);
-        assert!(!v.is_empty());
-        assert_eq!(v.group(0), 1);
-        assert_eq!(v.x.row(0), &[5.0, 6.0]);
-        assert_eq!(v.y.row(1), &[10.0]);
-        let materialized = v.materialize();
-        assert_eq!(materialized.groups, d.subset(&idx).groups);
-        assert_eq!(materialized.x, d.subset(&idx).x);
     }
 }

@@ -4,10 +4,17 @@
 //! metrics for application-profile neighbourhoods (Section III-B3); all
 //! four common options are provided so the ablation benches can reproduce
 //! that comparison.
+//!
+//! Every metric accumulates through the chunked four-lane kernels of
+//! [`pv_stats::kernel`] (lane-order contracts in DESIGN.md "Kernel
+//! contracts"). Cosine has two routes — [`Distance::eval`] from scratch
+//! and [`cosine_with_sq_norms`] with both norms precomputed — and both
+//! end in one finishing expression, which is what makes them
+//! bit-identical.
 
 use serde::{Deserialize, Serialize};
 
-use pv_stats::kernel::{max_abs_diff4, sq_norm4, sum_abs_diff4, sum_sq_diff4};
+use pv_stats::kernel::{dot4, max_abs_diff4, sq_norm4, sum_abs_diff4, sum_sq_diff4};
 
 /// Distance metric between feature rows.
 ///
@@ -34,18 +41,15 @@ impl Distance {
     /// validates at fit/predict boundaries); in debug builds a mismatch
     /// panics.
     ///
-    /// All four metrics accumulate through the chunked four-lane
-    /// kernels of [`pv_stats::kernel`]. Cosine keeps `dot`, `na`, `nb`
-    /// as three independent chains (now in chunked lane order), so the
-    /// norm-hoisted [`cosine_with_sq_norms`] stays bit-identical to this
-    /// path — the same invariant the old element-order scalar loops had,
-    /// re-established on the vectorized lane order.
+    /// Cosine keeps `dot`, `na`, `nb` as three independent chunked
+    /// chains, so the norm-hoisted [`cosine_with_sq_norms`] stays
+    /// bit-identical to this path.
     pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
         match self {
             Distance::Euclidean => sum_sq_diff4(a, b).sqrt(),
             Distance::Manhattan => sum_abs_diff4(a, b),
-            Distance::Cosine => crate::kernel::cosine(a, b),
+            Distance::Cosine => cosine_finish(dot4(a, b), sq_norm4(a), sq_norm4(b)),
             Distance::Chebyshev => max_abs_diff4(a, b),
         }
     }
@@ -71,7 +75,17 @@ pub fn squared_norm(v: &[f64]) -> f64 {
 #[inline]
 pub fn cosine_with_sq_norms(a: &[f64], b: &[f64], na: f64, nb: f64) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    crate::kernel::cosine_cached(a, b, na, nb)
+    cosine_finish(dot4(a, b), na, nb)
+}
+
+/// The one cosine finishing expression both routes end in.
+#[inline]
+fn cosine_finish(dot: f64, na: f64, nb: f64) -> f64 {
+    if na == 0.0 || nb == 0.0 {
+        // A zero vector has no direction: maximally distant.
+        return 1.0;
+    }
+    (1.0 - (dot / (na.sqrt() * nb.sqrt()))).clamp(0.0, 2.0)
 }
 
 #[cfg(test)]

@@ -115,11 +115,6 @@ impl RandomForestRegressor {
         self
     }
 
-    /// Number of fitted trees.
-    pub fn n_fitted_trees(&self) -> usize {
-        self.trees.len()
-    }
-
     /// The fitted trees (empty when unfitted); used by
     /// [`crate::importance::forest_importances`].
     pub fn trees(&self) -> &[RegressionTree] {
@@ -226,7 +221,7 @@ mod tests {
                 ys.push(vec![v, -v]);
             }
         }
-        Dataset::ungrouped(
+        Dataset::new(
             DenseMatrix::from_rows(&rows).unwrap(),
             DenseMatrix::from_rows(&ys).unwrap(),
         )
@@ -357,13 +352,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn n_fitted_trees_reports_ensemble_size() {
-        let mut f = RandomForestRegressor::new(7).with_seed(5);
-        assert_eq!(f.n_fitted_trees(), 0);
-        f.fit(&grid_dataset()).unwrap();
-        assert_eq!(f.n_fitted_trees(), 7);
     }
 }

@@ -104,11 +104,6 @@ impl GradientBoostingRegressor {
         self.binned = b;
         self
     }
-
-    /// Number of fitted boosting rounds.
-    pub fn n_fitted_rounds(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 impl Regressor for GradientBoostingRegressor {
@@ -246,7 +241,7 @@ mod tests {
             .iter()
             .map(|r| vec![r[0].sin() * 3.0, r[0].cos()])
             .collect();
-        Dataset::ungrouped(
+        Dataset::new(
             DenseMatrix::from_rows(&rows).unwrap(),
             DenseMatrix::from_rows(&ys).unwrap(),
         )
@@ -387,7 +382,7 @@ mod tests {
         let ys: Vec<Vec<f64>> = (0..8)
             .map(|i| vec![if i < 4 { f64::MAX } else { -f64::MAX }])
             .collect();
-        let data = Dataset::ungrouped(
+        let data = Dataset::new(
             DenseMatrix::from_rows(&rows).unwrap(),
             DenseMatrix::from_rows(&ys).unwrap(),
         )
@@ -406,13 +401,5 @@ mod tests {
             ),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn n_fitted_rounds_reports() {
-        let mut g = GradientBoostingRegressor::new(13);
-        assert_eq!(g.n_fitted_rounds(), 0);
-        g.fit(&sine_dataset()).unwrap();
-        assert_eq!(g.n_fitted_rounds(), 13);
     }
 }

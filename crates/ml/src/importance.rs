@@ -15,7 +15,7 @@ use pv_stats::rng::{derive_stream, Xoshiro256pp};
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, DenseMatrix};
 use crate::forest::RandomForestRegressor;
 use crate::metrics::mse;
 use crate::{Regressor, Result};
@@ -56,7 +56,7 @@ pub fn permutation_importance<M: Regressor + ?Sized>(
     n_repeats: usize,
     seed: u64,
 ) -> Result<Vec<f64>> {
-    let base_pred = model.predict_batch(&data.x)?;
+    let base_pred = predict_rows(model, &data.x, data.n_outputs())?;
     let base_err = mse(&data.y, &base_pred)?;
     let n = data.len();
     let d = data.n_features();
@@ -74,7 +74,7 @@ pub fn permutation_importance<M: Regressor + ?Sized>(
                 x.set(i, f, vj);
                 x.set(j, f, vi);
             }
-            let pred = model.predict_batch(&x)?;
+            let pred = predict_rows(model, &x, data.n_outputs())?;
             total += mse(&data.y, &pred)? - base_err;
         }
         *slot = total / n_repeats.max(1) as f64;
@@ -82,10 +82,23 @@ pub fn permutation_importance<M: Regressor + ?Sized>(
     Ok(out)
 }
 
+/// The model's `width`-wide prediction for every row of `x`, one
+/// [`Regressor::predict`] per row.
+fn predict_rows<M: Regressor + ?Sized>(
+    model: &M,
+    x: &DenseMatrix,
+    width: usize,
+) -> Result<DenseMatrix> {
+    let mut out = Vec::with_capacity(x.rows() * width);
+    for r in 0..x.rows() {
+        out.extend(model.predict(x.row(r))?);
+    }
+    DenseMatrix::from_flat(x.rows(), width, out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::DenseMatrix;
     use crate::knn::KnnRegressor;
     use crate::tree::RegressionTree;
     use crate::Distance;
@@ -100,7 +113,7 @@ mod tests {
             rows.push(vec![x0, noise]);
             ys.push(vec![3.0 * x0]);
         }
-        Dataset::ungrouped(
+        Dataset::new(
             DenseMatrix::from_rows(&rows).unwrap(),
             DenseMatrix::from_rows(&ys).unwrap(),
         )
@@ -123,7 +136,7 @@ mod tests {
         let x = DenseMatrix::from_rows(&[vec![1.0], vec![2.0]]).unwrap();
         let y = DenseMatrix::from_rows(&[vec![5.0], vec![5.0]]).unwrap();
         let mut t = RegressionTree::default_cart();
-        t.fit(&Dataset::ungrouped(x, y).unwrap()).unwrap();
+        t.fit(&Dataset::new(x, y).unwrap()).unwrap();
         assert_eq!(t.feature_importances(), &[0.0]);
     }
 

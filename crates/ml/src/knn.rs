@@ -1,9 +1,13 @@
 //! Multi-output k-nearest-neighbour regression.
 //!
 //! The paper's best model: k = 15 neighbours under cosine distance
-//! (Section III-B3), averaging the neighbours' target vectors. Inverse-
-//! distance weighting is provided as an option (the paper uses uniform
-//! averaging; the ablation benches compare).
+//! (Section III-B3), averaging the neighbours' target vectors. Every
+//! prediction takes one route: [`KnnRegressor::neighbors`] scores the
+//! query against each training row (cosine with the norms cached at fit
+//! time) and selects the k nearest, then the selected rows' targets are
+//! averaged in ascending row order. Inverse-distance weighting remains
+//! an option of the type; the paper, and every model the program
+//! builds, averages uniformly.
 
 use serde::{Deserialize, Serialize};
 
@@ -11,7 +15,6 @@ use pv_stats::StatsError;
 
 use crate::dataset::{Dataset, DenseMatrix};
 use crate::distance::{cosine_with_sq_norms, squared_norm, Distance};
-use crate::kernel::{self, TILE_Q, TILE_T};
 use crate::{Regressor, Result};
 
 /// The canonical neighbour *selection* order: ascending distance, ties
@@ -91,7 +94,6 @@ impl KnnRegressor {
                 format!("row has {} features, model expects {}", x.len(), tx.cols()),
             ));
         }
-        pv_obs::counter_inc!("pv.ml.kernel.knn_row_path");
         let mut dists: Vec<(usize, f64)> = match (self.distance, &self.train_sq_norms) {
             (Distance::Cosine, Some(norms)) => {
                 let qn = squared_norm(x);
@@ -222,51 +224,6 @@ impl Regressor for KnnRegressor {
         let neigh = self.neighbors(x)?;
         self.predict_from_neighbors(neigh)
     }
-
-    fn predict_batch(&self, xs: &DenseMatrix) -> Result<DenseMatrix> {
-        // The blocked all-pairs kernel serves cosine with cached norms
-        // (the fitted configuration of the paper's model); other metrics
-        // keep the row-at-a-time loop. Bit-identical either way: the
-        // batch matrix entry for (query, row) is the exact per-pair
-        // kernel `neighbors` evaluates, so selection and prediction see
-        // the same numbers (pinned by `tests/kernel_parity.rs`).
-        let (tx, ty) = self.fitted()?;
-        let (Distance::Cosine, Some(norms)) = (self.distance, &self.train_sq_norms) else {
-            let mut out = Vec::with_capacity(xs.rows() * ty.cols());
-            for r in 0..xs.rows() {
-                out.extend(self.predict(xs.row(r))?);
-            }
-            return DenseMatrix::from_flat(xs.rows(), ty.cols(), out);
-        };
-        if xs.cols() != tx.cols() {
-            return Err(StatsError::invalid(
-                "KnnRegressor::predict",
-                format!(
-                    "rows have {} features, model expects {}",
-                    xs.cols(),
-                    tx.cols()
-                ),
-            ));
-        }
-        let _timer = pv_obs::timed!("pv.ml.knn.predict_batch_ns");
-        pv_obs::counter_add!("pv.ml.kernel.knn_batch_rows", xs.rows() as u64);
-        let q_norms: Vec<f64> = (0..xs.rows()).map(|r| squared_norm(xs.row(r))).collect();
-        let dmat = kernel::cosine_distance_matrix(xs, &q_norms, tx, norms, TILE_Q, TILE_T);
-        let nt = tx.rows();
-        let k = self.k.min(nt);
-        let mut out = Vec::with_capacity(xs.rows() * ty.cols());
-        for q in 0..xs.rows() {
-            let mut dists: Vec<(usize, f64)> = dmat[q * nt..(q + 1) * nt]
-                .iter()
-                .copied()
-                .enumerate()
-                .collect();
-            dists.select_nth_unstable_by(k - 1, canonical);
-            dists.truncate(k);
-            out.extend(self.predict_from_neighbors(dists)?);
-        }
-        DenseMatrix::from_flat(xs.rows(), ty.cols(), out)
-    }
 }
 
 #[cfg(test)]
@@ -289,7 +246,7 @@ mod tests {
             vec![110.0, -11.0],
         ])
         .unwrap();
-        Dataset::ungrouped(x, y).unwrap()
+        Dataset::new(x, y).unwrap()
     }
 
     #[test]
@@ -333,7 +290,7 @@ mod tests {
         let x = DenseMatrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
         let y = DenseMatrix::from_rows(&[vec![1.0], vec![2.0]]).unwrap();
         let mut m = KnnRegressor::new(1).with_distance(Distance::Cosine);
-        m.fit(&Dataset::ungrouped(x, y).unwrap()).unwrap();
+        m.fit(&Dataset::new(x, y).unwrap()).unwrap();
         assert_eq!(m.predict(&[1000.0, 1.0]).unwrap(), vec![1.0]);
         assert_eq!(m.predict(&[0.001, 0.9]).unwrap(), vec![2.0]);
     }
@@ -373,7 +330,7 @@ mod tests {
         let ys: Vec<Vec<f64>> = (1..40)
             .map(|i| vec![i as f64 * 0.31, -(i as f64)])
             .collect();
-        let data = Dataset::ungrouped(
+        let data = Dataset::new(
             DenseMatrix::from_rows(&rows).unwrap(),
             DenseMatrix::from_rows(&ys).unwrap(),
         )
@@ -410,7 +367,7 @@ mod tests {
         let ys: Vec<Vec<f64>> = (1..30)
             .map(|i| vec![(i as f64 * 0.13).cos(), i as f64 * 0.01])
             .collect();
-        let data = Dataset::ungrouped(
+        let data = Dataset::new(
             DenseMatrix::from_rows(&rows).unwrap(),
             DenseMatrix::from_rows(&ys).unwrap(),
         )
@@ -473,7 +430,7 @@ mod tests {
         .unwrap();
         let y = DenseMatrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0], vec![4.0]]).unwrap();
         let mut m = KnnRegressor::new(2).with_distance(Distance::Euclidean);
-        m.fit(&Dataset::ungrouped(x, y).unwrap()).unwrap();
+        m.fit(&Dataset::new(x, y).unwrap()).unwrap();
         assert_eq!(m.neighbor_indices(&[1.0, 2.0]).unwrap(), vec![0, 1]);
     }
 
@@ -491,40 +448,10 @@ mod tests {
         let ys: Vec<Vec<f64>> = (0..rows)
             .map(|_| (0..3).map(|_| next()).collect())
             .collect();
-        Dataset::ungrouped(
+        Dataset::new(
             DenseMatrix::from_rows(&xs).unwrap(),
             DenseMatrix::from_rows(&ys).unwrap(),
         )
         .unwrap()
-    }
-
-    #[test]
-    fn batch_predict_is_bit_identical_to_row_predict() {
-        let data = wide_dataset(80, 68);
-        let mut m = KnnRegressor::new(15).with_distance(Distance::Cosine);
-        m.fit(&data).unwrap();
-        let queries = wide_dataset(17, 68); // odd count: exercises tile tails
-        let batch = m.predict_batch(&queries.x).unwrap();
-        for r in 0..queries.x.rows() {
-            let row = m.predict(queries.x.row(r)).unwrap();
-            for (a, b) in batch.row(r).iter().zip(&row) {
-                assert_eq!(a.to_bits(), b.to_bits(), "query {r}");
-            }
-        }
-        // Width mismatch errors like the row path.
-        let narrow = DenseMatrix::from_rows(&[vec![1.0, 2.0]]).unwrap();
-        assert!(m.predict_batch(&narrow).is_err());
-    }
-
-    #[test]
-    fn predict_batch_shapes() {
-        let mut m = KnnRegressor::new(1).with_distance(Distance::Euclidean);
-        m.fit(&toy()).unwrap();
-        let q = DenseMatrix::from_rows(&[vec![1.0, 1.0], vec![11.0, 11.0]]).unwrap();
-        let out = m.predict_batch(&q).unwrap();
-        assert_eq!(out.rows(), 2);
-        assert_eq!(out.cols(), 2);
-        assert_eq!(out.row(0), &[10.0, -1.0]);
-        assert_eq!(out.row(1), &[110.0, -11.0]);
     }
 }

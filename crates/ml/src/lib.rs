@@ -7,13 +7,13 @@
 //! regressors — the prediction target is a whole feature vector (histogram
 //! bins or four moments), not a scalar — plus the supporting machinery:
 //!
-//! * [`dataset`] — dense row-major feature/target matrices with group
-//!   labels (the paper's groups are benchmarks, for leave-one-group-out
-//!   cross-validation),
+//! * [`dataset`] — dense row-major feature/target matrices (which rows a
+//!   fold trains on is chosen by the caller's leave-one-group-out include
+//!   sets, so a dataset carries no group labels),
 //! * [`scaler`] — feature standardization,
-//! * [`distance`] — Euclidean / Manhattan / cosine / Chebyshev metrics,
-//! * [`kernel`] — vectorized distance kernels: the blocked batch-kNN
-//!   path (lane-order contracts in DESIGN.md),
+//! * [`distance`] — Euclidean / Manhattan / cosine / Chebyshev metrics on
+//!   the chunked four-lane kernels of `pv_stats::kernel` (lane-order
+//!   contracts in DESIGN.md),
 //! * [`knn`] — multi-output kNN with uniform or inverse-distance weights,
 //! * [`tree`] — multi-output CART regression trees (variance-sum
 //!   impurity),
@@ -31,13 +31,12 @@ pub mod distance;
 pub mod forest;
 pub mod gbt;
 pub mod importance;
-pub mod kernel;
 pub mod knn;
 pub mod metrics;
 pub mod scaler;
 pub mod tree;
 
-pub use dataset::{Dataset, DatasetView, DenseMatrix, RowsView};
+pub use dataset::{Dataset, DenseMatrix};
 pub use distance::Distance;
 pub use forest::{MaxFeatures, RandomForestRegressor};
 pub use gbt::GradientBoostingRegressor;
@@ -65,19 +64,4 @@ pub trait Regressor: Send + Sync {
     /// # Errors
     /// Fails when the model is not fitted or the row width is wrong.
     fn predict(&self, x: &[f64]) -> Result<Vec<f64>>;
-
-    /// Predicts for a batch of rows (default: row-by-row).
-    ///
-    /// # Errors
-    /// Propagates per-row prediction failures.
-    fn predict_batch(&self, xs: &DenseMatrix) -> Result<DenseMatrix> {
-        let mut out = Vec::new();
-        let mut width = 0;
-        for r in 0..xs.rows() {
-            let y = self.predict(xs.row(r))?;
-            width = y.len();
-            out.extend_from_slice(&y);
-        }
-        DenseMatrix::from_flat(xs.rows(), width, out)
-    }
 }

@@ -820,7 +820,7 @@ mod tests {
                 vec![v, -v]
             })
             .collect();
-        Dataset::ungrouped(
+        Dataset::new(
             DenseMatrix::from_rows(&rows).unwrap(),
             DenseMatrix::from_rows(&ys).unwrap(),
         )
@@ -843,7 +843,7 @@ mod tests {
         let x = DenseMatrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]).unwrap();
         let y = DenseMatrix::from_rows(&[vec![7.0], vec![7.0], vec![7.0]]).unwrap();
         let mut t = RegressionTree::default_cart();
-        t.fit(&Dataset::ungrouped(x, y).unwrap()).unwrap();
+        t.fit(&Dataset::new(x, y).unwrap()).unwrap();
         assert_eq!(t.n_nodes(), 1);
         assert_eq!(t.depth(), 0);
         assert_eq!(t.predict(&[99.0]).unwrap(), vec![7.0]);
@@ -860,7 +860,7 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..32).map(|i| vec![i as f64]).collect();
         let ys: Vec<Vec<f64>> = (0..32).map(|i| vec![i as f64]).collect();
         t.fit(
-            &Dataset::ungrouped(
+            &Dataset::new(
                 DenseMatrix::from_rows(&rows).unwrap(),
                 DenseMatrix::from_rows(&ys).unwrap(),
             )
@@ -895,7 +895,7 @@ mod tests {
             ..TreeConfig::default()
         };
         let mut t = RegressionTree::new(cfg);
-        t.fit(&Dataset::ungrouped(x, y).unwrap()).unwrap();
+        t.fit(&Dataset::new(x, y).unwrap()).unwrap();
         // Leaf value = 20 / (2 + 2) = 5 (shrunk from 10).
         assert_eq!(t.predict(&[0.5]).unwrap(), vec![5.0]);
     }
@@ -907,7 +907,7 @@ mod tests {
         let ys: Vec<Vec<f64>> = (0..16).map(|i| vec![(i % 2) as f64 * 4.0]).collect();
         let mut t = RegressionTree::default_cart();
         t.fit(
-            &Dataset::ungrouped(
+            &Dataset::new(
                 DenseMatrix::from_rows(&rows).unwrap(),
                 DenseMatrix::from_rows(&ys).unwrap(),
             )
@@ -947,7 +947,7 @@ mod tests {
         let x = DenseMatrix::from_rows(&[vec![f64::NAN]]).unwrap();
         let y = DenseMatrix::from_rows(&[vec![1.0]]).unwrap();
         let mut t = RegressionTree::default_cart();
-        assert!(t.fit(&Dataset::ungrouped(x, y).unwrap()).is_err());
+        assert!(t.fit(&Dataset::new(x, y).unwrap()).is_err());
     }
 
     /// Deterministic integer-valued dataset: every split-gain
@@ -971,7 +971,7 @@ mod tests {
                 vec![v, (r[1] as u64 % 5) as f64]
             })
             .collect();
-        Dataset::ungrouped(
+        Dataset::new(
             DenseMatrix::from_rows(&rows).unwrap(),
             DenseMatrix::from_rows(&ys).unwrap(),
         )
@@ -1037,7 +1037,7 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let x: Vec<f64> = (0..n * 6).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
         let y: Vec<f64> = (0..n * t).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
-        Dataset::ungrouped(
+        Dataset::new(
             DenseMatrix::from_flat(n, 6, x).unwrap(),
             DenseMatrix::from_flat(n, t, y).unwrap(),
         )
@@ -1201,7 +1201,7 @@ mod tests {
                 row
             })
             .collect();
-        let data = Dataset::ungrouped(DenseMatrix::from_rows(&rows).unwrap(), tie_free.y).unwrap();
+        let data = Dataset::new(DenseMatrix::from_rows(&rows).unwrap(), tie_free.y).unwrap();
         let ranks = FeatureRanks::build(&data.x);
         let ranked: Vec<bool> = ranks.slot.iter().map(Option::is_some).collect();
         assert_eq!(ranked, [true, true, true, false, false, false]);

@@ -14,7 +14,7 @@ fn small_dataset() -> impl Strategy<Value = Dataset> {
             prop::collection::vec(-100.0..100.0f64, n * t),
         )
             .prop_map(move |(xs, ys)| {
-                Dataset::ungrouped(
+                Dataset::new(
                     DenseMatrix::from_flat(n, d, xs).unwrap(),
                     DenseMatrix::from_flat(n, t, ys).unwrap(),
                 )
@@ -59,7 +59,7 @@ proptest! {
         // Constant targets: boosting must recover them (base = mean).
         let x = DenseMatrix::from_flat(n, 1, (0..n).map(|i| i as f64).collect()).unwrap();
         let y = DenseMatrix::from_flat(n, 1, vec![v; n]).unwrap();
-        let data = Dataset::ungrouped(x, y).unwrap();
+        let data = Dataset::new(x, y).unwrap();
         let mut g = GradientBoostingRegressor::new(5);
         g.fit(&data).unwrap();
         let p = g.predict(&[0.0]).unwrap();

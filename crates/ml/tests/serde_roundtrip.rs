@@ -10,7 +10,7 @@ use pv_ml::{
 };
 
 /// A small deterministic regression problem: 40 rows, 6 features,
-/// 2 targets, one group per row (LOGO-compatible).
+/// 2 targets.
 fn dataset() -> Dataset {
     let mut rows = Vec::new();
     let mut targets = Vec::new();
@@ -30,8 +30,7 @@ fn dataset() -> Dataset {
     }
     let x = DenseMatrix::from_rows(&rows).expect("x");
     let y = DenseMatrix::from_rows(&targets).expect("y");
-    let groups = (0..40).collect();
-    Dataset::new(x, y, groups).expect("dataset")
+    Dataset::new(x, y).expect("dataset")
 }
 
 fn probes() -> Vec<Vec<f64>> {

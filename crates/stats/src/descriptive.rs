@@ -2,8 +2,8 @@
 //!
 //! Quantiles use the R-7 (linear interpolation) definition, which is the
 //! default in NumPy, pandas, and R — i.e. what the paper's Python pipeline
-//! computed. Robust spread measures (IQR, MAD) are used by the KDE
-//! bandwidth rules and the automatic histogram binning.
+//! computed. The interquartile range is the robust spread the KDE
+//! bandwidth rules and the automatic histogram binning use.
 
 use crate::error::{ensure_finite, ensure_len};
 use crate::Result;
@@ -67,18 +67,6 @@ pub fn iqr(xs: &[f64]) -> Result<f64> {
     Ok(quantile_sorted(&s, 0.75) - quantile_sorted(&s, 0.25))
 }
 
-/// Median absolute deviation (unscaled).
-///
-/// Multiply by `1.4826` for a consistent estimator of σ under normality.
-///
-/// # Errors
-/// Fails on empty or non-finite input.
-pub fn mad(xs: &[f64]) -> Result<f64> {
-    let med = median(xs)?;
-    let devs: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
-    median(&devs)
-}
-
 /// Minimum of a sample.
 ///
 /// # Errors
@@ -105,32 +93,6 @@ pub fn max(xs: &[f64]) -> Result<f64> {
 /// Fails on empty or non-finite input.
 pub fn range(xs: &[f64]) -> Result<f64> {
     Ok(max(xs)? - min(xs)?)
-}
-
-/// Mean after discarding the `trim` fraction of observations from *each*
-/// tail (e.g. `trim = 0.1` drops the lowest and highest 10%).
-///
-/// # Errors
-/// Fails on empty input or when trimming would discard everything.
-pub fn trimmed_mean(xs: &[f64], trim: f64) -> Result<f64> {
-    ensure_len("trimmed mean", xs, 1)?;
-    ensure_finite("trimmed mean", xs)?;
-    if !(0.0..0.5).contains(&trim) {
-        return Err(crate::StatsError::invalid(
-            "trimmed mean",
-            format!("trim must be in [0, 0.5), got {trim}"),
-        ));
-    }
-    let s = sorted(xs);
-    let k = (s.len() as f64 * trim).floor() as usize;
-    let kept = &s[k..s.len() - k];
-    if kept.is_empty() {
-        return Err(crate::StatsError::invalid(
-            "trimmed mean",
-            "trim removed all observations",
-        ));
-    }
-    Ok(kept.iter().sum::<f64>() / kept.len() as f64)
 }
 
 /// A five-number-plus summary used by reports: min, Q1, median, Q3, max,
@@ -219,29 +181,11 @@ mod tests {
     }
 
     #[test]
-    fn mad_is_robust_to_one_outlier() {
-        let clean = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let dirty = [1.0, 2.0, 3.0, 4.0, 500.0];
-        assert_eq!(mad(&clean).unwrap(), 1.0);
-        assert_eq!(mad(&dirty).unwrap(), 1.0);
-    }
-
-    #[test]
     fn min_max_range() {
         let xs = [3.0, -1.0, 7.5, 2.0];
         assert_eq!(min(&xs).unwrap(), -1.0);
         assert_eq!(max(&xs).unwrap(), 7.5);
         assert_eq!(range(&xs).unwrap(), 8.5);
-    }
-
-    #[test]
-    fn trimmed_mean_drops_tails() {
-        let xs = [100.0, 1.0, 2.0, 3.0, -100.0];
-        // 20% trim on 5 points drops one from each side.
-        assert!((trimmed_mean(&xs, 0.2).unwrap() - 2.0).abs() < 1e-12);
-        // 0% trim is the plain mean.
-        assert!((trimmed_mean(&xs, 0.0).unwrap() - 1.2).abs() < 1e-12);
-        assert!(trimmed_mean(&xs, 0.5).is_err());
     }
 
     #[test]
@@ -260,7 +204,6 @@ mod tests {
     fn empty_inputs_error() {
         assert!(median(&[]).is_err());
         assert!(iqr(&[]).is_err());
-        assert!(mad(&[]).is_err());
         assert!(min(&[]).is_err());
         assert!(FiveNumber::from_sample(&[]).is_err());
     }

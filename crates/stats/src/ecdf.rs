@@ -57,21 +57,6 @@ impl Ecdf {
         let k = ((q * n as f64).ceil() as usize).clamp(1, n);
         self.sorted[k - 1]
     }
-
-    /// Evaluates the ECDF on a regular grid of `m` points spanning
-    /// `[lo, hi]`; useful for plotting.
-    pub fn eval_grid(&self, lo: f64, hi: f64, m: usize) -> Vec<(f64, f64)> {
-        (0..m)
-            .map(|i| {
-                let x = if m == 1 {
-                    lo
-                } else {
-                    lo + (hi - lo) * i as f64 / (m - 1) as f64
-                };
-                (x, self.eval(x))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -123,17 +108,6 @@ mod tests {
         let e = Ecdf::new(&[1.0, 2.0]).unwrap();
         assert_eq!(e.quantile(-0.5), 1.0);
         assert_eq!(e.quantile(1.5), 2.0);
-    }
-
-    #[test]
-    fn grid_evaluation() {
-        let e = Ecdf::new(&[0.0, 1.0]).unwrap();
-        let g = e.eval_grid(0.0, 1.0, 3);
-        assert_eq!(g.len(), 3);
-        assert_eq!(g[0], (0.0, 0.5));
-        assert_eq!(g[2], (1.0, 1.0));
-        let single = e.eval_grid(0.5, 1.0, 1);
-        assert_eq!(single[0].0, 0.5);
     }
 
     #[test]

@@ -124,19 +124,6 @@ pub fn ks1_statistic<F: Fn(f64) -> f64>(xs: &[f64], f: F) -> Result<f64> {
     Ok(d)
 }
 
-/// One-sample KS test with asymptotic p-value.
-///
-/// # Errors
-/// Fails on empty or non-finite input.
-pub fn ks1_test<F: Fn(f64) -> f64>(xs: &[f64], f: F) -> Result<KsResult> {
-    let d = ks1_statistic(xs, f)?;
-    let n = xs.len() as f64;
-    Ok(KsResult {
-        statistic: d,
-        p_value: kolmogorov_sf((n.sqrt() + 0.12 + 0.11 / n.sqrt()) * d),
-    })
-}
-
 /// Survival function of the Kolmogorov distribution,
 /// `Q(λ) = 2 Σ_{j≥1} (-1)^{j-1} exp(-2 j² λ²)`.
 pub fn kolmogorov_sf(lambda: f64) -> f64 {
@@ -245,8 +232,6 @@ mod tests {
         let xs = d.sample_n(&mut rng, 5000);
         let stat = ks1_statistic(&xs, |x| d.cdf(x)).unwrap();
         assert!(stat < 0.03, "D = {stat}");
-        let r = ks1_test(&xs, |x| d.cdf(x)).unwrap();
-        assert!(r.p_value > 0.01);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! * numerically stable, mergeable [moment accumulators](moments) (mean,
 //!   variance, skewness, kurtosis) — the paper's feature and target space,
-//! * [descriptive statistics](descriptive) (quantiles, IQR, MAD, …),
+//! * [descriptive statistics](descriptive) (quantiles, IQR, five-number
+//!   summaries),
 //! * [histograms](histogram) with the classic automatic binning rules,
 //! * [Gaussian kernel density estimation](kde) with Silverman/Scott
 //!   bandwidths — the paper visualizes every distribution as a KDE,

@@ -1,4 +1,4 @@
-//! Numerical integration: Gauss–Legendre rules and adaptive Simpson.
+//! Numerical integration: Gauss–Legendre rules.
 //!
 //! The maximum-entropy reconstruction (`pv-maxent`) evaluates moment
 //! integrals `∫ xᵏ exp(Σ λⱼ xʲ) dx` thousands of times inside a Newton
@@ -105,35 +105,6 @@ impl GaussLegendre {
     }
 }
 
-/// Adaptive Simpson integration of `f` over `[a, b]` to tolerance `tol`.
-pub fn adaptive_simpson<F: Fn(f64) -> f64>(f: &F, a: f64, b: f64, tol: f64) -> f64 {
-    fn simpson<F: Fn(f64) -> f64>(f: &F, a: f64, b: f64) -> f64 {
-        let c = 0.5 * (a + b);
-        (b - a) / 6.0 * (f(a) + 4.0 * f(c) + f(b))
-    }
-    fn recurse<F: Fn(f64) -> f64>(
-        f: &F,
-        a: f64,
-        b: f64,
-        whole: f64,
-        tol: f64,
-        depth: usize,
-    ) -> f64 {
-        let c = 0.5 * (a + b);
-        let left = simpson(f, a, c);
-        let right = simpson(f, c, b);
-        // Force the first few subdivision levels: a narrow peak can make
-        // all three initial evaluation points ~0 and fake convergence.
-        if depth == 0 || (depth < 45 && (left + right - whole).abs() < 15.0 * tol) {
-            left + right + (left + right - whole) / 15.0
-        } else {
-            recurse(f, a, c, left, tol / 2.0, depth - 1)
-                + recurse(f, c, b, right, tol / 2.0, depth - 1)
-        }
-    }
-    recurse(f, a, b, simpson(f, a, b), tol, 50)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,15 +169,5 @@ mod tests {
     #[test]
     fn rejects_zero_order() {
         assert!(GaussLegendre::new(0).is_err());
-    }
-
-    #[test]
-    fn adaptive_simpson_matches_known_integrals() {
-        assert!((adaptive_simpson(&f64::sin, 0.0, std::f64::consts::PI, 1e-10) - 2.0).abs() < 1e-8);
-        assert!((adaptive_simpson(&|x: f64| x * x, 0.0, 3.0, 1e-10) - 9.0).abs() < 1e-8);
-        // A peaked integrand.
-        let peak = |x: f64| (-100.0 * (x - 0.5) * (x - 0.5)).exp();
-        let exact = (std::f64::consts::PI / 100.0).sqrt(); // full Gaussian mass
-        assert!((adaptive_simpson(&peak, -5.0, 5.0, 1e-12) - exact).abs() < 1e-8);
     }
 }

@@ -76,14 +76,14 @@ fn main() {
         let m = perfvar_suite::stats::moments::Moments::from_slice(&b.runs.rel_times());
         y_rows.push(vec![m.population_std()]);
     }
-    let data = Dataset::ungrouped(
+    let data = Dataset::new(
         DenseMatrix::from_rows(&x_rows).expect("x"),
         DenseMatrix::from_rows(&y_rows).expect("y"),
     )
     .expect("dataset");
     let mut scaler = perfvar_suite::ml::StandardScaler::new();
     let x = scaler.fit_transform(&data.x).expect("scale");
-    let data = Dataset::ungrouped(x, data.y.clone()).expect("dataset");
+    let data = Dataset::new(x, data.y.clone()).expect("dataset");
     let mut model = KnnRegressor::new(15).with_distance(Distance::Cosine);
     model.fit(&data).expect("fit");
     let imp = permutation_importance(&model, &data, 2, 3).expect("importance");

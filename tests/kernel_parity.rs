@@ -1,19 +1,16 @@
 //! Kernel-parity tier: enforces the bit-or-tolerance contracts of the
 //! vectorized kernel layer (DESIGN.md "Kernel contracts").
 //!
-//! Four families of pins:
+//! Three families of pins:
 //!
 //! 1. chunked-lane kernels vs a scalar element-order reference —
 //!    *bitwise* where the contract says bitwise (Chebyshev max, the
-//!    norm/dot chain identity), *tolerance* where reassociation is real
-//!    (sums, dots, central moments);
-//! 2. the blocked batch-kNN distance matrix — bit-identical to
-//!    row-at-a-time scoring at several tile shapes, and batch
-//!    predictions bit-identical to `predict`;
-//! 3. exact-vs-binned tree splits — the accuracy thresholds that gate
+//!    norm/dot chain identity of the two cosine routes), *tolerance*
+//!    where reassociation is real (sums, dots, central moments);
+//! 2. exact-vs-binned tree splits — the accuracy thresholds that gate
 //!    the binned kernel the evaluation models use, with the exact scan
 //!    as the reference, at the evaluation level;
-//! 4. the evaluation XGBoost's prediction bits on fixed datasets, so a
+//! 3. the evaluation XGBoost's prediction bits on fixed datasets, so a
 //!    change to the split search that moves any fitted split shows.
 
 use std::borrow::Cow;
@@ -24,8 +21,7 @@ use perfvar_suite::core::usecase1::FewRunsConfig;
 use perfvar_suite::core::{evaluate_few_runs, EvalSummary, FittedModel, ModelKind, ReprKind};
 use perfvar_suite::ml::dataset::Dataset;
 use perfvar_suite::ml::distance::{cosine_with_sq_norms, squared_norm, Distance};
-use perfvar_suite::ml::kernel::{cosine_distance_matrix, TILE_Q, TILE_T};
-use perfvar_suite::ml::{DenseMatrix, GradientBoostingRegressor, KnnRegressor, Regressor};
+use perfvar_suite::ml::{DenseMatrix, GradientBoostingRegressor, Regressor};
 use perfvar_suite::stats::fingerprint::Fnv1a;
 use perfvar_suite::stats::kernel::{
     central_sums4, dot4, max_abs_diff4, sq_norm4, sum4, sum_abs_diff4, sum_sq_diff4,
@@ -126,74 +122,20 @@ fn central_sums_match_scalar_reference_within_tolerance() {
 
 #[test]
 fn all_cosine_routes_agree_bitwise() {
-    // eval, cached-norm, and the batch matrix must be the same chain.
+    // eval and the cached-norm route must be the same chain.
     let rows = vecs(12, 68, 5150);
-    let m = DenseMatrix::from_rows(&rows).unwrap();
     let norms: Vec<f64> = rows.iter().map(|r| squared_norm(r)).collect();
-    let dmat = cosine_distance_matrix(&m, &norms, &m, &norms, TILE_Q, TILE_T);
     for i in 0..rows.len() {
         for j in 0..rows.len() {
             let naive = Distance::Cosine.eval(&rows[i], &rows[j]);
             let cached = cosine_with_sq_norms(&rows[i], &rows[j], norms[i], norms[j]);
             assert_eq!(naive.to_bits(), cached.to_bits(), "({i},{j})");
-            assert_eq!(
-                naive.to_bits(),
-                dmat[i * rows.len() + j].to_bits(),
-                "({i},{j})"
-            );
         }
     }
 }
 
 // -----------------------------------------------------------------
-// 2. blocked batch path: bit-identity at several tile shapes
-// -----------------------------------------------------------------
-
-#[test]
-fn batch_matrix_is_bit_identical_to_row_scoring_at_several_tile_shapes() {
-    let qs = vecs(19, 68, 7);
-    let ts = vecs(130, 68, 8);
-    let qm = DenseMatrix::from_rows(&qs).unwrap();
-    let tm = DenseMatrix::from_rows(&ts).unwrap();
-    let qn: Vec<f64> = qs.iter().map(|r| squared_norm(r)).collect();
-    let tn: Vec<f64> = ts.iter().map(|r| squared_norm(r)).collect();
-    let mut want = Vec::with_capacity(qs.len() * ts.len());
-    for q in &qs {
-        for (t, &n) in ts.iter().zip(&tn) {
-            want.push(cosine_with_sq_norms(q, t, squared_norm(q), n));
-        }
-    }
-    for (tq, tt) in [(1, 1), (3, 5), (TILE_Q, TILE_T), (64, 8), (1000, 1000)] {
-        let got = cosine_distance_matrix(&qm, &qn, &tm, &tn, tq, tt);
-        for (i, (a, b)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "tile ({tq},{tt}) entry {i}");
-        }
-    }
-}
-
-#[test]
-fn knn_batch_predictions_are_bit_identical_to_row_predictions() {
-    let xs = vecs(90, 75, 21);
-    let ys = vecs(90, 5, 22);
-    let data = Dataset::ungrouped(
-        DenseMatrix::from_rows(&xs).unwrap(),
-        DenseMatrix::from_rows(&ys).unwrap(),
-    )
-    .unwrap();
-    let mut m = KnnRegressor::new(15).with_distance(Distance::Cosine);
-    m.fit(&data).unwrap();
-    let queries = DenseMatrix::from_rows(&vecs(23, 75, 23)).unwrap();
-    let batch = m.predict_batch(&queries).unwrap();
-    for r in 0..queries.rows() {
-        let row = m.predict(queries.row(r)).unwrap();
-        for (a, b) in batch.row(r).iter().zip(&row) {
-            assert_eq!(a.to_bits(), b.to_bits(), "query {r}");
-        }
-    }
-}
-
-// -----------------------------------------------------------------
-// 3. exact vs binned trees: the thresholds gating the binned kernel
+// 2. exact vs binned trees: the thresholds gating the binned kernel
 // -----------------------------------------------------------------
 
 /// A few-runs evaluation (one profile window per benchmark) through the
@@ -279,7 +221,7 @@ fn binned_gbt_predictions_stay_close_to_exact_fits() {
     // tolerance (mean |Δ| ≤ 5% of the target's scale).
     let xs = vecs(120, 30, 31);
     let ys = vecs(120, 4, 32);
-    let data = Dataset::ungrouped(
+    let data = Dataset::new(
         DenseMatrix::from_rows(&xs).unwrap(),
         DenseMatrix::from_rows(&ys).unwrap(),
     )
@@ -312,7 +254,7 @@ fn binned_gbt_predictions_stay_close_to_exact_fits() {
 }
 
 // -----------------------------------------------------------------
-// 4. the evaluation XGBoost: pinned prediction bits
+// 3. the evaluation XGBoost: pinned prediction bits
 // -----------------------------------------------------------------
 
 /// `rows × width` integers in `0..levels`, as `f64`: every feature has
@@ -338,7 +280,7 @@ fn integer_rows(rows: usize, width: usize, levels: u64, seed: u64) -> Vec<Vec<f6
 /// the bits of its predictions on every training row and five fresh
 /// queries.
 fn xgb_prediction_digest(xs: &[Vec<f64>], ys: &[Vec<f64>], seed: u64) -> u64 {
-    let data = Dataset::ungrouped(
+    let data = Dataset::new(
         DenseMatrix::from_rows(xs).unwrap(),
         DenseMatrix::from_rows(ys).unwrap(),
     )

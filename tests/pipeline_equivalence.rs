@@ -123,7 +123,7 @@ fn moment_representations_share_targets_and_knn_ignores_its_seed() {
         rows.push(Profile::from_runs(&bench.runs, 5).unwrap().features);
         targets.push(target);
     }
-    let data = Dataset::ungrouped(
+    let data = Dataset::new(
         DenseMatrix::from_rows(&rows[1..]).unwrap(),
         DenseMatrix::from_rows(&targets[1..]).unwrap(),
     )

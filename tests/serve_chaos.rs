@@ -10,10 +10,13 @@
 
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::path::Path;
+use std::process::{ChildStdin, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
+mod common;
+
+use common::{serve_binary, wait_exit_ok, Daemon, TempDir};
 use perfvar_suite::core::registry::{artifact_key, Artifact, ModelRegistry};
 use perfvar_suite::core::sweep::CellConfig;
 use perfvar_suite::core::usecase1::{FewRunsConfig, FewRunsPredictor};
@@ -23,31 +26,6 @@ use perfvar_suite::sysmodel::{Corpus, SystemModel};
 
 const RUNS: usize = 30;
 const SEED: u64 = 11;
-
-/// Locates the workspace `pv-serve` binary next to this test
-/// executable, building it on demand (the facade package's `cargo test`
-/// does not build other members' binaries).
-fn serve_binary() -> PathBuf {
-    let exe = std::env::current_exe().expect("test exe path");
-    let profile_dir = exe
-        .parent()
-        .and_then(Path::parent)
-        .expect("target profile dir")
-        .to_path_buf();
-    let bin = profile_dir.join("pv-serve");
-    if !bin.exists() {
-        let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-        let mut cmd = Command::new(cargo);
-        cmd.args(["build", "-p", "pv-bench", "--bin", "pv-serve"]);
-        if profile_dir.file_name().map(|n| n == "release") == Some(true) {
-            cmd.arg("--release");
-        }
-        let status = cmd.status().expect("spawn cargo build");
-        assert!(status.success(), "building pv-serve failed");
-    }
-    assert!(bin.exists(), "no pv-serve binary at {}", bin.display());
-    bin
-}
 
 fn cfg() -> FewRunsConfig {
     FewRunsConfig {
@@ -59,11 +37,8 @@ fn cfg() -> FewRunsConfig {
     }
 }
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pv-serve-chaos-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("mkdir");
-    dir
+fn tmp_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("pv-serve-chaos-{tag}"))
 }
 
 /// Seals one model and returns (corpus, registry key).
@@ -90,23 +65,6 @@ fn request_line(key: u64, corpus: &Corpus, bench: usize, id: usize) -> String {
     )
 }
 
-fn wait_exit_ok(mut child: Child) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        match child.try_wait().expect("try_wait") {
-            Some(status) => {
-                assert!(status.success(), "pv-serve exited with {status}");
-                return;
-            }
-            None if Instant::now() > deadline => {
-                let _ = child.kill();
-                panic!("pv-serve did not exit within 30s");
-            }
-            None => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
-}
-
 fn counter(metrics: &Path, name: &str) -> u64 {
     read_metrics(metrics)
         .expect("metrics snapshot")
@@ -116,16 +74,16 @@ fn counter(metrics: &Path, name: &str) -> u64 {
 
 /// Spawns pv-serve in stdio mode with extra flags, returning the child
 /// plus its protocol handles.
-fn spawn_stdio(dir: &Path, extra: &[&str]) -> (Child, ChildStdin, BufReader<ChildStdout>) {
-    let mut cmd = Command::new(serve_binary());
-    cmd.args(["--registry"]).arg(dir);
-    cmd.args(extra);
-    let mut child = cmd
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn pv-serve");
+fn spawn_stdio(dir: &Path, extra: &[&str]) -> (Daemon, ChildStdin, BufReader<ChildStdout>) {
+    let mut child = Daemon::spawn(
+        Command::new(serve_binary())
+            .args(["--registry"])
+            .arg(dir)
+            .args(extra)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null()),
+    );
     let stdin = child.stdin.take().expect("stdin");
     let stdout = BufReader::new(child.stdout.take().expect("stdout"));
     (child, stdin, stdout)
@@ -216,7 +174,6 @@ fn injected_slow_faults_time_out_exactly_k_requests() {
     assert_eq!(counter(&metrics, "pv.serve.request.timeout"), 2);
     assert_eq!(counter(&metrics, "pv.serve.shutdown"), 1);
     assert_eq!(counter(&metrics, "pv.serve.shed"), 0);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Injected sheds produce exactly-k typed `overloaded` responses at the
@@ -266,7 +223,6 @@ fn injected_sheds_are_exactly_k_typed_overloaded_responses() {
     assert_eq!(counter(&metrics, "pv.serve.request.overloaded"), 2);
     assert_eq!(counter(&metrics, "pv.serve.shed"), 2);
     assert_eq!(counter(&metrics, "pv.serve.shutdown"), 1);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Hot reload: a model stored after startup is picked up by
@@ -287,7 +243,7 @@ fn hot_reload_swaps_snapshots_and_corruption_degrades_without_dropping() {
     assert!(before.contains("\"ok\":true"), "{before}");
 
     // Deploy a second model into the live registry directory.
-    let registry = ModelRegistry::new(&dir);
+    let registry = ModelRegistry::new(dir.to_path_buf());
     let fp = corpus_fingerprint(&corpus);
     let cfg_b = FewRunsConfig {
         n_profile_runs: 7,
@@ -360,7 +316,6 @@ fn hot_reload_swaps_snapshots_and_corruption_degrades_without_dropping() {
     assert!(ack.contains("\"shutdown\":true"), "{ack}");
     drop(stdin);
     wait_exit_ok(child);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// An injected registry I/O fault fails the whole reload with a typed
@@ -408,7 +363,6 @@ fn failed_reload_keeps_old_snapshot_serving_and_recovers_on_retry() {
     assert!(ack.contains("\"shutdown\":true"), "{ack}");
     drop(stdin);
     wait_exit_ok(child);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Clean drain: a client floods slow (chaos-delayed) requests, another
@@ -427,19 +381,19 @@ fn shutdown_drains_every_admitted_request() {
     // 20ms of real injected delay per request, batch 1: the queue
     // stays busy long enough for the shutdown to land amid the flood.
     let plan: Vec<String> = (0..FLOOD as u64).map(|s| format!("slow@{s}:20")).collect();
-    let child = Command::new(serve_binary())
-        .args(["--registry"])
-        .arg(&dir)
-        .args(["--socket"])
-        .arg(&socket)
-        .args(["--batch", "1", "--inject-serve", &plan.join(",")])
-        .args(["--metrics-out"])
-        .arg(&metrics)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn pv-serve");
+    let child = Daemon::spawn(
+        Command::new(serve_binary())
+            .args(["--registry"])
+            .arg(&dir)
+            .args(["--socket"])
+            .arg(&socket)
+            .args(["--batch", "1", "--inject-serve", &plan.join(",")])
+            .args(["--metrics-out"])
+            .arg(&metrics)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null()),
+    );
     let deadline = Instant::now() + Duration::from_secs(20);
     while !socket.exists() {
         assert!(Instant::now() < deadline, "socket never appeared");
@@ -486,7 +440,6 @@ fn shutdown_drains_every_admitted_request() {
     assert_eq!(counter(&metrics, "pv.serve.request"), FLOOD as u64 + 1);
     assert_eq!(counter(&metrics, "pv.serve.request.ok"), FLOOD as u64);
     assert_eq!(counter(&metrics, "pv.serve.shutdown"), 1);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// A malformed flood from a client that disconnects without reading a
@@ -499,17 +452,17 @@ fn malformed_flood_and_vanishing_client_do_not_wedge_the_daemon() {
     let dir = tmp_dir("flood");
     let (corpus, key) = seed_registry(&dir);
     let socket = dir.join("pv-serve.sock");
-    let child = Command::new(serve_binary())
-        .args(["--registry"])
-        .arg(&dir)
-        .args(["--socket"])
-        .arg(&socket)
-        .args(["--queue", "64"])
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn pv-serve");
+    let child = Daemon::spawn(
+        Command::new(serve_binary())
+            .args(["--registry"])
+            .arg(&dir)
+            .args(["--socket"])
+            .arg(&socket)
+            .args(["--queue", "64"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null()),
+    );
     let deadline = Instant::now() + Duration::from_secs(20);
     while !socket.exists() {
         assert!(Instant::now() < deadline, "socket never appeared");
@@ -548,7 +501,6 @@ fn malformed_flood_and_vanishing_client_do_not_wedge_the_daemon() {
     reader.read_line(&mut ack).expect("read ack");
     assert!(ack.contains("\"shutdown\":true"), "{ack}");
     wait_exit_ok(child);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Extracts the integer following `"key":` from a flat JSON line the
@@ -685,7 +637,6 @@ fn stats_verb_reconciles_with_access_log_and_counters_under_chaos() {
     assert_eq!(counter(&metrics, "pv.serve.request.stats"), 1);
     assert_eq!(counter(&metrics, "pv.serve.shutdown"), 1);
     assert_eq!(counter(&metrics, "pv.serve.shed"), 1);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// A shed burst over the anomaly threshold trips the flight recorder
@@ -742,7 +693,6 @@ fn flight_recorder_dump_is_byte_stable_across_reruns() {
         assert_eq!(field_str(event, "outcome"), "overloaded", "{event}");
         assert!(event.contains("\"model\":null"), "{event}");
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// An injected worker panic is caught per-request: the victim gets a
@@ -802,7 +752,6 @@ fn injected_panic_is_survived_typed_and_trips_the_recorder() {
     assert_eq!(counter(&metrics, "pv.serve.request.error"), 1);
     assert_eq!(counter(&metrics, "pv.serve.panic"), 1);
     assert_eq!(counter(&metrics, "pv.serve.recorder.trip"), 1);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// SIGHUP reloads the registry like `{"op": "reload"}`: a model sealed
@@ -822,16 +771,16 @@ fn sighup_reloads_a_model_sealed_after_startup() {
     let dir = tmp_dir("sighup");
     let (corpus, _) = seed_registry(&dir);
     let socket = dir.join("pv-serve.sock");
-    let child = Command::new(serve_binary())
-        .args(["--registry"])
-        .arg(&dir)
-        .args(["--socket"])
-        .arg(&socket)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn pv-serve");
+    let child = Daemon::spawn(
+        Command::new(serve_binary())
+            .args(["--registry"])
+            .arg(&dir)
+            .args(["--socket"])
+            .arg(&socket)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null()),
+    );
     // The handler is installed before the socket is bound.
     let deadline = Instant::now() + Duration::from_secs(20);
     while !socket.exists() {
@@ -839,7 +788,7 @@ fn sighup_reloads_a_model_sealed_after_startup() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    let registry = ModelRegistry::new(&dir);
+    let registry = ModelRegistry::new(dir.to_path_buf());
     let cfg_b = FewRunsConfig {
         n_profile_runs: 7,
         ..cfg()
@@ -882,5 +831,4 @@ fn sighup_reloads_a_model_sealed_after_startup() {
     reader.read_line(&mut ack).expect("read ack");
     assert!(ack.contains("\"shutdown\":true"), "{ack}");
     wait_exit_ok(child);
-    let _ = fs::remove_dir_all(&dir);
 }

@@ -4,12 +4,14 @@
 //! with the exported `pv.serve.*` counters exactly matching the
 //! response tally.
 
-use std::fs;
 use std::io::{BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::Path;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+mod common;
+
+use common::{serve_binary, wait_exit_ok, Daemon, TempDir};
 use perfvar_suite::core::registry::{artifact_key, Artifact, ModelRegistry};
 use perfvar_suite::core::sweep::CellConfig;
 use perfvar_suite::core::usecase1::{FewRunsConfig, FewRunsPredictor};
@@ -19,32 +21,6 @@ use perfvar_suite::sysmodel::{Corpus, SystemModel};
 
 const RUNS: usize = 30;
 const SEED: u64 = 11;
-
-/// Locates the workspace `pv-serve` binary next to this test
-/// executable (`target/<profile>/deps/<test>` → `target/<profile>/`),
-/// building it on demand — `cargo test` for the facade package does not
-/// build other members' binaries.
-fn serve_binary() -> PathBuf {
-    let exe = std::env::current_exe().expect("test exe path");
-    let profile_dir = exe
-        .parent()
-        .and_then(Path::parent)
-        .expect("target profile dir")
-        .to_path_buf();
-    let bin = profile_dir.join("pv-serve");
-    if !bin.exists() {
-        let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-        let mut cmd = Command::new(cargo);
-        cmd.args(["build", "-p", "pv-bench", "--bin", "pv-serve"]);
-        if profile_dir.file_name().map(|n| n == "release") == Some(true) {
-            cmd.arg("--release");
-        }
-        let status = cmd.status().expect("spawn cargo build");
-        assert!(status.success(), "building pv-serve failed");
-    }
-    assert!(bin.exists(), "no pv-serve binary at {}", bin.display());
-    bin
-}
 
 fn cfg() -> FewRunsConfig {
     FewRunsConfig {
@@ -56,11 +32,8 @@ fn cfg() -> FewRunsConfig {
     }
 }
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pv-serve-proto-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("mkdir");
-    dir
+fn tmp_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("pv-serve-proto-{tag}"))
 }
 
 /// Seals one model and returns (corpus, registry key).
@@ -87,23 +60,6 @@ fn request_line(key: u64, corpus: &Corpus, bench: usize, id: usize) -> String {
     )
 }
 
-fn wait_exit_ok(mut child: Child) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        match child.try_wait().expect("try_wait") {
-            Some(status) => {
-                assert!(status.success(), "pv-serve exited with {status}");
-                return;
-            }
-            None if Instant::now() > deadline => {
-                let _ = child.kill();
-                panic!("pv-serve did not exit within 30s");
-            }
-            None => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
-}
-
 fn counter(metrics: &Path, name: &str) -> u64 {
     read_metrics(metrics)
         .expect("metrics snapshot")
@@ -119,16 +75,16 @@ fn stdio_session_answers_everything_typed_and_counts_match() {
     let dir = tmp_dir("stdio");
     let (corpus, key) = seed_registry(&dir);
     let metrics = dir.join("METRICS.json");
-    let mut child = Command::new(serve_binary())
-        .args(["--registry"])
-        .arg(&dir)
-        .args(["--metrics-out"])
-        .arg(&metrics)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn pv-serve");
+    let mut child = Daemon::spawn(
+        Command::new(serve_binary())
+            .args(["--registry"])
+            .arg(&dir)
+            .args(["--metrics-out"])
+            .arg(&metrics)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null()),
+    );
     let mut stdin = child.stdin.take().expect("stdin");
     let stdout = BufReader::new(child.stdout.take().expect("stdout"));
 
@@ -172,7 +128,6 @@ fn stdio_session_answers_everything_typed_and_counts_match() {
     assert_eq!(counter(&metrics, "pv.serve.request.error"), 0);
     assert_eq!(counter(&metrics, "pv.serve.shutdown"), 1);
     assert!(counter(&metrics, "pv.serve.batch") >= 1);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// A line exceeding `--max-line` gets a typed bad-request reply (the
@@ -181,15 +136,15 @@ fn stdio_session_answers_everything_typed_and_counts_match() {
 fn oversized_line_is_rejected_not_fatal() {
     let dir = tmp_dir("oversize");
     let (corpus, key) = seed_registry(&dir);
-    let mut child = Command::new(serve_binary())
-        .args(["--registry"])
-        .arg(&dir)
-        .args(["--max-line", "512"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn pv-serve");
+    let mut child = Daemon::spawn(
+        Command::new(serve_binary())
+            .args(["--registry"])
+            .arg(&dir)
+            .args(["--max-line", "512"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null()),
+    );
     let mut stdin = child.stdin.take().expect("stdin");
     let stdout = BufReader::new(child.stdout.take().expect("stdout"));
 
@@ -212,7 +167,6 @@ fn oversized_line_is_rejected_not_fatal() {
     assert!(replies[2].contains("\"shutdown\":true"), "{}", replies[2]);
     drop(stdin);
     wait_exit_ok(child);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// A line of nothing but opening brackets, far under the line cap, is a
@@ -223,14 +177,14 @@ fn oversized_line_is_rejected_not_fatal() {
 fn deeply_nested_line_is_a_typed_error_not_a_crash() {
     let dir = tmp_dir("deep");
     seed_registry(&dir);
-    let mut child = Command::new(serve_binary())
-        .args(["--registry"])
-        .arg(&dir)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn pv-serve");
+    let mut child = Daemon::spawn(
+        Command::new(serve_binary())
+            .args(["--registry"])
+            .arg(&dir)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null()),
+    );
     let mut stdin = child.stdin.take().expect("stdin");
     let stdout = BufReader::new(child.stdout.take().expect("stdout"));
 
@@ -250,7 +204,6 @@ fn deeply_nested_line_is_a_typed_error_not_a_crash() {
     assert!(replies[2].contains("\"shutdown\":true"), "{}", replies[2]);
     drop(stdin);
     wait_exit_ok(child);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// A client that sends shutdown and hangs up without reading the ack
@@ -264,16 +217,16 @@ fn shutdown_from_vanishing_client_still_stops_the_daemon() {
     let dir = tmp_dir("vanish");
     let _ = seed_registry(&dir);
     let socket = dir.join("pv-serve.sock");
-    let child = Command::new(serve_binary())
-        .args(["--registry"])
-        .arg(&dir)
-        .args(["--socket"])
-        .arg(&socket)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn pv-serve");
+    let child = Daemon::spawn(
+        Command::new(serve_binary())
+            .args(["--registry"])
+            .arg(&dir)
+            .args(["--socket"])
+            .arg(&socket)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null()),
+    );
     let deadline = Instant::now() + Duration::from_secs(20);
     while !socket.exists() {
         assert!(Instant::now() < deadline, "socket never appeared");
@@ -286,7 +239,6 @@ fn shutdown_from_vanishing_client_still_stops_the_daemon() {
         // Drop without reading: the daemon's ack write races our close.
     }
     wait_exit_ok(child);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Unix-socket mode: three clients interleave pipelined requests; each
@@ -301,18 +253,18 @@ fn socket_clients_interleave_without_crosstalk() {
     let (corpus, key) = seed_registry(&dir);
     let socket = dir.join("pv-serve.sock");
     let metrics = dir.join("METRICS.json");
-    let child = Command::new(serve_binary())
-        .args(["--registry"])
-        .arg(&dir)
-        .args(["--socket"])
-        .arg(&socket)
-        .args(["--metrics-out"])
-        .arg(&metrics)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn pv-serve");
+    let child = Daemon::spawn(
+        Command::new(serve_binary())
+            .args(["--registry"])
+            .arg(&dir)
+            .args(["--socket"])
+            .arg(&socket)
+            .args(["--metrics-out"])
+            .arg(&metrics)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null()),
+    );
     let deadline = Instant::now() + Duration::from_secs(20);
     while !socket.exists() {
         assert!(Instant::now() < deadline, "socket never appeared");
@@ -379,7 +331,6 @@ fn socket_clients_interleave_without_crosstalk() {
     assert_eq!(counter(&metrics, "pv.serve.shutdown"), 1);
     assert_eq!(counter(&metrics, "pv.serve.request.bad"), 0);
     assert_eq!(counter(&metrics, "pv.serve.request.not_found"), 0);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// `{"op":"stats"}` is a first-class protocol verb: it answers with the
@@ -392,16 +343,16 @@ fn stats_verb_returns_live_windows_and_joins_the_partition() {
     let dir = tmp_dir("stats");
     let (corpus, key) = seed_registry(&dir);
     let metrics = dir.join("METRICS.json");
-    let mut child = Command::new(serve_binary())
-        .args(["--registry"])
-        .arg(&dir)
-        .args(["--metrics-out"])
-        .arg(&metrics)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn pv-serve");
+    let mut child = Daemon::spawn(
+        Command::new(serve_binary())
+            .args(["--registry"])
+            .arg(&dir)
+            .args(["--metrics-out"])
+            .arg(&metrics)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null()),
+    );
     let mut stdin = child.stdin.take().expect("stdin");
     let mut stdout = BufReader::new(child.stdout.take().expect("stdout")).lines();
     let mut send = |line: &str| {
@@ -451,5 +402,4 @@ fn stats_verb_returns_live_windows_and_joins_the_partition() {
     assert_eq!(counter(&metrics, "pv.serve.request.stats"), 1);
     assert_eq!(counter(&metrics, "pv.serve.request.bad"), 1);
     assert_eq!(counter(&metrics, "pv.serve.shutdown"), 1);
-    let _ = fs::remove_dir_all(&dir);
 }

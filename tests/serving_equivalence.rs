@@ -5,12 +5,14 @@
 //! across the pool, so thread-shape bugs would surface here first).
 
 use std::collections::BTreeMap;
-use std::fs;
-use std::path::PathBuf;
+
+mod common;
+
+use common::TempDir;
 
 use perfvar_suite::core::registry::{Artifact, ModelRegistry};
 use perfvar_suite::core::sweep::CellConfig;
-use perfvar_suite::core::usecase1::{FewRunsConfig, FewRunsPredictor};
+use perfvar_suite::core::usecase1::{FewRunsArtifact, FewRunsConfig, FewRunsPredictor};
 use perfvar_suite::core::usecase2::{CrossSystemConfig, CrossSystemPredictor};
 use perfvar_suite::core::{corpus_fingerprint, ModelKind, Profile, ReprKind};
 use perfvar_suite::sysmodel::{Corpus, SystemModel};
@@ -34,12 +36,6 @@ fn uc1_cfg(repr: ReprKind, model: ModelKind) -> FewRunsConfig {
     }
 }
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pv-serve-eq-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
-
 fn in_pool<T: Send>(threads: usize, op: impl FnOnce() -> T + Send) -> T {
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
@@ -54,8 +50,8 @@ fn in_pool<T: Send>(threads: usize, op: impl FnOnce() -> T + Send) -> T {
 /// 1, 2, and 8 threads against the in-memory predictor's default pool.
 #[test]
 fn uc1_registry_round_trip_is_bit_identical_at_any_thread_count() {
-    let dir = tmp_dir("uc1");
-    let registry = ModelRegistry::new(&dir);
+    let dir = TempDir::new("pv-serve-eq-uc1");
+    let registry = ModelRegistry::new(dir.to_path_buf());
     let corpus = corpus(SystemModel::intel());
     let fp = corpus_fingerprint(&corpus);
     let include: Vec<usize> = (0..corpus.len()).collect();
@@ -102,7 +98,6 @@ fn uc1_registry_round_trip_is_bit_identical_at_any_thread_count() {
             }
         }
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// The cross-system artifact round-trips the same way: every model kind
@@ -111,8 +106,8 @@ fn uc1_registry_round_trip_is_bit_identical_at_any_thread_count() {
 /// count.
 #[test]
 fn uc2_registry_round_trip_is_bit_identical_at_any_thread_count() {
-    let dir = tmp_dir("uc2");
-    let registry = ModelRegistry::new(&dir);
+    let dir = TempDir::new("pv-serve-eq-uc2");
+    let registry = ModelRegistry::new(dir.to_path_buf());
     let src = corpus(SystemModel::amd());
     let dst = corpus(SystemModel::intel());
     let include: Vec<usize> = (0..src.len().min(dst.len())).collect();
@@ -174,15 +169,14 @@ fn uc2_registry_round_trip_is_bit_identical_at_any_thread_count() {
             }
         }
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
-/// Fixture for the query-order property: a forest model sealed once,
-/// loaded once, with reference answers for the first eight benchmarks.
+/// Fixture for the query-order property: a forest model trained once,
+/// loaded once from a sealed registry entry, with reference answers for
+/// the first eight benchmarks.
 struct OrderFixture {
     corpus: Corpus,
-    registry: ModelRegistry,
-    fingerprint: u64,
+    artifact: FewRunsArtifact,
     loaded: FewRunsPredictor,
     reference: BTreeMap<usize, Vec<f64>>,
 }
@@ -191,26 +185,34 @@ fn order_cfg() -> FewRunsConfig {
     uc1_cfg(ReprKind::PearsonRnd, ModelKind::RandomForest)
 }
 
+/// Seals `artifact` into a fresh registry directory and loads it back;
+/// the directory is gone when this returns.
+fn seal_and_load(corpus: &Corpus, artifact: &FewRunsArtifact) -> FewRunsPredictor {
+    let dir = TempDir::new("pv-serve-eq-order");
+    let registry = ModelRegistry::new(dir.to_path_buf());
+    let fingerprint = corpus_fingerprint(corpus);
+    registry
+        .store(fingerprint, &Artifact::FewRuns(artifact.clone()))
+        .expect("store");
+    match registry
+        .load(fingerprint, &CellConfig::FewRuns(order_cfg()))
+        .expect("load")
+    {
+        Artifact::FewRuns(a) => FewRunsPredictor::from_artifact(a).expect("rebuild"),
+        other => panic!("wrong artifact kind {}", other.model_name()),
+    }
+}
+
 fn order_fixture() -> &'static OrderFixture {
     static FIXTURE: std::sync::OnceLock<OrderFixture> = std::sync::OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let dir = tmp_dir("order");
-        let registry = ModelRegistry::new(&dir);
         let corpus = corpus(SystemModel::intel());
-        let fingerprint = corpus_fingerprint(&corpus);
         let include: Vec<usize> = (0..corpus.len()).collect();
         let cfg = order_cfg();
-        let trained = FewRunsPredictor::train(&corpus, &include, cfg).expect("train");
-        registry
-            .store(fingerprint, &Artifact::FewRuns(trained.to_artifact()))
-            .expect("store");
-        let loaded = match registry
-            .load(fingerprint, &CellConfig::FewRuns(cfg))
-            .expect("load")
-        {
-            Artifact::FewRuns(a) => FewRunsPredictor::from_artifact(a).expect("rebuild"),
-            other => panic!("wrong artifact kind {}", other.model_name()),
-        };
+        let artifact = FewRunsPredictor::train(&corpus, &include, cfg)
+            .expect("train")
+            .to_artifact();
+        let loaded = seal_and_load(&corpus, &artifact);
         let mut reference = BTreeMap::new();
         for bi in 0..8 {
             let profile = Profile::from_runs(&corpus.benchmarks[bi].runs, cfg.n_profile_runs)
@@ -224,8 +226,7 @@ fn order_fixture() -> &'static OrderFixture {
         }
         OrderFixture {
             corpus,
-            registry,
-            fingerprint,
+            artifact,
             loaded,
             reference,
         }
@@ -248,14 +249,7 @@ proptest! {
         let cfg = order_cfg();
         let fresh;
         let predictor = if reload {
-            fresh = match fx
-                .registry
-                .load(fx.fingerprint, &CellConfig::FewRuns(cfg))
-                .expect("load")
-            {
-                Artifact::FewRuns(a) => FewRunsPredictor::from_artifact(a).expect("rebuild"),
-                other => panic!("wrong artifact kind {}", other.model_name()),
-            };
+            fresh = seal_and_load(&fx.corpus, &fx.artifact);
             &fresh
         } else {
             &fx.loaded

@@ -129,7 +129,7 @@ fn profile_features_identify_applications() {
     let ids: Vec<Vec<f64>> = (0..train.len()).map(|i| vec![i as f64]).collect();
     let mut knn = KnnRegressor::new(1).with_distance(Distance::Cosine);
     knn.fit(
-        &Dataset::ungrouped(
+        &Dataset::new(
             DenseMatrix::from_rows(&train).unwrap(),
             DenseMatrix::from_rows(&ids).unwrap(),
         )
