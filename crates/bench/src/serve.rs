@@ -74,6 +74,7 @@ use rayon::prelude::*;
 use serde::Content;
 
 use pv_core::registry::{ModelRegistry, REGISTRY_OBS_COUNTERS};
+use pv_core::repr::PEARSON_TYPE_COUNTERS;
 use pv_core::resilience::{PvError, ServeFaultPlan};
 use pv_core::store::write_atomic;
 use pv_core::usecase1::FewRunsPredictor;
@@ -148,12 +149,13 @@ pub const SERVE_OBS_COUNTERS: &[&str] = &[
 /// queue depth and its high watermark.
 pub const SERVE_OBS_GAUGES: &[&str] = &["pv.serve.queue_depth", "pv.serve.queue_high_watermark"];
 
-/// Every counter and gauge a daemon process can emit (serve + registry
-/// loads), preregistered at startup so metrics snapshots list zeros
-/// explicitly.
+/// Every counter and gauge a daemon process can emit (serve, registry
+/// loads and the Pearson type of each PearsonRnd decode), preregistered at
+/// startup so metrics snapshots list zeros explicitly.
 pub fn preregister_serve_counters() {
     pv_obs::metrics::preregister_counters(SERVE_OBS_COUNTERS);
     pv_obs::metrics::preregister_counters(REGISTRY_OBS_COUNTERS);
+    pv_obs::metrics::preregister_counters(&PEARSON_TYPE_COUNTERS);
     for name in SERVE_OBS_GAUGES {
         let _ = pv_obs::metrics::gauge(name);
     }

@@ -302,6 +302,23 @@ impl DistributionRepr for MaxEntRepr {
     }
 }
 
+/// The counters [`PearsonRepr::decode`] bumps, one per Pearson type of the
+/// fitted distribution, in [`pv_pearson::PearsonType`] declaration order.
+/// Every successful decode counts exactly once, so a run's PearsonRnd
+/// decodes partition across them. Sweeps and the serving daemon
+/// pre-register them.
+pub const PEARSON_TYPE_COUNTERS: [&str; 9] = [
+    "pv.pearson.type.zero",
+    "pv.pearson.type.i",
+    "pv.pearson.type.ii",
+    "pv.pearson.type.iii",
+    "pv.pearson.type.iv",
+    "pv.pearson.type.v",
+    "pv.pearson.type.vi",
+    "pv.pearson.type.vii",
+    "pv.pearson.type.degenerate",
+];
+
 /// Pearson-system representation ("PearsonRnd").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PearsonRepr;
@@ -327,6 +344,7 @@ impl DistributionRepr for PearsonRepr {
     ) -> Result<Vec<f64>, StatsError> {
         let s = summary_from_features(features, "PearsonRepr::decode")?;
         let d = PearsonDist::fit(s)?;
+        pv_obs::counter_inc!(PEARSON_TYPE_COUNTERS[d.pearson_type() as usize]);
         Ok(d.sample_n(rng, n))
     }
 }
@@ -495,6 +513,59 @@ mod tests {
             .collect();
         let want: Vec<String> = cases.iter().map(|(_, d)| format!("{d:#018x}")).collect();
         assert_eq!(got, want);
+    }
+
+    /// Sample digests of `PearsonRepr::decode`, one moment summary per
+    /// Pearson type, plus a type IV summary just inside the type V curve
+    /// (ν ≈ −4·10⁵) whose angle log-density peaks at the last grid point.
+    /// A change to the type IV grid or its inverse-CDF lookup must not
+    /// move a single sample.
+    #[test]
+    fn pearson_decode_samples_are_pinned() {
+        use pv_pearson::PearsonType::{self, *};
+        use pv_stats::fingerprint::Fnv1a;
+        let cases: [([f64; 4], PearsonType, u64); 9] = [
+            ([1.0, 0.05, 0.0, 3.0], Zero, 0x09f8_8c9d_fc5c_5a19),
+            ([1.0, 0.05, 0.6, 2.9], I, 0x3274_4c61_c16b_274d),
+            ([1.0, 0.05, 0.0, 2.5], II, 0x793c_90dc_e433_2338),
+            ([1.0, 0.05, 1.0, 4.5], III, 0x7080_c774_d4bd_8918),
+            ([1.0, 0.05, 0.8, 5.0], IV, 0xaa45_f719_f5c4_42b5),
+            (
+                [1.0, 0.05, 1.0, 4.970388365322377],
+                V,
+                0x4a98_4db6_520a_19fa,
+            ),
+            ([1.0, 0.05, 1.8, 9.0], VI, 0x3f43_0a46_9ee9_c2f2),
+            ([1.0, 0.05, 0.0, 4.0], VII, 0x86d2_ca52_fe2c_6e5c),
+            (
+                [1.0, 0.05, 2.0, 12.134446500564898],
+                IV,
+                0x42fd_3b8f_5de7_28b6,
+            ),
+        ];
+        let got: Vec<String> = cases
+            .iter()
+            .map(|(features, ptype, _)| {
+                let s = summary_from_features(features, "pin").unwrap();
+                assert_eq!(PearsonDist::fit(s).unwrap().pearson_type(), *ptype);
+                let mut rng = Xoshiro256pp::seed_from_u64(11);
+                let ys = PearsonRepr.decode(features, &mut rng, 1000).unwrap();
+                let mut h = Fnv1a::new();
+                h.write_f64s(&ys);
+                format!("{:#018x}", h.finish())
+            })
+            .collect();
+        let want: Vec<String> = cases.iter().map(|(_, _, d)| format!("{d:#018x}")).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn pearson_type_counters_follow_the_type_order() {
+        use pv_pearson::PearsonType::*;
+        for t in [Zero, I, II, III, IV, V, VI, VII, Degenerate] {
+            let name = format!("pv.pearson.type.{}", format!("{t:?}").to_lowercase());
+            assert_eq!(PEARSON_TYPE_COUNTERS[t as usize], name);
+        }
     }
 
     #[test]

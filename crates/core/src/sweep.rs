@@ -58,7 +58,7 @@ use crate::incremental::{
 };
 use crate::model::ModelKind;
 use crate::pipeline::EncodingSpec;
-use crate::repr::ReprKind;
+use crate::repr::{ReprKind, PEARSON_TYPE_COUNTERS};
 use crate::resilience::{validate_summary, CacheLock, FaultKind, FaultPlan, PvError};
 use crate::shard::{ShardedCorpus, SHARD_OBS_COUNTERS};
 use crate::usecase1::FewRunsConfig;
@@ -898,6 +898,7 @@ impl<'a, 'c> Sweep<'a, 'c> {
         let _sweep_span = pv_obs::span!("pv.core.sweep.run", cells = cells.len());
         pv_obs::metrics::preregister_counters(SWEEP_OBS_COUNTERS);
         pv_obs::metrics::preregister_counters(&SHARD_OBS_COUNTERS);
+        pv_obs::metrics::preregister_counters(&PEARSON_TYPE_COUNTERS);
         pv_obs::gauge_set!("pv.core.sweep.cells_total", cells.len());
         // The advisory lock covers cache reads, writes and pruning; it
         // is held until this function returns.

@@ -6,6 +6,8 @@
 //! public API shifts/scales back to the caller's mean and standard
 //! deviation.
 
+use std::sync::OnceLock;
+
 use rand::Rng;
 
 use pv_stats::moments::MomentSummary;
@@ -16,8 +18,12 @@ use pv_stats::StatsError;
 use crate::classify::{classify, pearson_coeffs, PearsonType};
 use crate::Result;
 
-/// Number of grid points used by the type IV inverse-CDF sampler.
+/// Number of grid intervals used by the type IV inverse-CDF sampler.
 const TYPE4_GRID: usize = 4096;
+
+/// Buckets of the type IV sampler's guide table. A power of two, so the
+/// bucket of `u`, `(u · GUIDE_BUCKETS) as usize`, is exact.
+const GUIDE_BUCKETS: usize = 4096;
 
 /// Standardized-family parameters, one variant per Pearson type.
 #[derive(Debug, Clone)]
@@ -38,8 +44,8 @@ enum StdKind {
         nu: f64,
         a: f64,
         lambda: f64,
-        /// Precomputed CDF grid over φ ∈ (−π/2, π/2): (φ, CDF(φ)).
-        grid: Vec<(f64, f64)>,
+        /// The φ-space CDF on the shared angle grid.
+        cdf: AngleCdf,
         /// Normalization constant of the φ-space density.
         norm: f64,
     },
@@ -170,12 +176,9 @@ impl PearsonDist {
                 };
                 sign * (g.sample(rng) - shape) / shape.sqrt()
             }
-            StdKind::TypeIv {
-                a, lambda, grid, ..
-            } => {
+            StdKind::TypeIv { a, lambda, cdf, .. } => {
                 let u: f64 = rng.gen();
-                let phi = inverse_cdf_grid(grid, u);
-                lambda + a * phi.tan()
+                lambda + a * cdf.inverse(u).tan()
             }
             StdKind::InvGamma {
                 shape,
@@ -351,48 +354,123 @@ fn fit_type_iv(spec: &MomentSummary) -> Result<StdKind> {
     let a = disc.sqrt() / 4.0;
     let lambda = -(r - 2.0) * spec.skewness / 4.0;
 
-    // φ-space density g(φ) ∝ cos^r(φ) · e^{−νφ} on (−π/2, π/2): compact
-    // support, so a trapezoid CDF grid is exact enough for sampling.
-    let half_pi = std::f64::consts::FRAC_PI_2;
-    let n = TYPE4_GRID;
-    let mut grid = Vec::with_capacity(n + 1);
-    let mut cdf = 0.0;
+    let (cdf, norm) = angle_cdf(r, nu)?;
+    Ok(StdKind::TypeIv {
+        m,
+        nu,
+        a,
+        lambda,
+        cdf,
+        norm,
+    })
+}
+
+/// The CDF of the φ-space density g(φ) ∝ cos^r(φ) · e^{−νφ} on the
+/// shared angle grid, and the normalization constant ∫ cos^r φ e^{−νφ} dφ.
+/// The support (−π/2, π/2) is compact, so a trapezoid CDF grid is exact
+/// enough for sampling. The log-density `r · ln cos φ − νφ` is computed
+/// once per grid point, with its peak subtracted for numerical stability.
+fn angle_cdf(r: f64, nu: f64) -> Result<(AngleCdf, f64)> {
+    let angles = angle_grid();
+    let mut cdf: Vec<f64> = angles
+        .ln_cos
+        .iter()
+        .zip(&angles.phi)
+        .map(|(ln_cos, phi)| r * ln_cos - nu * phi)
+        .collect();
+    let peak = cdf.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let mut total = 0.0;
     let mut prev_g = 0.0;
-    let h = 2.0 * half_pi / n as f64;
-    // Work with the log-density peak subtracted for numerical stability.
-    let ln_g = |phi: f64| r * phi.cos().max(1e-300).ln() - nu * phi;
-    let peak = (0..=n)
-        .map(|i| ln_g(-half_pi + i as f64 * h))
-        .fold(f64::NEG_INFINITY, f64::max);
-    for i in 0..=n {
-        let phi = -half_pi + i as f64 * h;
-        let g = (ln_g(phi) - peak).exp();
+    for (i, c) in cdf.iter_mut().enumerate() {
+        let g = (*c - peak).exp();
         if i > 0 {
-            cdf += 0.5 * (g + prev_g) * h;
+            total += 0.5 * (g + prev_g) * angles.h;
         }
-        grid.push((phi, cdf));
+        *c = total;
         prev_g = g;
     }
-    let total = cdf;
     if total <= 0.0 || total.is_nan() {
         return Err(StatsError::invalid(
             "PearsonDist::fit(type IV)",
             "degenerate angle density",
         ));
     }
-    for (_, c) in grid.iter_mut() {
+    for c in cdf.iter_mut() {
         *c /= total;
     }
     // Normalization constant for pdf(): ∫ cos^r φ e^{−νφ} dφ = total·e^peak
-    let norm = total * peak.exp();
-    Ok(StdKind::TypeIv {
-        m,
-        nu,
-        a,
-        lambda,
-        grid,
-        norm,
+    Ok((AngleCdf::new(cdf), total * peak.exp()))
+}
+
+/// The type IV angle grid `φᵢ = −π/2 + i·h`, `h = π / TYPE4_GRID`, and
+/// `ln cos φᵢ` (cosine floored at 1e-300). It depends on no parameter, so
+/// one process-wide table serves every fit.
+struct AngleGrid {
+    h: f64,
+    phi: Vec<f64>,
+    ln_cos: Vec<f64>,
+}
+
+fn angle_grid() -> &'static AngleGrid {
+    static GRID: OnceLock<AngleGrid> = OnceLock::new();
+    GRID.get_or_init(|| {
+        let half_pi = std::f64::consts::FRAC_PI_2;
+        let h = 2.0 * half_pi / TYPE4_GRID as f64;
+        let phi: Vec<f64> = (0..=TYPE4_GRID).map(|i| -half_pi + i as f64 * h).collect();
+        let ln_cos = phi.iter().map(|p| p.cos().max(1e-300).ln()).collect();
+        AngleGrid { h, phi, ln_cos }
     })
+}
+
+/// A normalized CDF column over the angle grid, non-decreasing from 0 to
+/// 1, with its guide table: `guide[j]` is the first index past the
+/// origin whose CDF reaches `j / GUIDE_BUCKETS`.
+#[derive(Debug, Clone)]
+struct AngleCdf {
+    cdf: Vec<f64>,
+    guide: Vec<u32>,
+}
+
+impl AngleCdf {
+    fn new(cdf: Vec<f64>) -> Self {
+        let last = cdf.len() - 1;
+        let mut i = 1;
+        let guide = (0..=GUIDE_BUCKETS)
+            .map(|j| {
+                let edge = j as f64 / GUIDE_BUCKETS as f64;
+                while i < last && cdf[i] < edge {
+                    i += 1;
+                }
+                i as u32
+            })
+            .collect();
+        AngleCdf { cdf, guide }
+    }
+
+    /// The upper end of the grid interval `u` falls in: the first index
+    /// past the origin whose CDF reaches `u`, or the last index. `u` must
+    /// lie in [0, 1].
+    fn bracket(&self, u: f64) -> usize {
+        let last = self.cdf.len() - 1;
+        let mut hi = self.guide[(u * GUIDE_BUCKETS as f64) as usize] as usize;
+        while hi < last && self.cdf[hi] < u {
+            hi += 1;
+        }
+        hi
+    }
+
+    /// Linear-interpolated inverse: the angle at which the CDF reaches `u`.
+    fn inverse(&self, u: f64) -> f64 {
+        let u = u.clamp(0.0, 1.0);
+        let hi = self.bracket(u);
+        let phi = &angle_grid().phi;
+        let (x0, c0) = (phi[hi - 1], self.cdf[hi - 1]);
+        let (x1, c1) = (phi[hi], self.cdf[hi]);
+        if c1 <= c0 {
+            return x0;
+        }
+        x0 + (x1 - x0) * (u - c0) / (c1 - c0)
+    }
 }
 
 /// Type V (κ = 1): the Pearson quadratic is a perfect square; the density
@@ -454,33 +532,11 @@ fn fit_type_vi(spec: &MomentSummary) -> Result<StdKind> {
     })
 }
 
-/// Linear-interpolated inverse of a `(x, cdf)` grid.
-fn inverse_cdf_grid(grid: &[(f64, f64)], u: f64) -> f64 {
-    let u = u.clamp(0.0, 1.0);
-    // Binary search on the CDF column.
-    let mut lo = 0usize;
-    let mut hi = grid.len() - 1;
-    while hi - lo > 1 {
-        let mid = (lo + hi) / 2;
-        if grid[mid].1 < u {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let (x0, c0) = grid[lo];
-    let (x1, c1) = grid[hi];
-    if c1 <= c0 {
-        return x0;
-    }
-    x0 + (x1 - x0) * (u - c0) / (c1 - c0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pv_stats::rng::Xoshiro256pp;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     const N: usize = 200_000;
 
@@ -687,11 +743,192 @@ mod tests {
     }
 
     #[test]
-    fn inverse_cdf_grid_interpolates() {
-        let grid = vec![(0.0, 0.0), (1.0, 0.5), (2.0, 1.0)];
-        assert_eq!(inverse_cdf_grid(&grid, 0.0), 0.0);
-        assert_eq!(inverse_cdf_grid(&grid, 1.0), 2.0);
-        assert!((inverse_cdf_grid(&grid, 0.25) - 0.5).abs() < 1e-12);
-        assert!((inverse_cdf_grid(&grid, 0.75) - 1.5).abs() < 1e-12);
+    fn inverse_cdf_interpolates_on_the_angle_grid() {
+        let half_pi = std::f64::consts::FRAC_PI_2;
+        let uniform = AngleCdf::new(
+            (0..=TYPE4_GRID)
+                .map(|i| i as f64 / TYPE4_GRID as f64)
+                .collect(),
+        );
+        assert_eq!(uniform.inverse(0.0), -half_pi);
+        assert_eq!(uniform.inverse(1.0), angle_grid().phi[TYPE4_GRID]);
+        assert!((uniform.inverse(0.25) + 0.5 * half_pi).abs() < 1e-12);
+        assert!((uniform.inverse(0.6) - 0.2 * half_pi).abs() < 1e-12);
+    }
+
+    /// The grid the angle table replaced: `r · ln cos φ − νφ` evaluated
+    /// point by point (once for the peak, once for the CDF), as every type
+    /// IV fit computed it before the table existed.
+    fn per_point_grid(r: f64, nu: f64) -> (Vec<f64>, f64) {
+        let half_pi = std::f64::consts::FRAC_PI_2;
+        let n = TYPE4_GRID;
+        let h = 2.0 * half_pi / n as f64;
+        let ln_g = |phi: f64| r * phi.cos().max(1e-300).ln() - nu * phi;
+        let peak = (0..=n)
+            .map(|i| ln_g(-half_pi + i as f64 * h))
+            .fold(f64::NEG_INFINITY, f64::max);
+        let mut cdf = Vec::with_capacity(n + 1);
+        let mut total = 0.0;
+        let mut prev_g = 0.0;
+        for i in 0..=n {
+            let phi = -half_pi + i as f64 * h;
+            let g = (ln_g(phi) - peak).exp();
+            if i > 0 {
+                total += 0.5 * (g + prev_g) * h;
+            }
+            cdf.push(total);
+            prev_g = g;
+        }
+        let cdf = cdf.into_iter().map(|c| c / total).collect();
+        (cdf, total * peak.exp())
+    }
+
+    /// The binary search the guide table replaced: the upper end of the
+    /// bracket `(lo, hi)` with `cdf[lo] < u ≤ cdf[hi]`.
+    fn bisection_bracket(cdf: &[f64], u: f64) -> usize {
+        let mut lo = 0usize;
+        let mut hi = cdf.len() - 1;
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            if cdf[mid] < u {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        hi
+    }
+
+    /// `(r, ν)` of a fitted type IV distribution.
+    fn type_iv_shape(s: MomentSummary) -> (f64, f64) {
+        match PearsonDist::fit(s).unwrap().kind {
+            StdKind::TypeIv { m, nu, .. } => (2.0 * (m - 1.0), nu),
+            other => panic!("{s:?} fitted {other:?}"),
+        }
+    }
+
+    /// Type IV summaries at the edges the sampler must survive: next to
+    /// the IV/VI boundary (κ → 1⁻, |ν| up to ~4·10⁵, where the angle
+    /// log-density peaks at the last grid point), at β₁ just past the
+    /// symmetric tolerance, and mirrored.
+    fn type_iv_edges() -> Vec<MomentSummary> {
+        vec![
+            spec(1.0, 0.05, 1.0, 4.970388366322377),
+            spec(1.0, 0.05, 2.0, 12.134446500564898),
+            spec(1.0, 0.05, -2.0, 12.134446500564898),
+            spec(1.0, 0.05, 0.5, 3.474633967767722),
+            spec(1.0, 0.05, 2e-10, 4.0),
+            spec(1.0, 0.05, 0.8, 5.0),
+        ]
+    }
+
+    /// A seeded spread of type IV shapes: random summaries that classify
+    /// as type IV, plus the edge summaries.
+    fn type_iv_spread() -> Vec<(f64, f64)> {
+        let mut rng = Xoshiro256pp::seed_from_u64(25);
+        let mut shapes: Vec<(f64, f64)> = type_iv_edges().into_iter().map(type_iv_shape).collect();
+        while shapes.len() < 64 {
+            let skew: f64 = rng.gen_range(-3.0..3.0);
+            let kurt = skew * skew + 1.0 + rng.gen_range(0.0..40.0);
+            let s = spec(1.0, 0.05, skew, kurt);
+            if classify(&s) == PearsonType::IV {
+                shapes.push(type_iv_shape(s));
+            }
+        }
+        shapes
+    }
+
+    #[test]
+    fn angle_table_grid_is_bit_identical_to_the_per_point_formula() {
+        let (r, nu) = type_iv_shape(spec(1.0, 0.05, 2.0, 12.134446500564898));
+        let ln_g: Vec<f64> = angle_grid()
+            .phi
+            .iter()
+            .map(|phi| r * phi.cos().max(1e-300).ln() - nu * phi)
+            .collect();
+        let argmax = (0..ln_g.len()).fold(0, |best, i| if ln_g[i] > ln_g[best] { i } else { best });
+        assert_eq!(
+            argmax, TYPE4_GRID,
+            "the edge summary must peak at the grid end"
+        );
+        for (r, nu) in type_iv_spread() {
+            let (table, norm) = angle_cdf(r, nu).unwrap();
+            let (reference, reference_norm) = per_point_grid(r, nu);
+            assert_eq!(table.cdf.len(), reference.len());
+            for (i, (a, b)) in table.cdf.iter().zip(&reference).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "r {r}, nu {nu}: grid point {i}");
+            }
+            assert_eq!(norm.to_bits(), reference_norm.to_bits(), "r {r}, nu {nu}");
+        }
+    }
+
+    #[test]
+    fn guide_lookup_returns_the_bisection_bracket() {
+        for (r, nu) in type_iv_spread() {
+            let (table, _) = angle_cdf(r, nu).unwrap();
+            let edges = (0..=GUIDE_BUCKETS).map(|j| j as f64 / GUIDE_BUCKETS as f64);
+            let probes = [0.0, 1.0]
+                .into_iter()
+                .chain(edges)
+                .chain(table.cdf.iter().copied());
+            for u in probes {
+                assert_eq!(
+                    table.bracket(u),
+                    bisection_bracket(&table.cdf, u),
+                    "r {r}, nu {nu}, u {u}"
+                );
+            }
+            let mut rng = Xoshiro256pp::seed_from_u64(26);
+            for _ in 0..10_000 {
+                let u: f64 = rng.gen();
+                assert_eq!(table.bracket(u), bisection_bracket(&table.cdf, u));
+            }
+        }
+    }
+
+    /// Classify, fit and sample at the edges of the Pearson plane:
+    /// β₁ → 0 on both sides of `BOUNDARY_TOL`, the type III line, κ → 1
+    /// (type V), the type I J-shape band where a beta exponent is clamped
+    /// at 1e-4, and type IV next to the IV/VI boundary.
+    #[test]
+    fn edges_classify_fit_and_sample_finitely() {
+        use PearsonType::*;
+        let below_tol = 0.5 * crate::classify::BOUNDARY_TOL;
+        let above_tol = 2.0 * crate::classify::BOUNDARY_TOL;
+        let mut cases = vec![
+            (spec(1.0, 0.05, below_tol, 2.5), II),
+            (spec(1.0, 0.05, below_tol, 3.0), Zero),
+            (spec(1.0, 0.05, -below_tol, 4.0), VII),
+            (spec(1.0, 0.05, above_tol, 2.5), I),
+            (spec(1.0, 0.05, above_tol, 3.0), III),
+            (spec(1.0, 0.05, -above_tol, 4.0), IV),
+            (spec(1.0, 0.05, 1.0, 4.5), III),
+            (
+                spec(1.0, 0.05, -1.0, 4.5 + 0.4 * crate::classify::BOUNDARY_TOL),
+                III,
+            ),
+            (spec(1.0, 0.05, 2.0 / 0.5f64.sqrt(), 3.0 + 6.0 / 0.5), III),
+            (spec(1.0, 0.05, 1.0, 4.970388365322377), V),
+            (spec(1.0, 0.05, 2.0, 12.134446499564898), V),
+            (spec(1.0, 0.05, 1.0, 4.970388365322377 - 1e-6), VI),
+            (spec(1.0, 0.05, 2.0, 5.001), I),
+            (spec(1.0, 0.05, 2.5, 7.251), I),
+            (spec(1.0, 0.05, -2.5, 7.251), I),
+            (spec(1.0, 0.05, 3.0, 10.001), I),
+        ];
+        cases.extend(type_iv_edges().into_iter().map(|s| (s, IV)));
+        let mut clamped = 0;
+        for (s, want) in cases {
+            assert_eq!(classify(&s), want, "{s:?}");
+            let d = PearsonDist::fit(s).unwrap_or_else(|e| panic!("{s:?}: {e}"));
+            assert_eq!(d.pearson_type(), want, "{s:?}");
+            if let StdKind::BetaOn { p, q, .. } = d.kind {
+                clamped += usize::from(p == 1e-4 || q == 1e-4);
+            }
+            let mut rng = Xoshiro256pp::seed_from_u64(27);
+            let xs = d.sample_n(&mut rng, 10_000);
+            assert!(xs.iter().all(|x| x.is_finite()), "{s:?}: non-finite sample");
+        }
+        assert_eq!(clamped, 3, "beta exponents clamped in the J-shape band");
     }
 }

@@ -1,8 +1,9 @@
 //! Observability tier: span-tree well-formedness under rayon, counter
 //! totals invariant across thread counts, lossless exporter round-trips,
 //! exact counter/report agreement on fault-injected sweeps, the
-//! bit-identity of evaluation results with a collector installed, and the
-//! MaxEnt constraint-level and solver-outcome counters of a decode.
+//! bit-identity of evaluation results with a collector installed, the
+//! MaxEnt constraint-level and solver-outcome counters of a decode, and
+//! the Pearson type counters partitioning a sweep's PearsonRnd decodes.
 //!
 //! Every test takes [`exclusive`] first: the collector and the metrics
 //! registry are process-global, so a test running instrumented code
@@ -426,4 +427,38 @@ fn maxent_counters_report_the_constraint_level_of_every_decode() {
     assert_eq!(counter("pv.maxent.solver.infeasible"), 1);
     assert_eq!(counter("pv.maxent.solver.failed"), 0);
     assert_eq!(counter("pv.maxent.solver.converged"), 2);
+}
+
+/// Every successful PearsonRnd decode bumps exactly one
+/// `pv.pearson.type.*` counter, so over one uncached sweep the nine
+/// counters (all pre-registered, zeros included) sum to the PearsonRnd
+/// cells' folds, and PyMaxEnt and Histogram decodes count in none.
+#[test]
+fn pearson_type_counters_partition_the_pearson_decodes_of_a_sweep() {
+    use perfvar_suite::core::repr::PEARSON_TYPE_COUNTERS;
+
+    let _guard = exclusive();
+    let corpus = Corpus::collect(&SystemModel::intel(), 30, 7);
+    let (report, obs) = observed_sweep(&corpus, &six_cell_grid(), FaultPlan::none());
+    assert!(report.is_clean());
+    let pearson_folds: usize = report
+        .cells
+        .iter()
+        .filter(|c| c.config.repr() == ReprKind::PearsonRnd)
+        .map(|c| c.summary().expect("clean cell").scores.len())
+        .sum();
+    assert_eq!(pearson_folds, 2 * corpus.len());
+    let counts: Vec<u64> = PEARSON_TYPE_COUNTERS
+        .iter()
+        .map(|name| {
+            obs.metrics
+                .counter(name)
+                .unwrap_or_else(|| panic!("{name} is not registered"))
+        })
+        .collect();
+    assert_eq!(
+        counts.iter().sum::<u64>(),
+        pearson_folds as u64,
+        "{counts:?}"
+    );
 }
