@@ -9,9 +9,7 @@ use pv_bench::{uc1_config, uc2_config};
 use pv_core::eval::{evaluate_few_runs, few_runs_spec, RECONSTRUCTION_SAMPLES};
 use pv_core::incremental::evaluate_few_runs_incremental;
 use pv_core::pipeline::EncodedCorpus;
-use pv_core::usecase1::FewRunsPredictor;
-use pv_core::usecase2::CrossSystemPredictor;
-use pv_core::{ModelKind, ReprKind};
+use pv_core::{ModelKind, Predictor, ReprKind};
 use pv_stats::ks::ks2_statistic;
 use pv_stats::rng::derive_stream;
 use pv_sysmodel::{Corpus, SystemModel};
@@ -36,9 +34,9 @@ fn bench_use_case_one(c: &mut Criterion) {
     let include: Vec<usize> = (1..corpus.len()).collect();
     let cfg = uc1_config(ReprKind::PearsonRnd, ModelKind::Knn, 10);
     g.bench_function("train_knn_pearson", |b| {
-        b.iter(|| FewRunsPredictor::train(black_box(&corpus), &include, cfg).unwrap())
+        b.iter(|| Predictor::train_few_runs(black_box(&corpus), &include, cfg).unwrap())
     });
-    let predictor = FewRunsPredictor::train(&corpus, &include, cfg).unwrap();
+    let predictor = Predictor::train_few_runs(&corpus, &include, cfg).unwrap();
     g.bench_function("predict_1000_samples", |b| {
         b.iter(|| {
             predictor
@@ -59,13 +57,13 @@ fn bench_use_case_two(c: &mut Criterion) {
     let include: Vec<usize> = (1..amd.len()).collect();
     let cfg = uc2_config(ReprKind::PearsonRnd, ModelKind::Knn);
     g.bench_function("train_knn_pearson", |b| {
-        b.iter(|| CrossSystemPredictor::train(black_box(&amd), &intel, &include, cfg).unwrap())
+        b.iter(|| Predictor::train_cross_system(black_box(&amd), &intel, &include, cfg).unwrap())
     });
-    let predictor = CrossSystemPredictor::train(&amd, &intel, &include, cfg).unwrap();
+    let predictor = Predictor::train_cross_system(&amd, &intel, &include, cfg).unwrap();
     g.bench_function("predict_1000_samples", |b| {
         b.iter(|| {
             predictor
-                .predict_distribution(black_box(&amd.benchmarks[0]), 1000, 1)
+                .predict_distribution(black_box(&amd.benchmarks[0].runs), 1000, 1)
                 .unwrap()
         })
     });
@@ -99,7 +97,7 @@ fn bench_logo_eval(c: &mut Criterion) {
                     let mut fold_cfg = cfg;
                     fold_cfg.seed = derive_stream(cfg.seed, held as u64);
                     let p =
-                        FewRunsPredictor::train(black_box(&corpus), &include, fold_cfg).unwrap();
+                        Predictor::train_few_runs(black_box(&corpus), &include, fold_cfg).unwrap();
                     let bench = &corpus.benchmarks[held];
                     let predicted = p
                         .predict_distribution(&bench.runs, RECONSTRUCTION_SAMPLES, held as u64)

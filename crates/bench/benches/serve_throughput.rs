@@ -16,12 +16,11 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pv_bench::serve::{Incoming, Outcome, ServeEngine, ServeTelemetry, ServedModel, TelemetryOpts};
+use pv_bench::serve::{Incoming, Outcome, ServeEngine, ServeTelemetry, TelemetryOpts};
 use pv_bench::{uc1_config, CAMPAIGN_SEED};
 use pv_core::registry::artifact_key;
 use pv_core::sweep::CellConfig;
-use pv_core::usecase1::FewRunsPredictor;
-use pv_core::{corpus_fingerprint, ModelKind, Profile, ReprKind};
+use pv_core::{corpus_fingerprint, ModelKind, Predictor, Profile, ReprKind};
 use pv_sysmodel::{Corpus, SystemModel};
 use rayon::prelude::*;
 
@@ -53,15 +52,10 @@ fn fixture() -> Fixture {
     let corpus = Corpus::collect(&SystemModel::intel(), 200, CAMPAIGN_SEED);
     let cfg = uc1_config(ReprKind::PearsonRnd, ModelKind::Knn, 10);
     let include: Vec<usize> = (0..corpus.len()).collect();
-    let predictor = FewRunsPredictor::train(&corpus, &include, cfg).expect("train");
+    let predictor = Predictor::train_few_runs(&corpus, &include, cfg).expect("train");
     let key = artifact_key(corpus_fingerprint(&corpus), &CellConfig::FewRuns(cfg)).expect("key");
-    let engine_for = |p: FewRunsPredictor| {
-        let mut models = HashMap::new();
-        models.insert(key, ServedModel::FewRuns(p));
-        ServeEngine::from_models(models)
-    };
-    let twin =
-        || FewRunsPredictor::from_artifact(predictor.to_artifact()).expect("artifact roundtrip");
+    let engine_for = |p: Predictor| ServeEngine::from_models(HashMap::from([(key, p)]));
+    let twin = || Predictor::from_artifact(predictor.to_artifact()).expect("artifact roundtrip");
     let resilient = engine_for(twin()).with_deadline(Some(Duration::from_secs(5)));
     // The full telemetry plane as an operator would run it: rolling
     // windows (always on), an SLO budget, the flight recorder, and

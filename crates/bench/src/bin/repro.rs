@@ -43,9 +43,7 @@ use pv_core::shard::{CampaignSource, ShardSource, ShardedCorpus};
 use pv_core::sweep::{
     CellCache, CellConfig, CellOutcome, CellResult, GridSpec, Sweep, SweepReport,
 };
-use pv_core::usecase1::FewRunsPredictor;
-use pv_core::usecase2::CrossSystemPredictor;
-use pv_core::{FaultKind, ModelKind, ReprKind};
+use pv_core::{FaultKind, ModelKind, Predictor, ReprKind};
 use pv_stats::ks::ks2_statistic;
 use pv_stats::rng::Xoshiro256pp;
 use pv_sysmodel::{Corpus, MetricDef, SystemModel, AMD_METRICS, INTEL_METRICS};
@@ -235,7 +233,7 @@ fn fig1() {
     // (f): LOGO prediction from 10 runs, PearsonRnd + kNN.
     let include: Vec<usize> = (0..intel.len()).filter(|&i| i != idx).collect();
     let cfg = uc1_config(ReprKind::PearsonRnd, ModelKind::Knn, 10);
-    let predictor = FewRunsPredictor::train_encoded(intel_enc(), &include, cfg).expect("train");
+    let predictor = Predictor::train_few_runs_encoded(intel_enc(), &include, cfg).expect("train");
     let predicted = predictor
         .predict_distribution(&bench.runs, 1000, 376)
         .expect("predict");
@@ -299,7 +297,7 @@ fn fig5() {
     let summary = pearson_knn(Sweep::few_runs(enc), 10);
     overlays(&summary, "fig5", "measured", |bi| {
         let include: Vec<usize> = (0..intel.len()).filter(|&i| i != bi).collect();
-        let p = FewRunsPredictor::train_encoded(enc, &include, cfg).expect("train");
+        let p = Predictor::train_few_runs_encoded(enc, &include, cfg).expect("train");
         let runs = &intel.benchmarks[bi].runs;
         let predicted = p.predict_distribution(runs, 1000, bi as u64);
         (runs.rel_times(), predicted.expect("predict"))
@@ -394,9 +392,9 @@ fn fig9() {
     let summary = pearson_knn(sweep, UC2_PROFILE_RUNS);
     overlays(&summary, "fig9", "actual", |bi| {
         let include: Vec<usize> = (0..amd.len()).filter(|&i| i != bi).collect();
-        let p = CrossSystemPredictor::train_encoded(amd_enc(), intel_enc(), &include, cfg)
+        let p = Predictor::train_cross_system_encoded(amd_enc(), intel_enc(), &include, cfg)
             .expect("train");
-        let predicted = p.predict_distribution(&amd.benchmarks[bi], 1000, bi as u64);
+        let predicted = p.predict_distribution(&amd.benchmarks[bi].runs, 1000, bi as u64);
         (
             intel.benchmarks[bi].runs.rel_times(),
             predicted.expect("predict"),
@@ -941,13 +939,11 @@ fn train_cmd(args: &Args) -> Result<(), CliError> {
                 let _ = std::fs::remove_file(path);
             }
         }
-        let trained = match *cell {
-            CellConfig::FewRuns(cfg) => registry
-                .ensure_few_runs(corpora.training(cell), cfg)
-                .map(|(_, trained)| trained),
-            CellConfig::CrossSystem(cfg) => registry
-                .ensure_cross_system(&corpora.src, &corpora.dst, cfg)
-                .map(|(_, trained)| trained),
+        let (_, trained) = match *cell {
+            CellConfig::FewRuns(cfg) => registry.ensure_few_runs(corpora.training(cell), cfg),
+            CellConfig::CrossSystem(cfg) => {
+                registry.ensure_cross_system(&corpora.src, &corpora.dst, cfg)
+            }
         }
         .unwrap_or_else(|e| fail(&cell.label(), e));
         println!(

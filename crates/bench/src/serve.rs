@@ -77,9 +77,8 @@ use pv_core::registry::{ModelRegistry, REGISTRY_OBS_COUNTERS};
 use pv_core::repr::PEARSON_TYPE_COUNTERS;
 use pv_core::resilience::{PvError, ServeFaultPlan};
 use pv_core::store::write_atomic;
-use pv_core::usecase1::FewRunsPredictor;
-use pv_core::usecase2::CrossSystemPredictor;
-use pv_core::{Artifact, Profile};
+use pv_core::sweep::CellConfig;
+use pv_core::{Predictor, Profile};
 use pv_obs::window::{RollingCounter, RollingHisto, WindowClock, WINDOWS};
 use pv_obs::{humanize_ns, MetricsSnapshot};
 use pv_stats::ks::ks2_test;
@@ -861,34 +860,10 @@ impl ServeTelemetry {
 // ---------------------------------------------------------------------
 // Engine
 
-/// A predictor reconstructed from a registry artifact.
-pub enum ServedModel {
-    /// Use case 1: profile → same-system distribution.
-    FewRuns(FewRunsPredictor),
-    /// Use case 2: profile ⊕ measured distribution → other-system
-    /// distribution.
-    CrossSystem(CrossSystemPredictor),
-}
-
-impl ServedModel {
-    /// Rebuilds the servable predictor from its registry artifact.
-    ///
-    /// # Errors
-    /// Propagates artifact reconstruction failures.
-    pub fn from_artifact(artifact: Artifact) -> Result<Self, PvError> {
-        Ok(match artifact {
-            Artifact::FewRuns(a) => ServedModel::FewRuns(FewRunsPredictor::from_artifact(a)?),
-            Artifact::CrossSystem(a) => {
-                ServedModel::CrossSystem(CrossSystemPredictor::from_artifact(a)?)
-            }
-        })
-    }
-}
-
 /// One model in the serving table, with its provenance.
 #[derive(Clone)]
 struct ModelSlot {
-    model: Arc<ServedModel>,
+    model: Arc<Predictor>,
     /// `true` when a reload failed to verify this key and the previous
     /// snapshot's model was kept serving.
     held_over: bool,
@@ -1024,7 +999,7 @@ impl ServeEngine {
             table.insert(
                 entry.key,
                 ModelSlot {
-                    model: Arc::new(ServedModel::from_artifact(entry.artifact)?),
+                    model: Arc::new(Predictor::from_artifact(entry.artifact)?),
                     held_over: false,
                     loaded: Instant::now(),
                 },
@@ -1035,7 +1010,7 @@ impl ServeEngine {
 
     /// An engine over an explicit model table (for tests/benches); not
     /// reloadable.
-    pub fn from_models(models: HashMap<u64, ServedModel>) -> Self {
+    pub fn from_models(models: HashMap<u64, Predictor>) -> Self {
         let table = models
             .into_iter()
             .map(|(k, m)| {
@@ -1190,7 +1165,7 @@ impl ServeEngine {
         for key in registry.keys() {
             match registry
                 .load_key(key)
-                .and_then(|entry| ServedModel::from_artifact(entry.artifact))
+                .and_then(|entry| Predictor::from_artifact(entry.artifact).map_err(PvError::from))
             {
                 Ok(model) => {
                     next.insert(
@@ -1596,28 +1571,24 @@ impl ServeEngine {
         // the table mid-prediction never invalidates this request.
         let model = Arc::clone(&slot.model);
         drop(snapshot);
-        let predicted = match &*model {
-            ServedModel::FewRuns(p) => p.predict_features_profile(&req.profile).and_then(|f| {
-                let samples = p.decode_features(&f, req.n_samples, req.sample_seed)?;
-                Ok((f, samples))
-            }),
-            ServedModel::CrossSystem(p) => match &req.rel_times {
-                Some(rel) => p.predict_features_profile(&req.profile, rel).and_then(|f| {
-                    let samples = p.decode_features(&f, req.n_samples, req.sample_seed)?;
-                    Ok((f, samples))
-                }),
-                None => return (
-                    error_response(
-                        req.id,
-                        "bad-request",
-                        "cross-system model needs \"rel_times\" (the measured source distribution)"
-                            .into(),
-                    ),
-                    Outcome::BadRequest,
-                    Some(req.model),
+        if req.rel_times.is_none() && matches!(model.config(), CellConfig::CrossSystem(_)) {
+            return (
+                error_response(
+                    req.id,
+                    "bad-request",
+                    "cross-system model needs \"rel_times\" (the measured source distribution)"
+                        .into(),
                 ),
-            },
-        };
+                Outcome::BadRequest,
+                Some(req.model),
+            );
+        }
+        let predicted = model
+            .predict_features(&req.profile, req.rel_times.as_deref())
+            .and_then(|f| {
+                let samples = model.decode_features(&f, req.n_samples, req.sample_seed)?;
+                Ok((f, samples))
+            });
         match predicted {
             Ok((features, samples)) => {
                 let ks_confidence = req
@@ -2129,8 +2100,7 @@ pub fn run_socket(engine: Arc<ServeEngine>, path: &Path, opts: ServeOpts) -> io:
 mod tests {
     use super::*;
     use crate::{uc1_config, CAMPAIGN_SEED};
-    use pv_core::registry::{artifact_key, Artifact as RegistryArtifact, ModelRegistry};
-    use pv_core::sweep::CellConfig;
+    use pv_core::registry::{artifact_key, ModelRegistry};
     use pv_core::{ModelKind, ReprKind};
     use pv_sysmodel::{Corpus, SystemModel};
 
@@ -2139,10 +2109,10 @@ mod tests {
         let mut cfg = uc1_config(ReprKind::PearsonRnd, ModelKind::Knn, 10);
         cfg.seed = CAMPAIGN_SEED;
         let include: Vec<usize> = (0..corpus.len()).collect();
-        let p = FewRunsPredictor::train(&corpus, &include, cfg).expect("train");
+        let p = Predictor::train_few_runs(&corpus, &include, cfg).expect("train");
         let key = artifact_key(1, &CellConfig::FewRuns(cfg)).expect("key");
         let mut models = HashMap::new();
-        models.insert(key, ServedModel::FewRuns(p));
+        models.insert(key, p);
         (ServeEngine::from_models(models), key, corpus)
     }
 
@@ -2311,11 +2281,9 @@ mod tests {
         let mut cfg = uc1_config(ReprKind::PearsonRnd, ModelKind::Knn, 10);
         cfg.seed = CAMPAIGN_SEED;
         let include: Vec<usize> = (0..corpus.len()).collect();
-        let p = FewRunsPredictor::train(&corpus, &include, cfg).expect("train");
+        let p = Predictor::train_few_runs(&corpus, &include, cfg).expect("train");
         let fp = pv_core::corpus_fingerprint(&corpus);
-        let key = registry
-            .store(fp, &RegistryArtifact::FewRuns(p.to_artifact()))
-            .expect("store");
+        let key = registry.store(fp, &p.to_artifact()).expect("store");
         (registry, dir, key, corpus)
     }
 
@@ -2383,6 +2351,90 @@ mod tests {
         let report = engine.reload();
         assert!(report.swapped());
         assert_eq!(engine.state(), ServeState::Ok);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A sealed cross-system model answers through the engine with the
+    /// in-process prediction, bit for bit: the features of a fit on the
+    /// same encoded rows (source profile ⊕ source encoding → destination
+    /// encoding, standardized) and the samples the sealing predictor
+    /// decodes from them. Without `rel_times` the line is a typed bad
+    /// request.
+    #[test]
+    fn cross_system_model_answers_with_the_in_process_prediction() {
+        use pv_core::pipeline::EncodedCorpus;
+        use pv_ml::{Dataset, DenseMatrix, StandardScaler};
+
+        let dir = std::env::temp_dir().join(format!("pv-serve-unit-uc2-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let registry = ModelRegistry::new(&dir);
+        let [src, dst] =
+            [SystemModel::amd(), SystemModel::intel()].map(|sys| Corpus::collect(&sys, 30, 3));
+        let cfg = crate::uc2_config(ReprKind::PearsonRnd, ModelKind::Knn);
+        let (predictor, trained) = registry.ensure_cross_system(&src, &dst, cfg).expect("seal");
+        assert!(trained);
+        let engine = ServeEngine::from_registry(&registry).expect("load");
+        let keys = engine.keys();
+        assert_eq!(keys.len(), 1);
+
+        let (src_spec, dst_spec) = pv_core::eval::cross_system_specs(&src, &cfg);
+        let src_enc = EncodedCorpus::build(&src, &src_spec).expect("encode source");
+        let dst_enc = EncodedCorpus::build(&dst, &dst_spec).expect("encode destination");
+        let s = cfg.profile_runs.min(src.n_runs).max(1);
+        let x: Vec<&[f64]> = (0..src.len())
+            .map(|bi| src_enc.joined(s, cfg.repr, bi).expect("joined row"))
+            .collect();
+        let y: Vec<&[f64]> = (0..dst.len())
+            .map(|bi| dst_enc.target(cfg.repr, bi).expect("target row"))
+            .collect();
+        let mut scaler = StandardScaler::new();
+        let x = scaler
+            .fit_transform(&DenseMatrix::from_row_refs(&x).expect("x"))
+            .expect("scale");
+        let y = DenseMatrix::from_row_refs(&y).expect("y");
+        let mut model = cfg.model.build_fitted(cfg.seed);
+        model
+            .regressor_mut()
+            .fit(&Dataset::new(x, y).expect("dataset"))
+            .expect("fit");
+
+        let runs = &src.benchmarks[4].runs;
+        let profile = Profile::from_runs(runs, s).expect("profile");
+        let rel = runs.rel_times();
+        let mut row = profile.features.clone();
+        row.extend(cfg.repr.build().encode(&rel).expect("encode"));
+        scaler.transform_row(&mut row).expect("scale query");
+        let features = model.regressor().predict(&row).expect("predict");
+        let samples = predictor.decode_features(&features, 64, 9).expect("decode");
+
+        fn json<T: serde::Serialize + ?Sized>(value: &T) -> String {
+            serde_json::to_string(value).expect("json")
+        }
+        let line = |rel_times: &str| {
+            format!(
+                "{{\"id\": 7, \"model\": \"{:016x}\", \"profile\": {}{rel_times}, \
+                 \"n_samples\": 64, \"sample_seed\": 9}}",
+                keys[0],
+                json(&profile)
+            )
+        };
+        let (reply, outcome) =
+            engine.handle_line(&line(&format!(", \"rel_times\": {}", json(&rel))));
+        assert_eq!(outcome, Outcome::Ok, "{reply}");
+        let prediction = format!(
+            "\"prediction\":{{\"features\":{},\"samples\":{}}}",
+            json(&features),
+            json(&samples)
+        );
+        assert!(reply.contains(&prediction), "{reply}");
+
+        let (reply, outcome) = engine.handle_line(&line(""));
+        assert_eq!(outcome, Outcome::BadRequest, "{reply}");
+        assert_eq!(
+            reply,
+            "{\"id\":7,\"ok\":false,\"error\":{\"kind\":\"bad-request\",\"detail\":\
+             \"cross-system model needs \\\"rel_times\\\" (the measured source distribution)\"}}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

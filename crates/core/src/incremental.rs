@@ -40,8 +40,8 @@
 //!   neighbour-delta check below;
 //! * **anything else** (permuted, changed, shrunk) — nothing is reused.
 //!
-//! When a corpus *grows*, exact hits never fire. For uniform-weight kNN
-//! there is a cheaper truth: the prediction is the mean of the
+//! When a corpus *grows*, exact hits never fire. For kNN there is a
+//! cheaper truth: the prediction is the mean of the
 //! neighbours' unscaled target rows, accumulated in ascending row order —
 //! a pure function of the neighbour *set*. If the held-out query's k-set
 //! survives the append (standardization shifts every distance and
@@ -57,8 +57,8 @@
 //! pinned properties:
 //!
 //! * `ModelKind::neighbor_delta_model` is exactly what `build` runs for
-//!   kNN (uniform weights, k = 15, cosine), and uniform-kNN accumulates
-//!   its mean in ascending row order, so the neighbour set fully
+//!   kNN (k = 15, cosine), and kNN accumulates its mean in ascending
+//!   row order, so the neighbour set fully
 //!   determines the prediction bit-for-bit.
 //! * Fold assembly is include-rank-major, so surviving rows keep their
 //!   matrix positions when the roster grows and cached `u32` row indices

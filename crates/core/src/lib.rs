@@ -14,8 +14,9 @@
 //! | III-B1 application profiles | [`profile`] |
 //! | III-B2 distribution representations (Histogram / PyMaxEnt / PearsonRnd) | [`repr`] |
 //! | III-B3 models (kNN / random forest / XGBoost) | [`model`] |
-//! | III-A1 few-runs prediction | [`usecase1`] |
-//! | III-A2 cross-system prediction | [`usecase2`] |
+//! | III-A1 few-runs prediction (config, training rows) | [`usecase1`] |
+//! | III-A2 cross-system prediction (config, training rows) | [`usecase2`] |
+//! | the one trained predictor of both use cases | [`predictor`] |
 //! | IV-E / V KS-scored leave-one-group-out evaluation | [`eval`] |
 //! | shared encode-once cache + LOGO fold runner | [`pipeline`] |
 //! | sharded corpora: shard layouts, the row table, LRU residency, verified spill | [`shard`] |
@@ -72,6 +73,7 @@ pub mod eval;
 pub mod incremental;
 pub mod model;
 pub mod pipeline;
+pub mod predictor;
 pub mod profile;
 pub mod registry;
 pub mod report;
@@ -97,6 +99,7 @@ pub use pipeline::{
     bench_fingerprints, corpus_fingerprint, EncodedCorpus, EncodingSpec, FoldRunner, FoldTruth,
     FoldView, PreparedFold, RowSink, SeedMode,
 };
+pub use predictor::Predictor;
 pub use profile::Profile;
 pub use registry::{
     artifact_key, Artifact, ModelRegistry, RegistryEntry, REGISTRY_MAGIC, REGISTRY_OBS_COUNTERS,
@@ -111,5 +114,5 @@ pub use sweep::{
     cell_key, cross_fingerprint, CellCache, CellConfig, CellOutcome, CellResult, GridSpec, Sweep,
     SweepReport, SweepTarget,
 };
-pub use usecase1::{FewRunsArtifact, FewRunsConfig, FewRunsPredictor};
-pub use usecase2::{CrossSystemArtifact, CrossSystemConfig, CrossSystemPredictor};
+pub use usecase1::FewRunsConfig;
+pub use usecase2::CrossSystemConfig;

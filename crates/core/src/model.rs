@@ -49,17 +49,15 @@ impl ModelKind {
     }
 
     /// The concrete kNN instance whose prediction is a pure function of
-    /// its neighbour *set* (uniform weights — the mean of the
-    /// neighbours' unscaled target rows, accumulated in ascending row
-    /// order), or `None` for models whose predictions depend on more
+    /// its neighbour *set* (the mean of the neighbours' unscaled target
+    /// rows, accumulated in ascending row order), or `None` for models whose predictions depend on more
     /// than neighbour identity.
     ///
     /// This is what makes the incremental fold cache's delta path sound
     /// (see [`crate::incremental`]): when a corpus grows, every fold's
     /// standardization — and hence every distance — changes, but if the
-    /// held-out query's neighbour set is unchanged, a uniform-weight
-    /// kNN prediction (and everything downstream of it) is
-    /// bit-identical. Must instantiate exactly what [`Self::build`]
+    /// held-out query's neighbour set is unchanged, the kNN prediction
+    /// (and everything downstream of it) is bit-identical. Must instantiate exactly what [`Self::build`]
     /// builds for [`ModelKind::Knn`]; a unit test pins the two together.
     pub fn neighbor_delta_model(&self) -> Option<KnnRegressor> {
         match self {
@@ -115,10 +113,10 @@ impl ModelKind {
 
 /// A (possibly fitted) regression model in concrete form.
 ///
-/// The predictors in [`crate::usecase1`] and [`crate::usecase2`] hold
-/// this instead of a `Box<dyn Regressor>` so a trained model's state is
-/// a plain serde value: the registry serializes it verbatim, and a
-/// deserialized copy predicts bit-identically to the original (pinned by
+/// A [`crate::Predictor`] holds this instead of a `Box<dyn Regressor>`,
+/// so a trained model's state is a plain serde value: the registry
+/// serializes it verbatim, and a deserialized copy predicts
+/// bit-identically to the original (pinned by
 /// `tests/serving_equivalence.rs`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum FittedModel {

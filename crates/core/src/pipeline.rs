@@ -564,7 +564,8 @@ pub enum SeedMode {
     /// The evaluation chain: fold seed = `derive_stream(root, held)`;
     /// models are built with the fold seed and decode uses
     /// `derive_stream(fold_seed, held)` (this is what per-fold
-    /// `FewRunsPredictor::train` + `predict_distribution(…, held)` did).
+    /// `Predictor::train_few_runs` + `predict_distribution(…, held)`
+    /// does).
     PerFold,
     /// The ablation chain: the fold seed is the root seed itself; decode
     /// uses `derive_stream(root, held)` and models ignore the seed.

@@ -16,32 +16,37 @@
 //! [`ModelRegistry::ensure_few_runs`]/[`ModelRegistry::ensure_cross_system`]
 //! helpers implement the `repro train` heal policy on top: a verified
 //! entry is reused bit-identically, anything else is re-fit and
-//! re-sealed.
+//! re-sealed, and entries an older [`REGISTRY_MAGIC`] sealed are deleted.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
+use pv_ml::StandardScaler;
 use pv_stats::fingerprint::Fnv1a;
 use pv_stats::StatsError;
 use pv_sysmodel::Corpus;
 
 use crate::eval::{cross_system_specs, few_runs_spec};
+use crate::model::FittedModel;
 use crate::pipeline::EncodedCorpus;
+use crate::predictor::Predictor;
 use crate::resilience::PvError;
 use crate::sweep::{cross_fingerprint, CellConfig};
-use crate::usecase1::{FewRunsArtifact, FewRunsConfig, FewRunsPredictor};
-use crate::usecase2::{CrossSystemArtifact, CrossSystemConfig, CrossSystemPredictor};
+use crate::usecase1::FewRunsConfig;
+use crate::usecase2::CrossSystemConfig;
 
 /// Registry envelope magic; the trailing digits are the format version.
 /// Bump on any change to the entry layout or the artifact schema;
 /// entries under another magic are rejected (and healed by `repro
-/// train`), never reinterpreted. (v2: the vectorized kernel layer — tree
+/// train`), never reinterpreted, and every `ensure_*` call deletes the
+/// entries of older versions. (v2: the vectorized kernel layer — tree
 /// models default to binned splits, and artifact keys carry the
 /// tree-kernel tag; v3: the sealed envelope of [`crate::store`], and kNN
-/// models lost the f32 prescreen fields.)
-pub const REGISTRY_MAGIC: &[u8; 8] = b"PVMODEL3";
+/// models lost the f32 prescreen fields; v4: one artifact struct for
+/// both use cases, and kNN models lost their weighting field.)
+pub const REGISTRY_MAGIC: &[u8; 8] = b"PVMODEL4";
 
 /// The observability counters the registry emits.
 pub const REGISTRY_OBS_COUNTERS: &[&str] = &[
@@ -51,30 +56,22 @@ pub const REGISTRY_OBS_COUNTERS: &[&str] = &[
     "pv.core.registry.verify_fail",
 ];
 
-/// A fitted predictor in serializable form — the payload of a registry
-/// entry.
+/// A fitted [`Predictor`] in serializable form — the payload of a
+/// registry entry, and everything needed to rebuild the predictor
+/// bit-identically (its representation is rebuilt from the config,
+/// which is stateless).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum Artifact {
-    /// A use-case-1 (few-runs, same system) predictor.
-    FewRuns(FewRunsArtifact),
-    /// A use-case-2 (cross-system) predictor.
-    CrossSystem(CrossSystemArtifact),
-}
-
-impl Artifact {
-    /// The cell config this artifact was trained under — the half of
-    /// the registry key that isn't the corpus fingerprint.
-    pub fn config(&self) -> CellConfig {
-        match self {
-            Artifact::FewRuns(a) => CellConfig::FewRuns(a.config),
-            Artifact::CrossSystem(a) => CellConfig::CrossSystem(a.config),
-        }
-    }
-
-    /// The kind of model this artifact holds, as a display name.
-    pub fn model_name(&self) -> &'static str {
-        self.config().model().name()
-    }
+pub struct Artifact {
+    /// The cell config the model was trained under — the half of the
+    /// registry key that isn't the corpus fingerprint.
+    pub config: CellConfig,
+    /// Fitted model state.
+    pub model: FittedModel,
+    /// Fitted standardization moments, when the model standardizes.
+    pub scaler: Option<StandardScaler>,
+    /// Metric count of the (source) training corpus; a few-runs model
+    /// checks query profiles against it.
+    pub n_metrics: usize,
 }
 
 /// The registry key of an artifact: FNV-1a over a domain tag, the format
@@ -182,7 +179,7 @@ impl ModelRegistry {
     /// [`PvError::CacheIo`] on filesystem failure, [`PvError::Invalid`]
     /// when the artifact cannot be serialized.
     pub fn store(&self, fingerprint: u64, artifact: &Artifact) -> Result<u64, PvError> {
-        let key = artifact_key(fingerprint, &artifact.config())?;
+        let key = artifact_key(fingerprint, &artifact.config)?;
         crate::store::write_json(
             &self.key_path(key),
             REGISTRY_MAGIC,
@@ -203,7 +200,7 @@ impl ModelRegistry {
     pub fn load(&self, fingerprint: u64, cfg: &CellConfig) -> Result<Artifact, PvError> {
         let key = artifact_key(fingerprint, cfg)?;
         let entry = self.load_key(key)?;
-        if entry.fingerprint != fingerprint || entry.artifact.config() != *cfg {
+        if entry.fingerprint != fingerprint || entry.artifact.config != *cfg {
             pv_obs::counter_inc!("pv.core.registry.verify_fail");
             return Err(PvError::Invalid {
                 what: "ModelRegistry::load".into(),
@@ -221,7 +218,7 @@ impl ModelRegistry {
         let entry = crate::store::open(&self.key_path(key), REGISTRY_MAGIC, key)
             .and_then(|sealed| sealed.json::<(u64, Artifact)>())
             .and_then(|(fingerprint, artifact)| {
-                if artifact_key(fingerprint, &artifact.config())? != key {
+                if artifact_key(fingerprint, &artifact.config)? != key {
                     return Err(PvError::Invalid {
                         what: "ModelRegistry::load".into(),
                         detail: "entry key disagrees with sealed identity".into(),
@@ -255,7 +252,8 @@ impl ModelRegistry {
     /// the registry when a sealed entry verifies, otherwise trained on
     /// the full corpus, stored, and returned. The boolean is `true` when
     /// a (re-)fit happened — corrupt or stale entries are healed, not
-    /// fatal.
+    /// fatal. Either way, the entries an older format sealed are
+    /// deleted first.
     ///
     /// The training encoding is built first: its fingerprint (equal to
     /// [`crate::pipeline::corpus_fingerprint`]) keys the lookup and it
@@ -267,18 +265,12 @@ impl ModelRegistry {
         &self,
         corpus: &Corpus,
         cfg: FewRunsConfig,
-    ) -> Result<(FewRunsPredictor, bool), PvError> {
+    ) -> Result<(Predictor, bool), PvError> {
         let enc = EncodedCorpus::build(corpus, &few_runs_spec(&cfg))?;
-        let fingerprint = enc.fingerprint();
-        let cell = CellConfig::FewRuns(cfg);
-        if let Ok(Artifact::FewRuns(a)) = self.load(fingerprint, &cell) {
-            return Ok((FewRunsPredictor::from_artifact(a)?, false));
-        }
-        pv_obs::counter_inc!("pv.core.registry.train");
-        let include: Vec<usize> = (0..corpus.len()).collect();
-        let predictor = FewRunsPredictor::train_encoded(&enc, &include, cfg)?;
-        self.store(fingerprint, &Artifact::FewRuns(predictor.to_artifact()))?;
-        Ok((predictor, true))
+        self.ensure(enc.fingerprint(), CellConfig::FewRuns(cfg), || {
+            let include: Vec<usize> = (0..corpus.len()).collect();
+            Predictor::train_few_runs_encoded(&enc, &include, cfg)
+        })
     }
 
     /// [`Self::ensure_few_runs`] for a cross-system pair, keyed by
@@ -291,19 +283,33 @@ impl ModelRegistry {
         src: &Corpus,
         dst: &Corpus,
         cfg: CrossSystemConfig,
-    ) -> Result<(CrossSystemPredictor, bool), PvError> {
+    ) -> Result<(Predictor, bool), PvError> {
         let (src_spec, dst_spec) = cross_system_specs(src, &cfg);
         let src_enc = EncodedCorpus::build(src, &src_spec)?;
         let dst_enc = EncodedCorpus::build(dst, &dst_spec)?;
         let fingerprint = cross_fingerprint(src_enc.fingerprint(), dst_enc.fingerprint());
-        let cell = CellConfig::CrossSystem(cfg);
-        if let Ok(Artifact::CrossSystem(a)) = self.load(fingerprint, &cell) {
-            return Ok((CrossSystemPredictor::from_artifact(a)?, false));
+        self.ensure(fingerprint, CellConfig::CrossSystem(cfg), || {
+            let include: Vec<usize> = (0..src.len().min(dst.len())).collect();
+            Predictor::train_cross_system_encoded(&src_enc, &dst_enc, &include, cfg)
+        })
+    }
+
+    /// The one body of both `ensure_*` calls: prune older formats, then
+    /// reuse the entry sealed under `(fingerprint, cell)` when it
+    /// verifies, else `train` and seal.
+    fn ensure(
+        &self,
+        fingerprint: u64,
+        cell: CellConfig,
+        train: impl FnOnce() -> Result<Predictor, StatsError>,
+    ) -> Result<(Predictor, bool), PvError> {
+        crate::store::prune_older_formats(&self.dir, "model-", ".json", REGISTRY_MAGIC);
+        if let Ok(artifact) = self.load(fingerprint, &cell) {
+            return Ok((Predictor::from_artifact(artifact)?, false));
         }
         pv_obs::counter_inc!("pv.core.registry.train");
-        let include: Vec<usize> = (0..src.len().min(dst.len())).collect();
-        let predictor = CrossSystemPredictor::train_encoded(&src_enc, &dst_enc, &include, cfg)?;
-        self.store(fingerprint, &Artifact::CrossSystem(predictor.to_artifact()))?;
+        let predictor = train()?;
+        self.store(fingerprint, &predictor.to_artifact())?;
         Ok((predictor, true))
     }
 }
@@ -339,16 +345,12 @@ mod tests {
         let reg = ModelRegistry::new(&dir);
         let corpus = small_corpus();
         let include: Vec<usize> = (0..corpus.len()).collect();
-        let trained = FewRunsPredictor::train(&corpus, &include, cfg()).unwrap();
+        let trained = Predictor::train_few_runs(&corpus, &include, cfg()).unwrap();
         let fp = corpus_fingerprint(&corpus);
-        let key = reg
-            .store(fp, &Artifact::FewRuns(trained.to_artifact()))
-            .unwrap();
+        let key = reg.store(fp, &trained.to_artifact()).unwrap();
         assert_eq!(reg.keys(), vec![key]);
-        let loaded = match reg.load(fp, &CellConfig::FewRuns(cfg())).unwrap() {
-            Artifact::FewRuns(a) => FewRunsPredictor::from_artifact(a).unwrap(),
-            other => panic!("wrong artifact kind: {}", other.model_name()),
-        };
+        let loaded =
+            Predictor::from_artifact(reg.load(fp, &CellConfig::FewRuns(cfg())).unwrap()).unwrap();
         let runs = &corpus.benchmarks[0].runs;
         assert_eq!(
             trained.predict_distribution(runs, 300, 7).unwrap(),

@@ -299,9 +299,10 @@ mod tests {
     use std::path::PathBuf;
 
     use crate::eval::{BenchScore, EvalSummary};
-    use crate::registry::{Artifact, ModelRegistry};
+    use crate::predictor::Predictor;
+    use crate::registry::ModelRegistry;
     use crate::sweep::{CellCache, CellConfig};
-    use crate::usecase1::{FewRunsConfig, FewRunsPredictor};
+    use crate::usecase1::FewRunsConfig;
 
     const MAGIC: &[u8; 8] = b"PVTEST01";
 
@@ -373,11 +374,9 @@ mod tests {
             ..FewRunsConfig::default()
         };
         let include: Vec<usize> = (0..corpus.len()).collect();
-        let artifact = Artifact::FewRuns(
-            FewRunsPredictor::train(&corpus, &include, cfg)
-                .unwrap()
-                .to_artifact(),
-        );
+        let artifact = Predictor::train_few_runs(&corpus, &include, cfg)
+            .unwrap()
+            .to_artifact();
         let roster = pv_sysmodel::roster();
         let summary = EvalSummary::from_scores(vec![BenchScore {
             id: roster[0],

@@ -9,21 +9,19 @@
 //! the destination machine measures on the machine they own and predicts
 //! what they would see on the new one.
 
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use pv_ml::{Dataset, DenseMatrix, StandardScaler};
-use pv_stats::rng::{derive_stream, Xoshiro256pp};
 use pv_stats::StatsError;
-use pv_sysmodel::{BenchmarkData, Corpus};
+use pv_sysmodel::Corpus;
 
-use crate::eval::cross_system_specs;
-use crate::model::{FittedModel, ModelKind};
+use crate::eval::{cross_system_specs, source_window};
+use crate::model::ModelKind;
 use crate::pipeline::EncodedCorpus;
-use crate::profile::Profile;
-use crate::repr::{DistributionRepr, ReprKind};
+use crate::predictor::{check_include, Predictor};
+use crate::repr::ReprKind;
+use crate::sweep::CellConfig;
 
-/// Configuration of a cross-system predictor.
+/// Configuration of a cross-system [`Predictor`].
 ///
 /// All fields are discrete, so the config is `Eq + Hash` and can key
 /// sweep-cell sets and caches directly.
@@ -51,262 +49,81 @@ impl Default for CrossSystemConfig {
     }
 }
 
-/// A trained system-to-system distribution predictor.
-pub struct CrossSystemPredictor {
-    repr: Box<dyn DistributionRepr>,
-    model: FittedModel,
-    scaler: Option<StandardScaler>,
-    cfg: CrossSystemConfig,
-}
-
-/// The serializable state of a [`CrossSystemPredictor`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CrossSystemArtifact {
-    /// Training configuration.
-    pub config: CrossSystemConfig,
-    /// Fitted model state.
-    pub model: FittedModel,
-    /// Fitted standardization moments, when the model standardizes.
-    pub scaler: Option<StandardScaler>,
-}
-
-impl CrossSystemPredictor {
-    /// Trains on benchmarks present in both corpora whose roster indices
-    /// are in `include`. The corpora must be over the same roster
-    /// (`Corpus::collect` guarantees this) but different systems.
+impl Predictor {
+    /// Trains a cross-system predictor on the benchmarks present in both
+    /// corpora whose roster indices are in `include`. The corpora must
+    /// be over the same roster (`Corpus::collect` guarantees this) but
+    /// different systems.
     ///
     /// # Errors
     /// Fails on empty `include`, mismatched corpora, or fit failure.
-    pub fn train(
+    pub fn train_cross_system(
         src: &Corpus,
         dst: &Corpus,
         include: &[usize],
         cfg: CrossSystemConfig,
     ) -> Result<Self, StatsError> {
-        if include.is_empty() {
-            return Err(StatsError::EmptyInput {
-                what: "CrossSystemPredictor::train",
-                needed: 1,
-                got: 0,
-            });
-        }
+        check_include(include)?;
         let (src_spec, dst_spec) = cross_system_specs(src, &cfg);
         let src_enc = EncodedCorpus::build(src, &src_spec)?;
         let dst_enc = EncodedCorpus::build(dst, &dst_spec)?;
-        Self::train_encoded(&src_enc, &dst_enc, include, cfg)
+        Self::train_cross_system_encoded(&src_enc, &dst_enc, include, cfg)
     }
 
-    /// [`CrossSystemPredictor::train`] on prebuilt caches — produces a
-    /// bit-identical model without recomputing profiles or encodings. The
-    /// source cache must cover joined rows for the effective profile-run
-    /// count (`profile_runs` clamped to the corpus) under `cfg.repr`, the
-    /// destination cache target encodings under `cfg.repr`.
+    /// [`Predictor::train_cross_system`] on prebuilt caches — produces a
+    /// bit-identical model without recomputing profiles or encodings.
+    /// The source cache must cover joined rows for the effective
+    /// profile-run count (`profile_runs` clamped to the corpus) under
+    /// `cfg.repr`, the destination cache target encodings under
+    /// `cfg.repr`.
     ///
     /// # Errors
     /// Fails on empty `include`, mismatched corpora, missing cache
     /// entries, or fit failure.
-    pub fn train_encoded(
+    pub fn train_cross_system_encoded(
         src: &EncodedCorpus,
         dst: &EncodedCorpus,
         include: &[usize],
         cfg: CrossSystemConfig,
     ) -> Result<Self, StatsError> {
-        if include.is_empty() {
-            return Err(StatsError::EmptyInput {
-                what: "CrossSystemPredictor::train",
-                needed: 1,
-                got: 0,
-            });
-        }
+        check_include(include)?;
         let src_corpus = src.corpus();
         let dst_corpus = dst.corpus();
         if src_corpus.len() != dst_corpus.len() {
             return Err(StatsError::invalid(
-                "CrossSystemPredictor::train",
+                "Predictor::train",
                 "source and destination corpora cover different rosters",
             ));
         }
         if src_corpus.system == dst_corpus.system {
             return Err(StatsError::invalid(
-                "CrossSystemPredictor::train",
+                "Predictor::train",
                 "source and destination are the same system",
             ));
         }
-        let s_eff = cfg.profile_runs.min(src_corpus.n_runs).max(1);
-        let repr = cfg.repr.build();
+        let s = source_window(&cfg, src_corpus.n_runs);
         let mut x_rows: Vec<&[f64]> = Vec::with_capacity(include.len());
         let mut y_rows: Vec<&[f64]> = Vec::with_capacity(include.len());
         for &bi in include {
-            let s = src_corpus
+            let sb = src_corpus
                 .benchmarks
                 .get(bi)
-                .ok_or_else(|| StatsError::invalid("CrossSystemPredictor::train", "bad index"))?;
-            let d = &dst_corpus.benchmarks[bi];
-            if s.id != d.id {
+                .ok_or_else(|| StatsError::invalid("Predictor::train", "bad index"))?;
+            if sb.id != dst_corpus.benchmarks[bi].id {
                 return Err(StatsError::invalid(
-                    "CrossSystemPredictor::train",
+                    "Predictor::train",
                     "corpora rosters are misaligned",
                 ));
             }
-            x_rows.push(src.joined(s_eff, cfg.repr, bi)?);
+            x_rows.push(src.joined(s, cfg.repr, bi)?);
             y_rows.push(dst.target(cfg.repr, bi)?);
         }
-        let x = DenseMatrix::from_row_refs(&x_rows)?;
-        let y = DenseMatrix::from_row_refs(&y_rows)?;
-        // kNN runs on raw per-second features (see
-        // `ModelKind::wants_standardization`).
-        let (scaler, x) = if cfg.model.wants_standardization() {
-            let mut sc = StandardScaler::new();
-            let x = sc.fit_transform(&x)?;
-            (Some(sc), x)
-        } else {
-            (None, x)
-        };
-        let data = Dataset::new(x, y)?;
-        let mut model = cfg.model.build_fitted(cfg.seed);
-        model.regressor_mut().fit(&data)?;
-        Ok(CrossSystemPredictor {
-            repr,
-            model,
-            scaler,
-            cfg,
-        })
-    }
-
-    /// The configuration this predictor was trained with.
-    pub fn config(&self) -> &CrossSystemConfig {
-        &self.cfg
-    }
-
-    /// Extracts the predictor's serializable state (for the model
-    /// registry).
-    pub fn to_artifact(&self) -> CrossSystemArtifact {
-        CrossSystemArtifact {
-            config: self.cfg,
-            model: self.model.clone(),
-            scaler: self.scaler.clone(),
-        }
-    }
-
-    /// Reconstructs a predictor from its serialized state. The result
-    /// predicts bit-identically to the predictor the artifact was taken
-    /// from.
-    ///
-    /// # Errors
-    /// Fails when the fitted model's kind disagrees with the config.
-    pub fn from_artifact(artifact: CrossSystemArtifact) -> Result<Self, StatsError> {
-        if artifact.model.kind() != artifact.config.model {
-            return Err(StatsError::invalid(
-                "CrossSystemPredictor::from_artifact",
-                format!(
-                    "artifact model is {}, config says {}",
-                    artifact.model.kind().name(),
-                    artifact.config.model.name()
-                ),
-            ));
-        }
-        Ok(CrossSystemPredictor {
-            repr: artifact.config.repr.build(),
-            model: artifact.model,
-            scaler: artifact.scaler,
-            cfg: artifact.config,
-        })
-    }
-
-    /// Assembles a feature row: source profile ⊕ source distribution
-    /// representation.
-    fn feature_row(
-        repr: &dyn DistributionRepr,
-        bench: &BenchmarkData,
-        profile_runs: usize,
-    ) -> Result<Vec<f64>, StatsError> {
-        let s = profile_runs.min(bench.runs.len()).max(1);
-        let p = Profile::from_runs(&bench.runs, s)?;
-        let mut row = p.features;
-        row.extend(repr.encode(&bench.runs.rel_times())?);
-        Ok(row)
-    }
-
-    /// Predicts the destination-system representation vector for a
-    /// benchmark measured on the source system.
-    ///
-    /// # Errors
-    /// Propagates profile/encoding/prediction failures.
-    pub fn predict_features(&self, src_bench: &BenchmarkData) -> Result<Vec<f64>, StatsError> {
-        let mut row = Self::feature_row(self.repr.as_ref(), src_bench, self.cfg.profile_runs)?;
-        if let Some(sc) = &self.scaler {
-            sc.transform_row(&mut row)?;
-        }
-        self.model.regressor().predict(&row)
-    }
-
-    /// Predicts the destination representation vector from a prebuilt
-    /// source-system [`Profile`] plus the measured source relative times
-    /// — the serving path. The profile must cover the same metric set
-    /// the model was trained on (the scaler's dimension check catches a
-    /// mismatch).
-    ///
-    /// # Errors
-    /// Propagates encoding/standardization/prediction failures.
-    pub fn predict_features_profile(
-        &self,
-        profile: &Profile,
-        src_rel_times: &[f64],
-    ) -> Result<Vec<f64>, StatsError> {
-        let mut row = profile.features.clone();
-        row.extend(self.repr.encode(src_rel_times)?);
-        if let Some(sc) = &self.scaler {
-            sc.transform_row(&mut row)?;
-        }
-        self.model.regressor().predict(&row)
-    }
-
-    /// Predicts and reconstructs the destination distribution as
-    /// `n_samples` relative times.
-    ///
-    /// # Errors
-    /// Propagates prediction/decoding failures.
-    pub fn predict_distribution(
-        &self,
-        src_bench: &BenchmarkData,
-        n_samples: usize,
-        sample_seed: u64,
-    ) -> Result<Vec<f64>, StatsError> {
-        let f = self.predict_features(src_bench)?;
-        let mut rng = Xoshiro256pp::seed_from_u64(derive_stream(self.cfg.seed, sample_seed));
-        self.repr.decode(&f, &mut rng, n_samples)
-    }
-
-    /// [`Self::predict_distribution`] from a prebuilt profile plus
-    /// measured source relative times.
-    ///
-    /// # Errors
-    /// Propagates prediction/decoding failures.
-    pub fn predict_distribution_profile(
-        &self,
-        profile: &Profile,
-        src_rel_times: &[f64],
-        n_samples: usize,
-        sample_seed: u64,
-    ) -> Result<Vec<f64>, StatsError> {
-        let f = self.predict_features_profile(profile, src_rel_times)?;
-        self.decode_features(&f, n_samples, sample_seed)
-    }
-
-    /// Reconstructs `n_samples` relative times from an
-    /// already-predicted representation vector — lets a caller that
-    /// needs both the vector and the samples predict once.
-    ///
-    /// # Errors
-    /// Propagates decoding failures.
-    pub fn decode_features(
-        &self,
-        features: &[f64],
-        n_samples: usize,
-        sample_seed: u64,
-    ) -> Result<Vec<f64>, StatsError> {
-        let mut rng = Xoshiro256pp::seed_from_u64(derive_stream(self.cfg.seed, sample_seed));
-        self.repr.decode(features, &mut rng, n_samples)
+        Predictor::fit(
+            CellConfig::CrossSystem(cfg),
+            &x_rows,
+            &y_rows,
+            src_corpus.n_metrics(),
+        )
     }
 }
 
@@ -335,8 +152,10 @@ mod tests {
     fn trains_and_predicts() {
         let (amd, intel) = corpora();
         let all: Vec<usize> = (0..amd.len()).collect();
-        let p = CrossSystemPredictor::train(&amd, &intel, &all, cfg()).unwrap();
-        let pred = p.predict_distribution(&amd.benchmarks[0], 500, 1).unwrap();
+        let p = Predictor::train_cross_system(&amd, &intel, &all, cfg()).unwrap();
+        let pred = p
+            .predict_distribution(&amd.benchmarks[0].runs, 500, 1)
+            .unwrap();
         assert_eq!(pred.len(), 500);
         assert!(pred.iter().all(|v| v.is_finite()));
     }
@@ -345,13 +164,13 @@ mod tests {
     fn rejects_same_system_pairs() {
         let (amd, _) = corpora();
         let all: Vec<usize> = (0..amd.len()).collect();
-        assert!(CrossSystemPredictor::train(&amd, &amd, &all, cfg()).is_err());
+        assert!(Predictor::train_cross_system(&amd, &amd, &all, cfg()).is_err());
     }
 
     #[test]
     fn rejects_empty_include() {
         let (amd, intel) = corpora();
-        assert!(CrossSystemPredictor::train(&amd, &intel, &[], cfg()).is_err());
+        assert!(Predictor::train_cross_system(&amd, &intel, &[], cfg()).is_err());
     }
 
     #[test]
@@ -363,10 +182,14 @@ mod tests {
         let src_enc =
             EncodedCorpus::build(&amd, &EncodingSpec::new().joined(s_eff, c.repr)).unwrap();
         let dst_enc = EncodedCorpus::build(&intel, &EncodingSpec::new().target(c.repr)).unwrap();
-        let a = CrossSystemPredictor::train(&amd, &intel, &include, c).unwrap();
-        let b = CrossSystemPredictor::train_encoded(&src_enc, &dst_enc, &include, c).unwrap();
-        let pa = a.predict_distribution(&amd.benchmarks[0], 400, 5).unwrap();
-        let pb = b.predict_distribution(&amd.benchmarks[0], 400, 5).unwrap();
+        let a = Predictor::train_cross_system(&amd, &intel, &include, c).unwrap();
+        let b = Predictor::train_cross_system_encoded(&src_enc, &dst_enc, &include, c).unwrap();
+        let pa = a
+            .predict_distribution(&amd.benchmarks[0].runs, 400, 5)
+            .unwrap();
+        let pb = b
+            .predict_distribution(&amd.benchmarks[0].runs, 400, 5)
+            .unwrap();
         assert_eq!(pa, pb);
     }
 
@@ -374,9 +197,13 @@ mod tests {
     fn held_out_prediction_is_finite_and_deterministic() {
         let (amd, intel) = corpora();
         let include: Vec<usize> = (1..amd.len()).collect();
-        let p = CrossSystemPredictor::train(&amd, &intel, &include, cfg()).unwrap();
-        let a = p.predict_distribution(&amd.benchmarks[0], 300, 7).unwrap();
-        let b = p.predict_distribution(&amd.benchmarks[0], 300, 7).unwrap();
+        let p = Predictor::train_cross_system(&amd, &intel, &include, cfg()).unwrap();
+        let a = p
+            .predict_distribution(&amd.benchmarks[0].runs, 300, 7)
+            .unwrap();
+        let b = p
+            .predict_distribution(&amd.benchmarks[0].runs, 300, 7)
+            .unwrap();
         assert_eq!(a, b);
     }
 
@@ -384,8 +211,8 @@ mod tests {
     fn both_directions_train() {
         let (amd, intel) = corpora();
         let all: Vec<usize> = (0..amd.len()).collect();
-        assert!(CrossSystemPredictor::train(&amd, &intel, &all, cfg()).is_ok());
-        assert!(CrossSystemPredictor::train(&intel, &amd, &all, cfg()).is_ok());
+        assert!(Predictor::train_cross_system(&amd, &intel, &all, cfg()).is_ok());
+        assert!(Predictor::train_cross_system(&intel, &amd, &all, cfg()).is_ok());
     }
 
     #[test]
@@ -400,8 +227,10 @@ mod tests {
                     profile_runs: 20,
                     seed: 2,
                 };
-                let p = CrossSystemPredictor::train(&amd, &intel, &all, c).unwrap();
-                let pred = p.predict_distribution(&amd.benchmarks[2], 100, 3).unwrap();
+                let p = Predictor::train_cross_system(&amd, &intel, &all, c).unwrap();
+                let pred = p
+                    .predict_distribution(&amd.benchmarks[2].runs, 100, 3)
+                    .unwrap();
                 assert_eq!(pred.len(), 100, "{} × {}", repr.name(), model.name());
             }
         }

@@ -5,9 +5,7 @@
 //! prediction takes one route: [`KnnRegressor::neighbors`] scores the
 //! query against each training row (cosine with the norms cached at fit
 //! time) and selects the k nearest, then the selected rows' targets are
-//! averaged in ascending row order. Inverse-distance weighting remains
-//! an option of the type; the paper, and every model the program
-//! builds, averages uniformly.
+//! averaged in ascending row order: the plain mean the paper describes.
 
 use serde::{Deserialize, Serialize};
 
@@ -27,16 +25,6 @@ fn canonical(a: &(usize, f64), b: &(usize, f64)) -> std::cmp::Ordering {
     a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))
 }
 
-/// Neighbour weighting schemes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum WeightScheme {
-    /// Plain average of the k neighbours.
-    #[default]
-    Uniform,
-    /// Weights `1/(d + ε)`; an exact feature match dominates.
-    InverseDistance,
-}
-
 /// k-nearest-neighbour regressor for vector targets.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KnnRegressor {
@@ -45,8 +33,6 @@ pub struct KnnRegressor {
     pub k: usize,
     /// Distance metric.
     pub distance: Distance,
-    /// Neighbour weighting.
-    pub weights: WeightScheme,
     train_x: Option<DenseMatrix>,
     train_y: Option<DenseMatrix>,
     /// Per-row `Σx²`, computed once at fit time for cosine distance so
@@ -56,13 +42,11 @@ pub struct KnnRegressor {
 }
 
 impl KnnRegressor {
-    /// Creates a regressor with the paper's defaults: k = 15, cosine
-    /// distance, uniform weights.
+    /// Creates a regressor with the paper's distance, cosine.
     pub fn new(k: usize) -> Self {
         KnnRegressor {
             k,
             distance: Distance::Cosine,
-            weights: WeightScheme::Uniform,
             train_x: None,
             train_y: None,
             train_sq_norms: None,
@@ -72,12 +56,6 @@ impl KnnRegressor {
     /// Builder: distance metric.
     pub fn with_distance(mut self, d: Distance) -> Self {
         self.distance = d;
-        self
-    }
-
-    /// Builder: weighting scheme.
-    pub fn with_weights(mut self, w: WeightScheme) -> Self {
-        self.weights = w;
         self
     }
 
@@ -115,8 +93,8 @@ impl KnnRegressor {
 
     /// The neighbour row positions alone (no distances), sorted
     /// ascending — the canonical *set* representation the incremental
-    /// fold cache stores and compares. Uniform-weight predictions are a
-    /// pure function of this set ([`Self::predict`] accumulates in
+    /// fold cache stores and compares. Predictions are a pure function
+    /// of this set ([`Self::predict`] accumulates in
     /// ascending row order), so two equal lists guarantee bit-identical
     /// predictions even when the distance ranking differs.
     ///
@@ -132,33 +110,26 @@ impl KnnRegressor {
         Ok(idx)
     }
 
-    /// Turns a selected neighbour list into a prediction. Accumulates in
-    /// ascending row order, not distance rank: float addition is
-    /// commutative but not associative, so rank-order summation would
-    /// let near-tie rank swaps move the prediction's last bits even when
-    /// the neighbour set is unchanged. Row order makes a uniform-weight
-    /// prediction a pure function of the neighbour set — the property
-    /// the incremental fold cache's delta path relies on (weights travel
-    /// with their rows, so inverse-distance weighting is unaffected by
-    /// the order).
+    /// Turns a selected neighbour list into a prediction: the mean of
+    /// the neighbours' target rows, summed in ascending row order, not
+    /// distance rank. Float addition is commutative but not
+    /// associative, so rank-order summation would let near-tie rank
+    /// swaps move the prediction's last bits even when the neighbour set
+    /// is unchanged. Row order makes the prediction a pure function of
+    /// the neighbour set — the property the incremental fold cache's
+    /// delta path relies on.
     fn predict_from_neighbors(&self, mut neigh: Vec<(usize, f64)>) -> Result<Vec<f64>> {
         neigh.sort_unstable_by_key(|&(idx, _)| idx);
         let (_, ty) = self.fitted()?;
-        let t = ty.cols();
-        let mut out = vec![0.0; t];
-        let mut wsum = 0.0;
-        for &(idx, dist) in &neigh {
-            let w = match self.weights {
-                WeightScheme::Uniform => 1.0,
-                WeightScheme::InverseDistance => 1.0 / (dist + 1e-12),
-            };
-            wsum += w;
+        let mut out = vec![0.0; ty.cols()];
+        for &(idx, _) in &neigh {
             for (o, v) in out.iter_mut().zip(ty.row(idx)) {
-                *o += w * v;
+                *o += v;
             }
         }
+        let count = neigh.len() as f64;
         for o in out.iter_mut() {
-            *o /= wsum;
+            *o /= count;
         }
         Ok(out)
     }
@@ -271,17 +242,6 @@ mod tests {
         m.fit(&toy()).unwrap();
         let p = m.predict(&[5.0, 5.0]).unwrap();
         assert_eq!(p, vec![60.0, -6.0]); // mean of all targets
-    }
-
-    #[test]
-    fn inverse_distance_weighting_prefers_closer_points() {
-        let mut m = KnnRegressor::new(2)
-            .with_distance(Distance::Euclidean)
-            .with_weights(WeightScheme::InverseDistance);
-        m.fit(&toy()).unwrap();
-        // Query nearly on top of (1,1): prediction ≈ its target.
-        let p = m.predict(&[1.000001, 1.000001]).unwrap();
-        assert!((p[0] - 10.0).abs() < 0.01, "p = {p:?}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`distance`] — Euclidean / Manhattan / cosine / Chebyshev metrics on
 //!   the chunked four-lane kernels of `pv_stats::kernel` (lane-order
 //!   contracts in DESIGN.md),
-//! * [`knn`] — multi-output kNN with uniform or inverse-distance weights,
+//! * [`knn`] — multi-output kNN, the plain mean of the k nearest targets,
 //! * [`tree`] — multi-output CART regression trees (variance-sum
 //!   impurity),
 //! * [`forest`] — bagged random forests, trained in parallel with rayon,
@@ -41,7 +41,7 @@ pub use distance::Distance;
 pub use forest::{MaxFeatures, RandomForestRegressor};
 pub use gbt::GradientBoostingRegressor;
 pub use importance::{forest_importances, permutation_importance};
-pub use knn::{KnnRegressor, WeightScheme};
+pub use knn::KnnRegressor;
 pub use scaler::StandardScaler;
 pub use tree::RegressionTree;
 

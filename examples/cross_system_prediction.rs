@@ -14,7 +14,8 @@
 
 use perfvar_suite::core::eval::evaluate_cross_system;
 use perfvar_suite::core::report::{overlay, violin_row};
-use perfvar_suite::core::usecase2::{CrossSystemConfig, CrossSystemPredictor};
+use perfvar_suite::core::usecase2::CrossSystemConfig;
+use perfvar_suite::core::Predictor;
 use perfvar_suite::stats::ks::ks2_statistic;
 use perfvar_suite::sysmodel::{Corpus, SystemModel};
 
@@ -41,12 +42,12 @@ fn main() {
 
     let cfg = CrossSystemConfig::default(); // PearsonRnd + kNN
     let predictor =
-        CrossSystemPredictor::train(&owned, &candidate, &include, cfg).expect("training");
+        Predictor::train_cross_system(&owned, &candidate, &include, cfg).expect("training");
 
     // Predict the candidate-system distribution from the owned-system
     // measurements only.
     let predicted = predictor
-        .predict_distribution(&owned.benchmarks[app], 1000, 0)
+        .predict_distribution(&owned.benchmarks[app].runs, 1000, 0)
         .expect("prediction");
     let actual = candidate.benchmarks[app].runs.rel_times();
     let ks = ks2_statistic(&predicted, &actual).expect("ks");

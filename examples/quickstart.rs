@@ -6,7 +6,8 @@
 //! ```
 
 use perfvar_suite::core::report::overlay;
-use perfvar_suite::core::usecase1::{FewRunsConfig, FewRunsPredictor};
+use perfvar_suite::core::usecase1::FewRunsConfig;
+use perfvar_suite::core::Predictor;
 use perfvar_suite::stats::ks::ks2_statistic;
 use perfvar_suite::sysmodel::{Corpus, SystemModel};
 
@@ -37,7 +38,7 @@ fn main() {
         profiles_per_benchmark: 10,
         ..FewRunsConfig::default()
     };
-    let predictor = FewRunsPredictor::train(&corpus, &include, cfg).expect("training");
+    let predictor = Predictor::train_few_runs(&corpus, &include, cfg).expect("training");
 
     // 4. Predict the full distribution from just 10 runs of the target.
     let bench = &corpus.benchmarks[target];

@@ -1,9 +1,9 @@
 //! End-to-end integration: measure → train → predict → score, across
 //! crates, for both use cases.
 
-use perfvar_suite::core::usecase1::{FewRunsConfig, FewRunsPredictor};
-use perfvar_suite::core::usecase2::{CrossSystemConfig, CrossSystemPredictor};
-use perfvar_suite::core::{ModelKind, ReprKind};
+use perfvar_suite::core::usecase1::FewRunsConfig;
+use perfvar_suite::core::usecase2::CrossSystemConfig;
+use perfvar_suite::core::{ModelKind, Predictor, Profile, ReprKind};
 use perfvar_suite::stats::ks::ks2_statistic;
 use perfvar_suite::sysmodel::{Corpus, SystemModel};
 
@@ -24,7 +24,7 @@ fn use_case_one_full_pipeline() {
         profiles_per_benchmark: 1,
         seed: 1,
     };
-    let predictor = FewRunsPredictor::train(&intel, &include, cfg).unwrap();
+    let predictor = Predictor::train_few_runs(&intel, &include, cfg).unwrap();
     let bench = &intel.benchmarks[held];
     let predicted = predictor.predict_distribution(&bench.runs, 500, 0).unwrap();
     assert_eq!(predicted.len(), 500);
@@ -50,9 +50,9 @@ fn use_case_two_full_pipeline() {
         profile_runs: 40,
         seed: 2,
     };
-    let predictor = CrossSystemPredictor::train(&amd, &intel, &include, cfg).unwrap();
+    let predictor = Predictor::train_cross_system(&amd, &intel, &include, cfg).unwrap();
     let predicted = predictor
-        .predict_distribution(&amd.benchmarks[held], 500, 0)
+        .predict_distribution(&amd.benchmarks[held].runs, 500, 0)
         .unwrap();
     assert_eq!(predicted.len(), 500);
     let truth = intel.benchmarks[held].runs.rel_times();
@@ -72,7 +72,7 @@ fn every_representation_roundtrips_through_the_pipeline() {
             profiles_per_benchmark: 1,
             seed: 3,
         };
-        let p = FewRunsPredictor::train(&intel, &include, cfg).unwrap();
+        let p = Predictor::train_few_runs(&intel, &include, cfg).unwrap();
         let out = p
             .predict_distribution(&intel.benchmarks[5].runs, 200, 9)
             .unwrap();
@@ -95,11 +95,12 @@ fn predictions_track_distribution_width() {
         profiles_per_benchmark: 1,
         seed: 4,
     };
-    let p = FewRunsPredictor::train(&intel, &include, cfg).unwrap();
+    let p = Predictor::train_few_runs(&intel, &include, cfg).unwrap();
     let mut true_stds = Vec::new();
     let mut pred_stds = Vec::new();
     for b in intel.benchmarks.iter().step_by(3) {
-        let features = p.predict_features(&b.runs).unwrap();
+        let profile = Profile::from_runs(&b.runs, cfg.n_profile_runs).unwrap();
+        let features = p.predict_features(&profile, None).unwrap();
         // PearsonRnd feature vector: [mean, std, skew, kurt]
         pred_stds.push(features[1]);
         let m = perfvar_suite::stats::moments::Moments::from_slice(&b.runs.rel_times());

@@ -112,7 +112,7 @@ fn knn_beats_boosting_in_use_case_two() {
     // this affordable in a debug build, the comparison runs on every
     // fourth LOGO fold rather than all sixty (the release-mode `repro`
     // harness runs the full grid).
-    use perfvar_suite::core::usecase2::CrossSystemPredictor;
+    use perfvar_suite::core::Predictor;
     use perfvar_suite::stats::ks::ks2_statistic;
     let amd = Corpus::collect(&SystemModel::amd(), 120, SEED);
     let intel = intel();
@@ -128,9 +128,9 @@ fn knn_beats_boosting_in_use_case_two() {
         let mut count = 0.0;
         for held in (0..amd.len()).step_by(4) {
             let include: Vec<usize> = (0..amd.len()).filter(|&i| i != held).collect();
-            let p = CrossSystemPredictor::train(&amd, &intel, &include, cfg).unwrap();
+            let p = Predictor::train_cross_system(&amd, &intel, &include, cfg).unwrap();
             let predicted = p
-                .predict_distribution(&amd.benchmarks[held], 500, held as u64)
+                .predict_distribution(&amd.benchmarks[held].runs, 500, held as u64)
                 .unwrap();
             total += ks2_statistic(&predicted, &intel.benchmarks[held].runs.rel_times()).unwrap();
             count += 1.0;

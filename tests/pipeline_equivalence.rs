@@ -7,9 +7,9 @@ use perfvar_suite::core::eval::{
 };
 use perfvar_suite::core::pipeline::{EncodedCorpus, EncodingSpec};
 use perfvar_suite::core::profile::Profile;
-use perfvar_suite::core::usecase1::{FewRunsConfig, FewRunsPredictor};
-use perfvar_suite::core::usecase2::{CrossSystemConfig, CrossSystemPredictor};
-use perfvar_suite::core::{ModelKind, ReprKind};
+use perfvar_suite::core::usecase1::FewRunsConfig;
+use perfvar_suite::core::usecase2::CrossSystemConfig;
+use perfvar_suite::core::{ModelKind, Predictor, ReprKind};
 use perfvar_suite::ml::{Dataset, DenseMatrix};
 use perfvar_suite::stats::ks::ks2_statistic;
 use perfvar_suite::stats::rng::derive_stream;
@@ -24,7 +24,7 @@ fn manual_few_runs(corpus: &Corpus, cfg: FewRunsConfig) -> EvalSummary {
             let include: Vec<usize> = (0..n).filter(|&i| i != held).collect();
             let mut fold_cfg = cfg;
             fold_cfg.seed = derive_stream(cfg.seed, held as u64);
-            let predictor = FewRunsPredictor::train(corpus, &include, fold_cfg).unwrap();
+            let predictor = Predictor::train_few_runs(corpus, &include, fold_cfg).unwrap();
             let bench = &corpus.benchmarks[held];
             let predicted = predictor
                 .predict_distribution(&bench.runs, RECONSTRUCTION_SAMPLES, held as u64)
@@ -44,9 +44,13 @@ fn manual_cross_system(src: &Corpus, dst: &Corpus, cfg: CrossSystemConfig) -> Ev
             let include: Vec<usize> = (0..n).filter(|&i| i != held).collect();
             let mut fold_cfg = cfg;
             fold_cfg.seed = derive_stream(cfg.seed, held as u64);
-            let predictor = CrossSystemPredictor::train(src, dst, &include, fold_cfg).unwrap();
+            let predictor = Predictor::train_cross_system(src, dst, &include, fold_cfg).unwrap();
             let predicted = predictor
-                .predict_distribution(&src.benchmarks[held], RECONSTRUCTION_SAMPLES, held as u64)
+                .predict_distribution(
+                    &src.benchmarks[held].runs,
+                    RECONSTRUCTION_SAMPLES,
+                    held as u64,
+                )
                 .unwrap();
             let truth = dst.benchmarks[held].runs.rel_times();
             let ks = ks2_statistic(&predicted, &truth).unwrap();

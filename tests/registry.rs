@@ -11,11 +11,11 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use perfvar_suite::core::registry::{artifact_key, Artifact, ModelRegistry, REGISTRY_MAGIC};
+use perfvar_suite::core::registry::{artifact_key, ModelRegistry, REGISTRY_MAGIC};
 use perfvar_suite::core::sweep::{cross_fingerprint, CellConfig};
-use perfvar_suite::core::usecase1::{FewRunsConfig, FewRunsPredictor};
+use perfvar_suite::core::usecase1::FewRunsConfig;
 use perfvar_suite::core::usecase2::CrossSystemConfig;
-use perfvar_suite::core::{corpus_fingerprint, ModelKind, ReprKind};
+use perfvar_suite::core::{corpus_fingerprint, ModelKind, Predictor, ReprKind};
 use perfvar_suite::obs::Collector;
 use perfvar_suite::sysmodel::{Corpus, SystemModel};
 
@@ -55,10 +55,8 @@ fn seeded(dir: &Path) -> (ModelRegistry, u64, PathBuf) {
     let corpus = corpus();
     let fp = corpus_fingerprint(&corpus);
     let include: Vec<usize> = (0..corpus.len()).collect();
-    let trained = FewRunsPredictor::train(&corpus, &include, cfg()).expect("train");
-    registry
-        .store(fp, &Artifact::FewRuns(trained.to_artifact()))
-        .expect("store");
+    let trained = Predictor::train_few_runs(&corpus, &include, cfg()).expect("train");
+    registry.store(fp, &trained.to_artifact()).expect("store");
     let path = registry
         .entry_path(fp, &CellConfig::FewRuns(cfg()))
         .expect("path");
@@ -272,5 +270,27 @@ fn ensure_cross_system_seals_under_the_served_key_digesting_once() {
     };
     assert_eq!(counted(&registry, ensure), (120, true, vec![key]));
     assert_eq!(counted(&registry, ensure), (120, false, vec![key]));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The format epoch: an entry an older `REGISTRY_MAGIC` sealed is
+/// deleted by the next `ensure_*` — here one that re-fits nothing — so
+/// the directory `load_all` (pv-serve's start) reads holds only
+/// current entries.
+#[test]
+fn ensure_prunes_older_format_entries() {
+    let _guard = exclusive();
+    let dir = tmp_dir("prune");
+    let (registry, _fp, path) = seeded(&dir);
+    let mut bytes = fs::read(&path).expect("read entry");
+    bytes[7] -= 1;
+    let planted = dir.join(format!("model-{:016x}.json", 0x0123_4567_89ab_cdef_u64));
+    fs::write(&planted, &bytes).expect("plant");
+    assert_eq!(registry.keys().len(), 2);
+    let (_, trained) = registry.ensure_few_runs(&corpus(), cfg()).expect("ensure");
+    assert!(!trained, "the current entry must verify");
+    assert!(!planted.exists(), "the older-format entry must be pruned");
+    assert!(path.exists(), "the current entry must stay");
+    assert_eq!(registry.load_all().expect("load_all").len(), 1);
     let _ = fs::remove_dir_all(&dir);
 }

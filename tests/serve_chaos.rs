@@ -17,10 +17,10 @@ use std::time::{Duration, Instant};
 mod common;
 
 use common::{serve_binary, wait_exit_ok, Daemon, TempDir};
-use perfvar_suite::core::registry::{artifact_key, Artifact, ModelRegistry};
+use perfvar_suite::core::registry::{artifact_key, ModelRegistry};
 use perfvar_suite::core::sweep::CellConfig;
-use perfvar_suite::core::usecase1::{FewRunsConfig, FewRunsPredictor};
-use perfvar_suite::core::{corpus_fingerprint, ModelKind, Profile, ReprKind};
+use perfvar_suite::core::usecase1::FewRunsConfig;
+use perfvar_suite::core::{corpus_fingerprint, ModelKind, Predictor, Profile, ReprKind};
 use perfvar_suite::obs::read_metrics;
 use perfvar_suite::sysmodel::{Corpus, SystemModel};
 
@@ -47,10 +47,8 @@ fn seed_registry(dir: &Path) -> (Corpus, u64) {
     let registry = ModelRegistry::new(dir);
     let fp = corpus_fingerprint(&corpus);
     let include: Vec<usize> = (0..corpus.len()).collect();
-    let trained = FewRunsPredictor::train(&corpus, &include, cfg()).expect("train");
-    registry
-        .store(fp, &Artifact::FewRuns(trained.to_artifact()))
-        .expect("store");
+    let trained = Predictor::train_few_runs(&corpus, &include, cfg()).expect("train");
+    registry.store(fp, &trained.to_artifact()).expect("store");
     let key = artifact_key(fp, &CellConfig::FewRuns(cfg())).expect("key");
     (corpus, key)
 }
@@ -250,9 +248,9 @@ fn hot_reload_swaps_snapshots_and_corruption_degrades_without_dropping() {
         ..cfg()
     };
     let include: Vec<usize> = (0..corpus.len()).collect();
-    let trained_b = FewRunsPredictor::train(&corpus, &include, cfg_b).expect("train b");
+    let trained_b = Predictor::train_few_runs(&corpus, &include, cfg_b).expect("train b");
     let key_b = registry
-        .store(fp, &Artifact::FewRuns(trained_b.to_artifact()))
+        .store(fp, &trained_b.to_artifact())
         .expect("store b");
     assert_ne!(key_a, key_b);
 
@@ -794,12 +792,9 @@ fn sighup_reloads_a_model_sealed_after_startup() {
         ..cfg()
     };
     let include: Vec<usize> = (0..corpus.len()).collect();
-    let trained_b = FewRunsPredictor::train(&corpus, &include, cfg_b).expect("train b");
+    let trained_b = Predictor::train_few_runs(&corpus, &include, cfg_b).expect("train b");
     registry
-        .store(
-            corpus_fingerprint(&corpus),
-            &Artifact::FewRuns(trained_b.to_artifact()),
-        )
+        .store(corpus_fingerprint(&corpus), &trained_b.to_artifact())
         .expect("store b");
 
     // SAFETY: `kill` only sends a signal to the child we spawned.

@@ -12,10 +12,10 @@ use std::time::{Duration, Instant};
 mod common;
 
 use common::{serve_binary, wait_exit_ok, Daemon, TempDir};
-use perfvar_suite::core::registry::{artifact_key, Artifact, ModelRegistry};
+use perfvar_suite::core::registry::{artifact_key, ModelRegistry};
 use perfvar_suite::core::sweep::CellConfig;
-use perfvar_suite::core::usecase1::{FewRunsConfig, FewRunsPredictor};
-use perfvar_suite::core::{corpus_fingerprint, ModelKind, Profile, ReprKind};
+use perfvar_suite::core::usecase1::FewRunsConfig;
+use perfvar_suite::core::{corpus_fingerprint, ModelKind, Predictor, Profile, ReprKind};
 use perfvar_suite::obs::read_metrics;
 use perfvar_suite::sysmodel::{Corpus, SystemModel};
 
@@ -42,10 +42,8 @@ fn seed_registry(dir: &Path) -> (Corpus, u64) {
     let registry = ModelRegistry::new(dir);
     let fp = corpus_fingerprint(&corpus);
     let include: Vec<usize> = (0..corpus.len()).collect();
-    let trained = FewRunsPredictor::train(&corpus, &include, cfg()).expect("train");
-    registry
-        .store(fp, &Artifact::FewRuns(trained.to_artifact()))
-        .expect("store");
+    let trained = Predictor::train_few_runs(&corpus, &include, cfg()).expect("train");
+    registry.store(fp, &trained.to_artifact()).expect("store");
     let key = artifact_key(fp, &CellConfig::FewRuns(cfg())).expect("key");
     (corpus, key)
 }

@@ -12,9 +12,9 @@ use common::TempDir;
 
 use perfvar_suite::core::registry::{Artifact, ModelRegistry};
 use perfvar_suite::core::sweep::CellConfig;
-use perfvar_suite::core::usecase1::{FewRunsArtifact, FewRunsConfig, FewRunsPredictor};
-use perfvar_suite::core::usecase2::{CrossSystemConfig, CrossSystemPredictor};
-use perfvar_suite::core::{corpus_fingerprint, ModelKind, Profile, ReprKind};
+use perfvar_suite::core::usecase1::FewRunsConfig;
+use perfvar_suite::core::usecase2::CrossSystemConfig;
+use perfvar_suite::core::{corpus_fingerprint, ModelKind, Predictor, Profile, ReprKind};
 use perfvar_suite::sysmodel::{Corpus, SystemModel};
 use proptest::prelude::*;
 
@@ -58,27 +58,20 @@ fn uc1_registry_round_trip_is_bit_identical_at_any_thread_count() {
     for repr in ReprKind::ALL {
         for model in ModelKind::ALL {
             let cfg = uc1_cfg(repr, model);
-            let trained = FewRunsPredictor::train(&corpus, &include, cfg).expect("train");
-            registry
-                .store(fp, &Artifact::FewRuns(trained.to_artifact()))
-                .expect("store");
-            let loaded = match registry.load(fp, &CellConfig::FewRuns(cfg)).expect("load") {
-                Artifact::FewRuns(a) => FewRunsPredictor::from_artifact(a).expect("rebuild"),
-                other => panic!("wrong artifact kind {}", other.model_name()),
-            };
+            let trained = Predictor::train_few_runs(&corpus, &include, cfg).expect("train");
+            registry.store(fp, &trained.to_artifact()).expect("store");
+            let loaded = registry.load(fp, &CellConfig::FewRuns(cfg)).expect("load");
+            let loaded = Predictor::from_artifact(loaded).expect("rebuild");
             for bi in [0, 7, 29] {
                 let runs = &corpus.benchmarks[bi].runs;
                 let profile = Profile::from_runs(runs, cfg.n_profile_runs).expect("profile");
-                let want_features = trained.predict_features(runs).expect("features");
+                let want_features = trained.predict_features(&profile, None).expect("features");
                 let want_dist = trained.predict_distribution(runs, 200, 3).expect("dist");
                 for threads in THREADS {
                     let (got_features, got_dist) = in_pool(threads, || {
-                        (
-                            loaded.predict_features_profile(&profile).expect("features"),
-                            loaded
-                                .predict_distribution_profile(&profile, 200, 3)
-                                .expect("dist"),
-                        )
+                        let features = loaded.predict_features(&profile, None).expect("features");
+                        let dist = loaded.decode_features(&features, 200, 3).expect("dist");
+                        (features, dist)
                     });
                     assert_eq!(
                         want_features,
@@ -122,41 +115,33 @@ fn uc2_registry_round_trip_is_bit_identical_at_any_thread_count() {
             profile_runs: 20,
             ..CrossSystemConfig::default()
         };
-        let trained = CrossSystemPredictor::train(&src, &dst, &include, cfg).expect("train");
+        let trained = Predictor::train_cross_system(&src, &dst, &include, cfg).expect("train");
         // Cross-system cells are keyed by the pair fingerprint; any u64
         // works for a single-entry equivalence check.
         let fp = 0xA11CE;
-        registry
-            .store(fp, &Artifact::CrossSystem(trained.to_artifact()))
-            .expect("store");
-        let loaded = match registry
+        registry.store(fp, &trained.to_artifact()).expect("store");
+        let loaded = registry
             .load(fp, &CellConfig::CrossSystem(cfg))
-            .expect("load")
-        {
-            Artifact::CrossSystem(a) => CrossSystemPredictor::from_artifact(a).expect("rebuild"),
-            other => panic!("wrong artifact kind {}", other.model_name()),
-        };
+            .expect("load");
+        let loaded = Predictor::from_artifact(loaded).expect("rebuild");
         for bi in [2, 13] {
             let bench = &src.benchmarks[bi];
             let s = cfg.profile_runs.min(bench.runs.len()).max(1);
             let profile = Profile::from_runs(&bench.runs, s).expect("profile");
             let rel = bench.runs.rel_times();
             let want = trained
-                .predict_features_profile(&profile, &rel)
+                .predict_features(&profile, Some(&rel))
                 .expect("features");
             let want_dist = trained
-                .predict_distribution_profile(&profile, &rel, 150, 9)
+                .predict_distribution(&bench.runs, 150, 9)
                 .expect("dist");
             for threads in THREADS {
                 let (got, got_dist) = in_pool(threads, || {
-                    (
-                        loaded
-                            .predict_features_profile(&profile, &rel)
-                            .expect("features"),
-                        loaded
-                            .predict_distribution_profile(&profile, &rel, 150, 9)
-                            .expect("dist"),
-                    )
+                    let features = loaded
+                        .predict_features(&profile, Some(&rel))
+                        .expect("features");
+                    let dist = loaded.decode_features(&features, 150, 9).expect("dist");
+                    (features, dist)
                 });
                 assert_eq!(want, got, "{}/{} bench {bi}", repr.name(), model.name());
                 assert_eq!(
@@ -176,8 +161,8 @@ fn uc2_registry_round_trip_is_bit_identical_at_any_thread_count() {
 /// the first eight benchmarks.
 struct OrderFixture {
     corpus: Corpus,
-    artifact: FewRunsArtifact,
-    loaded: FewRunsPredictor,
+    artifact: Artifact,
+    loaded: Predictor,
     reference: BTreeMap<usize, Vec<f64>>,
 }
 
@@ -187,20 +172,15 @@ fn order_cfg() -> FewRunsConfig {
 
 /// Seals `artifact` into a fresh registry directory and loads it back;
 /// the directory is gone when this returns.
-fn seal_and_load(corpus: &Corpus, artifact: &FewRunsArtifact) -> FewRunsPredictor {
+fn seal_and_load(corpus: &Corpus, artifact: &Artifact) -> Predictor {
     let dir = TempDir::new("pv-serve-eq-order");
     let registry = ModelRegistry::new(dir.to_path_buf());
     let fingerprint = corpus_fingerprint(corpus);
-    registry
-        .store(fingerprint, &Artifact::FewRuns(artifact.clone()))
-        .expect("store");
-    match registry
+    registry.store(fingerprint, artifact).expect("store");
+    let loaded = registry
         .load(fingerprint, &CellConfig::FewRuns(order_cfg()))
-        .expect("load")
-    {
-        Artifact::FewRuns(a) => FewRunsPredictor::from_artifact(a).expect("rebuild"),
-        other => panic!("wrong artifact kind {}", other.model_name()),
-    }
+        .expect("load");
+    Predictor::from_artifact(loaded).expect("rebuild")
 }
 
 fn order_fixture() -> &'static OrderFixture {
@@ -208,21 +188,14 @@ fn order_fixture() -> &'static OrderFixture {
     FIXTURE.get_or_init(|| {
         let corpus = corpus(SystemModel::intel());
         let include: Vec<usize> = (0..corpus.len()).collect();
-        let cfg = order_cfg();
-        let artifact = FewRunsPredictor::train(&corpus, &include, cfg)
+        let artifact = Predictor::train_few_runs(&corpus, &include, order_cfg())
             .expect("train")
             .to_artifact();
         let loaded = seal_and_load(&corpus, &artifact);
         let mut reference = BTreeMap::new();
         for bi in 0..8 {
-            let profile = Profile::from_runs(&corpus.benchmarks[bi].runs, cfg.n_profile_runs)
-                .expect("profile");
-            reference.insert(
-                bi,
-                loaded
-                    .predict_distribution_profile(&profile, 120, 5)
-                    .expect("dist"),
-            );
+            let runs = &corpus.benchmarks[bi].runs;
+            reference.insert(bi, loaded.predict_distribution(runs, 120, 5).expect("dist"));
         }
         OrderFixture {
             corpus,
@@ -246,7 +219,6 @@ proptest! {
         reload in any::<bool>(),
     ) {
         let fx = order_fixture();
-        let cfg = order_cfg();
         let fresh;
         let predictor = if reload {
             fresh = seal_and_load(&fx.corpus, &fx.artifact);
@@ -255,10 +227,8 @@ proptest! {
             &fx.loaded
         };
         for bi in order {
-            let profile = Profile::from_runs(&fx.corpus.benchmarks[bi].runs, cfg.n_profile_runs)
-                .expect("profile");
             let dist = predictor
-                .predict_distribution_profile(&profile, 120, 5)
+                .predict_distribution(&fx.corpus.benchmarks[bi].runs, 120, 5)
                 .expect("dist");
             prop_assert_eq!(&dist, &fx.reference[&bi], "bench {}", bi);
         }

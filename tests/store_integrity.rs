@@ -16,12 +16,14 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use perfvar_suite::core::eval::few_runs_spec;
 use perfvar_suite::core::incremental::evaluate_few_runs_incremental;
 use perfvar_suite::core::pipeline::{EncodedCorpus, EncodingSpec};
-use perfvar_suite::core::registry::{Artifact, ModelRegistry};
+use perfvar_suite::core::registry::ModelRegistry;
 use perfvar_suite::core::resilience::silence_injected_panics;
 use perfvar_suite::core::shard::{CampaignSource, ShardSource, ShardedCorpus};
 use perfvar_suite::core::sweep::{CellCache, CellConfig, CellOutcome, GridSpec, Sweep};
-use perfvar_suite::core::usecase1::{FewRunsConfig, FewRunsPredictor};
-use perfvar_suite::core::{corpus_fingerprint, FaultKind, FaultPlan, ModelKind, ReprKind};
+use perfvar_suite::core::usecase1::FewRunsConfig;
+use perfvar_suite::core::{
+    corpus_fingerprint, FaultKind, FaultPlan, ModelKind, Predictor, ReprKind,
+};
 use perfvar_suite::obs::Collector;
 use perfvar_suite::sysmodel::{Corpus, SystemModel};
 
@@ -219,11 +221,9 @@ fn every_flip_and_truncation_of_a_registry_entry_is_typed_invalid() {
     let dir = tmp_dir("registry");
     let corpus = small_corpus();
     let fp = corpus_fingerprint(&corpus);
-    let artifact = Artifact::FewRuns(
-        FewRunsPredictor::train(&corpus, &[0], knn_cfg())
-            .unwrap()
-            .to_artifact(),
-    );
+    let artifact = Predictor::train_few_runs(&corpus, &[0], knn_cfg())
+        .unwrap()
+        .to_artifact();
     let registry = ModelRegistry::new(&dir);
     registry.store(fp, &artifact).unwrap();
     let cell = CellConfig::FewRuns(knn_cfg());
