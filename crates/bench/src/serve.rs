@@ -45,11 +45,14 @@
 //!   deadline when a worker picks it up is answered `timeout` without
 //!   running the prediction. Virtual delays make "slow model blows the
 //!   deadline" deterministic at any thread count.
-//! * **Load shedding** happens at admission: the reader rejects a line
-//!   with `overloaded` the moment the bounded queue is full, so a
+//! * **Load shedding** happens at admission: a socket reader rejects a
+//!   line with `overloaded` the moment the bounded queue is full, so a
 //!   flood degrades into fast typed rejections instead of unbounded
-//!   buffering. `pv.serve.shed` counts sheds; `pv.serve.queue_depth` /
-//!   `pv.serve.queue_high_watermark` gauge the queue.
+//!   buffering. The stdin reader waits for a free slot instead, and the
+//!   pipe holds the rest: one piped client can wait, and its replay
+//!   then answers every line at any `--queue`. `pv.serve.shed` counts
+//!   sheds; `pv.serve.queue_depth` / `pv.serve.queue_high_watermark`
+//!   gauge the queue.
 //! * **Hot reload** re-verifies every registry entry and atomically
 //!   swaps the model table; in-flight requests keep the old snapshot
 //!   (each holds an `Arc`). An entry that fails verification keeps its
@@ -61,13 +64,14 @@
 //!   a typed `draining` rejection, then the dispatcher exits.
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
@@ -165,12 +169,6 @@ pub fn preregister_serve_counters() {
 /// typed error response instead of a whole-struct parse failure.
 #[derive(Debug, Clone)]
 pub struct Json(pub Content);
-
-impl serde::Serialize for Json {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_content(self.0.clone())
-    }
-}
 
 impl<'de> serde::Deserialize<'de> for Json {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
@@ -301,6 +299,13 @@ fn field<'a>(map: &'a [(String, Content)], key: &str) -> Option<&'a Content> {
     map.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
+/// Moves the value of `key` out of `map`, leaving `null` in its place.
+fn take_field(map: &mut [(String, Content)], key: &str) -> Option<Content> {
+    map.iter_mut()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| std::mem::replace(v, Content::Null))
+}
+
 fn as_u64(c: &Content) -> Option<u64> {
     match *c {
         Content::I64(v) if v >= 0 => Some(v as u64),
@@ -330,10 +335,10 @@ fn parse_model_key(c: &Content) -> Option<u64> {
 fn parse_request(line: &str) -> Result<Parsed, String> {
     let Json(content) =
         serde_json::from_str::<Json>(line).map_err(|e| format!("unparsable JSON: {e}"))?;
-    let Content::Map(map) = content else {
+    let Content::Map(mut map) = content else {
         return Err("request must be a JSON object".into());
     };
-    let id = field(&map, "id").cloned();
+    let id = take_field(&mut map, "id");
     if matches!(field(&map, "shutdown"), Some(Content::Bool(true))) {
         return Ok(Parsed::Shutdown { id });
     }
@@ -356,8 +361,8 @@ fn parse_request(line: &str) -> Result<Parsed, String> {
     let model = field(&map, "model")
         .and_then(parse_model_key)
         .ok_or("missing or malformed \"model\" (expected a 16-hex-digit registry key)")?;
-    let profile: Profile = match field(&map, "profile") {
-        Some(c) => serde::from_content(c.clone()).map_err(|e| format!("bad \"profile\": {e}"))?,
+    let profile: Profile = match take_field(&mut map, "profile") {
+        Some(c) => serde::from_content(c).map_err(|e| format!("bad \"profile\": {e}"))?,
         None => return Err("missing \"profile\"".into()),
     };
     if profile.features.iter().any(|v| !v.is_finite()) {
@@ -403,11 +408,10 @@ fn parse_request(line: &str) -> Result<Parsed, String> {
 // ---------------------------------------------------------------------
 // Response building
 
-fn render(content: Content) -> String {
-    serde_json::to_string(&Json(content)).unwrap_or_else(|_| {
-        // A Content tree always serializes; keep the daemon alive anyway.
-        "{\"ok\":false,\"error\":{\"kind\":\"invalid\",\"detail\":\"render failure\"}}".into()
-    })
+fn render(content: &Content) -> String {
+    let mut out = String::new();
+    serde_json::write_content(&mut out, content);
+    out
 }
 
 fn error_response(id: Option<Content>, kind: &str, detail: String) -> String {
@@ -423,35 +427,56 @@ fn error_response(id: Option<Content>, kind: &str, detail: String) -> String {
             ("detail".to_string(), Content::Str(detail)),
         ]),
     ));
-    render(Content::Map(map))
+    render(&Content::Map(map))
 }
 
-fn ok_response(
-    id: Option<Content>,
+/// A successful prediction's reply line, written straight into one
+/// `String` sized for its floats:
+/// `{"id":…,"ok":true,"model":"…","prediction":{"features":[…],"samples":[…]},"ks_confidence":…}`,
+/// with `id` (echoed verbatim) omitted when the request had none. These
+/// are the bytes [`serde_json::write_content`] writes for the same
+/// fields, without building their `Content` tree.
+pub fn ok_reply(
+    id: Option<&Content>,
     model: u64,
-    features: Vec<f64>,
-    samples: Vec<f64>,
+    features: &[f64],
+    samples: &[f64],
     ks_confidence: Option<f64>,
 ) -> String {
-    let floats = |xs: Vec<f64>| Content::Seq(xs.into_iter().map(Content::F64).collect());
-    let mut map = Vec::with_capacity(5);
-    if let Some(id) = id {
-        map.push(("id".to_string(), id));
+    fn floats(out: &mut String, xs: &[f64]) {
+        out.push('[');
+        for (i, &x) in xs.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            serde_json::write_f64(out, x);
+        }
+        out.push(']');
     }
-    map.push(("ok".to_string(), Content::Bool(true)));
-    map.push(("model".to_string(), Content::Str(format!("{model:016x}"))));
-    map.push((
-        "prediction".to_string(),
-        Content::Map(vec![
-            ("features".to_string(), floats(features)),
-            ("samples".to_string(), floats(samples)),
-        ]),
-    ));
-    map.push((
-        "ks_confidence".to_string(),
-        ks_confidence.map_or(Content::Null, Content::F64),
-    ));
-    render(Content::Map(map))
+    // 24 bytes per float, comma included, hold 17 digits with a sign,
+    // a point and a few leading zeros.
+    let mut out = String::with_capacity(160 + 24 * (features.len() + samples.len()));
+    out.push('{');
+    if let Some(id) = id {
+        out.push_str("\"id\":");
+        serde_json::write_content(&mut out, id);
+        out.push(',');
+    }
+    // Writing into a `String` cannot fail.
+    let _ = write!(
+        out,
+        "\"ok\":true,\"model\":\"{model:016x}\",\"prediction\":{{\"features\":"
+    );
+    floats(&mut out, features);
+    out.push_str(",\"samples\":");
+    floats(&mut out, samples);
+    out.push_str("},\"ks_confidence\":");
+    match ks_confidence {
+        Some(p) => serde_json::write_f64(&mut out, p),
+        None => out.push_str("null"),
+    }
+    out.push('}');
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -1352,7 +1377,7 @@ impl ServeEngine {
         if let Some(slo) = self.telemetry.slo_content() {
             map.push(("slo".to_string(), slo));
         }
-        (render(Content::Map(map)), Outcome::Health)
+        (render(&Content::Map(map)), Outcome::Health)
     }
 
     /// The `{"op":"stats"}` response: exact per-outcome totals plus
@@ -1442,7 +1467,7 @@ impl ServeEngine {
                 .collect();
             map.push(("counters".to_string(), Content::Map(counters)));
         }
-        (render(Content::Map(map)), Outcome::Stats)
+        (render(&Content::Map(map)), Outcome::Stats)
     }
 
     /// The stats document as a JSON line — what `--telemetry-out`
@@ -1479,7 +1504,7 @@ impl ServeEngine {
                     "status".to_string(),
                     Content::Str(self.state().name().into()),
                 ));
-                render(Content::Map(map))
+                render(&Content::Map(map))
             }
             None => {
                 let mut map = Vec::with_capacity(6);
@@ -1498,7 +1523,7 @@ impl ServeEngine {
                     "status".to_string(),
                     Content::Str(self.state().name().into()),
                 ));
-                render(Content::Map(map))
+                render(&Content::Map(map))
             }
         };
         (response, Outcome::Reload)
@@ -1513,7 +1538,7 @@ impl ServeEngine {
                 }
                 map.push(("ok".to_string(), Content::Bool(true)));
                 map.push(("shutdown".to_string(), Content::Bool(true)));
-                return (render(Content::Map(map)), Outcome::Shutdown, None);
+                return (render(&Content::Map(map)), Outcome::Shutdown, None);
             }
             Ok(Parsed::Health { id }) => {
                 let (r, o) = self.health_response(id);
@@ -1598,7 +1623,13 @@ impl ServeEngine {
                     .and_then(|rel| ks2_test(&samples, rel).ok())
                     .map(|k| k.p_value);
                 (
-                    ok_response(req.id, req.model, features, samples, ks_confidence),
+                    ok_reply(
+                        req.id.as_ref(),
+                        req.model,
+                        &features,
+                        &samples,
+                        ks_confidence,
+                    ),
                     Outcome::Ok,
                     Some(req.model),
                 )
@@ -1662,13 +1693,18 @@ pub struct Job {
 
 /// The bounded admission queue: a depth counter the readers enter
 /// before enqueueing and the dispatcher leaves on dequeue. When the
-/// queue is full, admission fails and the reader sheds the request with
-/// a typed `overloaded` response instead of buffering it. Maintains the
+/// queue is full, admission fails and a socket reader sheds the request
+/// with a typed `overloaded` response instead of buffering it; the stdin
+/// reader waits in [`Admission::enter`] instead. Maintains the
 /// `pv.serve.queue_depth` and `pv.serve.queue_high_watermark` gauges.
 pub struct Admission {
     capacity: usize,
     depth: AtomicUsize,
     high_watermark: AtomicUsize,
+    /// Readers waiting in [`Admission::enter`]; `leave` reads it under
+    /// this lock, so a wait cannot miss the slot it waits for.
+    waiters: Mutex<usize>,
+    freed: Condvar,
 }
 
 impl Admission {
@@ -1679,6 +1715,8 @@ impl Admission {
             capacity,
             depth: AtomicUsize::new(0),
             high_watermark: AtomicUsize::new(0),
+            waiters: Mutex::new(0),
+            freed: Condvar::new(),
         }
     }
 
@@ -1737,10 +1775,23 @@ impl Admission {
         }
     }
 
+    /// Admits one request, waiting while the queue is full.
+    fn enter(&self) {
+        let mut waiters = lock_mutex(&self.waiters);
+        while !self.try_enter() {
+            *waiters += 1;
+            waiters = self.freed.wait(waiters).unwrap_or_else(|p| p.into_inner());
+            *waiters -= 1;
+        }
+    }
+
     /// Marks one admitted request as picked up by the dispatcher.
     pub fn leave(&self) {
         let before = self.depth.fetch_sub(1, Ordering::SeqCst);
         pv_obs::gauge_set!("pv.serve.queue_depth", before.saturating_sub(1) as f64);
+        if *lock_mutex(&self.waiters) > 0 {
+            self.freed.notify_one();
+        }
     }
 }
 
@@ -1777,6 +1828,9 @@ pub struct ServeShared {
     admission: Arc<Admission>,
     jobs: Sender<Job>,
     max_line: usize,
+    /// Whether a full queue makes the reader wait rather than shed: set
+    /// for stdin, whose one client is a pipe that can wait.
+    wait_for_admission: bool,
 }
 
 impl ServeShared {
@@ -1792,6 +1846,7 @@ impl ServeShared {
             admission,
             jobs,
             max_line,
+            wait_for_admission: false,
         }
     }
 }
@@ -1933,8 +1988,9 @@ pub fn run_batcher(
 }
 
 /// Pumps one client: a reader thread feeds the shared job queue
-/// (shedding at admission when the queue is full and rejecting lines
-/// once the daemon drains), this thread writes responses back in
+/// (shedding at admission when the queue is full, or waiting for a slot
+/// when the shared state says so, and rejecting lines once the daemon
+/// drains), this thread writes responses back in
 /// request order through per-request reply slots. Returns `Ok(true)`
 /// when the client's shutdown request was acked (after the ack is
 /// flushed, so the flag flip in the caller cannot race the write).
@@ -1957,6 +2013,7 @@ where
         admission,
         jobs,
         max_line,
+        wait_for_admission,
     } = shared;
     std::thread::spawn(move || {
         let _ = read_lines_bounded(reader, max_line, |item| {
@@ -1971,6 +2028,9 @@ where
                 Some(Incoming::Shed(format!(
                     "injected shed at arrival sequence {seq}"
                 )))
+            } else if wait_for_admission {
+                admission.enter();
+                None
             } else if !admission.try_enter() {
                 Some(Incoming::Shed(format!(
                     "admission queue full ({} queued)",
@@ -2026,7 +2086,9 @@ where
     Ok(false)
 }
 
-/// Serves stdin/stdout until EOF or a shutdown request.
+/// Serves stdin/stdout until EOF or a shutdown request. A full admission
+/// queue makes the reader wait, so the pipe applies backpressure and
+/// only injected `shed@SEQ` faults shed.
 ///
 /// # Errors
 /// Propagates stdout failures.
@@ -2039,7 +2101,10 @@ pub fn run_stdio(engine: Arc<ServeEngine>, opts: ServeOpts) -> io::Result<()> {
         let opts = opts.clone();
         std::thread::spawn(move || run_batcher(&engine, &jobs_rx, &admission, &opts))
     };
-    let shared = ServeShared::new(engine, admission, jobs_tx, opts.max_line);
+    let shared = ServeShared {
+        wait_for_admission: true,
+        ..ServeShared::new(engine, admission, jobs_tx, opts.max_line)
+    };
     let result = serve_connection(io::stdin(), io::stdout(), shared);
     // EOF: the job senders are dropped, the batcher drains and exits.
     // Shutdown: the batcher finishes its drain within the grace window.
@@ -2816,6 +2881,107 @@ mod tests {
             String::from_utf8_lossy(bytes).replace('\n', " ")
         }
 
+        /// The valid request with one byte overwritten (mode 0), cut
+        /// short (1), a span deleted (2), or a run of brackets spliced in
+        /// (3).
+        fn mutated(mode: u8, pos: usize, byte: u8, len: usize) -> String {
+            let mut bytes = engine().1.clone().into_bytes();
+            let at = pos % bytes.len();
+            match mode {
+                0 => bytes[at] = byte,
+                1 => bytes.truncate(at),
+                2 => {
+                    bytes.drain(at..(at + len % 24).min(bytes.len()));
+                }
+                _ => {
+                    let open = [b'[', b'{'][usize::from(byte) % 2];
+                    bytes.splice(at..at, std::iter::repeat_n(open, len));
+                }
+            }
+            line_of(&bytes)
+        }
+
+        /// The text `write_f64` must print for `v`: `Display`'s, with a
+        /// `.0` kept on integral |v| < 1e15.
+        fn display_rule(v: f64) -> String {
+            if v == v.trunc() && v.abs() < 1e15 {
+                format!("{v:.1}")
+            } else {
+                format!("{v}")
+            }
+        }
+
+        /// Checks one mutated line's reply: one JSON document with a
+        /// boolean `ok`, a typed `error.kind` that is not a caught panic
+        /// when `ok` is false, and, when `ok` is true, every `samples`
+        /// token printed as the `Display` rule prints the value it reads
+        /// back as.
+        fn check_mutated_reply(line: &str) -> Result<(), String> {
+            let (reply, _) = engine().0.handle_line(line);
+            let Ok(Json(doc)) = serde_json::from_str::<Json>(&reply) else {
+                return Err(format!("not JSON: {reply}"));
+            };
+            match get(&doc, "ok") {
+                Content::Bool(false) => match get(&doc, "error.kind") {
+                    Content::Str(k) if !k.is_empty() && k != "panic" => Ok(()),
+                    other => Err(format!("error kind {other:?}: {reply}")),
+                },
+                Content::Bool(true) => {
+                    let start = reply.find("\"samples\":[").ok_or("no samples")? + 11;
+                    let len = reply[start..].find(']').ok_or("unterminated samples")?;
+                    for token in reply[start..start + len].split(',') {
+                        let v: f64 = token.parse().map_err(|e| format!("{token}: {e}"))?;
+                        if token != display_rule(v) {
+                            return Err(format!("{token} is {}", display_rule(v)));
+                        }
+                    }
+                    Ok(())
+                }
+                other => Err(format!("ok is {other:?}: {reply}")),
+            }
+        }
+
+        /// The release-only protocol tier: 10⁶ seeded lines in the four
+        /// mutation modes of `mutated_requests_get_one_typed_reply`,
+        /// answered across the rayon pool. About 15 s in release on two
+        /// cores:
+        /// `cargo test --release -p pv-bench -- --ignored`.
+        #[test]
+        #[ignore = "release-only fuzz tier"]
+        fn million_mutated_requests_get_typed_replies_with_display_floats() {
+            const LINES: u64 = 1_000_000;
+            const CHUNK: u64 = 1_000;
+            let chunks: Vec<Vec<String>> = (0..LINES / CHUNK)
+                .into_par_iter()
+                .map(|chunk| {
+                    // splitmix64, one stream per chunk.
+                    let mut state = chunk.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    let mut next = move || {
+                        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                        let mut z = state;
+                        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                        z ^ (z >> 31)
+                    };
+                    (0..CHUNK)
+                        .filter_map(|_| {
+                            let r = next();
+                            let (mode, byte, len) = (r % 4, (r >> 8) as u8, (r >> 16) % 400);
+                            let line = mutated(mode as u8, next() as usize, byte, len as usize);
+                            check_mutated_reply(&line).err()
+                        })
+                        .collect()
+                })
+                .collect();
+            let failures: Vec<String> = chunks.into_iter().flatten().collect();
+            assert!(
+                failures.is_empty(),
+                "{} failures, first: {}",
+                failures.len(),
+                failures[0]
+            );
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -2835,20 +3001,7 @@ mod tests {
                 byte in any::<u8>(),
                 len in 0usize..400,
             ) {
-                let mut bytes = engine().1.clone().into_bytes();
-                let at = pos % bytes.len();
-                match mode {
-                    0 => bytes[at] = byte,
-                    1 => bytes.truncate(at),
-                    2 => {
-                        bytes.drain(at..(at + len % 24).min(bytes.len()));
-                    }
-                    _ => {
-                        let open = [b'[', b'{'][usize::from(byte) % 2];
-                        bytes.splice(at..at, std::iter::repeat_n(open, len));
-                    }
-                }
-                assert_typed_reply(&line_of(&bytes))?;
+                assert_typed_reply(&mutated(mode, pos, byte, len))?;
             }
         }
     }

@@ -128,6 +128,41 @@ fn stdio_session_answers_everything_typed_and_counts_match() {
     assert!(counter(&metrics, "pv.serve.batch") >= 1);
 }
 
+/// stdin is a pipe, and a pipe can wait: with a two-deep admission queue,
+/// a flood of 64 piped requests is answered in full and in order, the
+/// reader waiting for a free slot instead of shedding.
+#[test]
+fn piped_flood_waits_for_admission_instead_of_shedding() {
+    let dir = tmp_dir("backpressure");
+    let (corpus, key) = seed_registry(&dir);
+    let mut child = Daemon::spawn(
+        Command::new(serve_binary())
+            .args(["--registry"])
+            .arg(&dir)
+            .args(["--queue", "2"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null()),
+    );
+    let mut stdin = child.stdin.take().expect("stdin");
+    let stdout = BufReader::new(child.stdout.take().expect("stdout"));
+    let flood: String = (0..64)
+        .map(|id| request_line(key, &corpus, id % corpus.len(), id) + "\n")
+        .collect();
+    stdin.write_all(flood.as_bytes()).expect("write");
+    drop(stdin);
+    let replies: Vec<String> = stdout.lines().map(|l| l.expect("read reply")).collect();
+    assert_eq!(replies.len(), 64);
+    for (id, reply) in replies.iter().enumerate() {
+        assert!(reply.contains("\"ok\":true"), "reply {id}: {reply}");
+        assert!(
+            reply.starts_with(&format!("{{\"id\":{id},")),
+            "reply {id}: {reply}"
+        );
+    }
+    wait_exit_ok(child);
+}
+
 /// A line exceeding `--max-line` gets a typed bad-request reply (the
 /// payload is discarded, not buffered), and the daemon keeps serving.
 #[test]

@@ -10,13 +10,15 @@ mod common;
 
 use common::TempDir;
 
-use perfvar_suite::core::registry::{Artifact, ModelRegistry};
-use perfvar_suite::core::sweep::CellConfig;
+use perfvar_suite::core::registry::{artifact_key, Artifact, ModelRegistry};
+use perfvar_suite::core::sweep::{cross_fingerprint, CellConfig};
 use perfvar_suite::core::usecase1::FewRunsConfig;
 use perfvar_suite::core::usecase2::CrossSystemConfig;
 use perfvar_suite::core::{corpus_fingerprint, ModelKind, Predictor, Profile, ReprKind};
+use perfvar_suite::stats::fingerprint::lane_digest;
 use perfvar_suite::sysmodel::{Corpus, SystemModel};
 use proptest::prelude::*;
+use pv_bench::serve::{Outcome, ServeEngine};
 
 const RUNS: usize = 40;
 const SEED: u64 = 11;
@@ -154,6 +156,77 @@ fn uc2_registry_round_trip_is_bit_identical_at_any_thread_count() {
             }
         }
     }
+}
+
+/// The bytes pv-serve writes, pinned: the two models `serve_open` serves
+/// (UC1 PearsonRnd × kNN at s = 10 on Intel, UC2 PearsonRnd × kNN
+/// AMD → Intel), trained on a small campaign and sealed, answer one
+/// 1,000-sample UC1 and one UC2 line per benchmark through
+/// `ServeEngine::handle_line`. The digest of every reply and the digest
+/// of the two sealed registry files must not move: every float in them
+/// goes through the one JSON float writer, so a writer that prints
+/// other digits, or a reply framed differently, changes a constant.
+#[test]
+fn served_replies_and_sealed_artifacts_keep_their_bytes() {
+    const REPLY_DIGEST: u64 = 0xb963_2017_ebd5_5bba;
+    const REGISTRY_DIGEST: u64 = 0xd2ba_1b87_0fef_6559;
+    let dir = TempDir::new("pv-serve-eq-bytes");
+    let registry = ModelRegistry::new(dir.to_path_buf());
+    let intel = corpus(SystemModel::intel());
+    let amd = corpus(SystemModel::amd());
+    let mut uc1 = pv_bench::uc1_config(ReprKind::PearsonRnd, ModelKind::Knn, 10);
+    uc1.profiles_per_benchmark = uc1.profiles_per_benchmark.clamp(1, RUNS / 10);
+    let uc2 = pv_bench::uc2_config(ReprKind::PearsonRnd, ModelKind::Knn);
+    registry.ensure_few_runs(&intel, uc1).expect("seal uc1");
+    registry
+        .ensure_cross_system(&amd, &intel, uc2)
+        .expect("seal uc2");
+    let key1 = artifact_key(corpus_fingerprint(&intel), &CellConfig::FewRuns(uc1)).expect("key");
+    let pair = cross_fingerprint(corpus_fingerprint(&amd), corpus_fingerprint(&intel));
+    let key2 = artifact_key(pair, &CellConfig::CrossSystem(uc2)).expect("key");
+
+    let engine = ServeEngine::from_registry(&registry).expect("load");
+    fn json<T: serde::Serialize + ?Sized>(value: &T) -> String {
+        serde_json::to_string(value).expect("json")
+    }
+    let mut replies = String::new();
+    for (bi, (i, a)) in intel.benchmarks.iter().zip(&amd.benchmarks).enumerate() {
+        let uc1_profile = Profile::from_runs(&i.runs, uc1.n_profile_runs).expect("profile");
+        let uc2_profile =
+            Profile::from_runs(&a.runs, uc2.profile_runs.min(a.runs.len())).expect("profile");
+        let lines = [
+            format!(
+                "{{\"id\": {bi}, \"model\": \"{key1:016x}\", \"profile\": {}, \
+                 \"n_samples\": 1000, \"sample_seed\": {bi}}}",
+                json(&uc1_profile)
+            ),
+            format!(
+                "{{\"id\": {}, \"model\": \"{key2:016x}\", \"profile\": {}, \
+                 \"rel_times\": {}, \"n_samples\": 1000, \"sample_seed\": {bi}}}",
+                1000 + bi,
+                json(&uc2_profile),
+                json(&a.runs.rel_times())
+            ),
+        ];
+        for line in &lines {
+            let (reply, outcome) = engine.handle_line(line);
+            assert_eq!(outcome, Outcome::Ok, "{reply}");
+            replies.push_str(&reply);
+            replies.push('\n');
+        }
+    }
+    let mut sealed = Vec::new();
+    for key in [key1, key2] {
+        let path = dir.join(format!("model-{key:016x}.json"));
+        sealed.extend(std::fs::read(&path).expect("sealed entry"));
+    }
+    assert_eq!(
+        (lane_digest(replies.as_bytes()), lane_digest(&sealed)),
+        (REPLY_DIGEST, REGISTRY_DIGEST),
+        "reply or registry bytes moved ({} reply bytes, {} sealed bytes)",
+        replies.len(),
+        sealed.len()
+    );
 }
 
 /// Fixture for the query-order property: a forest model trained once,
