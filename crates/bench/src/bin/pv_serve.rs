@@ -64,8 +64,6 @@ OPTIONS:
                        breakdown
     --telemetry-out FILE        periodically flush the stats document
                        (same JSON as {\"op\": \"stats\"}) via temp+rename
-    --telemetry-prom FILE       periodically flush a Prometheus exposition
-                       of the serving counters and latency windows
     --telemetry-interval-ms MS  flush cadence (default 1000)
     --flight-recorder FILE      arm the post-mortem flight recorder: on the
                        first anomaly (shed/timeout burst, worker panic,
@@ -98,26 +96,19 @@ const SERVE: Command = Command {
     name: "pv-serve",
     help: HELP,
     values: "--registry --socket --batch --max-line --deadline-ms --queue --inject-serve --slo-ms \
-             --access-log --telemetry-out --telemetry-prom --telemetry-interval-ms \
+             --access-log --telemetry-out --telemetry-interval-ms \
              --flight-recorder --recorder-capacity --anomaly-threshold",
     switches: "",
     operands: false,
     main: serve,
 };
 
-/// Writes the stats document and/or the Prometheus exposition via
-/// temp+rename, so scrapers never read a torn file.
-fn flush_telemetry(engine: &ServeEngine, stats: Option<&Path>, prom: Option<&Path>) {
-    if let Some(path) = stats {
-        let doc = format!("{}\n", engine.stats_json());
-        if let Err(e) = write_atomic(path, doc.as_bytes()) {
-            eprintln!("pv-serve: telemetry flush failed: {e}");
-        }
-    }
-    if let Some(path) = prom {
-        if let Err(e) = write_atomic(path, engine.telemetry_prometheus().as_bytes()) {
-            eprintln!("pv-serve: prometheus flush failed: {e}");
-        }
+/// Writes the stats document via temp+rename, so readers never see a
+/// torn file.
+fn flush_telemetry(engine: &ServeEngine, path: &Path) {
+    let doc = format!("{}\n", engine.stats_json());
+    if let Err(e) = write_atomic(path, doc.as_bytes()) {
+        eprintln!("pv-serve: telemetry flush failed: {e}");
     }
 }
 
@@ -178,7 +169,7 @@ fn serve(args: &Args) -> Result<(), CliError> {
     };
     let deadline = millis("--deadline-ms")?;
     let plan: ServeFaultPlan = args.get("--inject-serve", ServeFaultPlan::none())?;
-    let (stats_out, prom_out) = (args.path("--telemetry-out"), args.path("--telemetry-prom"));
+    let stats_out = args.path("--telemetry-out");
     let interval = Duration::from_millis(args.get("--telemetry-interval-ms", 1000u64)?.max(10));
 
     let collector = args.install_obs();
@@ -233,15 +224,14 @@ fn serve(args: &Args) -> Result<(), CliError> {
 
     let engine = Arc::new(engine);
     // Periodic telemetry flusher; a final flush lands after the serve loop.
-    let flusher = (stats_out.is_some() || prom_out.is_some()).then(|| {
+    let flusher = stats_out.clone().map(|path| {
         let engine = Arc::clone(&engine);
-        let (stats_out, prom_out) = (stats_out.clone(), prom_out.clone());
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
             while !stop_flag.load(Ordering::SeqCst) {
                 std::thread::sleep(interval);
-                flush_telemetry(&engine, stats_out.as_deref(), prom_out.as_deref());
+                flush_telemetry(&engine, &path);
             }
         });
         (stop, handle)
@@ -257,8 +247,10 @@ fn serve(args: &Args) -> Result<(), CliError> {
         stop.store(true, Ordering::SeqCst);
         let _ = handle.join();
     }
-    // Final flush so the files on disk reflect the complete run.
-    flush_telemetry(&engine, stats_out.as_deref(), prom_out.as_deref());
+    // Final flush so the file on disk reflects the complete run.
+    if let Some(path) = &stats_out {
+        flush_telemetry(&engine, path);
+    }
     if let Err(e) = served {
         eprintln!("pv-serve: serve loop failed: {e}");
         std::process::exit(1);

@@ -83,8 +83,8 @@ use pv_core::resilience::{PvError, ServeFaultPlan};
 use pv_core::store::write_atomic;
 use pv_core::sweep::CellConfig;
 use pv_core::{Predictor, Profile};
+use pv_obs::humanize_ns;
 use pv_obs::window::{RollingCounter, RollingHisto, WindowClock, WINDOWS};
-use pv_obs::{humanize_ns, MetricsSnapshot};
 use pv_stats::ks::ks2_test;
 
 /// Default reconstruction sample count per prediction.
@@ -647,7 +647,7 @@ pub struct RequestTrace {
 }
 
 /// The serving telemetry plane: always-on exact totals plus rolling
-/// 10s/1m/5m windows for every outcome and latency stage, the SLO
+/// 10s/1m/5m windows for every outcome and for request latency, the SLO
 /// error budget, the per-request access log, and the flight recorder.
 ///
 /// Totals here are *independent* of `pv-obs` — plain atomics bumped in
@@ -659,8 +659,6 @@ pub struct ServeTelemetry {
     requests: RollingCounter,
     outcomes: Vec<RollingCounter>,
     latency: RollingHisto,
-    queue_wait: RollingHisto,
-    predict: RollingHisto,
     slo: Option<SloState>,
     access: Option<Mutex<File>>,
     recorder: Option<FlightRecorder>,
@@ -697,8 +695,6 @@ impl ServeTelemetry {
                 .map(|_| RollingCounter::new(clock.clone()))
                 .collect(),
             latency: RollingHisto::new(clock.clone()),
-            queue_wait: RollingHisto::new(clock.clone()),
-            predict: RollingHisto::new(clock.clone()),
             slo: opts.slo.map(|target| SloState {
                 target,
                 eligible: RollingCounter::new(clock.clone()),
@@ -768,14 +764,12 @@ impl ServeTelemetry {
     }
 
     /// Seals one answered request into the telemetry plane: windowed
-    /// counters, latency histograms, SLO budget, flight-recorder ring
+    /// counters, latency histogram, SLO budget, flight-recorder ring
     /// and anomaly triggers. Returns the [`Reply`] carrying the pending
     /// access-log record to the writer.
     fn seal(self: &Arc<Self>, text: String, t: RequestTrace) -> Reply {
         self.requests.inc();
         self.outcomes[t.outcome.index()].inc();
-        self.queue_wait.record_ns(t.queue_ns);
-        self.predict.record_ns(t.predict_ns);
         self.latency.record_ns(t.queue_ns + t.predict_ns);
         if let Some(slo) = &self.slo {
             if t.outcome.slo_eligible() {
@@ -841,44 +835,6 @@ impl ServeTelemetry {
         );
         let mut f = lock_mutex(file);
         let _ = f.write_all(line.as_bytes());
-    }
-
-    /// A synthesized metrics snapshot from the telemetry plane's own
-    /// totals (counters are exact; the latency histogram covers the
-    /// trailing 5m window). This is what the periodic Prometheus flush
-    /// renders, so it works with or without an obs collector.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut counters = vec![pv_obs::metrics::CounterValue {
-            name: "pv.serve.request".into(),
-            value: self.requests.total(),
-        }];
-        for o in Outcome::ALL {
-            counters.push(pv_obs::metrics::CounterValue {
-                name: o.counter().into(),
-                value: self.total_outcome(o),
-            });
-        }
-        counters.sort_by(|a, b| a.name.cmp(&b.name));
-        let histo = |name: &str, h: &RollingHisto| {
-            let (edges, counts, count, sum_ns) = h.windowed_buckets(300);
-            pv_obs::metrics::HistogramValue {
-                name: name.into(),
-                scale: "log10".into(),
-                edges,
-                counts,
-                count,
-                sum: sum_ns as f64,
-            }
-        };
-        MetricsSnapshot {
-            counters,
-            gauges: Vec::new(),
-            histograms: vec![
-                histo("pv.serve.window.latency_ns", &self.latency),
-                histo("pv.serve.window.queue_wait_ns", &self.queue_wait),
-                histo("pv.serve.window.predict_ns", &self.predict),
-            ],
-        }
     }
 }
 
@@ -1474,13 +1430,6 @@ impl ServeEngine {
     /// flushes periodically.
     pub fn stats_json(&self) -> String {
         self.stats_response(None).0
-    }
-
-    /// The Prometheus exposition of the telemetry plane's own snapshot
-    /// — what `--telemetry-prom` flushes periodically. Works without an
-    /// obs collector.
-    pub fn telemetry_prometheus(&self) -> String {
-        pv_obs::telemetry::render_prometheus(&self.telemetry.metrics_snapshot())
     }
 
     fn reload_response(&self, id: Option<Content>) -> (String, Outcome) {
@@ -2816,29 +2765,6 @@ mod tests {
         assert_eq!(t.total_outcome(Outcome::Health), 2);
         assert_eq!(logged_reqs(), 11);
         let _ = std::fs::remove_file(&log);
-    }
-
-    #[test]
-    fn telemetry_prometheus_renders_without_a_collector() {
-        let (engine, key, corpus) = tiny_engine();
-        let engine = Arc::new(engine);
-        let profile = Profile::from_runs(&corpus.benchmarks[0].runs, 10).expect("profile");
-        engine.answer(
-            Incoming::Line(&request_line(key, &profile)),
-            0,
-            Instant::now(),
-        );
-        let prom = engine.telemetry_prometheus();
-        assert!(
-            prom.contains("pv_serve_request 1"),
-            "exact totals must render without an obs collector:\n{prom}"
-        );
-        assert!(prom.contains("pv_serve_request_ok 1"), "{prom}");
-        assert!(
-            prom.contains("pv_serve_window_latency_ns_count 1"),
-            "{prom}"
-        );
-        assert!(prom.contains("pv_serve_window_latency_ns_bucket"), "{prom}");
     }
 
     mod properties {

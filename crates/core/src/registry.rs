@@ -45,8 +45,10 @@ use crate::usecase2::CrossSystemConfig;
 /// models default to binned splits, and artifact keys carry the
 /// tree-kernel tag; v3: the sealed envelope of [`crate::store`], and kNN
 /// models lost the f32 prescreen fields; v4: one artifact struct for
-/// both use cases, and kNN models lost their weighting field.)
-pub const REGISTRY_MAGIC: &[u8; 8] = b"PVMODEL4";
+/// both use cases, and kNN models lost their weighting field; v5: tree
+/// splits scan tied feature values by row index, so a tree fitted on
+/// tied features may differ, and keys drop the tree-kernel tag.)
+pub const REGISTRY_MAGIC: &[u8; 8] = b"PVMODEL5";
 
 /// The observability counters the registry emits.
 pub const REGISTRY_OBS_COUNTERS: &[&str] = &[
@@ -75,10 +77,9 @@ pub struct Artifact {
 }
 
 /// The registry key of an artifact: FNV-1a over a domain tag, the format
-/// magic, the corpus fingerprint, the tree split kernel's name and the
-/// config's canonical JSON — the cell cache's `cell_key` scheme under a
-/// serving-specific domain so registry and cache entries can never
-/// collide.
+/// magic, the corpus fingerprint and the config's canonical JSON — the
+/// cell cache's `cell_key` scheme under a serving-specific domain so
+/// registry and cache entries can never collide.
 ///
 /// For use case 2 pass [`cross_fingerprint`]`(src, dst)` as the
 /// fingerprint, exactly as the sweep layer keys its cross-system cells.
@@ -93,9 +94,6 @@ pub fn artifact_key(fingerprint: u64, cfg: &CellConfig) -> Result<u64, StatsErro
     h.write_str("pv-registry");
     h.write_bytes(REGISTRY_MAGIC);
     h.write_u64(fingerprint);
-    // The name of the tree split kernel every key was made with; the
-    // kernel is fixed now, and keeping its name keeps the keys.
-    h.write_str("binned");
     h.write_str(&json);
     Ok(h.finish())
 }

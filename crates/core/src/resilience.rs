@@ -19,15 +19,16 @@
 //!   forced sheds) or reload attempt (registry I/O failures), so the
 //!   `tests/serve_chaos.rs` tier can pin *exactly-k* shed and timed-out
 //!   requests regardless of thread count.
-//! * [`CacheLock`] — an advisory lock (atomic marker file) held for the
-//!   duration of a sweep's cache writes, so two concurrent `repro sweep`
-//!   invocations sharing a directory cannot interleave temp-file renames.
+//! * [`CacheLock`] — the kernel's advisory lock on the cache directory,
+//!   held for the duration of a sweep's cache writes, so two concurrent
+//!   `repro sweep` invocations sharing a directory cannot interleave
+//!   temp-file renames.
 //! * [`validate_summary`] — the numeric post-condition every computed
 //!   summary must satisfy before it is trusted.
 
 use std::fmt;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -549,7 +550,7 @@ impl std::str::FromStr for ServeFaultPlan {
 /// Whether `pid` definitely no longer exists. Linux only: a live pid has
 /// a `/proc` entry. On other platforms the answer is always `false` —
 /// being conservative about another process's death is the safe default
-/// for every caller (lock breaking, temp sweeping).
+/// for the temp sweep.
 pub fn pid_is_dead(pid: u32) -> bool {
     if cfg!(target_os = "linux") {
         !Path::new(&format!("/proc/{pid}")).exists()
@@ -558,155 +559,62 @@ pub fn pid_is_dead(pid: u32) -> bool {
     }
 }
 
-/// A reuse-resistant identity token for `pid`: the process start time
-/// (clock ticks since boot, field 22 of `/proc/<pid>/stat`). Two
-/// processes that ever share a (pid, token) pair would have to start in
-/// the same clock tick after a pid wrap — close enough to impossible for
-/// an advisory lock. `None` when the process is gone or the platform has
-/// no `/proc`.
-pub fn pid_start_token(pid: u32) -> Option<u64> {
-    let stat = fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
-    // The comm field (2) is parenthesized and may itself contain spaces
-    // or parens; everything after the *last* ')' is whitespace-split.
-    // Start time is field 22 overall = index 19 after state (field 3).
-    let after_comm = stat.rsplit_once(')')?.1;
-    after_comm.split_whitespace().nth(19)?.parse::<u64>().ok()
-}
-
-/// Name of the advisory lock file inside a cell-cache directory.
-pub const LOCK_FILE: &str = "sweep.lock";
-
 /// An advisory lock on a cell-cache directory, held for the duration of
 /// a sweep that writes into it.
 ///
-/// Implemented as an atomic marker file (`create_new` is atomic on every
-/// platform we target) holding the owner's `pid start-token` pair (see
-/// [`pid_start_token`]). A second sweep on the same directory polls
-/// until the lock is released or its timeout expires; a lock whose
-/// owner is provably gone — pid dead, *or* pid alive but with a
-/// different start token, meaning the pid was recycled by an unrelated
-/// process — is broken and re-acquired, so one SIGKILL never wedges a
-/// cache directory and pid reuse never lets a stranger's pid pin a
-/// stale lock forever. Legacy bare-pid lock files (no token) fall back
-/// to pid liveness alone, conservatively. Dropping the guard releases
-/// the lock.
+/// The lock is the kernel's: an exclusive [`fs::File::try_lock`] on an
+/// open handle of the directory itself, so no lock file is created. A
+/// second sweep on the same directory polls until the lock is released
+/// or its timeout expires. Dropping the guard closes the handle and
+/// releases the lock, and so does the holder's exit, however it dies:
+/// a killed sweep never wedges a cache directory, and there is no stale
+/// lock to break.
 #[derive(Debug)]
 pub struct CacheLock {
-    path: PathBuf,
+    _dir: fs::File,
 }
 
 impl CacheLock {
     /// Acquires the lock for `dir`, waiting up to `timeout`.
     ///
     /// # Errors
-    /// Returns [`PvError::CacheIo`] when the directory cannot be created
-    /// or the lock is still held when the timeout expires.
+    /// Returns [`PvError::CacheIo`] when the directory cannot be created,
+    /// opened or locked, or the lock is still held when the timeout
+    /// expires.
     pub fn acquire(dir: &Path, timeout: Duration) -> Result<Self, PvError> {
-        fs::create_dir_all(dir).map_err(|e| PvError::CacheIo {
+        let cache_io = |detail: String| PvError::CacheIo {
             what: "CacheLock::acquire".to_string(),
-            detail: format!("create {}: {e}", dir.display()),
-        })?;
-        let path = dir.join(LOCK_FILE);
+            detail,
+        };
+        fs::create_dir_all(dir).map_err(|e| cache_io(format!("create {}: {e}", dir.display())))?;
+        let handle =
+            fs::File::open(dir).map_err(|e| cache_io(format!("open {}: {e}", dir.display())))?;
         let wait_started = Instant::now();
         let deadline = wait_started + timeout;
         loop {
-            match fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut file) => {
-                    use std::io::Write;
-                    let pid = std::process::id();
-                    match pid_start_token(pid) {
-                        Some(token) => {
-                            let _ = write!(file, "{pid} {token}");
-                        }
-                        None => {
-                            let _ = write!(file, "{pid}");
-                        }
-                    }
+            match handle.try_lock() {
+                Ok(()) => {
                     pv_obs::observe!(
                         "pv.core.sweep.lock_wait_ns",
                         pv_obs::BucketSpec::latency(),
                         wait_started.elapsed().as_nanos() as f64
                     );
-                    return Ok(CacheLock { path });
+                    return Ok(CacheLock { _dir: handle });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    if Self::holder_is_dead(&path) {
-                        // Stale lock from a crashed sweep: break it and
-                        // race for re-acquisition on the next iteration.
-                        pv_obs::counter_inc!("pv.core.sweep.lock_steal");
-                        let _ = fs::remove_file(&path);
-                        continue;
-                    }
-                    if Instant::now() >= deadline {
-                        let holder = fs::read_to_string(&path).unwrap_or_default();
-                        return Err(PvError::CacheIo {
-                            what: "CacheLock::acquire".to_string(),
-                            detail: format!(
-                                "{} held by pid {} past {timeout:?}",
-                                path.display(),
-                                holder.trim()
-                            ),
-                        });
-                    }
+                Err(fs::TryLockError::WouldBlock) if Instant::now() < deadline => {
                     std::thread::sleep(Duration::from_millis(15));
                 }
-                Err(e) => {
-                    return Err(PvError::CacheIo {
-                        what: "CacheLock::acquire".to_string(),
-                        detail: format!("create {}: {e}", path.display()),
-                    });
+                Err(fs::TryLockError::WouldBlock) => {
+                    return Err(cache_io(format!(
+                        "{} locked by another sweep past {timeout:?}",
+                        dir.display()
+                    )));
+                }
+                Err(fs::TryLockError::Error(e)) => {
+                    return Err(cache_io(format!("lock {}: {e}", dir.display())));
                 }
             }
         }
-    }
-
-    /// Whether the process recorded in the lock file is provably gone.
-    /// An unreadable or malformed lock file is treated as *live* —
-    /// breaking a lock we cannot attribute would be worse than waiting
-    /// it out. A recorded start token that no longer matches the live
-    /// pid's means the pid was recycled: the original holder is gone.
-    fn holder_is_dead(path: &Path) -> bool {
-        let Ok(text) = fs::read_to_string(path) else {
-            return false;
-        };
-        let mut parts = text.split_whitespace();
-        let Some(Ok(pid)) = parts.next().map(str::parse::<u64>) else {
-            return false;
-        };
-        let Ok(pid) = u32::try_from(pid) else {
-            // A pid no platform can issue was never a live holder.
-            return true;
-        };
-        if pid == std::process::id() {
-            return false;
-        }
-        if pid_is_dead(pid) {
-            return true;
-        }
-        // Alive — but is it the *same* process that took the lock?
-        match (
-            parts.next().and_then(|t| t.parse::<u64>().ok()),
-            pid_start_token(pid),
-        ) {
-            (Some(recorded), Some(current)) => recorded != current,
-            // Legacy bare-pid file or token unavailable: conservative.
-            _ => false,
-        }
-    }
-
-    /// The lock file path (visible for tests).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl Drop for CacheLock {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
     }
 }
 
@@ -715,6 +623,7 @@ impl Drop for CacheLock {
 mod tests {
     use super::*;
     use crate::eval::BenchScore;
+    use std::path::PathBuf;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pv-resilience-{}-{name}", std::process::id()));
@@ -845,12 +754,12 @@ mod tests {
     fn cache_lock_excludes_and_releases() {
         let dir = temp_dir("lock");
         let lock = CacheLock::acquire(&dir, Duration::from_secs(5)).unwrap();
-        assert!(lock.path().is_file());
-        // A second acquisition by this same (live) process times out.
+        // A second acquisition, even by this same process, times out.
         let contender = CacheLock::acquire(&dir, Duration::from_millis(40));
         assert!(matches!(contender, Err(PvError::CacheIo { .. })));
         drop(lock);
-        assert!(!dir.join(LOCK_FILE).exists());
+        // The lock lives in the kernel: the directory holds no lock file.
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
         // Released → immediately acquirable.
         let again = CacheLock::acquire(&dir, Duration::from_millis(40)).unwrap();
         drop(again);
@@ -858,55 +767,58 @@ mod tests {
     }
 
     #[test]
-    fn stale_lock_from_a_dead_pid_is_broken() {
-        let dir = temp_dir("stale-lock");
-        fs::create_dir_all(&dir).unwrap();
-        // Pid far above any real pid_max: guaranteed dead on Linux.
-        fs::write(dir.join(LOCK_FILE), "999999999").unwrap();
-        let lock = CacheLock::acquire(&dir, Duration::from_millis(200)).unwrap();
-        drop(lock);
-        // An unattributable lock file is honored, not broken.
-        fs::write(dir.join(LOCK_FILE), "definitely not a pid").unwrap();
-        assert!(CacheLock::acquire(&dir, Duration::from_millis(40)).is_err());
-        let _ = fs::remove_dir_all(&dir);
-    }
+    fn a_killed_holder_releases_the_lock() {
+        use std::io::BufRead;
+        use std::process::{Command, Stdio};
 
-    #[test]
-    fn recycled_pid_lock_is_broken_but_matching_token_is_honored() {
-        if pid_start_token(1).is_none() {
-            return; // No /proc: the token path is inert on this platform.
+        // The holder is this test binary run again for this one test:
+        // it takes the lock, says so and waits to be killed.
+        const HOLD: &str = "PV_TEST_HOLD_CACHE_LOCK";
+        const NAME: &str = "resilience::tests::a_killed_holder_releases_the_lock";
+        if let Some(dir) = std::env::var_os(HOLD) {
+            let _lock = CacheLock::acquire(Path::new(&dir), Duration::from_secs(5)).unwrap();
+            println!("lock held");
+            std::thread::sleep(Duration::from_secs(60));
+            return;
         }
-        let dir = temp_dir("recycled-lock");
-        fs::create_dir_all(&dir).unwrap();
-        // Pid 1 is alive, but a token it never had means the recorded
-        // holder died and the pid was recycled: break the lock.
-        fs::write(dir.join(LOCK_FILE), "1 18446744073709551615").unwrap();
-        let lock = CacheLock::acquire(&dir, Duration::from_millis(200)).unwrap();
-        drop(lock);
-        // The genuine (pid, token) pair of a live process is honored.
-        let token = pid_start_token(1).unwrap();
-        fs::write(dir.join(LOCK_FILE), format!("1 {token}")).unwrap();
-        assert!(CacheLock::acquire(&dir, Duration::from_millis(40)).is_err());
-        // Legacy bare-pid file of a live process: conservative, honored.
-        fs::write(dir.join(LOCK_FILE), "1").unwrap();
-        assert!(CacheLock::acquire(&dir, Duration::from_millis(40)).is_err());
-        let _ = fs::remove_dir_all(&dir);
-    }
 
-    #[test]
-    fn acquired_lock_records_pid_and_start_token() {
-        let dir = temp_dir("token-lock");
-        let lock = CacheLock::acquire(&dir, Duration::from_secs(5)).unwrap();
-        let text = fs::read_to_string(lock.path()).unwrap();
-        let mut parts = text.split_whitespace();
-        assert_eq!(
-            parts.next().unwrap().parse::<u32>().unwrap(),
-            std::process::id()
+        /// Kills and reaps the holder however the test ends; it starts
+        /// no process of its own.
+        struct Holder(std::process::Child);
+        impl Drop for Holder {
+            fn drop(&mut self) {
+                let _ = self.0.kill();
+                let _ = self.0.wait();
+            }
+        }
+
+        let dir = temp_dir("killed-holder");
+        let mut holder = Holder(
+            Command::new(std::env::current_exe().unwrap())
+                .args(["--exact", NAME, "--nocapture", "--test-threads=1"])
+                .env(HOLD, &dir)
+                .stdout(Stdio::piped())
+                .stderr(Stdio::null())
+                .spawn()
+                .unwrap(),
         );
-        if let Some(token) = pid_start_token(std::process::id()) {
-            assert_eq!(parts.next().unwrap().parse::<u64>().unwrap(), token);
-        }
+        // libtest may print the test's name on the same line first.
+        let stdout = std::io::BufReader::new(holder.0.stdout.take().unwrap());
+        let held = stdout
+            .lines()
+            .map_while(Result::ok)
+            .any(|l| l.ends_with("lock held"));
+        assert!(held, "the holder never took the lock");
+        assert!(CacheLock::acquire(&dir, Duration::from_millis(40)).is_err());
+
+        holder.0.kill().unwrap();
+        holder.0.wait().unwrap();
+        let started = Instant::now();
+        let lock = CacheLock::acquire(&dir, Duration::from_secs(10)).unwrap();
+        let waited = started.elapsed();
+        assert!(waited < Duration::from_secs(2), "waited {waited:?}");
         drop(lock);
+        drop(holder);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -78,9 +78,11 @@ use crate::usecase2::CrossSystemConfig;
 /// key drops the tree-kernel tag; v8: one attempt per cell — no reseeded
 /// retries, no degraded fallback, a failed record carries only its
 /// error; v9: benchmark digests are eight-lane digests, so every corpus
-/// fingerprint and stored `held_fp` moved.) A sweep deletes the cell
-/// files of older versions.
-const CELL_MAGIC: &[u8; 8] = b"PVCELL09";
+/// fingerprint and stored `held_fp` moved; v10: tree splits scan tied
+/// feature values by row index, so a tree cell fitted on tied features
+/// may hold other scores.) A sweep deletes the cell files of older
+/// versions.
+const CELL_MAGIC: &[u8; 8] = b"PVCELL10";
 
 /// How long a sweep waits for the cache directory's advisory lock
 /// before giving up, unless overridden by [`Sweep::with_lock_timeout`].
@@ -102,7 +104,6 @@ pub const SWEEP_OBS_COUNTERS: &[&str] = &[
     "pv.core.sweep.cache_verify_fail",
     "pv.core.sweep.cells",
     "pv.core.sweep.failed",
-    "pv.core.sweep.lock_steal",
     "pv.core.sweep.ok",
     "pv.core.sweep.quarantine_skip",
 ];
@@ -422,7 +423,7 @@ fn fold_entries(summary: EvalSummary, folds: Vec<StoredFold>) -> Vec<FoldEntry> 
 ///
 /// Layout: one file per cell, `cell-<key:016x>.json` under the cache
 /// directory, where the key is [`cell_key`]: a [`crate::store`]
-/// envelope under the magic `PVCELL09` whose payload is the cell's JSON
+/// envelope under the magic `PVCELL10` whose payload is the cell's JSON
 /// record — ok or failed. Writes are atomic, so concurrent sweeps
 /// sharing a directory never observe partial entries.
 #[derive(Debug, Clone)]

@@ -6,17 +6,17 @@
 //! of variance reduction), computed in O(n) per feature via prefix sums
 //! over sorted rows.
 //!
-//! Rows reach that scan in ascending value order by one of two routes.
-//! A tree that scans every feature at every node (a boosting round, a
-//! plain CART fit) takes them from presorted column blocks: each feature
-//! is ranked once per fit (`FeatureRanks`) and each split
-//! stable-partitions the node's block segments, so no node sorts. A tree
-//! that draws a few features per node (a forest) sorts just those
-//! features' node rows instead, which is cheaper than partitioning every
-//! feature's block. Both routes give the same order wherever a feature's
-//! values are distinct, so they grow bit-identical trees; a feature with
-//! repeated values always takes the per-node sort (see
-//! `FeatureRanks`).
+//! Rows reach that scan in `(value, row)` order, ascending value with
+//! ties broken by row index, by one of two routes. A tree that scans
+//! every feature at every node (a boosting round, a plain CART fit)
+//! takes them from presorted column blocks: each feature is ranked once
+//! per fit (`FeatureRanks`) and each split stable-partitions the node's
+//! block segments, so no node sorts. A tree that draws a few features
+//! per node (a forest) sorts just those features' node rows instead,
+//! which is cheaper than partitioning every feature's block. The order
+//! is total, so both routes scan every node's rows in the same order and
+//! grow bit-identical trees, and no tree depends on where an unstable
+//! sort leaves rows with equal values.
 //!
 //! Leaf values support an optional L2 shrinkage `λ` (`value = Σy / (n+λ)`),
 //! which is exactly the XGBoost leaf-weight formula for squared loss —
@@ -290,61 +290,44 @@ impl BinnedFeatures {
     }
 }
 
-/// Ascending feature value: the order the split scan walks a node's
-/// `(value, row)` pairs in.
+/// The order the split scan walks a node's `(value, row)` pairs in:
+/// ascending value, ties by row index. It is total, so a node's rows
+/// have one scan order whichever route sorted them.
 #[inline]
 fn by_value(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
-    a.0.total_cmp(&b.0)
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
-/// Every tie-free feature's rows ranked once per fit: block `slot[f]`
-/// of `pairs` (column-major, `n_rows` pairs per block) holds feature
-/// `f`'s `(value, row)` pairs by value. A feature on which two rows
-/// share a value gets no block (`slot[f] == None`) and keeps the
-/// per-node sort: the order a tie's rows are scanned in sets the
-/// rounding of the split sums, and only that sort reproduces the order
-/// it gives them, so the tree is the one a per-node-sort fit grows.
-/// Like the bin table it reads only features, so one ranking serves
-/// every round of a boosting fit.
+/// Every feature's rows ranked once per fit: block `f` of `pairs`
+/// (column-major, `n_rows` pairs per block) holds feature `f`'s
+/// `(value, row)` pairs in [`by_value`] order. Like the bin table it
+/// reads only features, so one ranking serves every round of a boosting
+/// fit.
 pub(crate) struct FeatureRanks {
     n_rows: usize,
-    slot: Vec<Option<usize>>,
     pairs: Vec<(f64, u32)>,
 }
 
 impl FeatureRanks {
-    /// Ranks every column of `x`, keeping the tie-free ones.
+    /// Ranks every column of `x`.
     pub(crate) fn build(x: &DenseMatrix) -> Self {
         let n = x.rows();
-        let mut slot = Vec::with_capacity(x.cols());
         let mut pairs = Vec::with_capacity(n * x.cols());
         for f in 0..x.cols() {
             let col = pairs.len();
             pairs.extend((0..n).map(|r| (x.get(r, f), r as u32)));
             pairs[col..].sort_unstable_by(by_value);
-            if pairs[col..].windows(2).any(|w| w[0].0 == w[1].0) {
-                pairs.truncate(col);
-                slot.push(None);
-            } else {
-                slot.push(Some(col / n.max(1)));
-            }
         }
-        FeatureRanks {
-            n_rows: n,
-            slot,
-            pairs,
-        }
+        FeatureRanks { n_rows: n, pairs }
     }
 }
 
 /// Presorted column blocks of one tree's training rows, partitioned in
 /// step with the builder's row list: while a node holds positions
-/// `lo..lo + n` of that list, a ranked feature's block holds the same
-/// rows' pairs by value at `lo..lo + n`. A row the list repeats (a
-/// bootstrap draw) appears as that many identical pairs.
+/// `lo..lo + n` of that list, feature `f`'s block holds the same rows'
+/// pairs in [`by_value`] order at `lo..lo + n`. A row the list repeats
+/// (a bootstrap draw) appears as that many identical pairs.
 struct SortedBlocks {
-    /// Block index per feature, as in [`FeatureRanks`].
-    slot: Vec<Option<usize>>,
     /// Rows per block (the tree's training-row count, repeats included).
     len: usize,
     pairs: Vec<(f64, u32)>,
@@ -378,7 +361,6 @@ impl SortedBlocks {
         }
         pairs.truncate(kept);
         SortedBlocks {
-            slot: ranks.slot.clone(),
             len: rows.len(),
             pairs,
             goes_left: vec![false; ranks.n_rows],
@@ -386,12 +368,10 @@ impl SortedBlocks {
         }
     }
 
-    /// Feature `f`'s pairs at row-list positions `lo..lo + n`, by value;
-    /// `None` for a feature without a block.
+    /// Feature `f`'s pairs at row-list positions `lo..lo + n`, by value.
     #[inline]
-    fn segment(&self, f: usize, lo: usize, n: usize) -> Option<&[(f64, u32)]> {
-        let block = self.slot[f]?;
-        Some(&self.pairs[block * self.len + lo..][..n])
+    fn segment(&self, f: usize, lo: usize, n: usize) -> &[(f64, u32)] {
+        &self.pairs[f * self.len + lo..][..n]
     }
 
     /// Splits every block's segment `lo..lo + left.len() + right.len()`
@@ -657,8 +637,11 @@ impl<'a> Builder<'a> {
                         }
                     }
                 }
-                _ => match sorted.as_ref().and_then(|b| b.segment(f, lo, n)) {
-                    Some(seg) => scan_sorted(f, seg, y, &totals, min_leaf, left, &mut best),
+                _ => match sorted {
+                    Some(blocks) => {
+                        let seg = blocks.segment(f, lo, n);
+                        scan_sorted(f, seg, y, &totals, min_leaf, left, &mut best);
+                    }
                     None => {
                         // Scratch of (feature value, row) pairs: sorting a
                         // contiguous key buffer is several times faster
@@ -1066,18 +1049,9 @@ mod tests {
     /// Grows one tree per ordering on the same rows: presorted blocks,
     /// then per-node sorts.
     fn grow_both(data: &Dataset, rows: &[usize], cfg: TreeConfig) -> [RegressionTree; 2] {
-        grow_both_ranked(data, rows, cfg, &FeatureRanks::build(&data.x))
-    }
-
-    fn grow_both_ranked(
-        data: &Dataset,
-        rows: &[usize],
-        cfg: TreeConfig,
-        ranks: &FeatureRanks,
-    ) -> [RegressionTree; 2] {
         let bins = cfg.binned.then(|| BinnedFeatures::build(&data.x));
         let mut presorted = RegressionTree::new(cfg);
-        let blocks = SortedBlocks::new(ranks, rows);
+        let blocks = SortedBlocks::new(&FeatureRanks::build(&data.x), rows);
         presorted.grow(&data.x, &data.y, rows.to_vec(), bins.as_ref(), Some(blocks));
         let mut per_node = RegressionTree::new(cfg);
         per_node.grow(&data.x, &data.y, rows.to_vec(), bins.as_ref(), None);
@@ -1144,7 +1118,8 @@ mod tests {
             for t in [1usize, 4, 15] {
                 let data = random_dataset(n, t, (n * 31 + t) as u64);
                 let ranks = FeatureRanks::build(&data.x);
-                assert!(ranks.slot.iter().all(Option::is_some), "n={n}: ties");
+                let tie_free = |b: &[(f64, u32)]| b.windows(2).all(|w| w[0].0 != w[1].0);
+                assert!(ranks.pairs.chunks_exact(n).all(tie_free), "n={n}: ties");
                 if n > 256 {
                     // More distinct values than bins: quantile cuts, and
                     // the root takes the histogram branch.
@@ -1168,30 +1143,13 @@ mod tests {
         }
     }
 
-    /// Ranks every feature, tied ones included (ties by row), so the
-    /// presorted path runs where [`FeatureRanks::build`] would not.
-    fn rank_all(x: &DenseMatrix) -> FeatureRanks {
-        let n = x.rows();
-        let mut pairs = Vec::with_capacity(n * x.cols());
-        for f in 0..x.cols() {
-            let col = pairs.len();
-            pairs.extend((0..n).map(|r| (x.get(r, f), r as u32)));
-            pairs[col..].sort_by(by_value);
-        }
-        FeatureRanks {
-            n_rows: n,
-            slot: (0..x.cols()).map(Some).collect(),
-            pairs,
-        }
-    }
-
     #[test]
-    fn tied_features_keep_the_per_node_sort() {
+    fn every_column_is_ranked_and_tied_columns_grow_the_per_node_sort_tree() {
         // Three tie-free features and three integer ones with few
-        // levels. Only the tie-free ones get blocks; the tied ones
-        // scan in the per-node sort's order, so even fractional targets
-        // (where the order of a tie's rows changes the rounding) grow
-        // the same tree as sorting every feature per node.
+        // levels, under fractional targets: the order a tie's rows are
+        // scanned in sets the rounding of the split sums. Every column
+        // gets a block in `(value, row)` order, and the blocks grow the
+        // tree the per-node sort grows.
         let tie_free = random_dataset(300, 4, 5);
         let integer = integer_dataset(300, 7);
         let rows: Vec<Vec<f64>> = (0..300)
@@ -1203,13 +1161,17 @@ mod tests {
             .collect();
         let data = Dataset::new(DenseMatrix::from_rows(&rows).unwrap(), tie_free.y).unwrap();
         let ranks = FeatureRanks::build(&data.x);
-        let ranked: Vec<bool> = ranks.slot.iter().map(Option::is_some).collect();
-        assert_eq!(ranked, [true, true, true, false, false, false]);
+        assert_eq!(ranks.pairs.len(), 6 * data.len(), "ranked columns");
+        for (f, block) in ranks.pairs.chunks_exact(data.len()).enumerate() {
+            let ordered = block.windows(2).all(|w| by_value(&w[0], &w[1]).is_lt());
+            assert!(ordered, "column {f} is not in (value, row) order");
+        }
         for (map, rows) in row_maps(data.len(), 17) {
             for binned in [false, true] {
                 for cfg in both_configs(binned) {
-                    let [a, b] = grow_both_ranked(&data, &rows, cfg, &ranks);
+                    let [a, b] = grow_both(&data, &rows, cfg);
                     let what = format!("rows={map} binned={binned} depth={}", cfg.max_depth);
+                    assert!(a.n_nodes() > 7, "{what}: tree too small to test");
                     assert_same_tree(&a, &b, &what);
                 }
             }
@@ -1219,14 +1181,13 @@ mod tests {
     #[test]
     fn presorted_blocks_on_tied_integer_data_match_the_per_node_sort() {
         // Integer features and targets: every sum is exact, so the order
-        // of a tie's rows cannot change any bit, and blocks ranked with
-        // ties (by row) must grow the per-node sort's tree.
+        // of a tie's rows cannot change any bit, and the blocks must grow
+        // the per-node sort's tree on every feature.
         let data = integer_dataset(300, 7);
-        let ranks = rank_all(&data.x);
         for (map, rows) in row_maps(data.len(), 17) {
             for binned in [false, true] {
                 for cfg in both_configs(binned) {
-                    let [a, b] = grow_both_ranked(&data, &rows, cfg, &ranks);
+                    let [a, b] = grow_both(&data, &rows, cfg);
                     let what = format!("rows={map} binned={binned} depth={}", cfg.max_depth);
                     assert!(a.n_nodes() > 7, "{what}: tree too small to test");
                     assert_same_tree(&a, &b, &what);

@@ -47,7 +47,6 @@
 pub mod export;
 pub mod metrics;
 pub mod span;
-pub mod telemetry;
 pub mod window;
 
 use std::sync::atomic::{AtomicBool, Ordering};

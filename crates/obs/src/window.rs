@@ -289,14 +289,6 @@ impl RollingHisto {
         (counts, count, sum_ns)
     }
 
-    /// Merged per-bucket counts over a window plus the shared log10 bucket
-    /// edges — the raw material for cumulative (Prometheus-style)
-    /// rendering: `(edges, counts, count, sum_ns)`.
-    pub fn windowed_buckets(&self, window_secs: u64) -> (Vec<f64>, Vec<u64>, u64, u64) {
-        let (counts, count, sum_ns) = self.merged(window_secs);
-        (self.grid.bin_edges(), counts, count, sum_ns)
-    }
-
     /// Observation count over the trailing window.
     pub fn windowed_count(&self, window_secs: u64) -> u64 {
         self.merged(window_secs).1
@@ -459,6 +451,39 @@ mod tests {
         let view = h.view("10s", 10);
         assert_eq!(view.count, 0);
         assert_eq!(view.p99_ns, None);
+    }
+
+    #[test]
+    fn racing_writers_keep_bucket_counts_summing_to_the_window_count() {
+        // Writers shove the clock across slot boundaries while they
+        // record; whatever the windows keep, their bucket counts sum to
+        // their count.
+        for threads in [1u64, 2, 8] {
+            let clock = WindowClock::manual();
+            let h = RollingHisto::new(clock.clone());
+            std::thread::scope(|scope| {
+                for t in 0..threads {
+                    let (h, clock) = (&h, clock.clone());
+                    scope.spawn(move || {
+                        for i in 0..400 {
+                            if i % 37 == 0 {
+                                clock.set_ns((t * 131 + i * 7) % 600 * SLOT_NS);
+                            }
+                            h.record_ns(1 + t * 400 + i);
+                        }
+                    });
+                }
+            });
+            assert_eq!(h.total_count(), threads * 400);
+            for window in [10, 60, 300] {
+                let (counts, count, _) = h.merged(window);
+                assert_eq!(
+                    counts.iter().sum::<u64>(),
+                    count,
+                    "{threads} threads, {window}s"
+                );
+            }
+        }
     }
 
     #[test]

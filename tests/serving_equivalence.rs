@@ -168,8 +168,8 @@ fn uc2_registry_round_trip_is_bit_identical_at_any_thread_count() {
 /// other digits, or a reply framed differently, changes a constant.
 #[test]
 fn served_replies_and_sealed_artifacts_keep_their_bytes() {
-    const REPLY_DIGEST: u64 = 0xb963_2017_ebd5_5bba;
-    const REGISTRY_DIGEST: u64 = 0xd2ba_1b87_0fef_6559;
+    const REPLY_DIGEST: u64 = 0x8e5e_a05e_7bae_54bf;
+    const REGISTRY_DIGEST: u64 = 0x58f5_3ccb_e768_6e7e;
     let dir = TempDir::new("pv-serve-eq-bytes");
     let registry = ModelRegistry::new(dir.to_path_buf());
     let intel = corpus(SystemModel::intel());

@@ -223,7 +223,7 @@ fn older_format_cell_files_are_deleted_by_the_next_sweep() {
         .entry_path(first.fingerprint, &first.cells[0].config)
         .unwrap();
     let bytes = std::fs::read(&live).unwrap();
-    assert_eq!(&bytes[..8], b"PVCELL09");
+    assert_eq!(&bytes[..8], b"PVCELL10");
     let restamped = |version: &[u8; 2], name: &str| {
         let mut copy = bytes.clone();
         copy[6..8].copy_from_slice(version);
@@ -232,7 +232,7 @@ fn older_format_cell_files_are_deleted_by_the_next_sweep() {
         path
     };
     let older = restamped(b"06", "cell-0000000000000006.json");
-    let newer = restamped(b"10", "cell-0000000000000010.json");
+    let newer = restamped(b"11", "cell-0000000000000011.json");
     assert_eq!(tmp.cache().entries(), 3);
 
     let second = sweep.run(&grid).unwrap();
